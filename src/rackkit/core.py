@@ -268,22 +268,35 @@ class RackTable:
             shown.append(f"and {more} more violations")
         raise NotARackError("not a rack: " + "; ".join(shown))
 
+    def _first_escape(self, elems: Sequence[int]) -> tuple[int, int, int] | None:
+        """First product (x, y, x▷y) with x, y in elems but x▷y outside.
+
+        Pairs are taken in the order of elems, x before y, so sorted elems
+        give the first escape in sorted order; None means elems is closed.
+        The elements must already be checked to lie in range.
+        """
+        inside = set(elems)
+        for x in elems:
+            row = self.entries[x - 1]
+            for y in elems:
+                p = row[y - 1]
+                if p not in inside:
+                    return x, y, p
+        return None
+
     def subtable(self, elements: Iterable[int]) -> "RackTable":
         """Restriction to a ▷-closed subset, relabeled 1..k in sorted order."""
         elems = sorted(set(int(v) for v in elements))
         for v in elems:
             self._check_element(v)
+        escape = self._first_escape(elems)
+        if escape is not None:
+            x, y, p = escape
+            raise RackError(f"not closed: {x}▷{y}={p} escapes the subset")
         index = {v: i + 1 for i, v in enumerate(elems)}
-        rows = []
-        for x in elems:
-            row = []
-            for y in elems:
-                p = self.op(x, y)
-                if p not in index:
-                    raise RackError(f"not closed: {x}▷{y}={p} escapes the subset")
-                row.append(index[p])
-            rows.append(tuple(row))
-        return RackTable(tuple(rows))
+        return RackTable(tuple(
+            tuple(index[self.entries[x - 1][y - 1]] for y in elems)
+            for x in elems))
 
     def to_text(self) -> str:
         lines = [str(self.n)]

@@ -1,5 +1,9 @@
 """Two-variable polynomials, fixed-point counting, and subrack enumeration."""
 
+import math
+import time
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +13,11 @@ from rackkit import (
     Permutation,
     RackError,
     TwoVarPoly,
+    alexander,
     closure,
     column_order_lcm,
     constant_action,
+    dual,
     enumerate_subracks,
     exponent_profile,
     format_monomial,
@@ -215,6 +221,73 @@ def test_subracks_sorted_by_size_then_lex(racks):
     subs = enumerate_subracks(racks["Q6"])
     keys = [(len(s), s) for s in subs]
     assert keys == sorted(keys)
+
+
+# Racks of at most 9 elements, small enough for the 2^n oracle: constant
+# action racks, linear quandles, their duals and their subtables.
+constant_action_racks = st.integers(1, 9).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1)))).map(
+    lambda images: constant_action(Permutation(tuple(images))))
+alexander_racks = st.integers(1, 9).flatmap(
+    lambda n: st.sampled_from(
+        [t for t in range(n) if math.gcd(t, n) == 1]).map(
+        lambda t: alexander(n, t)))
+
+
+@st.composite
+def small_racks(draw):
+    table = draw(st.one_of(constant_action_racks, alexander_racks))
+    if draw(st.booleans()):
+        table = dual(table)
+    seed = draw(st.sets(st.sampled_from(table.elements)))
+    if seed and draw(st.booleans()):
+        table = table.subtable(oracles.closure(table.entries, seed))
+    return table
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(small_racks())
+def test_enumerate_subracks_matches_brute_force(table):
+    subs = enumerate_subracks(table)
+    assert list(subs) == oracles.subracks(table.entries)
+    # is_subrack holds exactly on the enumerated subsets
+    listed = set(subs)
+    for k in table.elements:
+        for subset in combinations(table.elements, k):
+            assert is_subrack(table, subset) == (subset in listed), subset
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.data())
+def test_closure_matches_oracle_on_random_seeds(data):
+    table = data.draw(small_racks())
+    for _ in range(4):
+        seed = data.draw(st.lists(st.sampled_from(table.elements), max_size=4))
+        assert closure(table, seed) == oracles.closure(table.entries, seed)
+
+
+def test_enumerate_subracks_at_n101():
+    # a prime linear quandle: any two elements generate the whole set
+    table = alexander(101, 2)
+    start = time.perf_counter()
+    subs = enumerate_subracks(table)
+    elapsed = time.perf_counter() - start
+    assert subs == tuple((x,) for x in table.elements) + (tuple(table.elements),)
+    # it takes milliseconds; the loose bound has to catch only a slowdown
+    # by orders of magnitude, and holds on a loaded machine
+    assert elapsed < 5
+
+
+def test_enumerate_subracks_of_trivial_rack():
+    # x ▷ y = x closes every subset
+    table = constant_action(Permutation.identity(12))
+    start = time.perf_counter()
+    subs = enumerate_subracks(table)
+    elapsed = time.perf_counter() - start
+    assert len(subs) == 4095
+    assert subs == tuple(
+        c for k in range(1, 13) for c in combinations(table.elements, k))
+    assert elapsed < 5
 
 
 # -- subrack polynomials -----------------------------------------------------
