@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Sequence
-
-import numpy as np
 
 __all__ = [
     "AxiomViolation",
@@ -110,11 +109,13 @@ class Permutation:
         return Permutation(tuple(self.images[y - 1] for y in other.images))
 
     def power(self, k: int) -> "Permutation":
-        k %= self.order
-        result = Permutation.identity(self.n)
-        for _ in range(k):
-            result = self.compose(result)
-        return result
+        """The k-th power for any integer k, in O(n): each cycle is rotated."""
+        images = [0] * self.n
+        for cycle in self.cycles:
+            shift = k % len(cycle)
+            for x, y in zip(cycle, cycle[shift:] + cycle[:shift]):
+                images[x - 1] = y
+        return Permutation(tuple(images))
 
     def conjugated_by(self, tau: "Permutation") -> "Permutation":
         """tau ∘ self ∘ tau⁻¹: the same permutation on relabeled points."""
@@ -226,12 +227,6 @@ class RackTable:
         return self._inverse_columns[y - 1][x - 1]
 
     @cached_property
-    def _array(self) -> np.ndarray:
-        arr = np.array(self.entries, dtype=np.int64) - 1
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
     def columns(self) -> tuple[Permutation, ...]:
         """Column actions x ↦ x ▷ y, one per y; requires bijective columns."""
         try:
@@ -305,43 +300,74 @@ class RackTable:
 
 
 def _analyze(table: RackTable) -> PropertyReport:
+    """Axioms and property flags from the columns, in O(n²) memory plus witnesses.
+
+    Let C[y] be the 0-based column x ↦ x▷y as a tuple, so that composing
+    two columns is one itemgetter call.  Self-distributivity
+    (x▷y)▷z = (x▷z)▷(y▷z) says C[z]∘C[y] = C[y▷z]∘C[z] for every pair
+    (y, z): n² compositions of length n.  Only the pairs that differ are
+    expanded into their x witnesses.
+
+    Mediality (x▷y)▷(z▷w) = (x▷z)▷(y▷w) says R_{z▷w}R_y = R_{y▷w}R_z, with
+    R_y = C[y].  In a rack R_{y▷w} = R_w R_y R_w⁻¹, so this holds iff for
+    each w the maps S_y = R_w⁻¹R_y commute pairwise.  One w is enough:
+    R_{w'}⁻¹R_y = S_{w'}⁻¹S_y lies in the group the S_y generate.  So the
+    check composes S_y = C[0]⁻¹∘C[y] once per y and compares n(n-1)/2
+    pairs.  This is the rack form of "a quandle is medial iff its
+    displacement group is abelian" (Jedlička, Pilitowska, Stanovský and
+    Zamojska-Dzienio, J. Algebra 2015).
+    """
     n = table.n
-    a = table._array
-    idx = np.arange(n)
+    rows = table.entries
+    ident = list(range(n))
+    cols = [tuple(v - 1 for v in col) for col in zip(*rows)]
     violations: list[AxiomViolation] = []
 
-    columns_ok = bool((np.sort(a, axis=0) == idx[:, None]).all())
+    columns_ok = all(sorted(c) == ident for c in cols)
     if not columns_ok:
-        for j in range(n):
+        for j, col in enumerate(cols):
             first: dict[int, int] = {}
-            for i in range(n):
-                k = int(a[i, j])
+            for i, k in enumerate(col):
                 if k in first:
                     violations.append(
                         AxiomViolation("bijectivity", (first[k] + 1, i + 1, j + 1)))
                 else:
                     first[k] = i
 
-    # left[x,y,z] = (x▷y)▷z, right[x,y,z] = (x▷z)▷(y▷z)
-    left = a[a]
-    right = a[a[:, None, :], a[None, :, :]]
-    mismatches = np.argwhere(left != right)
-    for x, y, z in mismatches:
-        violations.append(
-            AxiomViolation("distributivity", (int(x) + 1, int(y) + 1, int(z) + 1)))
+    # after[y](t) is t∘C[y], the tuple of t[C[y][x]] over x; at n = 1
+    # itemgetter returns a bare entry, which compares just as well
+    after = [itemgetter(*c) for c in cols]
+    mismatches = []
+    for z, cz in enumerate(cols):
+        after_z = after[z]
+        for y, cy in enumerate(cols):
+            cyz = cols[cz[y]]
+            if after[y](cz) != after_z(cyz):
+                mismatches.extend(
+                    (x, y, z) for x in range(n) if cz[cy[x]] != cyz[cz[x]])
+    mismatches.sort()
+    violations.extend(
+        AxiomViolation("distributivity", (x + 1, y + 1, z + 1))
+        for x, y, z in mismatches)
 
-    is_rack = columns_ok and mismatches.size == 0
-    is_quandle = is_rack and bool((np.diag(a) == idx).all())
-    is_latin = bool((np.sort(a, axis=1) == idx[None, :]).all())
-
-    fixes_right = a == idx[:, None]  # [x, y] holds iff x ▷ y = x
-    is_crossed = is_quandle and bool((fixes_right == fixes_right.T).all())
+    is_rack = columns_ok and not mismatches
+    is_quandle = is_rack and all(rows[i][i] == i + 1 for i in range(n))
+    labels = list(table.elements)
+    is_latin = all(sorted(row) == labels for row in rows)
+    is_crossed = is_quandle and all(
+        (rows[x][y] == x + 1) == (rows[y][x] == y + 1)
+        for x in range(n) for y in range(x + 1, n))
 
     is_abelian = False
     if is_rack:
-        lhs = a[a[:, :, None, None], a[None, None, :, :]]
-        rhs = a[a[:, None, :, None], a[None, :, None, :]]
-        is_abelian = bool((lhs == rhs).all())
+        inv0 = [0] * n
+        for x, v in enumerate(cols[0]):
+            inv0[v] = x
+        shifted = [tuple(inv0[v] for v in c) for c in cols]
+        shifted_after = [itemgetter(*s) for s in shifted]
+        is_abelian = all(
+            shifted_after[a](shifted[b]) == shifted_after[b](shifted[a])
+            for a, b in combinations(range(n), 2))
 
     return PropertyReport(is_rack, is_quandle, is_crossed, is_abelian,
                           is_latin, tuple(violations))

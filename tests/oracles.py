@@ -49,6 +49,53 @@ def is_quandle(entries):
     return is_rack(entries) and all(op(entries, x, x) == x for x in range(1, n + 1))
 
 
+def is_latin(entries):
+    n = len(entries)
+    return all(sorted(row) == list(range(1, n + 1)) for row in entries)
+
+
+def is_crossed_set(entries):
+    """A quandle where x ▷ y = x holds exactly when y ▷ x = y."""
+    n = len(entries)
+    return is_quandle(entries) and all(
+        (op(entries, x, y) == x) == (op(entries, y, x) == y)
+        for x in range(1, n + 1) for y in range(1, n + 1))
+
+
+def is_medial(entries):
+    """(x ▷ y) ▷ (z ▷ w) = (x ▷ z) ▷ (y ▷ w) for every quadruple."""
+    n = len(entries)
+    for x, y, z, w in product(range(1, n + 1), repeat=4):
+        left = op(entries, op(entries, x, y), op(entries, z, w))
+        right = op(entries, op(entries, x, z), op(entries, y, w))
+        if left != right:
+            return False
+    return True
+
+
+def violations(entries):
+    """Every axiom witness as (axiom, witness), bijectivity first.
+
+    Bijectivity witnesses run column by column, pairing each repeated
+    entry (x2, y) with the first row x1 that holds the same value;
+    distributivity witnesses (x, y, z) follow in lexicographic order.
+    """
+    n = len(entries)
+    found = []
+    for y in range(1, n + 1):
+        for x2 in range(1, n + 1):
+            for x1 in range(1, x2):
+                if op(entries, x1, y) == op(entries, x2, y):
+                    found.append(("bijectivity", (x1, x2, y)))
+                    break
+    for x, y, z in product(range(1, n + 1), repeat=3):
+        left = op(entries, op(entries, x, y), z)
+        right = op(entries, op(entries, x, z), op(entries, y, z))
+        if left != right:
+            found.append(("distributivity", (x, y, z)))
+    return found
+
+
 def col_count(entries, d, x):
     """How many y return to themselves after d right-products by x."""
     n = len(entries)

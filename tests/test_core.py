@@ -1,13 +1,21 @@
 """Tables, permutations, validation, duals, and quotients."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import time
+import tracemalloc
+from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import rackkit
 from conftest import RACK_TABLES, load_rack
 from rackkit import (
     CongruenceError,
@@ -104,6 +112,26 @@ def test_conjugation_preserves_cycle_type(images, other):
 def test_order_annihilates(images):
     p = Permutation(images)
     assert p.power(p.order).is_identity()
+
+
+def test_power_at_large_order():
+    # cycle type (23, 19, 17, 13, 11, 7, 5, 3) on 98 points: order 111,546,435
+    cycles, start = [], 1
+    for length in (23, 19, 17, 13, 11, 7, 5, 3):
+        cycles.append(tuple(range(start, start + length)))
+        start += length
+    p = Permutation.from_cycles(98, cycles)
+    assert p.order == 111_546_435
+    table = constant_action(p)
+    begin = time.perf_counter()
+    for k in (10**8, -10**8, p.order - 1, 10**18 + 7):
+        q = p.power(k)
+        for c in cycles:
+            for i, x in enumerate(c):
+                assert q(x) == c[(i + k) % len(c)]
+                assert rack_op_iter(table, x, 1, k) == c[(i + k) % len(c)]
+    # O(n) per power: milliseconds, where iterating k would take minutes
+    assert time.perf_counter() - begin < 5
 
 
 # -- table construction and parsing -----------------------------------------
@@ -229,6 +257,134 @@ def test_random_tables_match_oracle():
         assert r.is_rack == oracles.is_rack(entries)
         if r.is_rack:
             assert r.is_quandle == oracles.is_quandle(entries)
+
+
+# -- validation against the brute-force oracles ------------------------------
+
+
+def assert_report_matches_oracles(entries):
+    r = validate_rack(RackTable(entries))
+    is_rack = oracles.is_rack(entries)
+    assert r.is_rack == is_rack
+    assert r.is_quandle == oracles.is_quandle(entries)
+    assert r.is_crossed_set == oracles.is_crossed_set(entries)
+    assert r.is_abelian == (is_rack and oracles.is_medial(entries))
+    assert r.is_latin == oracles.is_latin(entries)
+    got = [(v.axiom, v.witness) for v in r.axiom_violations]
+    assert got == oracles.violations(entries)
+
+
+def from_columns(columns):
+    n = len(columns)
+    return tuple(tuple(columns[y][x] for y in range(n)) for x in range(n))
+
+
+def relabel(entries, images):
+    """The same table on points renamed by x ↦ images[x-1]."""
+    n = len(entries)
+    back = {v: x for x, v in enumerate(images, start=1)}
+    return tuple(
+        tuple(images[entries[back[a] - 1][back[b] - 1] - 1]
+              for b in range(1, n + 1))
+        for a in range(1, n + 1))
+
+
+def conjugation_quandle(group):
+    """x ▷ y = y⁻¹xy on a set of permutations of range(k), closed under it."""
+    index = {g: i for i, g in enumerate(group, start=1)}
+
+    def conj(x, y):
+        inv_y = tuple(sorted(range(len(y)), key=y.__getitem__))
+        return tuple(inv_y[x[y[i]]] for i in range(len(y)))
+
+    return tuple(tuple(index[conj(x, y)] for y in group) for x in group)
+
+
+S3 = tuple(permutations(range(3)))
+S4 = tuple(permutations(range(4)))
+S4_TRANSPOSITIONS = tuple(g for g in S4 if sum(g[i] != i for i in range(4)) == 2)
+
+
+arbitrary_tables = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(1, n), min_size=n, max_size=n).map(tuple),
+        min_size=n, max_size=n).map(tuple))
+permutation_column_tables = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.permutations(list(range(1, n + 1))), min_size=n, max_size=n)
+    .map(from_columns))
+
+
+def _units(n):
+    return [t for t in range(n) if math.gcd(t, n) == 1]
+
+
+generator_racks = st.one_of(
+    st.integers(1, 6).flatmap(
+        lambda n: st.sampled_from(_units(n)).map(lambda t: alexander(n, t))),
+    st.integers(1, 6).flatmap(
+        lambda n: st.sampled_from([
+            (t, s) for t in _units(n) for s in range(n)
+            if (s * (1 - t - s)) % n == 0]).map(lambda ts: ts_rack(n, *ts))),
+    st.integers(1, 6).flatmap(
+        lambda n: st.permutations(list(range(1, n + 1)))).map(
+        lambda images: constant_action(Permutation(tuple(images)))),
+).map(lambda table: table.entries)
+# the two non-medial quandles with n = 6
+small_conjugation_quandles = st.sampled_from(
+    [conjugation_quandle(S3), conjugation_quandle(S4_TRANSPOSITIONS)])
+relabelled_racks = st.one_of(
+    generator_racks, small_conjugation_quandles).flatmap(
+    lambda entries: st.permutations(list(range(1, len(entries) + 1))).map(
+        lambda images: relabel(entries, images)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.one_of(arbitrary_tables, permutation_column_tables, relabelled_racks))
+def test_validation_matches_oracles(entries):
+    assert_report_matches_oracles(entries)
+
+
+def test_validation_matches_oracles_on_all_small_permutation_tables():
+    for n in range(1, 4):
+        perms = list(permutations(range(1, n + 1)))
+        for columns in product(perms, repeat=n):
+            assert_report_matches_oracles(from_columns(columns))
+
+
+@pytest.mark.parametrize("group", [S3, S4_TRANSPOSITIONS, S4],
+                         ids=["S3", "S4-transpositions", "S4"])
+def test_conjugation_quandles_are_non_medial(group):
+    entries = conjugation_quandle(group)
+    assert_report_matches_oracles(entries)
+    r = validate_rack(RackTable(entries))
+    assert r.is_quandle and not r.is_abelian
+
+
+def test_validation_at_n200_stays_small():
+    table = RackTable(alexander(200, 3).entries)  # fresh, nothing cached
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        r = validate_rack(table)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.is_rack, r.is_quandle, r.is_abelian) == (True, True, True)
+    # under a second and about 1 MiB; the bounds catch only a return to n⁴
+    assert peak < 100 * 2**20
+    assert elapsed < 5
+
+
+def test_cli_import_leaves_numpy_out():
+    src = str(Path(rackkit.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rackkit.cli; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # -- iterated operator ------------------------------------------------------
