@@ -241,6 +241,22 @@ class RackTable:
         return self.columns[y - 1]
 
     @cached_property
+    def _orbit_lengths(self) -> tuple[tuple[int, ...], ...]:
+        """``[y-1][x-1]`` is the length of x's cycle under the column of y.
+
+        x ▷ y ... ▷ y (d copies) = x exactly when that length divides d,
+        so every fixed-point count at every depth is read from this matrix.
+        """
+        lengths = []
+        for col in self.columns:
+            row = [0] * self.n
+            for cycle in col.cycles:
+                for x in cycle:
+                    row[x - 1] = len(cycle)
+            lengths.append(tuple(row))
+        return tuple(lengths)
+
+    @cached_property
     def _inverse_columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(c.inverse().images for c in self.columns)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -9,8 +10,8 @@ from functools import lru_cache
 
 from .core import Permutation, RackError, RackTable, column_order_lcm
 from .generators import constant_action
-from .poly import (CONVENTIONS, TwoVarPoly, _check_convention,
-                   _convention_pairs, _iterated_fix_counts)
+from .poly import (CONVENTIONS, TwoVarPoly, _check_convention, _col_counts,
+                   _row_counts, _slot_counts)
 
 __all__ = [
     "ClassificationReport",
@@ -35,24 +36,20 @@ class IsoResult:
 
 def _invariant_keys(table: RackTable) -> list[tuple]:
     """Per-element keys preserved by isomorphism, used to prune the search."""
-    col, row = _iterated_fix_counts(table, 1)
-    keys = []
-    for x in table.elements:
-        sq = table.op(x, x)
-        keys.append((
-            table.column(x).cycle_type,
-            col[1][x - 1],
-            row[1][x - 1],
-            table.column(sq).cycle_type,
-        ))
-    return keys
+    columns = table.columns
+    col = _col_counts(table, 1)
+    row = _row_counts(table, 1)
+    return [(columns[i].cycle_type, col[i], row[i],
+             columns[table.entries[i][i] - 1].cycle_type)
+            for i in range(table.n)]
 
 
 def _is_morphism(a: RackTable, b: RackTable, images: list[int]) -> bool:
-    for x in a.elements:
-        fx = images[x - 1]
-        for y in a.elements:
-            if b.op(fx, images[y - 1]) != images[a.op(x, y) - 1]:
+    rows_b = b.entries
+    for x, row in enumerate(a.entries):
+        image_row = rows_b[images[x] - 1]
+        for y, p in enumerate(row):
+            if image_row[images[y] - 1] != images[p - 1]:
                 return False
     return True
 
@@ -80,18 +77,22 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
     order = sorted(range(1, n + 1), key=lambda x: len(candidates[x - 1]))
     images = [0] * n
     used = [False] * n
+    rows_a = a.entries
+    rows_b = b.entries
 
-    def feasible(x: int) -> bool:
+    def feasible(pos: int) -> bool:
+        # products of order[pos] with itself and every element placed before it
+        x = order[pos]
         fx = images[x - 1]
-        for y in order:
+        row_x = rows_a[x - 1]
+        row_fx = rows_b[fx - 1]
+        for y in order[:pos + 1]:
             fy = images[y - 1]
-            if fy == 0:
-                continue
-            p = images[a.op(x, y) - 1]
-            if p and b.op(fx, fy) != p:
+            p = images[row_x[y - 1] - 1]
+            if p and row_fx[fy - 1] != p:
                 return False
-            q = images[a.op(y, x) - 1]
-            if q and b.op(fy, fx) != q:
+            q = images[rows_a[y - 1][x - 1] - 1]
+            if q and rows_b[fy - 1][fx - 1] != q:
                 return False
         return True
 
@@ -104,7 +105,7 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
                 continue
             images[x - 1] = y
             used[y - 1] = True
-            if feasible(x) and search(pos + 1):
+            if feasible(pos) and search(pos + 1):
                 return True
             images[x - 1] = 0
             used[y - 1] = False
@@ -130,10 +131,10 @@ class PolyDifference:
 class RpFamilyScan:
     """Comparison of two racks' polynomials over a grid of depth pairs.
 
-    Depths run over 1..bound in each slot.  When bound covers the period
-    of both tables' iterated products (the lcm of all column orders),
-    complete_bound is true and an empty scan certifies agreement at every
-    depth pair, since counts at depth d only depend on d mod the period.
+    Depths run over 1..bound in each slot.  complete_bound is true when
+    bound reaches the larger of the two tables' periods (the lcm of each
+    table's column orders); then an empty scan certifies agreement at
+    every depth pair, as rp_family_scan explains.
     """
 
     bound: int
@@ -158,33 +159,64 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     """Compare polynomials of two racks at all depth pairs up to a bound.
 
     Pairs are scanned with the second depth outermost, so the reported
-    first difference minimizes n before m.  Default bound is the lcm of
-    both tables' column orders, which makes the scan a complete
-    certificate by periodicity.
+    first difference minimizes n before m.
+
+    The default bound is max(L_a, L_b), the larger of the two tables'
+    periods (L_a is the lcm of a's column orders), and it already makes
+    the scan a complete certificate.  If L_a does not divide L_b, then at
+    (L_b, L_b) every count of b is b's size k, so b's polynomial is
+    k*s^k*t^k in either convention, while some count of a is below k; in
+    the same way (L_a, L_a) differs if L_b does not divide L_a.  So an
+    empty scan up to max(L_a, L_b) forces L_a = L_b, and as counts at
+    depth d depend only on d mod the period, every depth pair agrees.
+
+    Counts at depth d depend on d only through its class gcd(d, L), with
+    L = lcm(L_a, L_b).  The tables are compared once for each pair of
+    classes that occur up to the bound, and for each class of n the m in
+    1..bound whose class pair differs are listed once; depths n of one
+    class share that list and its polynomials.
     """
     _check_convention(convention)
     a.require_rack()
     b.require_rack()
-    period = max(column_order_lcm(a), column_order_lcm(b))
+    period_a = column_order_lcm(a)
+    period_b = column_order_lcm(b)
+    period = max(period_a, period_b)
     if bound is None:
         bound = period
     if bound < 1:
         raise RackError(f"bound must be at least 1, got {bound}")
     complete = bound >= period
-    col_a, row_a = _iterated_fix_counts(a, bound)
-    col_b, row_b = _iterated_fix_counts(b, bound)
-    diffs = []
-    for n in range(1, bound + 1):
-        for m in range(1, bound + 1):
-            pa = Counter(_convention_pairs(col_a, row_a, m, n, convention))
-            pb = Counter(_convention_pairs(col_b, row_b, m, n, convention))
+    lcm = math.lcm(period_a, period_b)
+    depth_class = [math.gcd(d, lcm) for d in range(1, bound + 1)]
+    classes = sorted(set(depth_class))
+    s_counts, t_counts = _slot_counts(convention)
+    s_a = {g: s_counts(a, g) for g in classes}
+    s_b = {g: s_counts(b, g) for g in classes}
+
+    def differing_m(gn: int) -> list[tuple[int, TwoVarPoly, TwoVarPoly]]:
+        t_a = t_counts(a, gn)
+        t_b = t_counts(b, gn)
+        polys = {}
+        for gm in classes:
+            pa = Counter(zip(s_a[gm], t_a))
+            pb = Counter(zip(s_b[gm], t_b))
             if pa != pb:
-                diffs.append(PolyDifference(
-                    m, n,
-                    TwoVarPoly.from_dict(pa),
-                    TwoVarPoly.from_dict(pb)))
-                if stop_at_first:
-                    return RpFamilyScan(bound, complete, tuple(diffs))
+                polys[gm] = TwoVarPoly.from_dict(pa), TwoVarPoly.from_dict(pb)
+        if not polys:
+            return []
+        return [(m, *polys[gm]) for m, gm in enumerate(depth_class, start=1)
+                if gm in polys]
+
+    by_class: dict[int, list[tuple[int, TwoVarPoly, TwoVarPoly]]] = {}
+    diffs = []
+    for n, gn in enumerate(depth_class, start=1):
+        if gn not in by_class:
+            by_class[gn] = differing_m(gn)
+        for m, left, right in by_class[gn]:
+            diffs.append(PolyDifference(m, n, left, right))
+            if stop_at_first:
+                return RpFamilyScan(bound, complete, tuple(diffs))
     return RpFamilyScan(bound, complete, tuple(diffs))
 
 

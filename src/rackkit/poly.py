@@ -12,13 +12,19 @@ the convention is an explicit argument everywhere:
 
 * "def" (default): e = row[m][x], f = col[n][x];
 * "prop3": e = col[m][x], f = row[n][x].
+
+Both counts are read from the table's cached matrix of orbit lengths: y
+returns to itself after d products by x exactly when the length of its
+cycle under x's column divides d.  Every count at every depth therefore
+costs O(n²) for the table, and depends on d only through gcd(d, L), with
+L the lcm of the column orders.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .core import RackError, RackTable
 
@@ -112,32 +118,18 @@ class TwoVarPoly:
             format_monomial(c, [("s", s), ("t", t)]) for s, t, c in self.terms)
 
 
-def _iterated_fix_counts(table: RackTable,
-                         depth: int) -> tuple[dict[int, tuple[int, ...]],
-                                              dict[int, tuple[int, ...]]]:
-    """Column and row counts for every element at every depth 0..depth.
+def _col_counts(table: RackTable, depth: int) -> tuple[int, ...]:
+    """col[depth][x] for each x: points whose cycle under x's column
+    has a length dividing depth."""
+    return tuple(sum(1 for k in lengths if depth % k == 0)
+                 for lengths in table._orbit_lengths)
 
-    Returns (col, row) where col[d][x-1] counts fixed points of the d-th
-    power of x's column and row[d][x-1] counts y with x ▷ y^(d) = x.
-    """
-    table.require_rack()
-    n = table.n
-    base = [tuple(table.entries[i][j] for i in range(n)) for j in range(n)]
-    col: dict[int, tuple[int, ...]] = {}
-    row: dict[int, tuple[int, ...]] = {}
-    # current[j] is the j-th column action iterated d times, as an image tuple
-    current = [tuple(range(1, n + 1))] * n
-    for d in range(depth + 1):
-        col[d] = tuple(
-            sum(1 for i in range(n) if current[x][i] == i + 1)
-            for x in range(n))
-        row[d] = tuple(
-            sum(1 for j in range(n) if current[j][x] == x + 1)
-            for x in range(n))
-        if d < depth:
-            current = [tuple(base[j][v - 1] for v in cur)
-                       for j, cur in enumerate(current)]
-    return col, row
+
+def _row_counts(table: RackTable, depth: int) -> tuple[int, ...]:
+    """row[depth][x] for each x: columns under which x's cycle has a
+    length dividing depth."""
+    return tuple(sum(1 for k in lengths if depth % k == 0)
+                 for lengths in zip(*table._orbit_lengths))
 
 
 @dataclass(frozen=True)
@@ -159,17 +151,25 @@ def _check_depths(m: int, n: int) -> None:
 
 def exponent_profile(table: RackTable, m: int, n: int) -> ExponentProfile:
     _check_depths(m, n)
-    col, row = _iterated_fix_counts(table, max(m, n))
-    pairs = tuple(zip(col[m], row[n]))
+    table.require_rack()
+    pairs = tuple(zip(_col_counts(table, m), _row_counts(table, n)))
     return ExponentProfile(m, n, pairs)
 
 
-def _convention_pairs(col: Mapping[int, tuple[int, ...]],
-                      row: Mapping[int, tuple[int, ...]],
-                      m: int, n: int, convention: str) -> list[tuple[int, int]]:
+_Counts = Callable[[RackTable, int], tuple[int, ...]]
+
+
+def _slot_counts(convention: str) -> tuple[_Counts, _Counts]:
+    """The counts feeding the s and the t exponent under a convention."""
     if convention == "def":
-        return list(zip(row[m], col[n]))
-    return list(zip(col[m], row[n]))
+        return _row_counts, _col_counts
+    return _col_counts, _row_counts
+
+
+def _convention_pairs(table: RackTable, m: int, n: int,
+                      convention: str) -> list[tuple[int, int]]:
+    s_counts, t_counts = _slot_counts(convention)
+    return list(zip(s_counts(table, m), t_counts(table, n)))
 
 
 def rack_polynomial(table: RackTable, m: int, n: int,
@@ -177,8 +177,8 @@ def rack_polynomial(table: RackTable, m: int, n: int,
     """Two-variable polynomial at depths (m, n); see the module docstring."""
     _check_convention(convention)
     _check_depths(m, n)
-    col, row = _iterated_fix_counts(table, max(m, n))
-    return TwoVarPoly.from_pairs(_convention_pairs(col, row, m, n, convention))
+    table.require_rack()
+    return TwoVarPoly.from_pairs(_convention_pairs(table, m, n, convention))
 
 
 def _members(mask: int) -> tuple[int, ...]:
@@ -303,6 +303,5 @@ def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
     if escape is not None:
         x, y, p = escape
         raise RackError(f"not a subrack: {x}▷{y}={p} escapes the subset")
-    col, row = _iterated_fix_counts(table, max(m, n))
-    pairs = _convention_pairs(col, row, m, n, convention)
+    pairs = _convention_pairs(table, m, n, convention)
     return TwoVarPoly.from_pairs(pairs[x - 1] for x in elems)

@@ -1,10 +1,14 @@
-"""Shared fixture loading for the test suite."""
+"""Shared fixture loading and rack strategies for the test suite."""
 
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from rackkit import LinkDiagram, RackTable, parse_diagram, parse_rack_table
+from rackkit import (LinkDiagram, Permutation, RackTable, alexander,
+                     constant_action, dual, parse_diagram, parse_rack_table,
+                     ts_rack)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -87,3 +91,17 @@ def racks() -> dict[str, RackTable]:
 @pytest.fixture(scope="session")
 def links() -> dict[str, LinkDiagram]:
     return {name: load_link(name) for name in LINK_NAMES}
+
+
+def generated_racks(n: int):
+    """Strategy: a constant-action, linear (alexander) or two-coefficient
+    (ts_rack) rack on n elements, or the dual of one."""
+    units = [t for t in range(n) if math.gcd(t, n) == 1]
+    table = st.one_of(
+        st.permutations(list(range(1, n + 1))).map(
+            lambda images: constant_action(Permutation(tuple(images)))),
+        st.sampled_from(units).map(lambda t: alexander(n, t)),
+        st.sampled_from([(t, s) for t in units for s in range(n)
+                         if s * (1 - t - s) % n == 0]).map(
+            lambda ts: ts_rack(n, *ts)))
+    return table.flatmap(lambda t: st.sampled_from((t, dual(t))))

@@ -7,6 +7,7 @@ by these functions and cross-checked against the library.
 """
 
 from itertools import product
+from math import lcm
 
 
 def op(entries, x, y):
@@ -120,6 +121,39 @@ def poly_terms(entries, m, n_depth, convention, subset=None):
             key = (col_count(entries, m, x), row_count(entries, n_depth, x))
         terms[key] = terms.get(key, 0) + 1
     return terms
+
+
+def period(entries):
+    """lcm of every cycle length of every column: iterated products repeat
+    with this period."""
+    n = len(entries)
+    out = 1
+    for y in range(1, n + 1):
+        for x in range(1, n + 1):
+            length, z = 1, op(entries, x, y)
+            while z != x:
+                length, z = length + 1, op(entries, z, y)
+            out = lcm(out, length)
+    return out
+
+
+def poly_grid(entries, bound, convention):
+    """poly_terms at every depth pair (m, n) in 1..bound, from counts
+    computed pointwise at each depth."""
+    n = len(entries)
+    col = {d: [col_count(entries, d, x) for x in range(1, n + 1)]
+           for d in range(1, bound + 1)}
+    row = {d: [row_count(entries, d, x) for x in range(1, n + 1)]
+           for d in range(1, bound + 1)}
+    s_counts, t_counts = (row, col) if convention == "def" else (col, row)
+    grid = {}
+    for m in range(1, bound + 1):
+        for n_depth in range(1, bound + 1):
+            terms = {}
+            for key in zip(s_counts[m], t_counts[n_depth]):
+                terms[key] = terms.get(key, 0) + 1
+            grid[(m, n_depth)] = terms
+    return grid
 
 
 def closure(entries, seed):

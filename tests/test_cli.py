@@ -90,6 +90,15 @@ def test_profile(capsys):
     assert out.splitlines() == ["1: c=1 r=0", "2: c=1 r=0", "3: c=1 r=3"]
 
 
+def test_poly_and_profile_at_huge_depths(capsys):
+    # T5's period is 2, so depth 10^9 reads the same counts as depth 2
+    for command in ("poly", "profile"):
+        small = run(capsys, command, T5, "-m", "2", "-n", "2")
+        huge = run(capsys, command, T5, "-m", "1000000000", "-n", "1000000000")
+        assert small[0] == 0
+        assert huge == small
+
+
 def test_subracks(capsys):
     code, out, _ = run(capsys, "subracks", T5)
     assert code == 0

@@ -1,20 +1,28 @@
 """Isomorphism search, polynomial-family scans, and the classification check."""
 
 import random
+import time
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from conftest import generated_racks
 from rackkit import (
     Permutation,
     RackError,
     RackTable,
     alexander,
+    column_order_lcm,
     constant_action,
     isomorphic,
     partitions,
     permutation_of_type,
     rack_polynomial,
     rp_family_scan,
+    ts_rack,
     verify_constant_action_classification,
 )
 
@@ -84,6 +92,19 @@ def test_conjugate_constant_actions():
     assert not isomorphic(a, c).isomorphic
 
 
+def test_exhaustive_search_on_alike_elements():
+    # 3 and 5 both have order 16 mod 17, so every element of both tables
+    # has the same invariant key and the search must exhaust to say no
+    a = alexander(17, 3)
+    b = relabeled(alexander(17, 5), random_perm(17, random.Random(17)))
+    start = time.perf_counter()
+    result = isomorphic(a, b)
+    elapsed = time.perf_counter() - start
+    assert not result.isomorphic and result.witness is None
+    # a fraction of a second; the bound catches only a large slowdown
+    assert elapsed < 5
+
+
 # -- polynomial family scans --------------------------------------------------
 
 
@@ -143,6 +164,75 @@ def test_isomorphic_tables_scan_empty(racks):
         table = racks[name]
         other = relabeled(table, random_perm(table.n, rng))
         assert rp_family_scan(table, other).is_empty
+
+
+@st.composite
+def rack_pairs(draw):
+    """Two racks of one size: a relabeled copy or an independent draw."""
+    n = draw(st.integers(1, 7))
+    a = draw(generated_racks(n))
+    if draw(st.booleans()):
+        tau = Permutation(tuple(draw(st.permutations(list(range(1, n + 1))))))
+        return a, relabeled(a, tau)
+    return a, draw(generated_racks(n))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(rack_pairs(), st.sampled_from(("def", "prop3")), st.booleans(),
+       st.sampled_from(("default", "one", "below", "equal", "above")))
+def test_scan_matches_oracle_grid(pair, convention, stop_at_first, bound_kind):
+    a, b = pair
+    period = max(oracles.period(a.entries), oracles.period(b.entries))
+    bound = {"default": period, "one": 1, "below": max(1, period - 1),
+             "equal": period, "above": period + 2}[bound_kind]
+    scan = rp_family_scan(a, b, None if bound_kind == "default" else bound,
+                          convention, stop_at_first)
+    assert scan.bound == bound
+    assert scan.complete_bound == (bound >= period)
+    grid_a = oracles.poly_grid(a.entries, bound, convention)
+    grid_b = oracles.poly_grid(b.entries, bound, convention)
+    want = [(m, n, grid_a[m, n], grid_b[m, n])
+            for n in range(1, bound + 1) for m in range(1, bound + 1)
+            if grid_a[m, n] != grid_b[m, n]]
+    if stop_at_first:
+        want = want[:1]
+    assert [(d.m, d.n, d.left.as_dict(), d.right.as_dict())
+            for d in scan.differences] == want
+
+
+def test_default_scan_separates_unequal_periods():
+    # with L_a != L_b the default bound max(L_a, L_b) reaches (L_b, L_b),
+    # where b's polynomial is n*s^n*t^n and a's is not, or symmetrically
+    # (L_a, L_a); so an empty default scan forces equal periods
+    tables = [constant_action(permutation_of_type(ct))
+              for k in range(1, 7) for ct in partitions(k)]
+    tables += [alexander(7, t) for t in range(1, 7)]
+    tables += [ts_rack(4, 1, 2), ts_rack(5, 3, 3), ts_rack(8, 3, 4)]
+    checked = 0
+    for a, b in combinations(tables, 2):
+        period_a, period_b = column_order_lcm(a), column_order_lcm(b)
+        if period_a == period_b:
+            continue
+        for convention in ("def", "prop3"):
+            found = {(d.m, d.n) for d in
+                     rp_family_scan(a, b, convention=convention).differences}
+            assert ((period_a, period_a) in found
+                    or (period_b, period_b) in found), (a, b)
+        checked += 1
+    assert checked > 200
+
+
+def test_default_scan_at_period_4620():
+    # Landau's function g(30) = 4620 = lcm(3, 4, 5, 7, 11)
+    a = constant_action(permutation_of_type((11, 7, 5, 4, 3), shuffle_seed=1))
+    b = constant_action(permutation_of_type((11, 7, 5, 4, 3), shuffle_seed=2))
+    start = time.perf_counter()
+    scan = rp_family_scan(a, b)
+    elapsed = time.perf_counter() - start
+    assert scan.is_empty
+    assert scan.bound == 4620 and scan.complete_bound
+    # tens of milliseconds; a scan over the 4620² grid would take hours
+    assert elapsed < 5
 
 
 def test_scan_matches_pointwise_polynomials(racks):

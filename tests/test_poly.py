@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import generated_racks
 from rackkit import (
     Permutation,
     RackError,
@@ -143,6 +144,34 @@ def test_depth_periodicity(racks):
                     reduced_n = (n - 1) % L + 1
                     assert rack_polynomial(table, m, n, conv) == rack_polynomial(
                         table, reduced_m, reduced_n, conv)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_counts_match_oracle_at_any_depth(data):
+    # the oracle iterates the products depth times, so far depths are
+    # checked against it at the depth reduced through the period
+    table = data.draw(st.integers(1, 7).flatmap(generated_racks))
+    entries = table.entries
+    period = oracles.period(entries)
+    subset = data.draw(st.sampled_from(enumerate_subracks(table)))
+    for _ in range(3):
+        m = data.draw(st.integers(1, 3 * period))
+        n = data.draw(st.integers(1, 3 * period))
+        far_m = m + data.draw(st.integers(0, 10**9)) * period
+        far_n = n + data.draw(st.integers(0, 10**9)) * period
+        want = tuple((oracles.col_count(entries, m, x),
+                      oracles.row_count(entries, n, x))
+                     for x in table.elements)
+        assert exponent_profile(table, m, n).pairs == want
+        assert exponent_profile(table, far_m, far_n).pairs == want
+        for conv in ("def", "prop3"):
+            want = oracles.poly_terms(entries, m, n, conv)
+            assert rack_polynomial(table, m, n, conv).as_dict() == want
+            assert rack_polynomial(table, far_m, far_n, conv).as_dict() == want
+            got = subrack_polynomial(table, subset, far_m, far_n, conv)
+            assert got.as_dict() == oracles.poly_terms(
+                entries, m, n, conv, subset=subset)
 
 
 # -- exponent profiles -------------------------------------------------------
