@@ -7,17 +7,28 @@ underneath.  A closed component that never passes under anything is a
 single free arc.  Seams are bookkeeping joints produced when a twist is
 added to a free loop; they glue two arcs of the same strand and force
 equal colors.  Parsing never produces seams.
+
+The framed invariants count colorings over every kink vector k in
+{0..N-1}^c, N being the order of π(x) = x ▷ x.  A positive kink on an arc
+colored x yields π(x), and R_π(x) = R_x (Fenn and Rourke, "Racks and links
+in codimension two", 1992), so k kinks at a component's anchor turn the
+anchor's color x into π^k(x).  The diagram is therefore cut open once at
+each anchor, and one search finds every coloring of every framing: a cut
+coloring closes exactly under the k with π^k(x) = the color at the cut
+end, one residue class modulo the length of x's π-orbit.  The cost is one
+search instead of N^c.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .core import RackTable, rack_rank
+from .core import RackTable, diagonal_perm, rack_rank
 from .poly import TwoVarPoly, _check_convention, closure, subrack_polynomial
 
 __all__ = [
@@ -244,73 +255,184 @@ def add_kinks(diagram: LinkDiagram, counts: Sequence[int]) -> LinkDiagram:
     return LinkDiagram(tuple(crossings), tuple(sorted(free)), tuple(seams))
 
 
+def _cut(diagram: LinkDiagram, cut: bool) -> tuple[
+        tuple[int, ...], list[tuple[int, int, int, int]],
+        list[tuple[int, int]], list[tuple[int, int]]]:
+    """The diagram over arc positions, cut open at each anchor if asked.
+
+    A component's anchor is its least arc a.  Cutting hands the anchor's
+    consumer (the crossing a passes under, else the seam a leaves
+    through) a fresh arc v in place of a: the arc that add_kinks would feed
+    with the kinked color π^k(a).  A free loop has no consumer and keeps
+    v = a.  Returns the arc ids (fresh ones last), the crossings as
+    (sign, over, under_in, under_out) and the seams as (a, b), both over
+    positions in that tuple, and the (a, v) positions of each component,
+    in component order; without a cut that last list is empty.
+    """
+    crossings = [(cr.sign, cr.over, cr.under_in, cr.under_out)
+                 for cr in diagram.crossings]
+    seams = list(diagram.seams)
+    arcs = list(diagram.arcs)
+    ends = []
+    if cut:
+        by_under = {cr[2]: i for i, cr in enumerate(crossings)}
+        by_source = {a: i for i, (a, _) in enumerate(seams)}
+        fresh = max(arcs, default=0)
+        for comp in diagram.components:
+            a = comp[0]
+            v = a
+            if a in by_under:
+                i = by_under[a]
+                fresh = v = fresh + 1
+                sign, over, _, out = crossings[i]
+                crossings[i] = (sign, over, v, out)
+                arcs.append(v)
+            elif a in by_source:
+                i = by_source[a]
+                fresh = v = fresh + 1
+                seams[i] = (v, seams[i][1])
+                arcs.append(v)
+            ends.append((a, v))
+    at = {a: i for i, a in enumerate(arcs)}
+    return (tuple(arcs),
+            [(s, at[o], at[i], at[u]) for s, o, i, u in crossings],
+            [(at[a], at[b]) for a, b in seams],
+            [(at[a], at[v]) for a, v in ends])
+
+
+def _diagonal_orbits(table: RackTable) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Each element's orbit under π(x) = x ▷ x, as a sorted tuple shared by
+    its members, and its position along that cycle (index 0 unused)."""
+    orbit: list[tuple[int, ...]] = [()] * (table.n + 1)
+    step = [0] * (table.n + 1)
+    for cycle in diagonal_perm(table).cycles:
+        members = tuple(sorted(cycle))
+        for i, x in enumerate(cycle):
+            orbit[x] = members
+            step[x] = i
+    return orbit, step
+
+
+def _colorings(size: int, crossings: Sequence[tuple[int, int, int, int]],
+               seams: Sequence[tuple[int, int]],
+               ends: Sequence[tuple[int, int]],
+               table: RackTable) -> Iterator[list[int]]:
+    """Every coloring of a diagram given over arc positions 0..size-1.
+
+    Yields one list whose entry i is the color of arc position i; it is the
+    same list each time and changes once the search resumes.  Each (a, v)
+    in ``ends`` must color its two arcs within one orbit of π(x) = x ▷ x,
+    and alike where that orbit is a fixed point.
+
+    The search is iterative.  A color is pushed through every crossing and
+    seam it decides, through a work list, to a fixpoint; a contradiction
+    undoes the branch from a trail.  The branch arc is the first uncolored
+    one, found by a cursor that only moves forward, so every arc before it
+    is colored and its values are tried in increasing order: colorings come
+    out sorted by their color tuples.
+    """
+    n = table.n
+    right = (None,) + tuple((0,) + c.images for c in table.columns)
+    left = (None,) + tuple((0,) + c for c in table._inverse_columns)
+    # a seam is a crossing whose over arc is an extra position, always
+    # colored 1, that acts as the identity
+    unit = size
+    same = (None, tuple(range(n + 1)))
+    watch: list[list[tuple]] = [[] for _ in range(size)]
+    for sign, over, inn, out in crossings:
+        rule = (over, inn, out) + ((right, left) if sign == 1 else (left, right))
+        for i in {over, inn, out}:
+            watch[i].append(rule)
+    for a, b in seams:
+        rule = (unit, a, b, same, same)
+        for i in {a, b}:
+            watch[i].append(rule)
+    partner = [-1] * size
+    for a, v in ends:
+        if a != v:
+            partner[a], partner[v] = v, a
+    orbit, _ = _diagonal_orbits(table)
+
+    col = [0] * size + [1]
+    trail: list[int] = []
+    stack: list[list] = []
+    cursor = 0
+    while True:
+        while cursor < size and col[cursor]:
+            cursor += 1
+        if cursor == size:
+            yield col
+        else:
+            stack.append([cursor, 0, len(trail)])
+        # move the deepest branch that has a value left on to that value
+        while stack:
+            frame = stack[-1]
+            pos, value, mark = frame
+            while len(trail) > mark:
+                col[trail.pop()] = 0
+            if value == n:
+                stack.pop()
+                continue
+            frame[1] = value = value + 1
+            col[pos] = value
+            trail.append(pos)
+            queue = [pos]
+            ok = True
+            while ok and queue:
+                i = queue.pop()
+                ci = col[i]
+                p = partner[i]
+                if p >= 0:
+                    cp = col[p]
+                    if not cp:
+                        if len(orbit[ci]) == 1:
+                            col[p] = ci
+                            trail.append(p)
+                            queue.append(p)
+                    elif orbit[cp] is not orbit[ci]:
+                        ok = False
+                        break
+                for over, inn, out, fwd, bwd in watch[i]:
+                    co = col[over]
+                    if not co:
+                        continue
+                    x = col[inn]
+                    y = col[out]
+                    if x:
+                        z = fwd[co][x]
+                        if not y:
+                            col[out] = z
+                            trail.append(out)
+                            queue.append(out)
+                        elif y != z:
+                            ok = False
+                            break
+                    elif y:
+                        col[inn] = bwd[co][y]
+                        trail.append(inn)
+                        queue.append(inn)
+            if ok:
+                cursor = pos + 1
+                break
+        else:
+            return
+
+
 def enumerate_colorings(diagram: LinkDiagram,
                         table: RackTable) -> tuple[dict[int, int], ...]:
-    """All rack colorings of the diagram's arcs.
+    """All rack colorings of the diagram's arcs, sorted by their color tuples.
 
     At a positive crossing the outgoing under-arc carries under_in ▷ over;
     at a negative crossing the inverse operation applies; seamed arcs match.
-    Constraint propagation runs to a fixpoint between branchings on the
-    lowest-numbered uncolored arc.
+    Forced colors propagate to a fixpoint between branchings on the
+    lowest-numbered uncolored arc, in one iterative search, so no input
+    depth can exhaust the interpreter's stack.  Each dict lists its arcs in
+    increasing order.
     """
     table.require_rack()
-    arcs = diagram.arcs
-    crossings = diagram.crossings
-    seams = diagram.seams
-
-    def propagate(colors: dict[int, int]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for cr in crossings:
-                ci = colors.get(cr.under_in)
-                co = colors.get(cr.over)
-                cu = colors.get(cr.under_out)
-                if co is None:
-                    continue
-                if ci is not None:
-                    out = (table.op(ci, co) if cr.sign == 1
-                           else table.op_inv(ci, co))
-                    if cu is None:
-                        colors[cr.under_out] = out
-                        changed = True
-                    elif cu != out:
-                        return False
-                elif cu is not None:
-                    inn = (table.op_inv(cu, co) if cr.sign == 1
-                           else table.op(cu, co))
-                    colors[cr.under_in] = inn
-                    changed = True
-            for a, b in seams:
-                ca, cb = colors.get(a), colors.get(b)
-                if ca is not None and cb is None:
-                    colors[b] = ca
-                    changed = True
-                elif cb is not None and ca is None:
-                    colors[a] = cb
-                    changed = True
-                elif ca is not None and ca != cb:
-                    return False
-        return True
-
-    results: list[dict[int, int]] = []
-
-    def extend(colors: dict[int, int]) -> None:
-        if not propagate(colors):
-            return
-        uncolored = [a for a in arcs if a not in colors]
-        if not uncolored:
-            results.append(colors)
-            return
-        branch = uncolored[0]
-        for v in table.elements:
-            nxt = dict(colors)
-            nxt[branch] = v
-            extend(nxt)
-
-    extend({})
-    results.sort(key=lambda c: tuple(c[a] for a in arcs))
-    return tuple(results)
+    arcs, crossings, seams, _ = _cut(diagram, cut=False)
+    return tuple(dict(zip(arcs, colors))
+                 for colors in _colorings(len(arcs), crossings, seams, (), table))
 
 
 def image_subrack(table: RackTable,
@@ -334,28 +456,64 @@ def counting_polynomial_string(per_class: Mapping[tuple[int, ...], int]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+def _framing_classes(table: RackTable, big_n: int, writhes: Sequence[int],
+                     bins: Mapping[tuple[tuple[int, ...], object], int]
+                     ) -> Counter[tuple[tuple[int, ...], object]]:
+    """Spread counts of cut colorings over the framing classes they close in.
+
+    ``bins`` maps (end colors, tag) to a number of cut colorings, the end
+    colors running anchor, cut end, anchor, cut end, ... by component.  k
+    kinks close a component when π^k(anchor) = cut end; those k form one
+    residue class modulo the π-orbit length ℓ of the anchor's color, N/ℓ
+    values in [0, N).  Returns {(label, tag): count}, label_i being
+    (writhe_i + k_i) mod N; a count is spread once per residue vector.
+    """
+    orbit, step = _diagonal_orbits(table)
+    residues: Counter[tuple[tuple[tuple[int, int], ...], object]] = Counter()
+    for (ends, tag), count in bins.items():
+        residues[tuple((len(orbit[x]), (step[y] - step[x]) % len(orbit[x]))
+                       for x, y in zip(ends[::2], ends[1::2])), tag] += count
+    out: Counter[tuple[tuple[int, ...], object]] = Counter()
+    for (key, tag), count in residues.items():
+        for label in product(*(range((w + j) % ell, big_n, ell)
+                               for w, (ell, j) in zip(writhes, key))):
+            out[label, tag] += count
+    return out
+
+
+def _cut_colorings(diagram: LinkDiagram, table: RackTable
+                   ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """(end colors, colors) of each coloring of the diagram cut at its
+    anchors; the colors of the diagram's own arcs lead each list."""
+    arcs, crossings, seams, ends = _cut(diagram, cut=True)
+    flat = [i for pair in ends for i in pair]
+    for colors in _colorings(len(arcs), crossings, seams, ends, table):
+        yield tuple(map(colors.__getitem__, flat)), colors
+
+
 def rack_counting(diagram: LinkDiagram,
                   table: RackTable) -> tuple[int, dict[tuple[int, ...], int]]:
     """Coloring counts over one full framing sweep.
 
-    The diagram is retwisted with every kink vector in {0..N-1}^c, N being
-    the order of the diagonal map; each count lands in the framing class
-    (self_writhe + kinks) mod N, componentwise.  Returns the grand total
-    and the per-class counts.
+    The sweep retwists the diagram with every kink vector k in {0..N-1}^c,
+    N being the order of the diagonal map π(x) = x ▷ x, and counts each
+    kinked diagram's colorings in the framing class
+    (self_writhe + k) mod N, componentwise.  A kink on an arc colored x
+    yields π(x), and R_π(x) = R_x, so k kinks at a component's anchor a
+    turn its color into π^k(a).  One search over the diagram cut open at
+    every anchor therefore finds every kinked coloring at once: a cut
+    coloring closes under exactly the k with π^k(anchor) = cut end.  The
+    cost is one search instead of N^c.  Returns the grand total and the
+    counts of all N^c classes, empty ones as zero.
     """
     table.require_rack()
     big_n = rack_rank(table)
-    comps, writhes = components_and_writhe(diagram)
-    c = len(comps)
-    per_class: dict[tuple[int, ...], int] = {}
-    total = 0
-    for d in product(range(big_n), repeat=c):
-        kinked = add_kinks(diagram, d)
-        count = len(enumerate_colorings(kinked, table))
-        label = tuple((writhes[i] + d[i]) % big_n for i in range(c))
-        per_class[label] = per_class.get(label, 0) + count
-        total += count
-    return total, dict(sorted(per_class.items()))
+    _, writhes = components_and_writhe(diagram)
+    bins = Counter((ends, None) for ends, _ in _cut_colorings(diagram, table))
+    per_class = dict.fromkeys(product(range(big_n), repeat=len(writhes)), 0)
+    for (label, _), count in _framing_classes(table, big_n, writhes, bins).items():
+        per_class[label] += count
+    return sum(per_class.values()), per_class
 
 
 @dataclass(frozen=True)
@@ -420,33 +578,39 @@ def enhanced_invariant(diagram: LinkDiagram, table: RackTable,
 
     Every coloring contributes the two-variable polynomial of its image
     subrack (counts taken in the ambient rack) tagged with its framing
-    class.
+    class.  The same single search over the cut diagram serves: kink arcs
+    carry π^j(anchor), which lies in the closure of the anchor's color, so
+    a coloring's image is the closure of the colors on the diagram's own
+    arcs whatever the kinks.  Closures are cached by that set of colors.
     """
     _check_convention(convention)
     table.require_rack()
     big_n = rack_rank(table)
-    comps, writhes = components_and_writhe(diagram)
-    c = len(comps)
+    _, writhes = components_and_writhe(diagram)
+    real = len(diagram.arcs)
+    bins = Counter((ends, frozenset(colors[:real]))
+                   for ends, colors in _cut_colorings(diagram, table))
+    closures: dict[frozenset[int], tuple[int, ...]] = {}
+    by_image: Counter[tuple[tuple[int, ...], tuple[int, ...]]] = Counter()
+    for (ends, used), count in bins.items():
+        if used not in closures:
+            closures[used] = closure(table, used) if used else ()
+        by_image[ends, closures[used]] += count
     poly_cache: dict[tuple[int, ...], TwoVarPoly] = {}
-    pair_counts: dict[tuple[tuple[int, ...], TwoVarPoly], int] = {}
-    image_counts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for d in product(range(big_n), repeat=c):
-        kinked = add_kinks(diagram, d)
-        label = tuple((writhes[i] + d[i]) % big_n for i in range(c))
-        for coloring in enumerate_colorings(kinked, table):
-            image = image_subrack(table, coloring)
-            poly = poly_cache.get(image)
-            if poly is None:
-                if image:
-                    poly = subrack_polynomial(table, image, m, n, convention)
-                else:
-                    poly = TwoVarPoly(())
-                poly_cache[image] = poly
-            pair_counts[(label, poly)] = pair_counts.get((label, poly), 0) + 1
-            image_counts[(label, image)] = image_counts.get((label, image), 0) + 1
+    pair_counts: Counter[tuple[tuple[int, ...], TwoVarPoly]] = Counter()
+    image_counts = _framing_classes(table, big_n, writhes, by_image)
+    for (label, image), count in image_counts.items():
+        poly = poly_cache.get(image)
+        if poly is None:
+            if image:
+                poly = subrack_polynomial(table, image, m, n, convention)
+            else:
+                poly = TwoVarPoly(())
+            poly_cache[image] = poly
+        pair_counts[label, poly] += count
     pairs = tuple(sorted(
         ((label, poly, mult) for (label, poly), mult in pair_counts.items()),
         key=lambda item: (item[0], str(item[1]))))
     images = tuple(sorted(
         (label, image, mult) for (label, image), mult in image_counts.items()))
-    return EnhancedInvariant(m, n, convention, big_n, c, pairs, images)
+    return EnhancedInvariant(m, n, convention, big_n, len(writhes), pairs, images)

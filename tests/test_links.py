@@ -1,15 +1,25 @@
 """Diagrams, colorings, framing sweeps, and the link invariants."""
 
+import json
+import time
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from conftest import FIXTURES, LINK_NAMES, RACK_TABLES, generated_racks, load_link
 from rackkit import (
     Crossing,
     DiagramError,
     DiagramFormatError,
     LinkDiagram,
+    Permutation,
+    RackTable,
     add_kinks,
     components_and_writhe,
+    constant_action,
     counting_polynomial_string,
     enhanced_invariant,
     enumerate_colorings,
@@ -19,6 +29,8 @@ from rackkit import (
     rack_rank,
     subrack_polynomial,
 )
+from rackkit import links as links_module
+from rackkit.cli import main
 
 RPP_TREFOIL_T5 = (
     "2*z^{2*s^3*t^3} + 6*z^{3*s^3*t^3} + 3*z^{s^3*t^3}"
@@ -325,3 +337,164 @@ def test_quandle_images_uniform_across_classes(racks, links):
         if rack_rank(t5.subtable(image)) == 1:
             by_label.setdefault(label, []).append((image, mult))
     assert by_label[(0,)] == by_label[(1,)]
+
+
+# -- the cut search against a literal framing sweep --------------------------
+
+
+def sweep_oracle(diagram, table):
+    """Per-class counts and (class, image) multiplicities from a literal
+    sweep: add_kinks for every framing vector, then brute-force colorings."""
+    entries = table.entries
+    big_n = oracles.diagonal_order(entries)
+    comps, writhes = components_and_writhe(diagram)
+    per_class, images = {}, {}
+    for kinks in product(range(big_n), repeat=len(comps)):
+        label = tuple((w + k) % big_n for w, k in zip(writhes, kinks))
+        found = oracle_colorings(add_kinks(diagram, kinks), table)
+        per_class[label] = per_class.get(label, 0) + len(found)
+        for coloring in found:
+            image = oracles.closure(entries, set(coloring.values()))
+            images[label, image] = images.get((label, image), 0) + 1
+    return per_class, images
+
+
+def mirror(diagram):
+    return LinkDiagram(
+        tuple(Crossing(-c.sign, c.over, c.under_in, c.under_out)
+              for c in diagram.crossings),
+        diagram.free_arcs, diagram.seams)
+
+
+def sweep_diagrams():
+    fixtures = [load_link(name) for name in LINK_NAMES]
+    unknot, hopf = load_link("unknot"), load_link("hopf")
+    return (fixtures + [mirror(d) for d in fixtures] + [
+        add_kinks(unknot, (1,)),
+        add_kinks(unknot, (2,)),
+        add_kinks(hopf, (1, 0)),
+        add_kinks(mirror(hopf), (0, 2)),
+        add_kinks(mirror(load_link("trefoil")), (1,)),
+        # a free loop passing over a two-arc component
+        LinkDiagram((Crossing(1, 3, 1, 2), Crossing(-1, 3, 2, 1)), (3,)),
+        # the Hopf link beside a free loop
+        LinkDiagram(hopf.crossings, (3,)),
+        # an anchor whose consumer is a seam
+        LinkDiagram((Crossing(1, 3, 2, 1),), (3,), seams=((1, 2),)),
+        LinkDiagram((), (1, 2)),
+        LinkDiagram(()),
+    ])
+
+
+SWEEP_DIAGRAMS = sweep_diagrams()
+
+
+def sweep_cost(diagram, table):
+    """Assignments the oracle checks: n^arcs times, per component, the
+    kinks' extra arcs summed over one period."""
+    n = table.n
+    big_n = oracles.diagonal_order(table.entries)
+    per_component = sum(n ** k for k in range(big_n))
+    return n ** len(diagram.arcs) * per_component ** len(diagram.components)
+
+
+def assert_matches_sweep(diagram, table, m, n, convention):
+    per_class, images = sweep_oracle(diagram, table)
+
+    total, counted = rack_counting(diagram, table)
+    assert list(counted.items()) == sorted(per_class.items())
+    assert total == sum(per_class.values())
+
+    inv = enhanced_invariant(diagram, table, m, n, convention)
+    assert inv.image_multiplicities == tuple(
+        sorted((label, image, mult) for (label, image), mult in images.items()))
+    assert inv.class_counts() == dict(sorted(per_class.items()))
+    expected = {}
+    for (label, image), mult in images.items():
+        terms = tuple((s, t, c) for (s, t), c in sorted(oracles.poly_terms(
+            table.entries, m, n, convention, image).items()))
+        expected[label, terms] = expected.get((label, terms), 0) + mult
+    assert {(label, poly.terms): mult for label, poly, mult in inv.pairs} == expected
+    assert [(label, str(poly)) for label, poly, _ in inv.pairs] == sorted(
+        (label, str(poly)) for label, poly, _ in inv.pairs)
+
+
+SWEEP_BUDGET = 20000
+
+
+def product_table(a, b):
+    """Componentwise product of two operation tables."""
+    nb = len(b)
+    pairs = list(product(range(len(a)), range(nb)))
+    return tuple(
+        tuple((a[x1][y1] - 1) * nb + b[x2][y2] for y1, y2 in pairs)
+        for x1, x2 in pairs)
+
+
+def test_framed_counts_match_sweep_oracle_on_fixture_racks():
+    # In the product of a swap x ▷ y = σ(x) with the dihedral quandle, one
+    # orbit of the operator group holds several π-orbits, so a cut end can
+    # be colored outside its anchor's π-orbit and must be pruned.
+    swap_by_dihedral = product_table(((2, 2), (1, 1)), RACK_TABLES["dihedral3"])
+    for entries in [RACK_TABLES[name] for name in sorted(RACK_TABLES)] + [
+            swap_by_dihedral]:
+        table = RackTable(entries)
+        for diagram in SWEEP_DIAGRAMS:
+            if sweep_cost(diagram, table) <= SWEEP_BUDGET:
+                assert_matches_sweep(diagram, table, 2, 3, "prop3")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_framed_counts_match_sweep_oracle(data):
+    table = data.draw(st.integers(1, 5).flatmap(generated_racks))
+    diagram = data.draw(st.sampled_from(
+        [d for d in SWEEP_DIAGRAMS if sweep_cost(d, table) <= SWEEP_BUDGET]))
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    convention = data.draw(st.sampled_from(("def", "prop3")))
+    assert_matches_sweep(diagram, table, m, n, convention)
+
+
+def test_sweeps_never_rewrite_the_diagram(racks, links, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("add_kinks called")
+    monkeypatch.setattr(links_module, "add_kinks", refuse)
+    assert rack_counting(links["hopf"], racks["T5"])[0] == 40
+    assert enhanced_invariant(links["trefoil"], racks["T5"]).total == 20
+
+
+def fixed_points(cycle_type, power):
+    return sum(length for length in cycle_type if power % length == 0)
+
+
+def test_rank_twelve_hopf_and_loop_matches_closed_form():
+    # Hopf link plus a free loop against x ▷ y = σ(x), σ of cycle type (3, 4):
+    # with k kinks a component passing under u arcs colors by the fixed
+    # points of σ^(u + k), and the three components are independent.
+    table = constant_action(Permutation.from_cycles(7, [(1, 2, 3), (4, 5, 6, 7)]))
+    diagram = LinkDiagram(load_link("hopf").crossings, (3,))
+    under = (1, 1, 0)
+    start = time.perf_counter()
+    total, per_class = rack_counting(diagram, table)
+    elapsed = time.perf_counter() - start
+    expected = {}
+    for label in product(range(12), repeat=3):
+        count = 1
+        for u, k in zip(under, label):
+            count *= fixed_points((3, 4), u + k)
+        expected[label] = count
+    assert per_class == expected
+    assert total == sum(expected.values())
+    assert elapsed < 5
+
+
+def test_many_loop_unlink_has_no_recursion_limit(tmp_path, capsys):
+    loops = 1200
+    diagram = LinkDiagram((), tuple(range(1, loops + 1)))
+    triv1 = RackTable(RACK_TABLES["triv1"])
+    assert enumerate_colorings(diagram, triv1) == ({a: 1 for a in range(1, loops + 1)},)
+    path = tmp_path / "unlink.link"
+    path.write_text(json.dumps({"crossings": [], "free_arcs": list(range(1, loops + 1))}))
+    code = main(["invariant", "--mode", "sr", str(path), str(FIXTURES / "triv1.rack")])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, "1\n", "")
