@@ -7,6 +7,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .core import Permutation, RackError, RackTable, column_order_lcm
 from .generators import constant_action
@@ -57,10 +58,14 @@ def _is_morphism(a: RackTable, b: RackTable, images: list[int]) -> bool:
 def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
     """Search for a bijection carrying one table to the other.
 
-    Candidate images are restricted by cheap isomorphism invariants and
-    partial products are checked during the search, but a full morphism
-    check still runs at every leaf: a partial check can miss a constraint
-    whose product is mapped only later in the assignment order.
+    Candidate images are restricted by cheap isomorphism invariants, and
+    elements with the fewest candidates are placed first.  A bijection is
+    an isomorphism exactly when f(x ▷ y) = f(x) ▷ f(y) for every pair
+    (Joyce, "A classifying invariant of knots, the knot quandle", 1982).
+    Each such product is checked once, as soon as the last of its three
+    elements x, y and x ▷ y is placed, so every full assignment the search
+    reaches is an isomorphism.  The witness is verified once more in full
+    before it is returned.
     """
     a.require_rack()
     b.require_rack()
@@ -79,9 +84,11 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
     used = [False] * n
     rows_a = a.entries
     rows_b = b.entries
+    inv_a = a._inverse_columns
 
     def feasible(pos: int) -> bool:
-        # products of order[pos] with itself and every element placed before it
+        # the products that x = order[pos] completes with each placed y,
+        # x itself included: x ▷ y, y ▷ x, and u ▷ y = x with u = x ◁ y
         x = order[pos]
         fx = images[x - 1]
         row_x = rows_a[x - 1]
@@ -94,11 +101,14 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
             q = images[rows_a[y - 1][x - 1] - 1]
             if q and rows_b[fy - 1][fx - 1] != q:
                 return False
+            fu = images[inv_a[y - 1][x - 1] - 1]
+            if fu and rows_b[fu - 1][fy - 1] != fx:
+                return False
         return True
 
     def search(pos: int) -> bool:
         if pos == n:
-            return _is_morphism(a, b, images)
+            return True
         x = order[pos]
         for y in candidates[x - 1]:
             if used[y - 1]:
@@ -170,31 +180,44 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     empty scan up to max(L_a, L_b) forces L_a = L_b, and as counts at
     depth d depend only on d mod the period, every depth pair agrees.
 
-    Counts at depth d depend on d only through its class gcd(d, L), with
-    L = lcm(L_a, L_b).  The tables are compared once for each pair of
-    classes that occur up to the bound, and for each class of n the m in
-    1..bound whose class pair differs are listed once; depths n of one
-    class share that list and its polynomials.
+    Counts at depth d depend on d only through which cycle lengths of
+    the two tables divide d.  So the depths fall into classes, each named
+    by the lcm of those lengths, which is also its least depth.  The
+    classes up to the bound are the lcms of sets of cycle lengths, found
+    by a search from 1 that never passes the bound.  The tables are
+    compared at most once for each pair of classes.  An agreeing scan
+    returns without visiting the depths 1..bound, and so does
+    stop_at_first: it stops at the least class of n with a difference and
+    answers with that class and its least differing class of m.  Otherwise
+    the m in 1..bound whose class pair differs are listed once per class
+    of n, and depths n of one class share that list and its polynomials.
     """
     _check_convention(convention)
     a.require_rack()
     b.require_rack()
-    period_a = column_order_lcm(a)
-    period_b = column_order_lcm(b)
-    period = max(period_a, period_b)
+    period = max(column_order_lcm(a), column_order_lcm(b))
     if bound is None:
         bound = period
     if bound < 1:
         raise RackError(f"bound must be at least 1, got {bound}")
     complete = bound >= period
-    lcm = math.lcm(period_a, period_b)
-    depth_class = [math.gcd(d, lcm) for d in range(1, bound + 1)]
-    classes = sorted(set(depth_class))
+    lengths = {k for table in (a, b) for row in table._orbit_lengths
+               for k in row}
+    found = {1}
+    todo = [1]
+    while todo:
+        g = todo.pop()
+        for k in lengths:
+            h = math.lcm(g, k)
+            if h <= bound and h not in found:
+                found.add(h)
+                todo.append(h)
+    classes = sorted(found)
     s_counts, t_counts = _slot_counts(convention)
     s_a = {g: s_counts(a, g) for g in classes}
     s_b = {g: s_counts(b, g) for g in classes}
-
-    def differing_m(gn: int) -> list[tuple[int, TwoVarPoly, TwoVarPoly]]:
+    differing: dict[int, dict[int, tuple[TwoVarPoly, TwoVarPoly]]] = {}
+    for gn in classes:
         t_a = t_counts(a, gn)
         t_b = t_counts(b, gn)
         polys = {}
@@ -203,21 +226,29 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
             pb = Counter(zip(s_b[gm], t_b))
             if pa != pb:
                 polys[gm] = TwoVarPoly.from_dict(pa), TwoVarPoly.from_dict(pb)
-        if not polys:
-            return []
-        return [(m, *polys[gm]) for m, gm in enumerate(depth_class, start=1)
-                if gm in polys]
+        if polys and stop_at_first:
+            gm, (left, right) = next(iter(polys.items()))
+            return RpFamilyScan(bound, complete,
+                                (PolyDifference(gm, gn, left, right),))
+        if polys:
+            differing[gn] = polys
+    if not differing:
+        return RpFamilyScan(bound, complete, ())
 
-    by_class: dict[int, list[tuple[int, TwoVarPoly, TwoVarPoly]]] = {}
-    diffs = []
-    for n, gn in enumerate(depth_class, start=1):
-        if gn not in by_class:
-            by_class[gn] = differing_m(gn)
-        for m, left, right in by_class[gn]:
-            diffs.append(PolyDifference(m, n, left, right))
-            if stop_at_first:
-                return RpFamilyScan(bound, complete, tuple(diffs))
-    return RpFamilyScan(bound, complete, tuple(diffs))
+    # reading the class of d through gcd(d, L), L the lcm of all lengths,
+    # takes one gcd per depth instead of one test per length
+    lcm = math.lcm(*lengths)
+    gcds = [math.gcd(d, lcm) for d in range(1, bound + 1)]
+    named = {g: math.lcm(*(k for k in lengths if g % k == 0))
+             for g in set(gcds)}
+    depth_class = [named[g] for g in gcds]
+    rows = {gn: [(m, *polys[gm]) for m, gm in enumerate(depth_class, start=1)
+                 if gm in polys]
+            for gn, polys in differing.items()}
+    return RpFamilyScan(bound, complete, tuple(
+        PolyDifference(m, n, left, right)
+        for n, gn in enumerate(depth_class, start=1)
+        for m, left, right in rows.get(gn, ())))
 
 
 @lru_cache(maxsize=None)
@@ -247,14 +278,10 @@ def permutation_of_type(cycle_type: tuple[int, ...],
     different-looking permutation of the same type deterministically.
     """
     k = sum(cycle_type)
-    images = list(range(1, k + 1))
-    start = 1
-    for length in cycle_type:
-        cycle = list(range(start, start + length))
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            images[a - 1] = b
-        start += length
-    perm = Permutation(tuple(images))
+    starts = accumulate(cycle_type, initial=1)
+    perm = Permutation.from_cycles(
+        k, (range(start, start + length)
+            for start, length in zip(starts, cycle_type)))
     if shuffle_seed is None:
         return perm
     rng = random.Random(shuffle_seed)

@@ -29,7 +29,8 @@ from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import RackTable, diagonal_perm, rack_rank
-from .poly import TwoVarPoly, _check_convention, closure, subrack_polynomial
+from .poly import (TwoVarPoly, _check_convention, _check_depths, _close,
+                   _convention_pairs, _members, closure)
 
 __all__ = [
     "Crossing",
@@ -582,8 +583,10 @@ def enhanced_invariant(diagram: LinkDiagram, table: RackTable,
     carry π^j(anchor), which lies in the closure of the anchor's color, so
     a coloring's image is the closure of the colors on the diagram's own
     arcs whatever the kinks.  Closures are cached by that set of colors.
+    Depths below 1 raise RackError before any search, whatever the diagram.
     """
     _check_convention(convention)
+    _check_depths(m, n)
     table.require_rack()
     big_n = rack_rank(table)
     _, writhes = components_and_writhe(diagram)
@@ -594,20 +597,18 @@ def enhanced_invariant(diagram: LinkDiagram, table: RackTable,
     by_image: Counter[tuple[tuple[int, ...], tuple[int, ...]]] = Counter()
     for (ends, used), count in bins.items():
         if used not in closures:
-            closures[used] = closure(table, used) if used else ()
+            mask = sum(1 << v for v in used)
+            closures[used] = _members(_close(table.entries, mask, list(used)))
         by_image[ends, closures[used]] += count
+    terms = _convention_pairs(table, m, n, convention)
     poly_cache: dict[tuple[int, ...], TwoVarPoly] = {}
     pair_counts: Counter[tuple[tuple[int, ...], TwoVarPoly]] = Counter()
     image_counts = _framing_classes(table, big_n, writhes, by_image)
     for (label, image), count in image_counts.items():
-        poly = poly_cache.get(image)
-        if poly is None:
-            if image:
-                poly = subrack_polynomial(table, image, m, n, convention)
-            else:
-                poly = TwoVarPoly(())
-            poly_cache[image] = poly
-        pair_counts[label, poly] += count
+        if image not in poly_cache:
+            poly_cache[image] = TwoVarPoly.from_pairs(
+                terms[x - 1] for x in image)
+        pair_counts[label, poly_cache[image]] += count
     pairs = tuple(sorted(
         ((label, poly, mult) for (label, poly), mult in pair_counts.items()),
         key=lambda item: (item[0], str(item[1]))))

@@ -6,7 +6,7 @@ coloring code.  Expected values frozen into the test suite were produced
 by these functions and cross-checked against the library.
 """
 
-from itertools import product
+from itertools import permutations, product
 from math import lcm
 
 
@@ -212,3 +212,28 @@ def diagonal_order(entries):
         current = [images[v - 1] for v in current]
         order += 1
     return order
+
+
+def is_isomorphism(entries_a, entries_b, images):
+    """Whether x -> images[x - 1] is a bijection carrying every product of
+    the first table to the matching product of the second."""
+    n = len(entries_a)
+    if len(entries_b) != n or sorted(images) != list(range(1, n + 1)):
+        return False
+    return all(
+        images[op(entries_a, x, y) - 1]
+        == op(entries_b, images[x - 1], images[y - 1])
+        for x in range(1, n + 1) for y in range(1, n + 1))
+
+
+def isomorphic(entries_a, entries_b):
+    """The first isomorphism in lexicographic order of image tuples, found
+    by trying all n! bijections (n <= 6), or None."""
+    n = len(entries_a)
+    assert n <= 6, "brute force over n! bijections is for n <= 6"
+    if len(entries_b) != n:
+        return None
+    for images in permutations(range(1, n + 1)):
+        if is_isomorphism(entries_a, entries_b, images):
+            return images
+    return None

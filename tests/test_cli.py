@@ -228,6 +228,19 @@ def test_invariant_default_mode_is_rpp(capsys):
     assert default == "2*z^{2*s^3*t^3} + 3*z^{s^3*t^3} + 3*q1*z^{s^3*t^3}\n"
 
 
+def test_invariant_depth_error_on_any_diagram(capsys, tmp_path):
+    # depths are checked before the search, so a diagram with no arcs,
+    # which has no image to take a polynomial of, is refused as well
+    empty = tmp_path / "empty.link"
+    empty.write_text('{"crossings": []}')
+    for diagram in (TREFOIL, str(empty)):
+        code, out, err = run(capsys, "invariant", diagram, T5, "-m", "0")
+        assert code == 1
+        assert out == ""
+        assert "depths must be at least 1" in err
+    assert run(capsys, "invariant", str(empty), T5) == (0, "z^{0}\n", "")
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "poly", "no_such_file.rack")
     assert code == 2

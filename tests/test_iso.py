@@ -2,7 +2,7 @@
 
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +25,7 @@ from rackkit import (
     ts_rack,
     verify_constant_action_classification,
 )
+from rackkit import iso as iso_module
 
 
 def relabeled(table: RackTable, tau: Permutation) -> RackTable:
@@ -40,6 +41,17 @@ def random_perm(n: int, rng: random.Random) -> Permutation:
     images = list(range(1, n + 1))
     rng.shuffle(images)
     return Permutation(tuple(images))
+
+
+@st.composite
+def rack_pairs(draw, max_size=7):
+    """Two racks of one size: a relabeled copy or an independent draw."""
+    n = draw(st.integers(1, max_size))
+    a = draw(generated_racks(n))
+    if draw(st.booleans()):
+        tau = Permutation(tuple(draw(st.permutations(list(range(1, n + 1))))))
+        return a, relabeled(a, tau)
+    return a, draw(generated_racks(n))
 
 
 # -- isomorphism -------------------------------------------------------------
@@ -105,6 +117,71 @@ def test_exhaustive_search_on_alike_elements():
     assert elapsed < 5
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(rack_pairs(max_size=6))
+def test_isomorphic_matches_brute_force(pair):
+    a, b = pair
+    found = oracles.isomorphic(a.entries, b.entries)
+    result = isomorphic(a, b)
+    assert result.isomorphic == (found is not None)
+    if result.isomorphic:
+        assert oracles.is_isomorphism(a.entries, b.entries,
+                                      result.witness.images)
+    else:
+        assert result.witness is None
+
+
+def test_blind_search_accepts_only_isomorphisms(monkeypatch):
+    # with every invariant key equal only products prune the search, and
+    # on these order-4 racks it reaches maps that break some product
+    # unless the newly placed element is checked as left factor, as right
+    # factor and as product
+    monkeypatch.setattr(iso_module, "_invariant_keys", lambda t: [()] * t.n)
+    three_cycles = [RackTable(((1, 3, 1, 1), (2, 2, 2, 2), (3, 4, 3, 3),
+                               (4, 1, 4, 4))),
+                    RackTable(((1, 1, 1, 1), (3, 2, 2, 2), (4, 3, 3, 3),
+                               (2, 4, 4, 4))),
+                    RackTable(((1, 1, 1, 1), (4, 2, 2, 2), (2, 3, 3, 3),
+                               (3, 4, 4, 4)))]
+    transpositions = [RackTable(((1, 1, 1, 1), (2, 2, 2, 3), (3, 3, 3, 2),
+                                 (4, 4, 4, 4))),
+                      RackTable(((1, 1, 4, 1), (2, 2, 2, 2), (3, 3, 3, 3),
+                                 (4, 4, 1, 4))),
+                      RackTable(((1, 4, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3),
+                                 (4, 1, 4, 4)))]
+    tables = three_cycles + transpositions
+    for a in tables:
+        for b in tables:
+            result = isomorphic(a, b)
+            found = oracles.isomorphic(a.entries, b.entries)
+            assert result.isomorphic == (found is not None)
+            if found is not None:
+                assert oracles.is_isomorphism(a.entries, b.entries,
+                                              result.witness.images)
+
+
+def test_full_morphism_check_runs_once_on_the_witness(racks, monkeypatch):
+    # every product is checked during the search, so only the witness is
+    # verified in full, and a failed search verifies nothing
+    calls = []
+    real = iso_module._is_morphism
+    monkeypatch.setattr(iso_module, "_is_morphism",
+                        lambda *args: calls.append(args) or real(*args))
+    rng = random.Random(6)
+    for name in ("T5", "Q6", "R6", "dihedral3"):
+        table = racks[name]
+        calls.clear()
+        assert isomorphic(table, relabeled(table, random_perm(table.n, rng))
+                          ).isomorphic
+        assert len(calls) == 1
+    calls.clear()
+    assert not isomorphic(alexander(17, 3),
+                          relabeled(alexander(17, 5),
+                                    random_perm(17, rng))).isomorphic
+    assert not isomorphic(racks["MX6"], racks["MY6"]).isomorphic
+    assert calls == []
+
+
 # -- polynomial family scans --------------------------------------------------
 
 
@@ -142,6 +219,9 @@ def test_scan_default_bound_is_column_period(racks):
 def test_scan_bound_flags(racks):
     shallow = rp_family_scan(racks["ex2"], racks["ex2"], bound=1)
     assert shallow.bound == 1 and not shallow.complete_bound
+    # MX6 and MY6 first differ at depths (2, 1), past this bound
+    assert rp_family_scan(racks["MX6"], racks["MY6"], bound=1,
+                          stop_at_first=True).is_empty
     with pytest.raises(RackError, match="bound"):
         rp_family_scan(racks["ex2"], racks["ex2"], bound=0)
 
@@ -164,17 +244,6 @@ def test_isomorphic_tables_scan_empty(racks):
         table = racks[name]
         other = relabeled(table, random_perm(table.n, rng))
         assert rp_family_scan(table, other).is_empty
-
-
-@st.composite
-def rack_pairs(draw):
-    """Two racks of one size: a relabeled copy or an independent draw."""
-    n = draw(st.integers(1, 7))
-    a = draw(generated_racks(n))
-    if draw(st.booleans()):
-        tau = Permutation(tuple(draw(st.permutations(list(range(1, n + 1))))))
-        return a, relabeled(a, tau)
-    return a, draw(generated_racks(n))
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
@@ -235,14 +304,34 @@ def test_default_scan_at_period_4620():
     assert elapsed < 5
 
 
+def test_scan_cost_does_not_grow_with_the_bound(racks):
+    # an agreeing scan and a first difference are read from the depth
+    # classes alone; depths 1..bound are never listed
+    start = time.perf_counter()
+    agree = rp_family_scan(racks["Q6"], racks["R6"], bound=10**12)
+    first = rp_family_scan(racks["MX6"], racks["MY6"], bound=10**12,
+                           stop_at_first=True)
+    elapsed = time.perf_counter() - start
+    assert agree.is_empty and agree.complete_bound
+    assert agree.bound == 10**12
+    assert first.lines() == ["(2,1): 6*s^6 != 6"]
+    # milliseconds; a list over 1..10^12 would not fit in memory
+    assert elapsed < 5
+
+
 def test_scan_matches_pointwise_polynomials(racks):
-    a, b = racks["MX6"], racks["MY6"]
-    scan = rp_family_scan(a, b, bound=4)
-    found = {(d.m, d.n) for d in scan.differences}
-    for n in range(1, 5):
-        for m in range(1, 5):
-            differs = rack_polynomial(a, m, n) != rack_polynomial(b, m, n)
-            assert ((m, n) in found) == differs
+    # cycle lengths 2 and 3 make depth 6 a class that no single length
+    # names; the pair of constant actions still differs there
+    pairs = [(racks["MX6"], racks["MY6"]),
+             (constant_action(permutation_of_type((3, 2))),
+              constant_action(permutation_of_type((1, 1, 1, 1, 1))))]
+    for (a, b), bound in product(pairs, (4, 7)):
+        scan = rp_family_scan(a, b, bound=bound)
+        found = {(d.m, d.n) for d in scan.differences}
+        for n in range(1, bound + 1):
+            for m in range(1, bound + 1):
+                differs = rack_polynomial(a, m, n) != rack_polynomial(b, m, n)
+                assert ((m, n) in found) == differs
 
 
 # -- integer partitions and representatives -----------------------------------
