@@ -11,8 +11,8 @@ from itertools import accumulate
 
 from .core import Permutation, RackError, RackTable, column_order_lcm
 from .generators import constant_action
-from .poly import (CONVENTIONS, TwoVarPoly, _check_convention, _col_counts,
-                   _row_counts, _slot_counts)
+from .poly import (TwoVarPoly, _check_convention, _col_counts, _row_counts,
+                   _slot_counts)
 
 __all__ = [
     "ClassificationReport",
@@ -58,74 +58,88 @@ def _is_morphism(a: RackTable, b: RackTable, images: list[int]) -> bool:
 def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
     """Search for a bijection carrying one table to the other.
 
-    Candidate images are restricted by cheap isomorphism invariants, and
-    elements with the fewest candidates are placed first.  A bijection is
-    an isomorphism exactly when f(x ▷ y) = f(x) ▷ f(y) for every pair
-    (Joyce, "A classifying invariant of knots, the knot quandle", 1982).
-    Each such product is checked once, as soon as the last of its three
-    elements x, y and x ▷ y is placed, so every full assignment the search
-    reaches is an isomorphism.  The witness is verified once more in full
-    before it is returned.
+    A rack homomorphism is fixed by the images of a generating set (Joyce,
+    "A classifying invariant of knots, the knot quandle", 1982), so only
+    generators of a are branched on, each the least element outside the
+    span of those before it, over the unused elements of b with its
+    invariant key.  Each placement propagates f(x ▷ y) = f(x) ▷ f(y) over
+    every pair of placed elements until they fill the span; an image that
+    contradicts f, is used or has another key fails the branch, and a trail
+    undoes it.  A path costs O(n²) lookups, and a full one is an
+    isomorphism, verified once more before it is returned.
     """
     a.require_rack()
     b.require_rack()
     if a.n != b.n:
         return IsoResult(False)
-    n = a.n
     keys_a = _invariant_keys(a)
     keys_b = _invariant_keys(b)
     if sorted(keys_a) != sorted(keys_b):
         return IsoResult(False)
-    candidates = [
-        [y for y in b.elements if keys_b[y - 1] == keys_a[x - 1]]
-        for x in a.elements]
-    order = sorted(range(1, n + 1), key=lambda x: len(candidates[x - 1]))
-    images = [0] * n
-    used = [False] * n
+    # images[x] is f(x) once x is placed, and free[y] is 0 once y is used;
+    # before that both hold a negative number naming the element's key, so
+    # one comparison rejects a placed element, a used image or another key
+    ids = {key: -i for i, key in enumerate(set(keys_a), 1)}
+    unplaced = [0, *(ids[key] for key in keys_a)]
+    images = unplaced.copy()
+    free = [0, *(ids[key] for key in keys_b)]
     rows_a = a.entries
     rows_b = b.entries
-    inv_a = a._inverse_columns
+    placed: list[int] = []
 
-    def feasible(pos: int) -> bool:
-        # the products that x = order[pos] completes with each placed y,
-        # x itself included: x ▷ y, y ▷ x, and u ▷ y = x with u = x ◁ y
-        x = order[pos]
-        fx = images[x - 1]
-        row_x = rows_a[x - 1]
-        row_fx = rows_b[fx - 1]
-        for y in order[:pos + 1]:
-            fy = images[y - 1]
-            p = images[row_x[y - 1] - 1]
-            if p and row_fx[fy - 1] != p:
-                return False
-            q = images[rows_a[y - 1][x - 1] - 1]
-            if q and rows_b[fy - 1][fx - 1] != q:
-                return False
-            fu = images[inv_a[y - 1][x - 1] - 1]
-            if fu and rows_b[fu - 1][fy - 1] != fx:
-                return False
+    def place(x: int, fx: int) -> bool:
+        # placed[:i] have taken their products with each other
+        i = len(placed)
+        images[x] = fx
+        free[fx] = 0
+        placed.append(x)
+        while i < len(placed):
+            x = placed[i]
+            fx = images[x]
+            row = rows_a[x - 1]
+            row_f = rows_b[fx - 1]
+            i += 1
+            for y in placed[:i]:
+                # x ▷ y and y ▷ x, written out twice as in poly._close
+                fy = images[y]
+                p = row[y - 1]
+                fp = row_f[fy - 1]
+                if images[p] != fp:
+                    if free[fp] != images[p]:
+                        return False
+                    images[p] = fp
+                    free[fp] = 0
+                    placed.append(p)
+                p = rows_a[y - 1][x - 1]
+                fp = rows_b[fy - 1][fx - 1]
+                if images[p] != fp:
+                    if free[fp] != images[p]:
+                        return False
+                    images[p] = fp
+                    free[fp] = 0
+                    placed.append(p)
         return True
 
-    def search(pos: int) -> bool:
-        if pos == n:
+    def search() -> bool:
+        if len(placed) == a.n:
             return True
-        x = order[pos]
-        for y in candidates[x - 1]:
-            if used[y - 1]:
-                continue
-            images[x - 1] = y
-            used[y - 1] = True
-            if feasible(pos) and search(pos + 1):
-                return True
-            images[x - 1] = 0
-            used[y - 1] = False
+        # the placed elements are the span of the generators so far
+        g = next(x for x in a.elements if images[x] < 0)
+        mark = len(placed)
+        for y in b.elements:
+            if free[y] == images[g]:
+                if place(g, y) and search():
+                    return True
+                for x in placed[mark:]:
+                    free[images[x]] = images[x] = unplaced[x]
+                del placed[mark:]
         return False
 
-    if search(0):
-        witness = Permutation(tuple(images))
+    if search():
+        del images[0]
         if not _is_morphism(a, b, images):
             raise RackError("internal error: witness failed verification")
-        return IsoResult(True, witness)
+        return IsoResult(True, Permutation(tuple(images)))
     return IsoResult(False)
 
 
@@ -184,13 +198,15 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     the two tables divide d.  So the depths fall into classes, each named
     by the lcm of those lengths, which is also its least depth.  The
     classes up to the bound are the lcms of sets of cycle lengths, found
-    by a search from 1 that never passes the bound.  The tables are
-    compared at most once for each pair of classes.  An agreeing scan
-    returns without visiting the depths 1..bound, and so does
-    stop_at_first: it stops at the least class of n with a difference and
-    answers with that class and its least differing class of m.  Otherwise
-    the m in 1..bound whose class pair differs are listed once per class
-    of n, and depths n of one class share that list and its polynomials.
+    by a search from 1 that never passes the bound.  For a class of n,
+    equal multisets of (t count, s counts at every class of m) leave no
+    class of m to differ; only unequal ones are compared class by class.
+    An agreeing scan returns without visiting the depths 1..bound, and so
+    does stop_at_first: it stops at the least class of n with a difference
+    and answers with that class and its least differing class of m.
+    Otherwise the m in 1..bound whose class pair differs are listed once
+    per class of n, and depths n of one class share that list and its
+    polynomials.
     """
     _check_convention(convention)
     a.require_rack()
@@ -216,10 +232,16 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     s_counts, t_counts = _slot_counts(convention)
     s_a = {g: s_counts(a, g) for g in classes}
     s_b = {g: s_counts(b, g) for g in classes}
+    # each element's s counts at every class of m, as one small int
+    ids: dict[tuple[int, ...], int] = {}
+    sid_a = [ids.setdefault(v, len(ids)) for v in zip(*s_a.values())]
+    sid_b = [ids.setdefault(v, len(ids)) for v in zip(*s_b.values())]
     differing: dict[int, dict[int, tuple[TwoVarPoly, TwoVarPoly]]] = {}
     for gn in classes:
         t_a = t_counts(a, gn)
         t_b = t_counts(b, gn)
+        if Counter(zip(t_a, sid_a)) == Counter(zip(t_b, sid_b)):
+            continue
         polys = {}
         for gm in classes:
             pa = Counter(zip(s_a[gm], t_a))

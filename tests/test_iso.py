@@ -106,7 +106,7 @@ def test_conjugate_constant_actions():
 
 def test_exhaustive_search_on_alike_elements():
     # 3 and 5 both have order 16 mod 17, so every element of both tables
-    # has the same invariant key and the search must exhaust to say no
+    # has the same invariant key and only products can rule maps out
     a = alexander(17, 3)
     b = relabeled(alexander(17, 5), random_perm(17, random.Random(17)))
     start = time.perf_counter()
@@ -115,6 +115,48 @@ def test_exhaustive_search_on_alike_elements():
     assert not result.isomorphic and result.witness is None
     # a fraction of a second; the bound catches only a large slowdown
     assert elapsed < 5
+
+
+def test_alike_elements_at_101():
+    # 2 and 3 both have order 100 mod 101, so again every key is equal;
+    # only the two generators of alexander(101, 2) are branched on
+    a = alexander(101, 2)
+    rng = random.Random(101)
+    start = time.perf_counter()
+    result = isomorphic(a, relabeled(alexander(101, 3), random_perm(101, rng)))
+    elapsed = time.perf_counter() - start
+    assert not result.isomorphic and result.witness is None
+    # tens of milliseconds; the bound catches only a large slowdown
+    assert elapsed < 5
+    other = relabeled(a, random_perm(101, rng))
+    result = isomorphic(a, other)
+    assert result.isomorphic
+    assert oracles.is_isomorphism(a.entries, other.entries,
+                                  result.witness.images)
+
+
+def test_long_generating_sequences():
+    # a trivial rack needs every element as a generator, and each fixed
+    # point of a constant action is a generator of its own
+    rng = random.Random(12)
+    types = [(1,) * 12, (2,) + (1,) * 10, (3,) + (1,) * 9,
+             (2, 2) + (1,) * 8, (4,) + (1,) * 8, (3, 2) + (1,) * 7,
+             (2, 2, 2) + (1,) * 6]
+    tables = {ct: constant_action(permutation_of_type(ct, shuffle_seed=3))
+              for ct in types}
+    tables[(1,) * 12] = alexander(12, 1)
+    for ct, table in tables.items():
+        for other_ct in types:
+            other = constant_action(permutation_of_type(other_ct))
+            if other_ct == ct:
+                other = relabeled(other, random_perm(12, rng))
+            result = isomorphic(table, other)
+            assert result.isomorphic == (other_ct == ct)
+            if result.isomorphic:
+                assert oracles.is_isomorphism(table.entries, other.entries,
+                                              result.witness.images)
+            else:
+                assert result.witness is None
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -158,6 +200,16 @@ def test_blind_search_accepts_only_isomorphisms(monkeypatch):
             if found is not None:
                 assert oracles.is_isomorphism(a.entries, b.entries,
                                               result.witness.images)
+    # all keys are equal on these affine quandles anyway, and n! is out of
+    # the oracle's reach: alexander(17, t) are isomorphic only for equal t
+    a = alexander(17, 3)
+    for t in (3, 5):
+        b = relabeled(alexander(17, t), random_perm(17, random.Random(t)))
+        result = isomorphic(a, b)
+        assert result.isomorphic == (t == 3)
+        if result.isomorphic:
+            assert oracles.is_isomorphism(a.entries, b.entries,
+                                          result.witness.images)
 
 
 def test_full_morphism_check_runs_once_on_the_witness(racks, monkeypatch):
@@ -301,6 +353,22 @@ def test_default_scan_at_period_4620():
     assert scan.is_empty
     assert scan.bound == 4620 and scan.complete_bound
     # tens of milliseconds; a scan over the 4620² grid would take hours
+    assert elapsed < 5
+
+
+def test_agreeing_scan_over_256_depth_classes():
+    # eight coprime cycle lengths give 2^8 classes of depth, and every
+    # class of n is settled by one multiset comparison
+    a = constant_action(permutation_of_type((4, 3, 5, 7, 11, 13, 17, 19),
+                                            shuffle_seed=1))
+    b = constant_action(permutation_of_type((4, 3, 5, 7, 11, 13, 17, 19),
+                                            shuffle_seed=2))
+    start = time.perf_counter()
+    scan = rp_family_scan(a, b)
+    elapsed = time.perf_counter() - start
+    assert scan.is_empty
+    assert scan.bound == 19399380 and scan.complete_bound
+    # under a second; the bound catches only a large slowdown
     assert elapsed < 5
 
 
