@@ -75,10 +75,10 @@ def _print_report(report: PropertyReport, file=None) -> None:
                  "is_abelian", "is_latin"):
         flag = "true" if getattr(report, name) else "false"
         print(f"{name}: {flag}", file=out)
-    shown = report.axiom_violations[:10]
+    shown = report.first_violations
     for v in shown:
         print(f"violation: {v.axiom} at {v.witness}", file=out)
-    hidden = len(report.axiom_violations) - len(shown)
+    hidden = report.violation_count - len(shown)
     if hidden > 0:
         print(f"violation: and {hidden} more", file=out)
 

@@ -9,11 +9,12 @@ separate so that broken tables can still be loaded and reported on.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from operator import itemgetter
-from typing import Iterable, Sequence
+from itertools import combinations, compress
+from operator import itemgetter, ne
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "AxiomViolation",
@@ -169,14 +170,60 @@ class AxiomViolation:
     witness: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
+_SHOWN = 10  # witnesses a report keeps at hand; the most any reader shows
+
+
+@dataclass(frozen=True, init=False)
 class PropertyReport:
+    """Property flags and the witnesses against the rack axioms.
+
+    ``violation_count`` and ``first_violations``, the first ten witnesses,
+    are plain attributes.  A bad table of size n has up to about n³
+    witnesses, so the report from validation builds the full
+    ``axiom_violations`` tuple only when it is first read, in the same
+    order, and keeps it.  Equality, hashing and repr read that tuple, so a
+    report compares and prints as one constructed with all its witnesses.
+    """
+
     is_rack: bool
     is_quandle: bool
     is_crossed_set: bool
     is_abelian: bool
     is_latin: bool
-    axiom_violations: tuple[AxiomViolation, ...] = ()
+    axiom_violations: tuple[AxiomViolation, ...]
+
+    def __init__(self, is_rack: bool, is_quandle: bool, is_crossed_set: bool,
+                 is_abelian: bool, is_latin: bool,
+                 axiom_violations: tuple[AxiomViolation, ...] = ()) -> None:
+        vars(self).update(
+            is_rack=is_rack, is_quandle=is_quandle,
+            is_crossed_set=is_crossed_set, is_abelian=is_abelian,
+            is_latin=is_latin, axiom_violations=axiom_violations,
+            violation_count=len(axiom_violations),
+            first_violations=tuple(axiom_violations[:_SHOWN]))
+
+    @classmethod
+    def _counted(cls, flags: tuple[bool, ...], violation_count: int,
+                 first_violations: tuple[AxiomViolation, ...],
+                 build: Callable[[], tuple[AxiomViolation, ...]]
+                 ) -> "PropertyReport":
+        """A report whose axiom_violations tuple comes from build()."""
+        report = cls(*flags, first_violations)
+        del vars(report)["axiom_violations"]
+        vars(report).update(violation_count=violation_count, _build=build)
+        return report
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute not set yet: the unbuilt tuple
+        if name != "axiom_violations" or "_build" not in vars(self):
+            raise AttributeError(name)
+        violations = vars(self)[name] = self._build()
+        return violations
+
+    def __reduce__(self):
+        return PropertyReport, (self.is_rack, self.is_quandle,
+                                self.is_crossed_set, self.is_abelian,
+                                self.is_latin, self.axiom_violations)
 
 
 @dataclass(frozen=True)
@@ -241,20 +288,27 @@ class RackTable:
         return self.columns[y - 1]
 
     @cached_property
-    def _orbit_lengths(self) -> tuple[tuple[int, ...], ...]:
-        """``[y-1][x-1]`` is the length of x's cycle under the column of y.
+    def _cycle_lengths(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...],
+                                      tuple[tuple[tuple[int, int], ...], ...]]:
+        """(by_column, by_row) as (cycle length, multiplicity) pairs.
 
-        x ▷ y ... ▷ y (d copies) = x exactly when that length divides d,
-        so every fixed-point count at every depth is read from this matrix.
+        ``by_column[y-1]`` counts the x by the length of x's cycle under
+        the column of y, and ``by_row[x-1]`` counts the y by that same
+        length.  x ▷ y ... ▷ y (d copies) = x exactly when the length
+        divides d, so every fixed-point count at every depth is a sum over
+        a row's or a column's distinct lengths.
         """
-        lengths = []
+        by_row = [Counter() for _ in range(self.n)]
+        by_column = []
         for col in self.columns:
-            row = [0] * self.n
+            counts: Counter[int] = Counter()
             for cycle in col.cycles:
+                k = len(cycle)
+                counts[k] += k
                 for x in cycle:
-                    row[x - 1] = len(cycle)
-            lengths.append(tuple(row))
-        return tuple(lengths)
+                    by_row[x - 1][k] += 1
+            by_column.append(tuple(counts.items()))
+        return tuple(by_column), tuple(tuple(c.items()) for c in by_row)
 
     @cached_property
     def _inverse_columns(self) -> tuple[tuple[int, ...], ...]:
@@ -273,8 +327,8 @@ class RackTable:
         if report.is_rack:
             return
         shown = [f"{v.axiom} fails at {v.witness}"
-                 for v in report.axiom_violations[:3]]
-        more = len(report.axiom_violations) - 3
+                 for v in report.first_violations[:3]]
+        more = report.violation_count - 3
         if more > 0:
             shown.append(f"and {more} more violations")
         raise NotARackError("not a rack: " + "; ".join(shown))
@@ -316,13 +370,22 @@ class RackTable:
 
 
 def _analyze(table: RackTable) -> PropertyReport:
-    """Axioms and property flags from the columns, in O(n²) memory plus witnesses.
+    """Axioms and property flags from the columns, in O(n²) memory.
 
     Let C[y] be the 0-based column x ↦ x▷y as a tuple, so that composing
     two columns is one itemgetter call.  Self-distributivity
     (x▷y)▷z = (x▷z)▷(y▷z) says C[z]∘C[y] = C[y▷z]∘C[z] for every pair
-    (y, z): n² compositions of length n.  Only the pairs that differ are
-    expanded into their x witnesses.
+    (y, z): n² compositions of length n.  Witnesses are counted, not
+    built: a pair that differs adds the number of x where it differs to
+    the count and is kept with its least such x only, since keeping every
+    x would take O(n³) memory on a random table.  All witnesses of a pair
+    are at least its least one, so the first ten in (x, y, z) order lie
+    in the ten pairs whose least x come first.  Only those pairs are
+    composed again, and the first ten of their at most 10n witnesses are
+    the report's head: a check that shows ten witnesses builds ten.  The
+    full list is built, and sorted, only when a reader asks for the
+    report's axiom_violations.  Bijectivity witnesses, at most n² of
+    them, are listed at once as plain tuples and come first.
 
     Mediality (x▷y)▷(z▷w) = (x▷z)▷(y▷w) says R_{z▷w}R_y = R_{y▷w}R_z, with
     R_y = C[y].  In a rack R_{y▷w} = R_w R_y R_w⁻¹, so this holds iff for
@@ -337,7 +400,7 @@ def _analyze(table: RackTable) -> PropertyReport:
     rows = table.entries
     ident = list(range(n))
     cols = [tuple(v - 1 for v in col) for col in zip(*rows)]
-    violations: list[AxiomViolation] = []
+    bijectivity: list[tuple[int, int, int]] = []
 
     columns_ok = all(sorted(c) == ident for c in cols)
     if not columns_ok:
@@ -345,28 +408,42 @@ def _analyze(table: RackTable) -> PropertyReport:
             first: dict[int, int] = {}
             for i, k in enumerate(col):
                 if k in first:
-                    violations.append(
-                        AxiomViolation("bijectivity", (first[k] + 1, i + 1, j + 1)))
+                    bijectivity.append((first[k] + 1, i + 1, j + 1))
                 else:
                     first[k] = i
 
     # after[y](t) is t∘C[y], the tuple of t[C[y][x]] over x; at n = 1
-    # itemgetter returns a bare entry, which compares just as well
+    # itemgetter returns a bare entry, but one column never differs
     after = [itemgetter(*c) for c in cols]
-    mismatches = []
+    pairs = []  # (least x, y, z) for each pair that differs
+    violation_count = len(bijectivity)
     for z, cz in enumerate(cols):
         after_z = after[z]
-        for y, cy in enumerate(cols):
-            cyz = cols[cz[y]]
-            if after[y](cz) != after_z(cyz):
-                mismatches.extend(
-                    (x, y, z) for x in range(n) if cz[cy[x]] != cyz[cz[x]])
-    mismatches.sort()
-    violations.extend(
-        AxiomViolation("distributivity", (x + 1, y + 1, z + 1))
-        for x, y, z in mismatches)
+        for y in range(n):
+            left = after[y](cz)
+            right = after_z(cols[cz[y]])
+            if left != right:
+                violation_count += sum(map(ne, left, right))
+                pairs.append(
+                    (next(compress(range(n), map(ne, left, right))), y, z))
 
-    is_rack = columns_ok and not mismatches
+    def violations(bijective: list[tuple[int, int, int]],
+                   chosen: list[tuple[int, int, int]],
+                   wanted: int | None = None) -> tuple[AxiomViolation, ...]:
+        """The bijectivity witnesses, then the first ``wanted``
+        distributivity witnesses of the chosen pairs in (x, y, z) order."""
+        found = sorted((x, y, z) for _, y, z in chosen for x in compress(
+            range(n), map(ne, after[y](cols[z]), after[z](cols[cols[z][y]]))))
+        return (*(AxiomViolation("bijectivity", w) for w in bijective),
+                *(AxiomViolation("distributivity", (x + 1, y + 1, z + 1))
+                  for x, y, z in found[:wanted]))
+
+    head = bijectivity[:_SHOWN]
+    wanted = _SHOWN - len(head)
+    first_violations = violations(
+        head, sorted(pairs)[:wanted] if wanted else [], wanted)
+
+    is_rack = columns_ok and not pairs
     is_quandle = is_rack and all(rows[i][i] == i + 1 for i in range(n))
     labels = list(table.elements)
     is_latin = all(sorted(row) == labels for row in rows)
@@ -385,8 +462,11 @@ def _analyze(table: RackTable) -> PropertyReport:
             shifted_after[a](shifted[b]) == shifted_after[b](shifted[a])
             for a, b in combinations(range(n), 2))
 
-    return PropertyReport(is_rack, is_quandle, is_crossed, is_abelian,
-                          is_latin, tuple(violations))
+    flags = (is_rack, is_quandle, is_crossed, is_abelian, is_latin)
+    if violation_count == len(first_violations):
+        return PropertyReport(*flags, first_violations)
+    return PropertyReport._counted(flags, violation_count, first_violations,
+                                   lambda: violations(bijectivity, pairs))
 
 
 def parse_rack_table(text: str) -> RackTable:

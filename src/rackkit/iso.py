@@ -217,8 +217,8 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     if bound < 1:
         raise RackError(f"bound must be at least 1, got {bound}")
     complete = bound >= period
-    lengths = {k for table in (a, b) for row in table._orbit_lengths
-               for k in row}
+    lengths = {k for table in (a, b) for pairs in table._cycle_lengths[0]
+               for k, _ in pairs}
     found = {1}
     todo = [1]
     while todo:
@@ -368,8 +368,8 @@ def verify_constant_action_classification(
     some polynomial difference.
     """
     _check_convention(convention)
-    if not 1 <= k <= 9:
-        raise RackError(f"size must be between 1 and 9, got {k}")
+    if not 1 <= k <= 12:
+        raise RackError(f"size must be between 1 and 12, got {k}")
     types = partitions(k)
     reps = {ct: constant_action(permutation_of_type(ct)) for ct in types}
     same = []

@@ -13,11 +13,12 @@ the convention is an explicit argument everywhere:
 * "def" (default): e = row[m][x], f = col[n][x];
 * "prop3": e = col[m][x], f = row[n][x].
 
-Both counts are read from the table's cached matrix of orbit lengths: y
-returns to itself after d products by x exactly when the length of its
-cycle under x's column divides d.  Every count at every depth therefore
-costs O(n²) for the table, and depends on d only through gcd(d, L), with
-L the lcm of the column orders.
+Both counts are read from the table's cached cycle lengths: y returns to
+itself after d products by x exactly when the length of its cycle under
+x's column divides d.  Each column and each row keeps its distinct
+lengths with their multiplicities, so a count at any depth sums over
+those lengths.  The lengths cost O(n²) once per table, and a count
+depends on d only through gcd(d, L), with L the lcm of the column orders.
 """
 
 from __future__ import annotations
@@ -118,18 +119,22 @@ class TwoVarPoly:
             format_monomial(c, [("s", s), ("t", t)]) for s, t, c in self.terms)
 
 
+def _counts(by_length: tuple[tuple[tuple[int, int], ...], ...],
+            depth: int) -> tuple[int, ...]:
+    return tuple(sum(m for k, m in pairs if depth % k == 0)
+                 for pairs in by_length)
+
+
 def _col_counts(table: RackTable, depth: int) -> tuple[int, ...]:
     """col[depth][x] for each x: points whose cycle under x's column
     has a length dividing depth."""
-    return tuple(sum(1 for k in lengths if depth % k == 0)
-                 for lengths in table._orbit_lengths)
+    return _counts(table._cycle_lengths[0], depth)
 
 
 def _row_counts(table: RackTable, depth: int) -> tuple[int, ...]:
     """row[depth][x] for each x: columns under which x's cycle has a
     length dividing depth."""
-    return tuple(sum(1 for k in lengths if depth % k == 0)
-                 for lengths in zip(*table._orbit_lengths))
+    return _counts(table._cycle_lengths[1], depth)
 
 
 @dataclass(frozen=True)

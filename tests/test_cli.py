@@ -1,8 +1,13 @@
 """Command line behavior: exit codes and exact output."""
 
+import random
+import time
+import tracemalloc
+
 import pytest
 
 from conftest import FIXTURES
+from rackkit import core
 from rackkit.cli import main
 
 T5 = str(FIXTURES / "T5.rack")
@@ -48,6 +53,80 @@ def test_check_invalid(capsys, bad_rack):
     assert code == 1
     assert out.splitlines()[0] == "is_rack: false"
     assert any(line.startswith("violation: bijectivity") for line in out.splitlines())
+
+
+def write_table(path, entries):
+    n = len(entries)
+    path.write_text(f"{n}\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in entries))
+    return str(path)
+
+
+def test_check_of_a_random_n200_table_stays_small(capsys, tmp_path):
+    rng = random.Random(20261018)
+    n = 200
+    entries = [[rng.randint(1, n) for _ in range(n)] for _ in range(n)]
+    path = write_table(tmp_path / "random200.rack", entries)
+    # the first witnesses: repeated entries of column 1, in row order
+    first = {}
+    witnesses = []
+    for x in range(1, n + 1):
+        v = entries[x - 1][0]
+        if v in first:
+            witnesses.append((first[v], x, 1))
+        first.setdefault(v, x)
+    assert len(witnesses) >= 10
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", path)
+    elapsed = time.perf_counter() - start
+    lines = out.splitlines()
+    assert code == 1 and err == ""
+    assert lines[0] == "is_rack: false" and len(lines) == 16
+    assert lines[5:15] == [f"violation: bijectivity at {w}"
+                           for w in witnesses[:10]]
+    hidden = int(lines[15].removeprefix("violation: and ").removesuffix(" more"))
+    # listing all n³ witnesses took 51 s and 1.9 GB on a 2-core VM; about
+    # a second now, so the bound catches only a return to that
+    assert elapsed < 5
+
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "props", path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err.splitlines()[:16] == lines
+    shown = "; ".join(f"bijectivity fails at {w}" for w in witnesses[:3])
+    assert err.splitlines()[16] == (
+        f"error: not a rack: {shown}; and {hidden + 7} more violations")
+    assert peak < 100 * 2**20
+
+
+def test_check_builds_only_the_witnesses_it_prints(capsys, tmp_path,
+                                                    monkeypatch):
+    built = []
+    violation = core.AxiomViolation
+
+    def counted(axiom, witness):
+        built.append(witness)
+        return violation(axiom, witness)
+
+    monkeypatch.setattr(core, "AxiomViolation", counted)
+    rng = random.Random(7)
+    n = 30
+    arbitrary = [[rng.randint(1, n) for _ in range(n)] for _ in range(n)]
+    columns = [rng.sample(range(1, n + 1), n) for _ in range(n)]
+    bijective = [[columns[y][x] for y in range(n)] for x in range(n)]
+    for name, entries in (("arbitrary", arbitrary), ("bijective", bijective)):
+        path = write_table(tmp_path / f"{name}.rack", entries)
+        for command in ("check", "props"):
+            built.clear()
+            code, out, err = run(capsys, command, path)
+            assert code == 1
+            assert f"{out}{err}".count("violation: ") == 11
+            assert len(built) <= 10, (name, command)
 
 
 def test_props(capsys):

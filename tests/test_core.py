@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -18,9 +19,11 @@ import oracles
 import rackkit
 from conftest import RACK_TABLES, load_rack
 from rackkit import (
+    AxiomViolation,
     CongruenceError,
     NotARackError,
     Permutation,
+    PropertyReport,
     RackError,
     RackTable,
     TableFormatError,
@@ -270,8 +273,23 @@ def assert_report_matches_oracles(entries):
     assert r.is_crossed_set == oracles.is_crossed_set(entries)
     assert r.is_abelian == (is_rack and oracles.is_medial(entries))
     assert r.is_latin == oracles.is_latin(entries)
+    expected = oracles.violations(entries)
+    # the count and the first ten are read before the full tuple exists
+    assert r.violation_count == len(expected)
+    assert [(v.axiom, v.witness) for v in r.first_violations] == expected[:10]
+    eager = PropertyReport(
+        r.is_rack, r.is_quandle, r.is_crossed_set, r.is_abelian, r.is_latin,
+        tuple(AxiomViolation(axiom, w) for axiom, w in expected))
+    # repr builds the tuple of r, == that of a second fresh report
+    assert repr(r) == repr(eager)
+    again = validate_rack(RackTable(entries))
+    assert again == eager and eager == again
+    assert r == again and hash(r) == hash(eager)
+    assert repr(again) == repr(eager)
+    unread = validate_rack(RackTable(entries))
+    assert pickle.loads(pickle.dumps(unread)) == eager
     got = [(v.axiom, v.witness) for v in r.axiom_violations]
-    assert got == oracles.violations(entries)
+    assert got == expected
 
 
 def from_columns(columns):

@@ -461,7 +461,14 @@ def test_classification_size_bounds():
     with pytest.raises(RackError):
         verify_constant_action_classification(0)
     with pytest.raises(RackError):
-        verify_constant_action_classification(10)
+        verify_constant_action_classification(13)
+
+
+def test_classification_above_the_old_cap():
+    # sizes 10 to 12 are accepted; 10 takes well under a second
+    report = verify_constant_action_classification(10)
+    assert report.consistent
+    assert len(report.same_type) == len(partitions(10)) == 42
 
 
 def test_classification_report_lines():
