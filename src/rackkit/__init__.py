@@ -1,79 +1,12 @@
 """Finite racks and quandles: polynomial invariants and link colorings."""
 
-from .core import (AxiomViolation, CongruenceError, NotARackError,
-                   Permutation, PropertyReport, RackError, RackTable,
-                   TableFormatError, column_order_lcm, diagonal_perm, dual,
-                   format_rack_table, operator_equivalence_quotient,
-                   parse_rack_table, properties_report, quotient_by,
-                   rack_op_iter, rack_rank, validate_rack)
-from .generators import alexander, constant_action, ts_rack
-from .iso import (ClassificationReport, IsoResult, PolyDifference,
-                  RpFamilyScan, isomorphic, partitions, permutation_of_type,
-                  rp_family_scan, verify_constant_action_classification)
-from .links import (Crossing, DiagramError, DiagramFormatError,
-                    EnhancedInvariant, LinkDiagram, add_kinks,
-                    components_and_writhe, counting_polynomial_string,
-                    enhanced_invariant, enumerate_colorings, image_subrack,
-                    parse_diagram, rack_counting)
-from .poly import (CONVENTIONS, ExponentProfile, TwoVarPoly, closure,
-                   enumerate_subracks, exponent_profile, format_monomial,
-                   is_subrack, rack_polynomial, subrack_polynomial)
+from .core import *
+from .generators import *
+from .iso import *
+from .links import *
+from .poly import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxiomViolation",
-    "CONVENTIONS",
-    "ClassificationReport",
-    "CongruenceError",
-    "Crossing",
-    "DiagramError",
-    "DiagramFormatError",
-    "EnhancedInvariant",
-    "ExponentProfile",
-    "IsoResult",
-    "LinkDiagram",
-    "NotARackError",
-    "Permutation",
-    "PolyDifference",
-    "PropertyReport",
-    "RackError",
-    "RackTable",
-    "RpFamilyScan",
-    "TableFormatError",
-    "TwoVarPoly",
-    "add_kinks",
-    "alexander",
-    "closure",
-    "column_order_lcm",
-    "components_and_writhe",
-    "constant_action",
-    "counting_polynomial_string",
-    "diagonal_perm",
-    "dual",
-    "enhanced_invariant",
-    "enumerate_colorings",
-    "enumerate_subracks",
-    "exponent_profile",
-    "format_monomial",
-    "format_rack_table",
-    "image_subrack",
-    "is_subrack",
-    "isomorphic",
-    "operator_equivalence_quotient",
-    "parse_diagram",
-    "parse_rack_table",
-    "partitions",
-    "permutation_of_type",
-    "properties_report",
-    "quotient_by",
-    "rack_counting",
-    "rack_op_iter",
-    "rack_polynomial",
-    "rack_rank",
-    "rp_family_scan",
-    "subrack_polynomial",
-    "ts_rack",
-    "validate_rack",
-    "verify_constant_action_classification",
-]
+__all__ = (core.__all__ + generators.__all__ + iso.__all__ + links.__all__
+           + poly.__all__)

@@ -2,8 +2,8 @@
 
 Every command reads tables in the plain text format (size, then the rows)
 and diagrams in the JSON format; results go to stdout, errors to stderr.
-Exit codes: 0 success, 1 domain error or failed check, 2 usage or missing
-file.
+Exit codes: 0 success, 1 domain error, failed check or undecodable text,
+2 usage error or unreadable file.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .core import (PropertyReport, RackError, RackTable, dual,
                    validate_rack)
 from .generators import alexander, constant_action, ts_rack
 from .iso import isomorphic, rp_family_scan, verify_constant_action_classification
-from .links import (DiagramError, counting_polynomial_string,
-                    enhanced_invariant, parse_diagram, rack_counting)
+from .links import (counting_polynomial_string, enhanced_invariant,
+                    parse_diagram, rack_counting)
 from .poly import (CONVENTIONS, enumerate_subracks, exponent_profile,
                    rack_polynomial, subrack_polynomial)
 
@@ -326,11 +326,12 @@ def main(argv: list[str] | None = None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
+    # RackError, DiagramError and a text decoding error are ValueErrors
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RackError, DiagramError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

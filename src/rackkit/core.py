@@ -387,14 +387,16 @@ def _analyze(table: RackTable) -> PropertyReport:
     report's axiom_violations.  Bijectivity witnesses, at most n² of
     them, are listed at once as plain tuples and come first.
 
-    Mediality (x▷y)▷(z▷w) = (x▷z)▷(y▷w) says R_{z▷w}R_y = R_{y▷w}R_z, with
-    R_y = C[y].  In a rack R_{y▷w} = R_w R_y R_w⁻¹, so this holds iff for
-    each w the maps S_y = R_w⁻¹R_y commute pairwise.  One w is enough:
-    R_{w'}⁻¹R_y = S_{w'}⁻¹S_y lies in the group the S_y generate.  So the
-    check composes S_y = C[0]⁻¹∘C[y] once per y and compares n(n-1)/2
-    pairs.  This is the rack form of "a quandle is medial iff its
-    displacement group is abelian" (Jedlička, Pilitowska, Stanovský and
-    Zamojska-Dzienio, J. Algebra 2015).
+    Mediality (x▷y)▷(z▷w) = (x▷z)▷(y▷w) says C[z▷w]∘C[y] = C[y▷w]∘C[z]
+    for all y, z and w.  Write R_y for C[y].  In a rack
+    R_{y▷w} = R_w R_y R_w⁻¹, so at one w this holds iff the maps
+    S_y = R_w⁻¹R_y commute pairwise.  One w is enough: R_{w'}⁻¹R_y =
+    S_{w'}⁻¹S_y lies in the group the S_y generate.  So the check takes
+    w = 1 and compares C[z▷1]∘C[y] with C[y▷1]∘C[z] for each pair y < z
+    (y = z agrees, y > z swaps the sides), with the same itemgetters as
+    distributivity: n(n-1)/2 comparisons.  This is the rack form of "a
+    quandle is medial iff its displacement group is abelian" (Jedlička,
+    Pilitowska, Stanovský and Zamojska-Dzienio, J. Algebra 2015).
     """
     n = table.n
     rows = table.entries
@@ -451,16 +453,10 @@ def _analyze(table: RackTable) -> PropertyReport:
         (rows[x][y] == x + 1) == (rows[y][x] == y + 1)
         for x in range(n) for y in range(x + 1, n))
 
-    is_abelian = False
-    if is_rack:
-        inv0 = [0] * n
-        for x, v in enumerate(cols[0]):
-            inv0[v] = x
-        shifted = [tuple(inv0[v] for v in c) for c in cols]
-        shifted_after = [itemgetter(*s) for s in shifted]
-        is_abelian = all(
-            shifted_after[a](shifted[b]) == shifted_after[b](shifted[a])
-            for a, b in combinations(range(n), 2))
+    # cols[0][y] is y▷1, 0-based
+    is_abelian = is_rack and all(
+        after[y](cols[cols[0][z]]) == after[z](cols[cols[0][y]])
+        for y, z in combinations(range(n), 2))
 
     flags = (is_rack, is_quandle, is_crossed, is_abelian, is_latin)
     if violation_count == len(first_violations):

@@ -11,8 +11,7 @@ from itertools import accumulate
 
 from .core import Permutation, RackError, RackTable, column_order_lcm
 from .generators import constant_action
-from .poly import (TwoVarPoly, _check_convention, _col_counts, _row_counts,
-                   _slot_counts)
+from .poly import TwoVarPoly, _check_convention, _counts, _lengths
 
 __all__ = [
     "ClassificationReport",
@@ -38,9 +37,8 @@ class IsoResult:
 def _invariant_keys(table: RackTable) -> list[tuple]:
     """Per-element keys preserved by isomorphism, used to prune the search."""
     columns = table.columns
-    col = _col_counts(table, 1)
-    row = _row_counts(table, 1)
-    return [(columns[i].cycle_type, col[i], row[i],
+    rows = _counts(_lengths(table, "def")[0], 1)  # row[1][x], the s count
+    return [(columns[i].cycle_type, rows[i],
              columns[table.entries[i][i] - 1].cycle_type)
             for i in range(table.n)]
 
@@ -65,8 +63,10 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
     invariant key.  Each placement propagates f(x ▷ y) = f(x) ▷ f(y) over
     every pair of placed elements until they fill the span; an image that
     contradicts f, is used or has another key fails the branch, and a trail
-    undoes it.  A path costs O(n²) lookups, and a full one is an
-    isomorphism, verified once more before it is returned.
+    undoes it.  The search keeps its own stack of generators, so no size
+    of table can exhaust the interpreter's.  A path costs O(n²) lookups,
+    and a full one is an isomorphism, verified once more before it is
+    returned.
     """
     a.require_rack()
     b.require_rack()
@@ -87,9 +87,15 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
     rows_b = b.entries
     placed: list[int] = []
 
+    def undo(mark: int) -> None:
+        for x in placed[mark:]:
+            free[images[x]] = images[x] = unplaced[x]
+        del placed[mark:]
+
     def place(x: int, fx: int) -> bool:
+        """Place x at fx and propagate; a contradiction undoes it all."""
         # placed[:i] have taken their products with each other
-        i = len(placed)
+        mark = i = len(placed)
         images[x] = fx
         free[fx] = 0
         placed.append(x)
@@ -106,6 +112,7 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
                 fp = row_f[fy - 1]
                 if images[p] != fp:
                     if free[fp] != images[p]:
+                        undo(mark)
                         return False
                     images[p] = fp
                     free[fp] = 0
@@ -114,33 +121,32 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
                 fp = rows_b[fy - 1][fx - 1]
                 if images[p] != fp:
                     if free[fp] != images[p]:
+                        undo(mark)
                         return False
                     images[p] = fp
                     free[fp] = 0
                     placed.append(p)
         return True
 
-    def search() -> bool:
-        if len(placed) == a.n:
-            return True
+    # per generator: the generator, its trail mark and its untried images
+    frames = []
+    while len(placed) < a.n:
         # the placed elements are the span of the generators so far
         g = next(x for x in a.elements if images[x] < 0)
-        mark = len(placed)
-        for y in b.elements:
-            if free[y] == images[g]:
-                if place(g, y) and search():
-                    return True
-                for x in placed[mark:]:
-                    free[images[x]] = images[x] = unplaced[x]
-                del placed[mark:]
-        return False
-
-    if search():
-        del images[0]
-        if not _is_morphism(a, b, images):
-            raise RackError("internal error: witness failed verification")
-        return IsoResult(True, Permutation(tuple(images)))
-    return IsoResult(False)
+        frames.append((g, len(placed), iter(b.elements)))
+        # place the deepest generator at its next image that propagates
+        while frames:
+            g, mark, untried = frames[-1]
+            undo(mark)
+            if any(free[y] == unplaced[g] and place(g, y) for y in untried):
+                break
+            frames.pop()
+        else:
+            return IsoResult(False)
+    del images[0]
+    if not _is_morphism(a, b, images):
+        raise RackError("internal error: witness failed verification")
+    return IsoResult(True, Permutation(tuple(images)))
 
 
 @dataclass(frozen=True)
@@ -217,8 +223,8 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     if bound < 1:
         raise RackError(f"bound must be at least 1, got {bound}")
     complete = bound >= period
-    lengths = {k for table in (a, b) for pairs in table._cycle_lengths[0]
-               for k, _ in pairs}
+    lengths = {k for table in (a, b) for column in table.columns
+               for k in column.cycle_type}
     found = {1}
     todo = [1]
     while todo:
@@ -229,17 +235,18 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
                 found.add(h)
                 todo.append(h)
     classes = sorted(found)
-    s_counts, t_counts = _slot_counts(convention)
-    s_a = {g: s_counts(a, g) for g in classes}
-    s_b = {g: s_counts(b, g) for g in classes}
+    s_lengths_a, t_lengths_a = _lengths(a, convention)
+    s_lengths_b, t_lengths_b = _lengths(b, convention)
+    s_a = {g: _counts(s_lengths_a, g) for g in classes}
+    s_b = {g: _counts(s_lengths_b, g) for g in classes}
     # each element's s counts at every class of m, as one small int
     ids: dict[tuple[int, ...], int] = {}
     sid_a = [ids.setdefault(v, len(ids)) for v in zip(*s_a.values())]
     sid_b = [ids.setdefault(v, len(ids)) for v in zip(*s_b.values())]
     differing: dict[int, dict[int, tuple[TwoVarPoly, TwoVarPoly]]] = {}
     for gn in classes:
-        t_a = t_counts(a, gn)
-        t_b = t_counts(b, gn)
+        t_a = _counts(t_lengths_a, gn)
+        t_b = _counts(t_lengths_b, gn)
         if Counter(zip(t_a, sid_a)) == Counter(zip(t_b, sid_b)):
             continue
         polys = {}

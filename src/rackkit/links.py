@@ -29,8 +29,8 @@ from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import RackTable, diagonal_perm, rack_rank
-from .poly import (TwoVarPoly, _check_convention, _check_depths, _close,
-                   _convention_pairs, _members, closure)
+from .poly import (TwoVarPoly, _check_convention, _check_depths,
+                   _convention_pairs, closure, format_monomial)
 
 __all__ = [
     "Crossing",
@@ -165,6 +165,8 @@ def parse_diagram(text: str) -> LinkDiagram:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DiagramFormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DiagramFormatError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise DiagramFormatError("top level must be an object")
     extra = set(data) - {"crossings", "free_arcs"}
@@ -256,10 +258,10 @@ def add_kinks(diagram: LinkDiagram, counts: Sequence[int]) -> LinkDiagram:
     return LinkDiagram(tuple(crossings), tuple(sorted(free)), tuple(seams))
 
 
-def _cut(diagram: LinkDiagram, cut: bool) -> tuple[
+def _cut(diagram: LinkDiagram) -> tuple[
         tuple[int, ...], list[tuple[int, int, int, int]],
         list[tuple[int, int]], list[tuple[int, int]]]:
-    """The diagram over arc positions, cut open at each anchor if asked.
+    """The diagram over arc positions, cut open at each anchor.
 
     A component's anchor is its least arc a.  Cutting hands the anchor's
     consumer (the crossing a passes under, else the seam a leaves
@@ -268,32 +270,31 @@ def _cut(diagram: LinkDiagram, cut: bool) -> tuple[
     v = a.  Returns the arc ids (fresh ones last), the crossings as
     (sign, over, under_in, under_out) and the seams as (a, b), both over
     positions in that tuple, and the (a, v) positions of each component,
-    in component order; without a cut that last list is empty.
+    in component order.
     """
     crossings = [(cr.sign, cr.over, cr.under_in, cr.under_out)
                  for cr in diagram.crossings]
     seams = list(diagram.seams)
     arcs = list(diagram.arcs)
     ends = []
-    if cut:
-        by_under = {cr[2]: i for i, cr in enumerate(crossings)}
-        by_source = {a: i for i, (a, _) in enumerate(seams)}
-        fresh = max(arcs, default=0)
-        for comp in diagram.components:
-            a = comp[0]
-            v = a
-            if a in by_under:
-                i = by_under[a]
-                fresh = v = fresh + 1
-                sign, over, _, out = crossings[i]
-                crossings[i] = (sign, over, v, out)
-                arcs.append(v)
-            elif a in by_source:
-                i = by_source[a]
-                fresh = v = fresh + 1
-                seams[i] = (v, seams[i][1])
-                arcs.append(v)
-            ends.append((a, v))
+    by_under = {cr[2]: i for i, cr in enumerate(crossings)}
+    by_source = {a: i for i, (a, _) in enumerate(seams)}
+    fresh = max(arcs, default=0)
+    for comp in diagram.components:
+        a = comp[0]
+        v = a
+        if a in by_under:
+            i = by_under[a]
+            fresh = v = fresh + 1
+            sign, over, _, out = crossings[i]
+            crossings[i] = (sign, over, v, out)
+            arcs.append(v)
+        elif a in by_source:
+            i = by_source[a]
+            fresh = v = fresh + 1
+            seams[i] = (v, seams[i][1])
+            arcs.append(v)
+        ends.append((a, v))
     at = {a: i for i, a in enumerate(arcs)}
     return (tuple(arcs),
             [(s, at[o], at[i], at[u]) for s, o, i, u in crossings],
@@ -427,12 +428,15 @@ def enumerate_colorings(diagram: LinkDiagram,
     at a negative crossing the inverse operation applies; seamed arcs match.
     Forced colors propagate to a fixpoint between branchings on the
     lowest-numbered uncolored arc, in one iterative search, so no input
-    depth can exhaust the interpreter's stack.  Each dict lists its arcs in
-    increasing order.
+    depth can exhaust the interpreter's stack.  The search runs on the
+    diagram cut at its anchors, as the framed counts do, with a seam across
+    each cut to join it again.  Each dict lists its arcs in increasing
+    order.
     """
     table.require_rack()
-    arcs, crossings, seams, _ = _cut(diagram, cut=False)
-    return tuple(dict(zip(arcs, colors))
+    arcs, crossings, seams, ends = _cut(diagram)
+    seams += [(a, v) for a, v in ends if a != v]
+    return tuple(dict(zip(diagram.arcs, colors))
                  for colors in _colorings(len(arcs), crossings, seams, (), table))
 
 
@@ -447,7 +451,6 @@ def image_subrack(table: RackTable,
 
 def counting_polynomial_string(per_class: Mapping[tuple[int, ...], int]) -> str:
     """Render per-framing-class counts as a polynomial in q1..qc."""
-    from .poly import format_monomial
     parts = []
     for label, count in sorted(per_class.items()):
         if count == 0:
@@ -486,7 +489,7 @@ def _cut_colorings(diagram: LinkDiagram, table: RackTable
                    ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """(end colors, colors) of each coloring of the diagram cut at its
     anchors; the colors of the diagram's own arcs lead each list."""
-    arcs, crossings, seams, ends = _cut(diagram, cut=True)
+    arcs, crossings, seams, ends = _cut(diagram)
     flat = [i for pair in ends for i in pair]
     for colors in _colorings(len(arcs), crossings, seams, ends, table):
         yield tuple(map(colors.__getitem__, flat)), colors
@@ -554,7 +557,6 @@ class EnhancedInvariant:
         return counting_polynomial_string(self.class_counts())
 
     def enhanced_string(self, with_framing: bool = True) -> str:
-        from .poly import format_monomial
         if with_framing:
             parts = [
                 format_monomial(
@@ -597,8 +599,7 @@ def enhanced_invariant(diagram: LinkDiagram, table: RackTable,
     by_image: Counter[tuple[tuple[int, ...], tuple[int, ...]]] = Counter()
     for (ends, used), count in bins.items():
         if used not in closures:
-            mask = sum(1 << v for v in used)
-            closures[used] = _members(_close(table.entries, mask, list(used)))
+            closures[used] = closure(table, used)
         by_image[ends, closures[used]] += count
     terms = _convention_pairs(table, m, n, convention)
     poly_cache: dict[tuple[int, ...], TwoVarPoly] = {}

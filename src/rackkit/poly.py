@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .core import RackError, RackTable
 
@@ -33,6 +33,7 @@ __all__ = [
     "CONVENTIONS",
     "ExponentProfile",
     "TwoVarPoly",
+    "closure",
     "enumerate_subracks",
     "exponent_profile",
     "format_monomial",
@@ -119,22 +120,23 @@ class TwoVarPoly:
             format_monomial(c, [("s", s), ("t", t)]) for s, t, c in self.terms)
 
 
+def _lengths(table: RackTable, convention: str
+             ) -> tuple[tuple[tuple[tuple[int, int], ...], ...],
+                        tuple[tuple[tuple[int, int], ...], ...]]:
+    """Per element, the (cycle length, multiplicity) pairs behind the s
+    and the t count under a convention: a row's for row[d][x], a
+    column's for col[d][x]."""
+    by_column, by_row = table._cycle_lengths
+    if convention == "def":
+        return by_row, by_column
+    return by_column, by_row
+
+
 def _counts(by_length: tuple[tuple[tuple[int, int], ...], ...],
             depth: int) -> tuple[int, ...]:
+    """Per element, the multiplicities of the lengths dividing depth."""
     return tuple(sum(m for k, m in pairs if depth % k == 0)
                  for pairs in by_length)
-
-
-def _col_counts(table: RackTable, depth: int) -> tuple[int, ...]:
-    """col[depth][x] for each x: points whose cycle under x's column
-    has a length dividing depth."""
-    return _counts(table._cycle_lengths[0], depth)
-
-
-def _row_counts(table: RackTable, depth: int) -> tuple[int, ...]:
-    """row[depth][x] for each x: columns under which x's cycle has a
-    length dividing depth."""
-    return _counts(table._cycle_lengths[1], depth)
 
 
 @dataclass(frozen=True)
@@ -157,24 +159,13 @@ def _check_depths(m: int, n: int) -> None:
 def exponent_profile(table: RackTable, m: int, n: int) -> ExponentProfile:
     _check_depths(m, n)
     table.require_rack()
-    pairs = tuple(zip(_col_counts(table, m), _row_counts(table, n)))
-    return ExponentProfile(m, n, pairs)
-
-
-_Counts = Callable[[RackTable, int], tuple[int, ...]]
-
-
-def _slot_counts(convention: str) -> tuple[_Counts, _Counts]:
-    """The counts feeding the s and the t exponent under a convention."""
-    if convention == "def":
-        return _row_counts, _col_counts
-    return _col_counts, _row_counts
+    return ExponentProfile(m, n, tuple(_convention_pairs(table, m, n, "prop3")))
 
 
 def _convention_pairs(table: RackTable, m: int, n: int,
                       convention: str) -> list[tuple[int, int]]:
-    s_counts, t_counts = _slot_counts(convention)
-    return list(zip(s_counts(table, m), t_counts(table, n)))
+    s_lengths, t_lengths = _lengths(table, convention)
+    return list(zip(_counts(s_lengths, m), _counts(t_lengths, n)))
 
 
 def rack_polynomial(table: RackTable, m: int, n: int,

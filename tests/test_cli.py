@@ -1,11 +1,16 @@
 """Command line behavior: exit codes and exact output."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import rackkit
 from conftest import FIXTURES
 from rackkit import core
 from rackkit.cli import main
@@ -324,6 +329,39 @@ def test_missing_file(capsys):
     code, _, err = run(capsys, "poly", "no_such_file.rack")
     assert code == 2
     assert err.startswith("error:")
+
+
+def run_process(*argv):
+    """rackkit in a fresh interpreter, so an escaping error would print
+    its traceback."""
+    src = str(Path(rackkit.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "rackkit", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+
+
+def write_bytes(path, data):
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(lambda tmp: ("check", str(FIXTURES)), 2, id="directory"),
+    pytest.param(lambda tmp: (
+        "check", write_bytes(tmp / "bytes.rack", b"\xff\xfe")), 1,
+        id="not-utf8"),
+    pytest.param(lambda tmp: ("gen", "constant", "1", "1"), 1,
+                 id="not-a-bijection"),
+    pytest.param(lambda tmp: (
+        "invariant", write_bytes(tmp / "deep.link", b"[" * 100000), T5), 1,
+        id="deeply-nested-json"),
+])
+def test_errors_exit_with_a_message(tmp_path, argv, code):
+    done = run_process(*argv(tmp_path))
+    assert done.returncode == code
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
 
 
 def test_usage_errors(capsys):

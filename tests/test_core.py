@@ -1,5 +1,6 @@
 """Tables, permutations, validation, duals, and quotients."""
 
+import ast
 import math
 import os
 import pickle
@@ -403,6 +404,28 @@ def test_cli_import_leaves_numpy_out():
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_all_lists_every_public_name():
+    modules = (rackkit.core, rackkit.generators, rackkit.iso, rackkit.links,
+               rackkit.poly)
+    for module in modules:
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets
+                               if isinstance(t, ast.Name))
+        public = {name for name in defined if not name.startswith("_")}
+        assert sorted(module.__all__) == sorted(public), module.__name__
+    union = [name for module in modules for name in module.__all__]
+    assert sorted(rackkit.__all__) == sorted(union)
+    assert len(set(union)) == len(union)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(rackkit, name) is getattr(module, name)
 
 
 # -- iterated operator ------------------------------------------------------

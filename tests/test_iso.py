@@ -1,6 +1,8 @@
 """Isomorphism search, polynomial-family scans, and the classification check."""
 
+import inspect
 import random
+import sys
 import time
 from itertools import combinations, product
 
@@ -157,6 +159,21 @@ def test_long_generating_sequences():
                                               result.witness.images)
             else:
                 assert result.witness is None
+
+
+def test_search_keeps_its_own_stack():
+    # every element of a trivial rack is a generator, so a search that
+    # recursed once per generator would need about 200 frames
+    a = constant_action(Permutation.identity(200))
+    b = relabeled(a, random_perm(200, random.Random(200)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        result = isomorphic(a, b)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.isomorphic
+    assert oracles.is_isomorphism(a.entries, b.entries, result.witness.images)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

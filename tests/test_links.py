@@ -90,6 +90,8 @@ def test_parse_diagram_errors():
         parse_diagram('{"crossings": [], "free_arcs": [true]}')
     with pytest.raises(DiagramFormatError):
         parse_diagram('{"crossings": 3}')
+    with pytest.raises(DiagramFormatError, match="nested too deeply"):
+        parse_diagram("[" * 100000)
 
 
 def test_fixture_structure(links):
