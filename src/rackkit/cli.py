@@ -13,7 +13,7 @@ import re
 import sys
 from pathlib import Path
 
-from .core import (PropertyReport, RackError, RackTable, dual,
+from .core import (Permutation, PropertyReport, RackError, RackTable, dual,
                    format_rack_table, operator_equivalence_quotient,
                    parse_rack_table, properties_report, quotient_by,
                    validate_rack)
@@ -30,7 +30,10 @@ _MODES = ("sr", "pr", "srpp", "rpp")
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_table(path: str) -> RackTable:
@@ -124,7 +127,6 @@ def _cmd_srp(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_constant(args: argparse.Namespace) -> int:
-    from .core import Permutation
     table = constant_action(Permutation(tuple(args.images)))
     table.require_rack()
     print(format_rack_table(table), end="")
@@ -326,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
-    # RackError, DiagramError and a text decoding error are ValueErrors
+    # RackError, DiagramError and _read's decoding error are ValueErrors
     try:
         return args.func(args)
     except OSError as exc:

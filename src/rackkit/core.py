@@ -262,6 +262,14 @@ class RackTable:
         if not 1 <= x <= self.n:
             raise RackError(f"element {x} out of range 1..{self.n}")
 
+    def _elements(self, values: Iterable[int]) -> list[int]:
+        """The values as ints, deduplicated and sorted; the least one out of
+        range raises."""
+        elems = sorted(set(int(v) for v in values))
+        for v in elems:
+            self._check_element(v)
+        return elems
+
     def op(self, x: int, y: int) -> int:
         self._check_element(x)
         self._check_element(y)
@@ -351,9 +359,7 @@ class RackTable:
 
     def subtable(self, elements: Iterable[int]) -> "RackTable":
         """Restriction to a ▷-closed subset, relabeled 1..k in sorted order."""
-        elems = sorted(set(int(v) for v in elements))
-        for v in elems:
-            self._check_element(v)
+        elems = self._elements(elements)
         escape = self._first_escape(elems)
         if escape is not None:
             x, y, p = escape

@@ -21,17 +21,7 @@ def alexander(n: int, t: int) -> RackTable:
 
     Residues 0..n-1 are relabeled 1..n.
     """
-    if n < 1:
-        raise RackError(f"modulus must be positive, got {n}")
-    t %= n
-    if math.gcd(t, n) != 1:
-        raise RackError(f"t={t} is not a unit modulo {n}")
-    rows = tuple(
-        tuple((t * x + (1 - t) * y) % n + 1 for y in range(n))
-        for x in range(n))
-    table = RackTable(rows)
-    table.require_rack()
-    return table
+    return ts_rack(n, t, 1 - t)
 
 
 def ts_rack(n: int, t: int, s: int) -> RackTable:

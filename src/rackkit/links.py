@@ -26,11 +26,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .core import RackTable, diagonal_perm, rack_rank
-from .poly import (TwoVarPoly, _check_convention, _check_depths,
-                   _convention_pairs, closure, format_monomial)
+from .poly import TwoVarPoly, _convention_pairs, closure, format_monomial
 
 __all__ = [
     "Crossing",
@@ -163,7 +162,8 @@ def parse_diagram(text: str) -> LinkDiagram:
     """Read a diagram from JSON with keys ``crossings`` and ``free_arcs``."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer past the interpreter's digit limit
         raise DiagramFormatError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise DiagramFormatError("invalid JSON: nested too deeply") from None
@@ -259,46 +259,41 @@ def add_kinks(diagram: LinkDiagram, counts: Sequence[int]) -> LinkDiagram:
 
 
 def _cut(diagram: LinkDiagram) -> tuple[
-        tuple[int, ...], list[tuple[int, int, int, int]],
-        list[tuple[int, int]], list[tuple[int, int]]]:
+        tuple[int, ...], list[tuple[int, int, int, int]], list[tuple[int, int]]]:
     """The diagram over arc positions, cut open at each anchor.
 
-    A component's anchor is its least arc a.  Cutting hands the anchor's
-    consumer (the crossing a passes under, else the seam a leaves
-    through) a fresh arc v in place of a: the arc that add_kinks would feed
-    with the kinked color π^k(a).  A free loop has no consumer and keeps
-    v = a.  Returns the arc ids (fresh ones last), the crossings as
-    (sign, over, under_in, under_out) and the seams as (a, b), both over
-    positions in that tuple, and the (a, v) positions of each component,
-    in component order.
+    Every crossing becomes a step (sign, over, under_in, under_out) and
+    every seam (a, b) an identity step (0, unit, a, b), unit being the
+    position just past the arcs, so one map from under_in finds the step
+    that consumes an arc.  A component's anchor is its least arc a.
+    Cutting hands the anchor's consumer a fresh arc v in place of a: the
+    arc that add_kinks would feed with the kinked color π^k(a).  A free
+    loop has no consumer and keeps v = a.  Returns the arc ids (fresh ones
+    last), the steps over positions in that tuple, and the (a, v)
+    positions of each component, in component order.
     """
-    crossings = [(cr.sign, cr.over, cr.under_in, cr.under_out)
-                 for cr in diagram.crossings]
-    seams = list(diagram.seams)
+    steps = [(cr.sign, cr.over, cr.under_in, cr.under_out)
+             for cr in diagram.crossings]
+    # arc id 0 stands for the unit until positions are assigned
+    steps += [(0, 0, a, b) for a, b in diagram.seams]
     arcs = list(diagram.arcs)
     ends = []
-    by_under = {cr[2]: i for i, cr in enumerate(crossings)}
-    by_source = {a: i for i, (a, _) in enumerate(seams)}
+    consumer = {step[2]: i for i, step in enumerate(steps)}
     fresh = max(arcs, default=0)
     for comp in diagram.components:
         a = comp[0]
         v = a
-        if a in by_under:
-            i = by_under[a]
+        if a in consumer:
+            i = consumer[a]
             fresh = v = fresh + 1
-            sign, over, _, out = crossings[i]
-            crossings[i] = (sign, over, v, out)
-            arcs.append(v)
-        elif a in by_source:
-            i = by_source[a]
-            fresh = v = fresh + 1
-            seams[i] = (v, seams[i][1])
+            sign, over, _, out = steps[i]
+            steps[i] = (sign, over, v, out)
             arcs.append(v)
         ends.append((a, v))
     at = {a: i for i, a in enumerate(arcs)}
+    at[0] = len(arcs)
     return (tuple(arcs),
-            [(s, at[o], at[i], at[u]) for s, o, i, u in crossings],
-            [(at[a], at[b]) for a, b in seams],
+            [(s, at[o], at[i], at[u]) for s, o, i, u in steps],
             [(at[a], at[v]) for a, v in ends])
 
 
@@ -315,19 +310,22 @@ def _diagonal_orbits(table: RackTable) -> tuple[list[tuple[int, ...]], list[int]
     return orbit, step
 
 
-def _colorings(size: int, crossings: Sequence[tuple[int, int, int, int]],
-               seams: Sequence[tuple[int, int]],
+def _colorings(size: int, steps: Sequence[tuple[int, int, int, int]],
                ends: Sequence[tuple[int, int]],
                table: RackTable) -> Iterator[list[int]]:
     """Every coloring of a diagram given over arc positions 0..size-1.
 
-    Yields one list whose entry i is the color of arc position i; it is the
-    same list each time and changes once the search resumes.  Each (a, v)
-    in ``ends`` must color its two arcs within one orbit of π(x) = x ▷ x,
-    and alike where that orbit is a fixed point.
+    ``steps`` are (sign, over, under_in, under_out) as _cut gives them:
+    sign 1 takes under_in ▷ over to under_out, sign -1 the inverse
+    operation, and sign 0 the identity, its over arc being position size,
+    which is always colored 1.  Yields one list whose entry i is the color
+    of arc position i; it is the same list each time and changes once the
+    search resumes.  Each (a, v) in ``ends`` must color its two arcs
+    within one orbit of π(x) = x ▷ x, and alike where that orbit is a
+    fixed point.
 
-    The search is iterative.  A color is pushed through every crossing and
-    seam it decides, through a work list, to a fixpoint; a contradiction
+    The search is iterative.  A color is pushed through every step it
+    decides, through a work list, to a fixpoint; a contradiction
     undoes the branch from a trail.  The branch arc is the first uncolored
     one, found by a cursor that only moves forward, so every arc before it
     is colored and its values are tried in increasing order: colorings come
@@ -336,18 +334,13 @@ def _colorings(size: int, crossings: Sequence[tuple[int, int, int, int]],
     n = table.n
     right = (None,) + tuple((0,) + c.images for c in table.columns)
     left = (None,) + tuple((0,) + c for c in table._inverse_columns)
-    # a seam is a crossing whose over arc is an extra position, always
-    # colored 1, that acts as the identity
-    unit = size
     same = (None, tuple(range(n + 1)))
-    watch: list[list[tuple]] = [[] for _ in range(size)]
-    for sign, over, inn, out in crossings:
-        rule = (over, inn, out) + ((right, left) if sign == 1 else (left, right))
+    views = {1: (right, left), -1: (left, right), 0: (same, same)}
+    # the unit position never changes color, so its watch list is never read
+    watch: list[list[tuple]] = [[] for _ in range(size + 1)]
+    for sign, over, inn, out in steps:
+        rule = (over, inn, out) + views[sign]
         for i in {over, inn, out}:
-            watch[i].append(rule)
-    for a, b in seams:
-        rule = (unit, a, b, same, same)
-        for i in {a, b}:
             watch[i].append(rule)
     partner = [-1] * size
     for a, v in ends:
@@ -429,15 +422,16 @@ def enumerate_colorings(diagram: LinkDiagram,
     Forced colors propagate to a fixpoint between branchings on the
     lowest-numbered uncolored arc, in one iterative search, so no input
     depth can exhaust the interpreter's stack.  The search runs on the
-    diagram cut at its anchors, as the framed counts do, with a seam across
-    each cut to join it again.  Each dict lists its arcs in increasing
-    order.
+    diagram cut at its anchors, as the framed counts do, with an identity
+    step across each cut to join it again.  Each dict lists its arcs in
+    increasing order.
     """
     table.require_rack()
-    arcs, crossings, seams, ends = _cut(diagram)
-    seams += [(a, v) for a, v in ends if a != v]
+    arcs, steps, ends = _cut(diagram)
+    unit = len(arcs)
+    steps += [(0, unit, a, v) for a, v in ends if a != v]
     return tuple(dict(zip(diagram.arcs, colors))
-                 for colors in _colorings(len(arcs), crossings, seams, (), table))
+                 for colors in _colorings(unit, steps, (), table))
 
 
 def image_subrack(table: RackTable,
@@ -460,39 +454,52 @@ def counting_polynomial_string(per_class: Mapping[tuple[int, ...], int]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _framing_classes(table: RackTable, big_n: int, writhes: Sequence[int],
-                     bins: Mapping[tuple[tuple[int, ...], object], int]
-                     ) -> Counter[tuple[tuple[int, ...], object]]:
-    """Spread counts of cut colorings over the framing classes they close in.
+def _framed_counts(diagram: LinkDiagram, table: RackTable,
+                   tag: Callable[[list[int]], Hashable] | None = None
+                   ) -> tuple[int, int, Counter[tuple[tuple[int, ...], Hashable]]]:
+    """The one tally behind both framed invariants.
 
-    ``bins`` maps (end colors, tag) to a number of cut colorings, the end
-    colors running anchor, cut end, anchor, cut end, ... by component.  k
-    kinks close a component when π^k(anchor) = cut end; those k form one
-    residue class modulo the π-orbit length ℓ of the anchor's color, N/ℓ
-    values in [0, N).  Returns {(label, tag): count}, label_i being
-    (writhe_i + k_i) mod N; a count is spread once per residue vector.
+    Runs one search over the diagram cut at its anchors and bins each cut
+    coloring by its end colors (anchor, cut end, anchor, cut end, ... by
+    component) and tag(colors), whose list leads with the colors of the
+    diagram's own arcs; with no tag the tag is None.  k kinks close a
+    component when π^k(anchor) = cut end; those k form one residue class
+    modulo the π-orbit length ℓ of the anchor's color, N/ℓ values in
+    [0, N), so each bin is spread once per residue vector.  Returns N, the
+    component count and {(label, tag): count}, label_i being
+    (writhe_i + k_i) mod N.
     """
+    table.require_rack()
+    big_n = rack_rank(table)
+    _, writhes = components_and_writhe(diagram)
+    arcs, steps, ends = _cut(diagram)
+    flat = [i for pair in ends for i in pair]
+    bins: Counter[tuple[tuple[int, ...], Hashable]] = Counter()
+    for colors in _colorings(len(arcs), steps, ends, table):
+        bins[tuple(map(colors.__getitem__, flat)),
+             tag(colors) if tag else None] += 1
     orbit, step = _diagonal_orbits(table)
-    residues: Counter[tuple[tuple[tuple[int, int], ...], object]] = Counter()
-    for (ends, tag), count in bins.items():
+    residues: Counter[tuple[tuple[tuple[int, int], ...], Hashable]] = Counter()
+    for (end, value), count in bins.items():
         residues[tuple((len(orbit[x]), (step[y] - step[x]) % len(orbit[x]))
-                       for x, y in zip(ends[::2], ends[1::2])), tag] += count
-    out: Counter[tuple[tuple[int, ...], object]] = Counter()
-    for (key, tag), count in residues.items():
+                       for x, y in zip(end[::2], end[1::2])), value] += count
+    out: Counter[tuple[tuple[int, ...], Hashable]] = Counter()
+    for (key, value), count in residues.items():
         for label in product(*(range((w + j) % ell, big_n, ell)
                                for w, (ell, j) in zip(writhes, key))):
-            out[label, tag] += count
-    return out
+            out[label, value] += count
+    return big_n, len(writhes), out
 
 
-def _cut_colorings(diagram: LinkDiagram, table: RackTable
-                   ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """(end colors, colors) of each coloring of the diagram cut at its
-    anchors; the colors of the diagram's own arcs lead each list."""
-    arcs, crossings, seams, ends = _cut(diagram)
-    flat = [i for pair in ends for i in pair]
-    for colors in _colorings(len(arcs), crossings, seams, ends, table):
-        yield tuple(map(colors.__getitem__, flat)), colors
+def _class_table(rank: int, components: int,
+                 counts: Iterable[tuple[tuple[int, ...], int]]
+                 ) -> dict[tuple[int, ...], int]:
+    """Counts summed per framing label over all rank^components labels, in
+    sorted order; the sweep reaches every label, so empty ones are zero."""
+    per_class = dict.fromkeys(product(range(rank), repeat=components), 0)
+    for label, count in counts:
+        per_class[label] += count
+    return per_class
 
 
 def rack_counting(diagram: LinkDiagram,
@@ -507,16 +514,13 @@ def rack_counting(diagram: LinkDiagram,
     turn its color into π^k(a).  One search over the diagram cut open at
     every anchor therefore finds every kinked coloring at once: a cut
     coloring closes under exactly the k with π^k(anchor) = cut end.  The
-    cost is one search instead of N^c.  Returns the grand total and the
-    counts of all N^c classes, empty ones as zero.
+    cost is one search instead of N^c.  This is _framed_counts with no
+    tag.  Returns the grand total and the counts of all N^c classes, empty
+    ones as zero.
     """
-    table.require_rack()
-    big_n = rack_rank(table)
-    _, writhes = components_and_writhe(diagram)
-    bins = Counter((ends, None) for ends, _ in _cut_colorings(diagram, table))
-    per_class = dict.fromkeys(product(range(big_n), repeat=len(writhes)), 0)
-    for (label, _), count in _framing_classes(table, big_n, writhes, bins).items():
-        per_class[label] += count
+    big_n, components, counts = _framed_counts(diagram, table)
+    per_class = _class_table(big_n, components, (
+        (label, count) for (label, _), count in counts.items()))
     return sum(per_class.values()), per_class
 
 
@@ -543,15 +547,8 @@ class EnhancedInvariant:
         return sum(mult for _, _, mult in self.pairs)
 
     def class_counts(self) -> dict[tuple[int, ...], int]:
-        # the framing sweep reaches every label vector, so empty classes
-        # are reported with an explicit zero
-        out = {
-            label: 0
-            for label in product(range(self.rack_rank), repeat=self.component_count)
-        }
-        for label, _, mult in self.pairs:
-            out[label] += mult
-        return dict(sorted(out.items()))
+        return _class_table(self.rack_rank, self.component_count, (
+            (label, mult) for label, _, mult in self.pairs))
 
     def counting_string(self) -> str:
         return counting_polynomial_string(self.class_counts())
@@ -581,30 +578,26 @@ def enhanced_invariant(diagram: LinkDiagram, table: RackTable,
 
     Every coloring contributes the two-variable polynomial of its image
     subrack (counts taken in the ambient rack) tagged with its framing
-    class.  The same single search over the cut diagram serves: kink arcs
-    carry π^j(anchor), which lies in the closure of the anchor's color, so
-    a coloring's image is the closure of the colors on the diagram's own
-    arcs whatever the kinks.  Closures are cached by that set of colors.
-    Depths below 1 raise RackError before any search, whatever the diagram.
+    class.  The same single search over the cut diagram serves, tagging
+    each coloring with its image: kink arcs carry π^j(anchor), which lies
+    in the closure of the anchor's color, so a coloring's image is the
+    closure of the colors on the diagram's own arcs whatever the kinks.
+    Closures are cached by that set of colors.  Depths below 1 raise
+    RackError before any search, whatever the diagram.
     """
-    _check_convention(convention)
-    _check_depths(m, n)
-    table.require_rack()
-    big_n = rack_rank(table)
-    _, writhes = components_and_writhe(diagram)
+    terms = _convention_pairs(table, m, n, convention)
     real = len(diagram.arcs)
-    bins = Counter((ends, frozenset(colors[:real]))
-                   for ends, colors in _cut_colorings(diagram, table))
     closures: dict[frozenset[int], tuple[int, ...]] = {}
-    by_image: Counter[tuple[tuple[int, ...], tuple[int, ...]]] = Counter()
-    for (ends, used), count in bins.items():
+
+    def image_of(colors: list[int]) -> tuple[int, ...]:
+        used = frozenset(colors[:real])
         if used not in closures:
             closures[used] = closure(table, used)
-        by_image[ends, closures[used]] += count
-    terms = _convention_pairs(table, m, n, convention)
+        return closures[used]
+
+    big_n, components, image_counts = _framed_counts(diagram, table, image_of)
     poly_cache: dict[tuple[int, ...], TwoVarPoly] = {}
     pair_counts: Counter[tuple[tuple[int, ...], TwoVarPoly]] = Counter()
-    image_counts = _framing_classes(table, big_n, writhes, by_image)
     for (label, image), count in image_counts.items():
         if image not in poly_cache:
             poly_cache[image] = TwoVarPoly.from_pairs(
@@ -615,4 +608,4 @@ def enhanced_invariant(diagram: LinkDiagram, table: RackTable,
         key=lambda item: (item[0], str(item[1]))))
     images = tuple(sorted(
         (label, image, mult) for (label, image), mult in image_counts.items()))
-    return EnhancedInvariant(m, n, convention, big_n, len(writhes), pairs, images)
+    return EnhancedInvariant(m, n, convention, big_n, components, pairs, images)

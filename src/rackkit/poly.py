@@ -151,19 +151,21 @@ class ExponentProfile:
         return self.pairs[x - 1]
 
 
-def _check_depths(m: int, n: int) -> None:
-    if m < 1 or n < 1:
-        raise RackError(f"depths must be at least 1, got ({m}, {n})")
-
-
 def exponent_profile(table: RackTable, m: int, n: int) -> ExponentProfile:
-    _check_depths(m, n)
-    table.require_rack()
     return ExponentProfile(m, n, tuple(_convention_pairs(table, m, n, "prop3")))
 
 
 def _convention_pairs(table: RackTable, m: int, n: int,
                       convention: str) -> list[tuple[int, int]]:
+    """Per element, its (s, t) exponent pair at depths (m, n).
+
+    Every polynomial entry point starts here, so all of them check the
+    convention, then the depths, then the rack axioms, in that order.
+    """
+    _check_convention(convention)
+    if m < 1 or n < 1:
+        raise RackError(f"depths must be at least 1, got ({m}, {n})")
+    table.require_rack()
     s_lengths, t_lengths = _lengths(table, convention)
     return list(zip(_counts(s_lengths, m), _counts(t_lengths, n)))
 
@@ -171,9 +173,6 @@ def _convention_pairs(table: RackTable, m: int, n: int,
 def rack_polynomial(table: RackTable, m: int, n: int,
                     convention: str = "def") -> TwoVarPoly:
     """Two-variable polynomial at depths (m, n); see the module docstring."""
-    _check_convention(convention)
-    _check_depths(m, n)
-    table.require_rack()
     return TwoVarPoly.from_pairs(_convention_pairs(table, m, n, convention))
 
 
@@ -229,22 +228,16 @@ def closure(table: RackTable, seed: Iterable[int]) -> tuple[int, ...]:
     closure of size k costs about k² table lookups.
     """
     table.require_rack()
-    current = set(int(v) for v in seed)
-    for v in current:
-        table._check_element(v)
+    current = table._elements(seed)
     mask = sum(1 << v for v in current)
-    return _members(_close(table.entries, mask, list(current)))
+    return _members(_close(table.entries, mask, current))
 
 
 def is_subrack(table: RackTable, subset: Iterable[int]) -> bool:
     """Whether the subset is closed under the operation (nonempty required)."""
     table.require_rack()
-    elems = set(int(v) for v in subset)
-    if not elems:
-        return False
-    for v in elems:
-        table._check_element(v)
-    return table._first_escape(sorted(elems)) is None
+    elems = table._elements(subset)
+    return bool(elems) and table._first_escape(elems) is None
 
 
 def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
@@ -287,17 +280,12 @@ def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
     Counts still range over the whole ambient rack; only the outer sum is
     restricted to the subset.
     """
-    _check_convention(convention)
-    _check_depths(m, n)
-    table.require_rack()
-    elems = sorted(set(int(v) for v in subset))
+    pairs = _convention_pairs(table, m, n, convention)
+    elems = table._elements(subset)
     if not elems:
         raise RackError("subset is empty")
-    for v in elems:
-        table._check_element(v)
     escape = table._first_escape(elems)
     if escape is not None:
         x, y, p = escape
         raise RackError(f"not a subrack: {x}▷{y}={p} escapes the subset")
-    pairs = _convention_pairs(table, m, n, convention)
     return TwoVarPoly.from_pairs(pairs[x - 1] for x in elems)

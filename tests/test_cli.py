@@ -364,6 +364,14 @@ def test_errors_exit_with_a_message(tmp_path, argv, code):
     assert "Traceback" not in done.stderr
 
 
+def test_decoding_error_names_the_file(tmp_path):
+    bad = write_bytes(tmp_path / "bytes.rack", b"\xff\xfe")
+    done = run_process("iso", T5, bad)
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"error: {bad}: ")
+    assert "Traceback" not in done.stderr
+
+
 def test_usage_errors(capsys):
     assert run(capsys, )[0] == 2
     assert run(capsys, "bogus")[0] == 2

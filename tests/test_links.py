@@ -92,6 +92,9 @@ def test_parse_diagram_errors():
         parse_diagram('{"crossings": 3}')
     with pytest.raises(DiagramFormatError, match="nested too deeply"):
         parse_diagram("[" * 100000)
+    # past the interpreter's limit on digits in an integer string
+    with pytest.raises(DiagramFormatError):
+        parse_diagram('{"free_arcs": [' + "1" * 5000 + "]}")
 
 
 def test_fixture_structure(links):

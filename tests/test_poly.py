@@ -226,6 +226,19 @@ def test_is_subrack(racks):
     assert not is_subrack(t5, (4,))
 
 
+def test_subset_entry_points_name_the_least_element_out_of_range():
+    table = alexander(5, 2)
+    calls = (
+        lambda subset: closure(table, subset),
+        lambda subset: is_subrack(table, subset),
+        lambda subset: subrack_polynomial(table, subset, 1, 1),
+        table.subtable,
+    )
+    for call in calls:
+        with pytest.raises(RackError, match=r"^element -1 out of range 1\.\.5$"):
+            call([99, -1, 5])
+
+
 def test_enumerate_subracks_t5(racks):
     assert enumerate_subracks(racks["T5"]) == (
         (1,), (2,), (3,), (4, 5), (1, 2, 3),
