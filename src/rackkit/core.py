@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, compress
 from operator import itemgetter, ne
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "AxiomViolation",
@@ -173,16 +173,17 @@ class AxiomViolation:
 _SHOWN = 10  # witnesses a report keeps at hand; the most any reader shows
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PropertyReport:
     """Property flags and the witnesses against the rack axioms.
 
-    ``violation_count`` and ``first_violations``, the first ten witnesses,
-    are plain attributes.  A bad table of size n has up to about n³
-    witnesses, so the report from validation builds the full
-    ``axiom_violations`` tuple only when it is first read, in the same
-    order, and keeps it.  Equality, hashing and repr read that tuple, so a
-    report compares and prints as one constructed with all its witnesses.
+    A bad table of size n has up to about n³ witnesses, so a report holds
+    their number, ``violation_count``, and the first ten of them,
+    ``first_violations``.  Equality, hashing and repr read only the
+    flags, the count and those ten.  The full ``axiom_violations`` tuple,
+    in the same order, is listed from the analysed ``table`` when it is
+    first read, and kept; copies and pickles carry the table, and that
+    tuple only once it has been read.
     """
 
     is_rack: bool
@@ -190,40 +191,21 @@ class PropertyReport:
     is_crossed_set: bool
     is_abelian: bool
     is_latin: bool
-    axiom_violations: tuple[AxiomViolation, ...]
+    violation_count: int = 0
+    first_violations: tuple[AxiomViolation, ...] = ()
+    table: RackTable | None = field(default=None, compare=False, repr=False)
 
-    def __init__(self, is_rack: bool, is_quandle: bool, is_crossed_set: bool,
-                 is_abelian: bool, is_latin: bool,
-                 axiom_violations: tuple[AxiomViolation, ...] = ()) -> None:
-        vars(self).update(
-            is_rack=is_rack, is_quandle=is_quandle,
-            is_crossed_set=is_crossed_set, is_abelian=is_abelian,
-            is_latin=is_latin, axiom_violations=axiom_violations,
-            violation_count=len(axiom_violations),
-            first_violations=tuple(axiom_violations[:_SHOWN]))
-
-    @classmethod
-    def _counted(cls, flags: tuple[bool, ...], violation_count: int,
-                 first_violations: tuple[AxiomViolation, ...],
-                 build: Callable[[], tuple[AxiomViolation, ...]]
-                 ) -> "PropertyReport":
-        """A report whose axiom_violations tuple comes from build()."""
-        report = cls(*flags, first_violations)
-        del vars(report)["axiom_violations"]
-        vars(report).update(violation_count=violation_count, _build=build)
-        return report
-
-    def __getattr__(self, name: str):
-        # reached only for an attribute not set yet: the unbuilt tuple
-        if name != "axiom_violations" or "_build" not in vars(self):
-            raise AttributeError(name)
-        violations = vars(self)[name] = self._build()
-        return violations
-
-    def __reduce__(self):
-        return PropertyReport, (self.is_rack, self.is_quandle,
-                                self.is_crossed_set, self.is_abelian,
-                                self.is_latin, self.axiom_violations)
+    @cached_property
+    def axiom_violations(self) -> tuple[AxiomViolation, ...]:
+        """Every witness: the bijectivity ones, then distributivity's in
+        (x, y, z) order; a report that shows fewer than it counts lists
+        them from its table."""
+        if self.violation_count == len(self.first_violations):
+            return self.first_violations
+        if self.table is None:
+            raise RackError("a report without its table has only its "
+                            "first_violations")
+        return _analyze(self.table, None).first_violations
 
 
 @dataclass(frozen=True)
@@ -327,6 +309,30 @@ class RackTable:
         return tuple(self.entries[i][i] for i in range(self.n))
 
     @cached_property
+    def _diagonal_orbits(self) -> tuple[Permutation, tuple[tuple[int, ...], ...],
+                                        tuple[int, ...]]:
+        """(π, orbit, step) for the diagonal map π(x) = x ▷ x of a rack.
+
+        ``orbit[x]`` is x's π-orbit as a sorted tuple shared by its
+        members and ``step[x]`` is x's position along that cycle (index 0
+        unused in both).  Requires a rack; that π is a bijection is
+        checked as well.
+        """
+        self.require_rack()
+        diag = self.diagonal
+        if sorted(diag) != list(self.elements):
+            raise NotARackError(f"diagonal {diag} is not a bijection")
+        pi = Permutation(diag)
+        orbit: list[tuple[int, ...]] = [()] * (self.n + 1)
+        step = [0] * (self.n + 1)
+        for cycle in pi.cycles:
+            members = tuple(sorted(cycle))
+            for i, x in enumerate(cycle):
+                orbit[x] = members
+                step[x] = i
+        return pi, tuple(orbit), tuple(step)
+
+    @cached_property
     def report(self) -> PropertyReport:
         return _analyze(self)
 
@@ -375,7 +381,7 @@ class RackTable:
         return "\n".join(lines) + "\n"
 
 
-def _analyze(table: RackTable) -> PropertyReport:
+def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     """Axioms and property flags from the columns, in O(n²) memory.
 
     Let C[y] be the 0-based column x ↦ x▷y as a tuple, so that composing
@@ -385,13 +391,14 @@ def _analyze(table: RackTable) -> PropertyReport:
     built: a pair that differs adds the number of x where it differs to
     the count and is kept with its least such x only, since keeping every
     x would take O(n³) memory on a random table.  All witnesses of a pair
-    are at least its least one, so the first ten in (x, y, z) order lie
-    in the ten pairs whose least x come first.  Only those pairs are
-    composed again, and the first ten of their at most 10n witnesses are
-    the report's head: a check that shows ten witnesses builds ten.  The
-    full list is built, and sorted, only when a reader asks for the
-    report's axiom_violations.  Bijectivity witnesses, at most n² of
-    them, are listed at once as plain tuples and come first.
+    are at least its least one, so the first ``shown`` in (x, y, z) order
+    lie in the ``shown`` pairs whose least x come first.  Only those pairs
+    are composed again, and the first ``shown`` of their witnesses are the
+    report's first_violations: a check that shows ten witnesses builds
+    ten.  Bijectivity witnesses, at most n² of them, are listed at once as
+    plain tuples and come first.  ``shown=None`` lists every witness; the
+    report's axiom_violations runs that pass again on its table when it
+    is first read.
 
     Mediality (x▷y)▷(z▷w) = (x▷z)▷(y▷w) says C[z▷w]∘C[y] = C[y▷w]∘C[z]
     for all y, z and w.  Write R_y for C[y].  In a rack
@@ -435,21 +442,14 @@ def _analyze(table: RackTable) -> PropertyReport:
                 pairs.append(
                     (next(compress(range(n), map(ne, left, right))), y, z))
 
-    def violations(bijective: list[tuple[int, int, int]],
-                   chosen: list[tuple[int, int, int]],
-                   wanted: int | None = None) -> tuple[AxiomViolation, ...]:
-        """The bijectivity witnesses, then the first ``wanted``
-        distributivity witnesses of the chosen pairs in (x, y, z) order."""
-        found = sorted((x, y, z) for _, y, z in chosen for x in compress(
-            range(n), map(ne, after[y](cols[z]), after[z](cols[cols[z][y]]))))
-        return (*(AxiomViolation("bijectivity", w) for w in bijective),
-                *(AxiomViolation("distributivity", (x + 1, y + 1, z + 1))
-                  for x, y, z in found[:wanted]))
-
-    head = bijectivity[:_SHOWN]
-    wanted = _SHOWN - len(head)
-    first_violations = violations(
-        head, sorted(pairs)[:wanted] if wanted else [], wanted)
+    head = bijectivity[:shown]
+    wanted = None if shown is None else shown - len(head)
+    chosen = sorted(pairs)[:wanted] if wanted != 0 else []
+    found = sorted((x, y, z) for _, y, z in chosen for x in compress(
+        range(n), map(ne, after[y](cols[z]), after[z](cols[cols[z][y]]))))
+    witnesses = (*(AxiomViolation("bijectivity", w) for w in head),
+                 *(AxiomViolation("distributivity", (x + 1, y + 1, z + 1))
+                   for x, y, z in found[:wanted]))
 
     is_rack = columns_ok and not pairs
     is_quandle = is_rack and all(rows[i][i] == i + 1 for i in range(n))
@@ -464,11 +464,8 @@ def _analyze(table: RackTable) -> PropertyReport:
         after[y](cols[cols[0][z]]) == after[z](cols[cols[0][y]])
         for y, z in combinations(range(n), 2))
 
-    flags = (is_rack, is_quandle, is_crossed, is_abelian, is_latin)
-    if violation_count == len(first_violations):
-        return PropertyReport(*flags, first_violations)
-    return PropertyReport._counted(flags, violation_count, first_violations,
-                                   lambda: violations(bijectivity, pairs))
+    return PropertyReport(is_rack, is_quandle, is_crossed, is_abelian,
+                          is_latin, violation_count, witnesses, table)
 
 
 def parse_rack_table(text: str) -> RackTable:
@@ -538,11 +535,7 @@ def dual(table: RackTable) -> RackTable:
 
 def diagonal_perm(table: RackTable) -> Permutation:
     """The map x ↦ x ▷ x, which is a bijection for racks (checked)."""
-    table.require_rack()
-    diag = table.diagonal
-    if sorted(diag) != list(table.elements):
-        raise NotARackError(f"diagonal {diag} is not a bijection")
-    return Permutation(diag)
+    return table._diagonal_orbits[0]
 
 
 def rack_rank(table: RackTable) -> int:

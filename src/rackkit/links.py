@@ -28,7 +28,7 @@ from functools import cached_property
 from itertools import product
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .core import RackTable, diagonal_perm, rack_rank
+from .core import RackTable
 from .poly import TwoVarPoly, _convention_pairs, closure, format_monomial
 
 __all__ = [
@@ -297,19 +297,6 @@ def _cut(diagram: LinkDiagram) -> tuple[
             [(at[a], at[v]) for a, v in ends])
 
 
-def _diagonal_orbits(table: RackTable) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Each element's orbit under π(x) = x ▷ x, as a sorted tuple shared by
-    its members, and its position along that cycle (index 0 unused)."""
-    orbit: list[tuple[int, ...]] = [()] * (table.n + 1)
-    step = [0] * (table.n + 1)
-    for cycle in diagonal_perm(table).cycles:
-        members = tuple(sorted(cycle))
-        for i, x in enumerate(cycle):
-            orbit[x] = members
-            step[x] = i
-    return orbit, step
-
-
 def _colorings(size: int, steps: Sequence[tuple[int, int, int, int]],
                ends: Sequence[tuple[int, int]],
                table: RackTable) -> Iterator[list[int]]:
@@ -332,6 +319,9 @@ def _colorings(size: int, steps: Sequence[tuple[int, int, int, int]],
     out sorted by their color tuples.
     """
     n = table.n
+    # the table's column views, padded: colors stay 1-based with 0 for
+    # uncolored, so the innermost loop reads fwd[co][x] with no index
+    # arithmetic
     right = (None,) + tuple((0,) + c.images for c in table.columns)
     left = (None,) + tuple((0,) + c for c in table._inverse_columns)
     same = (None, tuple(range(n + 1)))
@@ -346,7 +336,7 @@ def _colorings(size: int, steps: Sequence[tuple[int, int, int, int]],
     for a, v in ends:
         if a != v:
             partner[a], partner[v] = v, a
-    orbit, _ = _diagonal_orbits(table)
+    _, orbit, _ = table._diagonal_orbits
 
     col = [0] * size + [1]
     trail: list[int] = []
@@ -469,8 +459,8 @@ def _framed_counts(diagram: LinkDiagram, table: RackTable,
     component count and {(label, tag): count}, label_i being
     (writhe_i + k_i) mod N.
     """
-    table.require_rack()
-    big_n = rack_rank(table)
+    pi, orbit, step = table._diagonal_orbits
+    big_n = pi.order
     _, writhes = components_and_writhe(diagram)
     arcs, steps, ends = _cut(diagram)
     flat = [i for pair in ends for i in pair]
@@ -478,7 +468,6 @@ def _framed_counts(diagram: LinkDiagram, table: RackTable,
     for colors in _colorings(len(arcs), steps, ends, table):
         bins[tuple(map(colors.__getitem__, flat)),
              tag(colors) if tag else None] += 1
-    orbit, step = _diagonal_orbits(table)
     residues: Counter[tuple[tuple[tuple[int, int], ...], Hashable]] = Counter()
     for (end, value), count in bins.items():
         residues[tuple((len(orbit[x]), (step[y] - step[x]) % len(orbit[x]))

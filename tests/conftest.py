@@ -4,11 +4,17 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from rackkit import (LinkDiagram, Permutation, RackTable, alexander,
                      constant_action, dual, parse_diagram, parse_rack_table,
                      ts_rack)
+
+# every property test draws the same examples on every run and interpreter;
+# per-test @settings made at import time inherit this profile
+settings.register_profile("seeded", derandomize=True)
+settings.load_profile("seeded")
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

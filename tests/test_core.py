@@ -1,6 +1,7 @@
 """Tables, permutations, validation, duals, and quotients."""
 
 import ast
+import copy
 import math
 import os
 import pickle
@@ -275,22 +276,66 @@ def assert_report_matches_oracles(entries):
     assert r.is_abelian == (is_rack and oracles.is_medial(entries))
     assert r.is_latin == oracles.is_latin(entries)
     expected = oracles.violations(entries)
-    # the count and the first ten are read before the full tuple exists
     assert r.violation_count == len(expected)
     assert [(v.axiom, v.witness) for v in r.first_violations] == expected[:10]
     eager = PropertyReport(
         r.is_rack, r.is_quandle, r.is_crossed_set, r.is_abelian, r.is_latin,
-        tuple(AxiomViolation(axiom, w) for axiom, w in expected))
-    # repr builds the tuple of r, == that of a second fresh report
+        len(expected),
+        tuple(AxiomViolation(axiom, w) for axiom, w in expected[:10]))
     assert repr(r) == repr(eager)
     again = validate_rack(RackTable(entries))
     assert again == eager and eager == again
     assert r == again and hash(r) == hash(eager)
     assert repr(again) == repr(eager)
     unread = validate_rack(RackTable(entries))
-    assert pickle.loads(pickle.dumps(unread)) == eager
+    restored = pickle.loads(pickle.dumps(unread))
+    assert restored == eager
+    assert [(v.axiom, v.witness) for v in restored.axiom_violations] == expected
     got = [(v.axiom, v.witness) for v in r.axiom_violations]
     assert got == expected
+
+
+def test_unread_report_builds_only_its_first_ten_witnesses(monkeypatch):
+    # __init__ is patched rather than the class, so that pickling still
+    # finds AxiomViolation under its own name
+    built = []
+    init = rackkit.core.AxiomViolation.__init__
+
+    def counted(self, axiom, witness):
+        built.append(witness)
+        init(self, axiom, witness)
+
+    monkeypatch.setattr(rackkit.core.AxiomViolation, "__init__", counted)
+    rng = random.Random(11)
+    n = 30
+    arbitrary = tuple(tuple(rng.randint(1, n) for _ in range(n))
+                      for _ in range(n))
+    columns = [rng.sample(range(1, n + 1), n) for _ in range(n)]
+    bijective = from_columns(columns)
+    for entries in (arbitrary, bijective):
+        built.clear()
+        report = validate_rack(RackTable(entries))
+        fresh = validate_rack(RackTable(entries))
+        assert len(built) <= 20
+        assert report.violation_count > 10
+        built.clear()
+        assert report == fresh
+        hash(report)
+        repr(report)
+        copy.copy(report)
+        payload = pickle.dumps(report)
+        assert built == []
+        assert "axiom_violations" not in vars(report)
+        restored = pickle.loads(payload)
+        assert restored == report
+        got = [(v.axiom, v.witness) for v in restored.axiom_violations]
+        assert got == oracles.violations(entries)
+        # a report made without its table cannot list what it does not hold
+        bare = PropertyReport(False, False, False, False, False,
+                              report.violation_count, report.first_violations)
+        assert bare == report
+        with pytest.raises(RackError, match="without its table"):
+            bare.axiom_violations
 
 
 def from_columns(columns):
@@ -358,7 +403,7 @@ relabelled_racks = st.one_of(
         lambda images: relabel(entries, images)))
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.one_of(arbitrary_tables, permutation_column_tables, relabelled_racks))
 def test_validation_matches_oracles(entries):
     assert_report_matches_oracles(entries)
@@ -491,6 +536,11 @@ def test_diagonal_and_rank(racks):
     for name, want in expected_rank.items():
         assert rack_rank(racks[name]) == want
         assert oracles.diagonal_order(racks[name].entries) == want
+
+
+def test_diagonal_data_is_built_once_per_table(racks):
+    t5 = racks["T5"]
+    assert diagonal_perm(t5) is diagonal_perm(t5)
 
 
 def test_rank_one_iff_quandle(racks):

@@ -176,7 +176,7 @@ def test_search_keeps_its_own_stack():
     assert oracles.is_isomorphism(a.entries, b.entries, result.witness.images)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(rack_pairs(max_size=6))
 def test_isomorphic_matches_brute_force(pair):
     a, b = pair
@@ -315,7 +315,7 @@ def test_isomorphic_tables_scan_empty(racks):
         assert rp_family_scan(table, other).is_empty
 
 
-@settings(max_examples=120, derandomize=True, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(rack_pairs(), st.sampled_from(("def", "prop3")), st.booleans(),
        st.sampled_from(("default", "one", "below", "equal", "above")))
 def test_scan_matches_oracle_grid(pair, convention, stop_at_first, bound_kind):

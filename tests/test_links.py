@@ -449,7 +449,7 @@ def test_framed_counts_match_sweep_oracle_on_fixture_racks():
                 assert_matches_sweep(diagram, table, 2, 3, "prop3")
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_framed_counts_match_sweep_oracle(data):
     table = data.draw(st.integers(1, 5).flatmap(generated_racks))

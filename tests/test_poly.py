@@ -146,7 +146,7 @@ def test_depth_periodicity(racks):
                         table, reduced_m, reduced_n, conv)
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_counts_match_oracle_at_any_depth(data):
     # the oracle iterates the products depth times, so far depths are
@@ -287,7 +287,7 @@ def small_racks(draw):
     return table
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(small_racks())
 def test_enumerate_subracks_matches_brute_force(table):
     subs = enumerate_subracks(table)
@@ -299,7 +299,7 @@ def test_enumerate_subracks_matches_brute_force(table):
             assert is_subrack(table, subset) == (subset in listed), subset
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_closure_matches_oracle_on_random_seeds(data):
     table = data.draw(small_racks())
