@@ -106,7 +106,7 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
             row_f = rows_b[fx - 1]
             i += 1
             for y in placed[:i]:
-                # x ▷ y and y ▷ x, written out twice as in poly._close.
+                # x ▷ y and y ▷ x, written out twice as in core._close.
                 # Calling _close would not do: it only grows a mask, while
                 # each product here also carries its image and fails on a
                 # contradiction with b

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .core import RackError, RackTable
+from .core import RackError, RackTable, _close, _members
 
 __all__ = [
     "CONVENTIONS",
@@ -176,50 +176,6 @@ def rack_polynomial(table: RackTable, m: int, n: int,
     return TwoVarPoly.from_pairs(_convention_pairs(table, m, n, convention))
 
 
-def _members(mask: int) -> tuple[int, ...]:
-    """Elements of a subset mask (bit v stands for element v), ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
-def _close(rows: tuple[tuple[int, ...], ...], mask: int, todo: list[int],
-           floor: int = 1) -> int | None:
-    """Grow a subset mask until it is closed under ▷, over the raw rows.
-
-    ``mask`` holds the subset (bit v for element v) and ``todo`` those of
-    its elements whose products with the rest are not yet taken.  Each
-    element leaves ``todo`` once, taking its products with every element
-    that left before it, in both directions, so every pair is multiplied
-    once.  Returns the closed mask, or None as soon as an element below
-    ``floor`` would join.
-    """
-    done: list[int] = []
-    while todo:
-        x = todo.pop()
-        done.append(x)
-        row = rows[x - 1]
-        for y in done:
-            # x ▷ y and y ▷ x, written out twice: a loop over the pair
-            # costs a quarter more in this innermost loop
-            p = row[y - 1]
-            if not mask >> p & 1:
-                if p < floor:
-                    return None
-                mask |= 1 << p
-                todo.append(p)
-            p = rows[y - 1][x - 1]
-            if not mask >> p & 1:
-                if p < floor:
-                    return None
-                mask |= 1 << p
-                todo.append(p)
-    return mask
-
-
 def closure(table: RackTable, seed: Iterable[int]) -> tuple[int, ...]:
     """Smallest ▷-closed subset containing the seed, as a sorted tuple.
 
@@ -230,7 +186,7 @@ def closure(table: RackTable, seed: Iterable[int]) -> tuple[int, ...]:
     table.require_rack()
     current = table._elements(seed)
     mask = sum(1 << v for v in current)
-    return _members(_close(table.entries, mask, current))
+    return _members(_close(table.entries, mask, current, []))
 
 
 def is_subrack(table: RackTable, subset: Iterable[int]) -> bool:
@@ -264,7 +220,7 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
                 closed ^= bit
                 continue
             # closed is now A ∩ {<i}
-            grown = _close(rows, closed | bit, [*_members(closed), i], i)
+            grown = _close(rows, closed | bit, [*_members(closed), i], [], i)
             if grown is not None:
                 closed = grown
                 found.append(_members(closed))

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from itertools import permutations, product
 from pathlib import Path
 
@@ -338,6 +339,23 @@ def test_unread_report_builds_only_its_first_ten_witnesses(monkeypatch):
             bare.axiom_violations
 
 
+def test_read_report_copies_and_pickles_small():
+    rng = random.Random(60)
+    n = 30
+    entries = tuple(tuple(rng.randint(1, n) for _ in range(n))
+                    for _ in range(n))
+    report = validate_rack(RackTable(entries))
+    unread = len(pickle.dumps(report))
+    listed = report.axiom_violations
+    assert len(listed) == report.violation_count > 1000
+    assert len(pickle.dumps(report)) == unread
+    assert "axiom_violations" not in vars(copy.copy(report))
+    restored = pickle.loads(pickle.dumps(report))
+    assert restored == report
+    assert "axiom_violations" not in vars(restored)
+    assert restored.axiom_violations == listed
+
+
 def from_columns(columns):
     n = len(columns)
     return tuple(tuple(columns[y][x] for y in range(n)) for x in range(n))
@@ -367,6 +385,9 @@ def conjugation_quandle(group):
 S3 = tuple(permutations(range(3)))
 S4 = tuple(permutations(range(4)))
 S4_TRANSPOSITIONS = tuple(g for g in S4 if sum(g[i] != i for i in range(4)) == 2)
+# generated by two of its elements, so a mediality check that compares
+# only the pairs of generators would find it medial
+S4_FOUR_CYCLES = tuple(g for g in S4 if all(g[g[i]] != i for i in range(4)))
 
 
 arbitrary_tables = st.integers(1, 6).flatmap(
@@ -394,17 +415,67 @@ generator_racks = st.one_of(
         lambda n: st.permutations(list(range(1, n + 1)))).map(
         lambda images: constant_action(Permutation(tuple(images)))),
 ).map(lambda table: table.entries)
-# the two non-medial quandles with n = 6
+# three non-medial quandles with n = 6
 small_conjugation_quandles = st.sampled_from(
-    [conjugation_quandle(S3), conjugation_quandle(S4_TRANSPOSITIONS)])
-relabelled_racks = st.one_of(
-    generator_racks, small_conjugation_quandles).flatmap(
-    lambda entries: st.permutations(list(range(1, len(entries) + 1))).map(
-        lambda images: relabel(entries, images)))
+    [conjugation_quandle(S3), conjugation_quandle(S4_TRANSPOSITIONS),
+     conjugation_quandle(S4_FOUR_CYCLES)])
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(arbitrary_tables, permutation_column_tables, relabelled_racks))
+def relabelled(tables):
+    return tables.flatmap(
+        lambda entries: st.permutations(list(range(1, len(entries) + 1))).map(
+            lambda images: relabel(entries, images)))
+
+
+def swap_in_column(entries, y, i, j):
+    """The table with x_i ▷ y and x_j ▷ y swapped; columns stay bijective."""
+    rows = [list(row) for row in entries]
+    rows[i][y], rows[j][y] = rows[j][y], rows[i][y]
+    return tuple(tuple(row) for row in rows)
+
+
+def trivial_union(a, b):
+    """a on 1..k and b on k+1..n, with x ▷ y = x across the two."""
+    k, n = len(a), len(a) + len(b)
+
+    def op(x, y):
+        if x < k and y < k:
+            return a[x][y]
+        if x >= k and y >= k:
+            return b[x - k][y - k] + k
+        return x + 1
+
+    return tuple(tuple(op(x, y) for y in range(n)) for x in range(n))
+
+
+def swapped(tables):
+    """Each table with two entries of one column swapped."""
+    return tables.filter(lambda entries: len(entries) > 1).flatmap(
+        lambda entries: st.tuples(
+            st.integers(0, len(entries) - 1),
+            st.permutations(range(len(entries)))).map(
+            lambda args: swap_in_column(entries, args[0], *args[1][:2])))
+
+
+rack_tables = st.one_of(generator_racks, small_conjugation_quandles)
+relabelled_racks = relabelled(rack_tables)
+# no element of one block generates the other, so both blocks must give
+# columns to the check, the non-medial quandles among them
+rack_blocks = st.one_of(generator_racks.filter(lambda e: len(e) <= 4),
+                        small_conjugation_quandles)
+trivial_unions = relabelled(st.tuples(rack_blocks, rack_blocks).map(
+    lambda blocks: trivial_union(*blocks)))
+# a swap makes some columns fail; beside a second block, whose columns
+# still pass, the closure of those that passed skips the rest of it
+near_racks = relabelled(st.one_of(
+    swapped(rack_tables),
+    st.tuples(swapped(rack_blocks), rack_blocks).map(
+        lambda blocks: trivial_union(*blocks))))
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(arbitrary_tables, permutation_column_tables, relabelled_racks,
+                 near_racks, trivial_unions))
 def test_validation_matches_oracles(entries):
     assert_report_matches_oracles(entries)
 
@@ -416,8 +487,20 @@ def test_validation_matches_oracles_on_all_small_permutation_tables():
             assert_report_matches_oracles(from_columns(columns))
 
 
-@pytest.mark.parametrize("group", [S3, S4_TRANSPOSITIONS, S4],
-                         ids=["S3", "S4-transpositions", "S4"])
+def test_counts_match_oracles_on_all_3x3_tables():
+    # columns that pass beside one that is not a bijection must not let
+    # the check skip anything
+    for flat in product(range(1, 4), repeat=9):
+        entries = (flat[:3], flat[3:6], flat[6:])
+        r = validate_rack(RackTable(entries))
+        expected = oracles.violations(entries)
+        assert r.is_rack == (not expected)
+        assert r.violation_count == len(expected)
+        assert [(v.axiom, v.witness) for v in r.first_violations] == expected[:10]
+
+
+@pytest.mark.parametrize("group", [S3, S4_TRANSPOSITIONS, S4_FOUR_CYCLES, S4],
+                         ids=["S3", "S4-transpositions", "S4-4-cycles", "S4"])
 def test_conjugation_quandles_are_non_medial(group):
     entries = conjugation_quandle(group)
     assert_report_matches_oracles(entries)
@@ -439,6 +522,34 @@ def test_validation_at_n200_stays_small():
     # under a second and about 1 MiB; the bounds catch only a return to n⁴
     assert peak < 100 * 2**20
     assert elapsed < 5
+
+
+def test_alexander_401_parses_and_reports_quickly():
+    text = format_rack_table(alexander(401, 2))
+    start = time.perf_counter()
+    r = parse_rack_table(text).report
+    elapsed = time.perf_counter() - start
+    assert (r.is_rack, r.is_quandle, r.is_abelian, r.is_latin) == (
+        True, True, True, True)
+    # two generators: a few tenths of a second, where composing all n²
+    # column pairs took about six
+    assert elapsed < 2
+
+
+@given(relabelled_racks)
+def test_cycle_lengths_match_the_column_cycles(entries):
+    table = RackTable(entries)
+    by_row = [Counter() for _ in entries]
+    by_column = []
+    for column in table.columns:
+        counts = Counter()
+        for cycle in column.cycles:
+            counts[len(cycle)] += len(cycle)
+            for x in cycle:
+                by_row[x - 1][len(cycle)] += 1
+        by_column.append(tuple(counts.items()))
+    expected = tuple(by_column), tuple(tuple(c.items()) for c in by_row)
+    assert table._cycle_lengths == expected
 
 
 def test_cli_import_leaves_numpy_out():
