@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, compress
-from operator import itemgetter, ne
+from operator import index, itemgetter, ne
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -70,7 +70,10 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        images = tuple(int(v) for v in self.images)
+        try:
+            images = tuple(map(index, self.images))
+        except TypeError:
+            raise ValueError(f"non-integer image in {self.images}") from None
         object.__setattr__(self, "images", images)
         n = len(images)
         if n == 0:
@@ -223,7 +226,15 @@ class RackTable:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(v) for v in row) for row in self.entries)
+        try:
+            rows = tuple(tuple(map(index, row)) for row in self.entries)
+        except TypeError:
+            for row in self.entries:
+                for v in row:
+                    if not hasattr(type(v), "__index__"):
+                        raise TableFormatError(
+                            f"non-integer entry {v!r}") from None
+            raise
         object.__setattr__(self, "entries", rows)
         n = len(rows)
         if n == 0:
@@ -232,9 +243,9 @@ class RackTable:
             if len(row) != n:
                 raise TableFormatError(
                     f"expected an {n}x{n} table, got a row of length {len(row)}")
-            for v in row:
-                if not 1 <= v <= n:
-                    raise TableFormatError(f"entry {v} out of range 1..{n}")
+            if min(row) < 1 or max(row) > n:
+                v = next(v for v in row if not 1 <= v <= n)
+                raise TableFormatError(f"entry {v} out of range 1..{n}")
 
     @property
     def n(self) -> int:
@@ -270,16 +281,15 @@ class RackTable:
     @cached_property
     def columns(self) -> tuple[Permutation, ...]:
         """Column actions x ↦ x ▷ y, one per y; requires bijective columns."""
-        try:
-            return tuple(
-                Permutation(tuple(self.entries[i][j] for i in range(self.n)))
-                for j in range(self.n))
-        except ValueError as exc:
-            raise NotARackError(f"column is not a bijection: {exc}") from None
+        return tuple(map(self.column, self.elements))
 
     def column(self, y: int) -> Permutation:
+        """The action x ↦ x ▷ y; only this column must be bijective."""
         self._check_element(y)
-        return self.columns[y - 1]
+        try:
+            return Permutation(tuple(row[y - 1] for row in self.entries))
+        except ValueError as exc:
+            raise NotARackError(f"column is not a bijection: {exc}") from None
 
     @cached_property
     def _cycle_lengths(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...],
@@ -293,6 +303,12 @@ class RackTable:
         a row's or a column's distinct lengths.  The cycles are walked on
         the raw columns, each from its least element as in
         ``Permutation.cycles``; the table must be a rack.
+
+        These are the table's only column cycle facts.  Their readers:
+        the fix counts (``poly._lengths``), the column period
+        (``column_order_lcm``), the cycle-type keys of the isomorphism
+        search (``iso._invariant_keys``) and the depth-class lengths of
+        ``iso.rp_family_scan``.
         """
         n = self.n
         by_row: list[dict[int, int]] = [{} for _ in range(n)]
@@ -318,7 +334,7 @@ class RackTable:
 
     @cached_property
     def _inverse_columns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(c.inverse().images for c in self.columns)
+        return tuple(self.column(y).inverse().images for y in self.elements)
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
@@ -574,12 +590,15 @@ def parse_rack_table(text: str) -> RackTable:
         tokens.extend(stripped.split())
     if not tokens:
         raise TableFormatError("empty input")
-    values = []
-    for tok in tokens:
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise TableFormatError(f"non-integer token {tok!r}") from None
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        for tok in tokens:
+            try:
+                int(tok)
+            except ValueError:
+                raise TableFormatError(f"non-integer token {tok!r}") from None
+        raise
     n = values[0]
     if n < 1:
         raise TableFormatError(f"cardinality must be positive, got {n}")
@@ -620,9 +639,7 @@ def rack_op_iter(table: RackTable, x: int, y: int, i: int) -> int:
 def dual(table: RackTable) -> RackTable:
     """The rack with every column action inverted."""
     table.require_rack()
-    inv = table._inverse_columns
-    rows = tuple(tuple(inv[j][i] for j in range(table.n)) for i in range(table.n))
-    return RackTable(rows)
+    return RackTable(tuple(zip(*table._inverse_columns)))
 
 
 def diagonal_perm(table: RackTable) -> Permutation:
@@ -638,7 +655,7 @@ def rack_rank(table: RackTable) -> int:
 def column_order_lcm(table: RackTable) -> int:
     """lcm of the orders of all column actions; the period of iterated products."""
     table.require_rack()
-    return math.lcm(*(c.order for c in table.columns))
+    return math.lcm(*(k for pairs in table._cycle_lengths[0] for k, _ in pairs))
 
 
 def _normalize_partition(n: int,
@@ -672,20 +689,20 @@ def quotient_by(table: RackTable,
     table.require_rack()
     blocks = _normalize_partition(table.n, partition)
     cls = {x: i + 1 for i, block in enumerate(blocks) for x in block}
-    op = table.op
-    for y in table.elements:
+    rows = table.entries
+    for y, col in enumerate(zip(*rows), start=1):
         for block in blocks:
             for x, x2 in combinations(block, 2):
-                if cls[op(x, y)] != cls[op(x2, y)]:
-                    raise CongruenceError(x, x2, y, y, op(x, y), op(x2, y))
-    for x in table.elements:
+                if cls[col[x - 1]] != cls[col[x2 - 1]]:
+                    raise CongruenceError(x, x2, y, y, col[x - 1], col[x2 - 1])
+    for x, row in enumerate(rows, start=1):
         for block in blocks:
             for y, y2 in combinations(block, 2):
-                if cls[op(x, y)] != cls[op(x, y2)]:
-                    raise CongruenceError(x, x, y, y2, op(x, y), op(x, y2))
+                if cls[row[y - 1]] != cls[row[y2 - 1]]:
+                    raise CongruenceError(x, x, y, y2, row[y - 1], row[y2 - 1])
     reps = [b[0] for b in blocks]
-    rows = tuple(tuple(cls[op(rx, ry)] for ry in reps) for rx in reps)
-    quotient = RackTable(rows)
+    quotient = RackTable(tuple(tuple(cls[rows[rx - 1][ry - 1]] for ry in reps)
+                               for rx in reps))
     quotient.require_rack()
     return quotient
 
@@ -699,8 +716,7 @@ def operator_equivalence_quotient(
     """
     table.require_rack()
     groups: dict[tuple[int, ...], list[int]] = {}
-    for y in table.elements:
-        key = tuple(table.entries[i][y - 1] for i in range(table.n))
+    for y, key in enumerate(zip(*table.entries), start=1):
         groups.setdefault(key, []).append(y)
     partition = tuple(sorted(tuple(g) for g in groups.values()))
     quotient = quotient_by(table, partition)

@@ -36,10 +36,11 @@ class IsoResult:
 
 def _invariant_keys(table: RackTable) -> list[tuple]:
     """Per-element keys preserved by isomorphism, used to prune the search."""
-    columns = table.columns
+    # a column's (length, points) pairs come in first-seen order; sorted,
+    # they name its cycle type exactly
+    types = [tuple(sorted(pairs)) for pairs in table._cycle_lengths[0]]
     rows = _counts(_lengths(table, "def")[0], 1)  # row[1][x], the s count
-    return [(columns[i].cycle_type, rows[i],
-             columns[table.entries[i][i] - 1].cycle_type)
+    return [(types[i], rows[i], types[table.entries[i][i] - 1])
             for i in range(table.n)]
 
 
@@ -226,8 +227,8 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     if bound < 1:
         raise RackError(f"bound must be at least 1, got {bound}")
     complete = bound >= period
-    lengths = {k for table in (a, b) for column in table.columns
-               for k in column.cycle_type}
+    lengths = {k for table in (a, b) for pairs in table._cycle_lengths[0]
+               for k, _ in pairs}
     found = {1}
     todo = [1]
     while todo:

@@ -322,7 +322,7 @@ def _colorings(size: int, steps: Sequence[tuple[int, int, int, int]],
     # the table's column views, padded: colors stay 1-based with 0 for
     # uncolored, so the innermost loop reads fwd[co][x] with no index
     # arithmetic
-    right = (None,) + tuple((0,) + c.images for c in table.columns)
+    right = (None,) + tuple((0,) + col for col in zip(*table.entries))
     left = (None,) + tuple((0,) + c for c in table._inverse_columns)
     same = (None, tuple(range(n + 1)))
     views = {1: (right, left), -1: (left, right), 0: (same, same)}

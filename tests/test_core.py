@@ -45,6 +45,7 @@ from rackkit import (
     ts_rack,
     validate_rack,
 )
+from rackkit.iso import _invariant_keys
 
 perm_images = st.integers(1, 8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -148,8 +149,28 @@ def test_table_shape_errors():
         RackTable(((1, 2), (1,)))
     with pytest.raises(TableFormatError):
         RackTable(((1, 3), (2, 1)))  # 3 out of range for n=2
+    with pytest.raises(TableFormatError, match=r"^entry 4 out of range 1\.\.3$"):
+        RackTable(((1, 2, 3), (1, 4, 0), (5, 1, 1)))
     with pytest.raises(TableFormatError):
         RackTable(())
+
+
+class Two:
+    def __index__(self):
+        return 2
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, "1", "a", None])
+def test_non_integer_entries_are_rejected(value):
+    # entries go through operator.index: 1.5 is not truncated and "1" is
+    # not parsed, while any type with __index__ is taken
+    with pytest.raises(TableFormatError) as info:
+        RackTable(((1, 1), (2, value)))
+    assert str(info.value) == f"non-integer entry {value!r}"
+    with pytest.raises(ValueError):
+        Permutation((value, 2))
+    assert RackTable(((1, Two()), (2, 2))).entries == ((1, 2), (2, 2))
+    assert Permutation((Two(), 1)).images == (2, 1)
 
 
 def test_parse_errors():
@@ -189,9 +210,14 @@ def test_op_and_inverse(racks):
 
 
 def test_columns_require_bijectivity():
+    # column 1 sends both points to 1; column 2 is the identity
     broken = RackTable(((1, 1), (1, 2)))
-    with pytest.raises(NotARackError):
-        broken.columns
+    assert broken.column(2) == Permutation((1, 2))
+    message = "column is not a bijection: not a bijection on 1..2: (1, 1)"
+    for read in (lambda: broken.column(1), lambda: broken.columns):
+        with pytest.raises(NotARackError) as info:
+            read()
+        assert str(info.value) == message
 
 
 # -- validation -------------------------------------------------------------
@@ -550,6 +576,12 @@ def test_cycle_lengths_match_the_column_cycles(entries):
         by_column.append(tuple(counts.items()))
     expected = tuple(by_column), tuple(tuple(c.items()) for c in by_row)
     assert table._cycle_lengths == expected
+    columns = table.columns
+    assert column_order_lcm(table) == math.lcm(*(c.order for c in columns))
+    types = [key[0] for key in _invariant_keys(table)]
+    for i, j in product(range(table.n), repeat=2):
+        assert ((types[i] == types[j])
+                == (columns[i].cycle_type == columns[j].cycle_type))
 
 
 def test_cli_import_leaves_numpy_out():

@@ -251,6 +251,20 @@ def test_full_morphism_check_runs_once_on_the_witness(racks, monkeypatch):
     assert calls == []
 
 
+def test_column_facts_build_no_permutations(monkeypatch):
+    # the column period, the scan's lengths and the isomorphism keys are
+    # read from the table's cached cycle lengths, not from Permutations
+    a, b = alexander(31, 2), alexander(31, 3)
+    built = []
+    real = Permutation.__post_init__
+    monkeypatch.setattr(Permutation, "__post_init__",
+                        lambda self: built.append(self) or real(self))
+    assert column_order_lcm(a) == 5
+    assert not rp_family_scan(a, b).is_empty
+    assert not isomorphic(a, b).isomorphic
+    assert built == []
+
+
 # -- polynomial family scans --------------------------------------------------
 
 
