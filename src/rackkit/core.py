@@ -63,6 +63,14 @@ class CongruenceError(RackError):
             f"fall in different classes")
 
 
+def _as_element(v: object) -> int:
+    """v through operator.index, as table entries are; anything else raises."""
+    try:
+        return index(v)
+    except TypeError:
+        raise RackError(f"non-integer element {v!r}") from None
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Bijection on {1..n}; ``images[i-1]`` is the image of i."""
@@ -260,9 +268,9 @@ class RackTable:
             raise RackError(f"element {x} out of range 1..{self.n}")
 
     def _elements(self, values: Iterable[int]) -> list[int]:
-        """The values as ints, deduplicated and sorted; the least one out of
-        range raises."""
-        elems = sorted(set(int(v) for v in values))
+        """The values as ints, deduplicated and sorted; a non-integer or the
+        least value out of range raises."""
+        elems = sorted(set(map(_as_element, values)))
         for v in elems:
             self._check_element(v)
         return elems
@@ -663,7 +671,7 @@ def _normalize_partition(n: int,
     blocks = []
     seen: set[int] = set()
     for block in partition:
-        b = tuple(sorted(set(int(v) for v in block)))
+        b = tuple(sorted(set(map(_as_element, block))))
         if not b:
             raise RackError("partition has an empty block")
         for v in b:

@@ -4,9 +4,8 @@ A diagram is a set of crossings over numbered arcs.  Arcs follow the usual
 convention: a strand is cut at each undercrossing, so a crossing names the
 arc passing over, the arc entering underneath, and the arc leaving
 underneath.  A closed component that never passes under anything is a
-single free arc.  Seams are bookkeeping joints produced when a twist is
-added to a free loop; they glue two arcs of the same strand and force
-equal colors.  Parsing never produces seams.
+single free arc.  A diagram is its crossings and its free arcs, nothing
+else: a one-crossing curl is one arc that passes over and under itself.
 
 The framed invariants count colorings over every kink vector k in
 {0..N-1}^c, N being the order of π(x) = x ▷ x.  A positive kink on an arc
@@ -76,50 +75,41 @@ class Crossing:
 
 @dataclass(frozen=True)
 class LinkDiagram:
-    """Validated collection of crossings, free loops, and seams.
+    """Validated collection of crossings and free loops.
 
-    Every arc that takes part in a strand (as an under-arc or a seam
-    endpoint) must terminate exactly once and originate exactly once, so
-    strands close up into loops.  Over references may point at strand arcs
-    or at free arcs, nothing else.
+    Every arc that takes part in a strand (as an under-arc) must terminate
+    exactly once and originate exactly once, so strands close up into
+    loops.  Over references may point at strand arcs or at free arcs,
+    nothing else.
     """
 
     crossings: tuple[Crossing, ...]
     free_arcs: tuple[int, ...] = ()
-    seams: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "crossings", tuple(self.crossings))
-        free = tuple(int(a) for a in self.free_arcs)
+        free = tuple(self.free_arcs)
         object.__setattr__(self, "free_arcs", free)
-        seams = tuple((int(a), int(b)) for a, b in self.seams)
-        object.__setattr__(self, "seams", seams)
 
         for a in free:
+            if isinstance(a, bool) or not isinstance(a, int):
+                raise DiagramError(f"free arc ids must be integers, got {a!r}")
             if a < 1:
                 raise DiagramError(f"free arc ids must be positive, got {a}")
         if len(set(free)) != len(free):
             raise DiagramError("duplicate free arc")
-        term: dict[int, int] = {}
-        orig: dict[int, int] = {}
-        for cr in self.crossings:
-            term[cr.under_in] = term.get(cr.under_in, 0) + 1
-            orig[cr.under_out] = orig.get(cr.under_out, 0) + 1
-        for a, b in seams:
-            if a < 1 or b < 1:
-                raise DiagramError("seam arc ids must be positive")
-            term[a] = term.get(a, 0) + 1
-            orig[b] = orig.get(b, 0) + 1
+        term = Counter(cr.under_in for cr in self.crossings)
+        orig = Counter(cr.under_out for cr in self.crossings)
         covered = set(term) | set(orig)
         for a in sorted(covered):
-            t, o = term.get(a, 0), orig.get(a, 0)
+            t, o = term[a], orig[a]
             if t != 1 or o != 1:
                 raise DiagramError(
                     f"arc {a} has {t} terminations and {o} originations; "
                     f"each strand arc needs exactly one of each")
         for a in free:
             if a in covered:
-                raise DiagramError(f"free arc {a} appears in a crossing or seam")
+                raise DiagramError(f"free arc {a} appears in a crossing")
         known = covered | set(free)
         for cr in self.crossings:
             if cr.over not in known:
@@ -130,8 +120,6 @@ class LinkDiagram:
         ids = set(self.free_arcs)
         for cr in self.crossings:
             ids.update((cr.over, cr.under_in, cr.under_out))
-        for a, b in self.seams:
-            ids.update((a, b))
         return tuple(sorted(ids))
 
     @cached_property
@@ -145,13 +133,8 @@ class LinkDiagram:
                 x = parent[x]
             return x
 
-        def union(x: int, y: int) -> None:
-            parent[find(x)] = find(y)
-
         for cr in self.crossings:
-            union(cr.under_in, cr.under_out)
-        for a, b in self.seams:
-            union(a, b)
+            parent[find(cr.under_in)] = find(cr.under_out)
         groups: dict[int, list[int]] = {}
         for a in self.arcs:
             groups.setdefault(find(a), []).append(a)
@@ -221,61 +204,50 @@ def add_kinks(diagram: LinkDiagram, counts: Sequence[int]) -> LinkDiagram:
     Each twist is anchored at the component's least arc: the anchor now
     passes under itself first and continues as a fresh arc, and whatever
     used to consume the anchor consumes the fresh arc instead.  A free
-    loop's first twist has no consumer to redirect, so the fresh arc is
-    seamed back onto the anchor.
+    loop has no consumer, so its first twist is the one-arc curl
+    Crossing(1, a, a, a), which consumes the anchor from then on.
     """
     comps = diagram.components
     if len(counts) != len(comps):
         raise DiagramError(
             f"expected {len(comps)} kink counts, got {len(counts)}")
-    crossings = list(diagram.crossings)
-    free = set(diagram.free_arcs)
-    seams = list(diagram.seams)
-    next_arc = max(diagram.arcs, default=0) + 1
-    for comp, k in zip(comps, counts):
+    for k in counts:
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise DiagramError(f"kink count must be an integer, got {k!r}")
         if k < 0:
             raise DiagramError(f"kink count must be nonnegative, got {k}")
+    crossings = list(diagram.crossings)
+    free = set(diagram.free_arcs)
+    next_arc = max(diagram.arcs, default=0) + 1
+    for comp, k in zip(comps, counts):
         anchor = comp[0]
         for _ in range(k):
-            fresh = next_arc
-            next_arc += 1
-            redirected = False
             for idx, cr in enumerate(crossings):
                 if cr.under_in == anchor:
-                    crossings[idx] = Crossing(cr.sign, cr.over, fresh, cr.under_out)
-                    redirected = True
+                    crossings[idx] = Crossing(cr.sign, cr.over, next_arc, cr.under_out)
+                    crossings.append(Crossing(1, anchor, anchor, next_arc))
+                    next_arc += 1
                     break
-            if not redirected:
-                for idx, (src, dst) in enumerate(seams):
-                    if src == anchor:
-                        seams[idx] = (fresh, dst)
-                        redirected = True
-                        break
-            if not redirected:
-                seams.append((fresh, anchor))
+            else:
                 free.discard(anchor)
-            crossings.append(Crossing(1, anchor, anchor, fresh))
-    return LinkDiagram(tuple(crossings), tuple(sorted(free)), tuple(seams))
+                crossings.append(Crossing(1, anchor, anchor, anchor))
+    return LinkDiagram(tuple(crossings), tuple(sorted(free)))
 
 
 def _cut(diagram: LinkDiagram) -> tuple[
         tuple[int, ...], list[tuple[int, int, int, int]], list[tuple[int, int]]]:
     """The diagram over arc positions, cut open at each anchor.
 
-    Every crossing becomes a step (sign, over, under_in, under_out) and
-    every seam (a, b) an identity step (0, unit, a, b), unit being the
-    position just past the arcs, so one map from under_in finds the step
-    that consumes an arc.  A component's anchor is its least arc a.
-    Cutting hands the anchor's consumer a fresh arc v in place of a: the
-    arc that add_kinks would feed with the kinked color π^k(a).  A free
-    loop has no consumer and keeps v = a.  Returns the arc ids (fresh ones
-    last), the steps over positions in that tuple, and the (a, v)
-    positions of each component, in component order.
+    Every crossing becomes a step (sign, over, under_in, under_out), so one
+    map from under_in finds the step that consumes an arc.  A component's
+    anchor is its least arc a.  Cutting hands the anchor's consumer a fresh
+    arc v in place of a: the arc that add_kinks would feed with the kinked
+    color π^k(a).  A free loop has no consumer and keeps v = a.  Returns
+    the arc ids (fresh ones last), the steps over positions in that tuple,
+    and the (a, v) positions of each component, in component order.
     """
     steps = [(cr.sign, cr.over, cr.under_in, cr.under_out)
              for cr in diagram.crossings]
-    # arc id 0 stands for the unit until positions are assigned
-    steps += [(0, 0, a, b) for a, b in diagram.seams]
     arcs = list(diagram.arcs)
     ends = []
     consumer = {step[2]: i for i, step in enumerate(steps)}
@@ -291,7 +263,6 @@ def _cut(diagram: LinkDiagram) -> tuple[
             arcs.append(v)
         ends.append((a, v))
     at = {a: i for i, a in enumerate(arcs)}
-    at[0] = len(arcs)
     return (tuple(arcs),
             [(s, at[o], at[i], at[u]) for s, o, i, u in steps],
             [(at[a], at[v]) for a, v in ends])
@@ -304,12 +275,10 @@ def _colorings(size: int, steps: Sequence[tuple[int, int, int, int]],
 
     ``steps`` are (sign, over, under_in, under_out) as _cut gives them:
     sign 1 takes under_in ▷ over to under_out, sign -1 the inverse
-    operation, and sign 0 the identity, its over arc being position size,
-    which is always colored 1.  Yields one list whose entry i is the color
-    of arc position i; it is the same list each time and changes once the
-    search resumes.  Each (a, v) in ``ends`` must color its two arcs
-    within one orbit of π(x) = x ▷ x, and alike where that orbit is a
-    fixed point.
+    operation.  Yields one list whose entry i is the color of arc position
+    i; it is the same list each time and changes once the search resumes.
+    Each (a, v) in ``ends`` must color its two arcs within one orbit of
+    π(x) = x ▷ x, and alike where that orbit is a fixed point.
 
     The search is iterative.  A color is pushed through every step it
     decides, through a work list, to a fixpoint; a contradiction
@@ -324,10 +293,8 @@ def _colorings(size: int, steps: Sequence[tuple[int, int, int, int]],
     # arithmetic
     right = (None,) + tuple((0,) + col for col in zip(*table.entries))
     left = (None,) + tuple((0,) + c for c in table._inverse_columns)
-    same = (None, tuple(range(n + 1)))
-    views = {1: (right, left), -1: (left, right), 0: (same, same)}
-    # the unit position never changes color, so its watch list is never read
-    watch: list[list[tuple]] = [[] for _ in range(size + 1)]
+    views = {1: (right, left), -1: (left, right)}
+    watch: list[list[tuple]] = [[] for _ in range(size)]
     for sign, over, inn, out in steps:
         rule = (over, inn, out) + views[sign]
         for i in {over, inn, out}:
@@ -338,7 +305,7 @@ def _colorings(size: int, steps: Sequence[tuple[int, int, int, int]],
             partner[a], partner[v] = v, a
     _, orbit, _ = table._diagonal_orbits
 
-    col = [0] * size + [1]
+    col = [0] * size
     trail: list[int] = []
     stack: list[list] = []
     cursor = 0
@@ -408,20 +375,19 @@ def enumerate_colorings(diagram: LinkDiagram,
     """All rack colorings of the diagram's arcs, sorted by their color tuples.
 
     At a positive crossing the outgoing under-arc carries under_in ▷ over;
-    at a negative crossing the inverse operation applies; seamed arcs match.
-    Forced colors propagate to a fixpoint between branchings on the
-    lowest-numbered uncolored arc, in one iterative search, so no input
-    depth can exhaust the interpreter's stack.  The search runs on the
-    diagram cut at its anchors, as the framed counts do, with an identity
-    step across each cut to join it again.  Each dict lists its arcs in
-    increasing order.
+    at a negative crossing the inverse operation applies.  Forced colors
+    propagate to a fixpoint between branchings on the lowest-numbered
+    uncolored arc, in one iterative search, so no input depth can exhaust
+    the interpreter's stack.  The search reads the diagram as the framed
+    counts cut it, with each cut end renamed back to its anchor to join it
+    again.  Each dict lists its arcs in increasing order.
     """
     table.require_rack()
-    arcs, steps, ends = _cut(diagram)
-    unit = len(arcs)
-    steps += [(0, unit, a, v) for a, v in ends if a != v]
+    _, steps, ends = _cut(diagram)
+    anchor = {v: a for a, v in ends}
+    steps = [(s, o, anchor.get(i, i), u) for s, o, i, u in steps]
     return tuple(dict(zip(diagram.arcs, colors))
-                 for colors in _colorings(unit, steps, (), table))
+                 for colors in _colorings(len(diagram.arcs), steps, (), table))
 
 
 def image_subrack(table: RackTable,

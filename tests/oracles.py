@@ -176,11 +176,10 @@ def subracks(entries):
     return sorted(out, key=lambda s: (len(s), s))
 
 
-def colorings(entries, arcs, crossings, seams=()):
+def colorings(entries, arcs, crossings):
     """Check every assignment of colors to arcs against every rule.
 
-    crossings are (sign, over, under_in, under_out) tuples, seams are
-    (a, b) color-equality pairs.
+    crossings are (sign, over, under_in, under_out) tuples.
     """
     n = len(entries)
     arcs = sorted(arcs)
@@ -196,8 +195,6 @@ def colorings(entries, arcs, crossings, seams=()):
             if colors[under_out] != expected:
                 ok = False
                 break
-        if ok and any(colors[a] != colors[b] for a, b in seams):
-            ok = False
         if ok:
             found.append(colors)
     return found

@@ -47,7 +47,7 @@ def criterion(number: int, description: str):
 
 def oracle_colorings(diagram, table):
     crossings = [(c.sign, c.over, c.under_in, c.under_out) for c in diagram.crossings]
-    return oracles.colorings(table.entries, diagram.arcs, crossings, diagram.seams)
+    return oracles.colorings(table.entries, diagram.arcs, crossings)
 
 
 @criterion(1, "pinned polynomial values reproduced under canonical serialization")

@@ -31,17 +31,20 @@ from rackkit import (
     RackTable,
     TableFormatError,
     alexander,
+    closure,
     column_order_lcm,
     constant_action,
     diagonal_perm,
     dual,
     format_rack_table,
+    is_subrack,
     operator_equivalence_quotient,
     parse_rack_table,
     properties_report,
     quotient_by,
     rack_op_iter,
     rack_rank,
+    subrack_polynomial,
     ts_rack,
     validate_rack,
 )
@@ -171,6 +174,24 @@ def test_non_integer_entries_are_rejected(value):
         Permutation((value, 2))
     assert RackTable(((1, Two()), (2, 2))).entries == ((1, 2), (2, 2))
     assert Permutation((Two(), 1)).images == (2, 1)
+
+
+@pytest.mark.parametrize("value", [1.9, 1.2, "1", None])
+@pytest.mark.parametrize("call", [
+    lambda t, v: t.subtable([v]),
+    lambda t, v: closure(t, [v]),
+    lambda t, v: is_subrack(t, [v]),
+    lambda t, v: subrack_polynomial(t, [v], 1, 1),
+    lambda t, v: quotient_by(t, [[1], [v], [3]]),
+], ids=["subtable", "closure", "is_subrack", "subrack_polynomial", "quotient_by"])
+def test_non_integer_elements_are_rejected(call, value):
+    # subset and partition members go through operator.index, as table
+    # entries do: 1.9 is not truncated to 1 and "1" is not parsed
+    table = alexander(3, 2)
+    with pytest.raises(RackError) as info:
+        call(table, value)
+    assert str(info.value) == f"non-integer element {value!r}"
+    assert call(table, Two()) is not None
 
 
 def test_parse_errors():

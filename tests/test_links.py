@@ -42,7 +42,7 @@ RPP_UNKNOT_T5 = "2*z^{2*s^3*t^3} + 3*z^{s^3*t^3} + 3*q1*z^{s^3*t^3}"
 
 def oracle_colorings(diagram, table):
     crossings = [(c.sign, c.over, c.under_in, c.under_out) for c in diagram.crossings]
-    return oracles.colorings(table.entries, diagram.arcs, crossings, diagram.seams)
+    return oracles.colorings(table.entries, diagram.arcs, crossings)
 
 
 # -- diagram construction ----------------------------------------------------
@@ -69,12 +69,6 @@ def test_arcs_must_chain():
         LinkDiagram((c,), free_arcs=(1,))  # free arc already covered
     with pytest.raises(DiagramError):
         LinkDiagram((), free_arcs=(1, 1))
-
-
-def test_seams_count_as_arc_endpoints():
-    d = LinkDiagram((), seams=((1, 2), (2, 1)))
-    assert d.arcs == (1, 2)
-    assert d.components == ((1, 2),)
 
 
 def test_parse_diagram_errors():
@@ -129,8 +123,7 @@ def test_add_kinks_reproduces_fixture(links):
 
 def test_add_kinks_on_free_loop(links):
     kinked = add_kinks(links["unknot"], (2,))
-    assert kinked.crossings == (Crossing(1, 1, 3, 2), Crossing(1, 1, 1, 3))
-    assert kinked.seams == ((2, 1),)
+    assert kinked.crossings == (Crossing(1, 1, 2, 1), Crossing(1, 1, 1, 2))
     assert kinked.free_arcs == ()
     _, writhes = components_and_writhe(kinked)
     assert writhes == (2,)
@@ -143,6 +136,16 @@ def test_add_kinks_validation(links):
         add_kinks(links["trefoil"], (-1,))
     with pytest.raises(DiagramError):
         add_kinks(links["hopf"], (1,))
+
+
+@pytest.mark.parametrize("value", [1.5, "1", True])
+def test_diagram_integers_are_checked(links, value):
+    # free arcs and kink counts are checked as Crossing fields are: an int,
+    # not a bool, and never truncated or parsed
+    with pytest.raises(DiagramError, match="free arc ids must be integers"):
+        LinkDiagram((), (value,))
+    with pytest.raises(DiagramError, match="kink count must be an integer"):
+        add_kinks(links["unknot"], (value,))
 
 
 def test_add_kinks_per_component(links):
@@ -368,7 +371,7 @@ def mirror(diagram):
     return LinkDiagram(
         tuple(Crossing(-c.sign, c.over, c.under_in, c.under_out)
               for c in diagram.crossings),
-        diagram.free_arcs, diagram.seams)
+        diagram.free_arcs)
 
 
 def sweep_diagrams():
@@ -384,8 +387,9 @@ def sweep_diagrams():
         LinkDiagram((Crossing(1, 3, 1, 2), Crossing(-1, 3, 2, 1)), (3,)),
         # the Hopf link beside a free loop
         LinkDiagram(hopf.crossings, (3,)),
-        # an anchor whose consumer is a seam
-        LinkDiagram((Crossing(1, 3, 2, 1),), (3,), seams=((1, 2),)),
+        # hand-built one-arc curls, one beside a free loop
+        LinkDiagram((Crossing(1, 1, 1, 1),)),
+        LinkDiagram((Crossing(-1, 1, 1, 1),), (2,)),
         LinkDiagram((), (1, 2)),
         LinkDiagram(()),
     ])
