@@ -13,16 +13,12 @@ import re
 import sys
 from pathlib import Path
 
-from .core import (Permutation, PropertyReport, RackError, RackTable, dual,
-                   format_rack_table, operator_equivalence_quotient,
-                   parse_rack_table, properties_report, quotient_by,
-                   validate_rack)
-from .generators import alexander, constant_action, ts_rack
-from .iso import isomorphic, rp_family_scan, verify_constant_action_classification
-from .links import (counting_polynomial_string, enhanced_invariant,
-                    parse_diagram, rack_counting)
-from .poly import (CONVENTIONS, enumerate_subracks, exponent_profile,
-                   rack_polynomial, subrack_polynomial)
+# check, props, dual and the quotients need only core; every other handler
+# imports its own modules when it runs, so a process loads what it uses
+from .core import (CONVENTIONS, Permutation, PropertyReport, RackError,
+                   RackTable, dual, format_rack_table,
+                   operator_equivalence_quotient, parse_rack_table,
+                   properties_report, quotient_by, validate_rack)
 
 __all__ = ["main"]
 
@@ -98,12 +94,16 @@ def _cmd_props(args: argparse.Namespace) -> int:
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
+    from .poly import rack_polynomial
+
     table = _load_valid_table(args.table)
     print(rack_polynomial(table, args.m, args.n, args.convention))
     return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from .poly import exponent_profile
+
     table = _load_valid_table(args.table)
     profile = exponent_profile(table, args.m, args.n)
     for x in table.elements:
@@ -113,6 +113,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_subracks(args: argparse.Namespace) -> int:
+    from .poly import enumerate_subracks
+
     table = _load_valid_table(args.table)
     for subset in enumerate_subracks(table):
         print(_format_set(subset))
@@ -120,6 +122,8 @@ def _cmd_subracks(args: argparse.Namespace) -> int:
 
 
 def _cmd_srp(args: argparse.Namespace) -> int:
+    from .poly import subrack_polynomial
+
     table = _load_valid_table(args.table)
     subset = _parse_elements(args.subset)
     print(subrack_polynomial(table, subset, args.m, args.n, args.convention))
@@ -127,6 +131,8 @@ def _cmd_srp(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_constant(args: argparse.Namespace) -> int:
+    from .generators import constant_action
+
     table = constant_action(Permutation(tuple(args.images)))
     table.require_rack()
     print(format_rack_table(table), end="")
@@ -134,11 +140,15 @@ def _cmd_gen_constant(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_alexander(args: argparse.Namespace) -> int:
+    from .generators import alexander
+
     print(format_rack_table(alexander(args.n, args.t)), end="")
     return 0
 
 
 def _cmd_gen_ts(args: argparse.Namespace) -> int:
+    from .generators import ts_rack
+
     print(format_rack_table(ts_rack(args.n, args.t, args.s)), end="")
     return 0
 
@@ -165,6 +175,8 @@ def _cmd_opquot(args: argparse.Namespace) -> int:
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:
+    from .iso import isomorphic
+
     result = isomorphic(_load_valid_table(args.left),
                         _load_valid_table(args.right))
     if result.isomorphic:
@@ -176,6 +188,8 @@ def _cmd_iso(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from .iso import rp_family_scan
+
     scan = rp_family_scan(_load_valid_table(args.left),
                           _load_valid_table(args.right),
                           bound=args.bound, convention=args.convention)
@@ -185,6 +199,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify_ca(args: argparse.Namespace) -> int:
+    from .iso import verify_constant_action_classification
+
     report = verify_constant_action_classification(args.size, args.convention)
     for line in report.lines():
         print(line)
@@ -193,6 +209,9 @@ def _cmd_classify_ca(args: argparse.Namespace) -> int:
 
 
 def _cmd_invariant(args: argparse.Namespace) -> int:
+    from .links import (counting_polynomial_string, enhanced_invariant,
+                        parse_diagram, rack_counting)
+
     diagram = parse_diagram(_read(args.link))
     table = _load_valid_table(args.table)
     if args.mode == "sr":

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "AxiomViolation",
+    "CONVENTIONS",
     "CongruenceError",
     "NotARackError",
     "Permutation",
@@ -36,6 +37,10 @@ __all__ = [
     "rack_rank",
     "validate_rack",
 ]
+
+# which fix count feeds which polynomial variable (see rackkit.poly); here
+# so that the command line can offer the choices without loading poly
+CONVENTIONS = ("def", "prop3")
 
 
 class RackError(ValueError):

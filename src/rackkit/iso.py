@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -317,6 +316,8 @@ def permutation_of_type(cycle_type: tuple[int, ...],
             for start, length in zip(starts, cycle_type)))
     if shuffle_seed is None:
         return perm
+    import random  # only a seeded layout needs it
+
     rng = random.Random(shuffle_seed)
     relabel = list(range(1, k + 1))
     rng.shuffle(relabel)

@@ -73,6 +73,13 @@ class Crossing:
                 raise DiagramError(f"{name} must be a positive integer, got {v!r}")
 
 
+def _as_tuple(values: object, name: str) -> tuple:
+    try:
+        return tuple(values)
+    except TypeError:
+        raise DiagramError(f"{name} must be iterable, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class LinkDiagram:
     """Validated collection of crossings and free loops.
@@ -87,10 +94,14 @@ class LinkDiagram:
     free_arcs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "crossings", tuple(self.crossings))
-        free = tuple(self.free_arcs)
+        crossings = _as_tuple(self.crossings, "crossings")
+        free = _as_tuple(self.free_arcs, "free_arcs")
+        object.__setattr__(self, "crossings", crossings)
         object.__setattr__(self, "free_arcs", free)
 
+        for cr in crossings:
+            if not isinstance(cr, Crossing):
+                raise DiagramError(f"crossings must be Crossing objects, got {cr!r}")
         for a in free:
             if isinstance(a, bool) or not isinstance(a, int):
                 raise DiagramError(f"free arc ids must be integers, got {a!r}")

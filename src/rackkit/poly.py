@@ -27,10 +27,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .core import RackError, RackTable, _close, _members
+from .core import CONVENTIONS, RackError, RackTable, _close, _members
 
 __all__ = [
-    "CONVENTIONS",
     "ExponentProfile",
     "TwoVarPoly",
     "closure",
@@ -41,8 +40,6 @@ __all__ = [
     "rack_polynomial",
     "subrack_polynomial",
 ]
-
-CONVENTIONS = ("def", "prop3")
 
 
 def _check_convention(convention: str) -> None:

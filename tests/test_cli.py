@@ -378,3 +378,56 @@ def test_usage_errors(capsys):
     assert run(capsys, "gen")[0] == 2
     assert run(capsys, "invariant", TREFOIL, T5, "--mode", "xx")[0] == 2
     assert run(capsys, "poly", EX3, "--convention", "other")[0] == 2
+
+
+# -- modules loaded per subcommand --------------------------------------------
+
+# a subcommand's own modules come on top of these
+CLI_BASE = {"rackkit", "rackkit.cli", "rackkit.core"}
+
+
+def loaded_modules(*argv):
+    """The rackkit modules of a fresh interpreter that ran ``rackkit argv``
+    (with no argv, that only ran ``import rackkit``)."""
+    src = str(Path(rackkit.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "if sys.argv[1:]:\n"
+            "    from rackkit.cli import main\n"
+            "    assert main(sys.argv[1:]) == 0\n"
+            "else:\n"
+            "    import rackkit\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('rackkit')))\n")
+    done = subprocess.run([sys.executable, "-c", code, *argv],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_import_rackkit_loads_no_submodule():
+    assert loaded_modules() == {"rackkit"}
+
+
+SUBCOMMAND_MODULES = [
+    (("check", T5), set()),
+    (("props", Q6), set()),
+    (("dual", EX2), set()),
+    (("quotient", T5, "{1,2,3}{4,5}"), set()),
+    (("opquot", R6), set()),
+    (("gen", "alexander", "7", "3"), {"rackkit.generators"}),
+    (("poly", EX3), {"rackkit.poly"}),
+    (("profile", T5), {"rackkit.poly"}),
+    (("subracks", T5), {"rackkit.poly"}),
+    (("srp", T5, "{4,5}"), {"rackkit.poly"}),
+]
+
+
+@pytest.mark.parametrize("argv, extra", SUBCOMMAND_MODULES,
+                         ids=[argv[0] for argv, _ in SUBCOMMAND_MODULES])
+def test_subcommand_loads_only_its_modules(argv, extra):
+    assert loaded_modules(*argv) == CLI_BASE | extra
+
+
+def test_invariant_loads_links_but_not_iso():
+    loaded = loaded_modules("invariant", TREFOIL, T5)
+    assert "rackkit.links" in loaded
+    assert "rackkit.iso" not in loaded

@@ -637,6 +637,30 @@ def test_all_lists_every_public_name():
             assert getattr(rackkit, name) is getattr(module, name)
 
 
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from rackkit import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(rackkit.__all__)
+    assert set(rackkit.__all__) <= set(dir(rackkit))
+
+
+def test_submodule_attribute_in_a_fresh_interpreter():
+    # the package imports no submodule itself; looking one up loads it
+    src = str(Path(rackkit.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import rackkit; print(rackkit.iso.isomorphic.__module__)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "rackkit.iso"
+
+
+def test_conventions_have_one_home():
+    assert rackkit.CONVENTIONS is rackkit.poly.CONVENTIONS
+    assert rackkit.poly.CONVENTIONS is rackkit.core.CONVENTIONS
+
+
 # -- iterated operator ------------------------------------------------------
 
 

@@ -148,6 +148,20 @@ def test_diagram_integers_are_checked(links, value):
         add_kinks(links["unknot"], (value,))
 
 
+@pytest.mark.parametrize("args, message", [
+    pytest.param((((1, 1, 1, 1),),), "crossings must be Crossing objects",
+                 id="tuple-crossing"),
+    pytest.param((5,), "crossings must be iterable", id="crossings-int"),
+    pytest.param(((), 5), "free_arcs must be iterable", id="free-arcs-int"),
+    pytest.param(((), None), "free_arcs must be iterable", id="free-arcs-none"),
+])
+def test_diagram_field_types_are_checked(args, message):
+    # a wrong type is a DiagramError naming the field, not a bare
+    # AttributeError or TypeError from inside validation
+    with pytest.raises(DiagramError, match=message):
+        LinkDiagram(*args)
+
+
 def test_add_kinks_per_component(links):
     kinked = add_kinks(links["hopf"], (2, 1))
     comps, writhes = components_and_writhe(kinked)
