@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import compress
 from operator import index, itemgetter, ne
 from typing import Iterable, Sequence
 
@@ -495,13 +495,16 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     C[z] are, then so is C[y▷z] = C[z]C[y]C[z]⁻¹.  So when every column
     is a bijection the loop skips each z in the ▷-closure of the columns
     that already passed: such a column has no witnesses, and the count
-    and every witness list stay exact on any table.  The closure grows
-    with each column that passes, through one ``_close`` that keeps its
-    ``done`` list, in O(n²) lookups in all.  Racks are generated by few
-    elements (Joyce, "A classifying invariant of knots, the knot
-    quandle", 1982): a rack with g greedy generators, the columns that
-    are checked and pass, costs g·n pairs, O(g·n²) steps, plus those
-    lookups, instead of O(n³).  A table with a column that is not a
+    and every witness list stay exact on any table.  Whether C[z] is an
+    automorphism depends only on the permutation, since
+    f(x▷y) = f(x)▷f(y) names no z, so a z whose column equals one that
+    passed is skipped as well: it joins the closure but is not a
+    generator.  The closure grows with each such z and each column that
+    passes, through one ``_close`` that keeps its ``done`` list, in O(n²)
+    lookups in all.  Racks are generated by few elements (Joyce, "A
+    classifying invariant of knots, the knot quandle", 1982): a rack with
+    g greedy generators, the columns that are checked and pass, costs g·n
+    pairs, O(g·n²) steps, plus those lookups, instead of O(n³).  A table with a column that is not a
     bijection skips nothing, and a non-rack pays for the columns it
     checks, at most all n² pairs as before, so no table costs more
     compositions than before.
@@ -517,9 +520,11 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     displacement group is abelian" (Jedlička, Pilitowska, Stanovský and
     Zamojska-Dzienio, J. Algebra 2015).  The y with S_y central in G form
     a ▷-closed set: S_{a▷b} = S_b·R₁(S_a S_b⁻¹)R₁⁻¹, G is normal in the
-    inner group and its center is characteristic.  So only the pairs with
-    a generator are compared: g·n of them at most, and all n(n-1)/2 when
-    every column is a generator, as in a trivial rack.
+    inner group and its center is characteristic.  S_y depends only on
+    C[y], so that set is closed under equal columns as well, and the loop
+    above reaches every element from the generators by those two moves.
+    So only the pairs with a generator are compared: g·n of them at most,
+    and all n(n-1)/2 only when the n columns are distinct generators.
     """
     n = table.n
     rows = table.entries
@@ -543,9 +548,13 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     pairs = []  # (least x, y, z) for each pair that differs
     violation_count = len(bijectivity)
     generators: list[int] = []  # the columns checked that passed
-    closed, done = 0, []  # their ▷-closure as a mask over 1..n
+    passed: set[tuple[int, ...]] = set()  # their columns
+    closed, done = 0, []  # the closure so far as a mask over 1..n
     for z, cz in enumerate(cols):
         if closed >> z + 1 & 1:
+            continue
+        if cz in passed:
+            closed = _close(rows, closed | 1 << z + 1, [z + 1], done)
             continue
         before = len(pairs)
         after_z = after[z]
@@ -558,6 +567,7 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
                     (next(compress(range(n), map(ne, left, right))), y, z))
         if columns_ok and len(pairs) == before:
             generators.append(z)
+            passed.add(cz)
             closed = _close(rows, closed | 1 << z + 1, [z + 1], done)
 
     head = bijectivity[:shown]
@@ -697,21 +707,27 @@ def quotient_by(table: RackTable,
 
     Raises CongruenceError with a concrete witness when the partition does
     not respect the operation.  Checking the two one-variable conditions is
-    enough: x~x' and y~y' chain through x▷y ~ x'▷y ~ x'▷y'.
+    enough: x~x' and y~y' chain through x▷y ~ x'▷y ~ x'▷y'.  Each member is
+    compared with its block's least b, O(n²) steps in all: a pair (x, x')
+    fails only if x or x' fails against b, so this finds the witness that
+    checking every pair in lexicographic order finds first, among the
+    pairs (b, x) that come first.
     """
     table.require_rack()
     blocks = _normalize_partition(table.n, partition)
     cls = {x: i + 1 for i, block in enumerate(blocks) for x in block}
     rows = table.entries
     for y, col in enumerate(zip(*rows), start=1):
-        for block in blocks:
-            for x, x2 in combinations(block, 2):
-                if cls[col[x - 1]] != cls[col[x2 - 1]]:
+        for x, *rest in blocks:
+            least = cls[col[x - 1]]
+            for x2 in rest:
+                if cls[col[x2 - 1]] != least:
                     raise CongruenceError(x, x2, y, y, col[x - 1], col[x2 - 1])
     for x, row in enumerate(rows, start=1):
-        for block in blocks:
-            for y, y2 in combinations(block, 2):
-                if cls[row[y - 1]] != cls[row[y2 - 1]]:
+        for y, *rest in blocks:
+            least = cls[row[y - 1]]
+            for y2 in rest:
+                if cls[row[y2 - 1]] != least:
                     raise CongruenceError(x, x, y, y2, row[y - 1], row[y2 - 1])
     reps = [b[0] for b in blocks]
     quotient = RackTable(tuple(tuple(cls[rows[rx - 1][ry - 1]] for ry in reps)

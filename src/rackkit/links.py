@@ -279,6 +279,80 @@ def _cut(diagram: LinkDiagram) -> tuple[
             [(at[a], at[v]) for a, v in ends])
 
 
+def _schedule(size: int, steps: Sequence[tuple[int, int, int, int]],
+              ends: Sequence[tuple[int, int]], table: RackTable
+              ) -> list[tuple[int, list[tuple], list[tuple], list[tuple]]]:
+    """The levels of the coloring search, laid out once before it starts.
+
+    Static forward checking (Haralick and Elliott, "Increasing tree search
+    efficiency for constraint satisfaction problems", AIJ 1980): whether a
+    step decides an arc depends only on which of its arcs are colored,
+    never on their colors, since once over and one under arc are known the
+    other under arc is one table lookup, under_in ▷ over or its inverse.
+    So one pass over the arcs, with each arc's steps at hand, lays out the
+    levels in O(arcs + steps).  A level branches on the first arc that
+    earlier levels leave uncolored and lists:
+
+    - the arcs that its color decides, each as a lookup that reads only
+      arcs colored before it;
+    - the steps that it colors fully without deciding an arc, to check;
+    - the ends whose second arc it colors, to check for one π-orbit.
+
+    A lookup or a step check (t, o, s, view) is
+    col[t] = view[col[o]][col[s]]: target, over arc, source under arc and
+    a column view of the table, padded so that colors stay 1-based.
+    Every step is looked up or checked at the level that colors its last
+    arc, and every end at the level that colors its second arc.
+    """
+    right = (None,) + tuple((None,) + col for col in zip(*table.entries))
+    left = (None,) + tuple((None,) + c for c in table._inverse_columns)
+    views = {1: (right, left), -1: (left, right)}
+    at_arc: list[list[int]] = [[] for _ in range(size)]
+    for k, (_, over, inn, out) in enumerate(steps):
+        for i in {over, inn, out}:
+            at_arc[i].append(k)
+    partner = [-1] * size
+    for a, v in ends:
+        if a != v:
+            partner[a], partner[v] = v, a
+    colored = [False] * size
+    settled = [False] * len(steps)
+    levels = []
+    cursor = 0
+    while True:
+        while cursor < size and colored[cursor]:
+            cursor += 1
+        if cursor == size:
+            return levels
+        forced: list[tuple] = []
+        checks: list[tuple] = []
+        pairs: list[tuple] = []
+        levels.append((cursor, forced, checks, pairs))
+        colored[cursor] = True
+        queue = [cursor]
+        while queue:
+            i = queue.pop()
+            p = partner[i]
+            if p >= 0 and colored[p]:
+                pairs.append((p, i))
+                partner[p] = partner[i] = -1
+            for k in at_arc[i]:
+                sign, over, inn, out = steps[k]
+                if settled[k] or not colored[over] or not (
+                        colored[inn] or colored[out]):
+                    continue
+                settled[k] = True
+                fwd, bwd = views[sign]
+                if colored[inn] and colored[out]:
+                    checks.append((out, over, inn, fwd))
+                    continue
+                rule = (out, over, inn, fwd) if colored[inn] else (
+                    inn, over, out, bwd)
+                forced.append(rule)
+                colored[rule[0]] = True
+                queue.append(rule[0])
+
+
 def _colorings(size: int, steps: Sequence[tuple[int, int, int, int]],
                ends: Sequence[tuple[int, int]],
                table: RackTable) -> Iterator[list[int]]:
@@ -289,96 +363,54 @@ def _colorings(size: int, steps: Sequence[tuple[int, int, int, int]],
     operation.  Yields one list whose entry i is the color of arc position
     i; it is the same list each time and changes once the search resumes.
     Each (a, v) in ``ends`` must color its two arcs within one orbit of
-    π(x) = x ▷ x, and alike where that orbit is a fixed point.
+    π(x) = x ▷ x.
 
-    The search is iterative.  A color is pushed through every step it
-    decides, through a work list, to a fixpoint; a contradiction
-    undoes the branch from a trail.  The branch arc is the first uncolored
-    one, found by a cursor that only moves forward, so every arc before it
-    is colored and its values are tried in increasing order: colorings come
-    out sorted by their color tuples.
+    The search runs the levels of _schedule.  At each level it tries each
+    color on the branch arc, runs the lookups, which cannot fail, and
+    keeps the color when the checks hold.  This is exact: every step and
+    every end is looked up or checked once all its arcs are colored, and
+    a branch tries every color, so each coloring is found once.  The
+    orbit rule is the only one that reads colors, and it stays a check:
+    a cut end comes after every arc of the diagram, and the step that
+    consumes it reads two of the diagram's own arcs, so a cut end is
+    always looked up, never branched on.  Every arc before a level's
+    branch arc is colored at an earlier level and colors are tried in
+    increasing order, so colorings come out sorted by their color tuples.
+    Deeper levels overwrite their own arcs, so backing up undoes nothing.
     """
-    n = table.n
-    # the table's column views, padded: colors stay 1-based with 0 for
-    # uncolored, so the innermost loop reads fwd[co][x] with no index
-    # arithmetic
-    right = (None,) + tuple((0,) + col for col in zip(*table.entries))
-    left = (None,) + tuple((0,) + c for c in table._inverse_columns)
-    views = {1: (right, left), -1: (left, right)}
-    watch: list[list[tuple]] = [[] for _ in range(size)]
-    for sign, over, inn, out in steps:
-        rule = (over, inn, out) + views[sign]
-        for i in {over, inn, out}:
-            watch[i].append(rule)
-    partner = [-1] * size
-    for a, v in ends:
-        if a != v:
-            partner[a], partner[v] = v, a
+    levels = _schedule(size, steps, ends, table)
     _, orbit, _ = table._diagonal_orbits
-
     col = [0] * size
-    trail: list[int] = []
-    stack: list[list] = []
-    cursor = 0
-    while True:
-        while cursor < size and col[cursor]:
-            cursor += 1
-        if cursor == size:
+    if not levels:
+        yield col
+        return
+    last = len(levels) - 1
+    everything = range(1, table.n + 1)
+    stack = [iter(everything)]  # the colors left at each level entered
+    while stack:
+        level = len(stack) - 1
+        pos, forced, checks, pairs = levels[level]
+        for value in stack[level]:
+            col[pos] = value
+            for t, o, s, view in forced:
+                col[t] = view[col[o]][col[s]]
+            # keep the color when every check and every end holds
+            for t, o, s, view in checks:
+                if col[t] != view[col[o]][col[s]]:
+                    break
+            else:
+                for a, v in pairs:
+                    if orbit[col[a]] is not orbit[col[v]]:
+                        break
+                else:
+                    break
+        else:
+            stack.pop()
+            continue
+        if level == last:
             yield col
         else:
-            stack.append([cursor, 0, len(trail)])
-        # move the deepest branch that has a value left on to that value
-        while stack:
-            frame = stack[-1]
-            pos, value, mark = frame
-            while len(trail) > mark:
-                col[trail.pop()] = 0
-            if value == n:
-                stack.pop()
-                continue
-            frame[1] = value = value + 1
-            col[pos] = value
-            trail.append(pos)
-            queue = [pos]
-            ok = True
-            while ok and queue:
-                i = queue.pop()
-                ci = col[i]
-                p = partner[i]
-                if p >= 0:
-                    cp = col[p]
-                    if not cp:
-                        if len(orbit[ci]) == 1:
-                            col[p] = ci
-                            trail.append(p)
-                            queue.append(p)
-                    elif orbit[cp] is not orbit[ci]:
-                        ok = False
-                        break
-                for over, inn, out, fwd, bwd in watch[i]:
-                    co = col[over]
-                    if not co:
-                        continue
-                    x = col[inn]
-                    y = col[out]
-                    if x:
-                        z = fwd[co][x]
-                        if not y:
-                            col[out] = z
-                            trail.append(out)
-                            queue.append(out)
-                        elif y != z:
-                            ok = False
-                            break
-                    elif y:
-                        col[inn] = bwd[co][y]
-                        trail.append(inn)
-                        queue.append(inn)
-            if ok:
-                cursor = pos + 1
-                break
-        else:
-            return
+            stack.append(iter(everything))
 
 
 def enumerate_colorings(diagram: LinkDiagram,
@@ -386,10 +418,10 @@ def enumerate_colorings(diagram: LinkDiagram,
     """All rack colorings of the diagram's arcs, sorted by their color tuples.
 
     At a positive crossing the outgoing under-arc carries under_in ▷ over;
-    at a negative crossing the inverse operation applies.  Forced colors
-    propagate to a fixpoint between branchings on the lowest-numbered
-    uncolored arc, in one iterative search, so no input depth can exhaust
-    the interpreter's stack.  The search reads the diagram as the framed
+    at a negative crossing the inverse operation applies.  Each branch is on
+    the lowest-numbered arc that earlier branches leave undecided, in one
+    iterative search over a schedule laid out once, so no input depth can
+    exhaust the interpreter's stack.  The search reads the diagram as the framed
     counts cut it, with each cut end renamed back to its anchor to join it
     again.  Each dict lists its arcs in increasing order.
     """

@@ -583,6 +583,51 @@ def test_alexander_401_parses_and_reports_quickly():
     assert elapsed < 2
 
 
+def test_equal_failing_columns_are_each_counted():
+    # a column equal to one that passed is skipped; equal columns that
+    # fail must each still be checked, and every witness counted
+    rng = random.Random(16001)
+    repeated_failures = 0
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        images = rng.sample(range(1, n + 1), n)
+        base = rng.choice((constant_action(Permutation(tuple(images))),
+                           alexander(n, rng.choice(_units(n)))))
+        columns = list(zip(*base.entries))
+        bad = tuple(rng.sample(range(1, n + 1), n))
+        for y in rng.sample(range(n), rng.randint(2, n)):
+            columns[y] = bad
+        entries = from_columns(columns)
+        assert_report_matches_oracles(entries)
+        failing = {z for axiom, (_, _, z) in oracles.violations(entries)
+                   if axiom == "distributivity"}
+        repeated_failures += len(failing) > len({columns[z - 1] for z in failing})
+    assert repeated_failures >= 100
+
+
+def trivial_rack(n):
+    return RackTable(tuple((x,) * n for x in range(1, n + 1)))
+
+
+def involution_rack(n):
+    """x ▷ y = σ(x), σ swapping 2k-1 and 2k and fixing n when n is odd."""
+    return constant_action(Permutation.from_cycles(
+        n, [(x, x + 1) for x in range(1, n, 2)]))
+
+
+@pytest.mark.parametrize("build", [trivial_rack, involution_rack])
+def test_equal_columns_report_quickly_at_n401(build):
+    table = build(401)
+    start = time.perf_counter()
+    r = table.report
+    elapsed = time.perf_counter() - start
+    assert (r.is_rack, r.is_abelian, r.is_latin) == (True, True, False)
+    assert r.is_quandle == (build is trivial_rack)
+    # every column is one permutation: checked once, where checking each
+    # took several seconds
+    assert elapsed < 2
+
+
 @given(relabelled_racks)
 def test_cycle_lengths_match_the_column_cycles(entries):
     table = RackTable(entries)
@@ -772,6 +817,63 @@ def test_quotient_congruence_failure(racks):
     assert exc.value.witness == (1, 2, 1, 1)
     assert exc.value.products == (1, 3)
     assert "not a congruence" in str(exc.value)
+
+
+def first_pair_failure(table, blocks):
+    """The witness of the first failing pair, every pair of each block in
+    order, columns before rows; None for a congruence."""
+    cls = {x: i for i, block in enumerate(blocks) for x in block}
+    n = table.n
+    for y in range(1, n + 1):
+        for block in blocks:
+            for i, x in enumerate(block):
+                for x2 in block[i + 1:]:
+                    if cls[table.op(x, y)] != cls[table.op(x2, y)]:
+                        return x, x2, y, y
+    for x in range(1, n + 1):
+        for block in blocks:
+            for i, y in enumerate(block):
+                for y2 in block[i + 1:]:
+                    if cls[table.op(x, y)] != cls[table.op(x, y2)]:
+                        return x, x, y, y2
+    return None
+
+
+def test_quotient_witness_is_the_first_failing_pair():
+    rng = random.Random(16002)
+    failures = 0
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        images = rng.sample(range(1, n + 1), n)
+        table = rng.choice((constant_action(Permutation(tuple(images))),
+                            alexander(n, rng.choice(_units(n)))))
+        labels = [rng.randint(1, rng.randint(1, n)) for _ in range(n)]
+        blocks = sorted(
+            tuple(x for x in table.elements if labels[x - 1] == label)
+            for label in set(labels))
+        expected = first_pair_failure(table, blocks)
+        if expected is None:
+            assert quotient_by(table, blocks).n == len(blocks)
+            continue
+        failures += 1
+        with pytest.raises(CongruenceError) as exc:
+            quotient_by(table, blocks)
+        x, x2, y, y2 = expected
+        assert exc.value.witness == expected
+        assert exc.value.products == (table.op(x, y), table.op(x2, y2))
+    assert failures >= 100
+
+
+@pytest.mark.parametrize("build", [trivial_rack, lambda n: alexander(n, 2)],
+                         ids=["trivial", "alexander"])
+def test_one_block_quotient_at_n401(build):
+    table = build(401)
+    start = time.perf_counter()
+    q = quotient_by(table, [table.elements])
+    elapsed = time.perf_counter() - start
+    assert q.entries == ((1,),)
+    # n² comparisons, where every pair of the block took several seconds
+    assert elapsed < 2
 
 
 def test_quotient_partition_validation(racks):

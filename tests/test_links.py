@@ -18,6 +18,7 @@ from rackkit import (
     Permutation,
     RackTable,
     add_kinks,
+    alexander,
     components_and_writhe,
     constant_action,
     counting_polynomial_string,
@@ -175,10 +176,33 @@ def test_add_kinks_per_component(links):
 
 def test_colorings_match_oracle(racks, links):
     small = ("triv1", "triv2", "dihedral3", "ex2", "ex3", "T5")
-    for diagram in links.values():
+    for diagram in [*links.values(), *UNIONS]:
         for name in small:
             lib = enumerate_colorings(diagram, racks[name])
             assert [dict(c) for c in lib] == oracle_colorings(diagram, racks[name])
+
+
+def torus(q):
+    """T(2, q): arc i passes under arc i+1 into arc i+2, indices mod q."""
+    return LinkDiagram(tuple(
+        Crossing(1, (i + 1) % q + 1, i + 1, (i + 2) % q + 1) for i in range(q)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 29])
+def test_torus_colorings_by_dihedral_quandle(p):
+    # x ▷ y = 2y - x on Z/p colors T(2, q) by Fox colorings: the coloring
+    # module of T(2, q) is Z/q, so there are p·gcd(p, q) of them
+    dihedral = alexander(p, p - 1)
+    for q in [*range(2, 13), p, 2 * p]:
+        expected = p * p if q % p == 0 else p
+        colorings = enumerate_colorings(torus(q), dihedral)
+        assert len(colorings) == expected
+        for coloring in colorings:
+            for i in range(1, q + 1):
+                x, y, z = (coloring[(i + k - 1) % q + 1] for k in range(3))
+                assert (z - 1) % p == (2 * (y - 1) - (x - 1)) % p
+        total, per_class = rack_counting(torus(q), dihedral)
+        assert (total, list(per_class.values())) == (expected, [expected])
 
 
 def test_coloring_counts(racks, links):
@@ -388,6 +412,34 @@ def mirror(diagram):
         diagram.free_arcs)
 
 
+def relabelled(diagram, ids):
+    """The crossings and free arcs with the i-th least arc renamed ids[i]."""
+    new = dict(zip(diagram.arcs, ids)).__getitem__
+    return ([Crossing(c.sign, new(c.over), new(c.under_in), new(c.under_out))
+             for c in diagram.crossings], list(map(new, diagram.free_arcs)))
+
+
+def interleave(first, second):
+    """Disjoint union with the first diagram's arcs on odd ids and the
+    second's on even ids in reverse order, so that the search alternates
+    between the two and the second's anchors are its old greatest arcs."""
+    c1, f1 = relabelled(first, range(1, 2 * len(first.arcs), 2))
+    c2, f2 = relabelled(second, range(2 * len(second.arcs), 0, -2))
+    return LinkDiagram(tuple(c1 + c2), tuple(sorted(f1 + f2)))
+
+
+def unions():
+    trefoil, hopf = load_link("trefoil"), load_link("hopf")
+    curl = LinkDiagram((Crossing(1, 1, 1, 1),))
+    return [
+        interleave(trefoil, hopf),
+        interleave(mirror(hopf), load_link("trefoil_kink")),
+        interleave(trefoil, mirror(trefoil)),
+        interleave(interleave(hopf, load_link("unknot")), curl),
+        interleave(add_kinks(hopf, (1, 0)), curl),
+    ]
+
+
 def sweep_diagrams():
     fixtures = [load_link(name) for name in LINK_NAMES]
     unknot, hopf = load_link("unknot"), load_link("hopf")
@@ -406,9 +458,11 @@ def sweep_diagrams():
         LinkDiagram((Crossing(-1, 1, 1, 1),), (2,)),
         LinkDiagram((), (1, 2)),
         LinkDiagram(()),
+        *UNIONS,
     ])
 
 
+UNIONS = unions()
 SWEEP_DIAGRAMS = sweep_diagrams()
 
 
