@@ -239,101 +239,77 @@ def _add_convention(parser: argparse.ArgumentParser) -> None:
                         help="which count feeds which variable (default def)")
 
 
+def _command(sub, name: str, func, text: str, *positionals: str,
+             **options) -> argparse.ArgumentParser:
+    """A subcommand that runs func, with positionals that share options."""
+    p = sub.add_parser(name, help=text)
+    for arg in positionals:
+        p.add_argument(arg, **options)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rackkit",
         description="Finite racks and quandles: polynomial and link invariants")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="validate a table and report properties")
-    p.add_argument("table")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("props", help="property flags of a valid rack")
-    p.add_argument("table")
-    p.set_defaults(func=_cmd_props)
-
-    p = sub.add_parser("poly", help="two-variable rack polynomial")
-    p.add_argument("table")
+    _command(sub, "check", _cmd_check,
+             "validate a table and report properties", "table")
+    _command(sub, "props", _cmd_props, "property flags of a valid rack",
+             "table")
+    p = _command(sub, "poly", _cmd_poly, "two-variable rack polynomial",
+                 "table")
     _add_depths(p)
     _add_convention(p)
-    p.set_defaults(func=_cmd_poly)
-
-    p = sub.add_parser("profile", help="per-element count pairs")
-    p.add_argument("table")
+    p = _command(sub, "profile", _cmd_profile, "per-element count pairs",
+                 "table")
     _add_depths(p)
-    p.set_defaults(func=_cmd_profile)
-
-    p = sub.add_parser("subracks", help="list all closed subsets")
-    p.add_argument("table")
-    p.set_defaults(func=_cmd_subracks)
-
-    p = sub.add_parser("srp", help="subrack polynomial of a closed subset")
-    p.add_argument("table")
+    _command(sub, "subracks", _cmd_subracks, "list all closed subsets",
+             "table")
+    p = _command(sub, "srp", _cmd_srp, "subrack polynomial of a closed subset",
+                 "table")
     p.add_argument("subset", help='subset like "{4,5}"')
     _add_depths(p)
     _add_convention(p)
-    p.set_defaults(func=_cmd_srp)
 
     p = sub.add_parser("gen", help="generate standard tables")
     gen_sub = p.add_subparsers(dest="family", required=True)
-    g = gen_sub.add_parser("constant", help="constant action rack from a permutation")
-    g.add_argument("images", type=int, nargs="+",
-                   help="images of 1..n in order")
-    g.set_defaults(func=_cmd_gen_constant)
-    g = gen_sub.add_parser("alexander", help="linear quandle on Z/n")
-    g.add_argument("n", type=int)
-    g.add_argument("t", type=int)
-    g.set_defaults(func=_cmd_gen_alexander)
-    g = gen_sub.add_parser("ts", help="two-coefficient linear rack on Z/n")
-    g.add_argument("n", type=int)
-    g.add_argument("t", type=int)
-    g.add_argument("s", type=int)
-    g.set_defaults(func=_cmd_gen_ts)
+    _command(gen_sub, "constant", _cmd_gen_constant,
+             "constant action rack from a permutation", "images", type=int,
+             nargs="+", help="images of 1..n in order")
+    _command(gen_sub, "alexander", _cmd_gen_alexander, "linear quandle on Z/n",
+             "n", "t", type=int)
+    _command(gen_sub, "ts", _cmd_gen_ts, "two-coefficient linear rack on Z/n",
+             "n", "t", "s", type=int)
 
-    p = sub.add_parser("dual", help="invert every column action")
-    p.add_argument("table")
-    p.set_defaults(func=_cmd_dual)
-
-    p = sub.add_parser("quotient", help="quotient by a congruence partition")
-    p.add_argument("table")
+    _command(sub, "dual", _cmd_dual, "invert every column action", "table")
+    p = _command(sub, "quotient", _cmd_quotient,
+                 "quotient by a congruence partition", "table")
     p.add_argument("partition", help='blocks like "{1,2}{3}{4,5}"')
-    p.set_defaults(func=_cmd_quotient)
-
-    p = sub.add_parser("opquot",
-                       help="quotient by the acts-identically congruence")
-    p.add_argument("table")
-    p.set_defaults(func=_cmd_opquot)
-
-    p = sub.add_parser("iso", help="isomorphism test with witness")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_iso)
-
-    p = sub.add_parser("scan",
-                       help="compare polynomial families over a depth grid")
-    p.add_argument("left")
-    p.add_argument("right")
+    _command(sub, "opquot", _cmd_opquot,
+             "quotient by the acts-identically congruence", "table")
+    _command(sub, "iso", _cmd_iso, "isomorphism test with witness", "left",
+             "right")
+    p = _command(sub, "scan", _cmd_scan,
+                 "compare polynomial families over a depth grid", "left",
+                 "right")
     p.add_argument("--bound", type=int, default=None,
                    help="max depth (default: period of both tables)")
     _add_convention(p)
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("classify-ca",
-                       help="cross-check the constant action classification")
-    p.add_argument("size", type=int)
+    p = _command(sub, "classify-ca", _cmd_classify_ca,
+                 "cross-check the constant action classification", "size",
+                 type=int)
     _add_convention(p)
-    p.set_defaults(func=_cmd_classify_ca)
 
-    p = sub.add_parser("invariant", help="framed link counting invariants")
-    p.add_argument("link")
-    p.add_argument("table")
+    p = _command(sub, "invariant", _cmd_invariant,
+                 "framed link counting invariants", "link", "table")
     p.add_argument("--mode", choices=_MODES, default="rpp",
                    help="sr: total count, pr: per-class counts, "
                         "srpp/rpp: polynomial-enhanced (default rpp)")
     _add_depths(p)
     _add_convention(p)
-    p.set_defaults(func=_cmd_invariant)
 
     return parser
 

@@ -68,12 +68,13 @@ class CongruenceError(RackError):
             f"fall in different classes")
 
 
-def _as_element(v: object) -> int:
-    """v through operator.index, as table entries are; anything else raises."""
+def _as_int(v: object, what: str = "element") -> int:
+    """v through operator.index, as table entries are; anything else raises
+    a RackError that names what v is."""
     try:
         return index(v)
     except TypeError:
-        raise RackError(f"non-integer element {v!r}") from None
+        raise RackError(f"non-integer {what} {v!r}") from None
 
 
 @dataclass(frozen=True)
@@ -269,13 +270,13 @@ class RackTable:
         return range(1, self.n + 1)
 
     def _check_element(self, x: int) -> None:
-        if not 1 <= x <= self.n:
+        if not 1 <= _as_int(x) <= self.n:
             raise RackError(f"element {x} out of range 1..{self.n}")
 
     def _elements(self, values: Iterable[int]) -> list[int]:
         """The values as ints, deduplicated and sorted; a non-integer or the
         least value out of range raises."""
-        elems = sorted(set(map(_as_element, values)))
+        elems = sorted(set(map(_as_int, values)))
         for v in elems:
             self._check_element(v)
         return elems
@@ -289,7 +290,7 @@ class RackTable:
         """The unique z with z ▷ y = x."""
         self._check_element(x)
         self._check_element(y)
-        return self._inverse_columns[y - 1][x - 1]
+        return self._left[y][x]
 
     @cached_property
     def columns(self) -> tuple[Permutation, ...]:
@@ -300,9 +301,34 @@ class RackTable:
         """The action x ↦ x ▷ y; only this column must be bijective."""
         self._check_element(y)
         try:
-            return Permutation(tuple(row[y - 1] for row in self.entries))
+            return Permutation(self._right[y][1:])
         except ValueError as exc:
             raise NotARackError(f"column is not a bijection: {exc}") from None
+
+    @cached_property
+    def _right(self) -> tuple[tuple[int, ...], ...]:
+        """The columns: ``_right[y][x]`` is x ▷ y.
+
+        This and ``_left`` are the table's only column views.  Both are
+        padded so that an element is its own index: slot 0 of the outer
+        tuple is unused, and slot 0 of each column holds 0.  So a column
+        of a rack is a permutation of 0..n that fixes 0, and composing
+        two of them, one itemgetter call, gives another padded column.
+        """
+        return (None, *((0, *col) for col in zip(*self.entries)))
+
+    @cached_property
+    def _left(self) -> tuple[tuple[int, ...], ...]:
+        """The inverse columns, padded as ``_right`` is: ``_left[y][x]``
+        is the z with z ▷ y = x.  Every column must be a bijection; the
+        first that is not raises NotARackError."""
+        ident = list(range(self.n + 1))
+        left: list = [None]
+        for y, col in enumerate(self._right[1:], start=1):
+            if sorted(col) != ident:
+                self.column(y)  # raises, naming the column's images
+            left.append(tuple(sorted(ident, key=col.__getitem__)))
+        return tuple(left)
 
     @cached_property
     def _cycle_lengths(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...],
@@ -314,7 +340,7 @@ class RackTable:
         length.  x ▷ y ... ▷ y (d copies) = x exactly when the length
         divides d, so every fixed-point count at every depth is a sum over
         a row's or a column's distinct lengths.  The cycles are walked on
-        the raw columns, each from its least element as in
+        ``_right``, each from its least element as in
         ``Permutation.cycles``; the table must be a rack.
 
         These are the table's only column cycle facts.  Their readers:
@@ -323,19 +349,18 @@ class RackTable:
         search (``iso._invariant_keys``) and the depth-class lengths of
         ``iso.rp_family_scan``.
         """
-        n = self.n
-        by_row: list[dict[int, int]] = [{} for _ in range(n)]
+        by_row: list[dict[int, int]] = [{} for _ in range(self.n + 1)]
         by_column = []
-        for col in zip(*self.entries):
+        for col in self._right[1:]:
             counts: dict[int, int] = {}
-            seen = [False] * n
-            for start in range(n):
+            seen = [True] + [False] * self.n
+            for start in self.elements:
                 cycle = []
                 x = start
                 while not seen[x]:
                     seen[x] = True
                     cycle.append(x)
-                    x = col[x] - 1
+                    x = col[x]
                 if cycle:
                     k = len(cycle)
                     counts[k] = counts.get(k, 0) + k
@@ -343,11 +368,7 @@ class RackTable:
                         row = by_row[x]
                         row[k] = row.get(k, 0) + 1
             by_column.append(tuple(counts.items()))
-        return tuple(by_column), tuple(tuple(c.items()) for c in by_row)
-
-    @cached_property
-    def _inverse_columns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.column(y).inverse().images for y in self.elements)
+        return tuple(by_column), tuple(tuple(c.items()) for c in by_row[1:])
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
@@ -474,21 +495,21 @@ def _close(rows: tuple[tuple[int, ...], ...], mask: int, todo: list[int],
 def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     """Axioms and property flags from the columns, in O(n²) memory.
 
-    Let C[y] be the 0-based column x ↦ x▷y as a tuple, so that composing
-    two columns is one itemgetter call.  Self-distributivity
-    (x▷y)▷z = (x▷z)▷(y▷z) says C[z]∘C[y] = C[y▷z]∘C[z] for every pair
-    (y, z): n² compositions of length n.  Witnesses are counted, not
-    built: a pair that differs adds the number of x where it differs to
-    the count and is kept with its least such x only, since keeping every
-    x would take O(n³) memory on a random table.  All witnesses of a pair
-    are at least its least one, so the first ``shown`` in (x, y, z) order
-    lie in the ``shown`` pairs whose least x come first.  Only those pairs
-    are composed again, and the first ``shown`` of their witnesses are the
-    report's first_violations: a check that shows ten witnesses builds
-    ten.  Bijectivity witnesses, at most n² of them, are listed at once as
-    plain tuples and come first.  ``shown=None`` lists every witness; the
-    report's axiom_violations runs that pass again on its table when it
-    is first read.
+    Let C[y] be the column x ↦ x▷y, the padded tuple ``table._right[y]``,
+    so that composing two columns is one itemgetter call.
+    Self-distributivity (x▷y)▷z = (x▷z)▷(y▷z) says C[z]∘C[y] = C[y▷z]∘C[z]
+    for every pair (y, z): n² compositions of length n.  Witnesses are
+    counted, not built: a pair that differs adds the number of x where it
+    differs to the count and is kept with its least such x only, since
+    keeping every x would take O(n³) memory on a random table.  All
+    witnesses of a pair are at least its least one, so the first ``shown``
+    in (x, y, z) order lie in the ``shown`` pairs whose least x come
+    first.  Only those pairs are composed again, and the first ``shown``
+    of their witnesses are the report's first_violations: a check that
+    shows ten witnesses builds ten.  Bijectivity witnesses, at most n² of
+    them, are listed at once as plain tuples and come first.
+    ``shown=None`` lists every witness; the report's axiom_violations runs
+    that pass again on its table when it is first read.
 
     Not every pair is composed.  A bijective column C[z] is an
     automorphism exactly when its pairs (y, z) agree, and if C[y] and
@@ -528,71 +549,72 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     """
     n = table.n
     rows = table.entries
-    ident = list(range(n))
-    cols = [tuple(v - 1 for v in col) for col in zip(*rows)]
+    cols = table._right
+    ident = list(range(n + 1))
     bijectivity: list[tuple[int, int, int]] = []
 
-    columns_ok = all(sorted(c) == ident for c in cols)
+    columns_ok = all(sorted(c) == ident for c in cols[1:])
     if not columns_ok:
-        for j, col in enumerate(cols):
+        for y, col in enumerate(cols[1:], start=1):
             first: dict[int, int] = {}
-            for i, k in enumerate(col):
+            for x, k in enumerate(col):
                 if k in first:
-                    bijectivity.append((first[k] + 1, i + 1, j + 1))
+                    bijectivity.append((first[k], x, y))
                 else:
-                    first[k] = i
+                    first[k] = x
 
-    # after[y](t) is t∘C[y], the tuple of t[C[y][x]] over x; at n = 1
-    # itemgetter returns a bare entry, but one column never differs
-    after = [itemgetter(*c) for c in cols]
+    # after[y](t) is t∘C[y], the tuple of t[C[y][x]] over x, padded as
+    # C[y] is
+    after = [None, *(itemgetter(*c) for c in cols[1:])]
     pairs = []  # (least x, y, z) for each pair that differs
     violation_count = len(bijectivity)
     generators: list[int] = []  # the columns checked that passed
     passed: set[tuple[int, ...]] = set()  # their columns
     closed, done = 0, []  # the closure so far as a mask over 1..n
-    for z, cz in enumerate(cols):
-        if closed >> z + 1 & 1:
+    for z in table.elements:
+        if closed >> z & 1:
             continue
+        cz = cols[z]
         if cz in passed:
-            closed = _close(rows, closed | 1 << z + 1, [z + 1], done)
+            closed = _close(rows, closed | 1 << z, [z], done)
             continue
         before = len(pairs)
         after_z = after[z]
-        for y in range(n):
+        for y in table.elements:
             left = after[y](cz)
             right = after_z(cols[cz[y]])
             if left != right:
                 violation_count += sum(map(ne, left, right))
                 pairs.append(
-                    (next(compress(range(n), map(ne, left, right))), y, z))
+                    (next(compress(ident, map(ne, left, right))), y, z))
         if columns_ok and len(pairs) == before:
             generators.append(z)
             passed.add(cz)
-            closed = _close(rows, closed | 1 << z + 1, [z + 1], done)
+            closed = _close(rows, closed | 1 << z, [z], done)
 
     head = bijectivity[:shown]
     wanted = None if shown is None else shown - len(head)
     chosen = sorted(pairs)[:wanted] if wanted != 0 else []
     found = sorted((x, y, z) for _, y, z in chosen for x in compress(
-        range(n), map(ne, after[y](cols[z]), after[z](cols[cols[z][y]]))))
+        ident, map(ne, after[y](cols[z]), after[z](cols[cols[z][y]]))))
     witnesses = (*(AxiomViolation("bijectivity", w) for w in head),
-                 *(AxiomViolation("distributivity", (x + 1, y + 1, z + 1))
-                   for x, y, z in found[:wanted]))
+                 *(AxiomViolation("distributivity", w)
+                   for w in found[:wanted]))
 
     is_rack = columns_ok and not pairs
-    is_quandle = is_rack and all(rows[i][i] == i + 1 for i in range(n))
-    labels = list(table.elements)
+    labels = ident[1:]
+    is_quandle = is_rack and list(table.diagonal) == labels
     is_latin = all(sorted(row) == labels for row in rows)
     is_crossed = is_quandle and all(
-        (rows[x][y] == x + 1) == (rows[y][x] == y + 1)
-        for x in range(n) for y in range(x + 1, n))
+        (cols[y][x] == x) == (cols[x][y] == y)
+        for x in labels for y in labels[x:])
 
-    # cols[0][y] is y▷1, 0-based; a pair of two generators is compared
-    # once, from its larger one
+    # cols[1][y] is y▷1; a pair of two generators is compared once, from
+    # its larger one
     generator_set = set(generators)
     is_abelian = is_rack and all(
-        after[y](cols[cols[0][z]]) == after[z](cols[cols[0][y]])
-        for z in generators for y in range(n)
+        after[y](cols[cols[1][z]]) == after[z](cols[cols[1][y]])
+        for z in generators for y in labels
         if y < z or y not in generator_set)
 
     return PropertyReport(is_rack, is_quandle, is_crossed, is_abelian,
@@ -656,13 +678,14 @@ def rack_op_iter(table: RackTable, x: int, y: int, i: int) -> int:
     """
     table.require_rack()
     table._check_element(x)
-    return table.column(y).power(i)(x)
+    return table.column(y).power(_as_int(i, "iteration count"))(x)
 
 
 def dual(table: RackTable) -> RackTable:
     """The rack with every column action inverted."""
     table.require_rack()
-    return RackTable(tuple(zip(*table._inverse_columns)))
+    # the first row of the transposed inverse columns is their padding
+    return RackTable(tuple(zip(*table._left[1:]))[1:])
 
 
 def diagonal_perm(table: RackTable) -> Permutation:
@@ -686,7 +709,7 @@ def _normalize_partition(n: int,
     blocks = []
     seen: set[int] = set()
     for block in partition:
-        b = tuple(sorted(set(map(_as_element, block))))
+        b = tuple(sorted(set(map(_as_int, block))))
         if not b:
             raise RackError("partition has an empty block")
         for v in b:
@@ -716,13 +739,14 @@ def quotient_by(table: RackTable,
     table.require_rack()
     blocks = _normalize_partition(table.n, partition)
     cls = {x: i + 1 for i, block in enumerate(blocks) for x in block}
-    rows = table.entries
-    for y, col in enumerate(zip(*rows), start=1):
+    for y in table.elements:
+        col = table._right[y]
         for x, *rest in blocks:
-            least = cls[col[x - 1]]
+            least = cls[col[x]]
             for x2 in rest:
-                if cls[col[x2 - 1]] != least:
-                    raise CongruenceError(x, x2, y, y, col[x - 1], col[x2 - 1])
+                if cls[col[x2]] != least:
+                    raise CongruenceError(x, x2, y, y, col[x], col[x2])
+    rows = table.entries
     for x, row in enumerate(rows, start=1):
         for y, *rest in blocks:
             least = cls[row[y - 1]]
@@ -745,8 +769,8 @@ def operator_equivalence_quotient(
     """
     table.require_rack()
     groups: dict[tuple[int, ...], list[int]] = {}
-    for y, key in enumerate(zip(*table.entries), start=1):
-        groups.setdefault(key, []).append(y)
+    for y in table.elements:
+        groups.setdefault(table._right[y], []).append(y)
     partition = tuple(sorted(tuple(g) for g in groups.values()))
     quotient = quotient_by(table, partition)
     return partition, quotient, quotient.report.is_quandle

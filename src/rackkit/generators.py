@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Permutation, RackError, RackTable
+from .core import Permutation, RackError, RackTable, _as_int
 
 __all__ = ["alexander", "constant_action", "ts_rack"]
 
@@ -21,7 +21,7 @@ def alexander(n: int, t: int) -> RackTable:
 
     Residues 0..n-1 are relabeled 1..n.
     """
-    return ts_rack(n, t, 1 - t)
+    return ts_rack(n, t, 1 - _as_int(t, "coefficient"))
 
 
 def ts_rack(n: int, t: int, s: int) -> RackTable:
@@ -30,6 +30,8 @@ def ts_rack(n: int, t: int, s: int) -> RackTable:
     With s = 1-t this is the linear quandle; s must satisfy the idempotent
     condition s·(1-t-s) ≡ 0 mod n for self-distributivity.
     """
+    n = _as_int(n, "modulus")
+    t, s = _as_int(t, "coefficient"), _as_int(s, "coefficient")
     if n < 1:
         raise RackError(f"modulus must be positive, got {n}")
     t %= n

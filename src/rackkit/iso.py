@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .core import Permutation, RackError, RackTable, column_order_lcm
+from .core import (Permutation, RackError, RackTable, _as_int,
+                   column_order_lcm)
 from .generators import constant_action
 from .poly import TwoVarPoly, _check_convention, _counts, _lengths
 
@@ -221,8 +222,7 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     a.require_rack()
     b.require_rack()
     period = max(column_order_lcm(a), column_order_lcm(b))
-    if bound is None:
-        bound = period
+    bound = period if bound is None else _as_int(bound, "bound")
     if bound < 1:
         raise RackError(f"bound must be at least 1, got {bound}")
     complete = bound >= period
@@ -286,6 +286,7 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
 @lru_cache(maxsize=None)
 def partitions(k: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of k as descending tuples, in ascending lex order."""
+    k = _as_int(k, "size")
     if k < 0:
         raise RackError("cannot partition a negative integer")
 
@@ -309,6 +310,9 @@ def permutation_of_type(cycle_type: tuple[int, ...],
     seed, the result is conjugated by a seeded random relabeling, giving a
     different-looking permutation of the same type deterministically.
     """
+    cycle_type = tuple(_as_int(k, "cycle length") for k in cycle_type)
+    if min(cycle_type, default=1) < 1:
+        raise RackError(f"cycle lengths must be positive, got {cycle_type}")
     k = sum(cycle_type)
     starts = accumulate(cycle_type, initial=1)
     perm = Permutation.from_cycles(
@@ -380,6 +384,7 @@ def verify_constant_action_classification(
     some polynomial difference.
     """
     _check_convention(convention)
+    k = _as_int(k, "size")
     if not 1 <= k <= 12:
         raise RackError(f"size must be between 1 and 12, got {k}")
     types = partitions(k)

@@ -65,7 +65,8 @@ class Crossing:
     under_out: int
 
     def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+        # an int, since True, 1.0 and -1.0 pass the membership test alone
+        if type(self.sign) is not int or self.sign not in (1, -1):
             raise DiagramError(f"sign must be 1 or -1, got {self.sign!r}")
         for name in ("over", "under_in", "under_out"):
             v = getattr(self, name)
@@ -300,13 +301,11 @@ def _schedule(size: int, steps: Sequence[tuple[int, int, int, int]],
 
     A lookup or a step check (t, o, s, view) is
     col[t] = view[col[o]][col[s]]: target, over arc, source under arc and
-    a column view of the table, padded so that colors stay 1-based.
+    the table's ``_right`` or ``_left``, which colors index directly.
     Every step is looked up or checked at the level that colors its last
     arc, and every end at the level that colors its second arc.
     """
-    right = (None,) + tuple((None,) + col for col in zip(*table.entries))
-    left = (None,) + tuple((None,) + c for c in table._inverse_columns)
-    views = {1: (right, left), -1: (left, right)}
+    views = {1: (table._right, table._left), -1: (table._left, table._right)}
     at_arc: list[list[int]] = [[] for _ in range(size)]
     for k, (_, over, inn, out) in enumerate(steps):
         for i in {over, inn, out}:

@@ -27,7 +27,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .core import CONVENTIONS, RackError, RackTable, _close, _members
+from .core import (CONVENTIONS, RackError, RackTable, _as_int, _close,
+                   _members)
 
 __all__ = [
     "ExponentProfile",
@@ -160,6 +161,7 @@ def _convention_pairs(table: RackTable, m: int, n: int,
     convention, then the depths, then the rack axioms, in that order.
     """
     _check_convention(convention)
+    m, n = _as_int(m, "depth"), _as_int(n, "depth")
     if m < 1 or n < 1:
         raise RackError(f"depths must be at least 1, got ({m}, {n})")
     table.require_rack()

@@ -228,7 +228,7 @@ def test_criterion_7_invariance():
     assert by_label[(0,)] == by_label[(1,)]
 
 
-@criterion(8, "propagation enumeration equals exhaustive enumeration on all fixtures")
+@criterion(8, "scheduled enumeration equals exhaustive enumeration on all fixtures")
 def test_criterion_8_oracle_equivalence():
     rack_names = ("triv1", "triv2", "dihedral3", "ex2", "ex3", "T5")
     diagrams = [load_link(name) for name in (

@@ -11,6 +11,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from functools import cached_property
 from itertools import permutations, product
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import oracles
 import rackkit
-from conftest import RACK_TABLES, load_rack
+from conftest import RACK_TABLES, load_link, load_rack
 from rackkit import (
     AxiomViolation,
     CongruenceError,
@@ -36,17 +37,24 @@ from rackkit import (
     constant_action,
     diagonal_perm,
     dual,
+    exponent_profile,
     format_rack_table,
     is_subrack,
     operator_equivalence_quotient,
     parse_rack_table,
+    partitions,
+    permutation_of_type,
     properties_report,
     quotient_by,
+    rack_counting,
     rack_op_iter,
+    rack_polynomial,
     rack_rank,
+    rp_family_scan,
     subrack_polynomial,
     ts_rack,
     validate_rack,
+    verify_constant_action_classification,
 )
 from rackkit.iso import _invariant_keys
 
@@ -194,6 +202,39 @@ def test_non_integer_elements_are_rejected(call, value):
     assert call(table, Two()) is not None
 
 
+@pytest.mark.parametrize("value", [1.5, 2.0, "2"])
+@pytest.mark.parametrize("call, what", [
+    (lambda v: rack_polynomial(alexander(3, 2), v, 1), "depth"),
+    (lambda v: exponent_profile(alexander(3, 2), 1, v), "depth"),
+    (lambda v: subrack_polynomial(alexander(3, 2), [1], v, 1), "depth"),
+    (lambda v: rp_family_scan(alexander(3, 2), alexander(3, 2), v), "bound"),
+    (lambda v: rp_family_scan(alexander(3, 2), alexander(3, 2), v,
+                              stop_at_first=True), "bound"),
+    (lambda v: rack_op_iter(alexander(3, 2), 1, 2, v), "iteration count"),
+    (lambda v: partitions(v), "size"),
+    (lambda v: verify_constant_action_classification(v), "size"),
+    (lambda v: permutation_of_type((v, 1)), "cycle length"),
+    (lambda v: alexander(v, 1), "modulus"),
+    (lambda v: alexander(5, v), "coefficient"),
+    (lambda v: ts_rack(5, v, 0), "coefficient"),
+], ids=["rack_polynomial", "exponent_profile", "subrack_polynomial",
+        "rp_family_scan", "rp_family_scan-first", "rack_op_iter", "partitions",
+        "classification", "permutation_of_type", "alexander",
+        "alexander-t", "ts_rack"])
+def test_non_integer_sizes_are_rejected(call, what, value):
+    # depths, bounds and sizes go through operator.index, as table entries
+    # do: 1.5 and 2.0 are neither truncated nor taken, "2" is not parsed
+    with pytest.raises(RackError) as info:
+        call(value)
+    assert str(info.value) == f"non-integer {what} {value!r}"
+    assert call(Two()) is not None
+
+
+def test_cycle_types_have_positive_parts():
+    with pytest.raises(RackError, match=r"must be positive, got \(0, 2\)"):
+        permutation_of_type((0, 2))
+
+
 def test_parse_errors():
     with pytest.raises(TableFormatError, match="empty"):
         parse_rack_table("   \n# only a comment\n")
@@ -239,6 +280,53 @@ def test_columns_require_bijectivity():
         with pytest.raises(NotARackError) as info:
             read()
         assert str(info.value) == message
+
+
+def test_column_views_match_their_definitions(racks, monkeypatch):
+    rng = random.Random(17)
+    tables = list(racks.values())
+    for n in range(1, 10):
+        images = list(range(1, n + 1))
+        rng.shuffle(images)
+        units = [t for t in range(n) if math.gcd(t, n) == 1]
+        tables += [constant_action(Permutation(tuple(images))),
+                   alexander(n, rng.choice(units))]
+    tables += [dual(table) for table in tables]
+    for table in tables:
+        right, left = table._right, table._left
+        for x, y in product(table.elements, repeat=2):
+            assert right[y][x] == table.entries[x - 1][y - 1]
+            assert left[y][right[y][x]] == x
+        assert dual(dual(table)) == table
+
+    # a second count on the same table inverts no column
+    builds = []
+    build_left = RackTable._left.func
+
+    def counted(table):
+        builds.append(table)
+        return build_left(table)
+
+    view = cached_property(counted)
+    view.__set_name__(RackTable, "_left")
+    monkeypatch.setattr(RackTable, "_left", view)
+    unknot = load_link("unknot")
+    table = alexander(7, 3)
+    first = rack_counting(unknot, table)
+    assert rack_counting(unknot, table) == first
+    assert builds == [table]
+
+    # x ▷ y = x + y mod 3: bijective columns, but not a rack
+    shifts = RackTable(tuple(tuple((x + y) % 3 + 1 for y in range(1, 4))
+                             for x in range(1, 4)))
+    assert not shifts.report.is_rack
+    for x, y in product(shifts.elements, repeat=2):
+        assert shifts.op_inv(shifts.op(x, y), y) == x
+    # column 1 sends both points to 1
+    with pytest.raises(NotARackError) as info:
+        RackTable(((1, 1), (1, 2))).op_inv(1, 1)
+    assert str(info.value) == (
+        "column is not a bijection: not a bijection on 1..2: (1, 1)")
 
 
 # -- validation -------------------------------------------------------------

@@ -58,6 +58,15 @@ def test_crossing_validation():
         Crossing(1, True, 2, 3)
 
 
+@pytest.mark.parametrize("sign", [True, 1.0, -1.0])
+def test_crossing_sign_is_an_int(sign):
+    # each compares equal to 1 or -1, but a sign is an int: a float one
+    # would reach the framing sweep's range() and fail there
+    with pytest.raises(DiagramError) as info:
+        Crossing(sign, 1, 1, 1)
+    assert str(info.value) == f"sign must be 1 or -1, got {sign!r}"
+
+
 def test_arcs_must_chain():
     c = Crossing(1, 2, 1, 1)
     with pytest.raises(DiagramError, match="termination"):
