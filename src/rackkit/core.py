@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from operator import index, itemgetter, ne
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "AxiomViolation",
@@ -77,9 +77,33 @@ def _as_int(v: object, what: str = "element") -> int:
         raise RackError(f"non-integer {what} {v!r}") from None
 
 
+def _in_range(v: object, n: int, what: str = "element") -> int:
+    """v as an int in 1..n; anything else raises a RackError naming what v is."""
+    i = _as_int(v, what)
+    if not 1 <= i <= n:
+        raise RackError(f"{what} {v} out of range 1..{n}")
+    return i
+
+
+def _cycles(images: Sequence[int]) -> Iterator[list[int]]:
+    """Cycles of a padded permutation of 0..n, but for 0's, each walked from
+    its least element, in the order of those: the package's only cycle walk."""
+    seen = [True] + [False] * (len(images) - 1)
+    for start in range(1, len(images)):
+        if seen[start]:
+            continue
+        cycle, x = [], start
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = images[x]
+        yield cycle
+
+
 @dataclass(frozen=True)
 class Permutation:
-    """Bijection on {1..n}; ``images[i-1]`` is the image of i."""
+    """Bijection on {1..n}; ``images[i-1]`` is the image of i.  Any bad
+    input, an argument of another size too, raises ValueError."""
 
     images: tuple[int, ...]
 
@@ -97,13 +121,14 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
+        return cls.from_cycles(n, ())
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
+        n = _as_int(n, "size")
         images = list(range(1, n + 1))
         for cycle in cycles:
-            cycle = tuple(cycle)
+            cycle = [_in_range(a, n, "point") for a in cycle]
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 images[a - 1] = b
         return cls(tuple(images))
@@ -113,7 +138,7 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, x: int) -> int:
-        return self.images[x - 1]
+        return self.images[_in_range(x, self.n, "point") - 1]
 
     def inverse(self) -> "Permutation":
         images = [0] * self.n
@@ -123,10 +148,13 @@ class Permutation:
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: ``self.compose(other)(x) == self(other(x))``."""
+        if other.n != self.n:
+            raise ValueError(f"cannot compose on {self.n} and {other.n} points")
         return Permutation(tuple(self.images[y - 1] for y in other.images))
 
     def power(self, k: int) -> "Permutation":
         """The k-th power for any integer k, in O(n): each cycle is rotated."""
+        k = _as_int(k, "exponent")
         images = [0] * self.n
         for cycle in self.cycles:
             shift = k % len(cycle)
@@ -136,26 +164,12 @@ class Permutation:
 
     def conjugated_by(self, tau: "Permutation") -> "Permutation":
         """tau ∘ self ∘ tau⁻¹: the same permutation on relabeled points."""
-        inv = tau.inverse()
-        return Permutation(tuple(tau(self(inv(x))) for x in range(1, self.n + 1)))
+        return tau.compose(self.compose(tau.inverse()))
 
     @cached_property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles including fixed points, each starting at its least element."""
-        seen = [False] * self.n
-        out = []
-        for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            cycle = [start]
-            seen[start - 1] = True
-            x = self(start)
-            while x != start:
-                cycle.append(x)
-                seen[x - 1] = True
-                x = self(x)
-            out.append(tuple(cycle))
-        return tuple(out)
+        return tuple(map(tuple, _cycles((0, *self.images))))
 
     @cached_property
     def cycle_type(self) -> tuple[int, ...]:
@@ -234,7 +248,8 @@ class RackTable:
     """Operation table on {1..n}; ``entries[x-1][y-1]`` is x ▷ y.
 
     Construction checks only shape and entry range, never the rack axioms;
-    use validate_rack for those.
+    use validate_rack for those.  Apart from ``op``, the library reads
+    products through the padded column views ``_right`` and ``_left``.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -269,27 +284,23 @@ class RackTable:
     def elements(self) -> range:
         return range(1, self.n + 1)
 
-    def _check_element(self, x: int) -> None:
-        if not 1 <= _as_int(x) <= self.n:
-            raise RackError(f"element {x} out of range 1..{self.n}")
-
     def _elements(self, values: Iterable[int]) -> list[int]:
         """The values as ints, deduplicated and sorted; a non-integer or the
         least value out of range raises."""
         elems = sorted(set(map(_as_int, values)))
         for v in elems:
-            self._check_element(v)
+            _in_range(v, self.n)
         return elems
 
     def op(self, x: int, y: int) -> int:
-        self._check_element(x)
-        self._check_element(y)
+        _in_range(x, self.n)
+        _in_range(y, self.n)
         return self.entries[x - 1][y - 1]
 
     def op_inv(self, x: int, y: int) -> int:
         """The unique z with z ▷ y = x."""
-        self._check_element(x)
-        self._check_element(y)
+        _in_range(x, self.n)
+        _in_range(y, self.n)
         return self._left[y][x]
 
     @cached_property
@@ -299,7 +310,7 @@ class RackTable:
 
     def column(self, y: int) -> Permutation:
         """The action x ↦ x ▷ y; only this column must be bijective."""
-        self._check_element(y)
+        _in_range(y, self.n)
         try:
             return Permutation(self._right[y][1:])
         except ValueError as exc:
@@ -309,11 +320,11 @@ class RackTable:
     def _right(self) -> tuple[tuple[int, ...], ...]:
         """The columns: ``_right[y][x]`` is x ▷ y.
 
-        This and ``_left`` are the table's only column views.  Both are
-        padded so that an element is its own index: slot 0 of the outer
-        tuple is unused, and slot 0 of each column holds 0.  So a column
-        of a rack is a permutation of 0..n that fixes 0, and composing
-        two of them, one itemgetter call, gives another padded column.
+        This and ``_left`` are padded so that an element is its own
+        index: slot 0 of the outer tuple is unused, and slot 0 of each
+        column holds 0.  So a column of a rack is a permutation of 0..n
+        that fixes 0, and composing two of them, one itemgetter call,
+        gives another padded column.
         """
         return (None, *((0, *col) for col in zip(*self.entries)))
 
@@ -339,9 +350,8 @@ class RackTable:
         the column of y, and ``by_row[x-1]`` counts the y by that same
         length.  x ▷ y ... ▷ y (d copies) = x exactly when the length
         divides d, so every fixed-point count at every depth is a sum over
-        a row's or a column's distinct lengths.  The cycles are walked on
-        ``_right``, each from its least element as in
-        ``Permutation.cycles``; the table must be a rack.
+        a row's or a column's distinct lengths.  ``_cycles`` walks the
+        columns of ``_right``; the table must be a rack.
 
         These are the table's only column cycle facts.  Their readers:
         the fix counts (``poly._lengths``), the column period
@@ -353,26 +363,18 @@ class RackTable:
         by_column = []
         for col in self._right[1:]:
             counts: dict[int, int] = {}
-            seen = [True] + [False] * self.n
-            for start in self.elements:
-                cycle = []
-                x = start
-                while not seen[x]:
-                    seen[x] = True
-                    cycle.append(x)
-                    x = col[x]
-                if cycle:
-                    k = len(cycle)
-                    counts[k] = counts.get(k, 0) + k
-                    for x in cycle:
-                        row = by_row[x]
-                        row[k] = row.get(k, 0) + 1
+            for cycle in _cycles(col):
+                k = len(cycle)
+                counts[k] = counts.get(k, 0) + k
+                for x in cycle:
+                    row = by_row[x]
+                    row[k] = row.get(k, 0) + 1
             by_column.append(tuple(counts.items()))
         return tuple(by_column), tuple(tuple(c.items()) for c in by_row[1:])
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entries[i][i] for i in range(self.n))
+        return tuple(self._right[x][x] for x in self.elements)
 
     @cached_property
     def _diagonal_orbits(self) -> tuple[Permutation, tuple[tuple[int, ...], ...],
@@ -421,13 +423,9 @@ class RackTable:
         The elements must already be checked to lie in range.
         """
         inside = set(elems)
-        for x in elems:
-            row = self.entries[x - 1]
-            for y in elems:
-                p = row[y - 1]
-                if p not in inside:
-                    return x, y, p
-        return None
+        cols = self._right
+        return next(((x, y, cols[y][x]) for x in elems for y in elems
+                     if cols[y][x] not in inside), None)
 
     def subtable(self, elements: Iterable[int]) -> "RackTable":
         """Restriction to a ▷-closed subset, relabeled 1..k in sorted order."""
@@ -437,9 +435,9 @@ class RackTable:
             x, y, p = escape
             raise RackError(f"not closed: {x}▷{y}={p} escapes the subset")
         index = {v: i + 1 for i, v in enumerate(elems)}
-        return RackTable(tuple(
-            tuple(index[self.entries[x - 1][y - 1]] for y in elems)
-            for x in elems))
+        cols = self._right
+        return RackTable(tuple(tuple(index[cols[y][x]] for y in elems)
+                               for x in elems))
 
     def to_text(self) -> str:
         lines = [str(self.n)]
@@ -457,9 +455,10 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _close(rows: tuple[tuple[int, ...], ...], mask: int, todo: list[int],
+def _close(cols: tuple[tuple[int, ...], ...], mask: int, todo: list[int],
            done: list[int], floor: int = 1) -> int | None:
-    """Grow a subset mask until it is closed under ▷, over the raw rows.
+    """Grow a subset mask until it is closed under ▷, reading x ▷ y as
+    ``cols[y][x]`` from a table's padded ``_right``.
 
     ``mask`` holds the subset (bit v for element v), ``done`` those of its
     elements whose products with each other are already in it, and
@@ -473,17 +472,17 @@ def _close(rows: tuple[tuple[int, ...], ...], mask: int, todo: list[int],
     while todo:
         x = todo.pop()
         done.append(x)
-        row = rows[x - 1]
+        col = cols[x]
         for y in done:
             # x ▷ y and y ▷ x, written out twice: a loop over the pair
             # costs a quarter more in this innermost loop
-            p = row[y - 1]
+            p = cols[y][x]
             if not mask >> p & 1:
                 if p < floor:
                     return None
                 mask |= 1 << p
                 todo.append(p)
-            p = rows[y - 1][x - 1]
+            p = col[y]
             if not mask >> p & 1:
                 if p < floor:
                     return None
@@ -548,7 +547,6 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     and all n(n-1)/2 only when the n columns are distinct generators.
     """
     n = table.n
-    rows = table.entries
     cols = table._right
     ident = list(range(n + 1))
     bijectivity: list[tuple[int, int, int]] = []
@@ -576,7 +574,7 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
             continue
         cz = cols[z]
         if cz in passed:
-            closed = _close(rows, closed | 1 << z, [z], done)
+            closed = _close(cols, closed | 1 << z, [z], done)
             continue
         before = len(pairs)
         after_z = after[z]
@@ -590,7 +588,7 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
         if columns_ok and len(pairs) == before:
             generators.append(z)
             passed.add(cz)
-            closed = _close(rows, closed | 1 << z, [z], done)
+            closed = _close(cols, closed | 1 << z, [z], done)
 
     head = bijectivity[:shown]
     wanted = None if shown is None else shown - len(head)
@@ -604,7 +602,7 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     is_rack = columns_ok and not pairs
     labels = ident[1:]
     is_quandle = is_rack and list(table.diagonal) == labels
-    is_latin = all(sorted(row) == labels for row in rows)
+    is_latin = all(sorted(row) == labels for row in table.entries)
     is_crossed = is_quandle and all(
         (cols[y][x] == x) == (cols[x][y] == y)
         for x in labels for y in labels[x:])
@@ -673,12 +671,15 @@ def properties_report(table: RackTable) -> PropertyReport:
 def rack_op_iter(table: RackTable, x: int, y: int, i: int) -> int:
     """x ▷ y iterated i times on the right; negative i uses the dual operation.
 
-    The iterate is reduced modulo the order of y's column, so any integer i
-    is accepted.
+    The iterate is i steps along x's cycle under y's column, so any
+    integer i is accepted and costs one walk of that column at most.
     """
     table.require_rack()
-    table._check_element(x)
-    return table.column(y).power(_as_int(i, "iteration count"))(x)
+    x = _in_range(x, table.n)
+    _in_range(y, table.n)
+    i = _as_int(i, "iteration count")
+    cycle = next(c for c in _cycles(table._right[y]) if x in c)
+    return cycle[(cycle.index(x) + i) % len(cycle)]
 
 
 def dual(table: RackTable) -> RackTable:
@@ -713,8 +714,7 @@ def _normalize_partition(n: int,
         if not b:
             raise RackError("partition has an empty block")
         for v in b:
-            if not 1 <= v <= n:
-                raise RackError(f"element {v} out of range 1..{n}")
+            _in_range(v, n)
             if v in seen:
                 raise RackError(f"element {v} appears in two blocks")
             seen.add(v)
@@ -739,22 +739,22 @@ def quotient_by(table: RackTable,
     table.require_rack()
     blocks = _normalize_partition(table.n, partition)
     cls = {x: i + 1 for i, block in enumerate(blocks) for x in block}
+    cols = table._right
     for y in table.elements:
-        col = table._right[y]
+        col = cols[y]
         for x, *rest in blocks:
             least = cls[col[x]]
             for x2 in rest:
                 if cls[col[x2]] != least:
                     raise CongruenceError(x, x2, y, y, col[x], col[x2])
-    rows = table.entries
-    for x, row in enumerate(rows, start=1):
+    for x in table.elements:
         for y, *rest in blocks:
-            least = cls[row[y - 1]]
+            least = cls[cols[y][x]]
             for y2 in rest:
-                if cls[row[y2 - 1]] != least:
-                    raise CongruenceError(x, x, y, y2, row[y - 1], row[y2 - 1])
+                if cls[cols[y2][x]] != least:
+                    raise CongruenceError(x, x, y, y2, cols[y][x], cols[y2][x])
     reps = [b[0] for b in blocks]
-    quotient = RackTable(tuple(tuple(cls[rows[rx - 1][ry - 1]] for ry in reps)
+    quotient = RackTable(tuple(tuple(cls[cols[ry][rx]] for ry in reps)
                                for rx in reps))
     quotient.require_rack()
     return quotient

@@ -12,8 +12,7 @@ __all__ = ["alexander", "constant_action", "ts_rack"]
 def constant_action(sigma: Permutation) -> RackTable:
     """Rack where every column acts as the same permutation: x ▷ y = σ(x)."""
     n = sigma.n
-    rows = tuple(tuple(sigma(x) for _ in range(n)) for x in range(1, n + 1))
-    return RackTable(rows)
+    return RackTable(tuple((v,) * n for v in sigma.images))
 
 
 def alexander(n: int, t: int) -> RackTable:

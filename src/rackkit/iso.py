@@ -7,6 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from operator import itemgetter
 
 from .core import (Permutation, RackError, RackTable, _as_int,
                    column_order_lcm)
@@ -40,18 +41,16 @@ def _invariant_keys(table: RackTable) -> list[tuple]:
     # they name its cycle type exactly
     types = [tuple(sorted(pairs)) for pairs in table._cycle_lengths[0]]
     rows = _counts(_lengths(table, "def")[0], 1)  # row[1][x], the s count
-    return [(types[i], rows[i], types[table.entries[i][i] - 1])
-            for i in range(table.n)]
+    return list(zip(types, rows, (types[p - 1] for p in table.diagonal)))
 
 
 def _is_morphism(a: RackTable, b: RackTable, images: list[int]) -> bool:
-    rows_b = b.entries
-    for x, row in enumerate(a.entries):
-        image_row = rows_b[images[x] - 1]
-        for y, p in enumerate(row):
-            if image_row[images[y] - 1] != images[p - 1]:
-                return False
-    return True
+    """Whether f∘C_a[y] = C_b[f(y)]∘f for every y, that is f(x ▷ y) =
+    f(x) ▷ f(y), for f padded as a column is: ``images[x]`` is f(x)."""
+    f = itemgetter(*images)
+    cols_b = b._right
+    return all(itemgetter(*col)(images) == f(cols_b[fy])
+               for col, fy in zip(a._right[1:], images[1:]))
 
 
 def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
@@ -84,8 +83,8 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
     unplaced = [0, *(ids[key] for key in keys_a)]
     images = unplaced.copy()
     free = [0, *(ids[key] for key in keys_b)]
-    rows_a = a.entries
-    rows_b = b.entries
+    cols_a = a._right
+    cols_b = b._right
     placed: list[int] = []
 
     def undo(mark: int) -> None:
@@ -103,17 +102,18 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
         while i < len(placed):
             x = placed[i]
             fx = images[x]
-            row = rows_a[x - 1]
-            row_f = rows_b[fx - 1]
+            col = cols_a[x]
+            col_f = cols_b[fx]
             i += 1
             for y in placed[:i]:
-                # x ▷ y and y ▷ x, written out twice as in core._close.
-                # Calling _close would not do: it only grows a mask, while
-                # each product here also carries its image and fails on a
-                # contradiction with b
+                # x ▷ y and y ▷ x, written out twice and read from the
+                # padded columns as in core._close.  Calling _close would
+                # not do: it only grows a mask, while each product here
+                # also carries its image and fails on a contradiction
+                # with b
                 fy = images[y]
-                p = row[y - 1]
-                fp = row_f[fy - 1]
+                p = cols_a[y][x]
+                fp = cols_b[fy][fx]
                 if images[p] != fp:
                     if free[fp] != images[p]:
                         undo(mark)
@@ -121,8 +121,8 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
                     images[p] = fp
                     free[fp] = 0
                     placed.append(p)
-                p = rows_a[y - 1][x - 1]
-                fp = rows_b[fy - 1][fx - 1]
+                p = col[y]
+                fp = col_f[fy]
                 if images[p] != fp:
                     if free[fp] != images[p]:
                         undo(mark)
@@ -147,10 +147,9 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
             frames.pop()
         else:
             return IsoResult(False)
-    del images[0]
     if not _is_morphism(a, b, images):
         raise RackError("internal error: witness failed verification")
-    return IsoResult(True, Permutation(tuple(images)))
+    return IsoResult(True, Permutation(tuple(images[1:])))
 
 
 @dataclass(frozen=True)

@@ -185,7 +185,7 @@ def closure(table: RackTable, seed: Iterable[int]) -> tuple[int, ...]:
     table.require_rack()
     current = table._elements(seed)
     mask = sum(1 << v for v in current)
-    return _members(_close(table.entries, mask, current, []))
+    return _members(_close(table._right, mask, current, []))
 
 
 def is_subrack(table: RackTable, subset: Iterable[int]) -> bool:
@@ -209,7 +209,7 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
     empty set starts the walk and is not reported.
     """
     table.require_rack()
-    rows = table.entries
+    cols = table._right
     found = []
     closed = 0
     while True:
@@ -219,7 +219,7 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
                 closed ^= bit
                 continue
             # closed is now A ∩ {<i}
-            grown = _close(rows, closed | bit, [*_members(closed), i], [], i)
+            grown = _close(cols, closed | bit, [*_members(closed), i], [], i)
             if grown is not None:
                 closed = grown
                 found.append(_members(closed))

@@ -123,18 +123,25 @@ def poly_terms(entries, m, n_depth, convention, subset=None):
     return terms
 
 
-def period(entries):
-    """lcm of every cycle length of every column: iterated products repeat
-    with this period."""
+def cycle_lengths(entries):
+    """{(x, y): the least d >= 1 with x ▷ y ... ▷ y = x (d copies of y)},
+    the length of x's cycle under y's column, stepped one product at a
+    time."""
     n = len(entries)
-    out = 1
+    lengths = {}
     for y in range(1, n + 1):
         for x in range(1, n + 1):
             length, z = 1, op(entries, x, y)
             while z != x:
                 length, z = length + 1, op(entries, z, y)
-            out = lcm(out, length)
-    return out
+            lengths[x, y] = length
+    return lengths
+
+
+def period(entries):
+    """lcm of every cycle length of every column: iterated products repeat
+    with this period."""
+    return lcm(*cycle_lengths(entries).values())
 
 
 def poly_grid(entries, bound, convention):

@@ -97,6 +97,23 @@ def test_permutation_rejects_non_bijections():
         Permutation(())
 
 
+@pytest.mark.parametrize("call", [
+    lambda: Permutation((2, 1)).power(1.5),
+    lambda: Permutation.from_cycles(2, [(1, 5)]),
+    lambda: Permutation.from_cycles(3, [(1.0, 2)]),
+    lambda: Permutation((2, 3, 1))(0),
+    lambda: Permutation((1, 2, 3)).compose(Permutation((2, 1))),
+    lambda: Permutation((1, 2, 3)).conjugated_by(Permutation((2, 1))),
+], ids=["power-non-integer", "from_cycles-out-of-range",
+        "from_cycles-non-integer", "call-out-of-range", "compose-sizes",
+        "conjugated_by-sizes"])
+def test_permutation_bad_input_raises_value_error(call):
+    # not a bare TypeError or IndexError, and no quiet answer such as
+    # images[-1] for the point 0 or a composite on the shorter size
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_permutation_compose_order():
     # compose(other) applies other first
     s = Permutation((2, 1, 3))
@@ -736,6 +753,25 @@ def test_cycle_lengths_match_the_column_cycles(entries):
     for i, j in product(range(table.n), repeat=2):
         assert ((types[i] == types[j])
                 == (columns[i].cycle_type == columns[j].cycle_type))
+    # the above reads _cycles twice; the oracle steps each product by hand
+    lengths = oracles.cycle_lengths(entries)
+    elements = table.elements
+    assert table._cycle_lengths == (
+        tuple(tuple(Counter(lengths[x, y] for x in elements).items())
+              for y in elements),
+        tuple(tuple(Counter(lengths[x, y] for y in elements).items())
+              for x in elements))
+    for y, column in zip(elements, columns):
+        assert sorted(x for cycle in column.cycles for x in cycle) == list(elements)
+        for cycle in column.cycles:
+            assert cycle[0] == min(cycle)
+            assert all(lengths[x, y] == len(cycle) for x in cycle)
+            assert all(oracles.op(entries, x, y) == z
+                       for x, z in zip(cycle, cycle[1:] + cycle[:1]))
+        for x in elements:
+            for i in (-1, lengths[x, y], 10**9 + 7):
+                assert (rack_op_iter(table, x, y, i)
+                        == oracles.op_iter(entries, x, y, i % lengths[x, y]))
 
 
 def test_cli_import_leaves_numpy_out():
@@ -804,6 +840,20 @@ def test_rack_op_iter_matches_oracle(racks):
             for y in t.elements:
                 for i in (-3, -1, 0, 1, 2, 5):
                     assert rack_op_iter(t, x, y, i) == oracles.op_iter(t.entries, x, y, i)
+
+
+def test_rack_op_iter_builds_no_column(racks, monkeypatch):
+    # the cycle is read from the padded columns, not from a Permutation
+    def refuse(self, y):
+        raise AssertionError("rack_op_iter built a column")
+
+    monkeypatch.setattr(RackTable, "column", refuse)
+    for name in ("T5", "ex2", "dihedral3", "Q6", "R6"):
+        t = racks[name]
+        for x, y in product(t.elements, repeat=2):
+            for i in (-3, -1, 0, 1, 2, 5):
+                assert (rack_op_iter(t, x, y, i)
+                        == oracles.op_iter(t.entries, x, y, i))
 
 
 def test_rack_op_iter_values(racks):

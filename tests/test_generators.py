@@ -39,6 +39,17 @@ def test_constant_action_tables(racks):
     assert constant_action(Permutation((1,))) == racks["triv1"]
 
 
+def test_constant_action_reads_the_images(monkeypatch):
+    # each row is (σ(x),) * n from sigma.images, with no call per entry
+    sigma = Permutation((2, 3, 4, 1))
+
+    def refuse(self, x):
+        raise AssertionError("constant_action called the permutation")
+
+    monkeypatch.setattr(Permutation, "__call__", refuse)
+    assert constant_action(sigma).entries == tuple((v,) * 4 for v in (2, 3, 4, 1))
+
+
 def test_constant_action_rows_are_constant():
     table = constant_action(Permutation((2, 3, 4, 1)))
     for x in table.elements:
