@@ -148,6 +148,9 @@ class Permutation:
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: ``self.compose(other)(x) == self(other(x))``."""
+        if not isinstance(other, Permutation):
+            raise ValueError(
+                f"cannot compose with {other!r}: not a Permutation")
         if other.n != self.n:
             raise ValueError(f"cannot compose on {self.n} and {other.n} points")
         return Permutation(tuple(self.images[y - 1] for y in other.images))
@@ -164,6 +167,8 @@ class Permutation:
 
     def conjugated_by(self, tau: "Permutation") -> "Permutation":
         """tau ∘ self ∘ tau⁻¹: the same permutation on relabeled points."""
+        if not isinstance(tau, Permutation):
+            raise ValueError(f"cannot conjugate by {tau!r}: not a Permutation")
         return tau.compose(self.compose(tau.inverse()))
 
     @cached_property
@@ -456,19 +461,17 @@ def _members(mask: int) -> tuple[int, ...]:
 
 
 def _close(cols: tuple[tuple[int, ...], ...], mask: int, todo: list[int],
-           done: list[int], floor: int = 1) -> int | None:
+           floor: int = 1) -> int | None:
     """Grow a subset mask until it is closed under ▷, reading x ▷ y as
     ``cols[y][x]`` from a table's padded ``_right``.
 
-    ``mask`` holds the subset (bit v for element v), ``done`` those of its
-    elements whose products with each other are already in it, and
-    ``todo`` the rest.  Each element leaves ``todo`` once and joins
-    ``done``, taking its products with every element of ``done`` in both
-    directions, so every pair is multiplied once; passing the same
-    ``done`` list again continues from a closed set at the cost of the
-    new pairs only.  Returns the closed mask, or None as soon as an
-    element below ``floor`` would join.
+    ``mask`` holds the subset (bit v for element v) and ``todo`` lists
+    its elements.  Each element leaves ``todo`` once and joins ``done``,
+    taking its products with every element of ``done`` in both
+    directions, so every pair is multiplied once.  Returns the closed
+    mask, or None as soon as an element below ``floor`` would join.
     """
+    done: list[int] = []
     while todo:
         x = todo.pop()
         done.append(x)
@@ -519,15 +522,22 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     automorphism depends only on the permutation, since
     f(x▷y) = f(x)▷f(y) names no z, so a z whose column equals one that
     passed is skipped as well: it joins the closure but is not a
-    generator.  The closure grows with each such z and each column that
-    passes, through one ``_close`` that keeps its ``done`` list, in O(n²)
-    lookups in all.  Racks are generated by few elements (Joyce, "A
-    classifying invariant of knots, the knot quandle", 1982): a rack with
-    g greedy generators, the columns that are checked and pass, costs g·n
-    pairs, O(g·n²) steps, plus those lookups, instead of O(n³).  A table with a column that is not a
-    bijection skips nothing, and a non-rack pays for the columns it
-    checks, at most all n² pairs as before, so no table costs more
-    compositions than before.
+    generator.  When every C[s], s ∈ S, is an automorphism, the
+    ▷-closure of S is the union of the orbits of S under the group those
+    columns generate: by the identity above that union is closed, and on
+    a finite set each C[s]⁻¹ is a power of C[s].  So the closure grows by
+    orbit walks, not by ``_close``'s pairwise products: a new passed
+    column moves every member reached so far once, and every passed
+    column moves each member as it is reached.  A z whose column equals
+    one that passed brings no new column, only its own orbit.  That is
+    O(g·n) lookups in all, with g the number of generators, where
+    ``_close`` would take O(n²).  Racks are generated by few elements
+    (Joyce, "A classifying invariant of knots, the knot quandle", 1982):
+    a rack with g greedy generators, the columns that are checked and
+    pass, costs g·n pairs, O(g·n²) steps, plus those lookups, instead
+    of O(n³).  A table with a column that is not a bijection skips
+    nothing, and a non-rack pays for the columns it checks, at most all
+    n² pairs as before, so no table costs more compositions than before.
 
     Mediality (x▷y)▷(z▷w) = (x▷z)▷(y▷w) says C[z▷w]∘C[y] = C[y▷w]∘C[z]
     for all y, z and w.  Write R_y for C[y].  In a rack
@@ -567,28 +577,42 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     pairs = []  # (least x, y, z) for each pair that differs
     violation_count = len(bijectivity)
     generators: list[int] = []  # the columns checked that passed
-    passed: set[tuple[int, ...]] = set()  # their columns
-    closed, done = 0, []  # the closure so far as a mask over 1..n
+    passed: set[tuple[int, ...]] = set()  # their distinct columns
+    closed = bytearray(n + 1)  # the closure so far, as flags over 1..n
+    reached: list[int] = []  # and as a list, in the order reached
     for z in table.elements:
-        if closed >> z & 1:
+        if closed[z]:
             continue
         cz = cols[z]
-        if cz in passed:
-            closed = _close(cols, closed | 1 << z, [z], done)
-            continue
-        before = len(pairs)
-        after_z = after[z]
-        for y in table.elements:
-            left = after[y](cz)
-            right = after_z(cols[cz[y]])
-            if left != right:
-                violation_count += sum(map(ne, left, right))
-                pairs.append(
-                    (next(compress(ident, map(ne, left, right))), y, z))
-        if columns_ok and len(pairs) == before:
+        # the members before old have met every passed column; z and the
+        # members it brings meet them all, and a new column meets the rest
+        old = start = len(reached)
+        if cz not in passed:
+            before = len(pairs)
+            after_z = after[z]
+            for y in table.elements:
+                left = after[y](cz)
+                right = after_z(cols[cz[y]])
+                if left != right:
+                    violation_count += sum(map(ne, left, right))
+                    pairs.append(
+                        (next(compress(ident, map(ne, left, right))), y, z))
+            if not columns_ok or len(pairs) > before:
+                continue
             generators.append(z)
             passed.add(cz)
-            closed = _close(cols, closed | 1 << z, [z], done)
+            start = 0
+        closed[z] = 1
+        reached.append(z)
+        i = start
+        while i < len(reached):
+            x = reached[i]
+            for col in (passed if i >= old else (cz,)):
+                p = col[x]
+                if not closed[p]:
+                    closed[p] = 1
+                    reached.append(p)
+            i += 1
 
     head = bijectivity[:shown]
     wanted = None if shown is None else shown - len(head)

@@ -28,7 +28,8 @@ from itertools import product
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .core import RackTable
-from .poly import TwoVarPoly, _convention_pairs, closure, format_monomial
+from .poly import (TwoVarPoly, _convention_pairs, _depths, closure,
+                   format_monomial)
 
 __all__ = [
     "Crossing",
@@ -582,7 +583,8 @@ def enhanced_invariant(diagram: LinkDiagram, table: RackTable,
     Closures are cached by that set of colors.  Depths below 1 raise
     RackError before any search, whatever the diagram.
     """
-    terms = _convention_pairs(table, m, n, convention)
+    dm, dn = _depths(table, m, n, convention)
+    terms = _convention_pairs(table, table.elements, dm, dn, convention)
     real = len(diagram.arcs)
     closures: dict[frozenset[int], tuple[int, ...]] = {}
 

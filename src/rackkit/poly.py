@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .core import (CONVENTIONS, RackError, RackTable, _as_int, _close,
                    _members)
@@ -150,12 +150,14 @@ class ExponentProfile:
 
 
 def exponent_profile(table: RackTable, m: int, n: int) -> ExponentProfile:
-    return ExponentProfile(m, n, tuple(_convention_pairs(table, m, n, "prop3")))
+    dm, dn = _depths(table, m, n, "prop3")
+    return ExponentProfile(m, n, tuple(
+        _convention_pairs(table, table.elements, dm, dn, "prop3")))
 
 
-def _convention_pairs(table: RackTable, m: int, n: int,
-                      convention: str) -> list[tuple[int, int]]:
-    """Per element, its (s, t) exponent pair at depths (m, n).
+def _depths(table: RackTable, m: int, n: int,
+            convention: str) -> tuple[int, int]:
+    """The depths (m, n) as ints, once they pass the checks.
 
     Every polynomial entry point starts here, so all of them check the
     convention, then the depths, then the rack axioms, in that order.
@@ -165,14 +167,28 @@ def _convention_pairs(table: RackTable, m: int, n: int,
     if m < 1 or n < 1:
         raise RackError(f"depths must be at least 1, got ({m}, {n})")
     table.require_rack()
+    return m, n
+
+
+def _convention_pairs(table: RackTable, elems: Sequence[int], m: int, n: int,
+                      convention: str) -> list[tuple[int, int]]:
+    """Per element of elems, its (s, t) exponent pair at depths (m, n),
+    which ``_depths`` has checked.
+
+    Only those elements are counted, in O(|elems|·ℓ) with ℓ the distinct
+    cycle lengths per element, from lengths cached once per table.
+    """
     s_lengths, t_lengths = _lengths(table, convention)
-    return list(zip(_counts(s_lengths, m), _counts(t_lengths, n)))
+    return list(zip(_counts([s_lengths[x - 1] for x in elems], m),
+                    _counts([t_lengths[x - 1] for x in elems], n)))
 
 
 def rack_polynomial(table: RackTable, m: int, n: int,
                     convention: str = "def") -> TwoVarPoly:
     """Two-variable polynomial at depths (m, n); see the module docstring."""
-    return TwoVarPoly.from_pairs(_convention_pairs(table, m, n, convention))
+    m, n = _depths(table, m, n, convention)
+    return TwoVarPoly.from_pairs(
+        _convention_pairs(table, table.elements, m, n, convention))
 
 
 def closure(table: RackTable, seed: Iterable[int]) -> tuple[int, ...]:
@@ -185,7 +201,7 @@ def closure(table: RackTable, seed: Iterable[int]) -> tuple[int, ...]:
     table.require_rack()
     current = table._elements(seed)
     mask = sum(1 << v for v in current)
-    return _members(_close(table._right, mask, current, []))
+    return _members(_close(table._right, mask, current))
 
 
 def is_subrack(table: RackTable, subset: Iterable[int]) -> bool:
@@ -219,7 +235,7 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
                 closed ^= bit
                 continue
             # closed is now A ∩ {<i}
-            grown = _close(cols, closed | bit, [*_members(closed), i], [], i)
+            grown = _close(cols, closed | bit, [*_members(closed), i], i)
             if grown is not None:
                 closed = grown
                 found.append(_members(closed))
@@ -233,9 +249,12 @@ def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
     """Rack polynomial terms of the ambient table restricted to a subrack.
 
     Counts still range over the whole ambient rack; only the outer sum is
-    restricted to the subset.
+    restricted to the subset, and only the subset's elements are counted.
+    With the table's report and cycle lengths cached, a subrack S costs
+    O(|S|² + |S|·ℓ), with ℓ the distinct cycle lengths per element: the
+    closure check, then the counts.
     """
-    pairs = _convention_pairs(table, m, n, convention)
+    m, n = _depths(table, m, n, convention)
     elems = table._elements(subset)
     if not elems:
         raise RackError("subset is empty")
@@ -243,4 +262,5 @@ def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
     if escape is not None:
         x, y, p = escape
         raise RackError(f"not a subrack: {x}▷{y}={p} escapes the subset")
-    return TwoVarPoly.from_pairs(pairs[x - 1] for x in elems)
+    return TwoVarPoly.from_pairs(
+        _convention_pairs(table, elems, m, n, convention))

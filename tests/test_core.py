@@ -11,7 +11,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import permutations, product
 from pathlib import Path
 
@@ -104,9 +104,12 @@ def test_permutation_rejects_non_bijections():
     lambda: Permutation((2, 3, 1))(0),
     lambda: Permutation((1, 2, 3)).compose(Permutation((2, 1))),
     lambda: Permutation((1, 2, 3)).conjugated_by(Permutation((2, 1))),
+    lambda: Permutation((2, 1)).compose((2, 1)),
+    lambda: Permutation((2, 1)).conjugated_by([2, 1]),
 ], ids=["power-non-integer", "from_cycles-out-of-range",
         "from_cycles-non-integer", "call-out-of-range", "compose-sizes",
-        "conjugated_by-sizes"])
+        "conjugated_by-sizes", "compose-non-permutation",
+        "conjugated_by-non-permutation"])
 def test_permutation_bad_input_raises_value_error(call):
     # not a bare TypeError or IndexError, and no quiet answer such as
     # images[-1] for the point 0 or a composite on the shorter size
@@ -708,6 +711,26 @@ def test_equal_failing_columns_are_each_counted():
                    if axiom == "distributivity"}
         repeated_failures += len(failing) > len({columns[z - 1] for z in failing})
     assert repeated_failures >= 100
+
+
+# Unions of blocks that no element of another block generates: each
+# alexander(5, ·) block needs two passed columns of its own, and a
+# constant-action block has equal columns, so the closure grows by every
+# kind of orbit walk.  Relabelled, the greedy generators come late and a
+# new column has to move members reached long before it.
+orbit_blocks = st.one_of(
+    st.sampled_from([alexander(5, 2).entries, alexander(5, 3).entries]),
+    st.integers(1, 4).flatmap(
+        lambda n: st.permutations(list(range(1, n + 1)))).map(
+        lambda images: constant_action(Permutation(tuple(images))).entries))
+orbit_unions = st.lists(orbit_blocks, min_size=1, max_size=3).map(
+    lambda blocks: reduce(trivial_union, blocks))
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelled(st.one_of(orbit_unions, swapped(orbit_unions))))
+def test_orbit_closure_matches_oracles(entries):
+    assert_report_matches_oracles(entries)
 
 
 def trivial_rack(n):

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 import oracles
 from conftest import generated_racks
 from rackkit import (
+    NotARackError,
     Permutation,
     RackError,
+    RackTable,
     TwoVarPoly,
     alexander,
     closure,
@@ -23,6 +25,7 @@ from rackkit import (
     exponent_profile,
     format_monomial,
     is_subrack,
+    permutation_of_type,
     rack_polynomial,
     subrack_polynomial,
 )
@@ -361,6 +364,62 @@ def test_subrack_polynomial_rejects_open_subsets(racks):
         subrack_polynomial(racks["T5"], (1, 2), 1, 1)
     with pytest.raises(RackError, match="empty"):
         subrack_polynomial(racks["T5"], (), 1, 1)
+
+
+def test_subrack_polynomial_error_precedence(racks):
+    # the checks run in one order: convention, depths, rack axioms, subset
+    # members, emptiness, closure; where a case fails several, the
+    # earliest names the error
+    t5 = racks["T5"]
+    bad = RackTable(((1, 1), (1, 2)))  # column 1 is not a bijection
+    cases = [
+        ((bad, (), 0, 1, "other"), RackError,
+         "unknown convention 'other'; expected one of ('def', 'prop3')"),
+        ((bad, (), 0, 1), RackError, "depths must be at least 1, got (0, 1)"),
+        ((bad, (), 1, 1), NotARackError,
+         "not a rack: bijectivity fails at (1, 2, 1)"),
+        ((t5, (2, 9, 1), 1, 1), RackError, "element 9 out of range 1..5"),
+        ((t5, (), 1, 1), RackError, "subset is empty"),
+        ((t5, (2, 1), 1, 1), RackError,
+         "not a subrack: 1▷2=3 escapes the subset"),
+    ]
+    for args, error, message in cases:
+        with pytest.raises(RackError) as info:
+            subrack_polynomial(*args)
+        assert info.type is error
+        assert str(info.value) == message
+
+
+# with the fixtures, every subrack of each is checked: composite-order
+# Alexander quandles, whose subracks are cosets of several sizes, and
+# constant actions, whose subracks are unions of cycles
+SUBRACK_TABLES = (
+    alexander(21, 2), alexander(25, 2),
+    *(constant_action(permutation_of_type(cycle_type))
+      for cycle_type in ((3, 2, 2, 1), (4, 2, 1), (2, 2, 2, 1, 1))),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_subrack_polynomial_matches_oracle_on_every_subrack(racks, data):
+    # the oracle iterates the products depth times, so far depths are
+    # checked against it at the depth reduced through the period; the
+    # library is given each subrack unsorted and with repeats
+    table = data.draw(st.sampled_from((*SUBRACK_TABLES, *racks.values())))
+    rng = data.draw(st.randoms(use_true_random=False))
+    period = oracles.period(table.entries)
+    m = data.draw(st.integers(1, period))
+    n = data.draw(st.integers(1, period))
+    far_m = m + data.draw(st.integers(0, 10**9)) * period
+    far_n = n + data.draw(st.integers(0, 10**9)) * period
+    for subset in enumerate_subracks(table):
+        given = [*subset, *rng.choices(subset, k=rng.randint(0, len(subset)))]
+        rng.shuffle(given)
+        for conv in ("def", "prop3"):
+            got = subrack_polynomial(table, given, far_m, far_n, conv)
+            assert got.as_dict() == oracles.poly_terms(
+                table.entries, m, n, conv, subset=subset)
 
 
 def test_subrack_coefficient_sum(racks):
