@@ -460,37 +460,37 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _close(cols: tuple[tuple[int, ...], ...], mask: int, todo: list[int],
-           floor: int = 1) -> int | None:
-    """Grow a subset mask until it is closed under ▷, reading x ▷ y as
-    ``cols[y][x]`` from a table's padded ``_right``.
+def _walk(mask: int, reached: list[int], columns: Iterable[Sequence[int]],
+          i: int = 0, floor: int = 1) -> int | None:
+    """Grow a subset mask (bit v for element v) by moving each member from
+    ``reached[i]`` on with every padded ``_right`` column in ``columns``.
 
-    ``mask`` holds the subset (bit v for element v) and ``todo`` lists
-    its elements.  Each element leaves ``todo`` once and joins ``done``,
-    taking its products with every element of ``done`` in both
-    directions, so every pair is multiplied once.  Returns the closed
-    mask, or None as soon as an element below ``floor`` would join.
+    Each element that joins the mask is appended to ``reached`` and moved
+    in turn.  Returns the grown mask, or None as soon as an element below
+    ``floor`` would join.  This is the package's one ▷-closure.
+
+    When every column C[s], s ∈ S, is an automorphism, as in a rack, the
+    ▷-closure of S is the union of the orbits of S under the group G
+    those columns generate.  That union is closed: each g in G is an
+    automorphism, so g∘C[s] = C[g(s)]∘g, and the column of y = g(s) is
+    g C[s] g⁻¹, which lies in G and so keeps x ▷ y = C[y](x) in the
+    union.  And the closure holds the union: it is closed under each
+    C[s], as x ▷ s = C[s](x), and on a finite set each C[s]⁻¹ is a power
+    of C[s].  So with ``reached`` listing S, ``mask`` holding it and
+    ``columns`` its own columns, the walk from 0 closes S in O(|S|·k)
+    lookups for a closure of size k, where multiplying every pair of its
+    elements takes O(k²).
     """
-    done: list[int] = []
-    while todo:
-        x = todo.pop()
-        done.append(x)
-        col = cols[x]
-        for y in done:
-            # x ▷ y and y ▷ x, written out twice: a loop over the pair
-            # costs a quarter more in this innermost loop
-            p = cols[y][x]
+    while i < len(reached):
+        x = reached[i]
+        for col in columns:
+            p = col[x]
             if not mask >> p & 1:
                 if p < floor:
                     return None
                 mask |= 1 << p
-                todo.append(p)
-            p = col[y]
-            if not mask >> p & 1:
-                if p < floor:
-                    return None
-                mask |= 1 << p
-                todo.append(p)
+                reached.append(p)
+        i += 1
     return mask
 
 
@@ -522,22 +522,19 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     automorphism depends only on the permutation, since
     f(x▷y) = f(x)▷f(y) names no z, so a z whose column equals one that
     passed is skipped as well: it joins the closure but is not a
-    generator.  When every C[s], s ∈ S, is an automorphism, the
-    ▷-closure of S is the union of the orbits of S under the group those
-    columns generate: by the identity above that union is closed, and on
-    a finite set each C[s]⁻¹ is a power of C[s].  So the closure grows by
-    orbit walks, not by ``_close``'s pairwise products: a new passed
-    column moves every member reached so far once, and every passed
-    column moves each member as it is reached.  A z whose column equals
-    one that passed brings no new column, only its own orbit.  That is
-    O(g·n) lookups in all, with g the number of generators, where
-    ``_close`` would take O(n²).  Racks are generated by few elements
-    (Joyce, "A classifying invariant of knots, the knot quandle", 1982):
-    a rack with g greedy generators, the columns that are checked and
-    pass, costs g·n pairs, O(g·n²) steps, plus those lookups, instead
-    of O(n³).  A table with a column that is not a bijection skips
-    nothing, and a non-rack pays for the columns it checks, at most all
-    n² pairs as before, so no table costs more compositions than before.
+    generator.  The closure grows by ``_walk``'s orbit walks, since the
+    passed columns are automorphisms: a new passed column moves every
+    member reached so far, and every passed column moves z and the
+    members it brings.  A z whose column equals one that passed brings
+    no new column, only its own orbit.  That is O(g·n) lookups in all,
+    with g the number of generators, where pairwise products would take
+    O(n²).  Racks are generated by few elements (Joyce, "A classifying
+    invariant of knots, the knot quandle", 1982): a rack with g greedy
+    generators, the columns that are checked and pass, costs g·n pairs,
+    O(g·n²) steps, plus those lookups, instead of O(n³).  A table with
+    a column that is not a bijection skips nothing, and a non-rack pays
+    for the columns it checks, at most all n² pairs as before, so no
+    table costs more compositions than before.
 
     Mediality (x▷y)▷(z▷w) = (x▷z)▷(y▷w) says C[z▷w]∘C[y] = C[y▷w]∘C[z]
     for all y, z and w.  Write R_y for C[y].  In a rack
@@ -578,16 +575,15 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     violation_count = len(bijectivity)
     generators: list[int] = []  # the columns checked that passed
     passed: set[tuple[int, ...]] = set()  # their distinct columns
-    closed = bytearray(n + 1)  # the closure so far, as flags over 1..n
+    closed = 0  # the closure so far, as a mask over 1..n
     reached: list[int] = []  # and as a list, in the order reached
     for z in table.elements:
-        if closed[z]:
+        if closed >> z & 1:
             continue
         cz = cols[z]
-        # the members before old have met every passed column; z and the
-        # members it brings meet them all, and a new column meets the rest
-        old = start = len(reached)
-        if cz not in passed:
+        old = len(reached)
+        new = cz not in passed
+        if new:
             before = len(pairs)
             after_z = after[z]
             for y in table.elements:
@@ -601,18 +597,13 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
                 continue
             generators.append(z)
             passed.add(cz)
-            start = 0
-        closed[z] = 1
+        closed |= 1 << z
         reached.append(z)
-        i = start
-        while i < len(reached):
-            x = reached[i]
-            for col in (passed if i >= old else (cz,)):
-                p = col[x]
-                if not closed[p]:
-                    closed[p] = 1
-                    reached.append(p)
-            i += 1
+        # the members before old have met every passed column but a new
+        # one; z and the members it brings meet them all
+        if new:
+            closed = _walk(closed, reached, (cz,))
+        closed = _walk(closed, reached, passed, old)
 
     head = bijectivity[:shown]
     wanted = None if shown is None else shown - len(head)

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Mapping, Sequence
 
-from .core import (CONVENTIONS, RackError, RackTable, _as_int, _close,
-                   _members)
+from .core import (CONVENTIONS, RackError, RackTable, _as_int, _in_range,
+                   _members, _walk)
 
 __all__ = [
     "ExponentProfile",
@@ -77,22 +78,32 @@ class TwoVarPoly:
 
     Terms are (s_exp, t_exp, coeff), kept sorted ascending by exponent pair
     with no zero coefficients and no duplicate exponent pairs, so equal
-    polynomials compare equal as dataclasses.
+    polynomials compare equal as dataclasses.  Any iterable of integer
+    triples is stored as a tuple of int triples, in one pass that raises
+    ValueError at the first term at fault.
     """
 
     terms: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        keys = [(s, t) for s, t, _ in self.terms]
-        if keys != sorted(keys):
-            raise ValueError("terms must be sorted by (s_exp, t_exp)")
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate exponent pair")
-        for s, t, c in self.terms:
+        terms: list[tuple[int, int, int]] = []
+        last = (-1, -1)
+        for term in self.terms:
+            try:
+                s, t, c = term
+                s, t, c = index(s), index(t), index(c)
+            except TypeError:
+                raise ValueError(f"non-integer term {term!r}") from None
             if s < 0 or t < 0:
                 raise ValueError(f"negative exponent in term ({s}, {t}, {c})")
             if c == 0:
                 raise ValueError("zero coefficient term")
+            if (s, t) <= last:
+                raise ValueError("duplicate exponent pair" if (s, t) == last
+                                 else "terms must be sorted by (s_exp, t_exp)")
+            last = s, t
+            terms.append((s, t, c))
+        object.__setattr__(self, "terms", tuple(terms))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "TwoVarPoly":
@@ -146,7 +157,8 @@ class ExponentProfile:
     pairs: tuple[tuple[int, int], ...]
 
     def pair(self, x: int) -> tuple[int, int]:
-        return self.pairs[x - 1]
+        """The pair of element x; an x outside 1..n raises RackError."""
+        return self.pairs[_in_range(x, len(self.pairs)) - 1]
 
 
 def exponent_profile(table: RackTable, m: int, n: int) -> ExponentProfile:
@@ -194,14 +206,14 @@ def rack_polynomial(table: RackTable, m: int, n: int,
 def closure(table: RackTable, seed: Iterable[int]) -> tuple[int, ...]:
     """Smallest ▷-closed subset containing the seed, as a sorted tuple.
 
-    Products are taken incrementally: each element, from the seed or added
-    on the way, is multiplied once with each element before it, so a
-    closure of size k costs about k² table lookups.
+    In a rack that is the seed's orbit under the group its own columns
+    generate (see ``core._walk``), so a closure of size k costs
+    O(|seed|·k) table lookups.
     """
     table.require_rack()
     current = table._elements(seed)
     mask = sum(1 << v for v in current)
-    return _members(_close(table._right, mask, current))
+    return _members(_walk(mask, current, [table._right[s] for s in current]))
 
 
 def is_subrack(table: RackTable, subset: Iterable[int]) -> bool:
@@ -220,9 +232,11 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
     tries i = n, ..., 1: an i in A is dropped; otherwise
     (A ∩ {<i}) ∪ {i} is closed, and the first such closure that adds no
     element below i is the next closed set.  A closure is abandoned at the
-    first element below i it would add.  Found subracks are never looked
-    up again, and each costs at most n closures of O(n²) lookups.  The
-    empty set starts the walk and is not reported.
+    first element below i it would add.  Each closure walks its seeds,
+    i first, with their own columns (see ``core._walk``), in O(|seed|·k)
+    lookups for a closure of size k.  Found subracks are never looked up
+    again, and each costs at most n closures.  The empty set starts the
+    walk and is not reported.
     """
     table.require_rack()
     cols = table._right
@@ -235,7 +249,9 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
                 closed ^= bit
                 continue
             # closed is now A ∩ {<i}
-            grown = _close(cols, closed | bit, [*_members(closed), i], i)
+            seeds = [i, *_members(closed)]
+            grown = _walk(closed | bit, seeds, [cols[s] for s in seeds],
+                          floor=i)
             if grown is not None:
                 closed = grown
                 found.append(_members(closed))

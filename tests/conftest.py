@@ -111,3 +111,27 @@ def generated_racks(n: int):
                          if s * (1 - t - s) % n == 0]).map(
             lambda ts: ts_rack(n, *ts)))
     return table.flatmap(lambda t: st.sampled_from((t, dual(t))))
+
+
+def relabel(entries, images):
+    """The same table on points renamed by x ↦ images[x-1]."""
+    n = len(entries)
+    back = {v: x for x, v in enumerate(images, start=1)}
+    return tuple(
+        tuple(images[entries[back[a] - 1][back[b] - 1] - 1]
+              for b in range(1, n + 1))
+        for a in range(1, n + 1))
+
+
+def trivial_union(a, b):
+    """a on 1..k and b on k+1..n, with x ▷ y = x across the two."""
+    k, n = len(a), len(a) + len(b)
+
+    def op(x, y):
+        if x < k and y < k:
+            return a[x][y]
+        if x >= k and y >= k:
+            return b[x - k][y - k] + k
+        return x + 1
+
+    return tuple(tuple(op(x, y) for y in range(n)) for x in range(n))

@@ -2,6 +2,7 @@
 
 import math
 import time
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import generated_racks
+from conftest import generated_racks, relabel, trivial_union
 from rackkit import (
     NotARackError,
     Permutation,
@@ -28,6 +29,7 @@ from rackkit import (
     permutation_of_type,
     rack_polynomial,
     subrack_polynomial,
+    ts_rack,
 )
 
 perm_images = st.integers(1, 7).flatmap(
@@ -57,6 +59,42 @@ def test_poly_construction_rules():
         TwoVarPoly(((0, -1, 1),))
     with pytest.raises(ValueError):
         TwoVarPoly(((0, 0, 0),))
+
+
+class Two:
+    """Integer-like, but not an int: accepted through operator.index."""
+
+    def __index__(self):
+        return 2
+
+
+def test_poly_terms_are_a_tuple_of_int_triples():
+    # any iterable of integer triples gives the tuple-built polynomial
+    p = TwoVarPoly([[0, 0, 1], (1, Two(), Two())])
+    assert p == TwoVarPoly(((0, 0, 1), (1, 2, 2)))
+    assert hash(p) == hash(TwoVarPoly(((0, 0, 1), (1, 2, 2))))
+    assert p.terms == ((0, 0, 1), (1, 2, 2))
+    assert all(type(v) is int for term in p.terms for v in term)
+    assert str(p) == "1 + 2*s*t^2"
+    assert {TwoVarPoly([(0, 0, 1)]): 1}[TwoVarPoly(((0, 0, 1),))] == 1
+    for bad in (((0.5, 1, 2),), ((0, "1", 1),), ((0, 1, 1.0),)):
+        with pytest.raises(ValueError, match="^non-integer term"):
+            TwoVarPoly(bad)
+
+
+@pytest.mark.parametrize("terms, message", [
+    (((1, 0, 1), (0, 1, 1)), r"^terms must be sorted by \(s_exp, t_exp\)$"),
+    (((0, 1, 1), (0, 1, 2)), "^duplicate exponent pair$"),
+    (((0, -1, 1),), r"^negative exponent in term \(0, -1, 1\)$"),
+    (((0, 0, 0),), "^zero coefficient term$"),
+    # several faults: the first term at fault names its own
+    (((1, 0, 0), (0, 1, 1)), "^zero coefficient term$"),
+    (((0, 1, 1), (0, 1, 1), (0, -1, 1)), "^duplicate exponent pair$"),
+    (((2, 0, 1), (1, 0, 1), (0.5, 0, 1)), "^terms must be sorted"),
+])
+def test_poly_construction_messages(terms, message):
+    with pytest.raises(ValueError, match=message):
+        TwoVarPoly(terms)
 
 
 def test_poly_from_pairs_aggregates():
@@ -187,6 +225,16 @@ def test_profile_values(racks):
     assert exponent_profile(racks["ex3"], 1, 1).pairs == ((1, 0), (1, 0), (1, 3))
 
 
+def test_profile_pair_raises_outside_the_elements(racks):
+    prof = exponent_profile(racks["T5"], 1, 1)
+    assert [prof.pair(x) for x in (1, 5)] == [(3, 3), (3, 3)]
+    for x in (0, -1, 6):
+        with pytest.raises(RackError, match=rf"^element {x} out of range 1\.\.5$"):
+            prof.pair(x)
+    with pytest.raises(RackError, match="^non-integer element 1.5$"):
+        prof.pair(1.5)
+
+
 def test_profile_counts_match_oracle(racks):
     for name, table in racks.items():
         for m in range(1, 4):
@@ -268,8 +316,9 @@ def test_subracks_sorted_by_size_then_lex(racks):
     assert keys == sorted(keys)
 
 
-# Racks of at most 9 elements, small enough for the 2^n oracle: constant
-# action racks, linear quandles, their duals and their subtables.
+# Racks of at most 10 elements, small enough for the 2^n oracle: constant
+# action racks, linear quandles, linear racks that are not quandles,
+# relabelled trivial unions of those, their duals and their subtables.
 constant_action_racks = st.integers(1, 9).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))).map(
     lambda images: constant_action(Permutation(tuple(images))))
@@ -279,9 +328,30 @@ alexander_racks = st.integers(1, 9).flatmap(
         lambda t: alexander(n, t)))
 
 
+# linear racks x ▷ y = t·x + s·y that are not quandles: t + s ≢ 1
+ts_non_quandles = st.sampled_from([
+    (n, t, s) for n in range(2, 10) for t in range(n) if math.gcd(t, n) == 1
+    for s in range(n) if s * (1 - t - s) % n == 0 and (t + s) % n != 1
+]).map(lambda nts: ts_rack(*nts))
+
+
+@st.composite
+def relabelled_unions(draw):
+    """A trivial union of 2 or 3 blocks, at most 10 elements in all, on
+    shuffled labels.  Across blocks x ▷ y = x, so a closure spans one
+    orbit per block its seed meets, and no seed reaches another block."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3)
+                 .filter(lambda sizes: sum(sizes) <= 10))
+    entries = reduce(trivial_union,
+                     (draw(generated_racks(k)).entries for k in sizes))
+    images = draw(st.permutations(list(range(1, len(entries) + 1))))
+    return RackTable(relabel(entries, images))
+
+
 @st.composite
 def small_racks(draw):
-    table = draw(st.one_of(constant_action_racks, alexander_racks))
+    table = draw(st.one_of(constant_action_racks, alexander_racks,
+                           ts_non_quandles, relabelled_unions()))
     if draw(st.booleans()):
         table = dual(table)
     seed = draw(st.sets(st.sampled_from(table.elements)))
