@@ -388,14 +388,11 @@ class RackTable:
 
         ``orbit[x]`` is x's π-orbit as a sorted tuple shared by its
         members and ``step[x]`` is x's position along that cycle (index 0
-        unused in both).  Requires a rack; that π is a bijection is
-        checked as well.
+        unused in both).  Requires a rack, in which π is a bijection;
+        ``Permutation`` checks that as well.
         """
         self.require_rack()
-        diag = self.diagonal
-        if sorted(diag) != list(self.elements):
-            raise NotARackError(f"diagonal {diag} is not a bijection")
-        pi = Permutation(diag)
+        pi = Permutation(self.diagonal)
         orbit: list[tuple[int, ...]] = [()] * (self.n + 1)
         step = [0] * (self.n + 1)
         for cycle in pi.cycles:

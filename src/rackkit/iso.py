@@ -36,12 +36,17 @@ class IsoResult:
 
 
 def _invariant_keys(table: RackTable) -> list[tuple]:
-    """Per-element keys preserved by isomorphism, used to prune the search."""
+    """Per-element keys preserved by isomorphism, used to prune the search.
+
+    x's key is its column's cycle type and its row's fix count.  π(x)'s
+    column would add nothing: R_{x ▷ x} = R_x in every rack (Fenn and
+    Rourke, "Racks and links in codimension two", 1992).
+    """
     # a column's (length, points) pairs come in first-seen order; sorted,
     # they name its cycle type exactly
     types = [tuple(sorted(pairs)) for pairs in table._cycle_lengths[0]]
     rows = _counts(_lengths(table, "def")[0], 1)  # row[1][x], the s count
-    return list(zip(types, rows, (types[p - 1] for p in table.diagonal)))
+    return list(zip(types, rows))
 
 
 def _is_morphism(a: RackTable, b: RackTable, images: list[int]) -> bool:

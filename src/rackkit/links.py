@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import product
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .core import RackTable
+from .core import RackTable, _cycles
 from .poly import (TwoVarPoly, _convention_pairs, _depths, closure,
                    format_monomial)
 
@@ -136,22 +136,30 @@ class LinkDiagram:
         return tuple(sorted(ids))
 
     @cached_property
+    def _layout(self) -> tuple[dict[int, int], tuple[tuple[int, int, int, int], ...]]:
+        """Each arc's position in ``arcs``, and every crossing as a step
+        (sign, over, under_in, under_out) over those positions: the one
+        place where arc ids become positions, for the strands, the cut and
+        the coloring search."""
+        position = {a: i for i, a in enumerate(self.arcs)}
+        return position, tuple(
+            (cr.sign, position[cr.over], position[cr.under_in],
+             position[cr.under_out]) for cr in self.crossings)
+
+    @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        """Arcs grouped by strand, each group sorted, groups ordered by least arc."""
-        parent = {a: a for a in self.arcs}
+        """Arcs grouped by strand, each group sorted, groups ordered by least arc.
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for cr in self.crossings:
-            parent[find(cr.under_in)] = find(cr.under_out)
-        groups: dict[int, list[int]] = {}
-        for a in self.arcs:
-            groups.setdefault(find(a), []).append(a)
-        return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+        Strands are the cycles of under_in ↦ under_out on arc positions,
+        padded for ``core._cycles``, which walks them in the order of their
+        least positions; a free arc is a fixed point.
+        """
+        _, steps = self._layout
+        strand = list(range(len(self.arcs) + 1))
+        for _, _, inn, out in steps:
+            strand[inn + 1] = out + 1
+        return tuple(tuple(self.arcs[p - 1] for p in sorted(cycle))
+                     for cycle in _cycles(strand))
 
 
 def parse_diagram(text: str) -> LinkDiagram:
@@ -248,37 +256,32 @@ def add_kinks(diagram: LinkDiagram, counts: Sequence[int]) -> LinkDiagram:
 
 
 def _cut(diagram: LinkDiagram) -> tuple[
-        tuple[int, ...], list[tuple[int, int, int, int]], list[tuple[int, int]]]:
-    """The diagram over arc positions, cut open at each anchor.
+        int, list[tuple[int, int, int, int]], list[tuple[int, int]]]:
+    """The diagram's position layout, cut open at each anchor.
 
-    Every crossing becomes a step (sign, over, under_in, under_out), so one
-    map from under_in finds the step that consumes an arc.  A component's
-    anchor is its least arc a.  Cutting hands the anchor's consumer a fresh
-    arc v in place of a: the arc that add_kinks would feed with the kinked
-    color π^k(a).  A free loop has no consumer and keeps v = a.  Returns
-    the arc ids (fresh ones last), the steps over positions in that tuple,
-    and the (a, v) positions of each component, in component order.
+    The steps are the layout's, so one map from under_in finds the step
+    that consumes an arc.  A component's anchor is its least arc a.
+    Cutting hands the anchor's consumer a fresh position v in place of a:
+    the arc that add_kinks would feed with the kinked color π^k(a).  A free
+    loop has no consumer and keeps v = a.  Returns the number of positions
+    (fresh ones last), the steps, and the (a, v) positions of each
+    component, in component order.
     """
-    steps = [(cr.sign, cr.over, cr.under_in, cr.under_out)
-             for cr in diagram.crossings]
-    arcs = list(diagram.arcs)
-    ends = []
+    position, steps = diagram._layout
+    steps = list(steps)
     consumer = {step[2]: i for i, step in enumerate(steps)}
-    fresh = max(arcs, default=0)
+    size = len(position)
+    ends = []
     for comp in diagram.components:
-        a = comp[0]
-        v = a
+        a = v = position[comp[0]]
         if a in consumer:
             i = consumer[a]
-            fresh = v = fresh + 1
             sign, over, _, out = steps[i]
-            steps[i] = (sign, over, v, out)
-            arcs.append(v)
+            steps[i] = (sign, over, size, out)
+            v = size
+            size += 1
         ends.append((a, v))
-    at = {a: i for i, a in enumerate(arcs)}
-    return (tuple(arcs),
-            [(s, at[o], at[i], at[u]) for s, o, i, u in steps],
-            [(at[a], at[v]) for a, v in ends])
+    return size, steps, ends
 
 
 def _schedule(size: int, steps: Sequence[tuple[int, int, int, int]],
@@ -358,7 +361,7 @@ def _colorings(size: int, steps: Sequence[tuple[int, int, int, int]],
                table: RackTable) -> Iterator[list[int]]:
     """Every coloring of a diagram given over arc positions 0..size-1.
 
-    ``steps`` are (sign, over, under_in, under_out) as _cut gives them:
+    ``steps`` are (sign, over, under_in, under_out) as _layout gives them:
     sign 1 takes under_in ▷ over to under_out, sign -1 the inverse
     operation.  Yields one list whose entry i is the color of arc position
     i; it is the same list each time and changes once the search resumes.
@@ -421,14 +424,12 @@ def enumerate_colorings(diagram: LinkDiagram,
     at a negative crossing the inverse operation applies.  Each branch is on
     the lowest-numbered arc that earlier branches leave undecided, in one
     iterative search over a schedule laid out once, so no input depth can
-    exhaust the interpreter's stack.  The search reads the diagram as the framed
-    counts cut it, with each cut end renamed back to its anchor to join it
-    again.  Each dict lists its arcs in increasing order.
+    exhaust the interpreter's stack.  The search reads the diagram's position
+    layout uncut, the same steps that the framed counts cut open.  Each dict
+    lists its arcs in increasing order.
     """
     table.require_rack()
-    _, steps, ends = _cut(diagram)
-    anchor = {v: a for a, v in ends}
-    steps = [(s, o, anchor.get(i, i), u) for s, o, i, u in steps]
+    _, steps = diagram._layout
     return tuple(dict(zip(diagram.arcs, colors))
                  for colors in _colorings(len(diagram.arcs), steps, (), table))
 
@@ -471,10 +472,10 @@ def _framed_counts(diagram: LinkDiagram, table: RackTable,
     pi, orbit, step = table._diagonal_orbits
     big_n = pi.order
     _, writhes = components_and_writhe(diagram)
-    arcs, steps, ends = _cut(diagram)
+    size, steps, ends = _cut(diagram)
     flat = [i for pair in ends for i in pair]
     bins: Counter[tuple[tuple[int, ...], Hashable]] = Counter()
-    for colors in _colorings(len(arcs), steps, ends, table):
+    for colors in _colorings(size, steps, ends, table):
         bins[tuple(map(colors.__getitem__, flat)),
              tag(colors) if tag else None] += 1
     residues: Counter[tuple[tuple[tuple[int, int], ...], Hashable]] = Counter()

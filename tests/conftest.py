@@ -7,7 +7,8 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from rackkit import (LinkDiagram, Permutation, RackTable, alexander,
+import oracles
+from rackkit import (Crossing, LinkDiagram, Permutation, RackTable, alexander,
                      constant_action, dual, parse_diagram, parse_rack_table,
                      ts_rack)
 
@@ -135,3 +136,47 @@ def trivial_union(a, b):
         return x + 1
 
     return tuple(tuple(op(x, y) for y in range(n)) for x in range(n))
+
+
+def oracle_colorings(diagram, table):
+    """The brute-force colorings of a diagram, handed over as plain data."""
+    crossings = [(c.sign, c.over, c.under_in, c.under_out) for c in diagram.crossings]
+    return oracles.colorings(table.entries, diagram.arcs, crossings)
+
+
+def braid_closure(strands, word):
+    """The closure of a braid word on ``strands`` strands, as a diagram.
+
+    Letter i > 0 is σ_i, a positive crossing in which the strand at
+    position i passes over the one at i + 1; letter -i is σ_i⁻¹, a negative
+    crossing in which the strand at i + 1 passes over the one at i.  The
+    under strand is cut into a fresh arc.  Each bottom arc is then joined
+    to the top arc at its position, and a component that never passes
+    under is a free arc.
+    """
+    top = list(range(1, strands + 1))
+    bottom = top[:]
+    crossings = []
+    for letter in word:
+        i = abs(letter) - 1
+        fresh = strands + len(crossings) + 1
+        if letter > 0:
+            crossings.append((1, bottom[i], bottom[i + 1], fresh))
+            bottom[i], bottom[i + 1] = fresh, bottom[i]
+        else:
+            crossings.append((-1, bottom[i + 1], bottom[i], fresh))
+            bottom[i], bottom[i + 1] = bottom[i + 1], fresh
+    parent = list(range(strands + len(crossings) + 1))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for t, b in zip(top, bottom):
+        low, high = sorted((find(t), find(b)))
+        parent[high] = low
+    crossings = [Crossing(sign, *map(find, arcs)) for sign, *arcs in crossings]
+    under = {c.under_in for c in crossings}
+    free = {find(t) for t in top} - under
+    return LinkDiagram(tuple(crossings), tuple(sorted(free)))

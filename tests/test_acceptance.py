@@ -9,8 +9,7 @@ import functools
 import math
 import random
 
-import oracles
-from conftest import load_link, load_rack
+from conftest import load_link, load_rack, oracle_colorings
 from rackkit import (
     add_kinks,
     alexander,
@@ -43,11 +42,6 @@ def criterion(number: int, description: str):
             print(f"ACCEPTANCE {number}: PASS - {description}")
         return wrapper
     return decorate
-
-
-def oracle_colorings(diagram, table):
-    crossings = [(c.sign, c.over, c.under_in, c.under_out) for c in diagram.crossings]
-    return oracles.colorings(table.entries, diagram.arcs, crossings)
 
 
 @criterion(1, "pinned polynomial values reproduced under canonical serialization")

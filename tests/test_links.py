@@ -1,6 +1,7 @@
 """Diagrams, colorings, framing sweeps, and the link invariants."""
 
 import json
+import math
 import time
 from itertools import product
 
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import FIXTURES, LINK_NAMES, RACK_TABLES, generated_racks, load_link
+from conftest import (FIXTURES, LINK_NAMES, RACK_TABLES, braid_closure,
+                      generated_racks, load_link, oracle_colorings, trivial_union)
 from rackkit import (
     Crossing,
     DiagramError,
@@ -29,6 +31,7 @@ from rackkit import (
     rack_counting,
     rack_rank,
     subrack_polynomial,
+    ts_rack,
 )
 from rackkit import links as links_module
 from rackkit.cli import main
@@ -39,11 +42,6 @@ RPP_TREFOIL_T5 = (
 )
 SRPP_TREFOIL_T5 = "2*z^{2*s^3*t^3} + 12*z^{3*s^3*t^3} + 6*z^{s^3*t^3}"
 RPP_UNKNOT_T5 = "2*z^{2*s^3*t^3} + 3*z^{s^3*t^3} + 3*q1*z^{s^3*t^3}"
-
-
-def oracle_colorings(diagram, table):
-    crossings = [(c.sign, c.over, c.under_in, c.under_out) for c in diagram.crossings]
-    return oracles.colorings(table.entries, diagram.arcs, crossings)
 
 
 # -- diagram construction ----------------------------------------------------
@@ -115,6 +113,8 @@ def test_fixture_structure(links):
         assert len(comps) == comp_count, name
         assert got_writhes == writhes, name
         assert len(links[name].arcs) == arc_count, name
+    # the trefoil's strand runs 1, 3, 2, but a component lists its arcs sorted
+    assert links["trefoil"].components == ((1, 2, 3),)
 
 
 def test_cross_component_crossings_do_not_count(links):
@@ -539,6 +539,104 @@ def test_framed_counts_match_sweep_oracle(data):
     m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     convention = data.draw(st.sampled_from(("def", "prop3")))
     assert_matches_sweep(diagram, table, m, n, convention)
+
+
+# -- braid closures joined by Markov moves -----------------------------------
+
+
+@pytest.mark.parametrize("name", ["T5", "ex3", "dihedral3", "Q6"])
+def test_closure_of_sigma_cubed_is_the_trefoil(racks, links, name):
+    closed, table = braid_closure(2, (1, 1, 1)), racks[name]
+    assert rack_counting(closed, table) == rack_counting(links["trefoil"], table)
+    assert enhanced_invariant(closed, table).pairs == enhanced_invariant(
+        links["trefoil"], table).pairs
+
+
+def braid_racks():
+    """Strategy: a fixture rack, a constant action with N > 1, a linear rack
+    that is not a quandle, or a trivial union of two small racks."""
+    fixtures = st.sampled_from(sorted(RACK_TABLES)).map(
+        lambda name: RackTable(RACK_TABLES[name]))
+    constant = st.integers(2, 5).flatmap(
+        lambda n: st.permutations(range(1, n + 1))).filter(
+        lambda images: images != sorted(images)).map(
+        lambda images: constant_action(Permutation(tuple(images))))
+    linear = st.sampled_from([
+        (n, t, s) for n in range(2, 7) for t in range(1, n) for s in range(n)
+        if math.gcd(t, n) == 1 and s * (1 - t - s) % n == 0
+        and (t + s) % n != 1]).map(lambda args: ts_rack(*args))
+    small = st.integers(1, 3).flatmap(generated_racks).map(
+        lambda table: table.entries)
+    unions = st.tuples(small, small).map(
+        lambda pair: RackTable(trivial_union(*pair)))
+    return st.one_of(fixtures, constant, linear, unions)
+
+
+def letters(strands):
+    return st.integers(1, strands - 1).flatmap(
+        lambda i: st.sampled_from((i, -i)))
+
+
+@st.composite
+def markov_pairs(draw):
+    """Two braid words, with their strand counts, whose closures are one
+    link: a word and its image under a braid relation, an inserted
+    σ_i σ_i⁻¹, a conjugation or a ± stabilization."""
+    strands = draw(st.integers(2, 4))
+    word = draw(st.lists(letters(strands), min_size=1, max_size=8))
+    cut = draw(st.integers(0, len(word)))
+    head, tail = word[:cut], word[cut:]
+    moves = ["cancel", "conjugate", "stabilize"]
+    moves += ["braid"] if strands > 2 else []
+    moves += ["far"] if strands > 3 else []
+    move = draw(st.sampled_from(moves))
+    sign = draw(st.sampled_from((1, -1)))
+    if move == "stabilize":
+        return (strands, word), (strands + 1, [*word, sign * strands])
+    if move in ("conjugate", "cancel"):
+        g = draw(letters(strands))
+        other = [g, *word, -g] if move == "conjugate" else [*head, g, -g, *tail]
+        return (strands, word), (strands, other)
+    if move == "braid":
+        # σ_i σ_{i+1} σ_i = σ_{i+1} σ_i σ_{i+1}, or its inverse
+        i = draw(st.integers(1, strands - 2))
+        lhs = [sign * i, sign * (i + 1), sign * i]
+        rhs = [sign * (i + 1), sign * i, sign * (i + 1)]
+    else:
+        # σ_i^a σ_j^b = σ_j^b σ_i^a when |i - j| > 1
+        i = draw(st.integers(1, strands - 3))
+        j = draw(st.integers(i + 2, strands - 1))
+        lhs = [sign * i, draw(st.sampled_from((j, -j)))]
+        rhs = lhs[::-1]
+    return (strands, [*head, *lhs, *tail]), (strands, [*head, *rhs, *tail])
+
+
+def is_knot(strands, word):
+    position = list(range(strands))
+    for letter in word:
+        i = abs(letter) - 1
+        position[i], position[i + 1] = position[i + 1], position[i]
+    return len(Permutation(tuple(p + 1 for p in position)).cycles) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(braid_racks(), markov_pairs())
+def test_braid_closures_agree_across_markov_moves(table, pair):
+    # Markov: two closed braids are one link exactly when these moves join
+    # their words (Kassel and Turaev, Braid Groups, GTM 247, 2008), and both
+    # framed invariants sweep every framing, so they agree across R1 too.
+    (strands, word), (other_strands, other_word) = pair
+    first = braid_closure(strands, word)
+    second = braid_closure(other_strands, other_word)
+    total, per_class = rack_counting(first, table)
+    other_total, other_per_class = rack_counting(second, table)
+    assert total == other_total
+    inv, other = (enhanced_invariant(d, table) for d in (first, second))
+    assert inv.enhanced_string(False) == other.enhanced_string(False)
+    if is_knot(strands, word):
+        # components keep their order only when there is one
+        assert per_class == other_per_class
+        assert inv.pairs == other.pairs
 
 
 def test_sweeps_never_rewrite_the_diagram(racks, links, monkeypatch):
