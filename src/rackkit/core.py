@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from operator import index, itemgetter, ne
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "AxiomViolation",
@@ -403,6 +403,33 @@ class RackTable:
         return pi, tuple(orbit), tuple(step)
 
     @cached_property
+    def _inner_orbits(self) -> tuple[tuple[tuple[int, ...], ...],
+                                     tuple[tuple[int, tuple[int, ...]] | None, ...]]:
+        """(orbits, via): the orbits of the inner group Inn(X) = ⟨C[y]⟩
+        of a rack and a Schreier vector over them.
+
+        Each orbit leads with its least element, its representative, and
+        lists the rest in walk order.  ``via[x]`` (index 0 unused) is None
+        for a representative and otherwise the (predecessor, padded
+        ``_right`` column) pair with column[predecessor] = x, the
+        predecessor coming earlier in x's orbit; composing the columns
+        along that chain sends the representative to x.  The columns of
+        the greedy ▷-generators generate Inn(X), so ``_walk`` with them
+        finds every orbit in O(g·n) lookups for g generators.
+        """
+        self.require_rack()
+        columns = [self._right[z] for z in _generators(self)]
+        via: list = [None] * (self.n + 1)
+        orbits = []
+        walked = 0  # every orbit so far, as a mask over 1..n
+        for x in self.elements:
+            if not walked >> x & 1:
+                reached = [x]
+                walked = _walk(walked | 1 << x, reached, columns, via=via)
+                orbits.append(tuple(reached))
+        return tuple(orbits), tuple(via)
+
+    @cached_property
     def report(self) -> PropertyReport:
         return _analyze(self)
 
@@ -458,13 +485,15 @@ def _members(mask: int) -> tuple[int, ...]:
 
 
 def _walk(mask: int, reached: list[int], columns: Iterable[Sequence[int]],
-          i: int = 0, floor: int = 1) -> int | None:
+          i: int = 0, floor: int = 1, via: list | None = None) -> int | None:
     """Grow a subset mask (bit v for element v) by moving each member from
     ``reached[i]`` on with every padded ``_right`` column in ``columns``.
 
     Each element that joins the mask is appended to ``reached`` and moved
-    in turn.  Returns the grown mask, or None as soon as an element below
-    ``floor`` would join.  This is the package's one ▷-closure.
+    in turn; with ``via``, ``via[p]`` records the (member, column) pair
+    that brought p in.  Returns the grown mask, or None as soon as an
+    element below ``floor`` would join.  This is the package's one
+    ▷-closure.
 
     When every column C[s], s ∈ S, is an automorphism, as in a rack, the
     ▷-closure of S is the union of the orbits of S under the group G
@@ -487,8 +516,51 @@ def _walk(mask: int, reached: list[int], columns: Iterable[Sequence[int]],
                     return None
                 mask |= 1 << p
                 reached.append(p)
+                if via is not None:
+                    via[p] = x, col
         i += 1
     return mask
+
+
+def _generators(table: RackTable,
+                check: Callable[[int], bool] | None = None) -> list[int]:
+    """Greedy ▷-generators: each z, in increasing order, outside the
+    ▷-closure of the elements before it, whose column differs from every
+    generator's so far and passes ``check`` when one is given.
+
+    The closure grows by ``_walk``'s orbit walks, which is exact when the
+    generators' columns are automorphisms (see ``_walk``): a new
+    generator's column moves every member reached so far, and every
+    generator's column moves z and the members it brings.  A z whose
+    column equals a generator's brings no new column, only its own orbit.
+    That is O(g·n) lookups for g generators.  In a rack nothing fails a
+    check, the closure is all of X, and the generators' columns generate
+    Inn(X), since C[x▷y] = C[y]C[x]C[y]⁻¹.
+    """
+    cols = table._right
+    generators: list[int] = []
+    passed: set[tuple[int, ...]] = set()  # the generators' distinct columns
+    closed = 0  # the closure so far, as a mask over 1..n
+    reached: list[int] = []  # and as a list, in the order reached
+    for z in table.elements:
+        if closed >> z & 1:
+            continue
+        cz = cols[z]
+        old = len(reached)
+        new = cz not in passed
+        if new:
+            if check is not None and not check(z):
+                continue
+            generators.append(z)
+            passed.add(cz)
+        closed |= 1 << z
+        reached.append(z)
+        # the members before old have met every passed column but a new
+        # one; z and the members it brings meet them all
+        if new:
+            closed = _walk(closed, reached, (cz,))
+        closed = _walk(closed, reached, passed, old)
+    return generators
 
 
 def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
@@ -519,19 +591,17 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     automorphism depends only on the permutation, since
     f(x▷y) = f(x)▷f(y) names no z, so a z whose column equals one that
     passed is skipped as well: it joins the closure but is not a
-    generator.  The closure grows by ``_walk``'s orbit walks, since the
-    passed columns are automorphisms: a new passed column moves every
-    member reached so far, and every passed column moves z and the
-    members it brings.  A z whose column equals one that passed brings
-    no new column, only its own orbit.  That is O(g·n) lookups in all,
-    with g the number of generators, where pairwise products would take
-    O(n²).  Racks are generated by few elements (Joyce, "A classifying
-    invariant of knots, the knot quandle", 1982): a rack with g greedy
-    generators, the columns that are checked and pass, costs g·n pairs,
-    O(g·n²) steps, plus those lookups, instead of O(n³).  A table with
-    a column that is not a bijection skips nothing, and a non-rack pays
-    for the columns it checks, at most all n² pairs as before, so no
-    table costs more compositions than before.
+    generator.  ``_generators`` runs that loop, with the pair check as
+    its ``check``, and grows the closure by orbit walks, since the passed
+    columns are automorphisms: O(g·n) lookups in all, with g the number
+    of generators, where pairwise products would take O(n²).  Racks are
+    generated by few elements (Joyce, "A classifying invariant of knots,
+    the knot quandle", 1982): a rack with g greedy generators, the
+    columns that are checked and pass, costs g·n pairs, O(g·n²) steps,
+    plus those lookups, instead of O(n³).  A table with a column that is
+    not a bijection skips nothing, and a non-rack pays for the columns it
+    checks, at most all n² pairs as before, so no table costs more
+    compositions than before.
 
     Mediality (x▷y)▷(z▷w) = (x▷z)▷(y▷w) says C[z▷w]∘C[y] = C[y▷w]∘C[z]
     for all y, z and w.  Write R_y for C[y].  In a rack
@@ -570,37 +640,21 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     after = [None, *(itemgetter(*c) for c in cols[1:])]
     pairs = []  # (least x, y, z) for each pair that differs
     violation_count = len(bijectivity)
-    generators: list[int] = []  # the columns checked that passed
-    passed: set[tuple[int, ...]] = set()  # their distinct columns
-    closed = 0  # the closure so far, as a mask over 1..n
-    reached: list[int] = []  # and as a list, in the order reached
-    for z in table.elements:
-        if closed >> z & 1:
-            continue
-        cz = cols[z]
-        old = len(reached)
-        new = cz not in passed
-        if new:
-            before = len(pairs)
-            after_z = after[z]
-            for y in table.elements:
-                left = after[y](cz)
-                right = after_z(cols[cz[y]])
-                if left != right:
-                    violation_count += sum(map(ne, left, right))
-                    pairs.append(
-                        (next(compress(ident, map(ne, left, right))), y, z))
-            if not columns_ok or len(pairs) > before:
-                continue
-            generators.append(z)
-            passed.add(cz)
-        closed |= 1 << z
-        reached.append(z)
-        # the members before old have met every passed column but a new
-        # one; z and the members it brings meet them all
-        if new:
-            closed = _walk(closed, reached, (cz,))
-        closed = _walk(closed, reached, passed, old)
+
+    def passes(z: int) -> bool:
+        nonlocal violation_count
+        before = len(pairs)
+        cz, after_z = cols[z], after[z]
+        for y in table.elements:
+            left = after[y](cz)
+            right = after_z(cols[cz[y]])
+            if left != right:
+                violation_count += sum(map(ne, left, right))
+                pairs.append(
+                    (next(compress(ident, map(ne, left, right))), y, z))
+        return columns_ok and len(pairs) == before
+
+    generators = _generators(table, passes)
 
     head = bijectivity[:shown]
     wanted = None if shown is None else shown - len(head)

@@ -16,6 +16,16 @@ each anchor, and one search finds every coloring of every framing: a cut
 coloring closes exactly under the k with π^k(x) = the color at the cut
 end, one residue class modulo the length of x's π-orbit.  The cost is one
 search instead of N^c.
+
+That search does not try every color on its first arc either.  Every
+column of a rack is an automorphism, so the inner group Inn(X) = ⟨C_y⟩
+maps colorings to colorings (Joyce, "A classifying invariant of knots,
+the knot quandle", 1982), keeps each end's residue class and carries a
+coloring's image subrack onto one with the same polynomial.  So the first
+arc takes one representative per Inn-orbit, and each representative's
+counts stand for its whole orbit: the cost is one search per
+representative, not per color.  ``enumerate_colorings`` lists every
+coloring and keeps the full search.
 """
 
 from __future__ import annotations
@@ -357,9 +367,10 @@ def _schedule(size: int, steps: Sequence[tuple[int, int, int, int]],
 
 
 def _colorings(size: int, steps: Sequence[tuple[int, int, int, int]],
-               ends: Sequence[tuple[int, int]],
-               table: RackTable) -> Iterator[list[int]]:
-    """Every coloring of a diagram given over arc positions 0..size-1.
+               ends: Sequence[tuple[int, int]], table: RackTable,
+               first: Sequence[int] | None = None) -> Iterator[list[int]]:
+    """Every coloring of a diagram given over arc positions 0..size-1, or
+    with ``first`` only those that color position 0 from it.
 
     ``steps`` are (sign, over, under_in, under_out) as _layout gives them:
     sign 1 takes under_in ▷ over to under_out, sign -1 the inverse
@@ -380,6 +391,9 @@ def _colorings(size: int, steps: Sequence[tuple[int, int, int, int]],
     branch arc is colored at an earlier level and colors are tried in
     increasing order, so colorings come out sorted by their color tuples.
     Deeper levels overwrite their own arcs, so backing up undoes nothing.
+    The first level branches on position 0, over ``first`` when given:
+    the framed counts pass one representative per Inn-orbit there, so
+    they pay one search per representative, not per color.
     """
     levels = _schedule(size, steps, ends, table)
     _, orbit, _ = table._diagonal_orbits
@@ -389,7 +403,8 @@ def _colorings(size: int, steps: Sequence[tuple[int, int, int, int]],
         return
     last = len(levels) - 1
     everything = range(1, table.n + 1)
-    stack = [iter(everything)]  # the colors left at each level entered
+    # the colors left at each level entered
+    stack = [iter(everything if first is None else first)]
     while stack:
         level = len(stack) - 1
         pos, forced, checks, pairs = levels[level]
@@ -455,17 +470,29 @@ def counting_polynomial_string(per_class: Mapping[tuple[int, ...], int]) -> str:
 
 
 def _framed_counts(diagram: LinkDiagram, table: RackTable,
-                   tag: Callable[[list[int]], Hashable] | None = None
+                   image_of: Callable[[list[int]], tuple[int, ...]] | None = None
                    ) -> tuple[int, int, Counter[tuple[tuple[int, ...], Hashable]]]:
     """The one tally behind both framed invariants.
 
-    Runs one search over the diagram cut at its anchors and bins each cut
-    coloring by its end colors (anchor, cut end, anchor, cut end, ... by
-    component) and tag(colors), whose list leads with the colors of the
-    diagram's own arcs; with no tag the tag is None.  k kinks close a
+    Searches the diagram cut at its anchors and bins each cut coloring by
+    a residue key of its end colors and, with ``image_of``, by its image
+    image_of(colors), whose list leads with the colors of the diagram's
+    own arcs; with no ``image_of`` the tag is None.  k kinks close a
     component when π^k(anchor) = cut end; those k form one residue class
-    modulo the π-orbit length ℓ of the anchor's color, N/ℓ values in
-    [0, N), so each bin is spread once per residue vector.  Returns N, the
+    j modulo the π-orbit length ℓ of the anchor's color, N/ℓ values in
+    [0, N), so each key ((ℓ₁, j₁), ...) is spread once per label.
+
+    The search is run once per Inn-orbit representative, not per color.
+    Each φ in Inn(X) is an automorphism, so it maps a coloring c to the
+    coloring φ∘c; it commutes with π, so it keeps every (ℓ, j), and it
+    maps c's image S to φ(S).  Position 0 is the first component's anchor
+    and the search's first branch arc, and it is colored only by each
+    orbit's representative r (see ``RackTable._inner_orbits``): the
+    colorings with φ(r) there are the φ∘c.  With no tag, r's bins count
+    once per orbit member.  With images, each of r's distinct images is
+    carried along the Schreier vector to every member x, the image at x
+    being the sorted image under x's column of the image at x's
+    predecessor: |O|·Σ|image| lookups for an orbit O.  Returns N, the
     component count and {(label, tag): count}, label_i being
     (writhe_i + k_i) mod N.
     """
@@ -473,15 +500,42 @@ def _framed_counts(diagram: LinkDiagram, table: RackTable,
     big_n = pi.order
     _, writhes = components_and_writhe(diagram)
     size, steps, ends = _cut(diagram)
+    if not size:
+        # no arcs: the one empty coloring, which every automorphism keeps
+        return big_n, 0, Counter({((), image_of([]) if image_of else None): 1})
+    orbits, via = table._inner_orbits
     flat = [i for pair in ends for i in pair]
     bins: Counter[tuple[tuple[int, ...], Hashable]] = Counter()
-    for colors in _colorings(size, steps, ends, table):
+    for colors in _colorings(size, steps, ends, table,
+                             [members[0] for members in orbits]):
         bins[tuple(map(colors.__getitem__, flat)),
-             tag(colors) if tag else None] += 1
-    residues: Counter[tuple[tuple[tuple[int, int], ...], Hashable]] = Counter()
+             image_of(colors) if image_of else None] += 1
+    # the first component's anchor is the least arc, position 0, so each
+    # end tuple leads with the representative its coloring starts from
+    keyed: dict[int, Counter[tuple[tuple[tuple[int, int], ...], Hashable]]] = {}
     for (end, value), count in bins.items():
-        residues[tuple((len(orbit[x]), (step[y] - step[x]) % len(orbit[x]))
-                       for x, y in zip(end[::2], end[1::2])), value] += count
+        keyed.setdefault(end[0], Counter())[tuple(
+            (len(orbit[x]), (step[y] - step[x]) % len(orbit[x]))
+            for x, y in zip(end[::2], end[1::2])), value] += count
+    residues: Counter[tuple[tuple[tuple[int, int], ...], Hashable]] = Counter()
+    for members in orbits:
+        rep = members[0]
+        counts = keyed.get(rep)
+        if not counts:
+            continue
+        if image_of is None:
+            for key, count in counts.items():
+                residues[key] += count * len(members)
+            continue
+        # at[x] maps each of rep's images to its image at x
+        at = {rep: {image: image for _, image in counts}}
+        for x in members:
+            if x != rep:
+                p, col = via[x]
+                at[x] = {image: tuple(sorted(map(col.__getitem__, moved)))
+                         for image, moved in at[p].items()}
+            for (key, image), count in counts.items():
+                residues[key, at[x][image]] += count
     out: Counter[tuple[tuple[int, ...], Hashable]] = Counter()
     for (key, value), count in residues.items():
         for label in product(*(range((w + j) % ell, big_n, ell)
@@ -513,9 +567,10 @@ def rack_counting(diagram: LinkDiagram,
     turn its color into π^k(a).  One search over the diagram cut open at
     every anchor therefore finds every kinked coloring at once: a cut
     coloring closes under exactly the k with π^k(anchor) = cut end.  The
-    cost is one search instead of N^c.  This is _framed_counts with no
-    tag.  Returns the grand total and the counts of all N^c classes, empty
-    ones as zero.
+    cost is one search instead of N^c, run once per Inn-orbit
+    representative on the first arc, with its counts weighted by the
+    orbit's size.  This is _framed_counts with no tag.  Returns the grand
+    total and the counts of all N^c classes, empty ones as zero.
     """
     big_n, components, counts = _framed_counts(diagram, table)
     per_class = _class_table(big_n, components, (
@@ -581,8 +636,12 @@ def enhanced_invariant(diagram: LinkDiagram, table: RackTable,
     each coloring with its image: kink arcs carry π^j(anchor), which lies
     in the closure of the anchor's color, so a coloring's image is the
     closure of the colors on the diagram's own arcs whatever the kinks.
-    Closures are cached by that set of colors.  Depths below 1 raise
-    RackError before any search, whatever the diagram.
+    The search runs once per Inn-orbit representative on the first arc,
+    and each representative's images are carried to the rest of its orbit
+    by the inner automorphisms that reach them, so only the
+    representatives' images are closed.  Closures are cached by that set
+    of colors.  Depths below 1 raise RackError before any search,
+    whatever the diagram.
     """
     dm, dn = _depths(table, m, n, convention)
     terms = _convention_pairs(table, table.elements, dm, dn, convention)

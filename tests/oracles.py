@@ -241,3 +241,26 @@ def isomorphic(entries_a, entries_b):
         if is_isomorphism(entries_a, entries_b, images):
             return images
     return None
+
+
+def inner_orbits(entries):
+    """The orbits of the group the columns generate, as sorted tuples in
+    order of their least elements: a breadth-first search from each
+    element not yet reached, under every column and its inverse."""
+    n = len(entries)
+    seen = set()
+    orbits = []
+    for start in range(1, n + 1):
+        if start in seen:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            x = frontier.pop(0)
+            for y in range(1, n + 1):
+                for z in (op(entries, x, y), op_inv(entries, x, y)):
+                    if z not in orbit:
+                        orbit.add(z)
+                        frontier.append(z)
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return orbits

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 import oracles
 import rackkit
-from conftest import (RACK_TABLES, load_link, load_rack, relabel,
-                      trivial_union)
+from conftest import (RACK_TABLES, generated_racks, load_link, load_rack,
+                      relabel, trivial_union)
 from rackkit import (
     AxiomViolation,
     CongruenceError,
@@ -820,6 +820,45 @@ def test_cycle_lengths_match_the_column_cycles(entries):
             for i in (-1, lengths[x, y], 10**9 + 7):
                 assert (rack_op_iter(table, x, y, i)
                         == oracles.op_iter(entries, x, y, i % lengths[x, y]))
+
+
+non_quandle_ts_racks = st.sampled_from([
+    (n, t, s) for n in range(2, 9) for t in _units(n) for s in range(n)
+    if s * (1 - t - s) % n == 0 and (t + s) % n != 1]).map(
+    lambda args: ts_rack(*args).entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.sampled_from(sorted(RACK_TABLES)).map(RACK_TABLES.__getitem__),
+    st.integers(1, 7).flatmap(generated_racks).map(lambda t: t.entries),
+    trivial_unions, relabelled(orbit_unions), non_quandle_ts_racks))
+def test_inner_orbits_match_oracle(entries):
+    table = RackTable(entries)
+    orbits, via = table._inner_orbits
+    assert [tuple(sorted(o)) for o in orbits] == oracles.inner_orbits(entries)
+    assert [o[0] for o in orbits] == [min(o) for o in orbits]
+    n = len(entries)
+    columns = {tuple(oracles.op(entries, x, y) for x in range(1, n + 1))
+               for y in range(1, n + 1)}
+    for members in orbits:
+        rep = members[0]
+        assert via[rep] is None
+        for i, x in enumerate(members[1:], start=1):
+            # the chain back to the representative runs through earlier
+            # members, and each step applies a column of the table
+            chain, y = [], x
+            while via[y] is not None:
+                p, col = via[y]
+                assert p in members[:members.index(y)]
+                assert col[1:] in columns and col[p] == y
+                chain.append(col)
+                y = p
+            assert y == rep
+            z = rep
+            for col in reversed(chain):
+                z = col[z]
+            assert z == x
 
 
 def test_cli_import_leaves_numpy_out():
