@@ -349,14 +349,32 @@ class RackTable:
     @cached_property
     def _cycle_lengths(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...],
                                       tuple[tuple[tuple[int, int], ...], ...]]:
-        """(by_column, by_row) as (cycle length, multiplicity) pairs.
+        """(by_column, by_row) as (cycle length, multiplicity) pairs, each
+        tuple sorted by length.
 
-        ``by_column[y-1]`` counts the x by the length of x's cycle under
-        the column of y, and ``by_row[x-1]`` counts the y by that same
-        length.  x ▷ y ... ▷ y (d copies) = x exactly when the length
+        ``by_column[y-1]`` counts the x by the length len_y(x) of x's cycle
+        under the column of y, and ``by_row[x-1]`` counts the y by that
+        same length.  x ▷ y ... ▷ y (d copies) = x exactly when the length
         divides d, so every fixed-point count at every depth is a sum over
-        a row's or a column's distinct lengths.  ``_cycles`` walks the
-        columns of ``_right``; the table must be a rack.
+        a row's or a column's distinct lengths.  The table must be a rack.
+
+        Both are constant on each orbit of the inner group Inn(X) (see
+        ``_inner_walk``), so only the orbit representatives' columns are
+        walked.  Every φ in Inn(X) is an automorphism, so
+        C[φy] = φ C[y] φ⁻¹ (and C[y▷z] = C[z] C[y] C[z]⁻¹ in particular):
+        the columns of one orbit are conjugate and share ``by_column``.
+        And φ carries x's cycle under C[y] onto φx's cycle under C[φy],
+        so len_{φy}(φx) = len_y(x): φ maps the pairs (x, ·) onto the
+        pairs (φx, ·) with their lengths, and ``by_row`` is constant on an
+        orbit as well.  So for x in the orbit O_i, ``by_row[x-1]`` is the
+        mean of O_i's rows.  Their sum over the y of the orbit O_j with
+        representative s_j takes each y = φ(s_j), with φ permuting O_i,
+        to |O_j| copies of s_j's column over O_i, so
+        ``by_row[x-1](k)`` = Σ_j |O_j|·#{x' ∈ O_i : len_{s_j}(x') = k}
+        / |O_i|, and the division is exact.  Each cycle of C[s_j] lies
+        in one orbit, as C[s_j] is in Inn(X), so a cycle adds to one
+        orbit's counts.  ``_cycles`` walks one column per orbit: O(r·n)
+        steps for r orbits, where walking every column takes O(n²).
 
         These are the table's only column cycle facts.  Their readers:
         the fix counts (``poly._lengths``), the column period
@@ -364,18 +382,29 @@ class RackTable:
         search (``iso._invariant_keys``) and the depth-class lengths of
         ``iso.rp_family_scan``.
         """
-        by_row: list[dict[int, int]] = [{} for _ in range(self.n + 1)]
-        by_column = []
-        for col in self._right[1:]:
+        orbits = self._inner_orbits[0]
+        which = [0] * (self.n + 1)  # the index of each element's orbit
+        for i, orbit in enumerate(orbits):
+            for x in orbit:
+                which[x] = i
+        # rows[i][k] = Σ_j |O_j|·#{x ∈ O_i : len_{s_j}(x) = k}
+        rows: list[dict[int, int]] = [{} for _ in orbits]
+        by_column: list = [None] * (self.n + 1)
+        for orbit in orbits:
+            weight = len(orbit)
             counts: dict[int, int] = {}
-            for cycle in _cycles(col):
+            for cycle in _cycles(self._right[orbit[0]]):
                 k = len(cycle)
                 counts[k] = counts.get(k, 0) + k
-                for x in cycle:
-                    row = by_row[x]
-                    row[k] = row.get(k, 0) + 1
-            by_column.append(tuple(counts.items()))
-        return tuple(by_column), tuple(tuple(c.items()) for c in by_row[1:])
+                row = rows[which[cycle[0]]]  # a cycle lies in one orbit
+                row[k] = row.get(k, 0) + weight * k
+            pairs = tuple(sorted(counts.items()))
+            for y in orbit:
+                by_column[y] = pairs
+        by_orbit = [tuple(sorted((k, m // len(orbit)) for k, m in row.items()))
+                    for row, orbit in zip(rows, orbits)]
+        return (tuple(by_column[1:]),
+                tuple(by_orbit[which[x]] for x in self.elements))
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
@@ -406,28 +435,14 @@ class RackTable:
     def _inner_orbits(self) -> tuple[tuple[tuple[int, ...], ...],
                                      tuple[tuple[int, tuple[int, ...]] | None, ...]]:
         """(orbits, via): the orbits of the inner group Inn(X) = ⟨C[y]⟩
-        of a rack and a Schreier vector over them.
+        of a rack and a Schreier vector over them (see ``_inner_walk``).
 
-        Each orbit leads with its least element, its representative, and
-        lists the rest in walk order.  ``via[x]`` (index 0 unused) is None
-        for a representative and otherwise the (predecessor, padded
-        ``_right`` column) pair with column[predecessor] = x, the
-        predecessor coming earlier in x's orbit; composing the columns
-        along that chain sends the representative to x.  The columns of
-        the greedy ▷-generators generate Inn(X), so ``_walk`` with them
-        finds every orbit in O(g·n) lookups for g generators.
+        ``_analyze`` walks them with the generators it checked and puts
+        them in this cache, so a table walks them once, and reading them
+        first builds the report, which raises here for a non-rack.
         """
         self.require_rack()
-        columns = [self._right[z] for z in _generators(self)]
-        via: list = [None] * (self.n + 1)
-        orbits = []
-        walked = 0  # every orbit so far, as a mask over 1..n
-        for x in self.elements:
-            if not walked >> x & 1:
-                reached = [x]
-                walked = _walk(walked | 1 << x, reached, columns, via=via)
-                orbits.append(tuple(reached))
-        return tuple(orbits), tuple(via)
+        return vars(self)["_inner_orbits"]
 
     @cached_property
     def report(self) -> PropertyReport:
@@ -563,6 +578,44 @@ def _generators(table: RackTable,
     return generators
 
 
+def _inner_walk(table: RackTable, generators: Sequence[int]
+                ) -> tuple[tuple[tuple[int, ...], ...],
+                           tuple[tuple[int, tuple[int, ...]] | None, ...]]:
+    """(orbits, via): the orbits of the group the generators' columns
+    generate, which is Inn(X) = ⟨C[y]⟩ for a rack's greedy ▷-generators,
+    and a Schreier vector over them.
+
+    Each orbit leads with its least element, its representative, and
+    lists the rest in walk order.  ``via[x]`` (index 0 unused) is None
+    for a representative and otherwise the (predecessor, padded
+    ``_right`` column) pair with column[predecessor] = x, the
+    predecessor coming earlier in x's orbit; composing the columns along
+    that chain sends the representative to x.  ``_walk`` finds every
+    orbit in O(g·n) lookups for g generators.
+    """
+    columns = [table._right[z] for z in generators]
+    via: list = [None] * (table.n + 1)
+    orbits = []
+    walked = 0  # every orbit so far, as a mask over 1..n
+    for x in range(1, table.n + 1):
+        if not walked >> x & 1:
+            reached = [x]
+            walked = _walk(walked | 1 << x, reached, columns, via=via)
+            orbits.append(tuple(reached))
+    return tuple(orbits), tuple(via)
+
+
+def _after_representatives(orbits: Sequence[Sequence[int]]
+                           ) -> Iterator[tuple[int, list[int]]]:
+    """Each orbit's representative with the members listed after it:
+    the rest of its own orbit and every later orbit."""
+    members = [y for orbit in orbits for y in orbit]
+    start = 0
+    for orbit in orbits:
+        yield orbit[0], members[start + 1:]
+        start += len(orbit)
+
+
 def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     """Axioms and property flags from the columns, in O(n²) memory.
 
@@ -619,6 +672,24 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     above reaches every element from the generators by those two moves.
     So only the pairs with a generator are compared: g·n of them at most,
     and all n(n-1)/2 only when the n columns are distinct generators.
+
+    On a rack the Latin and crossed tests read one row per orbit of the
+    inner group.  The generators that passed generate it, so
+    ``_inner_walk`` finds its orbits in O(g·n) more lookups and leaves
+    them for ``RackTable._inner_orbits``.  Each φ in Inn(X) is an
+    automorphism, so the row of φ(x) is φ∘row_x∘φ⁻¹: it is a bijection
+    iff x's row is, and the Latin test reads each representative's row.
+    φ also keeps both sides of the crossed condition
+    (x▷y = x) ⟺ (y▷x = y), so it holds at (x, y) iff at (φx, φy), and
+    every pair has such an image (s, y') with s the representative of
+    x's orbit.  The condition is symmetric, and holds at (s, s) in a
+    quandle, so the pairs of two orbits are compared from the one that
+    comes first: each representative s with the other members of its
+    own orbit and those of every later one, r·n pairs at most for r
+    orbits, and n(n-1)/2 when every orbit is one element, each unordered
+    pair once, as comparing every pair did.  A non-rack's orbits mean
+    nothing, so there every element counts as its own orbit: all n rows
+    are read, and no pair, as a non-rack is not crossed.
     """
     n = table.n
     cols = table._right
@@ -668,10 +739,16 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     is_rack = columns_ok and not pairs
     labels = ident[1:]
     is_quandle = is_rack and list(table.diagonal) == labels
-    is_latin = all(sorted(row) == labels for row in table.entries)
+    orbits = tuple((x,) for x in labels)  # a non-rack's: one per element
+    if is_rack:
+        walk = _inner_walk(table, generators)
+        vars(table)["_inner_orbits"] = walk  # see RackTable._inner_orbits
+        orbits = walk[0]
+    is_latin = all(sorted(table.entries[orbit[0] - 1]) == labels
+                   for orbit in orbits)
     is_crossed = is_quandle and all(
         (cols[y][x] == x) == (cols[x][y] == y)
-        for x in labels for y in labels[x:])
+        for x, later in _after_representatives(orbits) for y in later)
 
     # cols[1][y] is y▷1; a pair of two generators is compared once, from
     # its larger one

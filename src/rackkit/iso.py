@@ -42,9 +42,7 @@ def _invariant_keys(table: RackTable) -> list[tuple]:
     column would add nothing: R_{x ▷ x} = R_x in every rack (Fenn and
     Rourke, "Racks and links in codimension two", 1992).
     """
-    # a column's (length, points) pairs come in first-seen order; sorted,
-    # they name its cycle type exactly
-    types = [tuple(sorted(pairs)) for pairs in table._cycle_lengths[0]]
+    types = table._cycle_lengths[0]  # (length, points) pairs, sorted
     rows = _counts(_lengths(table, "def")[0], 1)  # row[1][x], the s count
     return list(zip(types, rows))
 

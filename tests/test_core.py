@@ -641,6 +641,19 @@ def test_conjugation_quandles_are_non_medial(group):
     assert r.is_quandle and not r.is_abelian
 
 
+# R6 is a quandle but not crossed, with three orbits under its inner
+# group: {1,2}, {3,4} and {5,6}.  After a one-element block, whose pairs
+# all pass, its failing pairs lie past the first orbit.  The last table
+# has bijective columns and a Latin first row but is no rack, and its
+# other rows are not bijections, so each of its rows must be read.
+@pytest.mark.parametrize("entries", [
+    RACK_TABLES["R6"], trivial_union(RACK_TABLES["triv1"], RACK_TABLES["R6"]),
+    ((1, 2, 3), (2, 1, 1), (3, 3, 2)),
+], ids=["R6", "triv1+R6", "non-rack"])
+def test_report_reads_each_orbit_of_the_inner_group(entries):
+    assert_report_matches_oracles(entries)
+
+
 def test_validation_at_n200_stays_small():
     table = RackTable(alexander(200, 3).entries)  # fresh, nothing cached
     tracemalloc.start()
@@ -792,8 +805,8 @@ def test_cycle_lengths_match_the_column_cycles(entries):
             counts[len(cycle)] += len(cycle)
             for x in cycle:
                 by_row[x - 1][len(cycle)] += 1
-        by_column.append(tuple(counts.items()))
-    expected = tuple(by_column), tuple(tuple(c.items()) for c in by_row)
+        by_column.append(tuple(sorted(counts.items())))
+    expected = tuple(by_column), tuple(tuple(sorted(c.items())) for c in by_row)
     assert table._cycle_lengths == expected
     columns = table.columns
     assert column_order_lcm(table) == math.lcm(*(c.order for c in columns))
@@ -805,9 +818,9 @@ def test_cycle_lengths_match_the_column_cycles(entries):
     lengths = oracles.cycle_lengths(entries)
     elements = table.elements
     assert table._cycle_lengths == (
-        tuple(tuple(Counter(lengths[x, y] for x in elements).items())
+        tuple(tuple(sorted(Counter(lengths[x, y] for x in elements).items()))
               for y in elements),
-        tuple(tuple(Counter(lengths[x, y] for y in elements).items())
+        tuple(tuple(sorted(Counter(lengths[x, y] for y in elements).items()))
               for x in elements))
     for y, column in zip(elements, columns):
         assert sorted(x for cycle in column.cycles for x in cycle) == list(elements)
@@ -859,6 +872,84 @@ def test_inner_orbits_match_oracle(entries):
             for col in reversed(chain):
                 z = col[z]
             assert z == x
+
+
+# constant actions with several cycles have orbits of several sizes, and
+# T5 has orbits of sizes 3 and 2, so a row count must weigh each orbit's
+# column by its size
+several_cycles = st.lists(st.integers(1, 4), min_size=2, max_size=4).map(
+    lambda cycle_type: constant_action(permutation_of_type(cycle_type)).entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.sampled_from(sorted(RACK_TABLES)).map(RACK_TABLES.__getitem__),
+    relabelled(orbit_unions), trivial_unions, several_cycles,
+    non_quandle_ts_racks))
+def test_cycle_lengths_walk_one_column_per_orbit(entries):
+    table = RackTable(entries)
+    table.report  # walks the orbits, but no column's cycles
+    walked = []
+    cycles = rackkit.core._cycles
+
+    def counted(images):
+        walked.append(images)
+        return cycles(images)
+
+    with patch.object(rackkit.core, "_cycles", counted):
+        by_column, by_row = table._cycle_lengths
+    orbits = oracles.inner_orbits(entries)
+    assert len(walked) == len(orbits)
+    lengths = oracles.cycle_lengths(entries)
+    elements = range(1, len(entries) + 1)
+    assert by_column == tuple(
+        tuple(sorted(Counter(lengths[x, y] for x in elements).items()))
+        for y in elements)
+    assert by_row == tuple(
+        tuple(sorted(Counter(lengths[x, y] for y in elements).items()))
+        for x in elements)
+    for orbit in orbits:
+        assert len({by_column[x - 1] for x in orbit}) == 1
+        assert len({by_row[x - 1] for x in orbit}) == 1
+
+
+def test_alexander_401_cycle_lengths_walk_one_column():
+    table = RackTable(alexander(401, 2).entries)  # fresh, nothing cached
+    table.report
+    start = time.perf_counter()
+    table._cycle_lengths
+    elapsed = time.perf_counter() - start
+    # one orbit, so one column walk: under a millisecond, where walking
+    # all 401 columns took 20-27 ms
+    assert elapsed < 0.01
+
+
+@pytest.mark.parametrize("build, pairs", [
+    (trivial_rack, 401 * 400 // 2),
+    (lambda n: RackTable(alexander(n, 2).entries), 400)],
+    ids=["trivial", "alexander"])
+def test_crossed_test_compares_each_orbit_pair_once(build, pairs):
+    table = build(401)
+    compared = 0
+    after = rackkit.core._after_representatives
+
+    def counted(orbits):
+        nonlocal compared
+        for x, later in after(orbits):
+            compared += len(later)
+            yield x, later
+
+    start = time.perf_counter()
+    with patch.object(rackkit.core, "_after_representatives", counted):
+        report = table.report
+    table._cycle_lengths
+    elapsed = time.perf_counter() - start
+    assert report.is_crossed_set
+    # with every orbit one element, each unordered pair of distinct
+    # elements is compared once, as comparing all of them did; one orbit
+    # takes one pair per other element
+    assert compared == pairs
+    assert elapsed < 2
 
 
 def test_cli_import_leaves_numpy_out():
