@@ -373,8 +373,12 @@ class RackTable:
         ``by_row[x-1](k)`` = Σ_j |O_j|·#{x' ∈ O_i : len_{s_j}(x') = k}
         / |O_i|, and the division is exact.  Each cycle of C[s_j] lies
         in one orbit, as C[s_j] is in Inn(X), so a cycle adds to one
-        orbit's counts.  ``_cycles`` walks one column per orbit: O(r·n)
-        steps for r orbits, where walking every column takes O(n²).
+        orbit's counts.  Representatives with equal columns have equal
+        lengths, so ``_cycles`` walks each distinct representative column
+        once, with the summed weight Σ|O_j| of the orbits it stands for:
+        O(d·n) steps for d distinct columns among r ≤ n representatives,
+        where walking every column takes O(n²).  A trivial rack or a
+        constant action has one column, however many orbits it has.
 
         These are the table's only column cycle facts.  Their readers:
         the fix counts (``poly._lengths``), the column period
@@ -387,20 +391,25 @@ class RackTable:
         for i, orbit in enumerate(orbits):
             for x in orbit:
                 which[x] = i
+        # the orbits whose representatives share each distinct column
+        sharing: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for orbit in orbits:
+            sharing.setdefault(self._right[orbit[0]], []).append(orbit)
         # rows[i][k] = Σ_j |O_j|·#{x ∈ O_i : len_{s_j}(x) = k}
         rows: list[dict[int, int]] = [{} for _ in orbits]
         by_column: list = [None] * (self.n + 1)
-        for orbit in orbits:
-            weight = len(orbit)
+        for column, group in sharing.items():
+            weight = sum(map(len, group))
             counts: dict[int, int] = {}
-            for cycle in _cycles(self._right[orbit[0]]):
+            for cycle in _cycles(column):
                 k = len(cycle)
                 counts[k] = counts.get(k, 0) + k
                 row = rows[which[cycle[0]]]  # a cycle lies in one orbit
                 row[k] = row.get(k, 0) + weight * k
             pairs = tuple(sorted(counts.items()))
-            for y in orbit:
-                by_column[y] = pairs
+            for orbit in group:
+                for y in orbit:
+                    by_column[y] = pairs
         by_orbit = [tuple(sorted((k, m // len(orbit)) for k, m in row.items()))
                     for row, orbit in zip(rows, orbits)]
         return (tuple(by_column[1:]),

@@ -70,6 +70,17 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
     of table can exhaust the interpreter's.  A path costs O(n²) lookups,
     and a full one is an isomorphism, verified once more before it is
     returned.
+
+    The first generator, 1, is branched only over the least element of
+    each orbit of Inn(b) = ⟨C_b[y]⟩, in ascending order.  Every column of
+    a rack is an automorphism, so if f is an isomorphism, so is φ∘f for
+    each φ in Inn(b), and φ keeps the invariant keys.  So whether an
+    isomorphism with f(1) = y exists depends only on y's orbit, and the
+    least such y, the image a branch over every element would find
+    first, is the least element of its orbit.  The search below it is
+    the same, so the witness is too, and a b with one orbit tries one
+    first image where it tried n.  Deeper generators still try every
+    element of b.
     """
     a.require_rack()
     b.require_rack()
@@ -89,6 +100,7 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
     cols_a = a._right
     cols_b = b._right
     placed: list[int] = []
+    representatives = [orbit[0] for orbit in b._inner_orbits[0]]
 
     def undo(mark: int) -> None:
         for x in placed[mark:]:
@@ -142,7 +154,9 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
     while len(placed) < a.n:
         # the placed elements are the span of the generators so far
         g = next(x for x in a.elements if images[x] < 0)
-        frames.append((g, len(placed), iter(b.elements)))
+        # the first generator, 1, tries one image per Inn(b)-orbit
+        untried = iter(representatives if not placed else b.elements)
+        frames.append((g, len(placed), untried))
         # place the deepest generator at its next image that propagates
         while frames:
             g, mark, untried = frames[-1]
@@ -250,6 +264,15 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     ids: dict[tuple[int, ...], int] = {}
     sid_a = [ids.setdefault(v, len(ids)) for v in zip(*s_a.values())]
     sid_b = [ids.setdefault(v, len(ids)) for v in zip(*s_b.values())]
+    # the class pairs share few polynomials, so each is built once
+    built: dict[frozenset, TwoVarPoly] = {}
+
+    def polynomial(terms: Counter) -> TwoVarPoly:
+        key = frozenset(terms.items())
+        if key not in built:
+            built[key] = TwoVarPoly.from_dict(terms)
+        return built[key]
+
     differing: dict[int, dict[int, tuple[TwoVarPoly, TwoVarPoly]]] = {}
     for gn in classes:
         t_a = _counts(t_lengths_a, gn)
@@ -261,7 +284,7 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
             pa = Counter(zip(s_a[gm], t_a))
             pb = Counter(zip(s_b[gm], t_b))
             if pa != pb:
-                polys[gm] = TwoVarPoly.from_dict(pa), TwoVarPoly.from_dict(pb)
+                polys[gm] = polynomial(pa), polynomial(pb)
         if polys and stop_at_first:
             gm, (left, right) = next(iter(polys.items()))
             return RpFamilyScan(bound, complete,

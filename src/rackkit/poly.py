@@ -143,9 +143,18 @@ def _lengths(table: RackTable, convention: str
 
 def _counts(by_length: tuple[tuple[tuple[int, int], ...], ...],
             depth: int) -> tuple[int, ...]:
-    """Per element, the multiplicities of the lengths dividing depth."""
-    return tuple(sum(m for k, m in pairs if depth % k == 0)
-                 for pairs in by_length)
+    """Per element, the multiplicities of the lengths dividing depth.
+
+    The members of an Inn-orbit share one (length, multiplicity) tuple
+    (see ``RackTable._cycle_lengths``), so each distinct tuple is summed
+    once and every element looks its sum up: O(r·ℓ) additions for r
+    distinct tuples of ℓ lengths, and O(n) lookups, where summing each
+    element's own tuple takes O(n·ℓ).
+    """
+    sums = dict.fromkeys(by_length)
+    for pairs in sums:
+        sums[pairs] = sum(m for k, m in pairs if depth % k == 0)
+    return tuple(map(sums.__getitem__, by_length))
 
 
 @dataclass(frozen=True)

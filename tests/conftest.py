@@ -114,6 +114,13 @@ def generated_racks(n: int):
     return table.flatmap(lambda t: st.sampled_from((t, dual(t))))
 
 
+def ts_non_quandle_params(sizes):
+    """The (n, t, s) of the linear racks x ▷ y = t·x + s·y on Z/n, n in
+    sizes, that are not quandles: t + s ≢ 1."""
+    return [(n, t, s) for n in sizes for t in range(n) if math.gcd(t, n) == 1
+            for s in range(n) if s * (1 - t - s) % n == 0 and (t + s) % n != 1]
+
+
 def relabel(entries, images):
     """The same table on points renamed by x ↦ images[x-1]."""
     n = len(entries)

@@ -232,9 +232,10 @@ def is_isomorphism(entries_a, entries_b, images):
 
 def isomorphic(entries_a, entries_b):
     """The first isomorphism in lexicographic order of image tuples, found
-    by trying all n! bijections (n <= 6), or None."""
+    by trying all n! bijections (n <= 7), or None.  Its first image is the
+    least f(1) over every isomorphism f."""
     n = len(entries_a)
-    assert n <= 6, "brute force over n! bijections is for n <= 6"
+    assert n <= 7, "brute force over n! bijections is for n <= 7"
     if len(entries_b) != n:
         return None
     for images in permutations(range(1, n + 1)):

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import oracles
 import rackkit
 from conftest import (RACK_TABLES, generated_racks, load_link, load_rack,
-                      relabel, trivial_union)
+                      relabel, trivial_union, ts_non_quandle_params)
 from rackkit import (
     AxiomViolation,
     CongruenceError,
@@ -835,9 +835,7 @@ def test_cycle_lengths_match_the_column_cycles(entries):
                         == oracles.op_iter(entries, x, y, i % lengths[x, y]))
 
 
-non_quandle_ts_racks = st.sampled_from([
-    (n, t, s) for n in range(2, 9) for t in _units(n) for s in range(n)
-    if s * (1 - t - s) % n == 0 and (t + s) % n != 1]).map(
+non_quandle_ts_racks = st.sampled_from(ts_non_quandle_params(range(2, 9))).map(
     lambda args: ts_rack(*args).entries)
 
 
@@ -884,9 +882,10 @@ several_cycles = st.lists(st.integers(1, 4), min_size=2, max_size=4).map(
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(
     st.sampled_from(sorted(RACK_TABLES)).map(RACK_TABLES.__getitem__),
-    relabelled(orbit_unions), trivial_unions, several_cycles,
+    relabelled(orbit_unions), trivial_unions, relabelled(several_cycles),
+    st.integers(1, 9).map(lambda n: trivial_rack(n).entries),
     non_quandle_ts_racks))
-def test_cycle_lengths_walk_one_column_per_orbit(entries):
+def test_cycle_lengths_walk_each_distinct_column_once(entries):
     table = RackTable(entries)
     table.report  # walks the orbits, but no column's cycles
     walked = []
@@ -899,9 +898,13 @@ def test_cycle_lengths_walk_one_column_per_orbit(entries):
     with patch.object(rackkit.core, "_cycles", counted):
         by_column, by_row = table._cycle_lengths
     orbits = oracles.inner_orbits(entries)
-    assert len(walked) == len(orbits)
-    lengths = oracles.cycle_lengths(entries)
     elements = range(1, len(entries) + 1)
+    # one walk per distinct column among the orbits' least elements: a
+    # constant action has one column however many cycles it has
+    distinct = {tuple(oracles.op(entries, x, min(orbit)) for x in elements)
+                for orbit in orbits}
+    assert sorted(tuple(images[1:]) for images in walked) == sorted(distinct)
+    lengths = oracles.cycle_lengths(entries)
     assert by_column == tuple(
         tuple(sorted(Counter(lengths[x, y] for x in elements).items()))
         for y in elements)
@@ -922,6 +925,27 @@ def test_alexander_401_cycle_lengths_walk_one_column():
     # one orbit, so one column walk: under a millisecond, where walking
     # all 401 columns took 20-27 ms
     assert elapsed < 0.01
+
+
+def test_trivial_401_cycle_lengths_walk_one_column():
+    table = trivial_rack(401)
+    table.report
+    walked = []
+    cycles = rackkit.core._cycles
+
+    def counted(images):
+        walked.append(images)
+        return cycles(images)
+
+    start = time.perf_counter()
+    with patch.object(rackkit.core, "_cycles", counted):
+        lengths = table._cycle_lengths
+    elapsed = time.perf_counter() - start
+    # 401 one-element orbits share the identity column, walked once: a
+    # few milliseconds, where a walk per orbit took about 40
+    assert len(walked) == 1
+    assert lengths == ((((1, 401),),) * 401,) * 2
+    assert elapsed < 0.02
 
 
 @pytest.mark.parametrize("build, pairs", [

@@ -4,6 +4,7 @@ import inspect
 import random
 import sys
 import time
+from functools import reduce
 from itertools import combinations, product
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import generated_racks
+from conftest import (generated_racks, relabel, trivial_union,
+                      ts_non_quandle_params)
 from rackkit import (
     Permutation,
     RackError,
@@ -188,6 +190,77 @@ def test_isomorphic_matches_brute_force(pair):
                                       result.witness.images)
     else:
         assert result.witness is None
+
+
+@st.composite
+def many_orbit_racks(draw, n):
+    """A rack on n shuffled elements: a trivial union of two or three
+    blocks, a constant action, a linear rack that is not a quandle, or
+    any generated rack.  The first two have several Inn-orbits, and a
+    constant action's orbits are its permutation's cycles."""
+    kinds = ["union", "constant", "generated"]
+    non_quandles = ts_non_quandle_params([n])
+    if non_quandles:
+        kinds.append("ts")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "union" and n > 1:
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1,
+                                   max_size=2)))
+        sizes = [end - start for start, end in zip([0, *cuts], [*cuts, n])]
+        entries = reduce(trivial_union,
+                         (draw(generated_racks(k)).entries for k in sizes))
+    elif kind == "constant":
+        images = draw(st.permutations(list(range(1, n + 1))))
+        entries = constant_action(Permutation(tuple(images))).entries
+    elif kind == "ts":
+        entries = ts_rack(*draw(st.sampled_from(non_quandles))).entries
+    else:
+        entries = draw(generated_racks(n)).entries
+    return RackTable(relabel(entries,
+                             draw(st.permutations(list(range(1, n + 1))))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_witness_has_the_least_first_image(data):
+    # the search branches 1 over one image per Inn(b)-orbit, its least,
+    # so its witness must still send 1 to the least image any isomorphism
+    # gives it; the oracle's first isomorphism in lex order has that image
+    n = data.draw(st.integers(1, 7))
+    a = data.draw(many_orbit_racks(n))
+    if data.draw(st.booleans()):
+        images = data.draw(st.permutations(list(range(1, n + 1))))
+        b = RackTable(relabel(a.entries, images))
+    else:
+        b = data.draw(many_orbit_racks(n))
+    found = oracles.isomorphic(a.entries, b.entries)
+    result = isomorphic(a, b)
+    assert result.isomorphic == (found is not None)
+    if found is None:
+        assert result.witness is None
+    else:
+        assert oracles.is_isomorphism(a.entries, b.entries,
+                                      result.witness.images)
+        assert result.witness.images[0] == found[0]
+
+
+def test_alike_connected_quandles_at_401():
+    # 3 and 6 both have order 400 mod 401, so every invariant key is
+    # equal; b is one Inn-orbit, so 1 tries one image where it tried 401
+    a = alexander(401, 3)
+    images = list(range(1, 402))
+    random.Random(401).shuffle(images)
+    b = RackTable(relabel(alexander(401, 6).entries, images))
+    b.require_rack()  # validating b is not the search's work
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        result = isomorphic(a, b)
+        elapsed.append(time.perf_counter() - start)
+    assert not result.isomorphic and result.witness is None
+    # a few milliseconds, where branching 1 over every element took
+    # about a second; the bound catches only a large slowdown
+    assert min(elapsed) < 0.1
 
 
 def test_blind_search_accepts_only_isomorphisms(monkeypatch):

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import generated_racks, relabel, trivial_union
+from conftest import (generated_racks, relabel, trivial_union,
+                      ts_non_quandle_params)
 from rackkit import (
     NotARackError,
     Permutation,
@@ -329,10 +330,8 @@ alexander_racks = st.integers(1, 9).flatmap(
 
 
 # linear racks x ▷ y = t·x + s·y that are not quandles: t + s ≢ 1
-ts_non_quandles = st.sampled_from([
-    (n, t, s) for n in range(2, 10) for t in range(n) if math.gcd(t, n) == 1
-    for s in range(n) if s * (1 - t - s) % n == 0 and (t + s) % n != 1
-]).map(lambda nts: ts_rack(*nts))
+ts_non_quandles = st.sampled_from(ts_non_quandle_params(range(2, 10))).map(
+    lambda nts: ts_rack(*nts))
 
 
 @st.composite
@@ -379,6 +378,36 @@ def test_closure_matches_oracle_on_random_seeds(data):
     for _ in range(4):
         seed = data.draw(st.lists(st.sampled_from(table.elements), max_size=4))
         assert closure(table, seed) == oracles.closure(table.entries, seed)
+
+
+# racks with many Inn-orbits: trivial quandles, whose orbits are their
+# points, constant actions, whose orbits are their permutation's cycles,
+# trivial unions and linear racks that are not quandles
+many_orbit_racks = st.one_of(
+    st.integers(1, 10).map(lambda n: alexander(n, 1)), constant_action_racks,
+    relabelled_unions(), ts_non_quandles)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_counts_of_many_orbit_racks_match_oracle(data):
+    # the counts are summed once per distinct (length, multiplicity)
+    # tuple, which the members of an orbit share, and read per element
+    table = data.draw(many_orbit_racks)
+    entries = table.entries
+    period = oracles.period(entries)
+    for _ in range(3):
+        m = data.draw(st.integers(1, 2 * period))
+        n = data.draw(st.integers(1, 2 * period))
+        far_m = m + data.draw(st.integers(0, 10**6)) * period
+        far_n = n + data.draw(st.integers(0, 10**6)) * period
+        want = tuple((oracles.col_count(entries, m, x),
+                      oracles.row_count(entries, n, x))
+                     for x in table.elements)
+        assert exponent_profile(table, far_m, far_n).pairs == want
+        for conv in ("def", "prop3"):
+            assert (rack_polynomial(table, far_m, far_n, conv).as_dict()
+                    == oracles.poly_terms(entries, m, n, conv))
 
 
 def test_enumerate_subracks_at_n101():
