@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 domain error, failed check or undecodable text,
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -327,6 +328,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader has gone; what is still buffered goes to devnull,
+            # so the interpreter's last flush cannot fail again
+            try:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            except (OSError, ValueError):
+                pass
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate
-from operator import itemgetter
+from functools import cached_property, lru_cache
+from itertools import accumulate, compress, islice, repeat
+from operator import add, eq, index as _index, itemgetter
 
 from .core import (Permutation, RackError, RackTable, _as_int,
                    column_order_lcm)
 from .generators import constant_action
-from .poly import TwoVarPoly, _check_convention, _counts, _lengths
+from .poly import (TwoVarPoly, _check_convention, _counts, _lengths,
+                   _poly_from_pairs)
 
 __all__ = [
     "ClassificationReport",
@@ -179,6 +183,185 @@ class PolyDifference:
     right: TwoVarPoly
 
 
+def _difference(m: int, n: int, pair: tuple[TwoVarPoly, TwoVarPoly],
+                _new=object.__new__) -> PolyDifference:
+    """PolyDifference(m, n, *pair), whose fields need no check, without
+    the frozen __init__'s four object.__setattr__ calls."""
+    difference = _new(PolyDifference)
+    difference.__dict__.update(m=m, n=n, left=pair[0], right=pair[1])
+    return difference
+
+
+class _DepthPairs(Sequence):
+    """A listing scan's items at its differing depth pairs (m, n), n
+    outermost and then m, each built when it is read.
+
+    ``groups`` maps each class of n with a difference, ascending, to its
+    differing classes of m, ascending, each with the pair of values that
+    ``_make(m, n, pair)`` turns into an item.  The class of a depth is
+    the largest class that divides it, so it depends on d only through
+    gcd(d, L), L the lcm of every cycle length (``period``).  One period
+    of depths, min(bound, L) of them, therefore lays out every item:
+
+    * a depth→class table, where depth d reads the entry of d mod L;
+    * how many depths in 1..bound each class has, from the table's class
+      counts times the full periods plus the remainder's, so ``len`` and
+      each row's width are sums over classes;
+    * the offsets of the rows n of one period, built by the first index
+      that needs them;
+    * per class of n, the m of one period that differ from it, as an
+      array, with their pairs, built when a row of that class is first
+      read.
+
+    An index finds its period by division, its n by bisection of the
+    offsets and its m by division.  The first item and ``bool`` need only
+    ``groups``.  A listing can hold more items than ``len()`` may report,
+    which stops at sys.maxsize as it does for a range; ``__len__()``
+    returns the exact count, and indexing and slicing use it.
+    """
+
+    _like: type  # the type it stands in for, and compares equal to
+
+    def __init__(self, bound: int, period: int, classes: tuple[int, ...],
+                 groups: dict[int, dict[int, tuple]]) -> None:
+        self._bound = bound
+        self._period = period
+        self._classes = classes
+        self._groups = groups
+        self._rows: dict[int, tuple[array, list[tuple], int]] = {}
+
+    @cached_property
+    def _layout(self) -> tuple[list[int], dict[int, int], int]:
+        """The depth→class table, each row's width and the length."""
+        size = min(self._bound, self._period)
+        full, rem = divmod(self._bound, self._period)
+        # each class, ascending, is written over its multiples, so the
+        # largest class dividing d is the one left at d
+        table = [1] * size
+        for g in self._classes:
+            if g > size:
+                break
+            table[g - 1::g] = [g] * (size // g)
+        per_period = Counter(table)
+        in_rem = Counter(islice(table, rem))
+        depths = {g: full * per_period[g] + in_rem[g] for g in per_period}
+        widths = {gn: sum(depths[gm] for gm in pairs)
+                  for gn, pairs in self._groups.items()}
+        length = sum(depths[gn] * width for gn, width in widths.items())
+        return table, widths, length
+
+    @cached_property
+    def _starts(self) -> list[int]:
+        """Offsets of the rows n = 1..min(bound, L) within a period."""
+        table, widths, _ = self._layout
+        return [0, *accumulate(map(widths.get, table, repeat(0)))]
+
+    def _row(self, gn: int) -> tuple[array, list[tuple], int]:
+        """The m of one period that differ from class gn, their pairs, and
+        how many of them fall in the remainder."""
+        if gn not in self._rows:
+            table = self._layout[0]
+            pairs = self._groups[gn]
+            hit = list(map(pairs.__contains__, table))
+            ms = array("q", compress(range(1, len(table) + 1), hit))
+            sides = list(map(pairs.__getitem__, compress(table, hit)))
+            cut = bisect_right(ms, self._bound % self._period)
+            self._rows[gn] = ms, sides, cut
+        return self._rows[gn]
+
+    def __len__(self) -> int:
+        return self._layout[2]
+
+    def __bool__(self) -> bool:
+        return bool(self._groups)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._like(map(self.__getitem__,
+                                  range(*index.indices(self.__len__()))))
+        i = _index(index)
+        if i == 0:
+            # the least depth of a class is the class itself, so the first
+            # item is at the least class of n and its least class of m
+            gn, pairs = next(iter(self._groups.items()))
+            gm, pair = next(iter(pairs.items()))
+            return self._make(gm, gn, pair)
+        table, _, length = self._layout
+        if i < 0:
+            i += length
+        if not 0 <= i < length:
+            raise IndexError(f"{self._like.__name__} index out of range")
+        starts, period = self._starts, self._period
+        q, offset = divmod(i, starts[-1])
+        r = bisect_right(starts, offset)
+        ms, sides, _ = self._row(table[r - 1])
+        qm, k = divmod(offset - starts[r - 1], len(ms))
+        return self._make(qm * period + ms[k], q * period + r, sides[k])
+
+    def __iter__(self):
+        table = self._layout[0]
+        make, bound, period = self._make, self._bound, self._period
+        last = bound - bound % period  # where a cut period starts
+        for n_base in range(0, bound, period):
+            for n, gn in enumerate(islice(table, bound - n_base), n_base + 1):
+                if gn not in self._groups:
+                    continue
+                ms, sides, cut = self._row(gn)
+                for m_base in range(0, bound, period):
+                    yield from islice(
+                        map(make, map(add, ms, repeat(m_base)), repeat(n),
+                            sides),
+                        cut if m_base == last else None)
+
+    def __eq__(self, other):
+        if isinstance(other, _DepthPairs):
+            if other._like is not self._like:
+                return NotImplemented
+            if self.__reduce__() == other.__reduce__():
+                return True
+        elif not isinstance(other, self._like):
+            return NotImplemented
+        return (self.__len__() == other.__len__()
+                and all(map(eq, self, other)))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __reduce__(self):
+        return type(self), (self._bound, self._period, self._classes,
+                            self._groups)
+
+    def __repr__(self) -> str:
+        return (f"<{type(self).__name__} of {self.__len__()} over depths "
+                f"1..{self._bound}>")
+
+
+class _DifferenceView(_DepthPairs):
+    """``RpFamilyScan.differences`` of a listing scan: PolyDifferences,
+    equal to the tuple of them and hashed as it is."""
+
+    _like = tuple
+    _make = staticmethod(_difference)
+
+    def _lines(self) -> "_LineView":
+        polys = {p for pairs in self._groups.values()
+                 for pair in pairs.values() for p in pair}
+        text = {p: str(p) for p in polys}
+        return _LineView(self._bound, self._period, self._classes, {
+            gn: {gm: (text[left], text[right])
+                 for gm, (left, right) in pairs.items()}
+            for gn, pairs in self._groups.items()})
+
+
+class _LineView(_DepthPairs):
+    """``RpFamilyScan.lines()`` of a listing scan: one string per
+    difference, from each distinct polynomial's string, formatted once;
+    equal to the list of them."""
+
+    _like = list
+    _make = "({0},{1}): {2[0]} != {2[1]}".format
+
+
 @dataclass(frozen=True)
 class RpFamilyScan:
     """Comparison of two racks' polynomials over a grid of depth pairs.
@@ -187,11 +370,25 @@ class RpFamilyScan:
     bound reaches the larger of the two tables' periods (the lcm of each
     table's column orders); then an empty scan certifies agreement at
     every depth pair, as rp_family_scan explains.
+
+    differences is a read-only Sequence of PolyDifferences, n outermost
+    and then m.  An agreeing scan and a stop_at_first scan hold a tuple of
+    at most one.  A listing scan holds a view over its depth classes: the
+    differing class pairs with their polynomials, and one depth→class
+    table of min(bound, L) entries, L the lcm of the cycle lengths.  Its
+    len is arithmetic, indexing (negative too), slicing and iteration
+    build a PolyDifference only when it is read, and a slice is a tuple.
+    The view compares equal to the tuple of its items and hashes as that
+    tuple does, so scans compare and hash as they did when differences
+    was that tuple, and copy and pickle as before; only its repr, which
+    names its length instead of listing every item, and its type changed.
+    A listing scan's lines() is likewise a view of strings, equal to the
+    list of them; each distinct polynomial is formatted once.
     """
 
     bound: int
     complete_bound: bool
-    differences: tuple[PolyDifference, ...]
+    differences: Sequence[PolyDifference]
 
     @property
     def is_empty(self) -> bool:
@@ -200,7 +397,9 @@ class RpFamilyScan:
     def first_difference(self) -> PolyDifference | None:
         return self.differences[0] if self.differences else None
 
-    def lines(self) -> list[str]:
+    def lines(self) -> Sequence[str]:
+        if isinstance(self.differences, _DifferenceView):
+            return self.differences._lines()
         return [f"({d.m},{d.n}): {d.left} != {d.right}"
                 for d in self.differences]
 
@@ -229,12 +428,11 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     by a search from 1 that never passes the bound.  For a class of n,
     equal multisets of (t count, s counts at every class of m) leave no
     class of m to differ; only unequal ones are compared class by class.
-    An agreeing scan returns without visiting the depths 1..bound, and so
-    does stop_at_first: it stops at the least class of n with a difference
-    and answers with that class and its least differing class of m.
-    Otherwise the m in 1..bound whose class pair differs are listed once
-    per class of n, and depths n of one class share that list and its
-    polynomials.
+    No scan visits the depths 1..bound.  stop_at_first stops at the least
+    class of n with a difference and answers with that class and its
+    least differing class of m.  Otherwise the differing class pairs and
+    their polynomials are returned as a view that lists the depth pairs
+    only as they are read (see RpFamilyScan).
     """
     _check_convention(convention)
     a.require_rack()
@@ -264,25 +462,26 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     ids: dict[tuple[int, ...], int] = {}
     sid_a = [ids.setdefault(v, len(ids)) for v in zip(*s_a.values())]
     sid_b = [ids.setdefault(v, len(ids)) for v in zip(*s_b.values())]
-    # the class pairs share few polynomials, so each is built once
-    built: dict[frozenset, TwoVarPoly] = {}
+    # multisets are compared as sorted lists, and the class pairs share
+    # few polynomials, so each is built once
+    built: dict[tuple, TwoVarPoly] = {}
 
-    def polynomial(terms: Counter) -> TwoVarPoly:
-        key = frozenset(terms.items())
+    def polynomial(pairs: list[tuple[int, int]]) -> TwoVarPoly:
+        key = tuple(pairs)
         if key not in built:
-            built[key] = TwoVarPoly.from_dict(terms)
+            built[key] = _poly_from_pairs(pairs)
         return built[key]
 
     differing: dict[int, dict[int, tuple[TwoVarPoly, TwoVarPoly]]] = {}
     for gn in classes:
         t_a = _counts(t_lengths_a, gn)
         t_b = _counts(t_lengths_b, gn)
-        if Counter(zip(t_a, sid_a)) == Counter(zip(t_b, sid_b)):
+        if sorted(zip(t_a, sid_a)) == sorted(zip(t_b, sid_b)):
             continue
         polys = {}
         for gm in classes:
-            pa = Counter(zip(s_a[gm], t_a))
-            pb = Counter(zip(s_b[gm], t_b))
+            pa = sorted(zip(s_a[gm], t_a))
+            pb = sorted(zip(s_b[gm], t_b))
             if pa != pb:
                 polys[gm] = polynomial(pa), polynomial(pb)
         if polys and stop_at_first:
@@ -293,21 +492,8 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
             differing[gn] = polys
     if not differing:
         return RpFamilyScan(bound, complete, ())
-
-    # reading the class of d through gcd(d, L), L the lcm of all lengths,
-    # takes one gcd per depth instead of one test per length
-    lcm = math.lcm(*lengths)
-    gcds = [math.gcd(d, lcm) for d in range(1, bound + 1)]
-    named = {g: math.lcm(*(k for k in lengths if g % k == 0))
-             for g in set(gcds)}
-    depth_class = [named[g] for g in gcds]
-    rows = {gn: [(m, *polys[gm]) for m, gm in enumerate(depth_class, start=1)
-                 if gm in polys]
-            for gn, polys in differing.items()}
-    return RpFamilyScan(bound, complete, tuple(
-        PolyDifference(m, n, left, right)
-        for n, gn in enumerate(depth_class, start=1)
-        for m, left, right in rows.get(gn, ())))
+    return RpFamilyScan(bound, complete, _DifferenceView(
+        bound, math.lcm(*lengths), tuple(classes), differing))
 
 
 @lru_cache(maxsize=None)

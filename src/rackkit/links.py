@@ -38,8 +38,8 @@ from itertools import product
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .core import RackTable, _cycles
-from .poly import (TwoVarPoly, _convention_pairs, _depths, closure,
-                   format_monomial)
+from .poly import (TwoVarPoly, _convention_pairs, _depths, _poly_from_pairs,
+                   closure, format_monomial)
 
 __all__ = [
     "Crossing",
@@ -659,7 +659,7 @@ def enhanced_invariant(diagram: LinkDiagram, table: RackTable,
     pair_counts: Counter[tuple[tuple[int, ...], TwoVarPoly]] = Counter()
     for (label, image), count in image_counts.items():
         if image not in poly_cache:
-            poly_cache[image] = TwoVarPoly.from_pairs(
+            poly_cache[image] = _poly_from_pairs(
                 terms[x - 1] for x in image)
         pair_counts[label, poly_cache[image]] += count
     pairs = tuple(sorted(

@@ -129,6 +129,16 @@ class TwoVarPoly:
             format_monomial(c, [("s", s), ("t", t)]) for s, t, c in self.terms)
 
 
+def _poly_from_pairs(pairs: Iterable[tuple[int, int]]) -> TwoVarPoly:
+    """TwoVarPoly.from_pairs for pairs of non-negative ints, which the
+    library's own counts are.  Merged and sorted, their terms are already
+    in the stored form, so the constructor's per-term checks are skipped."""
+    poly = object.__new__(TwoVarPoly)
+    poly.__dict__["terms"] = tuple(
+        (s, t, c) for (s, t), c in sorted(Counter(pairs).items()))
+    return poly
+
+
 def _lengths(table: RackTable, convention: str
              ) -> tuple[tuple[tuple[tuple[int, int], ...], ...],
                         tuple[tuple[tuple[int, int], ...], ...]]:
@@ -208,7 +218,7 @@ def rack_polynomial(table: RackTable, m: int, n: int,
                     convention: str = "def") -> TwoVarPoly:
     """Two-variable polynomial at depths (m, n); see the module docstring."""
     m, n = _depths(table, m, n, convention)
-    return TwoVarPoly.from_pairs(
+    return _poly_from_pairs(
         _convention_pairs(table, table.elements, m, n, convention))
 
 
@@ -287,5 +297,5 @@ def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
     if escape is not None:
         x, y, p = escape
         raise RackError(f"not a subrack: {x}▷{y}={p} escapes the subset")
-    return TwoVarPoly.from_pairs(
+    return _poly_from_pairs(
         _convention_pairs(table, elems, m, n, convention))

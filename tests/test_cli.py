@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -283,6 +284,37 @@ def test_scan_agreement_is_silent(capsys):
     code, out, _ = run(capsys, "scan", Q6, R6)
     assert code == 0
     assert out == ""
+
+
+def test_scan_streams_a_hostile_bound_under_a_memory_limit():
+    # 10^9 depths in each slot under a 1 GiB address space: the lines
+    # stream from one period of depth classes, and a reader that closes
+    # the pipe after one line ends the child with a message, not a trace
+    import resource  # POSIX only, like preexec_fn
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(rackkit.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-m", "rackkit", "scan", MX6, MY6,
+         "--bound", "1000000000"],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, preexec_fn=limit_memory)
+    watchdog = threading.Timer(60, child.kill)
+    watchdog.start()
+    try:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        child.wait()
+    finally:
+        watchdog.cancel()
+        child.kill()
+    assert first == "(2,1): 6*s^6 != 6\n"
+    assert child.returncode in (0, 2), err
+    for sign in ("Traceback", "MemoryError", "Exception ignored"):
+        assert sign not in err
 
 
 def test_classify_ca(capsys):

@@ -1,9 +1,13 @@
 """Isomorphism search, polynomial-family scans, and the classification check."""
 
+import copy
 import inspect
+import math
+import pickle
 import random
 import sys
 import time
+import tracemalloc
 from functools import reduce
 from itertools import combinations, product
 
@@ -404,12 +408,17 @@ def test_isomorphic_tables_scan_empty(racks):
 
 @settings(max_examples=120, deadline=None)
 @given(rack_pairs(), st.sampled_from(("def", "prop3")), st.booleans(),
-       st.sampled_from(("default", "one", "below", "equal", "above")))
+       st.sampled_from(("default", "one", "below", "equal", "above",
+                        "periods")))
 def test_scan_matches_oracle_grid(pair, convention, stop_at_first, bound_kind):
     a, b = pair
     period = max(oracles.period(a.entries), oracles.period(b.entries))
+    # depth classes repeat with the lcm of every cycle length of both
+    # tables; k·L + r depths hold whole periods and a remainder
+    common = math.lcm(oracles.period(a.entries), oracles.period(b.entries))
     bound = {"default": period, "one": 1, "below": max(1, period - 1),
-             "equal": period, "above": period + 2}[bound_kind]
+             "equal": period, "above": period + 2,
+             "periods": 2 * common + (common + 1) // 2}[bound_kind]
     scan = rp_family_scan(a, b, None if bound_kind == "default" else bound,
                           convention, stop_at_first)
     assert scan.bound == bound
@@ -423,6 +432,73 @@ def test_scan_matches_oracle_grid(pair, convention, stop_at_first, bound_kind):
         want = want[:1]
     assert [(d.m, d.n, d.left.as_dict(), d.right.as_dict())
             for d in scan.differences] == want
+    # the differences read alike by index, slice and iteration, and the
+    # scan compares, hashes, pickles and copies as one holding their tuple
+    items = tuple(scan.differences)
+    assert len(scan.differences) == len(items) == len(want)
+    assert [scan.differences[i] for i in range(-len(items), 0)] == list(items)
+    assert scan.differences[1::3] == items[1::3]
+    assert scan.differences[::-2] == items[::-2]
+    assert scan.differences == items and items == scan.differences
+    assert hash(scan.differences) == hash(items)
+    old = iso_module.RpFamilyScan(scan.bound, scan.complete_bound, items)
+    assert scan == old and old == scan and hash(scan) == hash(old)
+    assert scan.lines() == old.lines()
+    for copied in (pickle.loads(pickle.dumps(scan)), copy.copy(scan),
+                   copy.deepcopy(scan)):
+        assert copied == scan and hash(copied) == hash(scan)
+        assert tuple(copied.differences) == items
+
+
+def test_listing_scan_reads_a_huge_bound_from_one_period(racks):
+    # 10^12 depths in each slot: the view's length is counted from one
+    # period of depth classes, and an item is found by division and
+    # bisection, so no read lists the depths
+    a, b = racks["MX6"], racks["MY6"]
+    bound = 10**12
+    common = math.lcm(oracles.period(a.entries), oracles.period(b.entries))
+    grid_a = oracles.poly_grid(a.entries, common, "def")
+    grid_b = oracles.poly_grid(b.entries, common, "def")
+    differ = [(m, n) for n in range(1, common + 1)
+              for m in range(1, common + 1) if grid_a[m, n] != grid_b[m, n]]
+
+    def depths(r):  # the d in 1..bound with d ≡ r (mod common)
+        return (bound - r) // common + 1
+
+    def residue(d):
+        return (d - 1) % common + 1
+
+    def last(rs):  # the largest d in 1..bound with a residue in rs
+        return max(bound - (bound - r) % common for r in rs)
+
+    n_last = last({n for _, n in differ})
+    m_last = last({m for m, n in differ if n == residue(n_last)})
+    row_1 = [m for m in range(1, common + 1) if (m, 1) in differ]
+    tracemalloc.start()
+    start = time.perf_counter()
+    scan = rp_family_scan(a, b, bound=bound)
+    differences = scan.differences
+    # len() stops at sys.maxsize, as for a range; __len__ is exact
+    length = differences.__len__()
+    first, final = differences[0], differences[-1]
+    head = differences[:40:3]
+    last_line = scan.lines()[-1]
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert length == sum(depths(m) * depths(n) for m, n in differ)
+    assert (first.m, first.n) == (2, 1)
+    assert (final.m, final.n) == (m_last, n_last)
+    assert final.left.as_dict() == grid_a[residue(m_last), residue(n_last)]
+    assert final.right.as_dict() == grid_b[residue(m_last), residue(n_last)]
+    # the first 40 items lie in row n = 1, whose m repeat row_1 per period
+    want = [m + k * common for k in range(40) for m in row_1][:40:3]
+    assert [(d.m, d.n) for d in head] == [(m, 1) for m in want]
+    assert last_line == (f"({m_last},{n_last}): {final.left} != "
+                         f"{final.right}")
+    # milliseconds and kilobytes; a list of the 10^12 depths would not fit
+    assert elapsed < 1
+    assert peak < 50 * 2**20
 
 
 def test_default_scan_separates_unequal_periods():

@@ -1,6 +1,7 @@
 """Two-variable polynomials, fixed-point counting, and subrack enumeration."""
 
 import math
+import random
 import time
 from functools import reduce
 from itertools import combinations
@@ -32,6 +33,7 @@ from rackkit import (
     subrack_polynomial,
     ts_rack,
 )
+from rackkit.poly import _poly_from_pairs
 
 perm_images = st.integers(1, 7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -96,6 +98,29 @@ def test_poly_terms_are_a_tuple_of_int_triples():
 def test_poly_construction_messages(terms, message):
     with pytest.raises(ValueError, match=message):
         TwoVarPoly(terms)
+
+
+def test_trusted_polynomials_equal_checked_ones():
+    # the library's own counts build polynomials without the per-term
+    # checks; each must equal the checked construction of its terms
+    rng = random.Random(1907)
+    for _ in range(300):
+        pairs = [(rng.randrange(5), rng.randrange(5))
+                 for _ in range(rng.randrange(15))]
+        p = TwoVarPoly.from_pairs(pairs)
+        assert p == TwoVarPoly(p.terms)
+        trusted = _poly_from_pairs(pairs)
+        assert trusted == p and hash(trusted) == hash(p)
+        assert repr(trusted) == repr(p) and type(trusted.terms) is tuple
+    for table in (alexander(7, 3), ts_rack(8, 3, 4),
+                  constant_action(permutation_of_type((3, 2, 2)))):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        p = rack_polynomial(table, m, n)
+        assert p == TwoVarPoly(p.terms)
+        assert all(type(x) is int for term in p.terms for x in term)
+        for sub in enumerate_subracks(table):
+            q = subrack_polynomial(table, sub, m, n)
+            assert q == TwoVarPoly(q.terms)
 
 
 def test_poly_from_pairs_aggregates():
