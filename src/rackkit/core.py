@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
 from operator import index, itemgetter, ne
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -337,13 +337,20 @@ class RackTable:
     def _left(self) -> tuple[tuple[int, ...], ...]:
         """The inverse columns, padded as ``_right`` is: ``_left[y][x]``
         is the z with z ▷ y = x.  Every column must be a bijection; the
-        first that is not raises NotARackError."""
-        ident = list(range(self.n + 1))
+        first that is not raises NotARackError.
+
+        Each column is inverted in one pass, ``inverse[col[x]] = x``.  Its
+        n + 1 entries fill the n + 1 slots exactly when it is a bijection,
+        so a slot left empty marks a column that is not.
+        """
         left: list = [None]
         for y, col in enumerate(self._right[1:], start=1):
-            if sorted(col) != ident:
+            inverse: list = [None] * len(col)
+            for x, p in enumerate(col):
+                inverse[p] = x
+            if None in inverse:
                 self.column(y)  # raises, naming the column's images
-            left.append(tuple(sorted(ident, key=col.__getitem__)))
+            left.append(tuple(inverse))
         return tuple(left)
 
     @cached_property
@@ -452,6 +459,14 @@ class RackTable:
         """
         self.require_rack()
         return vars(self)["_inner_orbits"]
+
+    @cached_property
+    def _inner_generators(self) -> tuple[int, ...]:
+        """The greedy ▷-generators of a rack that ``_analyze`` checked,
+        whose columns generate Inn(X) (see ``_generators``); cached as
+        ``_inner_orbits`` is."""
+        self.require_rack()
+        return vars(self)["_inner_generators"]
 
     @cached_property
     def report(self) -> PropertyReport:
@@ -752,6 +767,7 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     if is_rack:
         walk = _inner_walk(table, generators)
         vars(table)["_inner_orbits"] = walk  # see RackTable._inner_orbits
+        vars(table)["_inner_generators"] = tuple(generators)
         orbits = walk[0]
     is_latin = all(sorted(table.entries[orbit[0] - 1]) == labels
                    for orbit in orbits)
@@ -771,12 +787,40 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
                           is_latin, violation_count, witnesses, table)
 
 
+def _trusted_table(rows: tuple[tuple[int, ...], ...]) -> RackTable:
+    """RackTable of an n×n tuple of int tuples with entries in 1..n, which
+    the caller has proved; ``__post_init__``'s pass over the entries is
+    skipped."""
+    table = object.__new__(RackTable)
+    table.__dict__["entries"] = rows
+    return table
+
+
 def parse_rack_table(text: str) -> RackTable:
     """Read the plain text table format.
 
     First token is n, followed by n*n entries; blank lines and lines
     starting with ``#`` are ignored.
+
+    Text without ``#`` splits in one pass: its lines' tokens are its
+    whitespace-separated words.  When they are n·n + 1 in number, the
+    first reads exactly ``str(n)`` and every entry is one of the strings
+    ``str(1)``, ..., ``str(n)``, the table is read by one lookup per
+    entry and built without a second check.  Anything else (a sign, a
+    leading zero, 0, a value out of range, a non-integer, another count)
+    takes the general path below, so results and errors are the same
+    either way, and nothing of size n is built before the count is known.
     """
+    if isinstance(text, str) and "#" not in text:
+        tokens = text.split()
+        n = math.isqrt(len(tokens) - 1) if tokens else 0
+        if n and len(tokens) == n * n + 1 and tokens[0] == str(n):
+            lookup = {str(v): v for v in range(1, n + 1)}
+            entries = map(lookup.__getitem__, islice(tokens, 1, None))
+            try:
+                return _trusted_table(tuple(zip(*[entries] * n)))
+            except KeyError:
+                pass
     tokens: list[str] = []
     for line in text.splitlines():
         stripped = line.strip()

@@ -39,9 +39,9 @@ def ts_rack(n: int, t: int, s: int) -> RackTable:
         raise RackError(f"t={t} is not a unit modulo {n}")
     if (s * (1 - t - s)) % n != 0:
         raise RackError(f"s={s} fails s*(1-t-s) ≡ 0 mod {n}")
-    rows = tuple(
+    # a unit t makes every column a bijection, and s(1-t-s) ≡ 0 is
+    # self-distributivity, so the table is a rack; its report waits for
+    # its first reader
+    return RackTable(tuple(
         tuple((t * x + s * y) % n + 1 for y in range(n))
-        for x in range(n))
-    table = RackTable(rows)
-    table.require_rack()
-    return table
+        for x in range(n)))

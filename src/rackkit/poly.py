@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import index
+from itertools import compress, count
+from operator import index, ne
 from typing import Iterable, Mapping, Sequence
 
 from .core import (CONVENTIONS, RackError, RackTable, _as_int, _in_range,
@@ -222,6 +223,14 @@ def rack_polynomial(table: RackTable, m: int, n: int,
         _convention_pairs(table, table.elements, m, n, convention))
 
 
+_BIT = (1).__lshift__  # _BIT(v) is element v's bit in a subset mask
+
+
+def _moved(column: Sequence[int]) -> int:
+    """The mask of the points a padded column moves."""
+    return sum(map(_BIT, compress(count(), map(ne, column, count()))))
+
+
 def closure(table: RackTable, seed: Iterable[int]) -> tuple[int, ...]:
     """Smallest ▷-closed subset containing the seed, as a sorted tuple.
 
@@ -245,38 +254,125 @@ def is_subrack(table: RackTable, subset: Iterable[int]) -> bool:
 def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
     """All ▷-closed nonempty subsets, sorted by size then lexicographically.
 
-    Ganter's NextClosure ("Two basic algorithms in concept analysis",
-    1984) walks the closed subsets in lectic order, where smaller elements
-    weigh more, with subsets held as int masks.  From the closed set A it
-    tries i = n, ..., 1: an i in A is dropped; otherwise
-    (A ∩ {<i}) ∪ {i} is closed, and the first such closure that adds no
-    element below i is the next closed set.  A closure is abandoned at the
-    first element below i it would add.  Each closure walks its seeds,
-    i first, with their own columns (see ``core._walk``), in O(|seed|·k)
-    lookups for a closure of size k.  Found subracks are never looked up
-    again, and each costs at most n closures.  The empty set starts the
-    walk and is not reported.
+    Every φ in the inner group Inn(X) = ⟨C[y]⟩ is an automorphism (Joyce,
+    1982), so φ maps subracks onto subracks and closure(φS) = φ(closure S).
+    So one subrack per Inn-orbit of subracks is closed and grown, and the
+    rest of its orbit is its images.  Subsets are int masks (bit v for
+    element v), each recorded once with its members.
+
+    * Seeds: the closure of {r} for each Inn-orbit's least element r
+      (``RackTable._inner_orbits``), since every {x} is some φ{r}.  When
+      r ▷ r = r, {r} is closed and its images are the {x} of r's orbit.
+    * Spreading: a new subrack's Inn-orbit is walked with the columns of
+      the greedy ▷-generators the report checked, which generate Inn(X)
+      (see ``core._generators``).  A generator z is skipped at an image E
+      that holds z, as C[z] maps the subrack E onto itself, and at an E
+      that C[z] fixes pointwise.
+    * Growing: from each orbit's first subrack c, one x is tried per
+      orbit of H_c = ⟨C[y] : y ∈ c⟩ outside c.  Each C[y], y ∈ c, maps c
+      onto c, so for ψ in H_c, closure(c ∪ {ψx}) = ψ(closure(c ∪ {x})):
+      the two closures lie in one Inn-orbit.  Each c carries the ids of
+      columns that generate H_c, and H_c's orbits on X are walked once
+      per such set of ids.  The closure D of c ∪ {x} is the orbit of
+      c ∪ H_c·x under ⟨H_c, C[x]⟩ = H_D (see ``core._walk``): it is walked
+      with C[x] alone, then its new elements with every column, as
+      ``core._generators`` grows its closure.  D holds c ∪ H_c·x, so when
+      that set is a found subrack it is D, and no walk is needed.
+    * Shortcut: when C[x] is one of the columns that generate H_c, the
+      group is H_c and D is c ∪ H_c·x, with no walk.
+    * Completeness: let D be a subrack, E ⊊ D a found one, E = φE₀ with
+      E₀ its orbit's first subrack, and y a point of D outside E.  The x
+      tried for φ⁻¹y's H_E₀-orbit lies in φ⁻¹D ⊇ E₀, as H_E₀ ⊆ H_φ⁻¹D
+      maps φ⁻¹D onto itself.  So φ(closure(E₀ ∪ {x})) is a found subrack
+      inside D and larger than E.  Starting from the closure of one
+      element of D, D is reached.
+
+    On a prime Alexander quandle, x ▷ y = t·x + (1-t)·y on Z/p, the
+    singletons are one orbit, and c = {1} is grown by one closure per
+    orbit of multiplication by t on the nonzero residues, (p-1)/ord(t)
+    closures of p elements in all, where trying every element from every
+    subrack took about p²/2 closures.  Racks whose Inn-orbits are all
+    small save little, and a subrack reached from several parents is
+    looked up once per parent: the trivial rack of n elements, every
+    column the identity, tries n - |c| masks from each of its 2ⁿ - 1
+    subracks c, each by the shortcut.  On racks of five or six elements
+    the bookkeeping costs about 1.1 to 1.6 times what trying every element
+    from every subrack did, tens of microseconds.  The output is sorted
+    once at the end.
     """
     table.require_rack()
     cols = table._right
-    found = []
-    closed = 0
-    while True:
-        for i in range(table.n, 0, -1):
-            bit = 1 << i
-            if closed & bit:
-                closed ^= bit
-                continue
-            # closed is now A ∩ {<i}
-            seeds = [i, *_members(closed)]
-            grown = _walk(closed | bit, seeds, [cols[s] for s in seeds],
-                          floor=i)
-            if grown is not None:
-                closed = grown
-                found.append(_members(closed))
-                break
+    ids: dict[tuple[int, ...], int] = {}  # an id per distinct column
+    cid = [-1, *(ids.setdefault(col, len(ids)) for col in cols[1:])]
+    distinct = list(ids)  # the column of each id
+    # Inn(X)'s generators with the points their columns move
+    inner = [(z, cols[z], _moved(cols[z])) for z in table._inner_generators]
+    # each subrack's mask: its members, sorted, as they are returned
+    found: dict[int, tuple[int, ...]] = {}
+    # one subrack c per Inn-orbit, with the ids of columns that generate H_c
+    firsts: list[tuple[int, tuple[int, ...], frozenset[int]]] = []
+
+    def spread(mask: int, members: list[int], key: frozenset[int]) -> None:
+        found[mask] = members = tuple(sorted(members))
+        firsts.append((mask, members, key))
+        orbit = [(mask, members)]
+        for mask, members in orbit:
+            for z, col, moved in inner:
+                if mask & moved and not mask >> z & 1:
+                    image = [*map(col.__getitem__, members)]
+                    grown = sum(map(_BIT, image))
+                    if grown not in found:
+                        found[grown] = image = tuple(sorted(image))
+                        orbit.append((grown, image))
+
+    for orbit in table._inner_orbits[0]:
+        r = orbit[0]
+        key = frozenset((cid[r],))
+        if cols[r][r] == r:  # {r} is closed, and its images are the {x}
+            firsts.append((1 << r, (r,), key))
+            found.update((1 << x, (x,)) for x in orbit)
         else:
-            return tuple(sorted(found, key=lambda s: (len(s), s)))
+            reached = [r]
+            spread(_walk(1 << r, reached, (cols[r],)), reached, key)
+
+    elements = table.elements
+    full = (1 << table.n + 1) - 2
+    # H_c's generating columns and its orbits on X, by those columns' ids
+    groups: dict[frozenset[int], tuple[list, list]] = {}
+    for mask, members, key in firsts:  # grows while it is read
+        if mask == full:
+            continue
+        if key not in groups:
+            columns = [distinct[i] for i in key]
+            orbits = []
+            walked = 0  # every orbit so far, as a mask
+            for x in elements:
+                if not walked >> x & 1:
+                    orbit = [x]
+                    grown = _walk(walked | 1 << x, orbit, columns)
+                    orbits.append((x, grown ^ walked, orbit))
+                    walked = grown
+            groups[key] = columns, orbits
+        columns, orbits = groups[key]
+        for x, bits, orbit in orbits:
+            grown = mask | bits
+            # c ∪ H_c·x lies in the closure, so if it is closed it is the
+            # closure, and a found one needs no walk
+            if mask >> x & 1 or grown in found:
+                continue
+            reached = [*members, *orbit]
+            grown_key = key
+            if cid[x] not in key:
+                grown_key = key | {cid[x]}
+                old = len(reached)
+                grown = _walk(grown, reached, (cols[x],))
+                if len(reached) > old:
+                    grown = _walk(grown, reached, [*columns, cols[x]], old)
+            if grown not in found:
+                spread(grown, reached, grown_key)
+    subracks = sorted(found.values())
+    subracks.sort(key=len)  # stable: each size stays in lexicographic order
+    return tuple(subracks)
 
 
 def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,

@@ -273,6 +273,80 @@ def test_parse_ignores_comments_and_blanks():
     assert table.entries == ((1, 1), (2, 2))
 
 
+def reference_parse(text):
+    """The table format read line by line, as the general parser reads it."""
+    tokens = []
+    for line in text.splitlines():
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            tokens.extend(stripped.split())
+    if not tokens:
+        raise TableFormatError("empty input")
+    values = []
+    for tok in tokens:
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise TableFormatError(f"non-integer token {tok!r}") from None
+    n, body = values[0], values[1:]
+    if n < 1:
+        raise TableFormatError(f"cardinality must be positive, got {n}")
+    if len(body) != n * n:
+        raise TableFormatError(
+            f"expected {n * n} entries for n={n}, got {len(body)}")
+    return RackTable(tuple(tuple(body[i * n:(i + 1) * n]) for i in range(n)))
+
+
+def parse_outcome(parse, text):
+    try:
+        table = parse(text)
+    except Exception as exc:  # the exception's type and message must agree
+        return type(exc), str(exc)
+    return table.entries, tuple(type(v) for row in table.entries for v in row)
+
+
+def test_parse_matches_reference_parser():
+    # the one-pass reading of text without "#" must give every result,
+    # message and exception that the line-by-line reading gives
+    rng = random.Random(2026)
+    spaces = (" ", "\t", "\r\n", "\n", "\u00a0", "\u2003", "\u3000",
+              "\x0b", "\x0c", "\x1c", "\u2028", "\x85")
+    odd = ("+1", "-1", "01", "0", "007", "1_0", "١", "x", "1.0",
+           "9" * 5000, "-0", "+0")
+
+    def render(tokens):
+        return "".join(tok + rng.choice(spaces) for tok in tokens)
+
+    corpus = ["", "   ", "0", "1", "1 1", "2 1 1 2 2", "1000000000 1 1 1 1",
+              "4" + " 1" * 16, "3 1 2 3", "9" * 5000, "9" * 5000 + " 1",
+              "# a comment\n2\n1 1\n2 2\n", "2 1 # 1\n2 2\n",
+              "2\r\n1 1\r\n2 2\r\n", "  #\n1\n1\n"]
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        entries = [str(rng.randint(1, n)) for _ in range(n * n)]
+        first = str(n)
+        roll = rng.random()
+        if roll < 0.3:
+            entries[rng.randrange(n * n)] = rng.choice(odd)
+        elif roll < 0.4:
+            first = rng.choice(odd + (str(n + 1), str(n - 1)))
+        elif roll < 0.5:
+            del entries[rng.randrange(n * n)]
+        elif roll < 0.55:
+            entries.append(str(n))
+        text = render([first, *entries])
+        if rng.random() < 0.15:
+            cut = rng.randrange(len(text) + 1)
+            text = text[:cut] + "\n# note " + rng.choice(odd) + "\n" + text[cut:]
+        corpus.append(text)
+    for text in corpus:
+        assert (parse_outcome(parse_rack_table, text)
+                == parse_outcome(reference_parse, text)), text[:80]
+    for table in (alexander(31, 2), alexander(12, 5)):
+        text = table.to_text()
+        assert parse_rack_table(text) == table == reference_parse(text)
+
+
 def test_format_roundtrip(racks):
     for table in racks.values():
         assert parse_rack_table(format_rack_table(table)) == table

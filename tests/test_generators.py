@@ -167,6 +167,23 @@ def test_ts_rack_valid_parameter_sweep():
                 assert oracles.is_rack(table.entries)
 
 
+def test_ts_rack_parameters_prove_a_rack():
+    # a unit t and s(1-t-s) ≡ 0 mod n make every column a bijection and
+    # the table self-distributive, so ts_rack builds no report; each of
+    # these tables must still report a rack when it is read
+    count = 0
+    for n in range(1, 31):
+        for t in units(n):
+            for s in range(n):
+                if (s * (1 - t - s)) % n != 0:
+                    continue
+                table = ts_rack(n, t, s)
+                assert "report" not in vars(table)
+                assert table.report.is_rack, (n, t, s)
+                count += 1
+    assert count == 683
+
+
 @settings(max_examples=40)
 @given(st.integers(2, 12))
 def test_ts_rack_diagonal_is_shift_by_sum(n):
