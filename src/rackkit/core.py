@@ -354,38 +354,40 @@ class RackTable:
         return tuple(left)
 
     @cached_property
-    def _cycle_lengths(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...],
-                                      tuple[tuple[tuple[int, int], ...], ...]]:
-        """(by_column, by_row) as (cycle length, multiplicity) pairs, each
-        tuple sorted by length.
+    def _cycle_lengths(self) -> tuple[tuple, tuple, tuple, tuple]:
+        """(which, sizes, by_column, by_row): a rack's column cycle facts,
+        one entry per orbit O_i of the inner group Inn(X) = ⟨C[y]⟩, in the
+        order of ``_inner_orbits`` (see ``_inner_walk``).
 
-        ``by_column[y-1]`` counts the x by the length len_y(x) of x's cycle
-        under the column of y, and ``by_row[x-1]`` counts the y by that
-        same length.  x ▷ y ... ▷ y (d copies) = x exactly when the length
-        divides d, so every fixed-point count at every depth is a sum over
-        a row's or a column's distinct lengths.  The table must be a rack.
+        ``which[x]`` is the index i of x's orbit (index 0 unused, as in
+        ``_right``) and ``sizes[i]`` is |O_i|.  For y in O_i,
+        ``by_column[i]`` counts the x by the length len_y(x) of x's cycle
+        under the column of y, and for x in O_i, ``by_row[i]`` counts the
+        y by that same length, each as (cycle length, multiplicity) pairs
+        sorted by length.  x ▷ y ... ▷ y (d copies) = x exactly when the
+        length divides d, so every fixed-point count at every depth is a
+        sum over a row's or a column's distinct lengths.  The table must
+        be a rack.
 
-        Both are constant on each orbit of the inner group Inn(X) (see
-        ``_inner_walk``), so only the orbit representatives' columns are
-        walked.  Every φ in Inn(X) is an automorphism, so
-        C[φy] = φ C[y] φ⁻¹ (and C[y▷z] = C[z] C[y] C[z]⁻¹ in particular):
-        the columns of one orbit are conjugate and share ``by_column``.
-        And φ carries x's cycle under C[y] onto φx's cycle under C[φy],
-        so len_{φy}(φx) = len_y(x): φ maps the pairs (x, ·) onto the
-        pairs (φx, ·) with their lengths, and ``by_row`` is constant on an
-        orbit as well.  So for x in the orbit O_i, ``by_row[x-1]`` is the
-        mean of O_i's rows.  Their sum over the y of the orbit O_j with
-        representative s_j takes each y = φ(s_j), with φ permuting O_i,
-        to |O_j| copies of s_j's column over O_i, so
-        ``by_row[x-1](k)`` = Σ_j |O_j|·#{x' ∈ O_i : len_{s_j}(x') = k}
-        / |O_i|, and the division is exact.  Each cycle of C[s_j] lies
-        in one orbit, as C[s_j] is in Inn(X), so a cycle adds to one
-        orbit's counts.  Representatives with equal columns have equal
-        lengths, so ``_cycles`` walks each distinct representative column
-        once, with the summed weight Σ|O_j| of the orbits it stands for:
-        O(d·n) steps for d distinct columns among r ≤ n representatives,
-        where walking every column takes O(n²).  A trivial rack or a
-        constant action has one column, however many orbits it has.
+        Both are constant on each orbit, so one entry serves its members.
+        Every φ in Inn(X) is an automorphism, so C[φy] = φ C[y] φ⁻¹ (and
+        C[y▷z] = C[z] C[y] C[z]⁻¹ in particular): the columns of one orbit
+        are conjugate and share their lengths.  And φ carries x's cycle
+        under C[y] onto φx's cycle under C[φy], so len_{φy}(φx) =
+        len_y(x): φ maps the pairs (x, ·) onto the pairs (φx, ·) with their
+        lengths, and a row's lengths are constant on an orbit as well.  So
+        ``by_row[i]`` is the mean of O_i's rows.  Their sum over the y of
+        the orbit O_j with representative s_j takes each y = φ(s_j), with
+        φ permuting O_i, to |O_j| copies of s_j's column over O_i, so
+        ``by_row[i](k)`` = Σ_j |O_j|·#{x ∈ O_i : len_{s_j}(x) = k} / |O_i|,
+        and the division is exact.  Each cycle of C[s_j] lies in one
+        orbit, as C[s_j] is in Inn(X), so a cycle adds to one orbit's
+        counts.  Representatives with equal columns have equal lengths, so
+        ``_cycles`` walks each distinct representative column once, with
+        the summed weight Σ|O_j| of the orbits it stands for: O(d·n) steps
+        for d distinct columns among r ≤ n representatives, where walking
+        every column takes O(n²).  A trivial rack or a constant action has
+        one column, however many orbits it has.
 
         These are the table's only column cycle facts.  Their readers:
         the fix counts (``poly._lengths``), the column period
@@ -394,19 +396,20 @@ class RackTable:
         ``iso.rp_family_scan``.
         """
         orbits = self._inner_orbits[0]
-        which = [0] * (self.n + 1)  # the index of each element's orbit
+        which = [0] * (self.n + 1)
         for i, orbit in enumerate(orbits):
             for x in orbit:
                 which[x] = i
+        sizes = tuple(map(len, orbits))
         # the orbits whose representatives share each distinct column
-        sharing: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for orbit in orbits:
-            sharing.setdefault(self._right[orbit[0]], []).append(orbit)
+        sharing: dict[tuple[int, ...], list[int]] = {}
+        for i, orbit in enumerate(orbits):
+            sharing.setdefault(self._right[orbit[0]], []).append(i)
         # rows[i][k] = Σ_j |O_j|·#{x ∈ O_i : len_{s_j}(x) = k}
         rows: list[dict[int, int]] = [{} for _ in orbits]
-        by_column: list = [None] * (self.n + 1)
+        by_column: list = [None] * len(orbits)
         for column, group in sharing.items():
-            weight = sum(map(len, group))
+            weight = sum(sizes[i] for i in group)
             counts: dict[int, int] = {}
             for cycle in _cycles(column):
                 k = len(cycle)
@@ -414,13 +417,11 @@ class RackTable:
                 row = rows[which[cycle[0]]]  # a cycle lies in one orbit
                 row[k] = row.get(k, 0) + weight * k
             pairs = tuple(sorted(counts.items()))
-            for orbit in group:
-                for y in orbit:
-                    by_column[y] = pairs
-        by_orbit = [tuple(sorted((k, m // len(orbit)) for k, m in row.items()))
-                    for row, orbit in zip(rows, orbits)]
-        return (tuple(by_column[1:]),
-                tuple(by_orbit[which[x]] for x in self.elements))
+            for i in group:
+                by_column[i] = pairs
+        return tuple(which), sizes, tuple(by_column), tuple(
+            tuple(sorted((k, m // size) for k, m in row.items()))
+            for row, size in zip(rows, sizes))
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
@@ -898,7 +899,7 @@ def rack_rank(table: RackTable) -> int:
 def column_order_lcm(table: RackTable) -> int:
     """lcm of the orders of all column actions; the period of iterated products."""
     table.require_rack()
-    return math.lcm(*(k for pairs in table._cycle_lengths[0] for k, _ in pairs))
+    return math.lcm(*(k for pairs in table._cycle_lengths[2] for k, _ in pairs))
 
 
 def _normalize_partition(n: int,

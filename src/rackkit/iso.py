@@ -15,8 +15,8 @@ from operator import add, eq, index as _index, itemgetter
 from .core import (Permutation, RackError, RackTable, _as_int,
                    column_order_lcm)
 from .generators import constant_action
-from .poly import (TwoVarPoly, _check_convention, _counts, _lengths,
-                   _poly_from_pairs)
+from .poly import (TwoVarPoly, _check_convention, _counts, _lengths, _poly,
+                   _weighted)
 
 __all__ = [
     "ClassificationReport",
@@ -40,15 +40,14 @@ class IsoResult:
 
 
 def _invariant_keys(table: RackTable) -> list[tuple]:
-    """Per-element keys preserved by isomorphism, used to prune the search.
-
-    x's key is its column's cycle type and its row's fix count.  π(x)'s
-    column would add nothing: R_{x ▷ x} = R_x in every rack (Fenn and
-    Rourke, "Racks and links in codimension two", 1992).
+    """Per Inn-orbit, a key preserved by isomorphism, used to prune the
+    search: x's key, shared by its orbit, is its column's cycle type and
+    its row's fix count.  π(x)'s column would add nothing: R_{x ▷ x} = R_x
+    in every rack (Fenn and Rourke, "Racks and links in codimension two",
+    1992).
     """
-    types = table._cycle_lengths[0]  # (length, points) pairs, sorted
-    rows = _counts(_lengths(table, "def")[0], 1)  # row[1][x], the s count
-    return list(zip(types, rows))
+    _, _, types, rows = table._cycle_lengths  # (length, points) pairs
+    return list(zip(types, _counts(rows, 1)))  # row[1][x], the s count
 
 
 def _is_morphism(a: RackTable, b: RackTable, images: list[int]) -> bool:
@@ -92,15 +91,17 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
         return IsoResult(False)
     keys_a = _invariant_keys(a)
     keys_b = _invariant_keys(b)
-    if sorted(keys_a) != sorted(keys_b):
+    which_a, sizes_a = a._cycle_lengths[:2]
+    which_b, sizes_b = b._cycle_lengths[:2]
+    if _weighted(keys_a, sizes_a) != _weighted(keys_b, sizes_b):
         return IsoResult(False)
     # images[x] is f(x) once x is placed, and free[y] is 0 once y is used;
     # before that both hold a negative number naming the element's key, so
     # one comparison rejects a placed element, a used image or another key
-    ids = {key: -i for i, key in enumerate(set(keys_a), 1)}
-    unplaced = [0, *(ids[key] for key in keys_a)]
+    ids = {key: -i for i, key in enumerate(keys_a, 1)}
+    unplaced = [0, *(ids[keys_a[i]] for i in which_a[1:])]
     images = unplaced.copy()
-    free = [0, *(ids[key] for key in keys_b)]
+    free = [0, *(ids[keys_b[i]] for i in which_b[1:])]
     cols_a = a._right
     cols_b = b._right
     placed: list[int] = []
@@ -425,9 +426,12 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     the two tables divide d.  So the depths fall into classes, each named
     by the lcm of those lengths, which is also its least depth.  The
     classes up to the bound are the lcms of sets of cycle lengths, found
-    by a search from 1 that never passes the bound.  For a class of n,
-    equal multisets of (t count, s counts at every class of m) leave no
-    class of m to differ; only unequal ones are compared class by class.
+    by a search from 1 that never passes the bound.  Counts are constant
+    on each Inn-orbit, so every multiset below is one entry per orbit
+    weighted by the orbit's size, merged and sorted (``poly._weighted``),
+    and a polynomial is built from it directly.  For a class of n, equal
+    multisets of (t count, s counts at every class of m) leave no class
+    of m to differ; only unequal ones are compared class by class.
     No scan visits the depths 1..bound.  stop_at_first stops at the least
     class of n with a difference and answers with that class and its
     least differing class of m.  Otherwise the differing class pairs and
@@ -442,7 +446,7 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     if bound < 1:
         raise RackError(f"bound must be at least 1, got {bound}")
     complete = bound >= period
-    lengths = {k for table in (a, b) for pairs in table._cycle_lengths[0]
+    lengths = {k for table in (a, b) for pairs in table._cycle_lengths[2]
                for k, _ in pairs}
     found = {1}
     todo = [1]
@@ -456,34 +460,25 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     classes = sorted(found)
     s_lengths_a, t_lengths_a = _lengths(a, convention)
     s_lengths_b, t_lengths_b = _lengths(b, convention)
+    sizes_a, sizes_b = a._cycle_lengths[1], b._cycle_lengths[1]
     s_a = {g: _counts(s_lengths_a, g) for g in classes}
     s_b = {g: _counts(s_lengths_b, g) for g in classes}
-    # each element's s counts at every class of m, as one small int
-    ids: dict[tuple[int, ...], int] = {}
-    sid_a = [ids.setdefault(v, len(ids)) for v in zip(*s_a.values())]
-    sid_b = [ids.setdefault(v, len(ids)) for v in zip(*s_b.values())]
-    # multisets are compared as sorted lists, and the class pairs share
-    # few polynomials, so each is built once
-    built: dict[tuple, TwoVarPoly] = {}
-
-    def polynomial(pairs: list[tuple[int, int]]) -> TwoVarPoly:
-        key = tuple(pairs)
-        if key not in built:
-            built[key] = _poly_from_pairs(pairs)
-        return built[key]
-
+    # each orbit's s counts at every class of m
+    all_s_a = list(zip(*s_a.values()))
+    all_s_b = list(zip(*s_b.values()))
     differing: dict[int, dict[int, tuple[TwoVarPoly, TwoVarPoly]]] = {}
     for gn in classes:
         t_a = _counts(t_lengths_a, gn)
         t_b = _counts(t_lengths_b, gn)
-        if sorted(zip(t_a, sid_a)) == sorted(zip(t_b, sid_b)):
+        if (_weighted(zip(t_a, all_s_a), sizes_a)
+                == _weighted(zip(t_b, all_s_b), sizes_b)):
             continue
         polys = {}
         for gm in classes:
-            pa = sorted(zip(s_a[gm], t_a))
-            pb = sorted(zip(s_b[gm], t_b))
+            pa = _weighted(zip(s_a[gm], t_a), sizes_a)
+            pb = _weighted(zip(s_b[gm], t_b), sizes_b)
             if pa != pb:
-                polys[gm] = polynomial(pa), polynomial(pb)
+                polys[gm] = _poly(pa), _poly(pb)
         if polys and stop_at_first:
             gm, (left, right) = next(iter(polys.items()))
             return RpFamilyScan(bound, complete,

@@ -34,11 +34,11 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .core import RackTable, _cycles
-from .poly import (TwoVarPoly, _convention_pairs, _depths, _poly_from_pairs,
+from .poly import (TwoVarPoly, _depths, _orbit_pairs, _poly, _weighted,
                    closure, format_monomial)
 
 __all__ = [
@@ -643,8 +643,9 @@ def enhanced_invariant(diagram: LinkDiagram, table: RackTable,
     of colors.  Depths below 1 raise RackError before any search,
     whatever the diagram.
     """
-    dm, dn = _depths(table, m, n, convention)
-    terms = _convention_pairs(table, table.elements, dm, dn, convention)
+    m, n = _depths(table, m, n, convention)
+    terms = _orbit_pairs(table, m, n, convention)
+    which = table._cycle_lengths[0]
     real = len(diagram.arcs)
     closures: dict[frozenset[int], tuple[int, ...]] = {}
 
@@ -659,8 +660,8 @@ def enhanced_invariant(diagram: LinkDiagram, table: RackTable,
     pair_counts: Counter[tuple[tuple[int, ...], TwoVarPoly]] = Counter()
     for (label, image), count in image_counts.items():
         if image not in poly_cache:
-            poly_cache[image] = _poly_from_pairs(
-                terms[x - 1] for x in image)
+            poly_cache[image] = _poly(
+                _weighted([terms[which[x]] for x in image], repeat(1)))
         pair_counts[label, poly_cache[image]] += count
     pairs = tuple(sorted(
         ((label, poly, mult) for (label, poly), mult in pair_counts.items()),

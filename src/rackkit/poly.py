@@ -17,15 +17,19 @@ Both counts are read from the table's cached cycle lengths: y returns to
 itself after d products by x exactly when the length of its cycle under
 x's column divides d.  Each column and each row keeps its distinct
 lengths with their multiplicities, so a count at any depth sums over
-those lengths.  The lengths cost O(n²) once per table, and a count
-depends on d only through gcd(d, L), with L the lcm of the column orders.
+those lengths.  Both counts are constant on each orbit of the inner group
+Inn(X), so the lengths are kept, and the counts taken, once per orbit:
+the lengths cost O(d·n) once per table, d the distinct columns among the
+orbits' representatives, and a polynomial weighs each orbit's monomial
+by the orbit's size.  A count depends on d only through gcd(d, L), with
+L the lcm of the column orders.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress, count, repeat
 from operator import index, ne
 from typing import Iterable, Mapping, Sequence
 
@@ -109,8 +113,8 @@ class TwoVarPoly:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "TwoVarPoly":
         """Sum of one monomial s^a t^b per pair (a, b)."""
-        counts = Counter(pairs)
-        return cls(tuple((s, t, c) for (s, t), c in sorted(counts.items())))
+        return cls(tuple(
+            (s, t, c) for (s, t), c in _weighted(pairs, repeat(1))))
 
     @classmethod
     def from_dict(cls, coeffs: Mapping[tuple[int, int], int]) -> "TwoVarPoly":
@@ -130,42 +134,40 @@ class TwoVarPoly:
             format_monomial(c, [("s", s), ("t", t)]) for s, t, c in self.terms)
 
 
-def _poly_from_pairs(pairs: Iterable[tuple[int, int]]) -> TwoVarPoly:
-    """TwoVarPoly.from_pairs for pairs of non-negative ints, which the
-    library's own counts are.  Merged and sorted, their terms are already
-    in the stored form, so the constructor's per-term checks are skipped."""
+def _weighted(keys: Iterable, weights: Iterable[int]) -> list[tuple]:
+    """Each distinct key with the sum of its weights, sorted by key: one
+    form for a multiset given as keys weighted by the sizes of the groups
+    they stand for, equal exactly when the multisets are."""
+    totals: dict = {}
+    for key, weight in zip(keys, weights):
+        totals[key] = totals.get(key, 0) + weight
+    return sorted(totals.items())
+
+
+def _poly(items: Iterable[tuple]) -> TwoVarPoly:
+    """The polynomial with a term c·s^a·t^b per item ((a, b), c) of
+    ``_weighted``.  The library's exponents are non-negative ints and its
+    weights positive, so the items are already the stored terms, and the
+    constructor's per-term checks are skipped."""
     poly = object.__new__(TwoVarPoly)
-    poly.__dict__["terms"] = tuple(
-        (s, t, c) for (s, t), c in sorted(Counter(pairs).items()))
+    poly.__dict__["terms"] = tuple((s, t, c) for (s, t), c in items)
     return poly
 
 
-def _lengths(table: RackTable, convention: str
-             ) -> tuple[tuple[tuple[tuple[int, int], ...], ...],
-                        tuple[tuple[tuple[int, int], ...], ...]]:
-    """Per element, the (cycle length, multiplicity) pairs behind the s
+def _lengths(table: RackTable, convention: str) -> tuple[tuple, tuple]:
+    """Per Inn-orbit, the (cycle length, multiplicity) pairs behind the s
     and the t count under a convention: a row's for row[d][x], a
-    column's for col[d][x]."""
-    by_column, by_row = table._cycle_lengths
+    column's for col[d][x] (see ``RackTable._cycle_lengths``)."""
+    _, _, by_column, by_row = table._cycle_lengths
     if convention == "def":
         return by_row, by_column
     return by_column, by_row
 
 
-def _counts(by_length: tuple[tuple[tuple[int, int], ...], ...],
-            depth: int) -> tuple[int, ...]:
-    """Per element, the multiplicities of the lengths dividing depth.
-
-    The members of an Inn-orbit share one (length, multiplicity) tuple
-    (see ``RackTable._cycle_lengths``), so each distinct tuple is summed
-    once and every element looks its sum up: O(r·ℓ) additions for r
-    distinct tuples of ℓ lengths, and O(n) lookups, where summing each
-    element's own tuple takes O(n·ℓ).
-    """
-    sums = dict.fromkeys(by_length)
-    for pairs in sums:
-        sums[pairs] = sum(m for k, m in pairs if depth % k == 0)
-    return tuple(map(sums.__getitem__, by_length))
+def _counts(by_length: Sequence[tuple], depth: int) -> list[int]:
+    """Per Inn-orbit, the multiplicities of its lengths that divide
+    depth: O(r·ℓ) additions for r orbits of ℓ lengths."""
+    return [sum(m for k, m in pairs if depth % k == 0) for pairs in by_length]
 
 
 @dataclass(frozen=True)
@@ -182,9 +184,10 @@ class ExponentProfile:
 
 
 def exponent_profile(table: RackTable, m: int, n: int) -> ExponentProfile:
-    dm, dn = _depths(table, m, n, "prop3")
+    m, n = _depths(table, m, n, "prop3")
+    pairs = _orbit_pairs(table, m, n, "prop3")
     return ExponentProfile(m, n, tuple(
-        _convention_pairs(table, table.elements, dm, dn, "prop3")))
+        map(pairs.__getitem__, table._cycle_lengths[0][1:])))
 
 
 def _depths(table: RackTable, m: int, n: int,
@@ -202,25 +205,20 @@ def _depths(table: RackTable, m: int, n: int,
     return m, n
 
 
-def _convention_pairs(table: RackTable, elems: Sequence[int], m: int, n: int,
-                      convention: str) -> list[tuple[int, int]]:
-    """Per element of elems, its (s, t) exponent pair at depths (m, n),
-    which ``_depths`` has checked.
-
-    Only those elements are counted, in O(|elems|·ℓ) with ℓ the distinct
-    cycle lengths per element, from lengths cached once per table.
-    """
+def _orbit_pairs(table: RackTable, m: int, n: int,
+                 convention: str) -> list[tuple[int, int]]:
+    """Per Inn-orbit, its members' (s, t) exponent pair at depths (m, n),
+    which ``_depths`` has checked."""
     s_lengths, t_lengths = _lengths(table, convention)
-    return list(zip(_counts([s_lengths[x - 1] for x in elems], m),
-                    _counts([t_lengths[x - 1] for x in elems], n)))
+    return list(zip(_counts(s_lengths, m), _counts(t_lengths, n)))
 
 
 def rack_polynomial(table: RackTable, m: int, n: int,
                     convention: str = "def") -> TwoVarPoly:
     """Two-variable polynomial at depths (m, n); see the module docstring."""
     m, n = _depths(table, m, n, convention)
-    return _poly_from_pairs(
-        _convention_pairs(table, table.elements, m, n, convention))
+    return _poly(_weighted(_orbit_pairs(table, m, n, convention),
+                           table._cycle_lengths[1]))
 
 
 _BIT = (1).__lshift__  # _BIT(v) is element v's bit in a subset mask
@@ -380,10 +378,10 @@ def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
     """Rack polynomial terms of the ambient table restricted to a subrack.
 
     Counts still range over the whole ambient rack; only the outer sum is
-    restricted to the subset, and only the subset's elements are counted.
-    With the table's report and cycle lengths cached, a subrack S costs
-    O(|S|² + |S|·ℓ), with ℓ the distinct cycle lengths per element: the
-    closure check, then the counts.
+    restricted to the subset.  With the table's report and cycle lengths
+    cached, a subrack S costs O(|S|² + r·ℓ) for r ≤ |S| Inn-orbits meeting
+    S, of ℓ lengths each: the closure check, one orbit lookup per member,
+    then each orbit's counts, weighted by its members in S.
     """
     m, n = _depths(table, m, n, convention)
     elems = table._elements(subset)
@@ -393,5 +391,8 @@ def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
     if escape is not None:
         x, y, p = escape
         raise RackError(f"not a subrack: {x}▷{y}={p} escapes the subset")
-    return _poly_from_pairs(
-        _convention_pairs(table, elems, m, n, convention))
+    orbits = Counter(map(table._cycle_lengths[0].__getitem__, elems))
+    s_lengths, t_lengths = _lengths(table, convention)
+    return _poly(_weighted(zip(_counts([s_lengths[i] for i in orbits], m),
+                               _counts([t_lengths[i] for i in orbits], n)),
+                           orbits.values()))

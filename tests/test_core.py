@@ -868,6 +868,19 @@ def test_equal_columns_report_quickly_at_n401(build):
     assert elapsed < 2
 
 
+def per_element(table):
+    """``_cycle_lengths`` expanded through its orbit index: each element's
+    (length, multiplicity) pairs by column and by row, once the index and
+    the orbit sizes are checked against each other."""
+    which, sizes, by_column, by_row = table._cycle_lengths
+    assert len(which) == table.n + 1 and which[0] == 0
+    assert sizes == tuple(map(Counter(which[1:]).__getitem__,
+                              range(len(sizes))))
+    assert len(by_column) == len(by_row) == len(sizes)
+    return (tuple(by_column[i] for i in which[1:]),
+            tuple(by_row[i] for i in which[1:]))
+
+
 @given(relabelled_racks)
 def test_cycle_lengths_match_the_column_cycles(entries):
     table = RackTable(entries)
@@ -881,17 +894,19 @@ def test_cycle_lengths_match_the_column_cycles(entries):
                 by_row[x - 1][len(cycle)] += 1
         by_column.append(tuple(sorted(counts.items())))
     expected = tuple(by_column), tuple(tuple(sorted(c.items())) for c in by_row)
-    assert table._cycle_lengths == expected
+    assert per_element(table) == expected
     columns = table.columns
     assert column_order_lcm(table) == math.lcm(*(c.order for c in columns))
-    types = [key[0] for key in _invariant_keys(table)]
+    which = table._cycle_lengths[0]
+    keys = _invariant_keys(table)
+    types = [keys[i][0] for i in which[1:]]
     for i, j in product(range(table.n), repeat=2):
         assert ((types[i] == types[j])
                 == (columns[i].cycle_type == columns[j].cycle_type))
     # the above reads _cycles twice; the oracle steps each product by hand
     lengths = oracles.cycle_lengths(entries)
     elements = table.elements
-    assert table._cycle_lengths == (
+    assert per_element(table) == (
         tuple(tuple(sorted(Counter(lengths[x, y] for x in elements).items()))
               for y in elements),
         tuple(tuple(sorted(Counter(lengths[x, y] for y in elements).items()))
@@ -970,7 +985,8 @@ def test_cycle_lengths_walk_each_distinct_column_once(entries):
         return cycles(images)
 
     with patch.object(rackkit.core, "_cycles", counted):
-        by_column, by_row = table._cycle_lengths
+        table._cycle_lengths
+    by_column, by_row = per_element(table)
     orbits = oracles.inner_orbits(entries)
     elements = range(1, len(entries) + 1)
     # one walk per distinct column among the orbits' least elements: a
@@ -988,6 +1004,10 @@ def test_cycle_lengths_walk_each_distinct_column_once(entries):
     for orbit in orbits:
         assert len({by_column[x - 1] for x in orbit}) == 1
         assert len({by_row[x - 1] for x in orbit}) == 1
+    # one entry per Inn-orbit, each orbit's index shared by its members
+    which = table._cycle_lengths[0]
+    assert sorted(tuple(x for x in elements if which[x] == i)
+                  for i in range(len(orbits))) == sorted(orbits)
 
 
 def test_alexander_401_cycle_lengths_walk_one_column():
@@ -1018,7 +1038,9 @@ def test_trivial_401_cycle_lengths_walk_one_column():
     # 401 one-element orbits share the identity column, walked once: a
     # few milliseconds, where a walk per orbit took about 40
     assert len(walked) == 1
-    assert lengths == ((((1, 401),),) * 401,) * 2
+    assert lengths == ((0, *range(401)), (1,) * 401,
+                       (((1, 401),),) * 401, (((1, 401),),) * 401)
+    assert per_element(table) == ((((1, 401),),) * 401,) * 2
     assert elapsed < 0.02
 
 

@@ -12,7 +12,7 @@ from functools import reduce
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -22,6 +22,7 @@ from rackkit import (
     Permutation,
     RackError,
     RackTable,
+    TwoVarPoly,
     alexander,
     column_order_lcm,
     constant_action,
@@ -406,10 +407,22 @@ def test_isomorphic_tables_scan_empty(racks):
         assert rp_family_scan(table, other).is_empty
 
 
+def constant_pair(type_a, type_b):
+    return (constant_action(permutation_of_type(type_a)),
+            constant_action(permutation_of_type(type_b)))
+
+
+# orbits of different sizes share a key: in (2,3) against (5) every count
+# is 0 at (1, 1) and 5 at (30, 30), in (1,1,2) against (2,2) every count
+# is 4 at (2, 2), so the sides agree there only once equal keys are merged
 @settings(max_examples=120, deadline=None)
 @given(rack_pairs(), st.sampled_from(("def", "prop3")), st.booleans(),
        st.sampled_from(("default", "one", "below", "equal", "above",
                         "periods")))
+@example(constant_pair((2, 3), (5,)), "def", False, "default")
+@example(constant_pair((2, 3), (5,)), "prop3", False, "periods")
+@example(constant_pair((1, 1, 2), (2, 2)), "def", False, "default")
+@example(constant_pair((1, 1, 2), (2, 2)), "prop3", False, "above")
 def test_scan_matches_oracle_grid(pair, convention, stop_at_first, bound_kind):
     a, b = pair
     period = max(oracles.period(a.entries), oracles.period(b.entries))
@@ -448,6 +461,32 @@ def test_scan_matches_oracle_grid(pair, convention, stop_at_first, bound_kind):
                    copy.deepcopy(scan)):
         assert copied == scan and hash(copied) == hash(scan)
         assert tuple(copied.differences) == items
+
+
+def test_scan_of_91_element_constant_actions():
+    # types (13, 12, ..., 1) and (13, ..., 4, 3, 3): 192 depth classes each
+    # way up to the default bound 360360, compared once per Inn-orbit,
+    # 13 and 12 of them, where comparing 91 elements took about 2 s
+    type_a = tuple(range(13, 0, -1))
+    type_b = (*range(13, 3, -1), 3, 3)
+    elapsed = []
+    for _ in range(2):
+        a = constant_action(permutation_of_type(type_a))
+        b = constant_action(permutation_of_type(type_b))
+        a.report, b.report  # building the tables is not the scan's work
+        start = time.perf_counter()
+        scan = rp_family_scan(a, b)
+        elapsed.append(time.perf_counter() - start)
+    assert (scan.bound, scan.complete_bound) == (360360, True)
+    differences = scan.differences
+    assert differences.__len__() == 126_252_126_000
+    difference = iso_module.PolyDifference
+    assert differences[0] == difference(
+        1, 1, TwoVarPoly(((0, 1, 90), (91, 1, 1))), TwoVarPoly(((0, 0, 91),)))
+    assert differences[-1] == difference(
+        360359, 360360, TwoVarPoly(((0, 91, 90), (91, 91, 1))),
+        TwoVarPoly(((0, 91, 91),)))
+    assert min(elapsed) < 1
 
 
 def test_listing_scan_reads_a_huge_bound_from_one_period(racks):

@@ -29,6 +29,7 @@ from rackkit import (
     counting_polynomial_string,
     enhanced_invariant,
     enumerate_colorings,
+    exponent_profile,
     image_subrack,
     parse_diagram,
     rack_counting,
@@ -313,6 +314,24 @@ def test_enhanced_trefoil(racks, links):
     assert inv.rack_rank == 2
     assert inv.component_count == 1
     assert (inv.m, inv.n, inv.convention) == (1, 1, "def")
+
+
+def test_depths_are_kept_as_the_checked_ints(links):
+    # a depth goes through operator.index, so True is depth 1 and an
+    # object with __index__ returning 3 is depth 3; the results keep those
+    # ints, not the objects passed in
+    class Three:
+        def __index__(self):
+            return 3
+
+    table = alexander(5, 2)
+    profile = exponent_profile(table, True, Three())
+    inv = enhanced_invariant(links["trefoil"], table, True, Three())
+    for result in (profile, inv):
+        assert (result.m, result.n) == (1, 3)
+        assert type(result.m) is int and type(result.n) is int
+    assert profile == exponent_profile(table, 1, 3)
+    assert inv == enhanced_invariant(links["trefoil"], table, 1, 3)
 
 
 def test_enhanced_image_multiplicities(racks, links):

@@ -4,7 +4,7 @@ import math
 import random
 import time
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +33,7 @@ from rackkit import (
     subrack_polynomial,
     ts_rack,
 )
-from rackkit.poly import _poly_from_pairs
+from rackkit.poly import _poly, _weighted
 
 perm_images = st.integers(1, 7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -109,9 +109,17 @@ def test_trusted_polynomials_equal_checked_ones():
                  for _ in range(rng.randrange(15))]
         p = TwoVarPoly.from_pairs(pairs)
         assert p == TwoVarPoly(p.terms)
-        trusted = _poly_from_pairs(pairs)
+        trusted = _poly(_weighted(pairs, repeat(1)))
         assert trusted == p and hash(trusted) == hash(p)
         assert repr(trusted) == repr(p) and type(trusted.terms) is tuple
+        # a key weighted by w stands for w equal members, however the
+        # equal keys are grouped
+        weights = [rng.randint(1, 4) for _ in pairs]
+        weighted = _poly(_weighted(pairs, weights))
+        expanded = TwoVarPoly.from_pairs(
+            [pair for pair, w in zip(pairs, weights) for _ in range(w)])
+        assert weighted == expanded and hash(weighted) == hash(expanded)
+        assert repr(weighted) == repr(expanded)
     for table in (alexander(7, 3), ts_rack(8, 3, 4),
                   constant_action(permutation_of_type((3, 2, 2)))):
         m, n = rng.randint(1, 12), rng.randint(1, 12)
