@@ -9,10 +9,9 @@ separate so that broken tables can still be loaded and reported on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, islice
-from operator import index, itemgetter, ne
+from operator import attrgetter, index, itemgetter, ne
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -100,7 +99,53 @@ def _cycles(images: Sequence[int]) -> Iterator[list[int]]:
         yield cycle
 
 
-@dataclass(frozen=True)
+def _frozen(self, name: str, *value: object) -> None:
+    raise AttributeError(
+        f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _record(cls: type) -> type:
+    """cls as a frozen record of its annotated fields, in order, as
+    ``@dataclass(frozen=True)`` makes it, without importing dataclasses.
+
+    Defaults are the class attributes, and ``__post_init__`` runs after
+    ``__init__``.  Equality, hashing and repr read the tuple of the fields
+    but those named in cls's ``_hidden``.
+    """
+    names = tuple(vars(cls).get("__annotations__", ()))
+    defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+    shown = [n for n in names if n not in vars(cls).get("_hidden", ())]
+    get = attrgetter(*shown)  # a tuple unless there is one shown field
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            given = {**defaults, **dict(zip(names, args)), **kwargs}
+            if (len(args) > len(names) or kwargs.keys() & names[:len(args)]
+                    or given.keys() != set(names)):
+                raise TypeError(f"{cls.__qualname__}() takes {names}; got "
+                                f"{len(args)} positional and {tuple(kwargs)}")
+            args = map(given.__getitem__, names)
+        self.__dict__.update(zip(names, args))
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        return (get(self) == get(other) if other.__class__ is self.__class__
+                else NotImplemented)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__hash__ = ((lambda self: hash((get(self),))) if len(shown) == 1
+                    else lambda self: hash(get(self)))
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    return cls
+
+
+@_record
 class Permutation:
     """Bijection on {1..n}; ``images[i-1]`` is the image of i.  Any bad
     input, an argument of another size too, raises ValueError."""
@@ -193,7 +238,7 @@ class Permutation:
         return all(x == y for x, y in enumerate(self.images, start=1))
 
 
-@dataclass(frozen=True)
+@_record
 class AxiomViolation:
     """Concrete witness against one rack axiom.
 
@@ -208,7 +253,7 @@ class AxiomViolation:
 _SHOWN = 10  # witnesses a report keeps at hand; the most any reader shows
 
 
-@dataclass(frozen=True)
+@_record
 class PropertyReport:
     """Property flags and the witnesses against the rack axioms.
 
@@ -228,7 +273,8 @@ class PropertyReport:
     is_latin: bool
     violation_count: int = 0
     first_violations: tuple[AxiomViolation, ...] = ()
-    table: RackTable | None = field(default=None, compare=False, repr=False)
+    table: RackTable | None = None
+    _hidden = ("table",)  # kept, but not compared, hashed or shown
 
     @cached_property
     def axiom_violations(self) -> tuple[AxiomViolation, ...]:
@@ -248,7 +294,7 @@ class PropertyReport:
         return state
 
 
-@dataclass(frozen=True)
+@_record
 class RackTable:
     """Operation table on {1..n}; ``entries[x-1][y-1]`` is x ▷ y.
 
@@ -291,10 +337,19 @@ class RackTable:
 
     def _elements(self, values: Iterable[int]) -> list[int]:
         """The values as ints, deduplicated and sorted; a non-integer or the
-        least value out of range raises."""
-        elems = sorted(set(map(_as_int, values)))
-        for v in elems:
-            _in_range(v, self.n)
+        least value out of range raises.  Only the least and the greatest
+        value are range-checked, and the input is read once more, element
+        by element, only to name what is wrong."""
+        values = list(values)  # an iterator too can be read again
+        try:
+            elems = sorted(set(map(index, values)))
+        except TypeError:
+            for v in values:
+                _as_int(v)  # raises, naming the first non-integer
+            raise
+        if elems and (elems[0] < 1 or elems[-1] > self.n):
+            for v in elems:
+                _in_range(v, self.n)  # raises at the least out of range
         return elems
 
     def op(self, x: int, y: int) -> int:

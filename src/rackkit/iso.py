@@ -7,12 +7,11 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress, islice, repeat
 from operator import add, eq, index as _index, itemgetter
 
-from .core import (Permutation, RackError, RackTable, _as_int,
+from .core import (Permutation, RackError, RackTable, _as_int, _record,
                    column_order_lcm)
 from .generators import constant_action
 from .poly import (TwoVarPoly, _check_convention, _counts, _lengths, _poly,
@@ -33,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_record
 class IsoResult:
     isomorphic: bool
     witness: Permutation | None = None
@@ -176,7 +175,7 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
     return IsoResult(True, Permutation(tuple(images[1:])))
 
 
-@dataclass(frozen=True)
+@_record
 class PolyDifference:
     m: int
     n: int
@@ -186,8 +185,8 @@ class PolyDifference:
 
 def _difference(m: int, n: int, pair: tuple[TwoVarPoly, TwoVarPoly],
                 _new=object.__new__) -> PolyDifference:
-    """PolyDifference(m, n, *pair), whose fields need no check, without
-    the frozen __init__'s four object.__setattr__ calls."""
+    """PolyDifference(m, n, *pair), whose fields need no check, built
+    without the generic record ``__init__`` and its argument checks."""
     difference = _new(PolyDifference)
     difference.__dict__.update(m=m, n=n, left=pair[0], right=pair[1])
     return difference
@@ -363,7 +362,7 @@ class _LineView(_DepthPairs):
     _make = "({0},{1}): {2[0]} != {2[1]}".format
 
 
-@dataclass(frozen=True)
+@_record
 class RpFamilyScan:
     """Comparison of two racks' polynomials over a grid of depth pairs.
 
@@ -429,9 +428,11 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     by a search from 1 that never passes the bound.  Counts are constant
     on each Inn-orbit, so every multiset below is one entry per orbit
     weighted by the orbit's size, merged and sorted (``poly._weighted``),
-    and a polynomial is built from it directly.  For a class of n, equal
-    multisets of (t count, s counts at every class of m) leave no class
-    of m to differ; only unequal ones are compared class by class.
+    and a polynomial is built from it directly, one shared by all equal
+    multisets, so a listing holds one per distinct polynomial.  For a
+    class of n, equal multisets of (t count, s counts at every class of
+    m) leave no class of m to differ; only unequal ones are compared
+    class by class.
     No scan visits the depths 1..bound.  stop_at_first stops at the least
     class of n with a difference and answers with that class and its
     least differing class of m.  Otherwise the differing class pairs and
@@ -467,6 +468,14 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     all_s_a = list(zip(*s_a.values()))
     all_s_b = list(zip(*s_b.values()))
     differing: dict[int, dict[int, tuple[TwoVarPoly, TwoVarPoly]]] = {}
+    shared: dict[tuple, TwoVarPoly] = {}  # one per distinct item list
+
+    def poly_of(items: list) -> TwoVarPoly:
+        key = tuple(items)
+        if key not in shared:
+            shared[key] = _poly(key)
+        return shared[key]
+
     for gn in classes:
         t_a = _counts(t_lengths_a, gn)
         t_b = _counts(t_lengths_b, gn)
@@ -478,7 +487,7 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
             pa = _weighted(zip(s_a[gm], t_a), sizes_a)
             pb = _weighted(zip(s_b[gm], t_b), sizes_b)
             if pa != pb:
-                polys[gm] = _poly(pa), _poly(pb)
+                polys[gm] = poly_of(pa), poly_of(pb)
         if polys and stop_at_first:
             gm, (left, right) = next(iter(polys.items()))
             return RpFamilyScan(bound, complete,
@@ -536,7 +545,7 @@ def permutation_of_type(cycle_type: tuple[int, ...],
     return perm.conjugated_by(Permutation(tuple(relabel)))
 
 
-@dataclass(frozen=True)
+@_record
 class SameTypeCheck:
     cycle_type: tuple[int, ...]
     iso: bool
@@ -544,7 +553,7 @@ class SameTypeCheck:
     scan_bound: int
 
 
-@dataclass(frozen=True)
+@_record
 class DistinctTypeCheck:
     left_type: tuple[int, ...]
     right_type: tuple[int, ...]
@@ -552,7 +561,7 @@ class DistinctTypeCheck:
     first_difference: PolyDifference | None
 
 
-@dataclass(frozen=True)
+@_record
 class ClassificationReport:
     """Constant-action racks of one size: same type ⇔ isomorphic ⇔ equal polys."""
 

@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, repeat
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .core import RackTable, _cycles
+from .core import RackTable, _cycles, _record
 from .poly import (TwoVarPoly, _depths, _orbit_pairs, _poly, _weighted,
                    closure, format_monomial)
 
@@ -66,7 +65,7 @@ class DiagramFormatError(DiagramError):
     """Malformed diagram text."""
 
 
-@dataclass(frozen=True)
+@_record
 class Crossing:
     """One crossing: ``under_in`` passes under ``over`` and leaves as ``under_out``."""
 
@@ -92,7 +91,7 @@ def _as_tuple(values: object, name: str) -> tuple:
         raise DiagramError(f"{name} must be iterable, got {values!r}") from None
 
 
-@dataclass(frozen=True)
+@_record
 class LinkDiagram:
     """Validated collection of crossings and free loops.
 
@@ -578,7 +577,7 @@ def rack_counting(diagram: LinkDiagram,
     return sum(per_class.values()), per_class
 
 
-@dataclass(frozen=True)
+@_record
 class EnhancedInvariant:
     """Framing-class coloring counts refined by image subrack polynomials.
 

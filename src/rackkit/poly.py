@@ -27,14 +27,12 @@ L the lcm of the column orders.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from itertools import compress, count, repeat
 from operator import index, ne
 from typing import Iterable, Mapping, Sequence
 
 from .core import (CONVENTIONS, RackError, RackTable, _as_int, _in_range,
-                   _members, _walk)
+                   _members, _record, _walk)
 
 __all__ = [
     "ExponentProfile",
@@ -77,13 +75,13 @@ def format_monomial(coeff: int, factors: Iterable[tuple[str, object]]) -> str:
     return "*".join(parts)
 
 
-@dataclass(frozen=True)
+@_record
 class TwoVarPoly:
     """Polynomial in s and t with integer coefficients.
 
     Terms are (s_exp, t_exp, coeff), kept sorted ascending by exponent pair
     with no zero coefficients and no duplicate exponent pairs, so equal
-    polynomials compare equal as dataclasses.  Any iterable of integer
+    polynomials have equal terms and compare equal.  Any iterable of integer
     triples is stored as a tuple of int triples, in one pass that raises
     ValueError at the first term at fault.
     """
@@ -170,7 +168,7 @@ def _counts(by_length: Sequence[tuple], depth: int) -> list[int]:
     return [sum(m for k, m in pairs if depth % k == 0) for pairs in by_length]
 
 
-@dataclass(frozen=True)
+@_record
 class ExponentProfile:
     """Per-element count pairs (col[m][x], row[n][x]) at depths (m, n)."""
 
@@ -391,8 +389,9 @@ def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
     if escape is not None:
         x, y, p = escape
         raise RackError(f"not a subrack: {x}▷{y}={p} escapes the subset")
-    orbits = Counter(map(table._cycle_lengths[0].__getitem__, elems))
+    orbits, weights = zip(*_weighted(
+        map(table._cycle_lengths[0].__getitem__, elems), repeat(1)))
     s_lengths, t_lengths = _lengths(table, convention)
     return _poly(_weighted(zip(_counts([s_lengths[i] for i in orbits], m),
                                _counts([t_lengths[i] for i in orbits], n)),
-                           orbits.values()))
+                           weights))

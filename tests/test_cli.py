@@ -420,7 +420,9 @@ CLI_BASE = {"rackkit", "rackkit.cli", "rackkit.core"}
 
 def loaded_modules(*argv):
     """The rackkit modules of a fresh interpreter that ran ``rackkit argv``
-    (with no argv, that only ran ``import rackkit``)."""
+    (with no argv, that only ran ``import rackkit``), and dataclasses and
+    inspect if it loaded them: the package needs neither, and importing
+    them is a large share of a short process's start-up."""
     src = str(Path(rackkit.__file__).resolve().parents[1])
     code = ("import sys\n"
             "if sys.argv[1:]:\n"
@@ -428,7 +430,8 @@ def loaded_modules(*argv):
             "    assert main(sys.argv[1:]) == 0\n"
             "else:\n"
             "    import rackkit\n"
-            "print(' '.join(m for m in sys.modules if m.startswith('rackkit')))\n")
+            "print(' '.join(m for m in sys.modules if m.startswith('rackkit')\n"
+            "               or m in ('dataclasses', 'inspect')))\n")
     done = subprocess.run([sys.executable, "-c", code, *argv],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
@@ -439,6 +442,7 @@ def test_import_rackkit_loads_no_submodule():
     assert loaded_modules() == {"rackkit"}
 
 
+ISO_MODULES = {"rackkit.iso", "rackkit.poly", "rackkit.generators"}
 SUBCOMMAND_MODULES = [
     (("check", T5), set()),
     (("props", Q6), set()),
@@ -450,6 +454,10 @@ SUBCOMMAND_MODULES = [
     (("profile", T5), {"rackkit.poly"}),
     (("subracks", T5), {"rackkit.poly"}),
     (("srp", T5, "{4,5}"), {"rackkit.poly"}),
+    (("invariant", TREFOIL, T5), {"rackkit.links", "rackkit.poly"}),
+    (("iso", T5, T5), ISO_MODULES),
+    (("scan", T5, T5), ISO_MODULES),
+    (("classify-ca", "3"), ISO_MODULES),
 ]
 
 
@@ -458,8 +466,3 @@ SUBCOMMAND_MODULES = [
 def test_subcommand_loads_only_its_modules(argv, extra):
     assert loaded_modules(*argv) == CLI_BASE | extra
 
-
-def test_invariant_loads_links_but_not_iso():
-    loaded = loaded_modules("invariant", TREFOIL, T5)
-    assert "rackkit.links" in loaded
-    assert "rackkit.iso" not in loaded

@@ -174,6 +174,125 @@ def test_power_at_large_order():
     assert time.perf_counter() - begin < 5
 
 
+# -- frozen records ---------------------------------------------------------
+
+_P = rackkit.TwoVarPoly(((0, 1, 2),))
+_Q = rackkit.TwoVarPoly(((1, 1, 2),))
+_D = rackkit.PolyDifference(1, 2, _P, _Q)
+_C = rackkit.Crossing(1, 1, 1, 1)
+_SAME = rackkit.SameTypeCheck((2,), True, True, 2)
+_DISTINCT = rackkit.DistinctTypeCheck((2,), (1, 1), False, _D)
+_D_REPR = ("PolyDifference(m=1, n=2, left=TwoVarPoly(terms=((0, 1, 2),)), "
+           "right=TwoVarPoly(terms=((1, 1, 2),)))")
+_SAME_REPR = ("SameTypeCheck(cycle_type=(2,), iso=True, scan_empty=True, "
+              "scan_bound=2)")
+_DISTINCT_REPR = ("DistinctTypeCheck(left_type=(2,), right_type=(1, 1), "
+                  f"iso=False, first_difference={_D_REPR})")
+_C_REPR = "Crossing(sign=1, over=1, under_in=1, under_out=1)"
+
+# every record class with its fields, in order, and the repr that the
+# frozen dataclasses these classes were before gave them
+RECORDS = [
+    (Permutation, {"images": (2, 3, 1)}, "Permutation(images=(2, 3, 1))"),
+    (AxiomViolation, {"axiom": "bijectivity", "witness": (1, 2, 1)},
+     "AxiomViolation(axiom='bijectivity', witness=(1, 2, 1))"),
+    (PropertyReport,
+     {"is_rack": False, "is_quandle": False, "is_crossed_set": False,
+      "is_abelian": False, "is_latin": True, "violation_count": 2,
+      "first_violations": (AxiomViolation("distributivity", (1, 2, 1)),)},
+     "PropertyReport(is_rack=False, is_quandle=False, is_crossed_set=False, "
+     "is_abelian=False, is_latin=True, violation_count=2, first_violations="
+     "(AxiomViolation(axiom='distributivity', witness=(1, 2, 1)),))"),
+    (RackTable, {"entries": ((1, 1), (2, 2))},
+     "RackTable(entries=((1, 1), (2, 2)))"),
+    (rackkit.TwoVarPoly, {"terms": ((0, 1, 2),)},
+     "TwoVarPoly(terms=((0, 1, 2),))"),
+    (rackkit.ExponentProfile, {"m": 1, "n": 2, "pairs": ((2, 2), (2, 2))},
+     "ExponentProfile(m=1, n=2, pairs=((2, 2), (2, 2)))"),
+    (rackkit.IsoResult, {"isomorphic": True, "witness": Permutation((1, 2))},
+     "IsoResult(isomorphic=True, witness=Permutation(images=(1, 2)))"),
+    (rackkit.PolyDifference, {"m": 1, "n": 2, "left": _P, "right": _Q},
+     _D_REPR),
+    (rackkit.RpFamilyScan,
+     {"bound": 3, "complete_bound": True, "differences": (_D,)},
+     f"RpFamilyScan(bound=3, complete_bound=True, differences=({_D_REPR},))"),
+    (rackkit.SameTypeCheck,
+     {"cycle_type": (2,), "iso": True, "scan_empty": True, "scan_bound": 2},
+     _SAME_REPR),
+    (rackkit.DistinctTypeCheck,
+     {"left_type": (2,), "right_type": (1, 1), "iso": False,
+      "first_difference": _D}, _DISTINCT_REPR),
+    (rackkit.ClassificationReport,
+     {"k": 2, "convention": "def", "same_type": (_SAME,),
+      "distinct_type": (_DISTINCT,)},
+     f"ClassificationReport(k=2, convention='def', same_type=({_SAME_REPR},), "
+     f"distinct_type=({_DISTINCT_REPR},))"),
+    (rackkit.Crossing, {"sign": 1, "over": 1, "under_in": 1, "under_out": 1},
+     _C_REPR),
+    (rackkit.LinkDiagram, {"crossings": (_C,), "free_arcs": (2,)},
+     f"LinkDiagram(crossings=({_C_REPR},), free_arcs=(2,))"),
+    (rackkit.EnhancedInvariant,
+     {"m": 1, "n": 1, "convention": "def", "rack_rank": 1,
+      "component_count": 1, "pairs": (((0,), _P, 2),),
+      "image_multiplicities": (((0,), (1, 2), 2),)},
+     "EnhancedInvariant(m=1, n=1, convention='def', rack_rank=1, "
+     "component_count=1, pairs=(((0,), TwoVarPoly(terms=((0, 1, 2),)), 2),), "
+     "image_multiplicities=(((0,), (1, 2), 2),))"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, expected_repr", RECORDS,
+                         ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_records_behave_as_frozen_dataclasses(cls, fields, expected_repr):
+    names, values = tuple(fields), tuple(fields.values())
+    record = cls(*values)
+    assert repr(record) == expected_repr
+    assert tuple(getattr(record, name) for name in names) == values
+    # equality and hashing read the tuple of the fields
+    assert record == cls(*values) and not record != cls(*values)
+    assert hash(record) == hash(cls(*values)) == hash(values)
+    assert record.__eq__(values) is NotImplemented and record != values
+    for clone in (copy.copy(record), copy.deepcopy(record),
+                  pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls and clone == record
+        assert repr(clone) == expected_repr and hash(clone) == hash(record)
+    # keyword, mixed and reordered construction
+    assert cls(**fields) == record
+    assert cls(*values[:1], **dict(reversed(list(fields.items())[1:]))) == record
+    # frozen: no field, and no other attribute, can be set or deleted
+    for name in (names[0], "other"):
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            setattr(record, name, values[0])
+        with pytest.raises(AttributeError, match="cannot delete field"):
+            delattr(record, name)
+    assert repr(record) == expected_repr
+    # missing, unknown, duplicate and extra arguments
+    for args, kwargs in [((), {}), ((), dict(list(fields.items())[1:])),
+                         (values, {"other": 1}),
+                         (values, {names[0]: values[0]}),
+                         ((*values, *values), {})]:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+def test_record_defaults_and_the_report_table_left_out():
+    assert rackkit.IsoResult(False) == rackkit.IsoResult(False, None)
+    assert rackkit.LinkDiagram((_C,)).free_arcs == ()
+    report = PropertyReport(True, True, True, True, True)
+    assert (report.violation_count, report.first_violations,
+            report.table) == (0, (), None)
+    assert report == PropertyReport(True, True, True, True, True, 0, (), None)
+    # the table a report analysed is kept, but not compared, hashed or shown
+    flags = (True, True, True, True, True, 0, ())
+    one = PropertyReport(*flags, RackTable(((1,),)))
+    two = PropertyReport(*flags, table=RackTable(((1, 1), (2, 2))))
+    assert one.table == RackTable(((1,),)) and two.table.n == 2
+    assert one == two == report and hash(one) == hash(two) == hash(flags)
+    assert repr(one) == repr(two) == repr(report)
+    assert "table" not in repr(one)
+    assert pickle.loads(pickle.dumps(two)).table == two.table
+
+
 # -- table construction and parsing -----------------------------------------
 
 

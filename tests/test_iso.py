@@ -487,6 +487,16 @@ def test_scan_of_91_element_constant_actions():
         360359, 360360, TwoVarPoly(((0, 91, 90), (91, 91, 1))),
         TwoVarPoly(((0, 91, 91),)))
     assert min(elapsed) < 1
+    # equal polynomials are shared: the result holds about 5 MB, where one
+    # polynomial per side of each differing class pair held about 20 MB
+    tracemalloc.start()
+    try:
+        again = rp_family_scan(a, b)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert again == scan
+    assert held < 8 * 2**20
 
 
 def test_listing_scan_reads_a_huge_bound_from_one_period(racks):

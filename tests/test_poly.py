@@ -320,8 +320,15 @@ def test_subset_entry_points_name_the_least_element_out_of_range():
         table.subtable,
     )
     for call in calls:
-        with pytest.raises(RackError, match=r"^element -1 out of range 1\.\.5$"):
-            call([99, -1, 5])
+        # an iterator names the same element as a list does
+        for subset, least in (([99, -1, 5], -1), (iter([99, -1, 5]), -1),
+                              ([8, 5, 6], 6)):
+            with pytest.raises(RackError,
+                               match=rf"^element {least} out of range 1\.\.5$"):
+                call(subset)
+        with pytest.raises(RackError, match=r"^non-integer element 1\.5$"):
+            call(v for v in (2, 1.5, 99, None))
+        assert call(iter([3, 1, 2, 4, 5])) == call([5, 1, 2, 3, 4, 5])
 
 
 def test_enumerate_subracks_t5(racks):
