@@ -412,7 +412,7 @@ class RackTable:
     def _cycle_lengths(self) -> tuple[tuple, tuple, tuple, tuple]:
         """(which, sizes, by_column, by_row): a rack's column cycle facts,
         one entry per orbit O_i of the inner group Inn(X) = ⟨C[y]⟩, in the
-        order of ``_inner_orbits`` (see ``_inner_walk``).
+        order of ``_inner_orbits`` (see ``_orbits``).
 
         ``which[x]`` is the index i of x's orbit (index 0 unused, as in
         ``_right``) and ``sizes[i]`` is |O_i|.  For y in O_i,
@@ -507,7 +507,7 @@ class RackTable:
     def _inner_orbits(self) -> tuple[tuple[tuple[int, ...], ...],
                                      tuple[tuple[int, tuple[int, ...]] | None, ...]]:
         """(orbits, via): the orbits of the inner group Inn(X) = ⟨C[y]⟩
-        of a rack and a Schreier vector over them (see ``_inner_walk``).
+        of a rack and a Schreier vector over them (see ``_orbits``).
 
         ``_analyze`` walks them with the generators it checked and puts
         them in this cache, so a table walks them once, and reading them
@@ -580,15 +580,14 @@ def _members(mask: int) -> tuple[int, ...]:
 
 
 def _walk(mask: int, reached: list[int], columns: Iterable[Sequence[int]],
-          i: int = 0, floor: int = 1, via: list | None = None) -> int | None:
+          i: int = 0, via: list | None = None) -> int:
     """Grow a subset mask (bit v for element v) by moving each member from
     ``reached[i]`` on with every padded ``_right`` column in ``columns``.
 
     Each element that joins the mask is appended to ``reached`` and moved
     in turn; with ``via``, ``via[p]`` records the (member, column) pair
-    that brought p in.  Returns the grown mask, or None as soon as an
-    element below ``floor`` would join.  This is the package's one
-    ▷-closure.
+    that brought p in.  Returns the grown mask.  This is the package's
+    one ▷-closure.
 
     When every column C[s], s ∈ S, is an automorphism, as in a rack, the
     ▷-closure of S is the union of the orbits of S under the group G
@@ -607,8 +606,6 @@ def _walk(mask: int, reached: list[int], columns: Iterable[Sequence[int]],
         for col in columns:
             p = col[x]
             if not mask >> p & 1:
-                if p < floor:
-                    return None
                 mask |= 1 << p
                 reached.append(p)
                 if via is not None:
@@ -617,11 +614,10 @@ def _walk(mask: int, reached: list[int], columns: Iterable[Sequence[int]],
     return mask
 
 
-def _generators(table: RackTable,
-                check: Callable[[int], bool] | None = None) -> list[int]:
+def _generators(table: RackTable, check: Callable[[int], bool]) -> list[int]:
     """Greedy ▷-generators: each z, in increasing order, outside the
     ▷-closure of the elements before it, whose column differs from every
-    generator's so far and passes ``check`` when one is given.
+    generator's so far and passes ``check``.
 
     The closure grows by ``_walk``'s orbit walks, which is exact when the
     generators' columns are automorphisms (see ``_walk``): a new
@@ -644,7 +640,7 @@ def _generators(table: RackTable,
         old = len(reached)
         new = cz not in passed
         if new:
-            if check is not None and not check(z):
+            if not check(z):
                 continue
             generators.append(z)
             passed.add(cz)
@@ -658,31 +654,28 @@ def _generators(table: RackTable,
     return generators
 
 
-def _inner_walk(table: RackTable, generators: Sequence[int]
-                ) -> tuple[tuple[tuple[int, ...], ...],
-                           tuple[tuple[int, tuple[int, ...]] | None, ...]]:
-    """(orbits, via): the orbits of the group the generators' columns
-    generate, which is Inn(X) = ⟨C[y]⟩ for a rack's greedy ▷-generators,
-    and a Schreier vector over them.
+def _orbits(n: int, columns: Sequence[Sequence[int]], via: list | None = None
+            ) -> Iterator[tuple[int, list[int]]]:
+    """(mask, members) for each orbit on 1..n of the group the padded
+    ``_right`` columns generate, in order of least elements: the
+    package's one orbit walk, O(g·n) lookups by ``_walk`` for g columns.
+    For a rack's greedy ▷-generators the group is Inn(X) = ⟨C[y]⟩.
 
-    Each orbit leads with its least element, its representative, and
-    lists the rest in walk order.  ``via[x]`` (index 0 unused) is None
-    for a representative and otherwise the (predecessor, padded
-    ``_right`` column) pair with column[predecessor] = x, the
-    predecessor coming earlier in x's orbit; composing the columns along
-    that chain sends the representative to x.  ``_walk`` finds every
-    orbit in O(g·n) lookups for g generators.
+    The members lead with the least element, the representative, and
+    list the rest in walk order; the mask has bit v for each member v.
+    With ``via`` (n + 1 slots of None) the walk fills a Schreier vector:
+    ``via[x]`` stays None for a representative and otherwise becomes the
+    (predecessor, column) pair with column[predecessor] = x, the
+    predecessor coming earlier in x's orbit, so composing the columns
+    along that chain sends the representative to x.
     """
-    columns = [table._right[z] for z in generators]
-    via: list = [None] * (table.n + 1)
-    orbits = []
     walked = 0  # every orbit so far, as a mask over 1..n
-    for x in range(1, table.n + 1):
+    for x in range(1, n + 1):
         if not walked >> x & 1:
-            reached = [x]
-            walked = _walk(walked | 1 << x, reached, columns, via=via)
-            orbits.append(tuple(reached))
-    return tuple(orbits), tuple(via)
+            members = [x]
+            grown = _walk(walked | 1 << x, members, columns, via=via)
+            yield grown ^ walked, members
+            walked = grown
 
 
 def _after_representatives(orbits: Sequence[Sequence[int]]
@@ -755,7 +748,7 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
 
     On a rack the Latin and crossed tests read one row per orbit of the
     inner group.  The generators that passed generate it, so
-    ``_inner_walk`` finds its orbits in O(g·n) more lookups and leaves
+    ``_orbits`` finds its orbits in O(g·n) more lookups and leaves
     them for ``RackTable._inner_orbits``.  Each φ in Inn(X) is an
     automorphism, so the row of φ(x) is φ∘row_x∘φ⁻¹: it is a bijection
     iff x's row is, and the Latin test reads each representative's row.
@@ -821,10 +814,12 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     is_quandle = is_rack and list(table.diagonal) == labels
     orbits = tuple((x,) for x in labels)  # a non-rack's: one per element
     if is_rack:
-        walk = _inner_walk(table, generators)
-        vars(table)["_inner_orbits"] = walk  # see RackTable._inner_orbits
+        via: list = [None] * (n + 1)
+        orbits = tuple(tuple(members) for _, members in _orbits(
+            n, [cols[z] for z in generators], via))
+        # see RackTable._inner_orbits
+        vars(table)["_inner_orbits"] = orbits, tuple(via)
         vars(table)["_inner_generators"] = tuple(generators)
-        orbits = walk[0]
     is_latin = all(sorted(table.entries[orbit[0] - 1]) == labels
                    for orbit in orbits)
     is_crossed = is_quandle and all(
@@ -924,14 +919,18 @@ def rack_op_iter(table: RackTable, x: int, y: int, i: int) -> int:
     """x ▷ y iterated i times on the right; negative i uses the dual operation.
 
     The iterate is i steps along x's cycle under y's column, so any
-    integer i is accepted and costs one walk of that column at most.
+    integer i is accepted and costs one walk of that cycle.
     """
     table.require_rack()
     x = _in_range(x, table.n)
     _in_range(y, table.n)
     i = _as_int(i, "iteration count")
-    cycle = next(c for c in _cycles(table._right[y]) if x in c)
-    return cycle[(cycle.index(x) + i) % len(cycle)]
+    col = table._right[y]
+    cycle, p = [x], col[x]
+    while p != x:
+        cycle.append(p)
+        p = col[p]
+    return cycle[i % len(cycle)]
 
 
 def dual(table: RackTable) -> RackTable:

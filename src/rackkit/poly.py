@@ -32,7 +32,7 @@ from operator import index, ne
 from typing import Iterable, Mapping, Sequence
 
 from .core import (CONVENTIONS, RackError, RackTable, _as_int, _in_range,
-                   _members, _record, _walk)
+                   _members, _orbits, _record, _walk)
 
 __all__ = [
     "ExponentProfile",
@@ -268,8 +268,8 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
       orbit of H_c = ⟨C[y] : y ∈ c⟩ outside c.  Each C[y], y ∈ c, maps c
       onto c, so for ψ in H_c, closure(c ∪ {ψx}) = ψ(closure(c ∪ {x})):
       the two closures lie in one Inn-orbit.  Each c carries the ids of
-      columns that generate H_c, and H_c's orbits on X are walked once
-      per such set of ids.  The closure D of c ∪ {x} is the orbit of
+      columns that generate H_c; ``core._orbits`` walks H_c's orbits on
+      X once per such set.  The closure D of c ∪ {x} is the orbit of
       c ∪ H_c·x under ⟨H_c, C[x]⟩ = H_D (see ``core._walk``): it is walked
       with C[x] alone, then its new elements with every column, as
       ``core._generators`` grows its closure.  D holds c ∪ H_c·x, so when
@@ -331,7 +331,6 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
             reached = [r]
             spread(_walk(1 << r, reached, (cols[r],)), reached, key)
 
-    elements = table.elements
     full = (1 << table.n + 1) - 2
     # H_c's generating columns and its orbits on X, by those columns' ids
     groups: dict[frozenset[int], tuple[list, list]] = {}
@@ -340,22 +339,16 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
             continue
         if key not in groups:
             columns = [distinct[i] for i in key]
-            orbits = []
-            walked = 0  # every orbit so far, as a mask
-            for x in elements:
-                if not walked >> x & 1:
-                    orbit = [x]
-                    grown = _walk(walked | 1 << x, orbit, columns)
-                    orbits.append((x, grown ^ walked, orbit))
-                    walked = grown
-            groups[key] = columns, orbits
+            groups[key] = columns, [*_orbits(table.n, columns)]
         columns, orbits = groups[key]
-        for x, bits, orbit in orbits:
+        for bits, orbit in orbits:
             grown = mask | bits
             # c ∪ H_c·x lies in the closure, so if it is closed it is the
-            # closure, and a found one needs no walk
-            if mask >> x & 1 or grown in found:
+            # closure, and a found one (c itself for x in c, as H_c maps c
+            # onto c) needs no walk
+            if grown in found:
                 continue
+            x = orbit[0]
             reached = [*members, *orbit]
             grown_key = key
             if cid[x] not in key:

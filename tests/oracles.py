@@ -244,11 +244,13 @@ def isomorphic(entries_a, entries_b):
     return None
 
 
-def inner_orbits(entries):
-    """The orbits of the group the columns generate, as sorted tuples in
-    order of their least elements: a breadth-first search from each
-    element not yet reached, under every column and its inverse."""
+def inner_orbits(entries, ys=None):
+    """The orbits of the group the columns of ys (default every element)
+    generate, as sorted tuples in order of their least elements: a
+    breadth-first search from each element not yet reached, under each
+    of those columns and its inverse."""
     n = len(entries)
+    ys = range(1, n + 1) if ys is None else sorted(ys)
     seen = set()
     orbits = []
     for start in range(1, n + 1):
@@ -257,7 +259,7 @@ def inner_orbits(entries):
         orbit, frontier = {start}, [start]
         while frontier:
             x = frontier.pop(0)
-            for y in range(1, n + 1):
+            for y in ys:
                 for z in (op(entries, x, y), op_inv(entries, x, y)):
                     if z not in orbit:
                         orbit.add(z)

@@ -210,6 +210,17 @@ def test_gen_constant(capsys):
     assert out == "3\n3 3 3\n1 1 1\n2 2 2\n"
 
 
+def test_gen_constant_builds_no_report(capsys, monkeypatch):
+    analyzed, analyze = [], core._analyze
+    monkeypatch.setattr(core, "_analyze",
+                        lambda table: analyzed.append(table) or analyze(table))
+    images = [2, 3, 1, 5, 4, 6, 7]
+    code, out, err = run(capsys, "gen", "constant", *map(str, images))
+    assert (code, err, analyzed) == (0, "", [])
+    assert out == "7\n" + "".join(f"{v} {v} {v} {v} {v} {v} {v}\n"
+                                  for v in images)
+
+
 def test_gen_alexander(capsys):
     code, out, _ = run(capsys, "gen", "alexander", "3", "2")
     assert code == 0

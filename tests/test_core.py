@@ -1047,25 +1047,17 @@ non_quandle_ts_racks = st.sampled_from(ts_non_quandle_params(range(2, 9))).map(
     lambda args: ts_rack(*args).entries)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(
-    st.sampled_from(sorted(RACK_TABLES)).map(RACK_TABLES.__getitem__),
-    st.integers(1, 7).flatmap(generated_racks).map(lambda t: t.entries),
-    trivial_unions, relabelled(orbit_unions), non_quandle_ts_racks))
-def test_inner_orbits_match_oracle(entries):
-    table = RackTable(entries)
-    orbits, via = table._inner_orbits
-    assert [tuple(sorted(o)) for o in orbits] == oracles.inner_orbits(entries)
-    assert [o[0] for o in orbits] == [min(o) for o in orbits]
+def assert_schreier_vector(entries, orbits, via, ys):
+    """Each member's chain of via leads back to its orbit's representative
+    through earlier members, each step a column of some y in ys, and
+    composing the chain's columns sends the representative to it."""
     n = len(entries)
     columns = {tuple(oracles.op(entries, x, y) for x in range(1, n + 1))
-               for y in range(1, n + 1)}
+               for y in ys}
     for members in orbits:
         rep = members[0]
         assert via[rep] is None
-        for i, x in enumerate(members[1:], start=1):
-            # the chain back to the representative runs through earlier
-            # members, and each step applies a column of the table
+        for x in members[1:]:
             chain, y = [], x
             while via[y] is not None:
                 p, col = via[y]
@@ -1078,6 +1070,41 @@ def test_inner_orbits_match_oracle(entries):
             for col in reversed(chain):
                 z = col[z]
             assert z == x
+
+
+inner_orbit_racks = st.one_of(
+    st.sampled_from(sorted(RACK_TABLES)).map(RACK_TABLES.__getitem__),
+    st.integers(1, 7).flatmap(generated_racks).map(lambda t: t.entries),
+    trivial_unions, relabelled(orbit_unions), non_quandle_ts_racks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inner_orbit_racks)
+def test_inner_orbits_match_oracle(entries):
+    table = RackTable(entries)
+    orbits, via = table._inner_orbits
+    assert [tuple(sorted(o)) for o in orbits] == oracles.inner_orbits(entries)
+    assert [o[0] for o in orbits] == [min(o) for o in orbits]
+    assert_schreier_vector(entries, orbits, via, range(1, len(entries) + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(inner_orbit_racks.flatmap(lambda entries: st.tuples(
+    st.just(entries), st.sets(st.integers(1, len(entries))))))
+def test_orbits_of_any_columns_match_oracle(args):
+    entries, ys = args
+    n = len(entries)
+    columns = [RackTable(entries)._right[y] for y in sorted(ys)]
+    via = [None] * (n + 1)
+    walked = list(rackkit.core._orbits(n, columns, via))
+    assert list(rackkit.core._orbits(n, columns)) == walked
+    orbits = [members for _, members in walked]
+    assert [tuple(sorted(o)) for o in orbits] == oracles.inner_orbits(
+        entries, ys)
+    for mask, members in walked:
+        assert members[0] == min(members)
+        assert mask == sum(1 << x for x in members)
+    assert_schreier_vector(entries, orbits, via, ys)
 
 
 # constant actions with several cycles have orbits of several sizes, and
@@ -1221,6 +1248,72 @@ def test_all_lists_every_public_name():
     for module in modules:
         for name in module.__all__:
             assert getattr(rackkit, name) is getattr(module, name)
+
+
+def private_functions(node, in_class=False):
+    """The module-level and nested ``_private`` function definitions below
+    node, but not the methods of a class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef) and not in_class:
+            if child.name.startswith("_") and not child.name.endswith("__"):
+                yield child
+        yield from private_functions(child, isinstance(child, ast.ClassDef))
+
+
+# a default that no call site passes is a constant, and one that every call
+# site passes should be required; allowed exceptions, with their reasons
+UNPASSED_DEFAULTS = {
+    ("_difference", "_new"):
+        "binds object.__new__ as a local for speed and is never passed",
+}
+
+
+def test_every_private_default_is_both_passed_and_omitted():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(rackkit.__file__).parent.glob("*.py"))]
+    functions = [f for tree in trees for f in private_functions(tree)]
+    names = [f.name for f in functions]
+    assert len(set(names)) == len(names)
+    # each call of a name, and each bare use of it (passed as a callable,
+    # to be called with no default), with the arguments it passes
+    sites = {name: [] for name in names}
+    for tree in trees:
+        called = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in sites:
+                    assert not any(isinstance(a, ast.Starred)
+                                   for a in node.args), name
+                    assert all(k.arg for k in node.keywords), name
+                    sites[name].append(
+                        (len(node.args), {k.arg for k in node.keywords}))
+                    called.add(func)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id in sites
+                    and isinstance(node.ctx, ast.Load) and node not in called):
+                sites[node.id].append((0, set()))
+    faults = []
+    for function in functions:
+        args = function.args
+        positional = [*args.posonlyargs, *args.args]
+        first = len(positional) - len(args.defaults)
+        defaulted = [*enumerate(positional[first:], first),
+                     *((None, a) for a, d in zip(args.kwonlyargs,
+                                                  args.kw_defaults)
+                       if d is not None)]
+        for index, arg in defaulted:
+            passed = [(index is not None and count > index) or arg.arg in kw
+                      for count, kw in sites[function.name]]
+            key = function.name, arg.arg
+            if key in UNPASSED_DEFAULTS:
+                assert not any(passed), key
+            elif not any(passed):
+                faults.append((*key, "never passed"))
+            elif all(passed):
+                faults.append((*key, "always passed"))
+    assert faults == []
 
 
 def test_star_import_binds_exactly_all():
