@@ -22,7 +22,9 @@ Inn(X), so the lengths are kept, and the counts taken, once per orbit:
 the lengths cost O(d·n) once per table, d the distinct columns among the
 orbits' representatives, and a polynomial weighs each orbit's monomial
 by the orbit's size.  A count depends on d only through gcd(d, L), with
-L the lcm of the column orders.
+L the lcm of the column orders.  The orbits' exponent pairs at the last
+depths and convention asked for stay on the table, so the subrack
+polynomials of one table at one depth pair cost one lookup per member.
 """
 
 from __future__ import annotations
@@ -204,11 +206,21 @@ def _depths(table: RackTable, m: int, n: int,
 
 
 def _orbit_pairs(table: RackTable, m: int, n: int,
-                 convention: str) -> list[tuple[int, int]]:
+                 convention: str) -> tuple[tuple[int, int], ...]:
     """Per Inn-orbit, its members' (s, t) exponent pair at depths (m, n),
-    which ``_depths`` has checked."""
-    s_lengths, t_lengths = _lengths(table, convention)
-    return list(zip(_counts(s_lengths, m), _counts(t_lengths, n)))
+    which ``_depths`` has checked: O(r·ℓ) for r orbits of ℓ lengths.
+
+    The pairs of the last (m, n, convention) asked for stay in one slot
+    on the table, so the subrack polynomials of one table at one depth
+    pair count once, and a loop over depths keeps O(r) memo data.
+    """
+    key = m, n, convention
+    memo = vars(table).get("_pair_memo")
+    if memo is None or memo[0] != key:
+        s_lengths, t_lengths = _lengths(table, convention)
+        memo = key, tuple(zip(_counts(s_lengths, m), _counts(t_lengths, n)))
+        vars(table)["_pair_memo"] = memo
+    return memo[1]
 
 
 def rack_polynomial(table: RackTable, m: int, n: int,
@@ -370,21 +382,20 @@ def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
 
     Counts still range over the whole ambient rack; only the outer sum is
     restricted to the subset.  With the table's report and cycle lengths
-    cached, a subrack S costs O(|S|² + r·ℓ) for r ≤ |S| Inn-orbits meeting
-    S, of ℓ lengths each: the closure check, one orbit lookup per member,
-    then each orbit's counts, weighted by its members in S.
+    cached and the depths' orbit pairs in its slot (``_orbit_pairs``), a
+    subrack S costs O(|S|) dictionary work: one pair lookup per member,
+    summed.  The closure check adds |S|² set lookups at C speed
+    (``RackTable._first_escape``); the whole set needs none.
     """
     m, n = _depths(table, m, n, convention)
     elems = table._elements(subset)
     if not elems:
         raise RackError("subset is empty")
-    escape = table._first_escape(elems)
+    # all of X, the one deduplicated subset of n elements, is closed
+    escape = table._first_escape(elems) if len(elems) < table.n else None
     if escape is not None:
         x, y, p = escape
         raise RackError(f"not a subrack: {x}▷{y}={p} escapes the subset")
-    orbits, weights = zip(*_weighted(
-        map(table._cycle_lengths[0].__getitem__, elems), repeat(1)))
-    s_lengths, t_lengths = _lengths(table, convention)
-    return _poly(_weighted(zip(_counts([s_lengths[i] for i in orbits], m),
-                               _counts([t_lengths[i] for i in orbits], n)),
-                           weights))
+    pairs = _orbit_pairs(table, m, n, convention)
+    return _poly(_weighted(map(pairs.__getitem__, map(
+        table._cycle_lengths[0].__getitem__, elems)), repeat(1)))

@@ -172,6 +172,18 @@ def closure(entries, seed):
         current |= grown
 
 
+def first_escape(entries, subset):
+    """The first (x, y, x op y), in (x, y) order over the sorted subset,
+    with x and y in the subset but x op y outside it; None when the subset
+    is closed."""
+    members = sorted(set(subset))
+    for x in members:
+        for y in members:
+            if op(entries, x, y) not in members:
+                return x, y, op(entries, x, y)
+    return None
+
+
 def subracks(entries):
     """Every nonempty closed subset, found by checking all 2^n subsets."""
     n = len(entries)

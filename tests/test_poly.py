@@ -4,7 +4,7 @@ import math
 import random
 import time
 from functools import reduce
-from itertools import combinations, repeat
+from itertools import combinations, product, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +24,7 @@ from rackkit import (
     column_order_lcm,
     constant_action,
     dual,
+    enhanced_invariant,
     enumerate_subracks,
     exponent_profile,
     format_monomial,
@@ -529,10 +530,35 @@ def test_subrack_polynomial_matches_oracle(racks):
 
 
 def test_full_subset_recovers_rack_polynomial(racks):
+    # the whole set is closed and skips the closure check
     for table in racks.values():
-        for conv in ("def", "prop3"):
-            assert subrack_polynomial(table, table.elements, 2, 1, conv) == (
-                rack_polynomial(table, 2, 1, conv))
+        far = 10**9 * column_order_lcm(table) + 1
+        for (m, n), conv in product(((1, 1), (2, 1), (3, 4), (far, 2)),
+                                    ("def", "prop3")):
+            assert subrack_polynomial(table, table.elements, m, n, conv) == (
+                rack_polynomial(table, m, n, conv))
+
+
+def test_whole_set_keeps_the_checks_before_the_closure(racks):
+    bad = RackTable(((1, 1), (1, 2)))  # column 1 is not a bijection
+    with pytest.raises(NotARackError,
+                       match=r"^not a rack: bijectivity fails at \(1, 2, 1\)$"):
+        subrack_polynomial(bad, bad.elements, 1, 1)
+    t5 = racks["T5"]
+    assert subrack_polynomial(t5, [5, *t5.elements, 3, 1], 1, 1) == (
+        rack_polynomial(t5, 1, 1))
+    # five values, but four elements: the closure is checked
+    cases = [
+        ([1, 2, 3, 4, 4], RackError, "not a subrack: 4▷4=5 escapes the subset"),
+        ([*t5.elements, 6], RackError, "element 6 out of range 1..5"),
+        ([0, *t5.elements], RackError, "element 0 out of range 1..5"),
+        ([*t5.elements, 1.5], RackError, "non-integer element 1.5"),
+    ]
+    for subset, error, message in cases:
+        with pytest.raises(RackError) as info:
+            subrack_polynomial(t5, subset, 1, 1)
+        assert info.type is error
+        assert str(info.value) == message
 
 
 def test_subrack_polynomial_rejects_open_subsets(racks):
@@ -602,6 +628,138 @@ def test_subrack_coefficient_sum(racks):
     t5 = racks["T5"]
     for subset in enumerate_subracks(t5):
         assert subrack_polynomial(t5, subset, 1, 1).coefficient_sum == len(subset)
+
+
+# -- closure checks and the orbit-pair memo ----------------------------------
+
+
+def assert_escapes_match_oracle(entries, given, rack):
+    """subtable, and on a rack is_subrack and subrack_polynomial, accept
+    the subset ``given`` lists or name the oracle's first escape of it."""
+    table = RackTable(entries)
+    want = oracles.first_escape(entries, given)
+    if want is None:
+        assert table.subtable(given).n == len(set(given))
+    else:
+        with pytest.raises(RackError) as info:
+            table.subtable(given)
+        assert str(info.value) == "not closed: {}▷{}={} escapes the subset".format(
+            *want)
+    if not rack:
+        return
+    assert is_subrack(table, given) == (want is None)
+    if want is None:
+        poly = subrack_polynomial(table, given, 1, 1)
+        assert poly.coefficient_sum == len(set(given))
+    else:
+        with pytest.raises(RackError) as info:
+            subrack_polynomial(table, given, 1, 1)
+        assert str(info.value) == (
+            "not a subrack: {}▷{}={} escapes the subset".format(*want))
+
+
+def escapes_in_last_column_only(entries, subset):
+    """Whether the sorted subset escapes, and only in its greatest
+    element's column, the last one a column-by-column test reads."""
+    columns = {y for x in subset for y in subset
+               if oracles.op(entries, x, y) not in subset}
+    return columns == {subset[-1]}
+
+
+def any_tables(n):
+    """Strategy: an n×n table with entries in 1..n, seldom a rack."""
+    row = st.lists(st.integers(1, n), min_size=n, max_size=n).map(tuple)
+    return st.lists(row, min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def last_column_tables(draw, n):
+    """An n×n table, n ≥ 2, with a subset S closed under the column of
+    each of its elements but the greatest, whose column takes some x
+    outside S."""
+    rng = draw(st.randoms(use_true_random=False))
+    subset = sorted(rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
+    outside = sorted(set(range(1, n + 1)) - set(subset))
+    rows = [[rng.randint(1, n) for _ in range(n)] for _ in range(n)]
+    for x in subset:
+        for y in subset[:-1]:
+            rows[x - 1][y - 1] = rng.choice(subset)
+    rows[rng.choice(subset) - 1][subset[-1] - 1] = rng.choice(outside)
+    return tuple(map(tuple, rows))
+
+
+def test_escapes_of_every_fixture_subset_match_oracle(racks):
+    for table in racks.values():
+        rack = oracles.is_rack(table.entries)
+        for k in table.elements:
+            for subset in combinations(table.elements, k):
+                assert_escapes_match_oracle(table.entries, subset, rack)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_first_escape_matches_oracle(data):
+    # racks and tables that are not, with their singletons, the whole set,
+    # random subsets and every subset that escapes only in its last
+    # column, each given unsorted and with repeats
+    n = data.draw(st.integers(1, 6))
+    entries = data.draw(st.one_of(
+        generated_racks(n).map(lambda table: table.entries), any_tables(n),
+        *([last_column_tables(n)] if n > 1 else [])))
+    rack = oracles.is_rack(entries)
+    rng = data.draw(st.randoms(use_true_random=False))
+    elements = range(1, n + 1)
+    subsets = [*([x] for x in elements), list(elements),
+               *(rng.sample(elements, rng.randint(1, n)) for _ in range(4)),
+               *(list(subset) for k in elements
+                 for subset in combinations(elements, k)
+                 if escapes_in_last_column_only(entries, subset))]
+    for subset in subsets:
+        given = [*subset, *rng.choices(subset, k=rng.randint(0, 2))]
+        rng.shuffle(given)
+        assert_escapes_match_oracle(entries, given, rack)
+
+
+def test_orbit_pairs_of_every_reader_match_a_fresh_table(racks, links):
+    # the four readers of a table's orbit pairs, interleaved at depths and
+    # conventions that replace each other's memo, each agree with a fresh
+    # table of the same entries
+    trefoil = links["trefoil"]
+    for name in ("T5", "Q6", "R6", "MY6"):
+        entries = racks[name].entries
+        table = RackTable(entries)
+        subracks = enumerate_subracks(table)
+        subset = subracks[len(subracks) // 2]
+        readers = (
+            lambda t, m, n, conv: rack_polynomial(t, m, n, conv),
+            lambda t, m, n, conv: subrack_polynomial(t, subset, m, n, conv),
+            lambda t, m, n, conv: exponent_profile(t, m, n),
+            lambda t, m, n, conv: enhanced_invariant(trefoil, t, m, n, conv),
+        )
+        far = 10**9 * column_order_lcm(table) + 1
+        calls = [*product(((1, 1), (2, 3), (far, 1)), ("def", "prop3"),
+                          readers)]
+        for (m, n), conv, read in calls + calls[::-1]:
+            assert read(table, m, n, conv) == read(RackTable(entries), m, n,
+                                                   conv), (name, m, n, conv)
+
+
+def test_pair_memo_holds_one_entry_over_many_depths(racks):
+    table = RackTable(racks["Q6"].entries)
+    # the table's caches, which are not the memo
+    table.report
+    table._cycle_lengths
+    cached = set(vars(table))
+    subset = enumerate_subracks(table)[-2]
+    for m, n in product(range(1, 41), range(1, 26)):
+        conv = ("def", "prop3")[(m + n) % 2]
+        rack_polynomial(table, m, n, conv)
+        subrack_polynomial(table, subset, n, m, conv)
+    assert len(set(vars(table)) - cached) == 1
+    for m, n in ((40, 25), (7, 3)):
+        for conv in ("def", "prop3"):
+            assert rack_polynomial(table, m, n, conv) == rack_polynomial(
+                RackTable(table.entries), m, n, conv)
 
 
 # -- closed forms for single-permutation tables ------------------------------
