@@ -21,11 +21,11 @@ That search does not try every color on its first arc either.  Every
 column of a rack is an automorphism, so the inner group Inn(X) = ⟨C_y⟩
 maps colorings to colorings (Joyce, "A classifying invariant of knots,
 the knot quandle", 1982), keeps each end's residue class and carries a
-coloring's image subrack onto one with the same polynomial.  So the first
-arc takes one representative per Inn-orbit, and each representative's
-counts stand for its whole orbit: the cost is one search per
-representative, not per color.  ``enumerate_colorings`` lists every
-coloring and keeps the full search.
+coloring's image subrack onto one with the same polynomial.  So the
+search runs once per Inn-orbit, with the orbit's representative on the
+first arc, and the representative's counts stand for its whole orbit:
+the cost is one search per representative, not per color.
+``enumerate_colorings`` lists every coloring and keeps the full search.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import cached_property
-from itertools import product, repeat
+from itertools import product
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .core import RackTable, _cycles, _record
-from .poly import (TwoVarPoly, _depths, _orbit_pairs, _poly, _weighted,
-                   closure, format_monomial)
+from .poly import (TwoVarPoly, _depths, _orbit_pairs, _subset_poly, closure,
+                   format_monomial)
 
 __all__ = [
     "Crossing",
@@ -228,7 +228,7 @@ def components_and_writhe(
     return comps, tuple(writhes)
 
 
-def add_kinks(diagram: LinkDiagram, counts: Sequence[int]) -> LinkDiagram:
+def add_kinks(diagram: LinkDiagram, counts: Iterable[int]) -> LinkDiagram:
     """Insert positive twists, counts[i] of them on the i-th component.
 
     Each twist is anchored at the component's least arc: the anchor now
@@ -238,6 +238,7 @@ def add_kinks(diagram: LinkDiagram, counts: Sequence[int]) -> LinkDiagram:
     Crossing(1, a, a, a), which consumes the anchor from then on.
     """
     comps = diagram.components
+    counts = _as_tuple(counts, "kink counts")
     if len(counts) != len(comps):
         raise DiagramError(
             f"expected {len(comps)} kink counts, got {len(counts)}")
@@ -365,36 +366,31 @@ def _schedule(size: int, steps: Sequence[tuple[int, int, int, int]],
                 queue.append(rule[0])
 
 
-def _colorings(size: int, steps: Sequence[tuple[int, int, int, int]],
-               ends: Sequence[tuple[int, int]], table: RackTable,
-               first: Sequence[int] | None = None) -> Iterator[list[int]]:
-    """Every coloring of a diagram given over arc positions 0..size-1, or
-    with ``first`` only those that color position 0 from it.
+def _colorings(size: int, levels: Sequence[tuple[int, list, list, list]],
+               table: RackTable, first: Iterable[int]) -> Iterator[list[int]]:
+    """Every coloring of a diagram over arc positions 0..size-1 that
+    colors position 0 from ``first``, by the levels of _schedule.
 
-    ``steps`` are (sign, over, under_in, under_out) as _layout gives them:
-    sign 1 takes under_in ▷ over to under_out, sign -1 the inverse
-    operation.  Yields one list whose entry i is the color of arc position
-    i; it is the same list each time and changes once the search resumes.
-    Each (a, v) in ``ends`` must color its two arcs within one orbit of
-    π(x) = x ▷ x.
+    The levels read steps (sign, over, under_in, under_out) as _layout
+    gives them: sign 1 takes under_in ▷ over to under_out, sign -1 the
+    inverse operation.  Yields one list whose entry i is the color of arc
+    position i; it is the same list each time and changes once the search
+    resumes.  Each end given to _schedule must color its two arcs within
+    one orbit of π(x) = x ▷ x.
 
-    The search runs the levels of _schedule.  At each level it tries each
-    color on the branch arc, runs the lookups, which cannot fail, and
-    keeps the color when the checks hold.  This is exact: every step and
-    every end is looked up or checked once all its arcs are colored, and
-    a branch tries every color, so each coloring is found once.  The
-    orbit rule is the only one that reads colors, and it stays a check:
-    a cut end comes after every arc of the diagram, and the step that
-    consumes it reads two of the diagram's own arcs, so a cut end is
-    always looked up, never branched on.  Every arc before a level's
-    branch arc is colored at an earlier level and colors are tried in
-    increasing order, so colorings come out sorted by their color tuples.
-    Deeper levels overwrite their own arcs, so backing up undoes nothing.
-    The first level branches on position 0, over ``first`` when given:
-    the framed counts pass one representative per Inn-orbit there, so
-    they pay one search per representative, not per color.
+    At each level the search tries each color on the branch arc, runs the
+    lookups, which cannot fail, and keeps the color when the checks hold.
+    This is exact: every step and every end is looked up or checked once
+    all its arcs are colored, and a branch past the first tries every
+    color, so each coloring is found once.  The orbit rule is the only one
+    that reads colors, and it stays a check: a cut end comes after every
+    arc of the diagram, and the step that consumes it reads two of the
+    diagram's own arcs, so a cut end is always looked up, never branched
+    on.  Every arc before a level's branch arc is colored at an earlier
+    level and colors are tried in increasing order, so colorings come out
+    sorted by their color tuples when ``first`` is.  Deeper levels
+    overwrite their own arcs, so backing up undoes nothing.
     """
-    levels = _schedule(size, steps, ends, table)
     _, orbit, _ = table._diagonal_orbits
     col = [0] * size
     if not levels:
@@ -403,7 +399,7 @@ def _colorings(size: int, steps: Sequence[tuple[int, int, int, int]],
     last = len(levels) - 1
     everything = range(1, table.n + 1)
     # the colors left at each level entered
-    stack = [iter(everything if first is None else first)]
+    stack = [iter(first)]
     while stack:
         level = len(stack) - 1
         pos, forced, checks, pairs = levels[level]
@@ -439,13 +435,15 @@ def enumerate_colorings(diagram: LinkDiagram,
     the lowest-numbered arc that earlier branches leave undecided, in one
     iterative search over a schedule laid out once, so no input depth can
     exhaust the interpreter's stack.  The search reads the diagram's position
-    layout uncut, the same steps that the framed counts cut open.  Each dict
-    lists its arcs in increasing order.
+    layout uncut, the same steps that the framed counts cut open, and tries
+    every color on the first arc, where the framed counts try one per
+    Inn-orbit.  Each dict lists its arcs in increasing order.
     """
     table.require_rack()
     _, steps = diagram._layout
-    return tuple(dict(zip(diagram.arcs, colors))
-                 for colors in _colorings(len(diagram.arcs), steps, (), table))
+    levels = _schedule(len(diagram.arcs), steps, (), table)
+    return tuple(dict(zip(diagram.arcs, colors)) for colors in _colorings(
+        len(diagram.arcs), levels, table, table.elements))
 
 
 def image_subrack(table: RackTable,
@@ -473,20 +471,21 @@ def _framed_counts(diagram: LinkDiagram, table: RackTable,
                    ) -> tuple[int, int, Counter[tuple[tuple[int, ...], Hashable]]]:
     """The one tally behind both framed invariants.
 
-    Searches the diagram cut at its anchors and bins each cut coloring by
-    a residue key of its end colors and, with ``image_of``, by its image
-    image_of(colors), whose list leads with the colors of the diagram's
-    own arcs; with no ``image_of`` the tag is None.  k kinks close a
-    component when π^k(anchor) = cut end; those k form one residue class
-    j modulo the π-orbit length ℓ of the anchor's color, N/ℓ values in
-    [0, N), so each key ((ℓ₁, j₁), ...) is spread once per label.
+    Searches the diagram cut at its anchors, with the schedule laid out
+    once, and bins each cut coloring by a residue key of its ends and,
+    with ``image_of``, by its image image_of(colors), whose list leads
+    with the colors of the diagram's own arcs; with no ``image_of`` the
+    tag is None.  k kinks close a component when π^k(anchor) = cut end;
+    those k form one residue class j modulo the π-orbit length ℓ of the
+    anchor's color, N/ℓ values in [0, N), so each key ((ℓ₁, j₁), ...) is
+    spread once per label.
 
     The search is run once per Inn-orbit representative, not per color.
     Each φ in Inn(X) is an automorphism, so it maps a coloring c to the
     coloring φ∘c; it commutes with π, so it keeps every (ℓ, j), and it
     maps c's image S to φ(S).  Position 0 is the first component's anchor
-    and the search's first branch arc, and it is colored only by each
-    orbit's representative r (see ``RackTable._inner_orbits``): the
+    and the search's first branch arc, and each search colors it with one
+    orbit's representative r only (see ``RackTable._inner_orbits``): the
     colorings with φ(r) there are the φ∘c.  With no tag, r's bins count
     once per orbit member.  With images, each of r's distinct images is
     carried along the Schreier vector to every member x, the image at x
@@ -502,26 +501,18 @@ def _framed_counts(diagram: LinkDiagram, table: RackTable,
     if not size:
         # no arcs: the one empty coloring, which every automorphism keeps
         return big_n, 0, Counter({((), image_of([]) if image_of else None): 1})
+    levels = _schedule(size, steps, ends, table)
     orbits, via = table._inner_orbits
-    flat = [i for pair in ends for i in pair]
-    bins: Counter[tuple[tuple[int, ...], Hashable]] = Counter()
-    for colors in _colorings(size, steps, ends, table,
-                             [members[0] for members in orbits]):
-        bins[tuple(map(colors.__getitem__, flat)),
-             image_of(colors) if image_of else None] += 1
-    # the first component's anchor is the least arc, position 0, so each
-    # end tuple leads with the representative its coloring starts from
-    keyed: dict[int, Counter[tuple[tuple[tuple[int, int], ...], Hashable]]] = {}
-    for (end, value), count in bins.items():
-        keyed.setdefault(end[0], Counter())[tuple(
-            (len(orbit[x]), (step[y] - step[x]) % len(orbit[x]))
-            for x, y in zip(end[::2], end[1::2])), value] += count
     residues: Counter[tuple[tuple[tuple[int, int], ...], Hashable]] = Counter()
     for members in orbits:
         rep = members[0]
-        counts = keyed.get(rep)
-        if not counts:
-            continue
+        counts: Counter[tuple[tuple[tuple[int, int], ...], Hashable]] = Counter()
+        for colors in _colorings(size, levels, table, (rep,)):
+            key = []
+            for a, v in ends:
+                ell = len(orbit[colors[a]])
+                key.append((ell, (step[colors[v]] - step[colors[a]]) % ell))
+            counts[tuple(key), image_of(colors) if image_of else None] += 1
         if image_of is None:
             for key, count in counts.items():
                 residues[key] += count * len(members)
@@ -644,7 +635,6 @@ def enhanced_invariant(diagram: LinkDiagram, table: RackTable,
     """
     m, n = _depths(table, m, n, convention)
     terms = _orbit_pairs(table, m, n, convention)
-    which = table._cycle_lengths[0]
     real = len(diagram.arcs)
     closures: dict[frozenset[int], tuple[int, ...]] = {}
 
@@ -659,8 +649,7 @@ def enhanced_invariant(diagram: LinkDiagram, table: RackTable,
     pair_counts: Counter[tuple[tuple[int, ...], TwoVarPoly]] = Counter()
     for (label, image), count in image_counts.items():
         if image not in poly_cache:
-            poly_cache[image] = _poly(
-                _weighted([terms[which[x]] for x in image], repeat(1)))
+            poly_cache[image] = _subset_poly(table, terms, image)
         pair_counts[label, poly_cache[image]] += count
     pairs = tuple(sorted(
         ((label, poly, mult) for (label, poly), mult in pair_counts.items()),

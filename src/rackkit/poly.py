@@ -396,6 +396,13 @@ def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
     if escape is not None:
         x, y, p = escape
         raise RackError(f"not a subrack: {x}▷{y}={p} escapes the subset")
-    pairs = _orbit_pairs(table, m, n, convention)
+    return _subset_poly(table, _orbit_pairs(table, m, n, convention), elems)
+
+
+def _subset_poly(table: RackTable, pairs: Sequence[tuple[int, int]],
+                 elems: Iterable[int]) -> TwoVarPoly:
+    """The sum of s^a·t^b over the elements, (a, b) being each one's
+    Inn-orbit pair in ``pairs`` (see ``_orbit_pairs``): one pair lookup
+    per element, then one term per distinct pair."""
     return _poly(_weighted(map(pairs.__getitem__, map(
         table._cycle_lengths[0].__getitem__, elems)), repeat(1)))

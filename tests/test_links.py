@@ -150,6 +150,15 @@ def test_add_kinks_validation(links):
         add_kinks(links["trefoil"], (-1,))
     with pytest.raises(DiagramError):
         add_kinks(links["hopf"], (1,))
+    # counts are read once, so an iterator of the right length works and
+    # one of the wrong length or a non-iterable is a DiagramError too
+    assert add_kinks(links["hopf"], iter([1, 0])) == add_kinks(
+        links["hopf"], (1, 0))
+    with pytest.raises(DiagramError, match="expected 2 kink counts, got 1"):
+        add_kinks(links["hopf"], iter([1]))
+    for counts in (5, None):
+        with pytest.raises(DiagramError, match="kink counts must be iterable"):
+            add_kinks(links["hopf"], counts)
 
 
 @pytest.mark.parametrize("value", [1.5, "1", True])
@@ -569,13 +578,27 @@ def test_framed_counts_match_sweep_oracle(data):
 # connected quandles, so a trivial union of them has one Inn-orbit per block
 ORBIT_BLOCKS = (alexander(5, 2).entries, alexander(7, 3).entries,
                 alexander(9, 2).entries)
+# racks that are not quandles, with π-orbits of lengths 2 and 3, 1 and 2,
+# and 1 and 4, and Inn-orbits that are those π-orbits
+FRAMED_BLOCKS = (
+    constant_action(Permutation.from_cycles(5, [(1, 2), (3, 4, 5)])).entries,
+    constant_action(Permutation.from_cycles(3, [(2, 3)])).entries,
+    ts_rack(5, 2, 0).entries)
 
 
-def orbit_quandles():
-    """Strategy: a relabelled trivial union of two or three blocks, at most
-    21 elements, whose Inn-orbits have sizes 5, 7 or 9."""
-    unions = st.lists(st.sampled_from(ORBIT_BLOCKS), min_size=2, max_size=3).filter(
-        lambda blocks: sum(map(len, blocks)) <= 21).map(
+def orbit_racks():
+    """Strategy: a relabelled trivial union of two or three connected
+    quandles, at most 21 elements, whose Inn-orbits have sizes 5, 7 or 9;
+    or of one such quandle with one or two non-quandle blocks, at most 15
+    elements, whose orbits differ in size and in π-orbit length."""
+    quandles = st.lists(st.sampled_from(ORBIT_BLOCKS), min_size=2, max_size=3)
+    framed = st.builds(lambda first, rest: [first, *rest],
+                       st.sampled_from(ORBIT_BLOCKS[:2]),
+                       st.lists(st.sampled_from(FRAMED_BLOCKS),
+                                min_size=1, max_size=2))
+    unions = st.one_of(
+        quandles.filter(lambda blocks: sum(map(len, blocks)) <= 21),
+        framed.filter(lambda blocks: sum(map(len, blocks)) <= 15)).map(
         lambda blocks: reduce(trivial_union, blocks))
     return unions.flatmap(lambda entries: st.permutations(
         range(1, len(entries) + 1)).map(
@@ -593,21 +616,28 @@ def small_braid_closures(draw):
     return diagram
 
 
-@settings(max_examples=100, deadline=None)
-@given(orbit_quandles(), small_braid_closures())
+@settings(max_examples=150, deadline=None)
+@given(orbit_racks(), small_braid_closures())
 def test_orbit_weighted_counts_match_the_full_search(table, diagram):
     # The framed counts search once per Inn-orbit representative and weight
     # or carry the result over the orbit; the full search of
-    # enumerate_colorings tries every color.  A quandle has N = 1, so
-    # the one framing class holds the diagram's own colorings.
-    colorings = enumerate_colorings(diagram, table)
-    total, per_class = rack_counting(diagram, table)
-    assert total == len(colorings) == sum(per_class.values())
-    images = Counter(oracles.closure(table.entries, set(c.values()))
-                     for c in colorings)
-    label = (0,) * len(diagram.components)
+    # enumerate_colorings tries every color, here on the diagram kinked by
+    # every vector k in one period, each coloring counted in its framing
+    # class (writhe + k) mod N.  A quandle has N = 1, so its one framing
+    # class holds the diagram's own colorings.
+    big_n = oracles.diagonal_order(table.entries)
+    _, writhes = components_and_writhe(diagram)
+    per_class = dict.fromkeys(product(range(big_n), repeat=len(writhes)), 0)
+    images = Counter()
+    for kinks in product(range(big_n), repeat=len(writhes)):
+        label = tuple((w + k) % big_n for w, k in zip(writhes, kinks))
+        colorings = enumerate_colorings(add_kinks(diagram, kinks), table)
+        per_class[label] += len(colorings)
+        images.update((label, oracles.closure(table.entries, set(c.values())))
+                      for c in colorings)
+    assert rack_counting(diagram, table) == (sum(per_class.values()), per_class)
     assert enhanced_invariant(diagram, table).image_multiplicities == tuple(
-        (label, image, mult) for image, mult in sorted(images.items()))
+        (label, image, mult) for (label, image), mult in sorted(images.items()))
 
 
 def test_orbit_search_answers_a_401_element_quandle_quickly(links):
