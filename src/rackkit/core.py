@@ -450,7 +450,7 @@ class RackTable:
         search (``iso._invariant_keys``) and the depth-class lengths of
         ``iso.rp_family_scan``.
         """
-        orbits = self._inner_orbits[0]
+        orbits = self._inner_orbits
         which = [0] * (self.n + 1)
         for i, orbit in enumerate(orbits):
             for x in orbit:
@@ -504,10 +504,9 @@ class RackTable:
         return pi, tuple(orbit), tuple(step)
 
     @cached_property
-    def _inner_orbits(self) -> tuple[tuple[tuple[int, ...], ...],
-                                     tuple[tuple[int, tuple[int, ...]] | None, ...]]:
-        """(orbits, via): the orbits of the inner group Inn(X) = ⟨C[y]⟩
-        of a rack and a Schreier vector over them (see ``_orbits``).
+    def _inner_orbits(self) -> tuple[tuple[int, ...], ...]:
+        """The orbits of the inner group Inn(X) = ⟨C[y]⟩ of a rack, each
+        led by its least element, in order of those (see ``_orbits``).
 
         ``_analyze`` walks them with the generators it checked and puts
         them in this cache, so a table walks them once, and reading them
@@ -586,14 +585,13 @@ def _members(mask: int) -> tuple[int, ...]:
 
 
 def _walk(mask: int, reached: list[int], columns: Iterable[Sequence[int]],
-          i: int = 0, via: list | None = None) -> int:
+          i: int = 0) -> int:
     """Grow a subset mask (bit v for element v) by moving each member from
     ``reached[i]`` on with every padded ``_right`` column in ``columns``.
 
     Each element that joins the mask is appended to ``reached`` and moved
-    in turn; with ``via``, ``via[p]`` records the (member, column) pair
-    that brought p in.  Returns the grown mask.  This is the package's
-    one ▷-closure.
+    in turn.  Returns the grown mask.  This is the package's one
+    ▷-closure.
 
     When every column C[s], s ∈ S, is an automorphism, as in a rack, the
     ▷-closure of S is the union of the orbits of S under the group G
@@ -614,8 +612,6 @@ def _walk(mask: int, reached: list[int], columns: Iterable[Sequence[int]],
             if not mask >> p & 1:
                 mask |= 1 << p
                 reached.append(p)
-                if via is not None:
-                    via[p] = x, col
         i += 1
     return mask
 
@@ -660,7 +656,7 @@ def _generators(table: RackTable, check: Callable[[int], bool]) -> list[int]:
     return generators
 
 
-def _orbits(n: int, columns: Sequence[Sequence[int]], via: list | None = None
+def _orbits(n: int, columns: Sequence[Sequence[int]]
             ) -> Iterator[tuple[int, list[int]]]:
     """(mask, members) for each orbit on 1..n of the group the padded
     ``_right`` columns generate, in order of least elements: the
@@ -669,17 +665,12 @@ def _orbits(n: int, columns: Sequence[Sequence[int]], via: list | None = None
 
     The members lead with the least element, the representative, and
     list the rest in walk order; the mask has bit v for each member v.
-    With ``via`` (n + 1 slots of None) the walk fills a Schreier vector:
-    ``via[x]`` stays None for a representative and otherwise becomes the
-    (predecessor, column) pair with column[predecessor] = x, the
-    predecessor coming earlier in x's orbit, so composing the columns
-    along that chain sends the representative to x.
     """
     walked = 0  # every orbit so far, as a mask over 1..n
     for x in range(1, n + 1):
         if not walked >> x & 1:
             members = [x]
-            grown = _walk(walked | 1 << x, members, columns, via=via)
+            grown = _walk(walked | 1 << x, members, columns)
             yield grown ^ walked, members
             walked = grown
 
@@ -755,9 +746,10 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     On a rack the Latin and crossed tests read one row per orbit of the
     inner group.  The generators that passed generate it, so
     ``_orbits`` finds its orbits in O(g·n) more lookups and leaves
-    them for ``RackTable._inner_orbits``.  Each φ in Inn(X) is an
-    automorphism, so the row of φ(x) is φ∘row_x∘φ⁻¹: it is a bijection
-    iff x's row is, and the Latin test reads each representative's row.
+    them, tuples of members, for ``RackTable._inner_orbits``.  Each φ in
+    Inn(X) is an automorphism, so the row of φ(x) is φ∘row_x∘φ⁻¹: it is
+    a bijection iff x's row is, and the Latin test reads each
+    representative's row.
     φ also keeps both sides of the crossed condition
     (x▷y = x) ⟺ (y▷x = y), so it holds at (x, y) iff at (φx, φy), and
     every pair has such an image (s, y') with s the representative of
@@ -822,11 +814,10 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     is_quandle = is_rack and list(table.diagonal) == labels
     orbits = tuple((x,) for x in labels)  # a non-rack's: one per element
     if is_rack:
-        via: list = [None] * (n + 1)
         orbits = tuple(tuple(members) for _, members in _orbits(
-            n, [cols[z] for z in generators], via))
+            n, [cols[z] for z in generators]))
         # see RackTable._inner_orbits
-        vars(table)["_inner_orbits"] = orbits, tuple(via)
+        vars(table)["_inner_orbits"] = orbits
         vars(table)["_inner_generators"] = tuple(generators)
     is_latin = all(sorted(table.entries[orbit[0] - 1]) == labels
                    for orbit in orbits)

@@ -104,7 +104,7 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
     cols_a = a._right
     cols_b = b._right
     placed: list[int] = []
-    representatives = [orbit[0] for orbit in b._inner_orbits[0]]
+    representatives = [orbit[0] for orbit in b._inner_orbits]
 
     def undo(mark: int) -> None:
         for x in placed[mark:]:

@@ -21,9 +21,9 @@ That search does not try every color on its first arc either.  Every
 column of a rack is an automorphism, so the inner group Inn(X) = ⟨C_y⟩
 maps colorings to colorings (Joyce, "A classifying invariant of knots,
 the knot quandle", 1982), keeps each end's residue class and carries a
-coloring's image subrack onto one with the same polynomial.  So the
-search runs once per Inn-orbit, with the orbit's representative on the
-first arc, and the representative's counts stand for its whole orbit:
+coloring's image subrack S onto φS, in S's Inn-orbit Ω.  So the search
+runs once per Inn-orbit, with the orbit's representative on the first
+arc, and the representative's counts by Ω stand for its whole orbit:
 the cost is one search per representative, not per color.
 ``enumerate_colorings`` lists every coloring and keeps the full search.
 """
@@ -37,8 +37,8 @@ from itertools import product
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .core import RackTable, _cycles, _record
-from .poly import (TwoVarPoly, _depths, _orbit_pairs, _subset_poly, closure,
-                   format_monomial)
+from .poly import (TwoVarPoly, _depths, _inner_moves, _orbit_pairs, _spread,
+                   _subset_poly, closure, format_monomial)
 
 __all__ = [
     "Crossing",
@@ -449,10 +449,7 @@ def enumerate_colorings(diagram: LinkDiagram,
 def image_subrack(table: RackTable,
                   coloring: Mapping[int, int]) -> tuple[int, ...]:
     """Closure of the set of colors a coloring actually uses."""
-    used = set(coloring.values())
-    if not used:
-        return ()
-    return closure(table, used)
+    return closure(table, set(coloring.values()))
 
 
 def counting_polynomial_string(per_class: Mapping[tuple[int, ...], int]) -> str:
@@ -467,32 +464,29 @@ def counting_polynomial_string(per_class: Mapping[tuple[int, ...], int]) -> str:
 
 
 def _framed_counts(diagram: LinkDiagram, table: RackTable,
-                   image_of: Callable[[list[int]], tuple[int, ...]] | None = None
+                   tag: Callable[[list[int]], Hashable]
                    ) -> tuple[int, int, Counter[tuple[tuple[int, ...], Hashable]]]:
     """The one tally behind both framed invariants.
 
     Searches the diagram cut at its anchors, with the schedule laid out
-    once, and bins each cut coloring by a residue key of its ends and,
-    with ``image_of``, by its image image_of(colors), whose list leads
-    with the colors of the diagram's own arcs; with no ``image_of`` the
-    tag is None.  k kinks close a component when π^k(anchor) = cut end;
-    those k form one residue class j modulo the π-orbit length ℓ of the
-    anchor's color, N/ℓ values in [0, N), so each key ((ℓ₁, j₁), ...) is
-    spread once per label.
+    once, and bins each cut coloring by a residue key of its ends and by
+    tag(colors), whose list leads with the colors of the diagram's own
+    arcs.  k kinks close a component when π^k(anchor) = cut end; those k
+    form one residue class j modulo the π-orbit length ℓ of the anchor's
+    color, N/ℓ values in [0, N), so each key ((ℓ₁, j₁), ...) is spread
+    once per label.
 
-    The search is run once per Inn-orbit representative, not per color.
-    Each φ in Inn(X) is an automorphism, so it maps a coloring c to the
-    coloring φ∘c; it commutes with π, so it keeps every (ℓ, j), and it
-    maps c's image S to φ(S).  Position 0 is the first component's anchor
-    and the search's first branch arc, and each search colors it with one
-    orbit's representative r only (see ``RackTable._inner_orbits``): the
-    colorings with φ(r) there are the φ∘c.  With no tag, r's bins count
-    once per orbit member.  With images, each of r's distinct images is
-    carried along the Schreier vector to every member x, the image at x
-    being the sorted image under x's column of the image at x's
-    predecessor: |O|·Σ|image| lookups for an orbit O.  Returns N, the
-    component count and {(label, tag): count}, label_i being
-    (writhe_i + k_i) mod N.
+    The search is run once per Inn-orbit representative, not per color,
+    so the tag must be constant on the Inn-orbits of colorings.  Each φ
+    in Inn(X) is an automorphism, so it maps a coloring c to the coloring
+    φ∘c; it commutes with π, so it keeps every (ℓ, j).  Position 0 is the
+    first component's anchor and the search's first branch arc, and each
+    search colors it with one orbit's representative r only (see
+    ``RackTable._inner_orbits``): the colorings with φ(r) there are the
+    φ∘c, with c's key and tag.  So each of r's colorings counts once per
+    member of r's orbit O, and every bin of its search weighs |O|.
+    Returns N, the component count and {(label, tag): count}, label_i
+    being (writhe_i + k_i) mod N.
     """
     pi, orbit, step = table._diagonal_orbits
     big_n = pi.order
@@ -500,32 +494,17 @@ def _framed_counts(diagram: LinkDiagram, table: RackTable,
     size, steps, ends = _cut(diagram)
     if not size:
         # no arcs: the one empty coloring, which every automorphism keeps
-        return big_n, 0, Counter({((), image_of([]) if image_of else None): 1})
+        return big_n, 0, Counter({((), tag([])): 1})
     levels = _schedule(size, steps, ends, table)
-    orbits, via = table._inner_orbits
     residues: Counter[tuple[tuple[tuple[int, int], ...], Hashable]] = Counter()
-    for members in orbits:
-        rep = members[0]
-        counts: Counter[tuple[tuple[tuple[int, int], ...], Hashable]] = Counter()
-        for colors in _colorings(size, levels, table, (rep,)):
+    for members in table._inner_orbits:
+        weight = len(members)
+        for colors in _colorings(size, levels, table, members[:1]):
             key = []
             for a, v in ends:
                 ell = len(orbit[colors[a]])
                 key.append((ell, (step[colors[v]] - step[colors[a]]) % ell))
-            counts[tuple(key), image_of(colors) if image_of else None] += 1
-        if image_of is None:
-            for key, count in counts.items():
-                residues[key] += count * len(members)
-            continue
-        # at[x] maps each of rep's images to its image at x
-        at = {rep: {image: image for _, image in counts}}
-        for x in members:
-            if x != rep:
-                p, col = via[x]
-                at[x] = {image: tuple(sorted(map(col.__getitem__, moved)))
-                         for image, moved in at[p].items()}
-            for (key, image), count in counts.items():
-                residues[key, at[x][image]] += count
+            residues[tuple(key), tag(colors)] += weight
     out: Counter[tuple[tuple[int, ...], Hashable]] = Counter()
     for (key, value), count in residues.items():
         for label in product(*(range((w + j) % ell, big_n, ell)
@@ -559,10 +538,12 @@ def rack_counting(diagram: LinkDiagram,
     coloring closes under exactly the k with π^k(anchor) = cut end.  The
     cost is one search instead of N^c, run once per Inn-orbit
     representative on the first arc, with its counts weighted by the
-    orbit's size.  This is _framed_counts with no tag.  Returns the grand
-    total and the counts of all N^c classes, empty ones as zero.
+    orbit's size.  This is _framed_counts with a constant tag.  Returns
+    the grand total and the counts of all N^c classes, empty ones as
+    zero.
     """
-    big_n, components, counts = _framed_counts(diagram, table)
+    big_n, components, counts = _framed_counts(
+        diagram, table, lambda colors: None)
     per_class = _class_table(big_n, components, (
         (label, count) for (label, _), count in counts.items()))
     return sum(per_class.values()), per_class
@@ -622,38 +603,48 @@ def enhanced_invariant(diagram: LinkDiagram, table: RackTable,
 
     Every coloring contributes the two-variable polynomial of its image
     subrack (counts taken in the ambient rack) tagged with its framing
-    class.  The same single search over the cut diagram serves, tagging
-    each coloring with its image: kink arcs carry π^j(anchor), which lies
-    in the closure of the anchor's color, so a coloring's image is the
-    closure of the colors on the diagram's own arcs whatever the kinks.
-    The search runs once per Inn-orbit representative on the first arc,
-    and each representative's images are carried to the rest of its orbit
-    by the inner automorphisms that reach them, so only the
-    representatives' images are closed.  Closures are cached by that set
-    of colors.  Depths below 1 raise RackError before any search,
-    whatever the diagram.
+    class.  Kink arcs carry π^j(anchor), in the closure of the anchor's
+    color, so the same search over the cut diagram serves: a coloring's
+    image is the closure of the colors on the diagram's own arcs.  Its
+    tag is the Inn-orbit Ω of that image, kept by Inn(X) as
+    ``_framed_counts`` needs, since φ∘c has image φS when c has image S.
+    Each set of colors met is closed once and each closure's Ω spread
+    once (``poly._spread``).  Every T in Ω has one polynomial, as the
+    exponent pairs are constant on Inn-orbits (``poly._orbit_pairs``),
+    and at each label an exact 1/|Ω| share of Ω's count, as φ maps the
+    colorings with image T onto those with image φT.  Depths below 1
+    raise RackError before any search, whatever the diagram.
     """
     m, n = _depths(table, m, n, convention)
     terms = _orbit_pairs(table, m, n, convention)
     real = len(diagram.arcs)
-    closures: dict[frozenset[int], tuple[int, ...]] = {}
+    inner = _inner_moves(table)
+    omegas: list[tuple[TwoVarPoly, dict[int, tuple[int, ...]]]] = []
+    which: dict[int, int] = {}  # each image's mask: its Ω's index in omegas
+    tags: dict[frozenset[int], int] = {}  # each set of colors met: the same
 
-    def image_of(colors: list[int]) -> tuple[int, ...]:
+    def omega_of(colors: list[int]) -> int:
         used = frozenset(colors[:real])
-        if used not in closures:
-            closures[used] = closure(table, used)
-        return closures[used]
+        if used not in tags:
+            image = closure(table, used)
+            mask = sum(1 << v for v in image)
+            if mask not in which:
+                omega = _spread(inner, mask, image)
+                which.update(dict.fromkeys(omega, len(omegas)))
+                omegas.append((_subset_poly(table, terms, image), omega))
+            tags[used] = which[mask]
+        return tags[used]
 
-    big_n, components, image_counts = _framed_counts(diagram, table, image_of)
-    poly_cache: dict[tuple[int, ...], TwoVarPoly] = {}
+    big_n, components, counts = _framed_counts(diagram, table, omega_of)
     pair_counts: Counter[tuple[tuple[int, ...], TwoVarPoly]] = Counter()
-    for (label, image), count in image_counts.items():
-        if image not in poly_cache:
-            poly_cache[image] = _subset_poly(table, terms, image)
-        pair_counts[label, poly_cache[image]] += count
+    images = []
+    for (label, i), count in counts.items():
+        poly, omega = omegas[i]
+        pair_counts[label, poly] += count
+        images.extend((label, image, count // len(omega))
+                      for image in omega.values())
     pairs = tuple(sorted(
         ((label, poly, mult) for (label, poly), mult in pair_counts.items()),
         key=lambda item: (item[0], str(item[1]))))
-    images = tuple(sorted(
-        (label, image, mult) for (label, image), mult in image_counts.items()))
-    return EnhancedInvariant(m, n, convention, big_n, components, pairs, images)
+    return EnhancedInvariant(m, n, convention, big_n, components, pairs,
+                             tuple(sorted(images)))

@@ -234,9 +234,32 @@ def rack_polynomial(table: RackTable, m: int, n: int,
 _BIT = (1).__lshift__  # _BIT(v) is element v's bit in a subset mask
 
 
-def _moved(column: Sequence[int]) -> int:
-    """The mask of the points a padded column moves."""
-    return sum(map(_BIT, compress(count(), map(ne, column, count()))))
+def _inner_moves(table: RackTable) -> list[tuple[int, tuple[int, ...], int]]:
+    """(z, C[z], the mask of the points C[z] moves) for each greedy
+    ▷-generator z of a rack, whose columns generate Inn(X)."""
+    cols = table._right
+    return [(z, cols[z], sum(map(_BIT, compress(count(), map(ne, cols[z], count())))))
+            for z in table._inner_generators]
+
+
+def _spread(inner: Sequence[tuple[int, tuple[int, ...], int]], mask: int,
+            members: Iterable[int]) -> dict[int, tuple[int, ...]]:
+    """The Inn-orbit of a subrack S, as {mask: sorted members} from S's
+    own mask and members on: each φS is a subrack, walked by the columns
+    in ``inner`` (see ``_inner_moves``).  A generator z is skipped at an
+    image E that holds z, as C[z] maps E onto itself, and at an E that
+    C[z] fixes pointwise.  An orbit Ω costs at most |Ω|·g·|S| lookups."""
+    orbit = {mask: tuple(sorted(members))}
+    queue = [*orbit.items()]
+    for mask, members in queue:  # grows while it is read
+        for z, col, moved in inner:
+            if mask & moved and not mask >> z & 1:
+                image = [*map(col.__getitem__, members)]
+                grown = sum(map(_BIT, image))
+                if grown not in orbit:
+                    orbit[grown] = image = tuple(sorted(image))
+                    queue.append((grown, image))
+    return orbit
 
 
 def closure(table: RackTable, seed: Iterable[int]) -> tuple[int, ...]:
@@ -271,11 +294,9 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
     * Seeds: the closure of {r} for each Inn-orbit's least element r
       (``RackTable._inner_orbits``), since every {x} is some φ{r}.  When
       r ▷ r = r, {r} is closed and its images are the {x} of r's orbit.
-    * Spreading: a new subrack's Inn-orbit is walked with the columns of
-      the greedy ▷-generators the report checked, which generate Inn(X)
-      (see ``core._generators``).  A generator z is skipped at an image E
-      that holds z, as C[z] maps the subrack E onto itself, and at an E
-      that C[z] fixes pointwise.
+    * Spreading: a new subrack's Inn-orbit is walked by ``_spread``.
+      Inn-orbits of subracks are disjoint, so a new subrack's orbit holds
+      no found one.
     * Growing: from each orbit's first subrack c, one x is tried per
       orbit of H_c = ⟨C[y] : y ∈ c⟩ outside c.  Each C[y], y ∈ c, maps c
       onto c, so for ψ in H_c, closure(c ∪ {ψx}) = ψ(closure(c ∪ {x})):
@@ -313,27 +334,18 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
     ids: dict[tuple[int, ...], int] = {}  # an id per distinct column
     cid = [-1, *(ids.setdefault(col, len(ids)) for col in cols[1:])]
     distinct = list(ids)  # the column of each id
-    # Inn(X)'s generators with the points their columns move
-    inner = [(z, cols[z], _moved(cols[z])) for z in table._inner_generators]
+    inner = _inner_moves(table)
     # each subrack's mask: its members, sorted, as they are returned
     found: dict[int, tuple[int, ...]] = {}
     # one subrack c per Inn-orbit, with the ids of columns that generate H_c
     firsts: list[tuple[int, tuple[int, ...], frozenset[int]]] = []
 
     def spread(mask: int, members: list[int], key: frozenset[int]) -> None:
-        found[mask] = members = tuple(sorted(members))
-        firsts.append((mask, members, key))
-        orbit = [(mask, members)]
-        for mask, members in orbit:
-            for z, col, moved in inner:
-                if mask & moved and not mask >> z & 1:
-                    image = [*map(col.__getitem__, members)]
-                    grown = sum(map(_BIT, image))
-                    if grown not in found:
-                        found[grown] = image = tuple(sorted(image))
-                        orbit.append((grown, image))
+        orbit = _spread(inner, mask, members)
+        found.update(orbit)
+        firsts.append((mask, orbit[mask], key))
 
-    for orbit in table._inner_orbits[0]:
+    for orbit in table._inner_orbits:
         r = orbit[0]
         key = frozenset((cid[r],))
         if cols[r][r] == r:  # {r} is closed, and its images are the {x}

@@ -279,3 +279,20 @@ def inner_orbits(entries, ys=None):
         seen |= orbit
         orbits.append(tuple(sorted(orbit)))
     return orbits
+
+
+def subrack_orbit(entries, subset):
+    """The images of a subset under the group every column generates, as
+    sorted tuples in sorted order: a breadth-first search from the subset
+    under each column x ↦ x op y, whose inverse is one of its powers."""
+    n = len(entries)
+    start = tuple(sorted(set(subset)))
+    orbit, frontier = {start}, [start]
+    while frontier:
+        current = frontier.pop(0)
+        for y in range(1, n + 1):
+            image = tuple(sorted(op(entries, x, y) for x in current))
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return sorted(orbit)

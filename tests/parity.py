@@ -1,29 +1,32 @@
 """A seeded corpus of public results, one canonical line per result.
 
 The corpus compares versions of the library, where ``oracles`` compares it
-with brute force: a change that keeps every public result keeps the
-corpus's SHA-256, which ``test_parity`` pins.  Each section is a function
-that yields the section's lines; the digest reads the sections in the
-order of ``SECTIONS``, so a new section is one more function there and a
-new pinned digest.  A change that alters a public result on purpose
-updates the pin and says why.
+with brute force: a change that keeps every public result keeps each
+section's SHA-256, which ``test_parity`` pins.  Each section is a
+function in ``SECTIONS`` that yields the section's lines, so a new
+section is one more function there and one more pinned digest.  A
+change that alters a public result on purpose updates the pin and says
+why.
 
-Run as a script to print the digest, or the lines themselves with
-``--lines``::
+Run as a script to print each section's digest, or the lines themselves
+with ``--lines``, for every section or the ones named::
 
-    PYTHONPATH=src python tests/parity.py [--lines]
+    PYTHONPATH=src python tests/parity.py [--lines] [section ...]
 """
 
 import hashlib
+import math
 import random
 import sys
 from functools import reduce
 
 from conftest import (LINK_NAMES, RACK_TABLES, braid_closure, load_link,
-                      trivial_union)
+                      relabel, trivial_union)
 from rackkit import (LinkDiagram, Permutation, RackTable, alexander,
                      constant_action, counting_polynomial_string,
-                     enhanced_invariant, enumerate_colorings, rack_counting)
+                     enhanced_invariant, enumerate_colorings,
+                     enumerate_subracks, isomorphic, rack_counting,
+                     subrack_polynomial, ts_rack)
 
 
 def constant(cycle_type):
@@ -87,25 +90,73 @@ def framed_lines():
             yield f"enumerate_colorings {at}: {enumerate_colorings(diagram, table)!r}"
 
 
-SECTIONS = {"framed": framed_lines}
+def table_racks():
+    """(name, table): the fixtures, every linear rack ts_rack(n, t, s)
+    with n <= 12, constant actions and trivial unions, in that order."""
+    racks = [(name, RackTable(RACK_TABLES[name])) for name in sorted(RACK_TABLES)]
+    racks.extend((f"ts_rack{params}", ts_rack(*params)) for params in (
+        (n, t, s) for n in range(1, 13) for t in range(n)
+        if math.gcd(t, n) == 1 for s in range(n) if s * (1 - t - s) % n == 0))
+    for cycle_type in ((1, 1, 1), (2, 3), (1, 2, 2), (4, 4), (1, 2, 3, 4)):
+        racks.append((f"constant{cycle_type}", constant(cycle_type)))
+    for names in (("dihedral3", "T5"), ("triv2", "Q6"), ("ex2", "ex3", "R6")):
+        racks.append(("|".join(names), RackTable(reduce(
+            trivial_union, (RACK_TABLES[name] for name in names)))))
+    blocks = (alexander(5, 2).entries, constant((1, 2)).entries)
+    racks.append(("alexander(5,2)|constant(1, 2)",
+                  RackTable(reduce(trivial_union, blocks))))
+    return racks
 
 
-def lines():
-    for name, section in SECTIONS.items():
-        for line in section():
-            yield f"{name}\t{line}\n"
+def subrack_lines():
+    """Every subrack of every table rack, and the subrack polynomial of
+    each at two depth pairs and both conventions."""
+    for name, table in table_racks():
+        subracks = enumerate_subracks(table)
+        yield f"enumerate_subracks {name}: {subracks!r}"
+        for subrack in subracks:
+            polys = [subrack_polynomial(table, subrack, m, n, convention)
+                     for m, n, convention in ((1, 1, "def"), (2, 3, "prop3"))]
+            yield f"subrack_polynomial {name} {subrack}: {polys!r}"
 
 
-def digest():
-    """The SHA-256 of every line of every section, in order."""
+def isomorphism_lines():
+    """The isomorphism search's result for each table rack against a
+    seeded relabelling of itself, then against the next table rack of
+    its size, which is mostly not isomorphic to it."""
+    rng = random.Random(32)
+    racks = table_racks()
+    for name, table in racks:
+        images = rng.sample(range(1, table.n + 1), table.n)
+        other = RackTable(relabel(table.entries, images))
+        yield f"isomorphic {name} relabel{images}: {isomorphic(table, other)!r}"
+    by_size = sorted(racks, key=lambda item: item[1].n)
+    for (name, table), (other_name, other) in zip(by_size, by_size[1:]):
+        if table.n == other.n:
+            yield f"isomorphic {name} {other_name}: {isomorphic(table, other)!r}"
+
+
+SECTIONS = {"framed": framed_lines, "subracks": subrack_lines,
+            "isomorphism": isomorphism_lines}
+
+
+def lines(name):
+    for line in SECTIONS[name]():
+        yield f"{name}\t{line}\n"
+
+
+def digest(name):
+    """The SHA-256 of every line of one section, in order."""
     h = hashlib.sha256()
-    for line in lines():
+    for line in lines(name):
         h.update(line.encode())
     return h.hexdigest()
 
 
 if __name__ == "__main__":
-    if "--lines" in sys.argv[1:]:
-        sys.stdout.writelines(lines())
-    else:
-        print(digest())
+    names = [arg for arg in sys.argv[1:] if arg != "--lines"] or SECTIONS
+    for name in names:
+        if "--lines" in sys.argv[1:]:
+            sys.stdout.writelines(lines(name))
+        else:
+            print(name, digest(name))

@@ -1047,31 +1047,6 @@ non_quandle_ts_racks = st.sampled_from(ts_non_quandle_params(range(2, 9))).map(
     lambda args: ts_rack(*args).entries)
 
 
-def assert_schreier_vector(entries, orbits, via, ys):
-    """Each member's chain of via leads back to its orbit's representative
-    through earlier members, each step a column of some y in ys, and
-    composing the chain's columns sends the representative to it."""
-    n = len(entries)
-    columns = {tuple(oracles.op(entries, x, y) for x in range(1, n + 1))
-               for y in ys}
-    for members in orbits:
-        rep = members[0]
-        assert via[rep] is None
-        for x in members[1:]:
-            chain, y = [], x
-            while via[y] is not None:
-                p, col = via[y]
-                assert p in members[:members.index(y)]
-                assert col[1:] in columns and col[p] == y
-                chain.append(col)
-                y = p
-            assert y == rep
-            z = rep
-            for col in reversed(chain):
-                z = col[z]
-            assert z == x
-
-
 inner_orbit_racks = st.one_of(
     st.sampled_from(sorted(RACK_TABLES)).map(RACK_TABLES.__getitem__),
     st.integers(1, 7).flatmap(generated_racks).map(lambda t: t.entries),
@@ -1081,11 +1056,9 @@ inner_orbit_racks = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(inner_orbit_racks)
 def test_inner_orbits_match_oracle(entries):
-    table = RackTable(entries)
-    orbits, via = table._inner_orbits
+    orbits = RackTable(entries)._inner_orbits
     assert [tuple(sorted(o)) for o in orbits] == oracles.inner_orbits(entries)
     assert [o[0] for o in orbits] == [min(o) for o in orbits]
-    assert_schreier_vector(entries, orbits, via, range(1, len(entries) + 1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -1095,16 +1068,12 @@ def test_orbits_of_any_columns_match_oracle(args):
     entries, ys = args
     n = len(entries)
     columns = [RackTable(entries)._right[y] for y in sorted(ys)]
-    via = [None] * (n + 1)
-    walked = list(rackkit.core._orbits(n, columns, via))
-    assert list(rackkit.core._orbits(n, columns)) == walked
-    orbits = [members for _, members in walked]
-    assert [tuple(sorted(o)) for o in orbits] == oracles.inner_orbits(
-        entries, ys)
+    walked = list(rackkit.core._orbits(n, columns))
+    assert [tuple(sorted(members)) for _, members in walked] == (
+        oracles.inner_orbits(entries, ys))
     for mask, members in walked:
         assert members[0] == min(members)
         assert mask == sum(1 << x for x in members)
-    assert_schreier_vector(entries, orbits, via, ys)
 
 
 # constant actions with several cycles have orbits of several sizes, and

@@ -20,6 +20,7 @@ from rackkit import (
     DiagramError,
     DiagramFormatError,
     LinkDiagram,
+    NotARackError,
     Permutation,
     RackTable,
     add_kinks,
@@ -275,6 +276,12 @@ def test_image_subrack(racks, links):
     kinds = sorted(image_subrack(t5, c) for c in kinked)
     assert kinds.count((4, 5)) == 2
     assert kinds.count((1, 2, 3)) == 6
+    # the rack is checked whether or not the coloring uses a color
+    not_rack = RackTable(((1, 1), (1, 1)))
+    for coloring in ({}, {1: 1}):
+        with pytest.raises(NotARackError):
+            image_subrack(not_rack, coloring)
+    assert image_subrack(t5, {}) == ()
 
 
 # -- counting invariants -----------------------------------------------------

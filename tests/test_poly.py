@@ -34,7 +34,7 @@ from rackkit import (
     subrack_polynomial,
     ts_rack,
 )
-from rackkit.poly import _poly, _weighted
+from rackkit.poly import _inner_moves, _poly, _spread, _weighted
 
 perm_images = st.integers(1, 7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -466,13 +466,27 @@ def relabelled_ts_racks(draw):
 # closed once per orbit and spread over it
 orbit_racks = st.one_of(relabelled_ts_racks(), relabelled_unions(),
                         constant_action_racks).filter(
-    lambda table: any(len(orbit) > 1 for orbit in table._inner_orbits[0]))
+    lambda table: any(len(orbit) > 1 for orbit in table._inner_orbits))
 
 
 @settings(max_examples=80, deadline=None)
 @given(orbit_racks)
 def test_enumerate_subracks_matches_oracle_on_orbit_racks(table):
     assert list(enumerate_subracks(table)) == oracles.subracks(table.entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(relabelled_ts_racks(), relabelled_unions(), ts_non_quandles))
+def test_spread_matches_oracle_on_every_subrack(table):
+    inner = _inner_moves(table)
+    for subrack in enumerate_subracks(table):
+        mask = sum(1 << x for x in subrack)
+        orbit = _spread(inner, mask, reversed(subrack))
+        assert next(iter(orbit.items())) == (mask, subrack)
+        assert all(key == sum(1 << x for x in image)
+                   for key, image in orbit.items())
+        assert sorted(orbit.values()) == oracles.subrack_orbit(
+            table.entries, subrack)
 
 
 def test_enumerate_subracks_at_n401():
