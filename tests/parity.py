@@ -22,11 +22,15 @@ from functools import reduce
 
 from conftest import (LINK_NAMES, RACK_TABLES, braid_closure, load_link,
                       relabel, trivial_union)
-from rackkit import (LinkDiagram, Permutation, RackTable, alexander,
-                     constant_action, counting_polynomial_string,
-                     enhanced_invariant, enumerate_colorings,
-                     enumerate_subracks, isomorphic, rack_counting,
-                     subrack_polynomial, ts_rack)
+from rackkit import (LinkDiagram, Permutation, RackError, RackTable,
+                     alexander, column_order_lcm, constant_action,
+                     counting_polynomial_string, dual, enhanced_invariant,
+                     enumerate_colorings, enumerate_subracks,
+                     exponent_profile, isomorphic,
+                     operator_equivalence_quotient, parse_rack_table,
+                     rack_counting, rack_polynomial, rack_rank,
+                     rp_family_scan, subrack_polynomial, validate_rack,
+                     ts_rack, verify_constant_action_classification)
 
 
 def constant(cycle_type):
@@ -136,8 +140,84 @@ def isomorphism_lines():
             yield f"isomorphic {name} {other_name}: {isomorphic(table, other)!r}"
 
 
+def random_non_racks():
+    """(name, table): 20 seeded tables of 2-8 elements with uniform
+    random entries, each failing some rack axiom."""
+    rng = random.Random(33)
+    tables = []
+    while len(tables) < 20:
+        n = rng.randint(2, 8)
+        entries = tuple(tuple(rng.randint(1, n) for _ in range(n))
+                        for _ in range(n))
+        table = RackTable(entries)
+        if not table.report.is_rack:
+            tables.append((f"random{len(tables)}", table))
+    return tables
+
+
+# texts off parse_rack_table's one-lookup path, each read as it is and
+# after a comment line: errors, signs and leading zeros
+ODD_TEXTS = ("", "0\n", "-1\n", "2\n1 x\n2 2\n", "2\n1 1 2\n",
+             "2\n1 3\n2 2\n", "2\n01 1\n2 2\n", "2\n+1 1\n2 2\n",
+             "02\n1 1\n2 2\n", "1\n1 1\n")
+
+
+def parsed(text):
+    try:
+        return repr(parse_rack_table(text))
+    except RackError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def table_lines():
+    """Each table rack and random non-rack read back from its text, with
+    and without a comment line first, and its report; for a rack, its
+    polynomials, exponent profile, period, rank, dual and operator
+    quotient.  Then the results of ODD_TEXTS."""
+    for name, table in table_racks() + random_non_racks():
+        text = table.to_text()
+        yield (f"parse {name}: {parsed(text)} "
+               f"{parsed('# comment' + chr(10) + text)}")
+        report = validate_rack(table)
+        yield f"validate_rack {name}: {report!r}"
+        if not report.is_rack:
+            continue
+        polys = [rack_polynomial(table, m, n, convention) for m, n, convention
+                 in ((1, 1, "def"), (2, 3, "prop3"), (6, 4, "def"))]
+        yield f"rack_polynomial {name}: {polys!r} {[str(p) for p in polys]}"
+        yield (f"exponent_profile {name}: {exponent_profile(table, 2, 3)!r} "
+               f"{column_order_lcm(table)} {rack_rank(table)}")
+        yield (f"dual {name}: {dual(table).entries!r} "
+               f"{operator_equivalence_quotient(table)!r}")
+    for text in ODD_TEXTS:
+        yield f"parse {text!r}: {parsed(text)} {parsed('# c' + chr(10) + text)}"
+
+
+def scan_lines():
+    """The default scan of each table rack against the next of its size,
+    and the first difference of the stop_at_first scan; then the
+    constant-action classification up to six elements in both
+    conventions."""
+    by_size = sorted(table_racks(), key=lambda item: item[1].n)
+    for (name, table), (other_name, other) in zip(by_size, by_size[1:]):
+        if table.n != other.n:
+            continue
+        scan = rp_family_scan(table, other)
+        lines = scan.lines()
+        first = rp_family_scan(table, other, stop_at_first=True)
+        yield (f"rp_family_scan {name} {other_name}: {scan.bound} "
+               f"{scan.complete_bound} {len(scan.differences)} "
+               f"{list(lines[:3])!r} {list(lines[-3:])!r} "
+               f"{first.first_difference()!r}")
+    for k in range(1, 7):
+        for convention in ("def", "prop3"):
+            report = verify_constant_action_classification(k, convention)
+            yield f"classification {k} {convention}: {report.lines()!r}"
+
+
 SECTIONS = {"framed": framed_lines, "subracks": subrack_lines,
-            "isomorphism": isomorphism_lines}
+            "isomorphism": isomorphism_lines, "tables": table_lines,
+            "scans": scan_lines}
 
 
 def lines(name):

@@ -7,6 +7,8 @@ import parity
 FRAMED_DIGEST = "84a997aa6204c4370b7dc6a317501b1449860e047a7e4b44996e499e87cd856b"
 SUBRACKS_DIGEST = "c968e75e9e33136c4bf311ed77384a623ceb7e0c0f64bf842375b217c30e1759"
 ISOMORPHISM_DIGEST = "7ce07f61cbb27629b8bac293cbd83702ee82415a44f5f7f552be3e25233094d9"
+TABLES_DIGEST = "47d1c5d8b85cdb6ea3e3e8c33a8c4677cd0b953939763e5b058bbd4e7c0b3159"
+SCANS_DIGEST = "749a0d4459513fe7b42d4da68d3fe4b80adaccf96e84f6d821604a2de45e157d"
 
 
 def test_framed_results_match_the_pinned_digest():
@@ -19,3 +21,11 @@ def test_subrack_results_match_the_pinned_digest():
 
 def test_isomorphism_results_match_the_pinned_digest():
     assert parity.digest("isomorphism") == ISOMORPHISM_DIGEST
+
+
+def test_table_results_match_the_pinned_digest():
+    assert parity.digest("tables") == TABLES_DIGEST
+
+
+def test_scan_results_match_the_pinned_digest():
+    assert parity.digest("scans") == SCANS_DIGEST
