@@ -409,20 +409,17 @@ class RackTable:
         return tuple(left)
 
     @cached_property
-    def _cycle_lengths(self) -> tuple[tuple, tuple, tuple, tuple]:
-        """(which, sizes, by_column, by_row): a rack's column cycle facts,
-        one entry per orbit O_i of the inner group Inn(X) = ⟨C[y]⟩, in the
-        order of ``_inner_orbits`` (see ``_orbits``).
+    def _cycle_lengths(self) -> tuple[tuple, tuple]:
+        """(by_column, by_row): a rack's column cycle facts, one entry per
+        orbit O_i of the inner group Inn(X), in the order of ``_inner``.
 
-        ``which[x]`` is the index i of x's orbit (index 0 unused, as in
-        ``_right``) and ``sizes[i]`` is |O_i|.  For y in O_i,
-        ``by_column[i]`` counts the x by the length len_y(x) of x's cycle
-        under the column of y, and for x in O_i, ``by_row[i]`` counts the
-        y by that same length, each as (cycle length, multiplicity) pairs
-        sorted by length.  x ▷ y ... ▷ y (d copies) = x exactly when the
-        length divides d, so every fixed-point count at every depth is a
-        sum over a row's or a column's distinct lengths.  The table must
-        be a rack.
+        For y in O_i, ``by_column[i]`` counts the x by the length
+        len_y(x) of x's cycle under the column of y, and for x in O_i,
+        ``by_row[i]`` counts the y by that same length, each as (cycle
+        length, multiplicity) pairs sorted by length.  x ▷ y ... ▷ y (d
+        copies) = x exactly when the length divides d, so every
+        fixed-point count at every depth is a sum over a row's or a
+        column's distinct lengths.  The table must be a rack.
 
         Both are constant on each orbit, so one entry serves its members.
         Every φ in Inn(X) is an automorphism, so C[φy] = φ C[y] φ⁻¹ (and
@@ -440,9 +437,9 @@ class RackTable:
         counts.  Representatives with equal columns have equal lengths, so
         ``_cycles`` walks each distinct representative column once, with
         the summed weight Σ|O_j| of the orbits it stands for: O(d·n) steps
-        for d distinct columns among r ≤ n representatives, where walking
-        every column takes O(n²).  A trivial rack or a constant action has
-        one column, however many orbits it has.
+        for d distinct columns among r ≤ n representatives.  A trivial
+        rack or a constant action has one column, however many orbits it
+        has.
 
         These are the table's only column cycle facts.  Their readers:
         the fix counts (``poly._lengths``), the column period
@@ -450,12 +447,7 @@ class RackTable:
         search (``iso._invariant_keys``) and the depth-class lengths of
         ``iso.rp_family_scan``.
         """
-        orbits = self._inner_orbits
-        which = [0] * (self.n + 1)
-        for i, orbit in enumerate(orbits):
-            for x in orbit:
-                which[x] = i
-        sizes = tuple(map(len, orbits))
+        orbits, which, sizes, _ = self._inner
         # the orbits whose representatives share each distinct column
         sharing: dict[tuple[int, ...], list[int]] = {}
         for i, orbit in enumerate(orbits):
@@ -474,7 +466,7 @@ class RackTable:
             pairs = tuple(sorted(counts.items()))
             for i in group:
                 by_column[i] = pairs
-        return tuple(which), sizes, tuple(by_column), tuple(
+        return tuple(by_column), tuple(
             tuple(sorted((k, m // size) for k, m in row.items()))
             for row, size in zip(rows, sizes))
 
@@ -504,24 +496,22 @@ class RackTable:
         return pi, tuple(orbit), tuple(step)
 
     @cached_property
-    def _inner_orbits(self) -> tuple[tuple[int, ...], ...]:
-        """The orbits of the inner group Inn(X) = ⟨C[y]⟩ of a rack, each
-        led by its least element, in order of those (see ``_orbits``).
+    def _inner(self) -> tuple[tuple, tuple, tuple, tuple]:
+        """(orbits, which, sizes, generators): the inner group
+        Inn(X) = ⟨C[y]⟩ of a rack, whose elements are automorphisms.
 
-        ``_analyze`` walks them with the generators it checked and puts
-        them in this cache, so a table walks them once, and reading them
-        first builds the report, which raises here for a non-rack.
+        ``orbits`` are its orbits, each led by its least element, the
+        representative, in order of those (see ``_orbits``); ``which[x]``
+        is the index of x's orbit (index 0 unused, as in ``_right``) and
+        ``sizes[i]`` is the size of orbit i.  ``generators`` are the
+        greedy ▷-generators whose columns generate Inn(X) (see
+        ``_generators``).  ``_analyze`` is the only builder: it checks
+        those generators and walks the orbits with their columns, so
+        reading this first builds the report, which raises here for a
+        non-rack.
         """
         self.require_rack()
-        return vars(self)["_inner_orbits"]
-
-    @cached_property
-    def _inner_generators(self) -> tuple[int, ...]:
-        """The greedy ▷-generators of a rack that ``_analyze`` checked,
-        whose columns generate Inn(X) (see ``_generators``); cached as
-        ``_inner_orbits`` is."""
-        self.require_rack()
-        return vars(self)["_inner_generators"]
+        return vars(self)["_inner"]
 
     @cached_property
     def report(self) -> PropertyReport:
@@ -717,14 +707,12 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     generator.  ``_generators`` runs that loop, with the pair check as
     its ``check``, and grows the closure by orbit walks, since the passed
     columns are automorphisms: O(g·n) lookups in all, with g the number
-    of generators, where pairwise products would take O(n²).  Racks are
-    generated by few elements (Joyce, "A classifying invariant of knots,
-    the knot quandle", 1982): a rack with g greedy generators, the
-    columns that are checked and pass, costs g·n pairs, O(g·n²) steps,
-    plus those lookups, instead of O(n³).  A table with a column that is
-    not a bijection skips nothing, and a non-rack pays for the columns it
-    checks, at most all n² pairs as before, so no table costs more
-    compositions than before.
+    of generators.  Racks are generated by few elements (Joyce, "A
+    classifying invariant of knots, the knot quandle", 1982): a rack with
+    g greedy generators, the columns that are checked and pass, costs g·n
+    pairs, O(g·n²) steps, plus those lookups.  A table with a column that
+    is not a bijection skips nothing, and a non-rack pays for the columns
+    it checks, at most all n² pairs.
 
     Mediality (x▷y)▷(z▷w) = (x▷z)▷(y▷w) says C[z▷w]∘C[y] = C[y▷w]∘C[z]
     for all y, z and w.  Write R_y for C[y].  In a rack
@@ -744,12 +732,12 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     and all n(n-1)/2 only when the n columns are distinct generators.
 
     On a rack the Latin and crossed tests read one row per orbit of the
-    inner group.  The generators that passed generate it, so
-    ``_orbits`` finds its orbits in O(g·n) more lookups and leaves
-    them, tuples of members, for ``RackTable._inner_orbits``.  Each φ in
-    Inn(X) is an automorphism, so the row of φ(x) is φ∘row_x∘φ⁻¹: it is
-    a bijection iff x's row is, and the Latin test reads each
-    representative's row.
+    inner group.  The generators that passed generate it, so ``_orbits``
+    finds its orbits in O(g·n) more lookups; the orbits, each element's
+    orbit index, the orbit sizes and the generators are then left in
+    ``RackTable._inner``, its only cache.  Each φ in Inn(X) is an
+    automorphism, so the row of φ(x) is φ∘row_x∘φ⁻¹: it is a bijection
+    iff x's row is, and the Latin test reads each representative's row.
     φ also keeps both sides of the crossed condition
     (x▷y = x) ⟺ (y▷x = y), so it holds at (x, y) iff at (φx, φy), and
     every pair has such an image (s, y') with s the representative of
@@ -758,9 +746,9 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     comes first: each representative s with the other members of its
     own orbit and those of every later one, r·n pairs at most for r
     orbits, and n(n-1)/2 when every orbit is one element, each unordered
-    pair once, as comparing every pair did.  A non-rack's orbits mean
-    nothing, so there every element counts as its own orbit: all n rows
-    are read, and no pair, as a non-rack is not crossed.
+    pair once.  A non-rack's orbits mean nothing, so there every element
+    counts as its own orbit: all n rows are read, and no pair, as a
+    non-rack is not crossed.
     """
     n = table.n
     cols = table._right
@@ -816,9 +804,12 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     if is_rack:
         orbits = tuple(tuple(members) for _, members in _orbits(
             n, [cols[z] for z in generators]))
-        # see RackTable._inner_orbits
-        vars(table)["_inner_orbits"] = orbits
-        vars(table)["_inner_generators"] = tuple(generators)
+        which = [0] * (n + 1)
+        for i, orbit in enumerate(orbits):
+            for x in orbit:
+                which[x] = i
+        vars(table)["_inner"] = (orbits, tuple(which),
+                                 tuple(map(len, orbits)), tuple(generators))
     is_latin = all(sorted(table.entries[orbit[0] - 1]) == labels
                    for orbit in orbits)
     is_crossed = is_quandle and all(
@@ -852,8 +843,8 @@ def parse_rack_table(text: str) -> RackTable:
     First token is n, followed by n*n entries; blank lines and lines
     starting with ``#`` are ignored.
 
-    Text without ``#`` splits in one pass: its lines' tokens are its
-    whitespace-separated words.  When they are n·n + 1 in number, the
+    The comment lines are dropped first; text without ``#`` has none and
+    splits in one pass.  When the tokens are n·n + 1 in number, the
     first reads exactly ``str(n)`` and every entry is one of the strings
     ``str(1)``, ..., ``str(n)``, the table is read by one lookup per
     entry and built without a second check.  Anything else (a sign, a
@@ -863,20 +854,20 @@ def parse_rack_table(text: str) -> RackTable:
     """
     if isinstance(text, str) and "#" not in text:
         tokens = text.split()
-        n = math.isqrt(len(tokens) - 1) if tokens else 0
-        if n and len(tokens) == n * n + 1 and tokens[0] == str(n):
-            lookup = {str(v): v for v in range(1, n + 1)}
-            entries = map(lookup.__getitem__, islice(tokens, 1, None))
-            try:
-                return _trusted_table(tuple(zip(*[entries] * n)))
-            except KeyError:
-                pass
-    tokens: list[str] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens.extend(stripped.split())
+    else:
+        tokens = []
+        for line in text.splitlines():
+            words = line.split()
+            if words and not words[0].startswith("#"):
+                tokens += words
+    n = math.isqrt(len(tokens) - 1) if tokens else 0
+    if n and len(tokens) == n * n + 1 and tokens[0] == str(n):
+        lookup = {str(v): v for v in range(1, n + 1)}
+        entries = map(lookup.__getitem__, islice(tokens, 1, None))
+        try:
+            return _trusted_table(tuple(zip(*[entries] * n)))
+        except KeyError:
+            pass
     if not tokens:
         raise TableFormatError("empty input")
     try:
@@ -891,12 +882,10 @@ def parse_rack_table(text: str) -> RackTable:
     n = values[0]
     if n < 1:
         raise TableFormatError(f"cardinality must be positive, got {n}")
-    body = values[1:]
-    if len(body) != n * n:
+    if len(values) != n * n + 1:
         raise TableFormatError(
-            f"expected {n * n} entries for n={n}, got {len(body)}")
-    rows = tuple(tuple(body[i * n:(i + 1) * n]) for i in range(n))
-    return RackTable(rows)
+            f"expected {n * n} entries for n={n}, got {len(values) - 1}")
+    return RackTable(tuple(zip(*[islice(values, 1, None)] * n)))
 
 
 def format_rack_table(table: RackTable) -> str:
@@ -952,7 +941,8 @@ def rack_rank(table: RackTable) -> int:
 def column_order_lcm(table: RackTable) -> int:
     """lcm of the orders of all column actions; the period of iterated products."""
     table.require_rack()
-    return math.lcm(*(k for pairs in table._cycle_lengths[2] for k, _ in pairs))
+    by_column, _ = table._cycle_lengths
+    return math.lcm(*(k for pairs in by_column for k, _ in pairs))
 
 
 def _normalize_partition(n: int,

@@ -45,7 +45,7 @@ def _invariant_keys(table: RackTable) -> list[tuple]:
     in every rack (Fenn and Rourke, "Racks and links in codimension two",
     1992).
     """
-    _, _, types, rows = table._cycle_lengths  # (length, points) pairs
+    types, rows = table._cycle_lengths  # (length, points) pairs
     return list(zip(types, _counts(rows, 1)))  # row[1][x], the s count
 
 
@@ -90,8 +90,8 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
         return IsoResult(False)
     keys_a = _invariant_keys(a)
     keys_b = _invariant_keys(b)
-    which_a, sizes_a = a._cycle_lengths[:2]
-    which_b, sizes_b = b._cycle_lengths[:2]
+    _, which_a, sizes_a, _ = a._inner
+    orbits_b, which_b, sizes_b, _ = b._inner
     if _weighted(keys_a, sizes_a) != _weighted(keys_b, sizes_b):
         return IsoResult(False)
     # images[x] is f(x) once x is placed, and free[y] is 0 once y is used;
@@ -104,7 +104,7 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
     cols_a = a._right
     cols_b = b._right
     placed: list[int] = []
-    representatives = [orbit[0] for orbit in b._inner_orbits]
+    representatives = [orbit[0] for orbit in orbits_b]
 
     def undo(mark: int) -> None:
         for x in placed[mark:]:
@@ -239,8 +239,6 @@ class _DepthPairs(Sequence):
         # largest class dividing d is the one left at d
         table = [1] * size
         for g in self._classes:
-            if g > size:
-                break
             table[g - 1::g] = [g] * (size // g)
         per_period = Counter(table)
         in_rem = Counter(islice(table, rem))
@@ -447,8 +445,8 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     if bound < 1:
         raise RackError(f"bound must be at least 1, got {bound}")
     complete = bound >= period
-    lengths = {k for table in (a, b) for pairs in table._cycle_lengths[2]
-               for k, _ in pairs}
+    lengths = {k for by_column, _ in (a._cycle_lengths, b._cycle_lengths)
+               for pairs in by_column for k, _ in pairs}
     found = {1}
     todo = [1]
     while todo:
@@ -461,7 +459,7 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     classes = sorted(found)
     s_lengths_a, t_lengths_a = _lengths(a, convention)
     s_lengths_b, t_lengths_b = _lengths(b, convention)
-    sizes_a, sizes_b = a._cycle_lengths[1], b._cycle_lengths[1]
+    (_, _, sizes_a, _), (_, _, sizes_b, _) = a._inner, b._inner
     s_a = {g: _counts(s_lengths_a, g) for g in classes}
     s_b = {g: _counts(s_lengths_b, g) for g in classes}
     # each orbit's s counts at every class of m

@@ -37,8 +37,8 @@ from itertools import product
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .core import RackTable, _cycles, _record
-from .poly import (TwoVarPoly, _depths, _inner_moves, _orbit_pairs, _spread,
-                   _subset_poly, closure, format_monomial)
+from .poly import (TwoVarPoly, _depths, _format_sum, _inner_moves,
+                   _orbit_pairs, _spread, _subset_poly, closure)
 
 __all__ = [
     "Crossing",
@@ -452,15 +452,15 @@ def image_subrack(table: RackTable,
     return closure(table, set(coloring.values()))
 
 
+def _framing(label: tuple[int, ...]) -> list[tuple[str, int]]:
+    """The factors q1^label[0], ..., qc^label[c-1] of a framing label."""
+    return [(f"q{i}", e) for i, e in enumerate(label, 1)]
+
+
 def counting_polynomial_string(per_class: Mapping[tuple[int, ...], int]) -> str:
     """Render per-framing-class counts as a polynomial in q1..qc."""
-    parts = []
-    for label, count in sorted(per_class.items()):
-        if count == 0:
-            continue
-        factors = [(f"q{i + 1}", e) for i, e in enumerate(label)]
-        parts.append(format_monomial(count, factors))
-    return " + ".join(parts) if parts else "0"
+    return _format_sum((count, _framing(label))
+                       for label, count in sorted(per_class.items()) if count)
 
 
 def _framed_counts(diagram: LinkDiagram, table: RackTable,
@@ -482,7 +482,7 @@ def _framed_counts(diagram: LinkDiagram, table: RackTable,
     φ∘c; it commutes with π, so it keeps every (ℓ, j).  Position 0 is the
     first component's anchor and the search's first branch arc, and each
     search colors it with one orbit's representative r only (see
-    ``RackTable._inner_orbits``): the colorings with φ(r) there are the
+    ``RackTable._inner``): the colorings with φ(r) there are the
     φ∘c, with c's key and tag.  So each of r's colorings counts once per
     member of r's orbit O, and every bin of its search weighs |O|.
     Returns N, the component count and {(label, tag): count}, label_i
@@ -497,8 +497,8 @@ def _framed_counts(diagram: LinkDiagram, table: RackTable,
         return big_n, 0, Counter({((), tag([])): 1})
     levels = _schedule(size, steps, ends, table)
     residues: Counter[tuple[tuple[tuple[int, int], ...], Hashable]] = Counter()
-    for members in table._inner_orbits:
-        weight = len(members)
+    orbits, _, sizes, _ = table._inner
+    for members, weight in zip(orbits, sizes):
         for colors in _colorings(size, levels, table, members[:1]):
             key = []
             for a, v in ends:
@@ -580,20 +580,14 @@ class EnhancedInvariant:
 
     def enhanced_string(self, with_framing: bool = True) -> str:
         if with_framing:
-            parts = [
-                format_monomial(
-                    mult,
-                    [(f"q{i + 1}", e) for i, e in enumerate(label)]
-                    + [("z", str(poly))])
-                for label, poly, mult in self.pairs]
-            return " + ".join(parts) if parts else "0"
+            return _format_sum((mult, [*_framing(label), ("z", str(poly))])
+                               for label, poly, mult in self.pairs)
         agg: dict[str, int] = {}
         for _, poly, mult in self.pairs:
             key = str(poly)
             agg[key] = agg.get(key, 0) + mult
-        parts = [format_monomial(mult, [("z", key)])
-                 for key, mult in sorted(agg.items())]
-        return " + ".join(parts) if parts else "0"
+        return _format_sum((mult, [("z", key)])
+                           for key, mult in sorted(agg.items()))
 
 
 def enhanced_invariant(diagram: LinkDiagram, table: RackTable,

@@ -29,7 +29,7 @@ polynomials of one table at one depth pair cost one lookup per member.
 
 from __future__ import annotations
 
-from itertools import compress, count, repeat
+from itertools import compress, count, repeat, starmap
 from operator import index, ne
 from typing import Iterable, Mapping, Sequence
 
@@ -75,6 +75,13 @@ def format_monomial(coeff: int, factors: Iterable[tuple[str, object]]) -> str:
     if coeff != 1 or not parts:
         parts.insert(0, str(coeff))
     return "*".join(parts)
+
+
+def _format_sum(terms: Iterable[tuple]) -> str:
+    """``format_monomial(coeff, factors)`` of each (coeff, factors) term,
+    in order, joined by `` + ``, or ``0`` when there are none: every sum
+    of monomials the package prints."""
+    return " + ".join(starmap(format_monomial, terms)) or "0"
 
 
 @_record
@@ -128,10 +135,7 @@ class TwoVarPoly:
         return sum(c for _, _, c in self.terms)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            format_monomial(c, [("s", s), ("t", t)]) for s, t, c in self.terms)
+        return _format_sum((c, [("s", s), ("t", t)]) for s, t, c in self.terms)
 
 
 def _weighted(keys: Iterable, weights: Iterable[int]) -> list[tuple]:
@@ -158,7 +162,7 @@ def _lengths(table: RackTable, convention: str) -> tuple[tuple, tuple]:
     """Per Inn-orbit, the (cycle length, multiplicity) pairs behind the s
     and the t count under a convention: a row's for row[d][x], a
     column's for col[d][x] (see ``RackTable._cycle_lengths``)."""
-    _, _, by_column, by_row = table._cycle_lengths
+    by_column, by_row = table._cycle_lengths
     if convention == "def":
         return by_row, by_column
     return by_column, by_row
@@ -186,8 +190,8 @@ class ExponentProfile:
 def exponent_profile(table: RackTable, m: int, n: int) -> ExponentProfile:
     m, n = _depths(table, m, n, "prop3")
     pairs = _orbit_pairs(table, m, n, "prop3")
-    return ExponentProfile(m, n, tuple(
-        map(pairs.__getitem__, table._cycle_lengths[0][1:])))
+    _, which, _, _ = table._inner
+    return ExponentProfile(m, n, tuple(map(pairs.__getitem__, which[1:])))
 
 
 def _depths(table: RackTable, m: int, n: int,
@@ -227,19 +231,23 @@ def rack_polynomial(table: RackTable, m: int, n: int,
                     convention: str = "def") -> TwoVarPoly:
     """Two-variable polynomial at depths (m, n); see the module docstring."""
     m, n = _depths(table, m, n, convention)
-    return _poly(_weighted(_orbit_pairs(table, m, n, convention),
-                           table._cycle_lengths[1]))
+    _, _, sizes, _ = table._inner
+    return _poly(_weighted(_orbit_pairs(table, m, n, convention), sizes))
 
 
 _BIT = (1).__lshift__  # _BIT(v) is element v's bit in a subset mask
 
 
 def _inner_moves(table: RackTable) -> list[tuple[int, tuple[int, ...], int]]:
-    """(z, C[z], the mask of the points C[z] moves) for each greedy
-    ▷-generator z of a rack, whose columns generate Inn(X)."""
+    """(z, C[z], the mask of the points C[z] moves) for each generator z
+    in ``RackTable._inner``, whose columns generate Inn(X).
+
+    The masks serve ``_spread`` only, so they are built here, when a
+    caller spreads subracks, and not with ``_inner``."""
     cols = table._right
+    _, _, _, generators = table._inner
     return [(z, cols[z], sum(map(_BIT, compress(count(), map(ne, cols[z], count())))))
-            for z in table._inner_generators]
+            for z in generators]
 
 
 def _spread(inner: Sequence[tuple[int, tuple[int, ...], int]], mask: int,
@@ -292,7 +300,7 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
     element v), each recorded once with its members.
 
     * Seeds: the closure of {r} for each Inn-orbit's least element r
-      (``RackTable._inner_orbits``), since every {x} is some φ{r}.  When
+      (``RackTable._inner``), since every {x} is some φ{r}.  When
       r ▷ r = r, {r} is closed and its images are the {x} of r's orbit.
     * Spreading: a new subrack's Inn-orbit is walked by ``_spread``.
       Inn-orbits of subracks are disjoint, so a new subrack's orbit holds
@@ -345,7 +353,8 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
         found.update(orbit)
         firsts.append((mask, orbit[mask], key))
 
-    for orbit in table._inner_orbits:
+    orbits, _, _, _ = table._inner
+    for orbit in orbits:
         r = orbit[0]
         key = frozenset((cid[r],))
         if cols[r][r] == r:  # {r} is closed, and its images are the {x}
@@ -416,5 +425,6 @@ def _subset_poly(table: RackTable, pairs: Sequence[tuple[int, int]],
     """The sum of s^a·t^b over the elements, (a, b) being each one's
     Inn-orbit pair in ``pairs`` (see ``_orbit_pairs``): one pair lookup
     per element, then one term per distinct pair."""
+    _, which, _, _ = table._inner
     return _poly(_weighted(map(pairs.__getitem__, map(
-        table._cycle_lengths[0].__getitem__, elems)), repeat(1)))
+        which.__getitem__, elems)), repeat(1)))

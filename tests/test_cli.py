@@ -204,6 +204,15 @@ def test_srp_open_subset(capsys):
     assert "escapes" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("srp", T5, "{}"), "no elements in '{}'"),
+    (("srp", T5, "{1,x}"), "non-integer element in '{1,x}'"),
+    (("quotient", T5, "1,2"), "no blocks in '1,2'; write blocks as {1,2}{3}"),
+])
+def test_element_and_block_syntax_errors(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_gen_constant(capsys):
     code, out, _ = run(capsys, "gen", "constant", "3", "1", "2")
     assert code == 0

@@ -988,10 +988,11 @@ def test_equal_columns_report_quickly_at_n401(build):
 
 
 def per_element(table):
-    """``_cycle_lengths`` expanded through its orbit index: each element's
-    (length, multiplicity) pairs by column and by row, once the index and
-    the orbit sizes are checked against each other."""
-    which, sizes, by_column, by_row = table._cycle_lengths
+    """``_cycle_lengths`` expanded through ``_inner``'s orbit index: each
+    element's (length, multiplicity) pairs by column and by row, once the
+    index and the orbit sizes are checked against each other."""
+    _, which, sizes, _ = table._inner
+    by_column, by_row = table._cycle_lengths
     assert len(which) == table.n + 1 and which[0] == 0
     assert sizes == tuple(map(Counter(which[1:]).__getitem__,
                               range(len(sizes))))
@@ -1016,7 +1017,7 @@ def test_cycle_lengths_match_the_column_cycles(entries):
     assert per_element(table) == expected
     columns = table.columns
     assert column_order_lcm(table) == math.lcm(*(c.order for c in columns))
-    which = table._cycle_lengths[0]
+    _, which, _, _ = table._inner
     keys = _invariant_keys(table)
     types = [keys[i][0] for i in which[1:]]
     for i, j in product(range(table.n), repeat=2):
@@ -1056,7 +1057,7 @@ inner_orbit_racks = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(inner_orbit_racks)
 def test_inner_orbits_match_oracle(entries):
-    orbits = RackTable(entries)._inner_orbits
+    orbits, _, _, _ = RackTable(entries)._inner
     assert [tuple(sorted(o)) for o in orbits] == oracles.inner_orbits(entries)
     assert [o[0] for o in orbits] == [min(o) for o in orbits]
 
@@ -1120,7 +1121,7 @@ def test_cycle_lengths_walk_each_distinct_column_once(entries):
         assert len({by_column[x - 1] for x in orbit}) == 1
         assert len({by_row[x - 1] for x in orbit}) == 1
     # one entry per Inn-orbit, each orbit's index shared by its members
-    which = table._cycle_lengths[0]
+    _, which, _, _ = table._inner
     assert sorted(tuple(x for x in elements if which[x] == i)
                   for i in range(len(orbits))) == sorted(orbits)
 
@@ -1153,8 +1154,9 @@ def test_trivial_401_cycle_lengths_walk_one_column():
     # 401 one-element orbits share the identity column, walked once: a
     # few milliseconds, where a walk per orbit took about 40
     assert len(walked) == 1
-    assert lengths == ((0, *range(401)), (1,) * 401,
-                       (((1, 401),),) * 401, (((1, 401),),) * 401)
+    _, which, sizes, _ = table._inner
+    assert (which, sizes) == ((0, *range(401)), (1,) * 401)
+    assert lengths == ((((1, 401),),) * 401, (((1, 401),),) * 401)
     assert per_element(table) == ((((1, 401),),) * 401,) * 2
     assert elapsed < 0.02
 
@@ -1434,6 +1436,12 @@ def test_quotient_congruence_failure(racks):
     assert exc.value.witness == (1, 2, 1, 1)
     assert exc.value.products == (1, 3)
     assert "not a congruence" in str(exc.value)
+    # each column maps the blocks of R6 to blocks, but the row of 5 takes
+    # 1 and 3, of one block, to 6 and 5
+    with pytest.raises(CongruenceError) as exc:
+        quotient_by(racks["R6"], [{1, 2, 3, 4}, {5}, {6}])
+    assert exc.value.witness == (5, 5, 1, 3)
+    assert exc.value.products == (6, 5)
 
 
 def first_pair_failure(table, blocks):

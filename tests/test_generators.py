@@ -148,6 +148,8 @@ def test_ts_rack_zero_shift_is_constant_action():
 
 
 def test_ts_rack_validation():
+    with pytest.raises(RackError, match="^modulus must be positive, got 0$"):
+        ts_rack(0, 1, 0)
     with pytest.raises(RackError, match="unit"):
         ts_rack(4, 2, 1)
     with pytest.raises(RackError, match="s="):

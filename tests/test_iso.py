@@ -461,6 +461,18 @@ def test_scan_matches_oracle_grid(pair, convention, stop_at_first, bound_kind):
                    copy.deepcopy(scan)):
         assert copied == scan and hash(copied) == hash(scan)
         assert tuple(copied.differences) == items
+    if isinstance(scan.differences, iso_module._DifferenceView):
+        # a listing scan's views name their length, end where it does
+        # and compare only with their own kind of sequence
+        lines = scan.lines()
+        for view, name in ((scan.differences, "_DifferenceView"),
+                           (lines, "_LineView")):
+            assert repr(view) == (f"<{name} of {len(items)} over depths "
+                                  f"1..{bound}>")
+            with pytest.raises(IndexError, match="index out of range"):
+                view[len(items)]
+            assert view.__eq__(5) is NotImplemented and view != 5
+        assert scan.differences.__eq__(lines) is NotImplemented
 
 
 def test_scan_of_91_element_constant_actions():

@@ -23,6 +23,7 @@ from rackkit import (
     NotARackError,
     Permutation,
     RackTable,
+    TwoVarPoly,
     add_kinks,
     alexander,
     components_and_writhe,
@@ -82,6 +83,8 @@ def test_arcs_must_chain():
         LinkDiagram((c,), free_arcs=(1,))  # free arc already covered
     with pytest.raises(DiagramError):
         LinkDiagram((), free_arcs=(1, 1))
+    with pytest.raises(DiagramError, match="^free arc ids must be positive, got 0$"):
+        LinkDiagram((), (0,))
 
 
 def test_parse_diagram_errors():
@@ -97,6 +100,14 @@ def test_parse_diagram_errors():
         parse_diagram('{"crossings": [], "free_arcs": [true]}')
     with pytest.raises(DiagramFormatError):
         parse_diagram('{"crossings": 3}')
+    with pytest.raises(DiagramFormatError, match="^crossing 0 must be an object$"):
+        parse_diagram('{"crossings": [1]}')
+    with pytest.raises(DiagramFormatError,
+                       match="^crossing 0: over must be an integer$"):
+        parse_diagram('{"crossings": [{"sign": 1, "over": 1.5, '
+                      '"under_in": 1, "under_out": 1}]}')
+    with pytest.raises(DiagramFormatError, match="^free_arcs must be a list$"):
+        parse_diagram('{"free_arcs": 3}')
     with pytest.raises(DiagramFormatError, match="nested too deeply"):
         parse_diagram("[" * 100000)
     # past the interpreter's limit on digits in an integer string
@@ -314,8 +325,14 @@ def test_rack_counting_quandle_has_single_class(racks, links):
     assert counting_polynomial_string(per_class) == "9"
 
 
-def test_counting_string_of_nothing():
+def test_counting_string_of_nothing(racks):
     assert counting_polynomial_string({}) == "0"
+    # the empty diagram has one coloring, the empty one, in the one
+    # framing class of no components
+    empty, t5 = LinkDiagram(()), racks["T5"]
+    assert enumerate_colorings(empty, t5) == ({},)
+    assert rack_counting(empty, t5) == (1, {(): 1})
+    assert enhanced_invariant(empty, t5).pairs == (((), TwoVarPoly(()), 1),)
 
 
 # -- enhanced invariants -----------------------------------------------------

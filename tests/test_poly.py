@@ -466,7 +466,7 @@ def relabelled_ts_racks(draw):
 # closed once per orbit and spread over it
 orbit_racks = st.one_of(relabelled_ts_racks(), relabelled_unions(),
                         constant_action_racks).filter(
-    lambda table: any(len(orbit) > 1 for orbit in table._inner_orbits))
+    lambda table: any(len(orbit) > 1 for orbit in table._inner[0]))
 
 
 @settings(max_examples=80, deadline=None)
