@@ -2,8 +2,9 @@
 
 Every command reads tables in the plain text format (size, then the rows)
 and diagrams in the JSON format; results go to stdout, errors to stderr.
-Exit codes: 0 success, 1 domain error, failed check or undecodable text,
-2 usage error or unreadable file.
+Exit codes: 0 success, 1 domain error, failed check, undecodable text or
+exhausted memory or recursion, 2 usage error or unreadable file (or a
+closed output pipe).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 # check, props, dual and the quotients need only core; every other handler
 # imports its own modules when it runs, so a process loads what it uses
 from .core import (CONVENTIONS, Permutation, PropertyReport, RackError,
-                   RackTable, dual, format_rack_table,
+                   RackTable, _text_lines, dual, format_rack_table,
                    operator_equivalence_quotient, parse_rack_table,
                    properties_report, quotient_by, validate_rack)
 
@@ -131,26 +132,28 @@ def _cmd_srp(args: argparse.Namespace) -> int:
     return 0
 
 
+# each gen handler writes the rows as they come, one row held at a time
 def _cmd_gen_constant(args: argparse.Namespace) -> int:
-    from .generators import constant_action
+    from .generators import _constant_rows
 
-    # a constant action on a Permutation is a rack: no report is needed
-    table = constant_action(Permutation(tuple(args.images)))
-    print(format_rack_table(table), end="")
+    n, rows = _constant_rows(Permutation(tuple(args.images)))
+    sys.stdout.writelines(_text_lines(n, rows))
     return 0
 
 
 def _cmd_gen_alexander(args: argparse.Namespace) -> int:
-    from .generators import alexander
+    from .generators import _linear_rows
 
-    print(format_rack_table(alexander(args.n, args.t)), end="")
+    n, rows = _linear_rows(args.n, args.t, 1 - args.t)
+    sys.stdout.writelines(_text_lines(n, rows))
     return 0
 
 
 def _cmd_gen_ts(args: argparse.Namespace) -> int:
-    from .generators import ts_rack
+    from .generators import _linear_rows
 
-    print(format_rack_table(ts_rack(args.n, args.t, args.s)), end="")
+    n, rows = _linear_rows(args.n, args.t, args.s)
+    sys.stdout.writelines(_text_lines(n, rows))
     return 0
 
 
@@ -339,4 +342,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    # a backstop for inputs no check foresaw: one too large or too deeply
+    # nested for this process ends with one line, not a traceback
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: recursion too deep", file=sys.stderr)
         return 1

@@ -559,9 +559,16 @@ class RackTable:
                                for x in elems))
 
     def to_text(self) -> str:
-        lines = [str(self.n)]
-        lines.extend(" ".join(str(v) for v in row) for row in self.entries)
-        return "\n".join(lines) + "\n"
+        return "".join(_text_lines(self.n, self.entries))
+
+
+def _text_lines(n: int, rows: Iterable[Iterable[int]]) -> Iterator[str]:
+    """The plain text format line by line, each ending in a newline: n,
+    then each row's entries joined by spaces.  The format's one writer,
+    for whole tables and for rows streamed as they are made."""
+    yield f"{n}\n"
+    for row in rows:
+        yield " ".join([str(v) for v in row]) + "\n"
 
 
 def _members(mask: int) -> tuple[int, ...]:

@@ -10,6 +10,13 @@ from itertools import permutations, product
 from math import lcm
 
 
+def linear_table(n, t, s):
+    """Entries of x ▷ y = t·x + s·y on Z/n, one product at a time, with
+    residue r written as r + 1."""
+    return tuple(tuple((t * x + s * y) % n + 1 for y in range(n))
+                 for x in range(n))
+
+
 def op(entries, x, y):
     return entries[x - 1][y - 1]
 

@@ -13,7 +13,7 @@ import pytest
 
 import rackkit
 from conftest import FIXTURES
-from rackkit import core
+from rackkit import cli, core
 from rackkit.cli import main
 
 T5 = str(FIXTURES / "T5.rack")
@@ -306,10 +306,10 @@ def test_scan_agreement_is_silent(capsys):
     assert out == ""
 
 
-def test_scan_streams_a_hostile_bound_under_a_memory_limit():
-    # 10^9 depths in each slot under a 1 GiB address space: the lines
-    # stream from one period of depth classes, and a reader that closes
-    # the pipe after one line ends the child with a message, not a trace
+def first_line_under_memory_limit(*argv):
+    """The first stdout line of rackkit in a child limited to a 1 GiB
+    address space and killed after 60 s, which then sees its pipe closed;
+    with its exit code and stderr."""
     import resource  # POSIX only, like preexec_fn
 
     def limit_memory():
@@ -317,8 +317,7 @@ def test_scan_streams_a_hostile_bound_under_a_memory_limit():
 
     src = str(Path(rackkit.__file__).resolve().parents[1])
     child = subprocess.Popen(
-        [sys.executable, "-m", "rackkit", "scan", MX6, MY6,
-         "--bound", "1000000000"],
+        [sys.executable, "-m", "rackkit", *argv],
         env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True, preexec_fn=limit_memory)
     watchdog = threading.Timer(60, child.kill)
@@ -331,10 +330,46 @@ def test_scan_streams_a_hostile_bound_under_a_memory_limit():
     finally:
         watchdog.cancel()
         child.kill()
+    return first, child.returncode, err
+
+
+def test_scan_streams_a_hostile_bound_under_a_memory_limit():
+    # 10^9 depths in each slot under a 1 GiB address space: the lines
+    # stream from one period of depth classes, and a reader that closes
+    # the pipe after one line ends the child with a message, not a trace
+    first, code, err = first_line_under_memory_limit(
+        "scan", MX6, MY6, "--bound", "1000000000")
     assert first == "(2,1): 6*s^6 != 6\n"
-    assert child.returncode in (0, 2), err
+    assert code in (0, 2), err
     for sign in ("Traceback", "MemoryError", "Exception ignored"):
         assert sign not in err
+
+
+@pytest.mark.parametrize("argv, size", [
+    (("alexander", "100001", "2"), "100001"),
+    (("constant", *map(str, range(1, 20001))), "20000"),
+], ids=["alexander-100001", "constant-20000"])
+def test_gen_streams_a_huge_table_under_a_memory_limit(argv, size):
+    # 10^10 and 4·10^8 entries: held whole, either table overruns 1 GiB,
+    # while its rows, written as they come, need O(n) memory
+    first, code, err = first_line_under_memory_limit("gen", *argv)
+    assert first == f"{size}\n"
+    assert code in (0, 1, 2), err
+    for sign in ("Traceback", "MemoryError", "Exception ignored"):
+        assert sign not in err
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError, "out of memory"),
+    (RecursionError, "recursion too deep"),
+])
+def test_memory_and_recursion_errors_end_with_one_line(capsys, monkeypatch,
+                                                        error, message):
+    def exhaust(args):
+        raise error()
+
+    monkeypatch.setattr(cli, "_cmd_check", exhaust)
+    assert run(capsys, "check", T5) == (1, "", f"error: {message}\n")
 
 
 def test_classify_ca(capsys):

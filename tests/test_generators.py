@@ -1,4 +1,5 @@
-"""Table constructors: single-permutation, affine cyclic, and two-coefficient."""
+"""Table constructors: single-permutation, affine cyclic, and two-coefficient,
+and the text that ``rackkit gen`` streams from their rows."""
 
 import math
 
@@ -14,11 +15,13 @@ from rackkit import (
     constant_action,
     diagonal_perm,
     dual,
+    format_rack_table,
     rack_polynomial,
     rack_rank,
     ts_rack,
     validate_rack,
 )
+from rackkit.cli import main
 
 perm_images = st.integers(1, 8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -172,7 +175,8 @@ def test_ts_rack_valid_parameter_sweep():
 def test_ts_rack_parameters_prove_a_rack():
     # a unit t and s(1-t-s) ≡ 0 mod n make every column a bijection and
     # the table self-distributive, so ts_rack builds no report; each of
-    # these tables must still report a rack when it is read
+    # these tables must still report a rack when it is read, and hold the
+    # formula's entries, for coefficients given unreduced too
     count = 0
     for n in range(1, 31):
         for t in units(n):
@@ -181,9 +185,60 @@ def test_ts_rack_parameters_prove_a_rack():
                     continue
                 table = ts_rack(n, t, s)
                 assert "report" not in vars(table)
+                assert table.entries == oracles.linear_table(n, t, s)
+                assert ts_rack(n, t + n, s - n) == table
+                if s == (1 - t) % n:
+                    assert alexander(n, t) == table
+                    assert alexander(n, t - 2 * n) == table
                 assert table.report.is_rack, (n, t, s)
                 count += 1
     assert count == 683
+
+
+# -- rackkit gen -------------------------------------------------------------
+
+
+FAMILIES = {"constant": lambda *images: constant_action(Permutation(images)),
+            "alexander": alexander, "ts": ts_rack}
+
+
+@pytest.mark.parametrize("argv", [
+    ("constant", "1"),
+    ("constant", "3", "1", "2"),
+    ("constant", "2", "1", "4", "5", "3", "6"),
+    ("alexander", "1", "0"),
+    ("alexander", "7", "3"),
+    ("alexander", "13", "-1"),
+    ("alexander", "25", "7"),
+    ("ts", "1", "5", "-3"),
+    ("ts", "4", "1", "2"),
+    ("ts", "8", "3", "6"),
+    ("ts", "12", "5", "0"),
+])
+def test_gen_writes_the_library_table(capsys, argv):
+    # gen streams the producer's rows through the one text writer; the
+    # bytes are those of the whole table's text
+    family, *params = argv
+    table = FAMILIES[family](*map(int, params))
+    assert main(["gen", *argv]) == 0
+    assert capsys.readouterr() == (format_rack_table(table), "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("alexander", "4", "2"),
+    ("alexander", "0", "1"),
+    ("ts", "0", "1", "0"),
+    ("ts", "2", "1", "1"),
+    ("ts", "8", "1", "2"),
+    ("constant", "1", "1"),
+    ("constant", "2", "3"),
+])
+def test_gen_bad_parameter_prints_nothing(capsys, argv):
+    # every parameter is checked before the first line is written
+    assert main(["gen", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @settings(max_examples=40)
