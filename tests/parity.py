@@ -28,9 +28,10 @@ from rackkit import (LinkDiagram, Permutation, RackError, RackTable,
                      enumerate_colorings, enumerate_subracks,
                      exponent_profile, isomorphic,
                      operator_equivalence_quotient, parse_rack_table,
-                     rack_counting, rack_polynomial, rack_rank,
-                     rp_family_scan, subrack_polynomial, validate_rack,
-                     ts_rack, verify_constant_action_classification)
+                     permutation_of_type, rack_counting, rack_polynomial,
+                     rack_rank, rp_family_scan, subrack_polynomial,
+                     validate_rack, ts_rack,
+                     verify_constant_action_classification)
 
 
 def constant(cycle_type):
@@ -215,9 +216,81 @@ def scan_lines():
             yield f"classification {k} {convention}: {report.lines()!r}"
 
 
+def scan_text(scan):
+    """A scan's bound, completeness, length, first and last three lines
+    and first difference."""
+    lines = scan.lines()
+    return (f"{scan.bound} {scan.complete_bound} {len(scan.differences)} "
+            f"{list(lines[:3])!r} {list(lines[-3:])!r} "
+            f"{scan.first_difference()!r}")
+
+
+def unit_order(t, n):
+    """The multiplicative order of the unit t modulo n."""
+    order, power = 1, t % n
+    while power != 1 % n:
+        order, power = order + 1, power * t % n
+    return order
+
+
+def agreeing_pairs():
+    """(name, a, b): each table rack against a seeded relabelling and
+    against its dual, constant actions of one type in two cycle layouts,
+    and alexander(n, t) against alexander(n, t') with t and t' of equal
+    order for n <= 23; most pairs have equal polynomials everywhere."""
+    rng = random.Random(35)
+    pairs = []
+    for name, table in table_racks():
+        images = rng.sample(range(1, table.n + 1), table.n)
+        pairs.append((f"{name} relabel{images}", table,
+                      RackTable(relabel(table.entries, images))))
+        pairs.append((f"{name} dual", table, dual(table)))
+    for seed, cycle_type in enumerate(((1, 1, 1), (2, 3), (1, 2, 2), (4, 4),
+                                       (1, 2, 3, 4), (2, 3, 5), (3, 4, 5),
+                                       (1, 1, 2, 6), (2, 2, 3, 3))):
+        pairs.append((f"constant{cycle_type} reversed", constant(cycle_type),
+                      constant(cycle_type[::-1])))
+        pairs.append((f"constant{cycle_type} shuffled{seed}",
+                      constant(cycle_type), constant_action(
+                          permutation_of_type(cycle_type, shuffle_seed=seed))))
+    for n in range(2, 24):
+        units = [t for t in range(2, n) if math.gcd(t, n) == 1]
+        for i, t in enumerate(units):
+            for t2 in units[i + 1:]:
+                if unit_order(t, n) == unit_order(t2, n):
+                    pairs.append((f"alexander({n},{t}) ({n},{t2})",
+                                  alexander(n, t), alexander(n, t2)))
+    return pairs
+
+
+def agreeing_lines():
+    """Every agreeing pair scanned in both conventions, at the default
+    bound and at twice the period and one more, listing and stopping at
+    the first difference; then each table rack's and random non-rack's
+    report and witnesses, read after isomorphic and rack_polynomial have
+    run on a fresh copy of it."""
+    for name, a, b in agreeing_pairs():
+        period = max(column_order_lcm(a), column_order_lcm(b))
+        for convention in ("def", "prop3"):
+            for bound in (None, 2 * period + 1):
+                for stop in (False, True):
+                    scan = rp_family_scan(a, b, bound, convention, stop)
+                    yield (f"rp_family_scan {name} {convention} {bound} "
+                           f"{stop}: {scan_text(scan)}")
+    for name, table in table_racks() + random_non_racks():
+        table = RackTable(table.entries)
+        try:
+            found = repr(isomorphic(table, table))
+            poly = repr(rack_polynomial(table, 2, 3))
+        except RackError as exc:
+            found, poly = f"{type(exc).__name__}: {exc}", "-"
+        yield (f"report {name}: {found} {poly} {table.report!r} "
+               f"{table.report.axiom_violations!r}")
+
+
 SECTIONS = {"framed": framed_lines, "subracks": subrack_lines,
             "isomorphism": isomorphism_lines, "tables": table_lines,
-            "scans": scan_lines}
+            "scans": scan_lines, "agreeing": agreeing_lines}
 
 
 def lines(name):

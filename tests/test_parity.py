@@ -9,6 +9,7 @@ SUBRACKS_DIGEST = "c968e75e9e33136c4bf311ed77384a623ceb7e0c0f64bf842375b217c30e1
 ISOMORPHISM_DIGEST = "7ce07f61cbb27629b8bac293cbd83702ee82415a44f5f7f552be3e25233094d9"
 TABLES_DIGEST = "47d1c5d8b85cdb6ea3e3e8c33a8c4677cd0b953939763e5b058bbd4e7c0b3159"
 SCANS_DIGEST = "749a0d4459513fe7b42d4da68d3fe4b80adaccf96e84f6d821604a2de45e157d"
+AGREEING_DIGEST = "92bc4d1655118e9a004db31a10f18448fc6389b0c3b968d6c4b23fd812b4d74e"
 
 
 def test_framed_results_match_the_pinned_digest():
@@ -29,3 +30,7 @@ def test_table_results_match_the_pinned_digest():
 
 def test_scan_results_match_the_pinned_digest():
     assert parity.digest("scans") == SCANS_DIGEST
+
+
+def test_agreeing_scan_results_match_the_pinned_digest():
+    assert parity.digest("agreeing") == AGREEING_DIGEST
