@@ -17,8 +17,8 @@ from pathlib import Path
 
 # check, props, dual and the quotients need only core; every other handler
 # imports its own modules when it runs, so a process loads what it uses
-from .core import (CONVENTIONS, Permutation, PropertyReport, RackError,
-                   RackTable, _text_lines, dual, format_rack_table,
+from .core import (CONVENTIONS, NotARackError, Permutation, PropertyReport,
+                   RackError, RackTable, _text_lines, dual, format_rack_table,
                    operator_equivalence_quotient, parse_rack_table,
                    properties_report, quotient_by, validate_rack)
 
@@ -39,10 +39,14 @@ def _load_table(path: str) -> RackTable:
 
 
 def _load_valid_table(path: str) -> RackTable:
+    """The table at path, checked against the axioms only; the report is
+    built just to print on a non-rack, before the error."""
     table = _load_table(path)
-    if not table.report.is_rack:
-        _print_report(table.report, file=sys.stderr)
+    try:
         table.require_rack()
+    except NotARackError:
+        _print_report(table.report, file=sys.stderr)
+        raise
     return table
 
 

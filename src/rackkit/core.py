@@ -280,13 +280,13 @@ class PropertyReport:
     def axiom_violations(self) -> tuple[AxiomViolation, ...]:
         """Every witness: the bijectivity ones, then distributivity's in
         (x, y, z) order; a report that shows fewer than it counts lists
-        them from its table."""
+        them from its table by the axiom pass alone."""
         if self.violation_count == len(self.first_violations):
             return self.first_violations
         if self.table is None:
             raise RackError("a report without its table has only its "
                             "first_violations")
-        return _analyze(self.table, None).first_violations
+        return _axiom_pass(self.table, None)[1]
 
     def __getstate__(self) -> dict:
         state = dict(vars(self))
@@ -505,25 +505,41 @@ class RackTable:
         is the index of x's orbit (index 0 unused, as in ``_right``) and
         ``sizes[i]`` is the size of orbit i.  ``generators`` are the
         greedy ▷-generators whose columns generate Inn(X) (see
-        ``_generators``).  ``_analyze`` is the only builder: it checks
-        those generators and walks the orbits with their columns, so
-        reading this first builds the report, which raises here for a
-        non-rack.
+        ``_generators``).  The axiom pass (``_axiom_pass``) is the only
+        builder: it checks those generators and walks the orbits with
+        their columns, so reading this first runs the pass, through
+        ``require_rack``, which raises here for a non-rack.  It never
+        builds the report.
         """
         self.require_rack()
         return vars(self)["_inner"]
 
     @cached_property
+    def _axioms(self) -> tuple[int, tuple[AxiomViolation, ...]]:
+        """(violation count, first ten witnesses) of the axiom pass, the
+        table's one run of it; a count of 0 means a rack.  Read by
+        ``require_rack``, so by every entry point that needs a rack, and
+        by ``_analyze``, which adds the property flags."""
+        return _axiom_pass(self)
+
+    @cached_property
     def report(self) -> PropertyReport:
+        """The axioms and the property flags, built by ``_analyze`` when
+        first read; only the callers that show or return the flags
+        (``validate_rack``, ``properties_report``, the quotient's quandle
+        flag in ``operator_equivalence_quotient``, the command line's
+        check and props, and its message on a non-rack) read it."""
         return _analyze(self)
 
     def require_rack(self) -> None:
-        report = self.report
-        if report.is_rack:
+        """Raise NotARackError, naming the first three witnesses, unless
+        the table is a rack.  It reads the axiom pass only, never the
+        report."""
+        count, witnesses = self._axioms
+        if not count:
             return
-        shown = [f"{v.axiom} fails at {v.witness}"
-                 for v in report.first_violations[:3]]
-        more = report.violation_count - 3
+        shown = [f"{v.axiom} fails at {v.witness}" for v in witnesses[:3]]
+        more = count - 3
         if more > 0:
             shown.append(f"and {more} more violations")
         raise NotARackError("not a rack: " + "; ".join(shown))
@@ -555,8 +571,10 @@ class RackTable:
             raise RackError(f"not closed: {x}▷{y}={p} escapes the subset")
         index = {v: i + 1 for i, v in enumerate(elems)}
         cols = self._right
-        return RackTable(tuple(tuple(index[cols[y][x]] for y in elems)
-                               for x in elems))
+        # elems is closed, so every product is a key of index, whose
+        # values are the ints 1..k
+        return _trusted_table(tuple(tuple(index[cols[y][x]] for y in elems)
+                                    for x in elems))
 
     def to_text(self) -> str:
         return "".join(_text_lines(self.n, self.entries))
@@ -683,8 +701,18 @@ def _after_representatives(orbits: Sequence[Sequence[int]]
         start += len(orbit)
 
 
-def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
-    """Axioms and property flags from the columns, in O(n²) memory.
+def _axiom_pass(table: RackTable, shown: int | None = _SHOWN
+                ) -> tuple[int, tuple[AxiomViolation, ...]]:
+    """The rack axioms from the columns, in O(n²) memory: the number of
+    witnesses and the first ``shown`` of them, with every witness for
+    ``shown=None``.  On a rack it also leaves Inn(X) in
+    ``RackTable._inner``.
+
+    ``RackTable._axioms`` runs this once per table, and ``require_rack``,
+    ``_inner`` and ``_analyze`` read it from there; a report's
+    ``axiom_violations`` runs it again with ``shown=None``.  So every
+    entry point that needs a rack pays for the axioms and the orbits
+    only, and the property flags wait until a report is read.
 
     Let C[y] be the column x ↦ x▷y, the padded tuple ``table._right[y]``,
     so that composing two columns is one itemgetter call.
@@ -696,11 +724,9 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     witnesses of a pair are at least its least one, so the first ``shown``
     in (x, y, z) order lie in the ``shown`` pairs whose least x come
     first.  Only those pairs are composed again, and the first ``shown``
-    of their witnesses are the report's first_violations: a check that
-    shows ten witnesses builds ten.  Bijectivity witnesses, at most n² of
-    them, are listed at once as plain tuples and come first.
-    ``shown=None`` lists every witness; the report's axiom_violations runs
-    that pass again on its table when it is first read.
+    of their witnesses are returned: a check that shows ten witnesses
+    builds ten.  Bijectivity witnesses, at most n² of them, are listed at
+    once as plain tuples and come first.
 
     Not every pair is composed.  A bijective column C[z] is an
     automorphism exactly when its pairs (y, z) agree, and if C[y] and
@@ -721,41 +747,10 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
     is not a bijection skips nothing, and a non-rack pays for the columns
     it checks, at most all n² pairs.
 
-    Mediality (x▷y)▷(z▷w) = (x▷z)▷(y▷w) says C[z▷w]∘C[y] = C[y▷w]∘C[z]
-    for all y, z and w.  Write R_y for C[y].  In a rack
-    R_{y▷w} = R_w R_y R_w⁻¹, so at one w this holds iff the maps
-    S_y = R_w⁻¹R_y commute pairwise.  One w is enough: R_{w'}⁻¹R_y =
-    S_{w'}⁻¹S_y lies in the group G the S_y generate.  So the check takes
-    w = 1 and compares C[z▷1]∘C[y] with C[y▷1]∘C[z] (y = z agrees, and
-    swapping y and z swaps the sides), with the same itemgetters as
-    distributivity.  This is the rack form of "a quandle is medial iff its
-    displacement group is abelian" (Jedlička, Pilitowska, Stanovský and
-    Zamojska-Dzienio, J. Algebra 2015).  The y with S_y central in G form
-    a ▷-closed set: S_{a▷b} = S_b·R₁(S_a S_b⁻¹)R₁⁻¹, G is normal in the
-    inner group and its center is characteristic.  S_y depends only on
-    C[y], so that set is closed under equal columns as well, and the loop
-    above reaches every element from the generators by those two moves.
-    So only the pairs with a generator are compared: g·n of them at most,
-    and all n(n-1)/2 only when the n columns are distinct generators.
-
-    On a rack the Latin and crossed tests read one row per orbit of the
-    inner group.  The generators that passed generate it, so ``_orbits``
-    finds its orbits in O(g·n) more lookups; the orbits, each element's
-    orbit index, the orbit sizes and the generators are then left in
-    ``RackTable._inner``, its only cache.  Each φ in Inn(X) is an
-    automorphism, so the row of φ(x) is φ∘row_x∘φ⁻¹: it is a bijection
-    iff x's row is, and the Latin test reads each representative's row.
-    φ also keeps both sides of the crossed condition
-    (x▷y = x) ⟺ (y▷x = y), so it holds at (x, y) iff at (φx, φy), and
-    every pair has such an image (s, y') with s the representative of
-    x's orbit.  The condition is symmetric, and holds at (s, s) in a
-    quandle, so the pairs of two orbits are compared from the one that
-    comes first: each representative s with the other members of its
-    own orbit and those of every later one, r·n pairs at most for r
-    orbits, and n(n-1)/2 when every orbit is one element, each unordered
-    pair once.  A non-rack's orbits mean nothing, so there every element
-    counts as its own orbit: all n rows are read, and no pair, as a
-    non-rack is not crossed.
+    The generators of a rack generate Inn(X), so ``_orbits`` finds its
+    orbits in O(g·n) more lookups; the orbits, each element's orbit
+    index, the orbit sizes and the generators are then left in
+    ``RackTable._inner``, its only cache.
     """
     n = table.n
     cols = table._right
@@ -804,11 +799,7 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
                  *(AxiomViolation("distributivity", w)
                    for w in found[:wanted]))
 
-    is_rack = columns_ok and not pairs
-    labels = ident[1:]
-    is_quandle = is_rack and list(table.diagonal) == labels
-    orbits = tuple((x,) for x in labels)  # a non-rack's: one per element
-    if is_rack:
+    if not violation_count:
         orbits = tuple(tuple(members) for _, members in _orbits(
             n, [cols[z] for z in generators]))
         which = [0] * (n + 1)
@@ -817,16 +808,69 @@ def _analyze(table: RackTable, shown: int | None = _SHOWN) -> PropertyReport:
                 which[x] = i
         vars(table)["_inner"] = (orbits, tuple(which),
                                  tuple(map(len, orbits)), tuple(generators))
+    return violation_count, witnesses
+
+
+def _analyze(table: RackTable) -> PropertyReport:
+    """The full report: the axiom pass's count and witnesses, read from
+    ``RackTable._axioms``, and the four property flags, built here from
+    it.  ``RackTable.report`` runs this when it is first read, and
+    nothing else does.
+
+    Mediality (x▷y)▷(z▷w) = (x▷z)▷(y▷w) says C[z▷w]∘C[y] = C[y▷w]∘C[z]
+    for all y, z and w.  Write R_y for C[y].  In a rack
+    R_{y▷w} = R_w R_y R_w⁻¹, so at one w this holds iff the maps
+    S_y = R_w⁻¹R_y commute pairwise.  One w is enough: R_{w'}⁻¹R_y =
+    S_{w'}⁻¹S_y lies in the group G the S_y generate.  So the check takes
+    w = 1 and compares C[z▷1]∘C[y] with C[y▷1]∘C[z] (y = z agrees, and
+    swapping y and z swaps the sides), with the same itemgetters as
+    distributivity.  This is the rack form of "a quandle is medial iff its
+    displacement group is abelian" (Jedlička, Pilitowska, Stanovský and
+    Zamojska-Dzienio, J. Algebra 2015).  The y with S_y central in G form
+    a ▷-closed set: S_{a▷b} = S_b·R₁(S_a S_b⁻¹)R₁⁻¹, G is normal in the
+    inner group and its center is characteristic.  S_y depends only on
+    C[y], so that set is closed under equal columns as well, and the axiom
+    pass reaches every element from the generators by those two moves.
+    So only the pairs with a generator are compared: g·n of them at most,
+    and all n(n-1)/2 only when the n columns are distinct generators.
+
+    On a rack the Latin and crossed tests read one row per orbit of the
+    inner group, from ``RackTable._inner``.  Each φ in Inn(X) is an
+    automorphism, so the row of φ(x) is φ∘row_x∘φ⁻¹: it is a bijection
+    iff x's row is, and the Latin test reads each representative's row.
+    φ also keeps both sides of the crossed condition
+    (x▷y = x) ⟺ (y▷x = y), so it holds at (x, y) iff at (φx, φy), and
+    every pair has such an image (s, y') with s the representative of
+    x's orbit.  The condition is symmetric, and holds at (s, s) in a
+    quandle, so the pairs of two orbits are compared from the one that
+    comes first: each representative s with the other members of its
+    own orbit and those of every later one, r·n pairs at most for r
+    orbits, and n(n-1)/2 when every orbit is one element, each unordered
+    pair once.  A non-rack's orbits mean nothing, so there every element
+    counts as its own orbit: all n rows are read, and no pair, as a
+    non-rack is neither crossed nor abelian.
+    """
+    violation_count, witnesses = table._axioms
+    labels = list(range(1, table.n + 1))
+    is_rack = not violation_count
+    if not is_rack:
+        is_latin = all(sorted(row) == labels for row in table.entries)
+        return PropertyReport(False, False, False, False, is_latin,
+                              violation_count, witnesses, table)
+    cols = table._right
+    orbits, _, _, generators = table._inner
+    is_quandle = list(table.diagonal) == labels
     is_latin = all(sorted(table.entries[orbit[0] - 1]) == labels
                    for orbit in orbits)
     is_crossed = is_quandle and all(
         (cols[y][x] == x) == (cols[x][y] == y)
         for x, later in _after_representatives(orbits) for y in later)
 
-    # cols[1][y] is y▷1; a pair of two generators is compared once, from
-    # its larger one
+    # after[y](t) is t∘C[y]; cols[1][y] is y▷1; a pair of two generators
+    # is compared once, from its larger one
+    after = [None, *(itemgetter(*c) for c in cols[1:])]
     generator_set = set(generators)
-    is_abelian = is_rack and all(
+    is_abelian = all(
         after[y](cols[cols[1][z]]) == after[z](cols[cols[1][y]])
         for z in generators for y in labels
         if y < z or y not in generator_set)
@@ -931,8 +975,10 @@ def rack_op_iter(table: RackTable, x: int, y: int, i: int) -> int:
 def dual(table: RackTable) -> RackTable:
     """The rack with every column action inverted."""
     table.require_rack()
-    # the first row of the transposed inverse columns is their padding
-    return RackTable(tuple(zip(*table._left[1:]))[1:])
+    # each inverse column of a rack is a permutation of the ints 0..n
+    # that fixes 0, so past the first row of the transpose, which is
+    # their padding, every entry is an int in 1..n
+    return _trusted_table(tuple(zip(*table._left[1:]))[1:])
 
 
 def diagonal_perm(table: RackTable) -> Permutation:
@@ -1001,8 +1047,10 @@ def quotient_by(table: RackTable,
                 if cls[cols[y2][x]] != least:
                     raise CongruenceError(x, x, y, y2, cols[y][x], cols[y2][x])
     reps = [b[0] for b in blocks]
-    quotient = RackTable(tuple(tuple(cls[cols[ry][rx]] for ry in reps)
-                               for rx in reps))
+    # the k blocks cover 1..n, so every product is a key of cls, whose
+    # values are the ints 1..k
+    quotient = _trusted_table(tuple(tuple(cls[cols[ry][rx]] for ry in reps)
+                                    for rx in reps))
     quotient.require_rack()
     return quotient
 

@@ -436,6 +436,21 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     least differing class of m.  Otherwise the differing class pairs and
     their polynomials are returned as a view that lists the depth pairs
     only as they are read (see RpFamilyScan).
+
+    Before any class is built, a certificate settles the pairs that agree
+    everywhere.  An element x's profile is its column's and its row's
+    (cycle length, multiplicity) pairs, one entry per Inn-orbit of
+    ``RackTable._cycle_lengths``.  In either convention x's s count at
+    depth m is the sum of the multiplicities of one of its two lists
+    whose lengths divide m, and its t count at n is the same sum over the
+    other list (``poly._counts``), so the monomial x adds at (m, n) is a
+    function of its profile alone.  If the multisets of profiles, each
+    orbit's weighted by its size, are equal, the two tables add the same
+    monomials at every (m, n), so their polynomials agree at every depth
+    pair, and the scan returns the empty scan that the class loop would
+    return, stop_at_first or not.  The test sorts and compares one entry
+    per Inn-orbit, whatever the period.  The condition is sufficient, not
+    necessary: unequal profiles run the class loop unchanged.
     """
     _check_convention(convention)
     a.require_rack()
@@ -445,6 +460,10 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     if bound < 1:
         raise RackError(f"bound must be at least 1, got {bound}")
     complete = bound >= period
+    (_, _, sizes_a, _), (_, _, sizes_b, _) = a._inner, b._inner
+    if (_weighted(zip(*a._cycle_lengths), sizes_a)
+            == _weighted(zip(*b._cycle_lengths), sizes_b)):
+        return RpFamilyScan(bound, complete, ())
     lengths = {k for by_column, _ in (a._cycle_lengths, b._cycle_lengths)
                for pairs in by_column for k, _ in pairs}
     found = {1}
@@ -459,7 +478,6 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     classes = sorted(found)
     s_lengths_a, t_lengths_a = _lengths(a, convention)
     s_lengths_b, t_lengths_b = _lengths(b, convention)
-    (_, _, sizes_a, _), (_, _, sizes_b, _) = a._inner, b._inner
     s_a = {g: _counts(s_lengths_a, g) for g in classes}
     s_b = {g: _counts(s_lengths_b, g) for g in classes}
     # each orbit's s counts at every class of m

@@ -161,6 +161,24 @@ def test_poly_depth_error(capsys):
     assert "at least 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("poly", EX3, "-m", "2", "-n", "3"),
+    ("iso", Q6, R6),
+    ("scan", MX6, MY6, "--bound", "3"),
+    ("scan", Q6, Q6),
+    ("invariant", TREFOIL, T5),
+])
+def test_commands_on_racks_stop_at_the_axioms(capsys, monkeypatch, argv):
+    # each table is checked against the axioms once, and no report is
+    # built, since nothing prints a property flag; the agreeing scan of
+    # Q6 with itself prints nothing
+    analyzed, checked = record_validation(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, err, analyzed) == (0, "", [])
+    assert bool(out) == (argv[1:] != (Q6, Q6))
+    assert len(checked) == len(set(map(id, checked))) >= 1
+
+
 def test_poly_on_invalid_table_reports(capsys, bad_rack):
     code, out, err = run(capsys, "poly", bad_rack)
     assert code == 1
@@ -219,13 +237,23 @@ def test_gen_constant(capsys):
     assert out == "3\n3 3 3\n1 1 1\n2 2 2\n"
 
 
-def test_gen_constant_builds_no_report(capsys, monkeypatch):
-    analyzed, analyze = [], core._analyze
+def record_validation(monkeypatch):
+    """The tables that the report and the axiom pass run on, as they
+    run: core._analyze and core._axiom_pass, recorded."""
+    analyzed, checked = [], []
+    analyze, check = core._analyze, core._axiom_pass
     monkeypatch.setattr(core, "_analyze",
                         lambda table: analyzed.append(table) or analyze(table))
+    monkeypatch.setattr(core, "_axiom_pass", lambda table, *shown: (
+        checked.append(table) or check(table, *shown)))
+    return analyzed, checked
+
+
+def test_gen_constant_builds_no_report(capsys, monkeypatch):
+    analyzed, checked = record_validation(monkeypatch)
     images = [2, 3, 1, 5, 4, 6, 7]
     code, out, err = run(capsys, "gen", "constant", *map(str, images))
-    assert (code, err, analyzed) == (0, "", [])
+    assert (code, err, analyzed, checked) == (0, "", [], [])
     assert out == "7\n" + "".join(f"{v} {v} {v} {v} {v} {v} {v}\n"
                                   for v in images)
 

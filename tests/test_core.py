@@ -39,9 +39,12 @@ from rackkit import (
     constant_action,
     diagonal_perm,
     dual,
+    enhanced_invariant,
+    enumerate_subracks,
     exponent_profile,
     format_rack_table,
     is_subrack,
+    isomorphic,
     operator_equivalence_quotient,
     parse_rack_table,
     partitions,
@@ -804,6 +807,56 @@ near_racks = relabelled(st.one_of(
                  near_racks, trivial_unions))
 def test_validation_matches_oracles(entries):
     assert_report_matches_oracles(entries)
+
+
+def entry_points(table, diagram):
+    """The library calls that need a rack and read no property flag."""
+    yield lambda: isomorphic(table, table)
+    yield lambda: rp_family_scan(table, table)
+    yield lambda: rp_family_scan(table, dual(table), stop_at_first=True)
+    yield lambda: rack_polynomial(table, 2, 3)
+    yield lambda: enumerate_subracks(table)
+    yield lambda: rack_counting(diagram, table)
+    yield lambda: enhanced_invariant(diagram, table, 1, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(arbitrary_tables, permutation_column_tables, relabelled_racks,
+                 near_racks, trivial_unions))
+def test_entry_points_stop_at_the_axioms(entries):
+    # on a rack they read only the axiom pass, and on a non-rack they
+    # raise from it; either way no report is built, and the report read
+    # afterwards is a fresh table's, witnesses and all
+    table = RackTable(entries)
+    analyzed = []
+    analyze = rackkit.core._analyze
+
+    def recorded(table):
+        analyzed.append(table)
+        return analyze(table)
+
+    with patch.object(rackkit.core, "_analyze", recorded):
+        for call in entry_points(table, load_link("trefoil")):
+            try:
+                call()
+            except NotARackError as exc:
+                assert str(exc) == not_a_rack_message(entries)
+    assert analyzed == []
+    report, fresh = table.report, RackTable(entries).report
+    assert report == fresh and repr(report) == repr(fresh)
+    assert report.axiom_violations == fresh.axiom_violations
+    assert [(v.axiom, v.witness) for v in report.axiom_violations] == (
+        oracles.violations(entries))
+
+
+def not_a_rack_message(entries):
+    """require_rack's message: the first three witnesses and how many
+    more there are."""
+    expected = oracles.violations(entries)
+    shown = [f"{axiom} fails at {w}" for axiom, w in expected[:3]]
+    if len(expected) > 3:
+        shown.append(f"and {len(expected) - 3} more violations")
+    return "not a rack: " + "; ".join(shown)
 
 
 def test_validation_matches_oracles_on_all_small_permutation_tables():

@@ -26,6 +26,7 @@ from rackkit import (
     alexander,
     column_order_lcm,
     constant_action,
+    dual,
     isomorphic,
     partitions,
     permutation_of_type,
@@ -54,12 +55,22 @@ def random_perm(n: int, rng: random.Random) -> Permutation:
 
 @st.composite
 def rack_pairs(draw, max_size=7):
-    """Two racks of one size: a relabeled copy or an independent draw."""
+    """Two racks of one size: a relabeled copy, the dual, a relabeled
+    constant action of one type, or an independent draw.  The first three
+    have equal per-orbit cycle profiles, so a scan of them is settled by
+    rp_family_scan's certificate."""
     n = draw(st.integers(1, max_size))
+    tau = Permutation(tuple(draw(st.permutations(list(range(1, n + 1))))))
+    kind = draw(st.sampled_from(("relabeled", "dual", "constant", "other")))
+    if kind == "constant":
+        sigma = Permutation(tuple(draw(st.permutations(list(range(1, n + 1))))))
+        return (constant_action(sigma),
+                constant_action(sigma.conjugated_by(tau)))
     a = draw(generated_racks(n))
-    if draw(st.booleans()):
-        tau = Permutation(tuple(draw(st.permutations(list(range(1, n + 1))))))
+    if kind == "relabeled":
         return a, relabeled(a, tau)
+    if kind == "dual":
+        return a, dual(a)
     return a, draw(generated_racks(n))
 
 
@@ -509,6 +520,22 @@ def test_scan_of_91_element_constant_actions():
         tracemalloc.stop()
     assert again == scan
     assert held < 8 * 2**20
+
+
+def test_scan_of_same_type_constant_actions_stops_at_the_profiles():
+    # the 11 primes up to 31 as cycle lengths: n = 160 and 2^11 depth
+    # classes each way up to the default bound; the class loop took about
+    # 1.7 s, and equal per-orbit cycle profiles settle the scan at once
+    cycle_type = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    a = constant_action(permutation_of_type(cycle_type))
+    b = constant_action(permutation_of_type(cycle_type[::-1], shuffle_seed=7))
+    a.require_rack(), b.require_rack()  # the axioms are not the scan's work
+    for stop_at_first in (False, True):
+        start = time.perf_counter()
+        scan = rp_family_scan(a, b, stop_at_first=stop_at_first)
+        elapsed = time.perf_counter() - start
+        assert scan == iso_module.RpFamilyScan(math.prod(cycle_type), True, ())
+        assert elapsed < 0.1
 
 
 def test_listing_scan_reads_a_huge_bound_from_one_period(racks):
