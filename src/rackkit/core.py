@@ -812,10 +812,12 @@ def _axiom_pass(table: RackTable, shown: int | None = _SHOWN
 
 
 def _analyze(table: RackTable) -> PropertyReport:
-    """The full report: the axiom pass's count and witnesses, read from
-    ``RackTable._axioms``, and the four property flags, built here from
-    it.  ``RackTable.report`` runs this when it is first read, and
-    nothing else does.
+    """The full report, which ``RackTable.report`` builds here when it is
+    first read; nothing else calls this.  The count and the witnesses are
+    the axiom pass's, read from ``RackTable._axioms``, and on a rack the
+    orbits and generators are read from ``RackTable._inner``, which that
+    pass filled.  Only the four property flags are computed here, for
+    the callers that read them (see ``RackTable.report``).
 
     Mediality (x▷y)▷(z▷w) = (x▷z)▷(y▷w) says C[z▷w]∘C[y] = C[y▷w]∘C[z]
     for all y, z and w.  Write R_y for C[y].  In a rack
