@@ -825,8 +825,8 @@ def _analyze(table: RackTable) -> PropertyReport:
     S_y = R_w⁻¹R_y commute pairwise.  One w is enough: R_{w'}⁻¹R_y =
     S_{w'}⁻¹S_y lies in the group G the S_y generate.  So the check takes
     w = 1 and compares C[z▷1]∘C[y] with C[y▷1]∘C[z] (y = z agrees, and
-    swapping y and z swaps the sides), with the same itemgetters as
-    distributivity.  This is the rack form of "a quandle is medial iff its
+    swapping y and z swaps the sides), with itemgetters as in the
+    axiom pass.  This is the rack form of "a quandle is medial iff its
     displacement group is abelian" (Jedlička, Pilitowska, Stanovský and
     Zamojska-Dzienio, J. Algebra 2015).  The y with S_y central in G form
     a ▷-closed set: S_{a▷b} = S_b·R₁(S_a S_b⁻¹)R₁⁻¹, G is normal in the
@@ -854,8 +854,7 @@ def _analyze(table: RackTable) -> PropertyReport:
     """
     violation_count, witnesses = table._axioms
     labels = list(range(1, table.n + 1))
-    is_rack = not violation_count
-    if not is_rack:
+    if violation_count:
         is_latin = all(sorted(row) == labels for row in table.entries)
         return PropertyReport(False, False, False, False, is_latin,
                               violation_count, witnesses, table)
@@ -877,7 +876,7 @@ def _analyze(table: RackTable) -> PropertyReport:
         for z in generators for y in labels
         if y < z or y not in generator_set)
 
-    return PropertyReport(is_rack, is_quandle, is_crossed, is_abelian,
+    return PropertyReport(True, is_quandle, is_crossed, is_abelian,
                           is_latin, violation_count, witnesses, table)
 
 
