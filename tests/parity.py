@@ -14,11 +14,16 @@ with ``--lines``, for every section or the ones named::
     PYTHONPATH=src python tests/parity.py [--lines] [section ...]
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import math
+import os
 import random
 import sys
 from functools import reduce
+from pathlib import Path
 
 from conftest import (LINK_NAMES, RACK_TABLES, braid_closure, load_link,
                       relabel, trivial_union)
@@ -32,6 +37,9 @@ from rackkit import (LinkDiagram, Permutation, RackError, RackTable,
                      rack_rank, rp_family_scan, subrack_polynomial,
                      validate_rack, ts_rack,
                      verify_constant_action_classification)
+from rackkit.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def constant(cycle_type):
@@ -288,9 +296,93 @@ def agreeing_lines():
                f"{table.report.axiom_violations!r}")
 
 
+# a linear rack with more subracks than this has them listed but not each
+# one's polynomial: (24, 1, 12) and (24, 13, 12) have 8,127 and 12,159
+MANY_SUBRACKS = 1000
+
+
+def linear_lines():
+    """Each linear rack ts_rack(n, t, s) with 12 < n <= 25: its report,
+    witnesses and rack polynomial; for s != 0 its subracks, and the
+    subrack polynomial of each when there are at most MANY_SUBRACKS.  The
+    constant actions x ▷ y = t·x (s = 0) have a subrack for every union of
+    cycles of x ↦ t·x, up to 2^25 - 1 of them, so none are listed."""
+    for params in ((n, t, s) for n in range(13, 26) for t in range(n)
+                   if math.gcd(t, n) == 1 for s in range(n)
+                   if s * (1 - t - s) % n == 0):
+        table = ts_rack(*params)
+        report = table.report
+        yield (f"ts_rack{params}: {report!r} {report.axiom_violations!r} "
+               f"{rack_polynomial(table, 1, 1)!r}")
+        if params[2] == 0:
+            continue
+        subracks = enumerate_subracks(table)
+        yield f"enumerate_subracks ts_rack{params}: {subracks!r}"
+        if len(subracks) <= MANY_SUBRACKS:
+            yield (f"subrack_polynomial ts_rack{params}: "
+                   f"{[subrack_polynomial(table, s, 1, 1) for s in subracks]!r}")
+
+
+def corrupted_tables():
+    """(name, table): each table rack of two or more elements with one
+    seeded entry changed, and with two seeded images swapped in the
+    column of its last element, which stays a bijection."""
+    rng = random.Random(36)
+    tables = []
+    for name, table in table_racks():
+        n = table.n
+        if n < 2:
+            continue
+        rows = [list(row) for row in table.entries]
+        x, y = rng.randrange(n), rng.randrange(n)
+        old = rows[x][y]
+        rows[x][y] = rng.choice([v for v in range(1, n + 1) if v != old])
+        tables.append((f"{name} entry({x + 1},{y + 1})={rows[x][y]}",
+                       RackTable(rows)))
+        rows = [list(row) for row in table.entries]
+        a, b = rng.sample(range(n), 2)
+        rows[a][-1], rows[b][-1] = rows[b][-1], rows[a][-1]
+        tables.append((f"{name} swap({a + 1},{b + 1})", RackTable(rows)))
+    return tables
+
+
+def corrupted_lines():
+    """Each corrupted table's report, every witness and, when it is not a
+    rack, ``require_rack``'s message, read on a fresh copy."""
+    for name, table in corrupted_tables():
+        report = table.report
+        try:
+            RackTable(table.entries).require_rack()
+            message = "-"
+        except RackError as exc:
+            message = f"{type(exc).__name__}: {exc}"
+        yield (f"report {name}: {report!r} {report.axiom_violations!r} "
+               f"{message}")
+
+
+def cli_lines():
+    """The command line cases of ``bench/reference.json``, each run in
+    process through ``cli.main`` from the repository's root: the
+    arguments, the exit code, stdout and stderr."""
+    cases = json.loads((ROOT / "bench" / "reference.json").read_text())["cli"]
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        for case in cases:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(case["args"])
+            yield (f"main {case['args']!r}: {code!r} {out.getvalue()!r} "
+                   f"{err.getvalue()!r}")
+    finally:
+        os.chdir(cwd)
+
+
 SECTIONS = {"framed": framed_lines, "subracks": subrack_lines,
             "isomorphism": isomorphism_lines, "tables": table_lines,
-            "scans": scan_lines, "agreeing": agreeing_lines}
+            "scans": scan_lines, "agreeing": agreeing_lines,
+            "linear": linear_lines, "corrupted": corrupted_lines,
+            "cli": cli_lines}
 
 
 def lines(name):

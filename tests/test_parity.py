@@ -10,6 +10,9 @@ ISOMORPHISM_DIGEST = "7ce07f61cbb27629b8bac293cbd83702ee82415a44f5f7f552be3e2523
 TABLES_DIGEST = "47d1c5d8b85cdb6ea3e3e8c33a8c4677cd0b953939763e5b058bbd4e7c0b3159"
 SCANS_DIGEST = "749a0d4459513fe7b42d4da68d3fe4b80adaccf96e84f6d821604a2de45e157d"
 AGREEING_DIGEST = "92bc4d1655118e9a004db31a10f18448fc6389b0c3b968d6c4b23fd812b4d74e"
+LINEAR_DIGEST = "6bf202f94c9b7c33a469c50f1a4cb54a83a274356a16352d868563499a850d5e"
+CORRUPTED_DIGEST = "86a7aac8655eb2272fa0cb94da65b059ed3a2e18ca371944ec1578378eda54c6"
+CLI_DIGEST = "9569cc2721a564b35a79be9cdc4c0205c95e2077e78fdfe764424d8f3539c9f5"
 
 
 def test_framed_results_match_the_pinned_digest():
@@ -34,3 +37,15 @@ def test_scan_results_match_the_pinned_digest():
 
 def test_agreeing_scan_results_match_the_pinned_digest():
     assert parity.digest("agreeing") == AGREEING_DIGEST
+
+
+def test_linear_rack_results_match_the_pinned_digest():
+    assert parity.digest("linear") == LINEAR_DIGEST
+
+
+def test_corrupted_table_reports_match_the_pinned_digest():
+    assert parity.digest("corrupted") == CORRUPTED_DIGEST
+
+
+def test_command_line_results_match_the_pinned_digest():
+    assert parity.digest("cli") == CLI_DIGEST
