@@ -9,8 +9,7 @@ separate so that broken tables can still be loaded and reported on.
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from operator import attrgetter, index, itemgetter, ne
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -97,6 +96,27 @@ def _cycles(images: Sequence[int]) -> Iterator[list[int]]:
             cycle.append(x)
             x = images[x]
         yield cycle
+
+
+class _cached:
+    """``functools.cached_property`` without its lock, as Python 3.12 has
+    it: the first read stores the value in the instance's ``__dict__``,
+    where every later read finds it before this non-data descriptor.
+    Before 3.12 every first read took a lock shared by all instances,
+    which made it cost about three times as much."""
+
+    def __init__(self, func: Callable) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: object, owner: type | None = None) -> object:
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def _frozen(self, name: str, *value: object) -> None:
@@ -216,17 +236,17 @@ class Permutation:
             raise ValueError(f"cannot conjugate by {tau!r}: not a Permutation")
         return tau.compose(self.compose(tau.inverse()))
 
-    @cached_property
+    @_cached
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles including fixed points, each starting at its least element."""
         return tuple(map(tuple, _cycles((0, *self.images))))
 
-    @cached_property
+    @_cached
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths, largest first; a partition of n."""
         return tuple(sorted((len(c) for c in self.cycles), reverse=True))
 
-    @cached_property
+    @_cached
     def order(self) -> int:
         return math.lcm(*self.cycle_type)
 
@@ -276,7 +296,7 @@ class PropertyReport:
     table: RackTable | None = None
     _hidden = ("table",)  # kept, but not compared, hashed or shown
 
-    @cached_property
+    @_cached
     def axiom_violations(self) -> tuple[AxiomViolation, ...]:
         """Every witness: the bijectivity ones, then distributivity's in
         (x, y, z) order; a report that shows fewer than it counts lists
@@ -363,7 +383,7 @@ class RackTable:
         _in_range(y, self.n)
         return self._left[y][x]
 
-    @cached_property
+    @_cached
     def columns(self) -> tuple[Permutation, ...]:
         """Column actions x ↦ x ▷ y, one per y; requires bijective columns."""
         return tuple(map(self.column, self.elements))
@@ -376,7 +396,7 @@ class RackTable:
         except ValueError as exc:
             raise NotARackError(f"column is not a bijection: {exc}") from None
 
-    @cached_property
+    @_cached
     def _right(self) -> tuple[tuple[int, ...], ...]:
         """The columns: ``_right[y][x]`` is x ▷ y.
 
@@ -384,11 +404,12 @@ class RackTable:
         index: slot 0 of the outer tuple is unused, and slot 0 of each
         column holds 0.  So a column of a rack is a permutation of 0..n
         that fixes 0, and composing two of them, one itemgetter call,
-        gives another padded column.
+        gives another padded column.  ``zip`` builds every padded column
+        in one call.
         """
-        return (None, *((0, *col) for col in zip(*self.entries)))
+        return (None, *zip(repeat(0), *self.entries))
 
-    @cached_property
+    @_cached
     def _left(self) -> tuple[tuple[int, ...], ...]:
         """The inverse columns, padded as ``_right`` is: ``_left[y][x]``
         is the z with z ▷ y = x.  Every column must be a bijection; the
@@ -408,7 +429,7 @@ class RackTable:
             left.append(tuple(inverse))
         return tuple(left)
 
-    @cached_property
+    @_cached
     def _cycle_lengths(self) -> tuple[tuple, tuple]:
         """(by_column, by_row): a rack's column cycle facts, one entry per
         orbit O_i of the inner group Inn(X), in the order of ``_inner``.
@@ -470,11 +491,11 @@ class RackTable:
             tuple(sorted((k, m // size) for k, m in row.items()))
             for row, size in zip(rows, sizes))
 
-    @cached_property
+    @_cached
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self._right[x][x] for x in self.elements)
 
-    @cached_property
+    @_cached
     def _diagonal_orbits(self) -> tuple[Permutation, tuple[tuple[int, ...], ...],
                                         tuple[int, ...]]:
         """(π, orbit, step) for the diagonal map π(x) = x ▷ x of a rack.
@@ -495,7 +516,7 @@ class RackTable:
                 step[x] = i
         return pi, tuple(orbit), tuple(step)
 
-    @cached_property
+    @_cached
     def _inner(self) -> tuple[tuple, tuple, tuple, tuple]:
         """(orbits, which, sizes, generators): the inner group
         Inn(X) = ⟨C[y]⟩ of a rack, whose elements are automorphisms.
@@ -514,7 +535,7 @@ class RackTable:
         self.require_rack()
         return vars(self)["_inner"]
 
-    @cached_property
+    @_cached
     def _axioms(self) -> tuple[int, tuple[AxiomViolation, ...]]:
         """(violation count, first ten witnesses) of the axiom pass, the
         table's one run of it; a count of 0 means a rack.  Read by
@@ -522,7 +543,7 @@ class RackTable:
         by ``_analyze``, which adds the property flags."""
         return _axiom_pass(self)
 
-    @cached_property
+    @_cached
     def report(self) -> PropertyReport:
         """The axioms and the property flags, built by ``_analyze`` when
         first read; only the callers that show or return the flags
@@ -552,10 +573,15 @@ class RackTable:
         The elements must already be checked to lie in range.  Each column
         is tested with one ``issuperset`` over its images of elems, |S|²
         lookups at C speed for |S| elements; only a subset that escapes is
-        scanned again pair by pair, to name its first escape.
+        scanned again pair by pair, to name its first escape.  One
+        element x has one pair, (x, x), so its test is one lookup.
         """
-        inside = set(elems)
         cols = self._right
+        if len(elems) == 1:  # {x} is closed iff x▷x = x
+            x = elems[0]
+            p = cols[x][x]
+            return None if p == x else (x, x, p)
+        inside = set(elems)
         if all(inside.issuperset(map(cols[y].__getitem__, elems))
                for y in elems):
             return None
@@ -730,22 +756,33 @@ def _axiom_pass(table: RackTable, shown: int | None = _SHOWN
 
     Not every pair is composed.  A bijective column C[z] is an
     automorphism exactly when its pairs (y, z) agree, and if C[y] and
-    C[z] are, then so is C[y▷z] = C[z]C[y]C[z]⁻¹.  So when every column
-    is a bijection the loop skips each z in the ▷-closure of the columns
-    that already passed: such a column has no witnesses, and the count
-    and every witness list stay exact on any table.  Whether C[z] is an
-    automorphism depends only on the permutation, since
-    f(x▷y) = f(x)▷f(y) names no z, so a z whose column equals one that
-    passed is skipped as well: it joins the closure but is not a
-    generator.  ``_generators`` runs that loop, with the pair check as
-    its ``check``, and grows the closure by orbit walks, since the passed
-    columns are automorphisms: O(g·n) lookups in all, with g the number
-    of generators.  Racks are generated by few elements (Joyce, "A
-    classifying invariant of knots, the knot quandle", 1982): a rack with
-    g greedy generators, the columns that are checked and pass, costs g·n
-    pairs, O(g·n²) steps, plus those lookups.  A table with a column that
-    is not a bijection skips nothing, and a non-rack pays for the columns
-    it checks, at most all n² pairs.
+    C[z] are, then so is C[y▷z] = C[z]C[y]C[z]⁻¹.  So the loop skips each
+    z in the ▷-closure of the columns that already passed: such a column
+    has no witnesses, and the count and every witness list stay exact on
+    any table.  Whether C[z] is an automorphism depends only on the
+    permutation, since f(x▷y) = f(x)▷f(y) names no z, so a z whose column
+    equals one that passed is skipped as well: it joins the closure but
+    is not a generator.  ``_generators`` runs that loop, with the pair
+    check as its ``check``, and grows the closure by orbit walks, since
+    the passed columns are automorphisms: O(g·n) lookups in all, with g
+    the number of generators.  Racks are generated by few elements
+    (Joyce, "A classifying invariant of knots, the knot quandle", 1982):
+    a rack with g greedy generators, the columns that are checked and
+    pass, costs g·n pairs, O(g·n²) steps, plus those lookups.
+
+    Bijectivity is tested only on the columns the loop composes, each
+    just before its pairs.  While every one of them is a bijection, so is
+    every column, and the skips above are sound.  Each z is composed,
+    joins with a column equal to a passed one, which is a bijection, or
+    is reached by a walk: p = x▷g = C[g](x) for a passed g and an x
+    reached before p.  The pair (x, g) agrees, C[g]∘C[x] = C[p]∘C[g], so
+    C[p] = C[g]C[x]C[g]⁻¹, a bijection when C[x] is, and by induction on
+    the order of reach every reached column is one.  The first composed
+    column that is not a bijection ends the skipping: every bijectivity
+    witness is listed, every column not composed yet is composed, each
+    once, and nothing passes after that.  So a table with a column that
+    is not a bijection composes all n columns, at most all n² pairs, and
+    a non-rack pays for the columns it checks.
 
     The generators of a rack generate Inn(X), so ``_orbits`` finds its
     orbits in O(g·n) more lookups; the orbits, each element's orbit
@@ -756,11 +793,36 @@ def _axiom_pass(table: RackTable, shown: int | None = _SHOWN
     cols = table._right
     ident = list(range(n + 1))
     bijectivity: list[tuple[int, int, int]] = []
+    # after[y](t) is t∘C[y], the tuple of t[C[y][x]] over x, padded as
+    # C[y] is
+    after = [None, *(itemgetter(*c) for c in cols[1:])]
+    pairs = []  # (least x, y, z) for each pair that differs
+    differing = 0  # their distributivity witnesses
+    composed = [False] * (n + 1)
 
-    # slot 0 holds 0 and every entry lies in 1..n, so a column is a
-    # bijection when its n + 1 slots hold n + 1 distinct values
-    columns_ok = all(len(set(c)) == n + 1 for c in cols[1:])
-    if not columns_ok:
+    def compose(z: int) -> bool:
+        """Whether every pair (y, z) agrees; each one that does not is
+        counted and kept in ``pairs``."""
+        nonlocal differing
+        composed[z] = True
+        before = len(pairs)
+        cz, after_z = cols[z], after[z]
+        for y in table.elements:
+            left = after[y](cz)
+            right = after_z(cols[cz[y]])
+            if left != right:
+                differing += sum(map(ne, left, right))
+                pairs.append(
+                    (next(compress(ident, map(ne, left, right))), y, z))
+        return len(pairs) == before
+
+    def passes(z: int) -> bool:
+        if bijectivity:  # every column is composed already
+            return False
+        # slot 0 holds 0 and every entry lies in 1..n, so a column is a
+        # bijection when its n + 1 slots hold n + 1 distinct values
+        if len(set(cols[z])) == n + 1:
+            return compose(z)
         for y, col in enumerate(cols[1:], start=1):
             first: dict[int, int] = {}
             for x, k in enumerate(col):
@@ -768,27 +830,13 @@ def _axiom_pass(table: RackTable, shown: int | None = _SHOWN
                     bijectivity.append((first[k], x, y))
                 else:
                     first[k] = x
-
-    # after[y](t) is t∘C[y], the tuple of t[C[y][x]] over x, padded as
-    # C[y] is
-    after = [None, *(itemgetter(*c) for c in cols[1:])]
-    pairs = []  # (least x, y, z) for each pair that differs
-    violation_count = len(bijectivity)
-
-    def passes(z: int) -> bool:
-        nonlocal violation_count
-        before = len(pairs)
-        cz, after_z = cols[z], after[z]
-        for y in table.elements:
-            left = after[y](cz)
-            right = after_z(cols[cz[y]])
-            if left != right:
-                violation_count += sum(map(ne, left, right))
-                pairs.append(
-                    (next(compress(ident, map(ne, left, right))), y, z))
-        return columns_ok and len(pairs) == before
+        for y in range(1, n + 1):
+            if not composed[y]:
+                compose(y)
+        return False
 
     generators = _generators(table, passes)
+    violation_count = len(bijectivity) + differing
 
     head = bijectivity[:shown]
     wanted = None if shown is None else shown - len(head)
@@ -835,6 +883,14 @@ def _analyze(table: RackTable) -> PropertyReport:
     pass reaches every element from the generators by those two moves.
     So only the pairs with a generator are compared: g·n of them at most,
     and all n(n-1)/2 only when the n columns are distinct generators.
+    The first generator's pairs are not compared either.  It is 1, which
+    the axiom pass checks first and a rack passes, and in a rack
+    R_{1▷1} = R_1 (Fenn and Rourke, "Racks and links in codimension
+    two", 1992), so its pair (y, 1) compares R_{1▷1}R_y = R_1R_y with
+    R_{y▷1}R_1: the distributivity pair (y, 1), which that pass found
+    equal.  So the
+    generators from the second on are compared, half of the
+    compositions on a rack with two, such as ``alexander(n, t)``.
 
     On a rack the Latin and crossed tests read one row per orbit of the
     inner group, from ``RackTable._inner``.  Each φ in Inn(X) is an
@@ -868,12 +924,13 @@ def _analyze(table: RackTable) -> PropertyReport:
         for x, later in _after_representatives(orbits) for y in later)
 
     # after[y](t) is t∘C[y]; cols[1][y] is y▷1; a pair of two generators
-    # is compared once, from its larger one
+    # is compared once, from its larger one, and the first generator's
+    # pairs are the axiom pass's
     after = [None, *(itemgetter(*c) for c in cols[1:])]
     generator_set = set(generators)
     is_abelian = all(
         after[y](cols[cols[1][z]]) == after[z](cols[cols[1][y]])
-        for z in generators for y in labels
+        for z in generators[1:] for y in labels
         if y < z or y not in generator_set)
 
     return PropertyReport(True, is_quandle, is_crossed, is_abelian,

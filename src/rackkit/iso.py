@@ -7,12 +7,12 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, compress, islice, repeat
 from operator import add, eq, index as _index, itemgetter
 
-from .core import (Permutation, RackError, RackTable, _as_int, _record,
-                   column_order_lcm)
+from .core import (Permutation, RackError, RackTable, _as_int, _cached,
+                   _record, column_order_lcm)
 from .generators import constant_action
 from .poly import (TwoVarPoly, _check_convention, _counts, _lengths, _poly,
                    _weighted)
@@ -230,7 +230,7 @@ class _DepthPairs(Sequence):
         self._groups = groups
         self._rows: dict[int, tuple[array, list[tuple], int]] = {}
 
-    @cached_property
+    @_cached
     def _layout(self) -> tuple[list[int], dict[int, int], int]:
         """The depth→class table, each row's width and the length."""
         size = min(self._bound, self._period)
@@ -248,7 +248,7 @@ class _DepthPairs(Sequence):
         length = sum(depths[gn] * width for gn, width in widths.items())
         return table, widths, length
 
-    @cached_property
+    @_cached
     def _starts(self) -> list[int]:
         """Offsets of the rows n = 1..min(bound, L) within a period."""
         table, widths, _ = self._layout

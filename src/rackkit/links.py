@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from functools import cached_property
 from itertools import product
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .core import RackTable, _cycles, _record
+from .core import RackTable, _cached, _cycles, _record
 from .poly import (TwoVarPoly, _depths, _format_sum, _inner_moves,
                    _orbit_pairs, _spread, _subset_poly, closure)
 
@@ -137,14 +136,14 @@ class LinkDiagram:
             if cr.over not in known:
                 raise DiagramError(f"unknown arc reference: {cr.over}")
 
-    @cached_property
+    @_cached
     def arcs(self) -> tuple[int, ...]:
         ids = set(self.free_arcs)
         for cr in self.crossings:
             ids.update((cr.over, cr.under_in, cr.under_out))
         return tuple(sorted(ids))
 
-    @cached_property
+    @_cached
     def _layout(self) -> tuple[dict[int, int], tuple[tuple[int, int, int, int], ...]]:
         """Each arc's position in ``arcs``, and every crossing as a step
         (sign, over, under_in, under_out) over those positions: the one
@@ -155,7 +154,7 @@ class LinkDiagram:
             (cr.sign, position[cr.over], position[cr.under_in],
              position[cr.under_out]) for cr in self.crossings)
 
-    @cached_property
+    @_cached
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Arcs grouped by strand, each group sorted, groups ordered by least arc.
 

@@ -154,7 +154,7 @@ def _poly(items: Iterable[tuple]) -> TwoVarPoly:
     weights positive, so the items are already the stored terms, and the
     constructor's per-term checks are skipped."""
     poly = object.__new__(TwoVarPoly)
-    poly.__dict__["terms"] = tuple((s, t, c) for (s, t), c in items)
+    poly.__dict__["terms"] = tuple([(s, t, c) for (s, t), c in items])
     return poly
 
 
@@ -200,9 +200,12 @@ def _depths(table: RackTable, m: int, n: int,
 
     Every polynomial entry point starts here, so all of them check the
     convention, then the depths, then the rack axioms, in that order.
+    Depths of type int are ints already; any other type, bool included,
+    goes through ``_as_int``.
     """
     _check_convention(convention)
-    m, n = _as_int(m, "depth"), _as_int(n, "depth")
+    if type(m) is not int or type(n) is not int:
+        m, n = _as_int(m, "depth"), _as_int(n, "depth")
     if m < 1 or n < 1:
         raise RackError(f"depths must be at least 1, got ({m}, {n})")
     table.require_rack()
@@ -424,7 +427,9 @@ def _subset_poly(table: RackTable, pairs: Sequence[tuple[int, int]],
                  elems: Iterable[int]) -> TwoVarPoly:
     """The sum of s^a·t^b over the elements, (a, b) being each one's
     Inn-orbit pair in ``pairs`` (see ``_orbit_pairs``): one pair lookup
-    per element, then one term per distinct pair."""
+    and one count per element, then one term per distinct pair."""
     _, which, _, _ = table._inner
-    return _poly(_weighted(map(pairs.__getitem__, map(
-        which.__getitem__, elems)), repeat(1)))
+    counts: dict[tuple[int, int], int] = {}
+    for pair in map(pairs.__getitem__, map(which.__getitem__, elems)):
+        counts[pair] = counts.get(pair, 0) + 1
+    return _poly(sorted(counts.items()))

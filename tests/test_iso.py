@@ -3,13 +3,16 @@
 import copy
 import inspect
 import math
+import os
 import pickle
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
 from functools import reduce
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -135,6 +138,23 @@ def test_exhaustive_search_on_alike_elements():
     assert not result.isomorphic and result.witness is None
     # a fraction of a second; the bound catches only a large slowdown
     assert elapsed < 5
+
+
+def test_a_failed_branch_releases_every_image_it_used():
+    # ts_rack(16, 7, 8) has the greedy generators 1 and 2.  Against this
+    # relabelling, 1 goes to 1, and some of 2's images fail where the
+    # element placed at image 1 meets a product that asks for another
+    # image, one already taken by the y ▷ x half of the propagation.  A
+    # used image holds 0, which no placed element's image equals, so the
+    # branch fails there.  Were such an image marked 1 instead, the
+    # element at image 1 would be placed again, the branch's undo would
+    # leave image 1 taken, and the search would find no isomorphism
+    a = ts_rack(16, 7, 8)
+    images = [7, 4, 15, 12, 14, 16, 6, 5, 1, 13, 9, 2, 11, 10, 8, 3]
+    b = RackTable(relabel(a.entries, images))
+    result = isomorphic(a, b)
+    assert result.isomorphic
+    assert oracles.is_isomorphism(a.entries, b.entries, result.witness.images)
 
 
 def test_alike_elements_at_101():
@@ -513,15 +533,28 @@ def test_scan_of_91_element_constant_actions():
         TwoVarPoly(((0, 91, 91),)))
     assert min(elapsed) < 1
     # equal polynomials are shared: the result holds about 5 MB, where one
-    # polynomial per side of each differing class pair held about 20 MB
-    tracemalloc.start()
-    try:
-        again = rp_family_scan(a, b)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert again == scan
-    assert held < 8 * 2**20
+    # polynomial per side of each differing class pair held about 20 MB.
+    # A child process runs the scan once more and reports how far it
+    # raised its peak resident size, which bounds what the result holds
+    # from above, at the scan's own speed
+    code = (
+        "import resource\n"
+        "from rackkit import constant_action, permutation_of_type, rp_family_scan\n"
+        f"a = constant_action(permutation_of_type({type_a}))\n"
+        f"b = constant_action(permutation_of_type({type_b}))\n"
+        "a.report, b.report\n"
+        "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = peak()\n"
+        "scan = rp_family_scan(a, b)\n"
+        "print(len(scan.differences), peak() - before)\n")
+    src = str(Path(iso_module.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    count, grown_kib = map(int, done.stdout.split())
+    assert count == len(differences)
+    # ru_maxrss counts KiB on Linux
+    assert grown_kib < 8 * 2**10
 
 
 def test_scan_of_same_type_constant_actions_stops_at_the_profiles():
