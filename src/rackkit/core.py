@@ -107,10 +107,8 @@ class _cached:
 
     def __init__(self, func: Callable) -> None:
         self.func = func
+        self.name = func.__name__
         self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
 
     def __get__(self, obj: object, owner: type | None = None) -> object:
         if obj is None:
@@ -751,8 +749,8 @@ def _axiom_pass(table: RackTable, shown: int | None = _SHOWN
     in (x, y, z) order lie in the ``shown`` pairs whose least x come
     first.  Only those pairs are composed again, and the first ``shown``
     of their witnesses are returned: a check that shows ten witnesses
-    builds ten.  Bijectivity witnesses, at most n² of them, are listed at
-    once as plain tuples and come first.
+    builds ten.  Bijectivity witnesses, at most n² of them, are listed as
+    plain tuples and come first.
 
     Not every pair is composed.  A bijective column C[z] is an
     automorphism exactly when its pairs (y, z) agree, and if C[y] and
@@ -781,8 +779,8 @@ def _axiom_pass(table: RackTable, shown: int | None = _SHOWN
     column that is not a bijection ends the skipping: every bijectivity
     witness is listed, every column not composed yet is composed, each
     once, and nothing passes after that.  So a table with a column that
-    is not a bijection composes all n columns, at most all n² pairs, and
-    a non-rack pays for the columns it checks.
+    is not a bijection composes each of its n columns once, n² pairs, and
+    any other non-rack pays for the columns it checks.
 
     The generators of a rack generate Inn(X), so ``_orbits`` finds its
     orbits in O(g·n) more lookups; the orbits, each element's orbit

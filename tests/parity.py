@@ -319,8 +319,8 @@ def linear_lines():
         subracks = enumerate_subracks(table)
         yield f"enumerate_subracks ts_rack{params}: {subracks!r}"
         if len(subracks) <= MANY_SUBRACKS:
-            yield (f"subrack_polynomial ts_rack{params}: "
-                   f"{[subrack_polynomial(table, s, 1, 1) for s in subracks]!r}")
+            polys = [subrack_polynomial(table, s, 1, 1) for s in subracks]
+            yield f"subrack_polynomial ts_rack{params}: {polys!r}"
 
 
 def corrupted_tables():
@@ -370,7 +370,8 @@ def cli_lines():
     try:
         for case in cases:
             out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
                 code = main(case["args"])
             yield (f"main {case['args']!r}: {code!r} {out.getvalue()!r} "
                    f"{err.getvalue()!r}")

@@ -1018,7 +1018,8 @@ def test_validation_composes_only_greedy_generators(entries):
 
 
 def change_entry(entries, x, y, shift):
-    """The table with x_x ▷ y_y moved by shift, mod n, to another value."""
+    """The table with its entry at row x, column y (from 0) moved by
+    shift, mod n, to another value."""
     n = len(entries)
     rows = [list(row) for row in entries]
     rows[x][y] = (rows[x][y] - 1 + shift) % n + 1

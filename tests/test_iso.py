@@ -539,7 +539,8 @@ def test_scan_of_91_element_constant_actions():
     # from above, at the scan's own speed
     code = (
         "import resource\n"
-        "from rackkit import constant_action, permutation_of_type, rp_family_scan\n"
+        "from rackkit import (constant_action, permutation_of_type,\n"
+        "                     rp_family_scan)\n"
         f"a = constant_action(permutation_of_type({type_a}))\n"
         f"b = constant_action(permutation_of_type({type_b}))\n"
         "a.report, b.report\n"
