@@ -145,6 +145,70 @@ def trivial_union(a, b):
     return tuple(tuple(op(x, y) for y in range(n)) for x in range(n))
 
 
+FIELDS = ("sign", "over", "under_in", "under_out")
+
+# single faults for a diagram's JSON object, each of which makes it invalid
+DIAGRAM_FAULTS = ("bool", "float", "string", "zero", "negative", "sign 2",
+                  "drop key", "add key", "duplicate under_in",
+                  "duplicate under_out", "repeat free arc",
+                  "free arc in crossing", "unknown over",
+                  "free arc not an integer", "free arc not positive")
+
+
+def diagram_json(diagram):
+    """A diagram as the JSON object that ``parse_diagram`` reads."""
+    return {"crossings": [{f: getattr(cr, f) for f in FIELDS}
+                          for cr in diagram.crossings],
+            "free_arcs": list(diagram.free_arcs)}
+
+
+def corrupt_diagram(obj, fault, rng):
+    """A copy of a diagram's JSON object with one fault of
+    ``DIAGRAM_FAULTS``, placed by rng, or None when the diagram has no
+    place for it.  The first five put a bool, a float, a string, 0 or a
+    negative number in one field of one crossing."""
+    crossings = [dict(cr) for cr in obj.get("crossings", [])]
+    free = list(obj.get("free_arcs", []))
+    bad = {"crossings": crossings, "free_arcs": free}
+    if fault == "repeat free arc":
+        if not free:
+            return None
+        free.insert(rng.randrange(len(free) + 1), rng.choice(free))
+        return bad
+    if fault.startswith("free arc not"):
+        values = ((True, 1.0, "1") if fault.endswith("integer")
+                  else (0, -rng.randint(1, 9)))
+        free.insert(rng.randrange(len(free) + 1), rng.choice(values))
+        return bad
+    if not crossings:
+        return None
+    i = rng.randrange(len(crossings))
+    cr = crossings[i]
+    key = rng.choice(FIELDS)
+    v = cr[key]
+    if fault in ("duplicate under_in", "duplicate under_out"):
+        if len(crossings) < 2:
+            return None
+        key = fault.split()[1]
+        j = rng.choice([j for j in range(len(crossings)) if j != i])
+        crossings[j][key] = cr[key]
+    elif fault == "free arc in crossing":
+        free.insert(rng.randrange(len(free) + 1), cr[rng.choice(FIELDS[2:])])
+    elif fault == "unknown over":
+        arcs = [a for c in crossings for a in (c["over"], c["under_in"])] + free
+        cr["over"] = max(arcs) + 1
+    elif fault == "drop key":
+        del cr[key]
+    elif fault == "add key":
+        cr["weight"] = 1
+    elif fault == "sign 2":
+        cr["sign"] = 2
+    else:
+        cr[key] = {"bool": rng.choice((True, False)), "float": float(v),
+                   "string": str(v), "zero": 0, "negative": -abs(v) - 1}[fault]
+    return bad
+
+
 def oracle_colorings(diagram, table):
     """The brute-force colorings of a diagram, handed over as plain data."""
     crossings = [(c.sign, c.over, c.under_in, c.under_out) for c in diagram.crossings]

@@ -25,14 +25,17 @@ import sys
 from functools import reduce
 from pathlib import Path
 
-from conftest import (LINK_NAMES, RACK_TABLES, braid_closure, load_link,
-                      relabel, trivial_union)
-from rackkit import (LinkDiagram, Permutation, RackError, RackTable,
-                     alexander, column_order_lcm, constant_action,
+from conftest import (DIAGRAM_FAULTS, FIXTURES, LINK_NAMES, RACK_TABLES,
+                      braid_closure, corrupt_diagram, diagram_json,
+                      load_link, relabel, trivial_union)
+from rackkit import (DiagramError, LinkDiagram, Permutation, RackError,
+                     RackTable, alexander, column_order_lcm,
+                     components_and_writhe, constant_action,
                      counting_polynomial_string, dual, enhanced_invariant,
                      enumerate_colorings, enumerate_subracks,
                      exponent_profile, isomorphic,
-                     operator_equivalence_quotient, parse_rack_table,
+                     operator_equivalence_quotient, parse_diagram,
+                     parse_rack_table,
                      permutation_of_type, rack_counting, rack_polynomial,
                      rack_rank, rp_family_scan, subrack_polynomial,
                      validate_rack, ts_rack,
@@ -379,11 +382,52 @@ def cli_lines():
         os.chdir(cwd)
 
 
+def diagram_texts():
+    """(name, text): the link fixtures as their files read, 12 seeded
+    closures of braids on 1-4 strands with 0-2 free loops, then every
+    fault of ``conftest.DIAGRAM_FAULTS`` that fits, once in each.  Each
+    corrupted text has one fault only, so its error does not depend on
+    the order in which checks meet several."""
+    texts = [(name, (FIXTURES / f"{name}.link").read_text())
+             for name in LINK_NAMES]
+    rng = random.Random(37)
+    for k in range(12):
+        strands = rng.randint(1, 4)
+        word = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                     for _ in range(rng.randint(1, 6) if strands > 1 else 0))
+        obj = diagram_json(braid_closure(strands, word))
+        loops = k % 3
+        top = max([a for cr in obj["crossings"] for a in cr.values()]
+                  + obj["free_arcs"])
+        obj["free_arcs"] += range(top + 1, top + 1 + loops)
+        texts.append((f"braid{strands}{word}+{loops}", json.dumps(obj)))
+    corrupted = []
+    for name, text in texts:
+        for fault in DIAGRAM_FAULTS:
+            bad = corrupt_diagram(json.loads(text), fault, rng)
+            if bad is not None:
+                corrupted.append((f"{name} {fault}", json.dumps(bad)))
+    return texts + corrupted
+
+
+def diagram_lines():
+    """Each text's parsed diagram, its components and
+    ``components_and_writhe``, or the class and message of its error."""
+    for name, text in diagram_texts():
+        try:
+            diagram = parse_diagram(text)
+        except DiagramError as exc:
+            yield f"parse_diagram {name}: {type(exc).__name__}: {exc}"
+            continue
+        yield (f"parse_diagram {name}: {diagram!r} {diagram.components!r} "
+               f"{components_and_writhe(diagram)!r}")
+
+
 SECTIONS = {"framed": framed_lines, "subracks": subrack_lines,
             "isomorphism": isomorphism_lines, "tables": table_lines,
             "scans": scan_lines, "agreeing": agreeing_lines,
             "linear": linear_lines, "corrupted": corrupted_lines,
-            "cli": cli_lines}
+            "cli": cli_lines, "diagrams": diagram_lines}
 
 
 def lines(name):

@@ -13,6 +13,7 @@ AGREEING_DIGEST = "92bc4d1655118e9a004db31a10f18448fc6389b0c3b968d6c4b23fd812b4d
 LINEAR_DIGEST = "6bf202f94c9b7c33a469c50f1a4cb54a83a274356a16352d868563499a850d5e"
 CORRUPTED_DIGEST = "86a7aac8655eb2272fa0cb94da65b059ed3a2e18ca371944ec1578378eda54c6"
 CLI_DIGEST = "9569cc2721a564b35a79be9cdc4c0205c95e2077e78fdfe764424d8f3539c9f5"
+DIAGRAMS_DIGEST = "690e0f5374eb9c708e5eacaf7e47b73ca32f636e48202df0dfb5003c36a09af8"
 
 
 def test_framed_results_match_the_pinned_digest():
@@ -49,3 +50,7 @@ def test_corrupted_table_reports_match_the_pinned_digest():
 
 def test_command_line_results_match_the_pinned_digest():
     assert parity.digest("cli") == CLI_DIGEST
+
+
+def test_diagram_parses_match_the_pinned_digest():
+    assert parity.digest("diagrams") == DIAGRAMS_DIGEST
