@@ -494,25 +494,35 @@ class RackTable:
         return tuple(self._right[x][x] for x in self.elements)
 
     @_cached
-    def _diagonal_orbits(self) -> tuple[Permutation, tuple[tuple[int, ...], ...],
+    def _diagonal_orbits(self) -> tuple[int, tuple[tuple[int, ...], ...],
                                         tuple[int, ...]]:
-        """(π, orbit, step) for the diagonal map π(x) = x ▷ x of a rack.
+        """(N, orbit, step) for the diagonal map π(x) = x ▷ x of a rack.
 
-        ``orbit[x]`` is x's π-orbit as a sorted tuple shared by its
-        members and ``step[x]`` is x's position along that cycle (index 0
-        unused in both).  Requires a rack, in which π is a bijection;
-        ``Permutation`` checks that as well.
+        N is the order of π, the lcm of its cycle lengths.  ``orbit[x]``
+        is x's π-orbit as a sorted tuple shared by its members and
+        ``step[x]`` is x's position along that cycle (index 0 unused in
+        both).  Requires a rack, in which π is a bijection: for z ◁ z =
+        C[z]⁻¹(z), (z ◁ z) ▷ z = z, so distributivity gives C[z ◁ z] =
+        C[z], and π(z ◁ z) = (z ◁ z) ▷ z = z.  So one walk of the padded
+        diagonal finds the cycles, and no ``Permutation`` is built.
         """
         self.require_rack()
-        pi = Permutation(self.diagonal)
         orbit: list[tuple[int, ...]] = [()] * (self.n + 1)
         step = [0] * (self.n + 1)
-        for cycle in pi.cycles:
+        lengths = set()
+        for cycle in _cycles((0, *self.diagonal)):
             members = tuple(sorted(cycle))
+            lengths.add(len(cycle))
             for i, x in enumerate(cycle):
                 orbit[x] = members
                 step[x] = i
-        return pi, tuple(orbit), tuple(step)
+        return math.lcm(*lengths), tuple(orbit), tuple(step)
+
+    @_cached
+    def _diagonal_perm(self) -> Permutation:
+        """π as a ``Permutation``, built when ``diagonal_perm`` first asks."""
+        self.require_rack()
+        return Permutation(self.diagonal)
 
     @_cached
     def _inner(self) -> tuple[tuple, tuple, tuple, tuple]:
@@ -655,26 +665,30 @@ def _walk(mask: int, reached: list[int], columns: Iterable[Sequence[int]],
     return mask
 
 
-def _generators(table: RackTable, check: Callable[[int], bool]) -> list[int]:
-    """Greedy ▷-generators: each z, in increasing order, outside the
-    ▷-closure of the elements before it, whose column differs from every
-    generator's so far and passes ``check``.
+def _generators(table: RackTable, elements: Iterable[int],
+                check: Callable[[int], bool]) -> tuple[list[int], int]:
+    """Greedy ▷-generators of ``elements``: each z of them, in increasing
+    order, outside the ▷-closure of the ones before it, whose column
+    differs from every generator's so far and passes ``check``.  Returns
+    them and that closure of the elements that passed, as a mask over
+    1..n.
 
     The closure grows by ``_walk``'s orbit walks, which is exact when the
     generators' columns are automorphisms (see ``_walk``): a new
     generator's column moves every member reached so far, and every
     generator's column moves z and the members it brings.  A z whose
     column equals a generator's brings no new column, only its own orbit.
-    That is O(g·n) lookups for g generators.  In a rack nothing fails a
-    check, the closure is all of X, and the generators' columns generate
-    Inn(X), since C[x▷y] = C[y]C[x]C[y]⁻¹.
+    That is O(g·k) lookups for g generators and a closure of k elements.
+    In a rack nothing fails a check, and the generators' columns generate
+    the group that all of the elements' columns generate, since
+    C[x▷y] = C[y]C[x]C[y]⁻¹; from every element of X, that is Inn(X).
     """
     cols = table._right
     generators: list[int] = []
     passed: set[tuple[int, ...]] = set()  # the generators' distinct columns
     closed = 0  # the closure so far, as a mask over 1..n
     reached: list[int] = []  # and as a list, in the order reached
-    for z in table.elements:
+    for z in elements:
         if closed >> z & 1:
             continue
         cz = cols[z]
@@ -692,7 +706,7 @@ def _generators(table: RackTable, check: Callable[[int], bool]) -> list[int]:
         if new:
             closed = _walk(closed, reached, (cz,))
         closed = _walk(closed, reached, passed, old)
-    return generators
+    return generators, closed
 
 
 def _orbits(n: int, columns: Sequence[Sequence[int]]
@@ -833,7 +847,7 @@ def _axiom_pass(table: RackTable, shown: int | None = _SHOWN
                 compose(y)
         return False
 
-    generators = _generators(table, passes)
+    generators, _ = _generators(table, table.elements, passes)
     violation_count = len(bijectivity) + differing
 
     head = bijectivity[:shown]
@@ -1039,12 +1053,13 @@ def dual(table: RackTable) -> RackTable:
 
 def diagonal_perm(table: RackTable) -> Permutation:
     """The map x ↦ x ▷ x, which is a bijection for racks (checked)."""
-    return table._diagonal_orbits[0]
+    return table._diagonal_perm
 
 
 def rack_rank(table: RackTable) -> int:
     """Order of the diagonal map; equals 1 exactly for quandles."""
-    return diagonal_perm(table).order
+    rank, _, _ = table._diagonal_orbits
+    return rank
 
 
 def column_order_lcm(table: RackTable) -> int:

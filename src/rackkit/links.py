@@ -170,8 +170,22 @@ class LinkDiagram:
                      for cycle in _cycles(strand))
 
 
+_FIELDS = ("sign", "over", "under_in", "under_out")
+_KEYS = frozenset(_FIELDS)
+
+
 def parse_diagram(text: str) -> LinkDiagram:
-    """Read a diagram from JSON with keys ``crossings`` and ``free_arcs``."""
+    """Read a diagram from JSON with keys ``crossings`` and ``free_arcs``.
+
+    Each crossing's keys and values are read once: four ints, a sign of
+    1 or -1 and positive arcs make a ``Crossing`` without its checks.  One
+    set test then proves what ``LinkDiagram`` checks: the under_in arcs
+    and the under_out arcs are one set, each arc once on each side; the
+    free arcs are positive, distinct and apart from them; and every over
+    arc is one of the two.  Whatever fails a test is passed to the
+    checked constructors, whose errors name it, so the messages are those
+    of the checked path, in its order.
+    """
     try:
         data = json.loads(text)
     except ValueError as exc:
@@ -187,27 +201,47 @@ def parse_diagram(text: str) -> LinkDiagram:
     raw_crossings = data.get("crossings", [])
     if not isinstance(raw_crossings, list):
         raise DiagramFormatError("crossings must be a list")
-    fields = {"sign", "over", "under_in", "under_out"}
     crossings = []
+    overs, ins, outs = [], [], []
     for i, obj in enumerate(raw_crossings):
         if not isinstance(obj, dict):
             raise DiagramFormatError(f"crossing {i} must be an object")
-        if set(obj) != fields:
+        if obj.keys() != _KEYS:
             raise DiagramFormatError(
                 f"crossing {i} must have exactly the keys "
                 f"sign, over, under_in, under_out")
-        for key in fields:
-            v = obj[key]
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise DiagramFormatError(f"crossing {i}: {key} must be an integer")
-        crossings.append(Crossing(obj["sign"], obj["over"],
-                                  obj["under_in"], obj["under_out"]))
+        sign, over, inn, out = row = (obj["sign"], obj["over"],
+                                      obj["under_in"], obj["under_out"])
+        # JSON gives exact types, so this rules out bools and floats
+        if (type(sign) is type(over) is type(inn) is type(out) is int
+                and sign in (1, -1) and over > 0 and inn > 0 and out > 0):
+            cr = object.__new__(Crossing)
+            vars(cr).update(sign=sign, over=over, under_in=inn, under_out=out)
+        else:
+            for key, v in zip(_FIELDS, row):
+                if type(v) is not int:
+                    raise DiagramFormatError(
+                        f"crossing {i}: {key} must be an integer")
+            cr = Crossing(*row)  # raises, naming the bad value
+        crossings.append(cr)
+        overs.append(over)
+        ins.append(inn)
+        outs.append(out)
     raw_free = data.get("free_arcs", [])
     if not isinstance(raw_free, list):
         raise DiagramFormatError("free_arcs must be a list")
     for v in raw_free:
-        if isinstance(v, bool) or not isinstance(v, int):
+        if type(v) is not int:
             raise DiagramFormatError(f"free_arcs entry {v!r} must be an integer")
+    strand = set(ins)
+    known = strand.union(raw_free)
+    if (len(strand) == len(ins) and strand == set(outs)
+            and len(known) == len(strand) + len(raw_free)
+            and min(raw_free, default=1) > 0 and known.issuperset(overs)):
+        diagram = object.__new__(LinkDiagram)
+        vars(diagram).update(crossings=tuple(crossings),
+                             free_arcs=tuple(raw_free))
+        return diagram
     return LinkDiagram(tuple(crossings), tuple(raw_free))
 
 
@@ -265,32 +299,52 @@ def add_kinks(diagram: LinkDiagram, counts: Iterable[int]) -> LinkDiagram:
 
 
 def _cut(diagram: LinkDiagram) -> tuple[
-        int, list[tuple[int, int, int, int]], list[tuple[int, int]]]:
-    """The diagram's position layout, cut open at each anchor.
+        int, list[tuple[int, int, int, int]], list[tuple[int, int]], list[int]]:
+    """The diagram's position layout, cut open at each anchor, with each
+    component's self-writhe.
 
-    The steps are the layout's, so one map from under_in finds the step
-    that consumes an arc.  A component's anchor is its least arc a.
-    Cutting hands the anchor's consumer a fresh position v in place of a:
-    the arc that add_kinks would feed with the kinked color π^k(a).  A free
-    loop has no consumer and keeps v = a.  Returns the number of positions
-    (fresh ones last), the steps, and the (a, v) positions of each
-    component, in component order.
+    The steps are the layout's.  The components are the cycles of the
+    strand map under_in ↦ under_out on positions, walked once by
+    ``core._cycles`` in the order of their least positions, as
+    ``LinkDiagram.components`` walks them.  A component's anchor is its
+    least arc a.  Cutting hands the anchor's consumer, the step whose
+    under_in is a, a fresh position v in place of a: the arc that
+    add_kinks would feed with the kinked color π^k(a).  A free loop has
+    no consumer and keeps v = a.  A step adds its sign to its under
+    arcs' component's writhe when its over arc lies in that component,
+    as in ``components_and_writhe``.  Returns the number of positions
+    (fresh ones last), the steps, and the (a, v) positions and the
+    writhe of each component, in component order.
     """
     position, steps = diagram._layout
     steps = list(steps)
-    consumer = {step[2]: i for i, step in enumerate(steps)}
     size = len(position)
+    # padded for core._cycles: position p is slot p + 1
+    strand = list(range(size + 1))
+    consumer = [-1] * (size + 1)
+    for k, (_, _, inn, out) in enumerate(steps):
+        strand[inn + 1] = out + 1
+        consumer[inn + 1] = k
+    which = [0] * (size + 1)
     ends = []
-    for comp in diagram.components:
-        a = v = position[comp[0]]
-        if a in consumer:
-            i = consumer[a]
-            sign, over, _, out = steps[i]
-            steps[i] = (sign, over, size, out)
+    for c, cycle in enumerate(_cycles(strand)):
+        for p in cycle:
+            which[p] = c
+        a = v = cycle[0] - 1
+        k = consumer[cycle[0]]
+        if k >= 0:
+            sign, over, _, out = steps[k]
+            steps[k] = (sign, over, size, out)
             v = size
             size += 1
         ends.append((a, v))
-    return size, steps, ends
+    writhes = [0] * len(ends)
+    # under_out, never cut, is in its step's under arcs' component
+    for sign, over, _, out in steps:
+        c = which[out + 1]
+        if which[over + 1] == c:
+            writhes[c] += sign
+    return size, steps, ends, writhes
 
 
 def _schedule(size: int, steps: Sequence[tuple[int, int, int, int]],
@@ -464,7 +518,9 @@ def counting_polynomial_string(per_class: Mapping[tuple[int, ...], int]) -> str:
 
 def _framed_counts(diagram: LinkDiagram, table: RackTable,
                    tag: Callable[[list[int]], Hashable]
-                   ) -> tuple[int, int, Counter[tuple[tuple[int, ...], Hashable]]]:
+                   ) -> tuple[int, list[int],
+                              dict[tuple[tuple[tuple[int, int], ...], Hashable],
+                                   int]]:
     """The one tally behind both framed invariants.
 
     Searches the diagram cut at its anchors, with the schedule laid out
@@ -472,8 +528,8 @@ def _framed_counts(diagram: LinkDiagram, table: RackTable,
     tag(colors), whose list leads with the colors of the diagram's own
     arcs.  k kinks close a component when π^k(anchor) = cut end; those k
     form one residue class j modulo the π-orbit length ℓ of the anchor's
-    color, N/ℓ values in [0, N), so each key ((ℓ₁, j₁), ...) is spread
-    once per label.
+    color, N/ℓ values in [0, N), so each key ((ℓ₁, j₁), ...) stands for
+    the labels that ``_labels`` spreads it over.
 
     The search is run once per Inn-orbit representative, not per color,
     so the tag must be constant on the Inn-orbits of colorings.  Each φ
@@ -484,18 +540,16 @@ def _framed_counts(diagram: LinkDiagram, table: RackTable,
     ``RackTable._inner``): the colorings with φ(r) there are the
     φ∘c, with c's key and tag.  So each of r's colorings counts once per
     member of r's orbit O, and every bin of its search weighs |O|.
-    Returns N, the component count and {(label, tag): count}, label_i
-    being (writhe_i + k_i) mod N.
+    Returns N, the components' self-writhes and the residue bins
+    {(key, tag): count}.
     """
-    pi, orbit, step = table._diagonal_orbits
-    big_n = pi.order
-    _, writhes = components_and_writhe(diagram)
-    size, steps, ends = _cut(diagram)
+    big_n, orbit, step = table._diagonal_orbits
+    size, steps, ends, writhes = _cut(diagram)
     if not size:
         # no arcs: the one empty coloring, which every automorphism keeps
-        return big_n, 0, Counter({((), tag([])): 1})
+        return big_n, writhes, {((), tag([])): 1}
     levels = _schedule(size, steps, ends, table)
-    residues: Counter[tuple[tuple[tuple[int, int], ...], Hashable]] = Counter()
+    bins: dict[tuple[tuple[tuple[int, int], ...], Hashable], int] = {}
     orbits, _, sizes, _ = table._inner
     for members, weight in zip(orbits, sizes):
         for colors in _colorings(size, levels, table, members[:1]):
@@ -503,13 +557,17 @@ def _framed_counts(diagram: LinkDiagram, table: RackTable,
             for a, v in ends:
                 ell = len(orbit[colors[a]])
                 key.append((ell, (step[colors[v]] - step[colors[a]]) % ell))
-            residues[tuple(key), tag(colors)] += weight
-    out: Counter[tuple[tuple[int, ...], Hashable]] = Counter()
-    for (key, value), count in residues.items():
-        for label in product(*(range((w + j) % ell, big_n, ell)
-                               for w, (ell, j) in zip(writhes, key))):
-            out[label, value] += count
-    return big_n, len(writhes), out
+            at = tuple(key), tag(colors)
+            bins[at] = bins.get(at, 0) + weight
+    return big_n, writhes, bins
+
+
+def _labels(big_n: int, writhes: Sequence[int],
+            key: Sequence[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
+    """The framing labels of a residue key: label_i = (writhe_i + k_i)
+    mod N over the k_i in [0, N) of residue j_i modulo ℓ_i."""
+    return product(*(range((w + j) % ell, big_n, ell)
+                     for w, (ell, j) in zip(writhes, key)))
 
 
 def _class_table(rank: int, components: int,
@@ -537,14 +595,15 @@ def rack_counting(diagram: LinkDiagram,
     coloring closes under exactly the k with π^k(anchor) = cut end.  The
     cost is one search instead of N^c, run once per Inn-orbit
     representative on the first arc, with its counts weighted by the
-    orbit's size.  This is _framed_counts with a constant tag.  Returns
-    the grand total and the counts of all N^c classes, empty ones as
-    zero.
+    orbit's size.  This is _framed_counts with a constant tag, each
+    residue bin spread straight into the table.  Returns the grand total
+    and the counts of all N^c classes, empty ones as zero.
     """
-    big_n, components, counts = _framed_counts(
-        diagram, table, lambda colors: None)
-    per_class = _class_table(big_n, components, (
-        (label, count) for (label, _), count in counts.items()))
+    big_n, writhes, bins = _framed_counts(diagram, table, lambda colors: None)
+    per_class = dict.fromkeys(product(range(big_n), repeat=len(writhes)), 0)
+    for (key, _), count in bins.items():
+        for label in _labels(big_n, writhes, key):
+            per_class[label] += count
     return sum(per_class.values()), per_class
 
 
@@ -628,7 +687,11 @@ def enhanced_invariant(diagram: LinkDiagram, table: RackTable,
             tags[used] = which[mask]
         return tags[used]
 
-    big_n, components, counts = _framed_counts(diagram, table, omega_of)
+    big_n, writhes, bins = _framed_counts(diagram, table, omega_of)
+    counts: Counter[tuple[tuple[int, ...], int]] = Counter()
+    for (key, i), count in bins.items():
+        for label in _labels(big_n, writhes, key):
+            counts[label, i] += count
     pair_counts: Counter[tuple[tuple[int, ...], TwoVarPoly]] = Counter()
     images = []
     for (label, i), count in counts.items():
@@ -639,5 +702,5 @@ def enhanced_invariant(diagram: LinkDiagram, table: RackTable,
     pairs = tuple(sorted(
         ((label, poly, mult) for (label, poly), mult in pair_counts.items()),
         key=lambda item: (item[0], str(item[1]))))
-    return EnhancedInvariant(m, n, convention, big_n, components, pairs,
+    return EnhancedInvariant(m, n, convention, big_n, len(writhes), pairs,
                              tuple(sorted(images)))

@@ -33,8 +33,8 @@ from itertools import compress, count, repeat, starmap
 from operator import index, ne
 from typing import Iterable, Mapping, Sequence
 
-from .core import (CONVENTIONS, RackError, RackTable, _as_int, _in_range,
-                   _members, _orbits, _record, _walk)
+from .core import (CONVENTIONS, RackError, RackTable, _as_int, _generators,
+                   _in_range, _members, _orbits, _record, _walk)
 
 __all__ = [
     "ExponentProfile",
@@ -277,13 +277,14 @@ def closure(table: RackTable, seed: Iterable[int]) -> tuple[int, ...]:
     """Smallest ▷-closed subset containing the seed, as a sorted tuple.
 
     In a rack that is the seed's orbit under the group its own columns
-    generate (see ``core._walk``), so a closure of size k costs
-    O(|seed|·k) table lookups.
+    generate (see ``core._walk``), which the columns of its greedy
+    generators generate (``core._generators``).  So a closure of size k
+    costs O(g·k) table lookups for the seed's g generators, where the
+    columns of every seed element took O(|seed|·k).
     """
     table.require_rack()
-    current = table._elements(seed)
-    mask = sum(1 << v for v in current)
-    return _members(_walk(mask, current, [table._right[s] for s in current]))
+    _, mask = _generators(table, table._elements(seed), lambda z: True)
+    return _members(mask)
 
 
 def is_subrack(table: RackTable, subset: Iterable[int]) -> bool:
