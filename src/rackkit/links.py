@@ -155,19 +155,22 @@ class LinkDiagram:
              position[cr.under_out]) for cr in self.crossings)
 
     @_cached
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """Arcs grouped by strand, each group sorted, groups ordered by least arc.
-
-        Strands are the cycles of under_in ↦ under_out on arc positions,
-        padded for ``core._cycles``, which walks them in the order of their
-        least positions; a free arc is a fixed point.
-        """
+    def _strands(self) -> tuple[list[int], ...]:
+        """The cycles of under_in ↦ under_out on arc positions, padded for
+        ``core._cycles`` (position p is p + 1 here), which walks them in
+        the order of their least positions; a free arc is a fixed point.
+        The one strand walk, for ``components`` and the cut."""
         _, steps = self._layout
         strand = list(range(len(self.arcs) + 1))
         for _, _, inn, out in steps:
             strand[inn + 1] = out + 1
+        return tuple(_cycles(strand))
+
+    @_cached
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Arcs grouped by strand, each group sorted, groups ordered by least arc."""
         return tuple(tuple(self.arcs[p - 1] for p in sorted(cycle))
-                     for cycle in _cycles(strand))
+                     for cycle in self._strands)
 
 
 _FIELDS = ("sign", "over", "under_in", "under_out")
@@ -250,15 +253,10 @@ def components_and_writhe(
     """Components plus each component's self-writhe.
 
     A crossing counts toward the self-writhe only when its over arc and its
-    under arcs belong to the same component.
+    under arcs belong to the same component (see ``_cut``).
     """
-    comps = diagram.components
-    comp_of = {a: i for i, comp in enumerate(comps) for a in comp}
-    writhes = [0] * len(comps)
-    for cr in diagram.crossings:
-        if comp_of[cr.over] == comp_of[cr.under_in]:
-            writhes[comp_of[cr.under_in]] += cr.sign
-    return comps, tuple(writhes)
+    *_, writhes = _cut(diagram)
+    return diagram.components, tuple(writhes)
 
 
 def add_kinks(diagram: LinkDiagram, counts: Iterable[int]) -> LinkDiagram:
@@ -303,35 +301,29 @@ def _cut(diagram: LinkDiagram) -> tuple[
     """The diagram's position layout, cut open at each anchor, with each
     component's self-writhe.
 
-    The steps are the layout's.  The components are the cycles of the
-    strand map under_in ↦ under_out on positions, walked once by
-    ``core._cycles`` in the order of their least positions, as
-    ``LinkDiagram.components`` walks them.  A component's anchor is its
-    least arc a.  Cutting hands the anchor's consumer, the step whose
-    under_in is a, a fresh position v in place of a: the arc that
-    add_kinks would feed with the kinked color π^k(a).  A free loop has
-    no consumer and keeps v = a.  A step adds its sign to its under
-    arcs' component's writhe when its over arc lies in that component,
-    as in ``components_and_writhe``.  Returns the number of positions
-    (fresh ones last), the steps, and the (a, v) positions and the
-    writhe of each component, in component order.
+    The steps are the layout's and the components the diagram's strands
+    (``LinkDiagram._strands``).  A component's anchor is its least arc a.
+    Cutting hands the anchor's consumer, the step whose under_in is a, a
+    fresh position v in place of a: the arc that add_kinks would feed with
+    the kinked color π^k(a).  A free loop has no consumer and keeps v = a.
+    A step adds its sign to its under arcs' component's self-writhe when
+    its over arc lies in that component too.  Returns the number of
+    positions (fresh ones last), the steps, and the (a, v) positions and
+    the writhe of each component, in component order.
     """
     position, steps = diagram._layout
     steps = list(steps)
     size = len(position)
-    # padded for core._cycles: position p is slot p + 1
-    strand = list(range(size + 1))
-    consumer = [-1] * (size + 1)
-    for k, (_, _, inn, out) in enumerate(steps):
-        strand[inn + 1] = out + 1
-        consumer[inn + 1] = k
-    which = [0] * (size + 1)
+    consumer = [-1] * size
+    for k, step in enumerate(steps):
+        consumer[step[2]] = k
+    which = [0] * size
     ends = []
-    for c, cycle in enumerate(_cycles(strand)):
+    for c, cycle in enumerate(diagram._strands):
         for p in cycle:
-            which[p] = c
+            which[p - 1] = c
         a = v = cycle[0] - 1
-        k = consumer[cycle[0]]
+        k = consumer[a]
         if k >= 0:
             sign, over, _, out = steps[k]
             steps[k] = (sign, over, size, out)
@@ -341,9 +333,8 @@ def _cut(diagram: LinkDiagram) -> tuple[
     writhes = [0] * len(ends)
     # under_out, never cut, is in its step's under arcs' component
     for sign, over, _, out in steps:
-        c = which[out + 1]
-        if which[over + 1] == c:
-            writhes[c] += sign
+        if which[over] == which[out]:
+            writhes[which[out]] += sign
     return size, steps, ends, writhes
 
 
