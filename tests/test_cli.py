@@ -487,6 +487,24 @@ def test_decoding_error_names_the_file(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_first_bad_crossing_field_is_named_whatever_the_hash_seed(
+        tmp_path, hash_seed):
+    # every field is a string: the message names sign, the first field in
+    # the order sign, over, under_in, under_out, under any hash seed
+    path = tmp_path / "strings.link"
+    path.write_text('{"crossings": [{"sign": "1", "over": "1", '
+                    '"under_in": "1", "under_out": "1"}]}')
+    src = str(Path(rackkit.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "rackkit", "invariant", str(path), T5],
+        env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+        capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "error: crossing 0: sign must be an integer\n"
+
+
 def test_usage_errors(capsys):
     assert run(capsys, )[0] == 2
     assert run(capsys, "bogus")[0] == 2

@@ -12,9 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import (FIXTURES, LINK_NAMES, RACK_TABLES, braid_closure,
-                      generated_racks, load_link, oracle_colorings, relabel,
-                      trivial_union)
+from conftest import (DIAGRAM_FAULTS, FIELDS, FIXTURES, LINK_NAMES,
+                      RACK_TABLES, braid_closure, corrupt_diagram,
+                      diagram_json, generated_racks, load_link,
+                      oracle_colorings, relabel, trivial_union)
 from rackkit import (
     Crossing,
     DiagramError,
@@ -113,6 +114,68 @@ def test_parse_diagram_errors():
     # past the interpreter's limit on digits in an integer string
     with pytest.raises(DiagramFormatError):
         parse_diagram('{"free_arcs": [' + "1" * 5000 + "]}")
+
+
+def checked_parse(obj):
+    """A diagram's JSON object through the format checks of
+    ``parse_diagram``, field by field in the order sign, over, under_in,
+    under_out, and the checked constructors."""
+    crossings = []
+    for i, cr in enumerate(obj["crossings"]):
+        if set(cr) != set(FIELDS):
+            raise DiagramFormatError(
+                f"crossing {i} must have exactly the keys "
+                f"sign, over, under_in, under_out")
+        for key in FIELDS:
+            if isinstance(cr[key], bool) or not isinstance(cr[key], int):
+                raise DiagramFormatError(f"crossing {i}: {key} must be an integer")
+        crossings.append(Crossing(*(cr[key] for key in FIELDS)))
+    for v in obj["free_arcs"]:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise DiagramFormatError(f"free_arcs entry {v!r} must be an integer")
+    return LinkDiagram(tuple(crossings), tuple(obj["free_arcs"]))
+
+
+@st.composite
+def diagram_objects(draw):
+    """The JSON object of a braid closure on 1-4 strands with 0-2 free
+    loops, as it is or with one fault of ``DIAGRAM_FAULTS``."""
+    strands = draw(st.integers(1, 4))
+    word = draw(st.lists(letters(strands), max_size=7)) if strands > 1 else []
+    obj = diagram_json(braid_closure(strands, word))
+    top = max([a for cr in obj["crossings"] for a in cr.values()]
+              + obj["free_arcs"])
+    obj["free_arcs"] += range(top + 1, top + 1 + draw(st.integers(0, 2)))
+    fault = draw(st.sampled_from((None, *DIAGRAM_FAULTS)))
+    if fault is None:
+        return obj
+    bad = corrupt_diagram(obj, fault, draw(st.randoms(use_true_random=False)))
+    assume(bad is not None)
+    return bad
+
+
+@settings(max_examples=400, deadline=None)
+@given(diagram_objects())
+def test_parse_matches_the_checked_constructors(obj):
+    # parse_diagram builds its records without the constructors' checks
+    # once its own tests pass; it must accept exactly what they accept,
+    # build equal records, and raise what they raise
+    def outcome(build):
+        try:
+            return build()
+        except DiagramError as exc:
+            return type(exc), str(exc)
+
+    got = outcome(lambda: parse_diagram(json.dumps(obj)))
+    want = outcome(lambda: checked_parse(obj))
+    assert got == want
+    if isinstance(want, LinkDiagram):
+        assert type(got) is LinkDiagram
+        assert [vars(cr) for cr in got.crossings] == [
+            vars(cr) for cr in want.crossings]
+        assert all(type(cr) is Crossing for cr in got.crossings)
+        assert got.free_arcs == want.free_arcs
+        assert components_and_writhe(got) == components_and_writhe(want)
 
 
 def test_fixture_structure(links):
