@@ -279,8 +279,7 @@ def closure(table: RackTable, seed: Iterable[int]) -> tuple[int, ...]:
     In a rack that is the seed's orbit under the group its own columns
     generate (see ``core._walk``), which the columns of its greedy
     generators generate (``core._generators``).  So a closure of size k
-    costs O(g·k) table lookups for the seed's g generators, where the
-    columns of every seed element took O(|seed|·k).
+    costs O(g·k) table lookups for the seed's g generators.
     """
     table.require_rack()
     _, mask = _generators(table, table._elements(seed), lambda z: True)
