@@ -145,18 +145,13 @@ def _cmd_gen_constant(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gen_alexander(args: argparse.Namespace) -> int:
+def _cmd_gen_linear(args: argparse.Namespace) -> int:
+    """gen ts, and gen alexander, which has no s: the alexander quandle
+    is ts_rack(n, t, 1 - t)."""
     from .generators import _linear_rows
 
-    n, rows = _linear_rows(args.n, args.t, 1 - args.t)
-    sys.stdout.writelines(_text_lines(n, rows))
-    return 0
-
-
-def _cmd_gen_ts(args: argparse.Namespace) -> int:
-    from .generators import _linear_rows
-
-    n, rows = _linear_rows(args.n, args.t, args.s)
+    s = 1 - args.t if args.s is None else args.s
+    n, rows = _linear_rows(args.n, args.t, s)
     sys.stdout.writelines(_text_lines(n, rows))
     return 0
 
@@ -287,10 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     _command(gen_sub, "constant", _cmd_gen_constant,
              "constant action rack from a permutation", "images", type=int,
              nargs="+", help="images of 1..n in order")
-    _command(gen_sub, "alexander", _cmd_gen_alexander, "linear quandle on Z/n",
-             "n", "t", type=int)
-    _command(gen_sub, "ts", _cmd_gen_ts, "two-coefficient linear rack on Z/n",
-             "n", "t", "s", type=int)
+    _command(gen_sub, "alexander", _cmd_gen_linear, "linear quandle on Z/n",
+             "n", "t", type=int).set_defaults(s=None)
+    _command(gen_sub, "ts", _cmd_gen_linear,
+             "two-coefficient linear rack on Z/n", "n", "t", "s", type=int)
 
     _command(sub, "dual", _cmd_dual, "invert every column action", "table")
     p = _command(sub, "quotient", _cmd_quotient,

@@ -555,8 +555,7 @@ class RackTable:
     def report(self) -> PropertyReport:
         """The axioms and the property flags, built by ``_analyze`` when
         first read; only the callers that show or return the flags
-        (``validate_rack``, ``properties_report``, the quotient's quandle
-        flag in ``operator_equivalence_quotient``, the command line's
+        (``validate_rack``, ``properties_report``, the command line's
         check and props, and its message on a non-rack) read it."""
         return _analyze(self)
 
@@ -1099,6 +1098,12 @@ def quotient_by(table: RackTable,
     fails only if x or x' fails against b, so this finds the witness that
     checking every pair in lexicographic order finds first, among the
     pairs (b, x) that come first.
+
+    The quotient of a rack by a congruence is a rack, so it is not checked
+    again.  The two conditions make [x]▷[y] = [x▷y] well defined, so
+    distributivity descends: ([x]▷[y])▷[z] = [(x▷y)▷z] = [(x▷z)▷(y▷z)] =
+    ([x]▷[z])▷([y]▷[z]).  Each induced column [x] ↦ [x▷y] maps the k
+    classes onto themselves, since C[y] is onto, so it is a bijection.
     """
     table.require_rack()
     blocks = _normalize_partition(table.n, partition)
@@ -1120,18 +1125,18 @@ def quotient_by(table: RackTable,
     reps = [b[0] for b in blocks]
     # the k blocks cover 1..n, so every product is a key of cls, whose
     # values are the ints 1..k
-    quotient = _trusted_table(tuple(tuple(cls[cols[ry][rx]] for ry in reps)
-                                    for rx in reps))
-    quotient.require_rack()
-    return quotient
+    return _trusted_table(tuple(tuple(cls[cols[ry][rx]] for ry in reps)
+                                for rx in reps))
 
 
 def operator_equivalence_quotient(
         table: RackTable) -> tuple[tuple[tuple[int, ...], ...], RackTable, bool]:
     """Quotient by "acts identically": x ~ y when z ▷ x = z ▷ y for all z.
 
-    Returns (partition, quotient, quotient_is_quandle).  Both the
-    congruence property and the quandle claim are checked, not assumed.
+    Returns (partition, quotient, quotient_is_quandle).  The congruence
+    property is checked by ``quotient_by``, not assumed, and the quotient
+    is a rack (see there), so it is a quandle exactly when each class is
+    its own square: [x]▷[x] = [x] for every class.
     """
     table.require_rack()
     groups: dict[tuple[int, ...], list[int]] = {}
@@ -1139,4 +1144,4 @@ def operator_equivalence_quotient(
         groups.setdefault(table._right[y], []).append(y)
     partition = tuple(sorted(tuple(g) for g in groups.values()))
     quotient = quotient_by(table, partition)
-    return partition, quotient, quotient.report.is_quandle
+    return partition, quotient, quotient.diagonal == tuple(quotient.elements)

@@ -39,14 +39,16 @@ class IsoResult:
 
 
 def _invariant_keys(table: RackTable) -> list[tuple]:
-    """Per Inn-orbit, a key preserved by isomorphism, used to prune the
-    search: x's key, shared by its orbit, is its column's cycle type and
-    its row's fix count.  π(x)'s column would add nothing: R_{x ▷ x} = R_x
-    in every rack (Fenn and Rourke, "Racks and links in codimension two",
-    1992).
+    """Per Inn-orbit, a profile preserved by isomorphism: x's column's and
+    x's row's (cycle length, multiplicity) pairs, shared by x's orbit
+    (``RackTable._cycle_lengths``).  An isomorphism f carries C[y] to
+    C[f(y)] and x's row to f(x)'s, so it keeps both lists.  It prunes
+    ``isomorphic``'s search, and ``rp_family_scan`` compares the two
+    tables' profiles as its certificate.  π(x)'s column would add nothing:
+    R_{x ▷ x} = R_x in every rack (Fenn and Rourke, "Racks and links in
+    codimension two", 1992).
     """
-    types, rows = table._cycle_lengths  # (length, points) pairs
-    return list(zip(types, _counts(rows, 1)))  # row[1][x], the s count
+    return list(zip(*table._cycle_lengths))
 
 
 def _is_morphism(a: RackTable, b: RackTable, images: list[int]) -> bool:
@@ -183,23 +185,14 @@ class PolyDifference:
     right: TwoVarPoly
 
 
-def _difference(m: int, n: int, pair: tuple[TwoVarPoly, TwoVarPoly],
-                _new=object.__new__) -> PolyDifference:
-    """PolyDifference(m, n, *pair), whose fields need no check, built
-    without the generic record ``__init__`` and its argument checks."""
-    difference = _new(PolyDifference)
-    difference.__dict__.update(m=m, n=n, left=pair[0], right=pair[1])
-    return difference
-
-
 class _DepthPairs(Sequence):
     """A listing scan's items at its differing depth pairs (m, n), n
     outermost and then m, each built when it is read.
 
     ``groups`` maps each class of n with a difference, ascending, to its
     differing classes of m, ascending, each with the pair of values that
-    ``_make(m, n, pair)`` turns into an item.  The class of a depth is
-    the largest class that divides it, so it depends on d only through
+    ``_make(m, n, left, right)`` turns into an item.  The class of a depth
+    is the largest class that divides it, so it depends on d only through
     gcd(d, L), L the lcm of every cycle length (``period``).  One period
     of depths, min(bound, L) of them, therefore lays out every item:
 
@@ -210,8 +203,8 @@ class _DepthPairs(Sequence):
     * the offsets of the rows n of one period, built by the first index
       that needs them;
     * per class of n, the m of one period that differ from it, as an
-      array, with their pairs, built when a row of that class is first
-      read.
+      array, with their left and right values, built when a row of that
+      class is first read.
 
     An index finds its period by division, its n by bisection of the
     offsets and its m by division.  The first item and ``bool`` need only
@@ -228,7 +221,7 @@ class _DepthPairs(Sequence):
         self._period = period
         self._classes = classes
         self._groups = groups
-        self._rows: dict[int, tuple[array, list[tuple], int]] = {}
+        self._rows: dict[int, tuple[array, tuple, tuple, int]] = {}
 
     @_cached
     def _layout(self) -> tuple[list[int], dict[int, int], int]:
@@ -254,17 +247,18 @@ class _DepthPairs(Sequence):
         table, widths, _ = self._layout
         return [0, *accumulate(map(widths.get, table, repeat(0)))]
 
-    def _row(self, gn: int) -> tuple[array, list[tuple], int]:
-        """The m of one period that differ from class gn, their pairs, and
-        how many of them fall in the remainder."""
+    def _row(self, gn: int) -> tuple[array, tuple, tuple, int]:
+        """The m of one period that differ from class gn, their left and
+        right values, and how many of them fall in the remainder."""
         if gn not in self._rows:
             table = self._layout[0]
             pairs = self._groups[gn]
             hit = list(map(pairs.__contains__, table))
             ms = array("q", compress(range(1, len(table) + 1), hit))
-            sides = list(map(pairs.__getitem__, compress(table, hit)))
+            # each class divides the period, so it is in the table
+            lefts, rights = zip(*map(pairs.__getitem__, compress(table, hit)))
             cut = bisect_right(ms, self._bound % self._period)
-            self._rows[gn] = ms, sides, cut
+            self._rows[gn] = ms, lefts, rights, cut
         return self._rows[gn]
 
     def __len__(self) -> int:
@@ -282,8 +276,8 @@ class _DepthPairs(Sequence):
             # the least depth of a class is the class itself, so the first
             # item is at the least class of n and its least class of m
             gn, pairs = next(iter(self._groups.items()))
-            gm, pair = next(iter(pairs.items()))
-            return self._make(gm, gn, pair)
+            gm, (left, right) = next(iter(pairs.items()))
+            return self._make(gm, gn, left, right)
         table, _, length = self._layout
         if i < 0:
             i += length
@@ -292,9 +286,10 @@ class _DepthPairs(Sequence):
         starts, period = self._starts, self._period
         q, offset = divmod(i, starts[-1])
         r = bisect_right(starts, offset)
-        ms, sides, _ = self._row(table[r - 1])
+        ms, lefts, rights, _ = self._row(table[r - 1])
         qm, k = divmod(offset - starts[r - 1], len(ms))
-        return self._make(qm * period + ms[k], q * period + r, sides[k])
+        return self._make(qm * period + ms[k], q * period + r, lefts[k],
+                          rights[k])
 
     def __iter__(self):
         table = self._layout[0]
@@ -304,11 +299,11 @@ class _DepthPairs(Sequence):
             for n, gn in enumerate(islice(table, bound - n_base), n_base + 1):
                 if gn not in self._groups:
                     continue
-                ms, sides, cut = self._row(gn)
+                ms, lefts, rights, cut = self._row(gn)
                 for m_base in range(0, bound, period):
                     yield from islice(
                         map(make, map(add, ms, repeat(m_base)), repeat(n),
-                            sides),
+                            lefts, rights),
                         cut if m_base == last else None)
 
     def __eq__(self, other):
@@ -339,7 +334,7 @@ class _DifferenceView(_DepthPairs):
     equal to the tuple of them and hashed as it is."""
 
     _like = tuple
-    _make = staticmethod(_difference)
+    _make = PolyDifference
 
     def _lines(self) -> "_LineView":
         polys = {p for pairs in self._groups.values()
@@ -357,7 +352,7 @@ class _LineView(_DepthPairs):
     equal to the list of them."""
 
     _like = list
-    _make = "({0},{1}): {2[0]} != {2[1]}".format
+    _make = "({0},{1}): {2} != {3}".format
 
 
 @_record
@@ -398,7 +393,7 @@ class RpFamilyScan:
     def lines(self) -> Sequence[str]:
         if isinstance(self.differences, _DifferenceView):
             return self.differences._lines()
-        return [f"({d.m},{d.n}): {d.left} != {d.right}"
+        return [_LineView._make(d.m, d.n, d.left, d.right)
                 for d in self.differences]
 
 
@@ -439,8 +434,8 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
 
     Before any class is built, a certificate settles the pairs that agree
     everywhere.  An element x's profile is its column's and its row's
-    (cycle length, multiplicity) pairs, one entry per Inn-orbit of
-    ``RackTable._cycle_lengths``.  In either convention x's s count at
+    (cycle length, multiplicity) pairs, one entry per Inn-orbit
+    (``_invariant_keys``).  In either convention x's s count at
     depth m is the sum of the multiplicities of one of its two lists
     whose lengths divide m, and its t count at n is the same sum over the
     other list (``poly._counts``), so the monomial x adds at (m, n) is a
@@ -461,8 +456,8 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
         raise RackError(f"bound must be at least 1, got {bound}")
     complete = bound >= period
     (_, _, sizes_a, _), (_, _, sizes_b, _) = a._inner, b._inner
-    if (_weighted(zip(*a._cycle_lengths), sizes_a)
-            == _weighted(zip(*b._cycle_lengths), sizes_b)):
+    if (_weighted(_invariant_keys(a), sizes_a)
+            == _weighted(_invariant_keys(b), sizes_b)):
         return RpFamilyScan(bound, complete, ())
     lengths = {k for by_column, _ in (a._cycle_lengths, b._cycle_lengths)
                for pairs in by_column for k, _ in pairs}

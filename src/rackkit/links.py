@@ -281,18 +281,23 @@ def add_kinks(diagram: LinkDiagram, counts: Iterable[int]) -> LinkDiagram:
     crossings = list(diagram.crossings)
     free = set(diagram.free_arcs)
     next_arc = max(diagram.arcs, default=0) + 1
+    # each arc's consumer, the crossing it is the under_in of (under_in
+    # arcs are distinct); a kink's own crossing consumes the anchor next
+    consumer = {cr.under_in: idx for idx, cr in enumerate(crossings)}
     for comp, k in zip(comps, counts):
         anchor = comp[0]
         for _ in range(k):
-            for idx, cr in enumerate(crossings):
-                if cr.under_in == anchor:
-                    crossings[idx] = Crossing(cr.sign, cr.over, next_arc, cr.under_out)
-                    crossings.append(Crossing(1, anchor, anchor, next_arc))
-                    next_arc += 1
-                    break
-            else:
+            idx = consumer.get(anchor)
+            if idx is None:
                 free.discard(anchor)
                 crossings.append(Crossing(1, anchor, anchor, anchor))
+            else:
+                cr = crossings[idx]
+                crossings[idx] = Crossing(cr.sign, cr.over, next_arc,
+                                          cr.under_out)
+                crossings.append(Crossing(1, anchor, anchor, next_arc))
+                next_arc += 1
+            consumer[anchor] = len(crossings) - 1
     return LinkDiagram(tuple(crossings), tuple(sorted(free)))
 
 

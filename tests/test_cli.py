@@ -276,6 +276,54 @@ def test_gen_ts(capsys):
     assert out == "4\n1 3 1 3\n2 4 2 4\n3 1 3 1\n4 2 4 2\n"
 
 
+@pytest.mark.parametrize("n, t", [(1, 0), (3, 2), (6, 5), (7, 3), (4, 2)])
+def test_gen_alexander_is_gen_ts_with_s_one_minus_t(capsys, n, t):
+    # one handler serves both; alexander leaves s to it, as 1 - t
+    alexander = run(capsys, "gen", "alexander", str(n), str(t))
+    assert alexander == run(capsys, "gen", "ts", str(n), str(t), str(1 - t))
+
+
+GEN_HELP = {
+    "gen": """usage: rackkit gen [-h] {constant,alexander,ts} ...
+
+positional arguments:
+  {constant,alexander,ts}
+    constant            constant action rack from a permutation
+    alexander           linear quandle on Z/n
+    ts                  two-coefficient linear rack on Z/n
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "alexander": """usage: rackkit gen alexander [-h] n t
+
+positional arguments:
+  n
+  t
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "ts": """usage: rackkit gen ts [-h] n t s
+
+positional arguments:
+  n
+  t
+  s
+
+options:
+  -h, --help  show this help message and exit
+""",
+}
+
+
+@pytest.mark.parametrize("argv", [("gen",), ("gen", "alexander"),
+                                  ("gen", "ts")])
+def test_gen_help_is_unchanged(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv, "--help") == (0, GEN_HELP[argv[-1]], "")
+
+
 def test_dual(capsys):
     code, out, _ = run(capsys, "dual", EX2)
     assert code == 0

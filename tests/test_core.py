@@ -1340,15 +1340,9 @@ def private_functions(node, in_class=False):
         yield from private_functions(child, isinstance(child, ast.ClassDef))
 
 
-# a default that no call site passes is a constant, and one that every call
-# site passes should be required; allowed exceptions, with their reasons
-UNPASSED_DEFAULTS = {
-    ("_difference", "_new"):
-        "binds object.__new__ as a local for speed and is never passed",
-}
-
-
 def test_every_private_default_is_both_passed_and_omitted():
+    # a default that no call site passes is a constant, and one that every
+    # call site passes should be required; there are no exceptions
     trees = [ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(Path(rackkit.__file__).parent.glob("*.py"))]
     functions = [f for tree in trees for f in private_functions(tree)]
@@ -1387,9 +1381,7 @@ def test_every_private_default_is_both_passed_and_omitted():
             passed = [(index is not None and count > index) or arg.arg in kw
                       for count, kw in sites[function.name]]
             key = function.name, arg.arg
-            if key in UNPASSED_DEFAULTS:
-                assert not any(passed), key
-            elif not any(passed):
+            if not any(passed):
                 faults.append((*key, "never passed"))
             elif all(passed):
                 faults.append((*key, "always passed"))
@@ -1666,6 +1658,36 @@ def test_operator_quotient_of_random_racks_is_quandle():
         _, _, is_quandle = operator_equivalence_quotient(table)
         assert is_quandle, f"counterexample: {table.entries}"
         built += 1
+
+
+quotient_racks = st.one_of(
+    relabelled(st.integers(1, 9).flatmap(
+        lambda n: st.sampled_from(_units(n)).map(
+            lambda t: alexander(n, t).entries))),
+    perm_images.map(
+        lambda images: constant_action(Permutation(images)).entries),
+    st.sampled_from(sorted(RACK_TABLES.values())),
+    trivial_unions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quotient_racks)
+def test_quotients_by_congruences_are_racks(entries):
+    # quotient_by does not check its quotient, and the quandle flag of
+    # operator_equivalence_quotient reads the quotient's diagonal: both
+    # rest on the proof that a rack's quotient by a congruence is a rack.
+    # Equal columns and the Inn-orbits are both congruences
+    table = RackTable(entries)
+    _, quotient, is_quandle = operator_equivalence_quotient(table)
+    orbits, _, _, _ = table._inner
+    by_orbits = quotient_by(table, orbits)
+    for q in (quotient, by_orbits):
+        assert RackTable(q.entries) == q
+        assert q.report.is_rack
+    assert is_quandle == quotient.report.is_quandle
+    # x ▷ y lies in x's Inn-orbit, so the orbits' quotient is trivial
+    assert by_orbits.entries == tuple((i,) * len(orbits)
+                                      for i in by_orbits.elements)
 
 
 @settings(max_examples=60)
