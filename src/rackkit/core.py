@@ -1135,13 +1135,15 @@ def operator_equivalence_quotient(
 
     Returns (partition, quotient, quotient_is_quandle).  The congruence
     property is checked by ``quotient_by``, not assumed, and the quotient
-    is a rack (see there), so it is a quandle exactly when each class is
-    its own square: [x]▷[x] = [x] for every class.
+    is a rack (see there).  It is always a quandle, so the flag is always
+    true.  Write R_y for the column z ↦ z ▷ y.  Distributivity,
+    (z ▷ x) ▷ y = (z ▷ y) ▷ (x ▷ y), says R_{x ▷ y} = R_y∘R_x∘R_y⁻¹, so
+    R_{x ▷ x} = R_x: x ▷ x and x share an operator class, and
+    [x]▷[x] = [x ▷ x] = [x] for every class.
     """
     table.require_rack()
     groups: dict[tuple[int, ...], list[int]] = {}
     for y in table.elements:
         groups.setdefault(table._right[y], []).append(y)
     partition = tuple(sorted(tuple(g) for g in groups.values()))
-    quotient = quotient_by(table, partition)
-    return partition, quotient, quotient.diagonal == tuple(quotient.elements)
+    return partition, quotient_by(table, partition), True

@@ -43,8 +43,8 @@ def _invariant_keys(table: RackTable) -> list[tuple]:
     x's row's (cycle length, multiplicity) pairs, shared by x's orbit
     (``RackTable._cycle_lengths``).  An isomorphism f carries C[y] to
     C[f(y)] and x's row to f(x)'s, so it keeps both lists.  It prunes
-    ``isomorphic``'s search, and ``rp_family_scan`` compares the two
-    tables' profiles as its certificate.  π(x)'s column would add nothing:
+    ``isomorphic``'s search; ``rp_family_scan``'s certificate compares the
+    same two lists, ordered by convention.  π(x)'s column would add nothing:
     R_{x ▷ x} = R_x in every rack (Fenn and Rourke, "Racks and links in
     codimension two", 1992).
     """
@@ -397,6 +397,71 @@ class RpFamilyScan:
                 for d in self.differences]
 
 
+class _Ids(dict):
+    """Depth class → the id of one table's vector of counts at that class,
+    one count per entry (``poly._counts``) and one id per distinct vector,
+    numbered as the vectors are met; a class is counted when first read.
+    ``vectors[i]`` is the vector with id i."""
+
+    def __init__(self, by_length: Sequence[tuple]) -> None:
+        self._by_length = by_length
+        self._id_of: dict[tuple, int] = {}
+        self.vectors: list[tuple] = []
+
+    def __missing__(self, g: int) -> int:
+        vector = tuple(_counts(self._by_length, g))
+        i = self[g] = self._id_of.setdefault(vector, len(self.vectors))
+        if i == len(self.vectors):
+            self.vectors.append(vector)
+        return i
+
+
+class _Row(dict):
+    """s-vector id → one table's polynomial at that s vector and one t
+    vector, each built when first read and kept in the scan's ``shared``
+    dict, so equal polynomials of either table are one object."""
+
+    def __init__(self, side: "_Side", t: tuple) -> None:
+        self._side = side
+        self._t = t
+
+    def __missing__(self, s_id: int) -> TwoVarPoly:
+        side = self._side
+        items = tuple(_weighted(zip(side.s.vectors[s_id], self._t),
+                                side.weights))
+        poly = side.shared.get(items)
+        if poly is None:
+            poly = side.shared[items] = _poly(items)
+        self[s_id] = poly
+        return poly
+
+
+class _Side:
+    """One table's polynomials at a scan's class pairs, from its profile:
+    each distinct (s lengths, t lengths) entry with its weight.  A lazy
+    side counts a class only when the walk reaches it."""
+
+    def __init__(self, profile: list[tuple], classes: list[int], lazy: bool,
+                 shared: dict[tuple, TwoVarPoly]) -> None:
+        keys, self.weights = zip(*profile)
+        self.s, self.t = map(_Ids, zip(*keys))
+        self.shared = shared
+        self._classes = classes
+        self._rows: dict[int, _Row] = {}
+        if not lazy:  # a listing reads every class
+            for g in classes:
+                self.s.__missing__(g)
+                self.t.__missing__(g)
+
+    def polys(self, gn: int):
+        """Its polynomials at (gm, gn) for the classes gm, ascending."""
+        t_id = self.t[gn]
+        row = self._rows.get(t_id)
+        if row is None:
+            row = self._rows[t_id] = _Row(self, self.t.vectors[t_id])
+        return map(row.__getitem__, map(self.s.__getitem__, self._classes))
+
+
 def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
                    convention: str = "def",
                    stop_at_first: bool = False) -> RpFamilyScan:
@@ -414,38 +479,44 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     empty scan up to max(L_a, L_b) forces L_a = L_b, and as counts at
     depth d depend only on d mod the period, every depth pair agrees.
 
+    An element x's profile is the pair of (cycle length, multiplicity)
+    lists behind its s and its t count under the convention, a row's and
+    a column's (``poly._lengths``), shared by x's Inn-orbit.  x's s count
+    at depth m is the sum of the multiplicities in its s list whose
+    lengths divide m, and its t count at n the same sum over its t list
+    (``poly._counts``), so the monomial x adds at (m, n) is a function of
+    its profile alone.  Each table is therefore read as its profile: one
+    entry per distinct profile, weighted by the sizes of the orbits that
+    have it (``poly._weighted``), sorted.  If the two profiles are equal,
+    the tables add the same monomials at every (m, n), their polynomials
+    agree at every depth pair, and the scan returns the empty scan that
+    the class loop would return, stop_at_first or not.  The test costs
+    one entry per Inn-orbit, whatever the period.  It is sufficient, not
+    necessary: unequal profiles run the class loop.
+
     Counts at depth d depend on d only through which cycle lengths of
     the two tables divide d.  So the depths fall into classes, each named
     by the lcm of those lengths, which is also its least depth.  The
-    classes up to the bound are the lcms of sets of cycle lengths, found
-    by a search from 1 that never passes the bound.  Counts are constant
-    on each Inn-orbit, so every multiset below is one entry per orbit
-    weighted by the orbit's size, merged and sorted (``poly._weighted``),
-    and a polynomial is built from it directly, one shared by all equal
-    multisets, so a listing holds one per distinct polynomial.  For a
-    class of n, equal multisets of (t count, s counts at every class of
-    m) leave no class of m to differ; only unequal ones are compared
-    class by class.
-    No scan visits the depths 1..bound.  stop_at_first stops at the least
-    class of n with a difference and answers with that class and its
-    least differing class of m.  Otherwise the differing class pairs and
-    their polynomials are returned as a view that lists the depth pairs
-    only as they are read (see RpFamilyScan).
-
-    Before any class is built, a certificate settles the pairs that agree
-    everywhere.  An element x's profile is its column's and its row's
-    (cycle length, multiplicity) pairs, one entry per Inn-orbit
-    (``_invariant_keys``).  In either convention x's s count at
-    depth m is the sum of the multiplicities of one of its two lists
-    whose lengths divide m, and its t count at n is the same sum over the
-    other list (``poly._counts``), so the monomial x adds at (m, n) is a
-    function of its profile alone.  If the multisets of profiles, each
-    orbit's weighted by its size, are equal, the two tables add the same
-    monomials at every (m, n), so their polynomials agree at every depth
-    pair, and the scan returns the empty scan that the class loop would
-    return, stop_at_first or not.  The test sorts and compares one entry
-    per Inn-orbit, whatever the period.  The condition is sufficient, not
-    necessary: unequal profiles run the class loop unchanged.
+    classes up to the bound are the lcms of sets of cycle lengths, grown
+    one length at a time and never past the bound.  A table's polynomial
+    at (m, n) depends only on its vector of s counts at m and its vector
+    of t counts at n, one count per entry.  So each class gets one id per
+    table for its distinct vector, and each table's polynomial is built
+    once per distinct pair of ids that the walk reaches, from its
+    entries' count pairs, through one dict of the scan's polynomials: equal
+    polynomials are one object, a class pair differs exactly when its two
+    polynomials are not the same object, and a listing holds one per
+    distinct polynomial.  One walk, n outermost and then m, serves both
+    kinds of scan, and no scan visits the depths 1..bound.  A listing
+    reads every class pair: it counts every class first, then costs one
+    dict lookup per table and class pair and one build per distinct
+    (s id, t id) pair of each table, at most the product of its numbers
+    of distinct s and t vectors.  The differing class pairs and their
+    polynomials are returned as a view that lists the depth pairs only as
+    they are read (see RpFamilyScan).  stop_at_first counts a class and
+    builds a polynomial only when the walk reaches it, and stops at the
+    first class pair that differs, the least class of n with a difference
+    and its least differing class of m.
     """
     _check_convention(convention)
     a.require_rack()
@@ -455,56 +526,32 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     if bound < 1:
         raise RackError(f"bound must be at least 1, got {bound}")
     complete = bound >= period
-    (_, _, sizes_a, _), (_, _, sizes_b, _) = a._inner, b._inner
-    if (_weighted(_invariant_keys(a), sizes_a)
-            == _weighted(_invariant_keys(b), sizes_b)):
+    profile_a, profile_b = (
+        _weighted(zip(*_lengths(table, convention)), table._inner[2])
+        for table in (a, b))
+    if profile_a == profile_b:
         return RpFamilyScan(bound, complete, ())
     lengths = {k for by_column, _ in (a._cycle_lengths, b._cycle_lengths)
                for pairs in by_column for k, _ in pairs}
     found = {1}
-    todo = [1]
-    while todo:
-        g = todo.pop()
-        for k in lengths:
-            h = math.lcm(g, k)
-            if h <= bound and h not in found:
-                found.add(h)
-                todo.append(h)
+    for k in lengths:
+        found |= {h for g in found if (h := math.lcm(g, k)) <= bound}
     classes = sorted(found)
-    s_lengths_a, t_lengths_a = _lengths(a, convention)
-    s_lengths_b, t_lengths_b = _lengths(b, convention)
-    s_a = {g: _counts(s_lengths_a, g) for g in classes}
-    s_b = {g: _counts(s_lengths_b, g) for g in classes}
-    # each orbit's s counts at every class of m
-    all_s_a = list(zip(*s_a.values()))
-    all_s_b = list(zip(*s_b.values()))
-    differing: dict[int, dict[int, tuple[TwoVarPoly, TwoVarPoly]]] = {}
     shared: dict[tuple, TwoVarPoly] = {}  # one per distinct item list
-
-    def poly_of(items: list) -> TwoVarPoly:
-        key = tuple(items)
-        if key not in shared:
-            shared[key] = _poly(key)
-        return shared[key]
-
+    side_a = _Side(profile_a, classes, stop_at_first, shared)
+    side_b = _Side(profile_b, classes, stop_at_first, shared)
+    differing: dict[int, dict[int, tuple[TwoVarPoly, TwoVarPoly]]] = {}
     for gn in classes:
-        t_a = _counts(t_lengths_a, gn)
-        t_b = _counts(t_lengths_b, gn)
-        if (_weighted(zip(t_a, all_s_a), sizes_a)
-                == _weighted(zip(t_b, all_s_b), sizes_b)):
-            continue
-        polys = {}
-        for gm in classes:
-            pa = _weighted(zip(s_a[gm], t_a), sizes_a)
-            pb = _weighted(zip(s_b[gm], t_b), sizes_b)
-            if pa != pb:
-                polys[gm] = poly_of(pa), poly_of(pb)
-        if polys and stop_at_first:
-            gm, (left, right) = next(iter(polys.items()))
-            return RpFamilyScan(bound, complete,
-                                (PolyDifference(gm, gn, left, right),))
-        if polys:
-            differing[gn] = polys
+        pairs = ((gm, (pa, pb)) for gm, pa, pb in zip(
+            classes, side_a.polys(gn), side_b.polys(gn)) if pa is not pb)
+        if stop_at_first:
+            for gm, (left, right) in pairs:
+                return RpFamilyScan(bound, complete,
+                                    (PolyDifference(gm, gn, left, right),))
+        else:
+            polys = dict(pairs)
+            if polys:
+                differing[gn] = polys
     if not differing:
         return RpFamilyScan(bound, complete, ())
     return RpFamilyScan(bound, complete, _DifferenceView(

@@ -1674,9 +1674,10 @@ quotient_racks = st.one_of(
 @given(quotient_racks)
 def test_quotients_by_congruences_are_racks(entries):
     # quotient_by does not check its quotient, and the quandle flag of
-    # operator_equivalence_quotient reads the quotient's diagonal: both
-    # rest on the proof that a rack's quotient by a congruence is a rack.
-    # Equal columns and the Inn-orbits are both congruences
+    # operator_equivalence_quotient is true without reading the quotient:
+    # both rest on proofs (a rack's quotient by a congruence is a rack,
+    # and R_{x ▷ x} = R_x puts x ▷ x in x's class), checked here against
+    # the report.  Equal columns and the Inn-orbits are both congruences
     table = RackTable(entries)
     _, quotient, is_quandle = operator_equivalence_quotient(table)
     orbits, _, _, _ = table._inner

@@ -39,6 +39,7 @@ from rackkit import (
     verify_constant_action_classification,
 )
 from rackkit import iso as iso_module
+from rackkit.poly import _counts, _lengths
 
 
 def relabeled(table: RackTable, tau: Permutation) -> RackTable:
@@ -456,6 +457,12 @@ def constant_pair(type_a, type_b):
 @example(constant_pair((2, 3), (5,)), "prop3", False, "periods")
 @example(constant_pair((1, 1, 2), (2, 2)), "def", False, "default")
 @example(constant_pair((1, 1, 2), (2, 2)), "prop3", False, "above")
+# the families benchmark's one pair that runs the class loop, as a listing
+# and as a first-difference scan, in each convention
+@example(constant_pair((3, 4, 5), (2, 5, 5)), "def", False, "default")
+@example(constant_pair((3, 4, 5), (2, 5, 5)), "prop3", False, "default")
+@example(constant_pair((3, 4, 5), (2, 5, 5)), "def", True, "default")
+@example(constant_pair((3, 4, 5), (2, 5, 5)), "prop3", True, "default")
 def test_scan_matches_oracle_grid(pair, convention, stop_at_first, bound_kind):
     a, b = pair
     period = max(oracles.period(a.entries), oracles.period(b.entries))
@@ -510,8 +517,9 @@ def test_scan_matches_oracle_grid(pair, convention, stop_at_first, bound_kind):
 
 def test_scan_of_91_element_constant_actions():
     # types (13, 12, ..., 1) and (13, ..., 4, 3, 3): 192 depth classes each
-    # way up to the default bound 360360, compared once per Inn-orbit,
-    # 13 and 12 of them, where comparing 91 elements took about 2 s
+    # way up to the default bound 360360, each table's polynomial built
+    # once per distinct pair of its per-Inn-orbit count vectors, where
+    # comparing 91 elements at each class pair took about 2 s
     type_a = tuple(range(13, 0, -1))
     type_b = (*range(13, 3, -1), 3, 3)
     elapsed = []
@@ -556,6 +564,57 @@ def test_scan_of_91_element_constant_actions():
     assert count == len(differences)
     # ru_maxrss counts KiB on Linux
     assert grown_kib < 8 * 2**10
+
+
+@pytest.mark.parametrize("convention", ("def", "prop3"))
+@pytest.mark.parametrize("types", (
+    ((3, 4, 5), (2, 5, 5)),
+    (tuple(range(13, 0, -1)), (*range(13, 3, -1), 3, 3))))
+def test_scan_builds_once_per_count_vector_pair(monkeypatch, types,
+                                                convention):
+    # a table's polynomial at (m, n) is a function of its per-Inn-orbit
+    # vectors of s counts at m and t counts at n, so a listing builds at
+    # most one per distinct pair of them of each table: 8·8 + 4·4 on the
+    # first pair and 192·79 + 184·74 on the 91-element one, where one
+    # polynomial per side of each differing class pair was 2·192·192
+    a, b = constant_pair(*types)
+    # the counts at d depend on which cycle lengths divide d, so on
+    # gcd(d, L), L the lcm of them all: the divisors of L give every vector
+    common = math.lcm(oracles.period(a.entries), oracles.period(b.entries))
+    divisors = [d for d in range(1, common + 1) if common % d == 0]
+    most = 0
+    for table in (a, b):
+        s_vectors, t_vectors = (
+            {tuple(_counts(by_length, d)) for d in divisors}
+            for by_length in _lengths(table, convention))
+        most += len(s_vectors) * len(t_vectors)
+    calls = {"_weighted": 0, "_poly": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(iso_module, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(iso_module, name, counted)
+    scan = rp_family_scan(a, b, convention=convention)
+    assert isinstance(scan.differences, iso_module._DifferenceView)
+    # each build weighs one multiset of count pairs and makes at most one
+    # new polynomial; the other two weighted multisets are the profiles
+    assert calls["_poly"] <= calls["_weighted"] - 2 <= most
+
+
+def test_classification_of_size_12_in_each_convention():
+    # 77 cycle types and 2,926 first-difference scans, most of which stop
+    # at (1, 1): a scan counts a depth class and builds a polynomial only
+    # when it reaches them, where building every class's counts and a
+    # whole row of m before stopping took 0.41-0.55 s per convention
+    for convention in ("def", "prop3"):
+        elapsed = []
+        for _ in range(2):
+            start = time.perf_counter()
+            report = verify_constant_action_classification(12, convention)
+            elapsed.append(time.perf_counter() - start)
+        assert report.consistent
+        assert len(report.distinct_type) == math.comb(77, 2)
+        assert min(elapsed) < 0.6
 
 
 def test_scan_of_same_type_constant_actions_stops_at_the_profiles():
