@@ -438,20 +438,16 @@ class _Row(dict):
 
 class _Side:
     """One table's polynomials at a scan's class pairs, from its profile:
-    each distinct (s lengths, t lengths) entry with its weight.  A lazy
-    side counts a class only when the walk reaches it."""
+    each distinct (s lengths, t lengths) entry with its weight.  It counts
+    a class and builds a polynomial only when the walk reaches them."""
 
-    def __init__(self, profile: list[tuple], classes: list[int], lazy: bool,
+    def __init__(self, profile: list[tuple], classes: list[int],
                  shared: dict[tuple, TwoVarPoly]) -> None:
         keys, self.weights = zip(*profile)
         self.s, self.t = map(_Ids, zip(*keys))
         self.shared = shared
         self._classes = classes
         self._rows: dict[int, _Row] = {}
-        if not lazy:  # a listing reads every class
-            for g in classes:
-                self.s.__missing__(g)
-                self.t.__missing__(g)
 
     def polys(self, gn: int):
         """Its polynomials at (gm, gn) for the classes gm, ascending."""
@@ -507,14 +503,14 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     polynomials are one object, a class pair differs exactly when its two
     polynomials are not the same object, and a listing holds one per
     distinct polynomial.  One walk, n outermost and then m, serves both
-    kinds of scan, and no scan visits the depths 1..bound.  A listing
-    reads every class pair: it counts every class first, then costs one
-    dict lookup per table and class pair and one build per distinct
-    (s id, t id) pair of each table, at most the product of its numbers
-    of distinct s and t vectors.  The differing class pairs and their
-    polynomials are returned as a view that lists the depth pairs only as
-    they are read (see RpFamilyScan).  stop_at_first counts a class and
-    builds a polynomial only when the walk reaches it, and stops at the
+    kinds of scan; it counts a class and builds a polynomial only when it
+    reaches them, and no scan visits the depths 1..bound.  A listing
+    reads every class pair: it costs an s and a t count vector per table
+    and class, one dict lookup per table and class pair, and one build
+    per distinct (s id, t id) pair of each table, at most the product of
+    its numbers of distinct s and t vectors.  The differing class pairs and
+    their polynomials are returned as a view that lists the depth pairs
+    only as they are read (see RpFamilyScan).  stop_at_first stops at the
     first class pair that differs, the least class of n with a difference
     and its least differing class of m.
     """
@@ -538,8 +534,8 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
         found |= {h for g in found if (h := math.lcm(g, k)) <= bound}
     classes = sorted(found)
     shared: dict[tuple, TwoVarPoly] = {}  # one per distinct item list
-    side_a = _Side(profile_a, classes, stop_at_first, shared)
-    side_b = _Side(profile_b, classes, stop_at_first, shared)
+    side_a = _Side(profile_a, classes, shared)
+    side_b = _Side(profile_b, classes, shared)
     differing: dict[int, dict[int, tuple[TwoVarPoly, TwoVarPoly]]] = {}
     for gn in classes:
         pairs = ((gm, (pa, pb)) for gm, pa, pb in zip(

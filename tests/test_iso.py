@@ -575,8 +575,8 @@ def test_scan_builds_once_per_count_vector_pair(monkeypatch, types,
     # a table's polynomial at (m, n) is a function of its per-Inn-orbit
     # vectors of s counts at m and t counts at n, so a listing builds at
     # most one per distinct pair of them of each table: 8·8 + 4·4 on the
-    # first pair and 192·79 + 184·74 on the 91-element one, where one
-    # polynomial per side of each differing class pair was 2·192·192
+    # first pair and 192·79 + 184·74 on the 91-element one, where
+    # weighing both sides of every class pair took 2·192·192
     a, b = constant_pair(*types)
     # the counts at d depend on which cycle lengths divide d, so on
     # gcd(d, L), L the lcm of them all: the divisors of L give every vector
