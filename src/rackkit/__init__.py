@@ -9,7 +9,9 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# each module's __all__, in the same order
+# the one declaration of the public names: each submodule's __all__ is
+# its entry, and __getattr__, __all__ and dir() read it without
+# importing any submodule
 _EXPORTS = {
     "core": (
         "AxiomViolation", "CONVENTIONS", "CongruenceError", "NotARackError",

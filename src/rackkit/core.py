@@ -13,28 +13,9 @@ from itertools import compress, islice, repeat
 from operator import attrgetter, index, itemgetter, ne
 from typing import Callable, Iterable, Iterator, Sequence
 
-__all__ = [
-    "AxiomViolation",
-    "CONVENTIONS",
-    "CongruenceError",
-    "NotARackError",
-    "Permutation",
-    "PropertyReport",
-    "RackError",
-    "RackTable",
-    "TableFormatError",
-    "column_order_lcm",
-    "diagonal_perm",
-    "dual",
-    "format_rack_table",
-    "operator_equivalence_quotient",
-    "parse_rack_table",
-    "properties_report",
-    "quotient_by",
-    "rack_op_iter",
-    "rack_rank",
-    "validate_rack",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["core"]
 
 # which fix count feeds which polynomial variable (see rackkit.poly); here
 # so that the command line can offer the choices without loading poly
@@ -461,10 +442,10 @@ class RackTable:
         has.
 
         These are the table's only column cycle facts.  Their readers:
-        the fix counts (``poly._lengths``), the column period
-        (``column_order_lcm``), the cycle-type keys of the isomorphism
-        search (``iso._invariant_keys``) and the depth-class lengths of
-        ``iso.rp_family_scan``.
+        the fix counts (``poly._lengths``), whose per-orbit profiles give
+        ``iso.rp_family_scan`` its periods and depth-class lengths too,
+        the column period (``column_order_lcm``) and the per-orbit
+        profiles of the isomorphism search (``iso._invariant_keys``).
         """
         orbits, which, sizes, _ = self._inner
         # the orbits whose representatives share each distinct column

@@ -11,10 +11,11 @@ import math
 from operator import itemgetter
 from typing import Iterator
 
+from . import _EXPORTS
 from .core import (Permutation, RackError, RackTable, _as_int,
                    _trusted_table)
 
-__all__ = ["alexander", "constant_action", "ts_rack"]
+__all__ = _EXPORTS["generators"]
 
 
 def _constant_rows(sigma: Permutation

@@ -11,25 +11,14 @@ from functools import lru_cache
 from itertools import accumulate, compress, islice, repeat
 from operator import add, eq, index as _index, itemgetter
 
+from . import _EXPORTS
 from .core import (Permutation, RackError, RackTable, _as_int, _cached,
-                   _record, column_order_lcm)
+                   _record)
 from .generators import constant_action
 from .poly import (TwoVarPoly, _check_convention, _counts, _lengths, _poly,
                    _weighted)
 
-__all__ = [
-    "ClassificationReport",
-    "DistinctTypeCheck",
-    "IsoResult",
-    "PolyDifference",
-    "RpFamilyScan",
-    "SameTypeCheck",
-    "isomorphic",
-    "partitions",
-    "permutation_of_type",
-    "rp_family_scan",
-    "verify_constant_action_classification",
-]
+__all__ = _EXPORTS["iso"]
 
 
 @_record
@@ -517,18 +506,22 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     _check_convention(convention)
     a.require_rack()
     b.require_rack()
-    period = max(column_order_lcm(a), column_order_lcm(b))
+    profile_a, profile_b = (
+        _weighted(zip(*_lengths(table, convention)), table._inner[2])
+        for table in (a, b))
+    # the s lists are rows' or columns' lengths, and a row's lengths are
+    # those of its element's cycles under the columns, so either way they
+    # hold exactly the table's column cycle lengths
+    lengths_a, lengths_b = ({k for (pairs, _), _ in profile for k, _ in pairs}
+                            for profile in (profile_a, profile_b))
+    period = max(math.lcm(*lengths_a), math.lcm(*lengths_b))
     bound = period if bound is None else _as_int(bound, "bound")
     if bound < 1:
         raise RackError(f"bound must be at least 1, got {bound}")
     complete = bound >= period
-    profile_a, profile_b = (
-        _weighted(zip(*_lengths(table, convention)), table._inner[2])
-        for table in (a, b))
     if profile_a == profile_b:
         return RpFamilyScan(bound, complete, ())
-    lengths = {k for by_column, _ in (a._cycle_lengths, b._cycle_lengths)
-               for pairs in by_column for k, _ in pairs}
+    lengths = lengths_a | lengths_b
     found = {1}
     for k in lengths:
         found |= {h for g in found if (h := math.lcm(g, k)) <= bound}

@@ -35,25 +35,12 @@ from collections import Counter
 from itertools import product
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
+from . import _EXPORTS
 from .core import RackTable, _cached, _cycles, _record
 from .poly import (TwoVarPoly, _depths, _format_sum, _inner_moves,
                    _orbit_pairs, _spread, _subset_poly, closure)
 
-__all__ = [
-    "Crossing",
-    "DiagramError",
-    "DiagramFormatError",
-    "EnhancedInvariant",
-    "LinkDiagram",
-    "add_kinks",
-    "components_and_writhe",
-    "counting_polynomial_string",
-    "enhanced_invariant",
-    "enumerate_colorings",
-    "image_subrack",
-    "parse_diagram",
-    "rack_counting",
-]
+__all__ = _EXPORTS["links"]
 
 
 class DiagramError(ValueError):
@@ -112,6 +99,19 @@ class LinkDiagram:
         for cr in crossings:
             if not isinstance(cr, Crossing):
                 raise DiagramError(f"crossings must be Crossing objects, got {cr!r}")
+        # one set test proves a diagram valid: the under_in arcs and the
+        # under_out arcs are one set, each arc once on each side; the free
+        # arcs are positive, distinct ints apart from it; and every over
+        # arc is in one of the two.  Only a diagram that fails it walks the
+        # checks below, whose errors name the fault
+        ins = [cr.under_in for cr in crossings]
+        strand = set(ins)
+        if (len(strand) == len(ins)
+                and strand == {cr.under_out for cr in crossings}
+                and all(type(a) is int and a > 0 for a in free)
+                and len(known := strand.union(free)) == len(strand) + len(free)
+                and known.issuperset([cr.over for cr in crossings])):
+            return
         for a in free:
             if isinstance(a, bool) or not isinstance(a, int):
                 raise DiagramError(f"free arc ids must be integers, got {a!r}")
@@ -181,13 +181,10 @@ def parse_diagram(text: str) -> LinkDiagram:
     """Read a diagram from JSON with keys ``crossings`` and ``free_arcs``.
 
     Each crossing's keys and values are read once: four ints, a sign of
-    1 or -1 and positive arcs make a ``Crossing`` without its checks.  One
-    set test then proves what ``LinkDiagram`` checks: the under_in arcs
-    and the under_out arcs are one set, each arc once on each side; the
-    free arcs are positive, distinct and apart from them; and every over
-    arc is one of the two.  Whatever fails a test is passed to the
-    checked constructors, whose errors name it, so the messages are those
-    of the checked path, in its order.
+    1 or -1 and positive arcs make a ``Crossing`` without its checks, and
+    a crossing that fails them is passed to the checked constructor,
+    whose error names it.  ``LinkDiagram`` then checks the arcs, so the
+    messages are those of the checked path, in its order.
     """
     try:
         data = json.loads(text)
@@ -205,7 +202,6 @@ def parse_diagram(text: str) -> LinkDiagram:
     if not isinstance(raw_crossings, list):
         raise DiagramFormatError("crossings must be a list")
     crossings = []
-    overs, ins, outs = [], [], []
     for i, obj in enumerate(raw_crossings):
         if not isinstance(obj, dict):
             raise DiagramFormatError(f"crossing {i} must be an object")
@@ -227,24 +223,12 @@ def parse_diagram(text: str) -> LinkDiagram:
                         f"crossing {i}: {key} must be an integer")
             cr = Crossing(*row)  # raises, naming the bad value
         crossings.append(cr)
-        overs.append(over)
-        ins.append(inn)
-        outs.append(out)
     raw_free = data.get("free_arcs", [])
     if not isinstance(raw_free, list):
         raise DiagramFormatError("free_arcs must be a list")
     for v in raw_free:
         if type(v) is not int:
             raise DiagramFormatError(f"free_arcs entry {v!r} must be an integer")
-    strand = set(ins)
-    known = strand.union(raw_free)
-    if (len(strand) == len(ins) and strand == set(outs)
-            and len(known) == len(strand) + len(raw_free)
-            and min(raw_free, default=1) > 0 and known.issuperset(overs)):
-        diagram = object.__new__(LinkDiagram)
-        vars(diagram).update(crossings=tuple(crossings),
-                             free_arcs=tuple(raw_free))
-        return diagram
     return LinkDiagram(tuple(crossings), tuple(raw_free))
 
 

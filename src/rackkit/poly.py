@@ -33,20 +33,11 @@ from itertools import compress, count, repeat, starmap
 from operator import index, ne
 from typing import Iterable, Mapping, Sequence
 
+from . import _EXPORTS
 from .core import (CONVENTIONS, RackError, RackTable, _as_int, _generators,
                    _in_range, _members, _orbits, _record, _walk)
 
-__all__ = [
-    "ExponentProfile",
-    "TwoVarPoly",
-    "closure",
-    "enumerate_subracks",
-    "exponent_profile",
-    "format_monomial",
-    "is_subrack",
-    "rack_polynomial",
-    "subrack_polynomial",
-]
+__all__ = _EXPORTS["poly"]
 
 
 def _check_convention(convention: str) -> None:

@@ -11,6 +11,7 @@ import oracles
 from rackkit import (
     Permutation,
     RackError,
+    TableFormatError,
     alexander,
     constant_action,
     diagonal_perm,
@@ -51,6 +52,19 @@ def test_constant_action_reads_the_images(monkeypatch):
 
     monkeypatch.setattr(Permutation, "__call__", refuse)
     assert constant_action(sigma).entries == tuple((v,) * 4 for v in (2, 3, 4, 1))
+
+
+def test_constant_action_checks_any_other_sigma():
+    # only an exact Permutation is trusted; anything else with n and
+    # images takes the table constructor's check
+    class Images:
+        def __init__(self, images):
+            self.n, self.images = len(images), images
+
+    sigma = Images((2, 3, 1))
+    assert constant_action(sigma) == constant_action(Permutation(sigma.images))
+    with pytest.raises(TableFormatError, match="^entry 4 out of range 1..3$"):
+        constant_action(Images((4, 1, 2)))
 
 
 def test_constant_action_rows_are_constant():

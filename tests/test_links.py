@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import time
 from collections import Counter
 from functools import reduce
@@ -88,6 +89,30 @@ def test_arcs_must_chain():
         LinkDiagram((), (0,))
 
 
+def test_valid_diagrams_skip_the_naming_checks(monkeypatch):
+    # LinkDiagram proves a valid diagram with one set test; only a diagram
+    # that fails it counts its arcs' ends, with collections.Counter, to
+    # name the fault
+    def refuse(*args):
+        raise AssertionError("a valid diagram reached the naming checks")
+
+    monkeypatch.setattr(links_module, "Counter", refuse)
+    with pytest.raises(AssertionError, match="naming checks"):
+        LinkDiagram((Crossing(1, 2, 1, 1), Crossing(1, 2, 1, 2)))
+    rng = random.Random(7)
+    diagrams = [load_link(name) for name in LINK_NAMES]
+    for _ in range(60):
+        strands = rng.randint(1, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(0, 8))] if strands > 1 else []
+        diagrams.append(braid_closure(strands, word))
+    for diagram in diagrams:
+        assert LinkDiagram(diagram.crossings, diagram.free_arcs) == diagram
+        kinked = add_kinks(diagram,
+                           [rng.randint(0, 3) for _ in diagram.components])
+        assert len(kinked.components) == len(diagram.components)
+
+
 def test_parse_diagram_errors():
     with pytest.raises(DiagramFormatError):
         parse_diagram("not json")
@@ -157,9 +182,10 @@ def diagram_objects(draw):
 @settings(max_examples=400, deadline=None)
 @given(diagram_objects())
 def test_parse_matches_the_checked_constructors(obj):
-    # parse_diagram builds its records without the constructors' checks
-    # once its own tests pass; it must accept exactly what they accept,
-    # build equal records, and raise what they raise
+    # parse_diagram builds its crossings without Crossing's checks once
+    # its own tests pass, and LinkDiagram checks the arcs; it must accept
+    # exactly what the checked constructors accept, build equal records,
+    # and raise what they raise
     def outcome(build):
         try:
             return build()
