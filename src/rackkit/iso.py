@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_right
-from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from functools import lru_cache
-from itertools import accumulate, compress, islice, repeat
-from operator import add, eq, index as _index, itemgetter
+from itertools import accumulate, repeat
+from operator import eq, floordiv, index as _index, itemgetter, mul
 
 from . import _EXPORTS
 from .core import (Permutation, RackError, RackTable, _as_int, _cached,
@@ -179,79 +176,85 @@ class _DepthPairs(Sequence):
     outermost and then m, each built when it is read.
 
     ``groups`` maps each class of n with a difference, ascending, to its
-    differing classes of m, ascending, each with the pair of values that
-    ``_make(m, n, left, right)`` turns into an item.  The class of a depth
-    is the largest class that divides it, so it depends on d only through
-    gcd(d, L), L the lcm of every cycle length (``period``).  One period
-    of depths, min(bound, L) of them, therefore lays out every item:
+    differing classes of m, ascending, each with its pair of polynomials,
+    which ``_row`` reads and ``_make(m, n, left, right)`` makes an item.
+    ``classes`` holds every class up to the bound, ascending.  The class
+    of depth d is the lcm of the cycle ``lengths`` dividing it, a function
+    of gcd(d, L), L their lcm; iteration classifies each depth through a
+    memo keyed by that gcd, and no table of depths is kept.
 
-    * a depth→class table, where depth d reads the entry of d mod L;
-    * how many depths in 1..bound each class has, from the table's class
-      counts times the full periods plus the remainder's, so ``len`` and
-      each row's width are sums over classes;
-    * the offsets of the rows n of one period, built by the first index
-      that needs them;
-    * per class of n, the m of one period that differ from it, as an
-      array, with their left and right values, built when a row of that
-      class is first read.
-
-    An index finds its period by division, its n by bisection of the
-    offsets and its m by division.  The first item and ``bool`` need only
-    ``groups``.  A listing can hold more items than ``len()`` may report,
-    which stops at sys.maxsize as it does for a range; ``__len__()``
-    returns the exact count, and indexing and slicing use it.
+    A class g divides d exactly when it divides d's class, so ⌊x/g⌋
+    counts the depths in 1..x whose class g divides.  Möbius inversion up
+    the lattice of classes (Rota, "On the foundations of combinatorial
+    theory I", 1964) turns these into each class's depths in 1..bound, for
+    ``len`` and the rows' widths, and into coefficients c_g with
+    Σ c_g·⌊x/g⌋ any weighted count of the depths in 1..x, by which an
+    index finds its n and its m.  The first item and ``bool`` need only
+    ``groups``.  ``len()`` stops at sys.maxsize, as for a range;
+    ``__len__()`` is exact, and indexing and slicing use it.
     """
 
     _like: type  # the type it stands in for, and compares equal to
 
-    def __init__(self, bound: int, period: int, classes: tuple[int, ...],
-                 groups: dict[int, dict[int, tuple]]) -> None:
+    def __init__(self, bound: int, lengths: tuple[int, ...],
+                 classes: tuple[int, ...], groups: dict[int, dict]) -> None:
         self._bound = bound
-        self._period = period
+        self._lengths = lengths
         self._classes = classes
         self._groups = groups
-        self._rows: dict[int, tuple[array, tuple, tuple, int]] = {}
+        self._lcm = math.lcm(*lengths)
+        self._gcd_class = lru_cache(maxsize=None)(  # gcd(d, L) → d's class
+            lambda g: math.lcm(*(k for k in lengths if g % k == 0)))
+        self._coefficients: dict[int | None, tuple] = {}
+
+    def _classify(self, depths):  # each depth's class, in order
+        return map(self._gcd_class, map(math.gcd, depths, repeat(self._lcm)))
+
+    def _row(self, gn: int) -> Callable[[int], tuple]:
+        """Class of m → the values of row class gn there; false off it."""
+        return self._groups[gn].get
 
     @_cached
-    def _layout(self) -> tuple[list[int], dict[int, int], int]:
-        """The depth→class table, each row's width and the length."""
-        size = min(self._bound, self._period)
-        full, rem = divmod(self._bound, self._period)
-        # each class, ascending, is written over its multiples, so the
-        # largest class dividing d is the one left at d
-        table = [1] * size
-        for g in self._classes:
-            table[g - 1::g] = [g] * (size // g)
-        per_period = Counter(table)
-        in_rem = Counter(islice(table, rem))
-        depths = {g: full * per_period[g] + in_rem[g] for g in per_period}
-        widths = {gn: sum(depths[gm] for gm in pairs)
+    def _widths(self) -> tuple[dict[int, int], int]:
+        """Each row class's width, and the length."""
+        depths: dict[int, int] = {}  # class → how many of 1..bound it has
+        # from the top: ⌊bound/h⌋ less the depths of the classes h divides
+        for h in reversed(self._classes):
+            depths[h] = self._bound // h - sum(
+                k for g, k in depths.items() if g % h == 0)
+        widths = {gn: sum(map(depths.__getitem__, pairs))
                   for gn, pairs in self._groups.items()}
-        length = sum(depths[gn] * width for gn, width in widths.items())
-        return table, widths, length
+        return widths, sum(depths[gn] * w for gn, w in widths.items())
 
-    @_cached
-    def _starts(self) -> list[int]:
-        """Offsets of the rows n = 1..min(bound, L) within a period."""
-        table, widths, _ = self._layout
-        return [0, *accumulate(map(widths.get, table, repeat(0)))]
+    def _locate(self, gn: int | None, i: int) -> tuple[int, int]:
+        """The least x with over i items in the rows 1..x (gn None) or in
+        row class gn at the m in 1..x, and i less the items before x."""
+        if gn not in self._coefficients:  # classes and c_g, cached per gn
+            weights = (self._widths[0] if gn is None
+                       else dict.fromkeys(self._groups[gn], 1))
+            # the classes g that divide h carry c_g summing to h's weight
+            found = {}
+            for h in self._classes:
+                c = weights.get(h, 0) - sum(
+                    c for g, c in found.items() if h % g == 0)
+                if c:
+                    found[h] = c
+            self._coefficients[gn] = tuple(found), tuple(found.values())
+        gs, cs = self._coefficients[gn]
 
-    def _row(self, gn: int) -> tuple[array, tuple, tuple, int]:
-        """The m of one period that differ from class gn, their left and
-        right values, and how many of them fall in the remainder."""
-        if gn not in self._rows:
-            table = self._layout[0]
-            pairs = self._groups[gn]
-            hit = list(map(pairs.__contains__, table))
-            ms = array("q", compress(range(1, len(table) + 1), hit))
-            # each class divides the period, so it is in the table
-            lefts, rights = zip(*map(pairs.__getitem__, compress(table, hit)))
-            cut = bisect_right(ms, self._bound % self._period)
-            self._rows[gn] = ms, lefts, rights, cut
-        return self._rows[gn]
+        def count(x: int) -> int:
+            return sum(map(mul, cs, map(floordiv, repeat(x), gs)))
+
+        # the largest x with at most i items, a bit at a time (bisect cannot
+        # search past sys.maxsize); more than i lie up to the bound
+        x = 0
+        for bit in reversed(range(self._bound.bit_length())):
+            if count(x + (1 << bit)) <= i:
+                x += 1 << bit
+        return x + 1, i - count(x)
 
     def __len__(self) -> int:
-        return self._layout[2]
+        return self._widths[1]
 
     def __bool__(self) -> bool:
         return bool(self._groups)
@@ -264,36 +267,28 @@ class _DepthPairs(Sequence):
         if i == 0:
             # the least depth of a class is the class itself, so the first
             # item is at the least class of n and its least class of m
-            gn, pairs = next(iter(self._groups.items()))
-            gm, (left, right) = next(iter(pairs.items()))
-            return self._make(gm, gn, left, right)
-        table, _, length = self._layout
+            gn = next(iter(self._groups))
+            gm = next(iter(self._groups[gn]))
+            return self._make(gm, gn, *self._row(gn)(gm))
+        length = self.__len__()
         if i < 0:
             i += length
         if not 0 <= i < length:
             raise IndexError(f"{self._like.__name__} index out of range")
-        starts, period = self._starts, self._period
-        q, offset = divmod(i, starts[-1])
-        r = bisect_right(starts, offset)
-        ms, lefts, rights, _ = self._row(table[r - 1])
-        qm, k = divmod(offset - starts[r - 1], len(ms))
-        return self._make(qm * period + ms[k], q * period + r, lefts[k],
-                          rights[k])
+        n, i = self._locate(None, i)
+        gn = self._gcd_class(math.gcd(n, self._lcm))
+        m, _ = self._locate(gn, i)
+        gm = self._gcd_class(math.gcd(m, self._lcm))
+        return self._make(m, n, *self._row(gn)(gm))
 
     def __iter__(self):
-        table = self._layout[0]
-        make, bound, period = self._make, self._bound, self._period
-        last = bound - bound % period  # where a cut period starts
-        for n_base in range(0, bound, period):
-            for n, gn in enumerate(islice(table, bound - n_base), n_base + 1):
-                if gn not in self._groups:
-                    continue
-                ms, lefts, rights, cut = self._row(gn)
-                for m_base in range(0, bound, period):
-                    yield from islice(
-                        map(make, map(add, ms, repeat(m_base)), repeat(n),
-                            lefts, rights),
-                        cut if m_base == last else None)
+        make, groups = self._make, self._groups
+        depths = range(1, self._bound + 1)
+        for n, gn in zip(depths, self._classify(depths)):
+            if gn in groups:
+                hits = zip(depths, map(self._row(gn), self._classify(depths)))
+                for m, (left, right) in filter(itemgetter(1), hits):
+                    yield make(m, n, left, right)
 
     def __eq__(self, other):
         if isinstance(other, _DepthPairs):
@@ -310,7 +305,7 @@ class _DepthPairs(Sequence):
         return hash(tuple(self))
 
     def __reduce__(self):
-        return type(self), (self._bound, self._period, self._classes,
+        return type(self), (self._bound, self._lengths, self._classes,
                             self._groups)
 
     def __repr__(self) -> str:
@@ -325,23 +320,26 @@ class _DifferenceView(_DepthPairs):
     _like = tuple
     _make = PolyDifference
 
-    def _lines(self) -> "_LineView":
-        polys = {p for pairs in self._groups.values()
-                 for pair in pairs.values() for p in pair}
-        text = {p: str(p) for p in polys}
-        return _LineView(self._bound, self._period, self._classes, {
-            gn: {gm: (text[left], text[right])
-                 for gm, (left, right) in pairs.items()}
-            for gn, pairs in self._groups.items()})
-
 
 class _LineView(_DepthPairs):
-    """``RpFamilyScan.lines()`` of a listing scan: one string per
-    difference, from each distinct polynomial's string, formatted once;
-    equal to the list of them."""
+    """``RpFamilyScan.lines()`` of a listing scan, over the differences'
+    groups: one string per difference, equal to the list of them, each
+    distinct polynomial formatted once, when a line first needs it."""
 
     _like = list
     _make = "({0},{1}): {2} != {3}".format
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._text = lru_cache(maxsize=None)(str)
+        self._rows: dict[int, Callable] = {}
+
+    def _row(self, gn: int) -> Callable[[int], tuple]:
+        if gn not in self._rows:
+            pairs, text = self._groups[gn], self._text
+            self._rows[gn] = lru_cache(maxsize=None)(
+                lambda gm: tuple(map(text, pairs.get(gm, ()))))
+        return self._rows[gn]
 
 
 @_record
@@ -355,17 +353,16 @@ class RpFamilyScan:
 
     differences is a read-only Sequence of PolyDifferences, n outermost
     and then m.  An agreeing scan and a stop_at_first scan hold a tuple of
-    at most one.  A listing scan holds a view over its depth classes: the
-    differing class pairs with their polynomials, and one depth→class
-    table of min(bound, L) entries, L the lcm of the cycle lengths.  Its
-    len is arithmetic, indexing (negative too), slicing and iteration
-    build a PolyDifference only when it is read, and a slice is a tuple.
-    The view compares equal to the tuple of its items and hashes as that
-    tuple does, so scans compare and hash as they did when differences
-    was that tuple, and copy and pickle as before; only its repr, which
-    names its length instead of listing every item, and its type changed.
-    A listing scan's lines() is likewise a view of strings, equal to the
-    list of them; each distinct polynomial is formatted once.
+    at most one.  A listing scan holds a view over its differing class
+    pairs, with no table of depths: its len is counted on the classes,
+    indexing (negative too), slicing and iteration build a PolyDifference
+    only when it is read, and a slice is a tuple.  The view compares equal
+    to the tuple of its items and hashes as that tuple does, so scans
+    compare, hash, copy and pickle as they did when differences was that
+    tuple; only its repr, which names its length instead of listing every
+    item, and its type changed.  A listing scan's lines() is likewise a
+    view of strings, equal to the list of them, formatting each distinct
+    polynomial once, when a line first needs it.
     """
 
     bound: int
@@ -381,7 +378,7 @@ class RpFamilyScan:
 
     def lines(self) -> Sequence[str]:
         if isinstance(self.differences, _DifferenceView):
-            return self.differences._lines()
+            return _LineView(*self.differences.__reduce__()[1])
         return [_LineView._make(d.m, d.n, d.left, d.right)
                 for d in self.differences]
 
@@ -544,7 +541,7 @@ def rp_family_scan(a: RackTable, b: RackTable, bound: int | None = None,
     if not differing:
         return RpFamilyScan(bound, complete, ())
     return RpFamilyScan(bound, complete, _DifferenceView(
-        bound, math.lcm(*lengths), tuple(classes), differing))
+        bound, tuple(sorted(lengths)), tuple(classes), differing))
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,8 @@ import pytest
 
 import rackkit
 from conftest import FIXTURES
-from rackkit import cli, core
+from rackkit import (cli, constant_action, core, format_rack_table,
+                     permutation_of_type)
 from rackkit.cli import main
 
 T5 = str(FIXTURES / "T5.rack")
@@ -411,13 +412,32 @@ def first_line_under_memory_limit(*argv):
 
 def test_scan_streams_a_hostile_bound_under_a_memory_limit():
     # 10^9 depths in each slot under a 1 GiB address space: the lines
-    # stream from one period of depth classes, and a reader that closes
-    # the pipe after one line ends the child with a message, not a trace
+    # stream as each depth is classified, and a reader that closes the
+    # pipe after one line ends the child with a message, not a trace
     first, code, err = first_line_under_memory_limit(
         "scan", MX6, MY6, "--bound", "1000000000")
     assert first == "(2,1): 6*s^6 != 6\n"
     assert code in (0, 2), err
     for sign in ("Traceback", "MemoryError", "Exception ignored"):
+        assert sign not in err
+
+
+def test_scan_streams_past_a_period_of_223092870(tmp_path):
+    # constant actions of the 9 primes up to 23 and of 2, 3, ..., 19, 22, 1:
+    # the default bound is the period, 223,092,870 depths in each slot,
+    # and no table of them is built, so under a 1 GiB address space the
+    # first line comes out, where a depth→class table ran out of memory
+    paths = []
+    for name, cycle_type in (("D100", (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+                             ("E100", (2, 3, 5, 7, 11, 13, 17, 19, 22, 1))):
+        path = tmp_path / f"{name}.rack"
+        path.write_text(format_rack_table(
+            constant_action(permutation_of_type(cycle_type))))
+        paths.append(str(path))
+    first, code, err = first_line_under_memory_limit("scan", *paths)
+    assert first == "(1,1): 100 != 99*t + s^100*t\n"
+    assert code in (0, 2), err
+    for sign in ("Traceback", "MemoryError"):
         assert sign not in err
 
 

@@ -11,7 +11,7 @@ import sys
 import time
 import tracemalloc
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from pathlib import Path
 
 import pytest
@@ -532,6 +532,11 @@ def test_scan_of_91_element_constant_actions():
         elapsed.append(time.perf_counter() - start)
     assert (scan.bound, scan.complete_bound) == (360360, True)
     differences = scan.differences
+    # the length and the last item are counted on the 192 classes, where a
+    # table of the 360360 depths of a period took 0.3-0.4 s
+    start = time.perf_counter()
+    differences.__len__(), differences[-1]
+    reading = time.perf_counter() - start
     assert differences.__len__() == 126_252_126_000
     difference = iso_module.PolyDifference
     assert differences[0] == difference(
@@ -540,6 +545,7 @@ def test_scan_of_91_element_constant_actions():
         360359, 360360, TwoVarPoly(((0, 91, 90), (91, 91, 1))),
         TwoVarPoly(((0, 91, 91),)))
     assert min(elapsed) < 1
+    assert reading < 0.1
     # equal polynomials are shared: the result holds about 5 MB, where one
     # polynomial per side of each differing class pair held about 20 MB.
     # A child process runs the scan once more and reports how far it
@@ -682,6 +688,76 @@ def test_listing_scan_reads_a_huge_bound_from_one_period(racks):
     # milliseconds and kilobytes; a list of the 10^12 depths would not fit
     assert elapsed < 1
     assert peak < 50 * 2**20
+
+
+# up to 10^6 periods in each slot, or 10^20 depths, past sys.maxsize, where
+# a range has no len and bisect cannot search it: the view counts its items
+# and finds each one from the depth classes, and every item is checked
+# against pointwise polynomials over one common period, by residue
+@settings(max_examples=120, deadline=None)
+@given(rack_pairs(), st.sampled_from(("def", "prop3")),
+       st.integers(1, 10**6), st.integers(0, 10**6), st.booleans())
+@example(constant_pair((3, 4, 5), (2, 5, 5)), "def", 10**6, 59, False)
+@example(constant_pair((3, 4, 5), (2, 5, 5)), "prop3", 1, 7, True)
+@example(constant_pair((2, 3), (5,)), "def", 999_999, 29, False)
+@example(constant_pair((1, 1, 2), (2, 2)), "prop3", 3, 1, True)
+def test_listing_scan_far_above_the_period(pair, convention, k, r, huge):
+    a, b = pair
+    common = math.lcm(oracles.period(a.entries), oracles.period(b.entries))
+    r %= common
+    bound = 10**20 + r if huge else k * common + r
+    grid_a = oracles.poly_grid(a.entries, common, convention)
+    grid_b = oracles.poly_grid(b.entries, common, convention)
+    # the residues of m that differ at each residue of n
+    differ = {n: {m for m in range(1, common + 1)
+                  if grid_a[m, n] != grid_b[m, n]}
+              for n in range(1, common + 1)}
+
+    def residue(d):
+        return (d - 1) % common + 1
+
+    def depths(r):  # the d in 1..bound with d ≡ r (mod common)
+        return (bound - r) // common + 1
+
+    def item(m, n):
+        return (m, n, *(TwoVarPoly.from_dict(grid[residue(m), residue(n)])
+                        for grid in (grid_a, grid_b)))
+
+    def first_200(depths_in_order):  # the items along rows in that order
+        found = []
+        for n in depths_in_order:
+            if differ[residue(n)]:
+                found += islice((item(m, n) for m in depths_in_order
+                                 if residue(m) in differ[residue(n)]),
+                                200 - len(found))
+            if len(found) == 200:
+                break
+        return found
+
+    scan = rp_family_scan(a, b, bound, convention)
+    differences = scan.differences
+    length = differences.__len__()
+    assert length == sum(depths(m) * depths(n)
+                         for n, ms in differ.items() for m in ms)
+    if not length:  # no row to walk
+        assert not differences and not scan.lines()
+        return
+    head = first_200(range(1, bound + 1))
+    tail = first_200(range(bound, 0, -1))[::-1]
+    assert len(head) == len(tail) == min(200, length)
+
+    def read(ds):
+        return [(d.m, d.n, d.left, d.right) for d in ds]
+
+    assert read(map(differences.__getitem__, range(len(head)))) == head
+    assert read(differences[i - length] for i in range(len(head))) == head
+    assert read(differences[length - len(tail) + i]
+                for i in range(len(tail))) == tail
+    assert read(differences[i - len(tail)] for i in range(len(tail))) == tail
+    assert read(differences[length - len(tail)::3]) == tail[::3]
+    assert read(islice(differences, 200)) == head
+    assert list(islice(scan.lines(), 200)) == [
+        f"({m},{n}): {left} != {right}" for m, n, left, right in head]
 
 
 def test_default_scan_separates_unequal_periods():
