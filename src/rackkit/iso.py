@@ -217,7 +217,7 @@ class _DepthPairs(Sequence):
     @_cached
     def _widths(self) -> tuple[dict[int, int], int]:
         """Each row class's width, and the length."""
-        depths: dict[int, int] = {}  # class → how many of 1..bound it has
+        depths = {}  # class → how many of 1..bound it has
         # from the top: ⌊bound/h⌋ less the depths of the classes h divides
         for h in reversed(self._classes):
             depths[h] = self._bound // h - sum(
@@ -245,12 +245,13 @@ class _DepthPairs(Sequence):
         def count(x: int) -> int:
             return sum(map(mul, cs, map(floordiv, repeat(x), gs)))
 
-        # the largest x with at most i items, a bit at a time (bisect cannot
-        # search past sys.maxsize); more than i lie up to the bound
+        # the largest x with at most i items, a bit at a time, as bisect
+        # cannot search past sys.maxsize; the sums hold only up to the bound
         x = 0
         for bit in reversed(range(self._bound.bit_length())):
-            if count(x + (1 << bit)) <= i:
-                x += 1 << bit
+            y = x + (1 << bit)
+            if y <= self._bound and count(y) <= i:
+                x = y
         return x + 1, i - count(x)
 
     def __len__(self) -> int:

@@ -760,6 +760,19 @@ def test_listing_scan_far_above_the_period(pair, convention, k, r, huge):
         f"({m},{n}): {left} != {right}" for m, n, left, right in head]
 
 
+def test_listing_view_searches_only_up_to_its_bound():
+    # lengths 2 and 3 at bound 5 leave class 6 out of the lattice, so the
+    # floor sums hold only up to the bound: with class 1 alone differing,
+    # at depths 1 and 5, they count 5 - 2 - 1 = 2 depths up to 5 but
+    # 6 - 3 - 2 = 1 up to 6, and a search past the bound put m at 7
+    p, q = TwoVarPoly(((0, 0, 1),)), TwoVarPoly(((1, 1, 1),))
+    view = iso_module._DifferenceView(5, (2, 3), (1, 2, 3), {1: {1: (p, q)}})
+    want = [(m, n, p, q) for n in (1, 5) for m in (1, 5)]
+    assert [(d.m, d.n, d.left, d.right) for d in view] == want
+    assert [(d.m, d.n, d.left, d.right)
+            for d in map(view.__getitem__, range(-4, 4))] == want * 2
+
+
 def test_default_scan_separates_unequal_periods():
     # with L_a != L_b the default bound max(L_a, L_b) reaches (L_b, L_b),
     # where b's polynomial is n*s^n*t^n and a's is not, or symmetrically
