@@ -188,8 +188,8 @@ class _DepthPairs(Sequence):
     the lattice of classes (Rota, "On the foundations of combinatorial
     theory I", 1964) turns these into each class's depths in 1..bound, for
     ``len`` and the rows' widths, and into coefficients c_g with
-    Σ c_g·⌊x/g⌋ any weighted count of the depths in 1..x, by which an
-    index finds its n and its m.  The first item and ``bool`` need only
+    Σ c_g·⌊x/g⌋ any weighted count of the depths in 1..x, x ≤ bound, by
+    which an index finds its n and its m.  The first item and ``bool`` need only
     ``groups``.  ``len()`` stops at sys.maxsize, as for a range;
     ``__len__()`` is exact, and indexing and slicing use it.
     """
