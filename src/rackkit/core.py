@@ -699,13 +699,14 @@ def _orbits(n: int, columns: Sequence[Sequence[int]]
     The members lead with the least element, the representative, and
     list the rest in walk order; the mask has bit v for each member v.
     """
-    walked = 0  # every orbit so far, as a mask over 1..n
-    for x in range(1, n + 1):
-        if not walked >> x & 1:
-            members = [x]
-            grown = _walk(walked | 1 << x, members, columns)
-            yield grown ^ walked, members
-            walked = grown
+    walked = 1  # bit 0, which stands for no element, and every orbit so far
+    full = (1 << n + 1) - 1
+    while walked != full:
+        low = ~walked & (walked + 1)  # the least element not walked yet
+        members = [low.bit_length() - 1]
+        grown = _walk(walked | low, members, columns)
+        yield grown ^ walked, members
+        walked = grown
 
 
 def _after_representatives(orbits: Sequence[Sequence[int]]

@@ -171,6 +171,27 @@ class PolyDifference:
     right: TwoVarPoly
 
 
+_PROBES = 1 << 12  # the most floor sums a listing view keeps per row class
+
+
+class _FloorSums(dict):
+    """x → Σ c_g·⌊x/g⌋ over classes g and coefficients c, each sum kept
+    when it is first read, since every index's search probes the same x
+    near the top.  At most ``_PROBES`` are kept: a full memo starts over,
+    so a bound far past the period never fills a table of depths."""
+
+    def __init__(self, gs: tuple[int, ...], cs: tuple[int, ...]) -> None:
+        super().__init__()
+        self._gs, self._cs = gs, cs
+
+    def __missing__(self, x: int) -> int:
+        if len(self) >= _PROBES:
+            self.clear()
+        total = self[x] = sum(map(mul, self._cs, map(floordiv, repeat(x),
+                                                     self._gs)))
+        return total
+
+
 class _DepthPairs(Sequence):
     """A listing scan's items at its differing depth pairs (m, n), n
     outermost and then m, each built when it is read.
@@ -189,9 +210,12 @@ class _DepthPairs(Sequence):
     theory I", 1964) turns these into each class's depths in 1..bound, for
     ``len`` and the rows' widths, and into coefficients c_g with
     Σ c_g·⌊x/g⌋ any weighted count of the depths in 1..x, x ≤ bound, by
-    which an index finds its n and its m.  The first item and ``bool`` need only
-    ``groups``.  ``len()`` stops at sys.maxsize, as for a range;
-    ``__len__()`` is exact, and indexing and slicing use it.
+    which an index finds its n and its m.  Each row class keeps the sums
+    its searches probed (``_FloorSums``), and an index in the row read
+    last skips the search for n, so reading every index costs a few
+    times iterating.  The first item and ``bool`` need only ``groups``.
+    ``len()`` stops at sys.maxsize, as for a range; ``__len__()`` is
+    exact, and indexing and slicing use it.
     """
 
     _like: type  # the type it stands in for, and compares equal to
@@ -205,7 +229,10 @@ class _DepthPairs(Sequence):
         self._lcm = math.lcm(*lengths)
         self._gcd_class = lru_cache(maxsize=None)(  # gcd(d, L) → d's class
             lambda g: math.lcm(*(k for k in lengths if g % k == 0)))
-        self._coefficients: dict[int | None, tuple] = {}
+        self._floor_sums: dict[int | None, _FloorSums] = {}
+        # (its first index, the next row's, n, n's class) of the last row
+        # an index was read in
+        self._last_row = 0, 0, 0, 0
 
     def _classify(self, depths):  # each depth's class, in order
         return map(self._gcd_class, map(math.gcd, depths, repeat(self._lcm)))
@@ -229,7 +256,7 @@ class _DepthPairs(Sequence):
     def _locate(self, gn: int | None, i: int) -> tuple[int, int]:
         """The least x with over i items in the rows 1..x (gn None) or in
         row class gn at the m in 1..x, and i less the items before x."""
-        if gn not in self._coefficients:  # classes and c_g, cached per gn
+        if gn not in self._floor_sums:  # classes and c_g, cached per gn
             weights = (self._widths[0] if gn is None
                        else dict.fromkeys(self._groups[gn], 1))
             # the classes g that divide h carry c_g summing to h's weight
@@ -239,20 +266,17 @@ class _DepthPairs(Sequence):
                     c for g, c in found.items() if h % g == 0)
                 if c:
                     found[h] = c
-            self._coefficients[gn] = tuple(found), tuple(found.values())
-        gs, cs = self._coefficients[gn]
-
-        def count(x: int) -> int:
-            return sum(map(mul, cs, map(floordiv, repeat(x), gs)))
-
+            self._floor_sums[gn] = _FloorSums(tuple(found),
+                                              tuple(found.values()))
+        count = self._floor_sums[gn]
         # the largest x with at most i items, a bit at a time, as bisect
         # cannot search past sys.maxsize; the sums hold only up to the bound
         x = 0
         for bit in reversed(range(self._bound.bit_length())):
             y = x + (1 << bit)
-            if y <= self._bound and count(y) <= i:
+            if y <= self._bound and count[y] <= i:
                 x = y
-        return x + 1, i - count(x)
+        return x + 1, i - count[x]
 
     def __len__(self) -> int:
         return self._widths[1]
@@ -276,9 +300,13 @@ class _DepthPairs(Sequence):
             i += length
         if not 0 <= i < length:
             raise IndexError(f"{self._like.__name__} index out of range")
-        n, i = self._locate(None, i)
-        gn = self._gcd_class(math.gcd(n, self._lcm))
-        m, _ = self._locate(gn, i)
+        start, end, n, gn = self._last_row
+        if not start <= i < end:  # a row other than the last one read
+            n, j = self._locate(None, i)
+            gn = self._gcd_class(math.gcd(n, self._lcm))
+            start = i - j
+            self._last_row = start, start + self._widths[0][gn], n, gn
+        m, _ = self._locate(gn, i - start)
         gm = self._gcd_class(math.gcd(m, self._lcm))
         return self._make(m, n, *self._row(gn)(gm))
 

@@ -24,12 +24,14 @@ orbits' representatives, and a polynomial weighs each orbit's monomial
 by the orbit's size.  A count depends on d only through gcd(d, L), with
 L the lcm of the column orders.  The orbits' exponent pairs at the last
 depths and convention asked for stay on the table, so the subrack
-polynomials of one table at one depth pair cost one lookup per member.
+polynomials of one table at one depth pair cost one lookup per member,
+and those of a subrack listing one polynomial per Inn-orbit of subracks.
 """
 
 from __future__ import annotations
 
-from itertools import compress, count, repeat, starmap
+from bisect import bisect_left
+from itertools import accumulate, compress, count, islice, repeat, starmap
 from operator import index, ne
 from typing import Iterable, Mapping, Sequence
 
@@ -209,14 +211,18 @@ def _orbit_pairs(table: RackTable, m: int, n: int,
     which ``_depths`` has checked: O(r·ℓ) for r orbits of ℓ lengths.
 
     The pairs of the last (m, n, convention) asked for stay in one slot
-    on the table, so the subrack polynomials of one table at one depth
-    pair count once, and a loop over depths keeps O(r) memo data.
+    on the table, ``_pair_memo`` = (key, pairs, polys), so the subrack
+    polynomials of one table at one depth pair count once, and a loop
+    over depths keeps O(r) memo data.  ``polys`` starts empty at each
+    key; ``subrack_polynomial`` keeps in it one polynomial per Inn-orbit
+    of listed subracks, by the orbit's name in the table's listing.
     """
     key = m, n, convention
     memo = vars(table).get("_pair_memo")
     if memo is None or memo[0] != key:
         s_lengths, t_lengths = _lengths(table, convention)
-        memo = key, tuple(zip(_counts(s_lengths, m), _counts(t_lengths, n)))
+        pairs = tuple(zip(_counts(s_lengths, m), _counts(t_lengths, n)))
+        memo = key, pairs, {}
         vars(table)["_pair_memo"] = memo
     return memo[1]
 
@@ -229,37 +235,42 @@ def rack_polynomial(table: RackTable, m: int, n: int,
     return _poly(_weighted(_orbit_pairs(table, m, n, convention), sizes))
 
 
-_BIT = (1).__lshift__  # _BIT(v) is element v's bit in a subset mask
+def _inner_moves(table: RackTable
+                 ) -> list[tuple[int, tuple[int, ...], int, list[int]]]:
+    """(z, C[z], the mask of the points C[z] moves, the bit of each image
+    C[z](v) by v) for each generator z in ``RackTable._inner``, whose
+    columns generate Inn(X).
 
-
-def _inner_moves(table: RackTable) -> list[tuple[int, tuple[int, ...], int]]:
-    """(z, C[z], the mask of the points C[z] moves) for each generator z
-    in ``RackTable._inner``, whose columns generate Inn(X).
-
-    The masks serve ``_spread`` only, so they are built here, when a
-    caller spreads subracks, and not with ``_inner``."""
+    These serve ``_spread`` only, so they are built here, when a caller
+    spreads subracks, and not with ``_inner``."""
     cols = table._right
     _, _, _, generators = table._inner
-    return [(z, cols[z], sum(map(_BIT, compress(count(), map(ne, cols[z], count())))))
-            for z in generators]
+    moves = []
+    for z in generators:
+        bits = [1 << p for p in cols[z]]
+        moved = sum(compress(bits, map(ne, cols[z], count())))
+        moves.append((z, cols[z], moved, bits))
+    return moves
 
 
-def _spread(inner: Sequence[tuple[int, tuple[int, ...], int]], mask: int,
-            members: Iterable[int]) -> dict[int, tuple[int, ...]]:
+def _spread(inner: Sequence[tuple[int, tuple[int, ...], int, list[int]]],
+            mask: int, members: Iterable[int]) -> dict[int, tuple[int, ...]]:
     """The Inn-orbit of a subrack S, as {mask: sorted members} from S's
     own mask and members on: each φS is a subrack, walked by the columns
     in ``inner`` (see ``_inner_moves``).  A generator z is skipped at an
     image E that holds z, as C[z] maps E onto itself, and at an E that
-    C[z] fixes pointwise.  An orbit Ω costs at most |Ω|·g·|S| lookups."""
+    C[z] fixes pointwise.  An image's mask is the sum of its members'
+    bits under C[z], and its members are listed only when it is new.  An
+    orbit Ω costs at most |Ω|·g·|S| lookups."""
     orbit = {mask: tuple(sorted(members))}
     queue = [*orbit.items()]
     for mask, members in queue:  # grows while it is read
-        for z, col, moved in inner:
+        for z, col, moved, bits in inner:
             if mask & moved and not mask >> z & 1:
-                image = [*map(col.__getitem__, members)]
-                grown = sum(map(_BIT, image))
+                grown = sum(map(bits.__getitem__, members))
                 if grown not in orbit:
-                    orbit[grown] = image = tuple(sorted(image))
+                    orbit[grown] = image = tuple(sorted(map(col.__getitem__,
+                                                            members)))
                     queue.append((grown, image))
     return orbit
 
@@ -317,6 +328,29 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
       maps φ⁻¹D onto itself.  So φ(closure(E₀ ∪ {x})) is a found subrack
       inside D and larger than E.  Starting from the closure of one
       element of D, D is reached.
+    * Stop: a walk ends as soon as its mask covers X, with every member
+      in its list; X has no larger subset to reach.  Once
+      closure(c ∪ H_c·x) = X, a later walk from c that joins any y of
+      H_c·x ends too: closure(c ∪ {y}) holds H_c·y = H_c·x, so it is X,
+      and X is found already.  On a prime Alexander quandle every growth
+      closure is X, and all but the first end within a few joins.
+
+    The table keeps what the walk proved, in ``_listing``: the returned
+    tuple itself, not a copy; ``starts``, with the subracks of size k at
+    ``starts[k]:starts[k + 1]``; an array of one int per subrack naming
+    its Inn-orbit of subracks: the orbit's index as the orbits were
+    found, or, for an orbit of one subrack, which shares nothing, the
+    number of orbits plus the subrack's place in the listing; and the
+    place after the last listed tuple ``subrack_polynomial`` found.  Every
+    listed tuple is closed: it is a walked closure or an image φD of
+    one, and φ maps closed sets onto closed sets.  And the subracks of
+    one name are one Inn-orbit, on which subrack polynomials are
+    constant (see ``subrack_polynomial``).  So ``subrack_polynomial``
+    answers a listed tuple with no closure check and one polynomial per
+    orbit.  The record costs four bytes per subrack and n + 3 offsets
+    beside the listing, until the table goes or the next enumeration
+    replaces it and empties the depth-pair slot's polynomials
+    (``_orbit_pairs``).
 
     On a prime Alexander quandle, x ▷ y = t·x + (1-t)·y on Z/p, the
     singletons are one orbit, and c = {1} is grown by one closure per
@@ -333,41 +367,50 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
     """
     table.require_rack()
     cols = table._right
-    ids: dict[tuple[int, ...], int] = {}  # an id per distinct column
-    cid = [-1, *(ids.setdefault(col, len(ids)) for col in cols[1:])]
-    distinct = list(ids)  # the column of each id
+    # a column's id is the least y with that column C[y]
+    ids: dict[tuple[int, ...], int] = {}
+    cid = [-1, *map(ids.setdefault, cols[1:], range(1, table.n + 1))]
     inner = _inner_moves(table)
     # each subrack's mask: its members, sorted, as they are returned
     found: dict[int, tuple[int, ...]] = {}
+    # each subrack's orbit index, in an orbit of more than one subrack
+    orbit_of: dict[tuple[int, ...], int] = {}
+    per_size = [0] * (table.n + 2)  # how many subracks have each size
     # one subrack c per Inn-orbit, with the ids of columns that generate H_c
     firsts: list[tuple[int, tuple[int, ...], frozenset[int]]] = []
 
-    def spread(mask: int, members: list[int], key: frozenset[int]) -> None:
-        orbit = _spread(inner, mask, members)
+    def enter(orbit: dict[int, tuple[int, ...]], key: frozenset[int]) -> None:
+        """Record a new Inn-orbit of subracks, led by its first subrack."""
+        first = next(iter(orbit.items()))
         found.update(orbit)
-        firsts.append((mask, orbit[mask], key))
+        if len(orbit) > 1:
+            orbit_of.update(zip(orbit.values(), repeat(len(firsts))))
+        per_size[len(first[1])] += len(orbit)
+        firsts.append((*first, key))
 
     orbits, _, _, _ = table._inner
     for orbit in orbits:
         r = orbit[0]
         key = frozenset((cid[r],))
         if cols[r][r] == r:  # {r} is closed, and its images are the {x}
-            firsts.append((1 << r, (r,), key))
-            found.update((1 << x, (x,)) for x in orbit)
+            enter({1 << x: (x,) for x in orbit}, key)
         else:
             reached = [r]
-            spread(_walk(1 << r, reached, (cols[r],)), reached, key)
+            mask = _walk(1 << r, reached, (cols[r],))
+            enter(_spread(inner, mask, reached), key)
 
     full = (1 << table.n + 1) - 2
+    bit = [1 << v for v in range(table.n + 1)]  # element v's bit
     # H_c's generating columns and its orbits on X, by those columns' ids
     groups: dict[frozenset[int], tuple[list, list]] = {}
     for mask, members, key in firsts:  # grows while it is read
         if mask == full:
             continue
         if key not in groups:
-            columns = [distinct[i] for i in key]
+            columns = [cols[y] for y in key]
             groups[key] = columns, [*_orbits(table.n, columns)]
         columns, orbits = groups[key]
+        to_x = 0  # the H_c-orbits O with closure(c ∪ O) = X, as one mask
         for bits, orbit in orbits:
             grown = mask | bits
             # c ∪ H_c·x lies in the closure, so if it is closed it is the
@@ -381,14 +424,51 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
             if cid[x] not in key:
                 grown_key = key | {cid[x]}
                 old = len(reached)
-                grown = _walk(grown, reached, (cols[x],))
-                if len(reached) > old:
-                    grown = _walk(grown, reached, [*columns, cols[x]], old)
+                grown = _walk_until(grown, reached, (cols[x],), 0, bit, full,
+                                    to_x)
+                if len(reached) > old and grown != full:
+                    grown = _walk_until(grown, reached, [*columns, cols[x]],
+                                        old, bit, full, to_x)
+            if grown == full:
+                to_x |= bits
             if grown not in found:
-                spread(grown, reached, grown_key)
+                enter(_spread(inner, grown, reached), grown_key)
     subracks = sorted(found.values())
     subracks.sort(key=len)  # stable: each size stays in lexicographic order
-    return tuple(subracks)
+    subracks = tuple(subracks)
+    # the subracks of size k are subracks[starts[k]:starts[k + 1]]
+    starts = tuple(accumulate(per_size, initial=0))
+    # an orbit of one subrack shares nothing, and is named apart from
+    # the orbits' indices by its place in the listing
+    names = map(orbit_of.get, subracks, count(len(firsts)))
+    # array is loaded here, not with the module: it takes about 0.6 ms,
+    # and most processes that load poly list no subracks
+    from array import array
+    vars(table)["_listing"] = [subracks, starts, array("I", names), 0]
+    memo = vars(table).get("_pair_memo")
+    if memo is not None:
+        memo[2].clear()  # its polynomials are by the old listing's names
+    return subracks
+
+
+def _walk_until(mask: int, reached: list[int],
+                columns: Sequence[Sequence[int]], i: int, bit: list[int],
+                full: int, to_x: int) -> int:
+    """``core._walk`` from ``reached[i]`` on, with ``bit[v]`` element v's
+    bit, that returns ``full`` once the mask is full, with every member
+    in ``reached``, or once it joins a point of ``to_x``, points whose
+    closure with the walk's first subrack is X, with ``reached`` cut
+    short (see ``enumerate_subracks``).  Only the enumeration's growth
+    walks stop, so the other walks pay no check per joined member."""
+    for x in islice(reached, i, None):  # grows while it is read
+        for col in columns:
+            p = col[x]
+            if not mask & bit[p]:
+                mask |= bit[p]
+                reached.append(p)
+                if mask == full or to_x & bit[p]:
+                    return full
+    return mask
 
 
 def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
@@ -401,8 +481,33 @@ def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
     subrack S costs O(|S|) dictionary work: one pair lookup per member,
     summed.  The closure check adds |S|² set lookups at C speed
     (``RackTable._first_escape``); the whole set needs none.
+
+    A tuple that ``enumerate_subracks`` returned, the very object, is
+    found in the table's record of that listing by identity: first at
+    the place after the last one found, as a listing is mostly read in
+    order, then by bisecting its size's block.  It needs neither the
+    member checks nor the closure check: the enumeration proved it
+    closed.  Its polynomial
+    is kept in the depth-pair slot, one per Inn-orbit of subracks.  Each
+    φ in Inn(X) is an automorphism, so C[φy] = φ C[y] φ⁻¹: the column
+    of φy has the cycle lengths of y's, and φ carries x's cycles onto
+    φx's, so every count is equal at x and φx.  φ maps S one to one onto
+    φS, so the two sum the same monomials.  A listing at one depth pair
+    thus counts once per Inn-orbit, and looks up the rest.  Any other
+    subset takes the checked path: an equal but distinct tuple, a list,
+    unsorted members or repeated ones.  Either way the convention, the
+    depths and the rack axioms are checked first (``_depths``), then the
+    members, emptiness and closure, and the first that fails names the
+    error.
     """
     m, n = _depths(table, m, n, convention)
+    name = _listed_orbit(table, subset)
+    if name is not None:
+        pairs = _orbit_pairs(table, m, n, convention)
+        polys = vars(table)["_pair_memo"][2]
+        if name not in polys:
+            polys[name] = _subset_poly(table, pairs, subset)
+        return polys[name]
     elems = table._elements(subset)
     if not elems:
         raise RackError("subset is empty")
@@ -412,6 +517,33 @@ def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
         x, y, p = escape
         raise RackError(f"not a subrack: {x}▷{y}={p} escapes the subset")
     return _subset_poly(table, _orbit_pairs(table, m, n, convention), elems)
+
+
+_INTS = frozenset((int,))
+
+
+def _listed_orbit(table: RackTable, subset: object) -> int | None:
+    """The name of the Inn-orbit of a tuple that the table's last
+    ``enumerate_subracks`` returned, the very object, in the record that
+    call left (see there); None for any other subset."""
+    listing = vars(table).get("_listing")
+    if listing is None:
+        return None
+    subracks, starts, names, i = listing
+    # a listing is mostly read in order, so the tuple after the last one
+    # found is tried first, by identity alone
+    if i == len(subracks) or subracks[i] is not subset:
+        # a listed tuple holds ints, and only ints compare with them
+        # running no code of the caller's
+        if (type(subset) is not tuple or len(subset) > table.n
+                or not set(map(type, subset)) <= _INTS):
+            return None
+        end = starts[len(subset) + 1]
+        i = bisect_left(subracks, subset, starts[len(subset)], end)
+        if i == end or subracks[i] is not subset:
+            return None
+    listing[3] = i + 1
+    return names[i]
 
 
 def _subset_poly(table: RackTable, pairs: Sequence[tuple[int, int]],

@@ -640,9 +640,9 @@ def test_scan_of_same_type_constant_actions_stops_at_the_profiles():
 
 
 def test_listing_scan_reads_a_huge_bound_from_one_period(racks):
-    # 10^12 depths in each slot: the view's length is counted from one
-    # period of depth classes, and an item is found by division and
-    # bisection, so no read lists the depths
+    # 10^12 depths in each slot: the view's length is counted on the
+    # lattice of depth classes, and an item is found by searching the
+    # floor sums up to the bound, so no read lists the depths
     a, b = racks["MX6"], racks["MY6"]
     bound = 10**12
     common = math.lcm(oracles.period(a.entries), oracles.period(b.entries))
@@ -771,6 +771,46 @@ def test_listing_view_searches_only_up_to_its_bound():
     assert [(d.m, d.n, d.left, d.right) for d in view] == want
     assert [(d.m, d.n, d.left, d.right)
             for d in map(view.__getitem__, range(-4, 4))] == want * 2
+
+
+def test_listing_index_reads_match_iteration():
+    # every index reads the item iteration gives, by positive and negative
+    # index and in a shuffled order, at bounds below, at and above the
+    # common period L and past sys.maxsize, where iteration gives the
+    # first items only; and reading every index of the families pair
+    # (3,4,5)~(2,5,5) at its default bound costs a few times iterating it
+    rng = random.Random(44)
+    pairs = (constant_pair((3, 4, 5), (2, 5, 5)), constant_pair((2, 3), (5,)))
+    for a, b in pairs:
+        common = math.lcm(column_order_lcm(a), column_order_lcm(b))
+        bounds = (common - 1, common, common + 7, 3 * common)
+        for bound, convention in product(bounds, ("def", "prop3")):
+            differences = rp_family_scan(a, b, bound, convention).differences
+            items = list(differences)
+            length = len(items)
+            assert differences.__len__() == length
+            assert list(map(differences.__getitem__, range(length))) == items
+            assert [differences[i - length] for i in range(length)] == items
+            order = rng.sample(range(length), length)
+            assert [differences[i] for i in order] == [items[i] for i in order]
+        for bound in (sys.maxsize + 1, 7 * sys.maxsize + 3):
+            differences = rp_family_scan(a, b, bound).differences
+            head = list(islice(differences, 300))
+            assert list(map(differences.__getitem__, range(300))) == head
+
+    def best(read):  # the least of three reads, each of a fresh scan
+        times = []
+        for _ in range(3):
+            differences = rp_family_scan(*pairs[0]).differences
+            start = time.perf_counter()
+            read(differences)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    iterate = best(list)
+    index = best(lambda view: list(map(view.__getitem__,
+                                       range(view.__len__()))))
+    assert index < 6 * iterate, (index, iterate)
 
 
 def test_default_scan_separates_unequal_periods():

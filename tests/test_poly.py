@@ -2,7 +2,9 @@
 
 import math
 import random
+import sys
 import time
+import tracemalloc
 from functools import reduce
 from itertools import combinations, product, repeat
 
@@ -34,6 +36,7 @@ from rackkit import (
     subrack_polynomial,
     ts_rack,
 )
+from rackkit import poly as poly_module
 from rackkit.poly import _inner_moves, _poly, _spread, _weighted
 
 perm_images = st.integers(1, 7).flatmap(
@@ -763,8 +766,11 @@ def test_pair_memo_holds_one_entry_over_many_depths(racks):
     # the table's caches, which are not the memo
     table.report
     table._cycle_lengths
-    cached = set(vars(table))
+    before = set(vars(table))
     subset = enumerate_subracks(table)[-2]
+    # the enumeration keeps its listing's record, and only that
+    assert set(vars(table)) - before == {"_listing"}
+    cached = set(vars(table))
     for m, n in product(range(1, 41), range(1, 26)):
         conv = ("def", "prop3")[(m + n) % 2]
         rack_polynomial(table, m, n, conv)
@@ -774,6 +780,146 @@ def test_pair_memo_holds_one_entry_over_many_depths(racks):
         for conv in ("def", "prop3"):
             assert rack_polynomial(table, m, n, conv) == rack_polynomial(
                 RackTable(table.entries), m, n, conv)
+
+
+# -- a listing's record ------------------------------------------------------
+
+
+@st.composite
+def relabelled_alexanders(draw):
+    """alexander(n, t), n ≤ 12 and t a unit, on shuffled labels."""
+    n = draw(st.integers(1, 12))
+    t = draw(st.sampled_from([t for t in range(n) if math.gcd(t, n) == 1]))
+    images = draw(st.permutations(list(range(1, n + 1))))
+    return RackTable(relabel(alexander(n, t).entries, images))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_listed_subracks_match_every_other_path(racks, data):
+    # a listed tuple's polynomial, read from the record in order and
+    # shuffled and shared over its Inn-orbit, equals that of an equal
+    # copy, of a shuffled list with repeats and the oracle's, in both
+    # conventions at near and far depths; the depth pair switches after
+    # each pass over the listing,
+    # and a second enumeration replaces the record, after which the first
+    # listing's tuples are copies like any other
+    table = data.draw(st.one_of(
+        st.sampled_from((*SUBRACK_TABLES, *racks.values())),
+        relabelled_alexanders(), relabelled_unions()))
+    table = RackTable(table.entries)  # a table no test has enumerated
+    entries = table.entries
+    rng = data.draw(st.randoms(use_true_random=False))
+    period = oracles.period(entries)
+    depths = []
+    for _ in range(2):
+        m = data.draw(st.integers(1, period))
+        n = data.draw(st.integers(1, period))
+        far = (m + data.draw(st.integers(0, 10**9)) * period,
+               n + data.draw(st.integers(0, 10**9)) * period)
+        depths.append(((m, n), far))
+    first = enumerate_subracks(table)
+    listings = (first, first, enumerate_subracks(table))
+    assert listings[2] == first and listings[2] is not first
+    for listing, ((m, n), far) in zip(listings, depths * 2):
+        given = []
+        for subset in listing:
+            given.append([*subset, *rng.choices(subset, k=rng.randint(0, 3))])
+            rng.shuffle(given[-1])
+        for conv in ("def", "prop3"):
+            want = [oracles.poly_terms(entries, m, n, conv, subset=subset)
+                    for subset in listing]
+            for at in ((m, n), far):
+                got = [subrack_polynomial(table, subset, *at, conv)
+                       for subset in listing]
+                assert [poly.as_dict() for poly in got] == want, (at, conv)
+                order = rng.sample(range(len(listing)), len(listing))
+                assert [subrack_polynomial(table, listing[i], *at, conv)
+                        for i in order] == [got[i] for i in order]
+                assert [subrack_polynomial(table, tuple(list(subset)), *at,
+                                           conv) for subset in listing] == got
+                assert [subrack_polynomial(table, subset, *at, conv)
+                        for subset in given] == got
+
+
+def test_a_listing_closes_nothing_again_and_counts_once_per_orbit(
+        racks, monkeypatch):
+    # over one listing at one depth pair no closure is checked, and one
+    # polynomial is counted per Inn-orbit of subracks
+    calls = {"escape": 0, "count": 0}
+
+    def escape(self, elems):
+        calls["escape"] += 1
+        return first_escape(self, elems)
+
+    def count(*args):
+        calls["count"] += 1
+        return subset_poly(*args)
+
+    first_escape, subset_poly = RackTable._first_escape, poly_module._subset_poly
+    monkeypatch.setattr(RackTable, "_first_escape", escape)
+    monkeypatch.setattr(poly_module, "_subset_poly", count)
+    tables = (*SUBRACK_TABLES, alexander(27, 2), alexander(31, 2),
+              *(racks[name] for name in ("T5", "Q6", "R6", "MX6", "MY6")))
+    for table in tables:
+        table = RackTable(table.entries)
+        listing = enumerate_subracks(table)
+        orbits = {tuple(oracles.subrack_orbit(table.entries, subset))
+                  for subset in listing}
+        for at in ((2, 3, "def"), (1, 1, "prop3")):
+            calls.update(escape=0, count=0)
+            for subset in listing:
+                subrack_polynomial(table, subset, *at)
+            assert calls == {"escape": 0, "count": len(orbits)}, at
+
+
+def test_other_tuples_beside_a_listing_keep_every_check(racks):
+    # with a listing recorded, a tuple that is not a listed one takes the
+    # checks in their order, even when its items compare with nothing
+    class Unequal:
+        def __eq__(self, other):
+            raise ValueError("no truth value")
+
+        __lt__ = __gt__ = __eq__
+        __hash__ = object.__hash__
+
+        def __repr__(self):
+            return "Unequal()"
+
+    t5 = RackTable(racks["T5"].entries)
+    listing = enumerate_subracks(t5)
+    cases = [
+        ((4, 5.0), "non-integer element 5.0"),
+        ((4, Unequal()), "non-integer element Unequal()"),
+        ((Unequal(), 4), "non-integer element Unequal()"),
+        ((4, 9), "element 9 out of range 1..5"),
+        ((2, 1), "not a subrack: 1▷2=3 escapes the subset"),
+        ((1, 2), "not a subrack: 1▷2=3 escapes the subset"),
+        ((), "subset is empty"),
+    ]
+    for subset, message in cases:
+        with pytest.raises(RackError) as info:
+            subrack_polynomial(t5, subset, 1, 1)
+        assert str(info.value) == message
+    # a bool is an int to the checks, and equal to a listed item
+    assert subrack_polynomial(t5, (True, 2, 3), 1, 1) == subrack_polynomial(
+        t5, listing[listing.index((1, 2, 3))], 1, 1)
+
+
+def test_a_listing_record_is_small_beside_the_listing():
+    # the record keeps the returned tuple, not a copy, with four bytes per
+    # subrack: the 16,383 subracks of the trivial rack of 14 elements
+    table = constant_action(Permutation.identity(14))
+    table._inner  # the axioms and orbits are kept with or without a listing
+    tracemalloc.start()
+    try:
+        listing = enumerate_subracks(table)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(listing) == 2**14 - 1
+    own = sys.getsizeof(listing) + sum(map(sys.getsizeof, listing))
+    assert held <= 1.25 * own
 
 
 # -- closed forms for single-permutation tables ------------------------------
