@@ -215,7 +215,8 @@ def _orbit_pairs(table: RackTable, m: int, n: int,
     polynomials of one table at one depth pair count once, and a loop
     over depths keeps O(r) memo data.  ``polys`` starts empty at each
     key; ``subrack_polynomial`` keeps in it one polynomial per Inn-orbit
-    of listed subracks, by the orbit's name in the table's listing.
+    of several listed subracks, by the orbit's name in the table's
+    listing.
     """
     key = m, n, convention
     memo = vars(table).get("_pair_memo")
@@ -338,19 +339,19 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
     The table keeps what the walk proved, in ``_listing``: the returned
     tuple itself, not a copy; ``starts``, with the subracks of size k at
     ``starts[k]:starts[k + 1]``; an array of one int per subrack naming
-    its Inn-orbit of subracks: the orbit's index as the orbits were
-    found, or, for an orbit of one subrack, which shares nothing, the
-    number of orbits plus the subrack's place in the listing; and the
-    place after the last listed tuple ``subrack_polynomial`` found.  Every
-    listed tuple is closed: it is a walked closure or an image φD of
-    one, and φ maps closed sets onto closed sets.  And the subracks of
-    one name are one Inn-orbit, on which subrack polynomials are
+    its Inn-orbit of subracks, the orbit's index as the orbits were
+    found, or -1 for an orbit of one subrack, which shares nothing; and
+    the place after the last listed tuple ``subrack_polynomial`` found.
+    Every listed tuple is closed: it is a walked closure or an image φD
+    of one, and φ maps closed sets onto closed sets.  And the subracks
+    of one name are one Inn-orbit, on which subrack polynomials are
     constant (see ``subrack_polynomial``).  So ``subrack_polynomial``
-    answers a listed tuple with no closure check and one polynomial per
-    orbit.  The record costs four bytes per subrack and n + 3 offsets
-    beside the listing, until the table goes or the next enumeration
-    replaces it and empties the depth-pair slot's polynomials
-    (``_orbit_pairs``).
+    answers a listed tuple with no closure check, counting one
+    polynomial per orbit and keeping those of orbits of several
+    subracks.  The record costs four bytes per subrack and n + 3
+    offsets beside the listing, until the table goes or the next
+    enumeration replaces it and empties the depth-pair slot's
+    polynomials (``_orbit_pairs``).
 
     On a prime Alexander quandle, x ▷ y = t·x + (1-t)·y on Z/p, the
     singletons are one orbit, and c = {1} is grown by one closure per
@@ -438,13 +439,12 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
     subracks = tuple(subracks)
     # the subracks of size k are subracks[starts[k]:starts[k + 1]]
     starts = tuple(accumulate(per_size, initial=0))
-    # an orbit of one subrack shares nothing, and is named apart from
-    # the orbits' indices by its place in the listing
-    names = map(orbit_of.get, subracks, count(len(firsts)))
+    # an orbit of one subrack shares nothing, and is named -1
+    names = map(orbit_of.get, subracks, repeat(-1))
     # array is loaded here, not with the module: it takes about 0.6 ms,
     # and most processes that load poly list no subracks
     from array import array
-    vars(table)["_listing"] = [subracks, starts, array("I", names), 0]
+    vars(table)["_listing"] = [subracks, starts, array("i", names), 0]
     memo = vars(table).get("_pair_memo")
     if memo is not None:
         memo[2].clear()  # its polynomials are by the old listing's names
@@ -488,7 +488,8 @@ def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
     order, then by bisecting its size's block.  It needs neither the
     member checks nor the closure check: the enumeration proved it
     closed.  Its polynomial
-    is kept in the depth-pair slot, one per Inn-orbit of subracks.  Each
+    is kept in the depth-pair slot, one per Inn-orbit of several
+    subracks (an orbit of one has nothing to share).  Each
     φ in Inn(X) is an automorphism, so C[φy] = φ C[y] φ⁻¹: the column
     of φy has the cycle lengths of y's, and φ carries x's cycles onto
     φx's, so every count is equal at x and φx.  φ maps S one to one onto
@@ -504,6 +505,8 @@ def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
     name = _listed_orbit(table, subset)
     if name is not None:
         pairs = _orbit_pairs(table, m, n, convention)
+        if name < 0:  # the subrack's orbit is itself: nothing to share
+            return _subset_poly(table, pairs, subset)
         polys = vars(table)["_pair_memo"][2]
         if name not in polys:
             polys[name] = _subset_poly(table, pairs, subset)

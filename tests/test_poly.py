@@ -845,7 +845,8 @@ def test_listed_subracks_match_every_other_path(racks, data):
 def test_a_listing_closes_nothing_again_and_counts_once_per_orbit(
         racks, monkeypatch):
     # over one listing at one depth pair no closure is checked, and one
-    # polynomial is counted per Inn-orbit of subracks
+    # polynomial is counted per Inn-orbit of subracks; the trivial rack's
+    # subracks are each an orbit of their own
     calls = {"escape": 0, "count": 0}
 
     def escape(self, elems):
@@ -860,6 +861,7 @@ def test_a_listing_closes_nothing_again_and_counts_once_per_orbit(
     monkeypatch.setattr(RackTable, "_first_escape", escape)
     monkeypatch.setattr(poly_module, "_subset_poly", count)
     tables = (*SUBRACK_TABLES, alexander(27, 2), alexander(31, 2),
+              constant_action(Permutation.identity(8)),
               *(racks[name] for name in ("T5", "Q6", "R6", "MX6", "MY6")))
     for table in tables:
         table = RackTable(table.entries)
@@ -871,6 +873,10 @@ def test_a_listing_closes_nothing_again_and_counts_once_per_orbit(
             for subset in listing:
                 subrack_polynomial(table, subset, *at)
             assert calls == {"escape": 0, "count": len(orbits)}, at
+            # the slot keeps the polynomials of orbits of several subracks
+            # only: an orbit of one has nothing to share
+            kept = vars(table)["_pair_memo"][2]
+            assert len(kept) == sum(len(orbit) > 1 for orbit in orbits)
 
 
 def test_other_tuples_beside_a_listing_keep_every_check(racks):
