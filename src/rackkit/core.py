@@ -21,6 +21,9 @@ __all__ = _EXPORTS["core"]
 # so that the command line can offer the choices without loading poly
 CONVENTIONS = ("def", "prop3")
 
+# a byte holds 0..255, so only tables of fewer elements compose as bytes
+_BYTE_LIMIT = 256
+
 
 class RackError(ValueError):
     """Domain error raised by rack operations."""
@@ -77,6 +80,73 @@ def _cycles(images: Sequence[int]) -> Iterator[list[int]]:
             cycle.append(x)
             x = images[x]
         yield cycle
+
+
+def _kernel(n: int) -> tuple[Callable, Callable, Callable]:
+    """(view, after, invert): how padded columns of 0..n compose, chosen
+    here and nowhere else.
+
+    ``view(columns)`` gives the sources and the tables of columns padded
+    as ``RackTable._right`` is.  For the source s of a column a and the
+    table t of a column b, ``after(s)(t)`` is b∘a, padded: b[a[x]] over
+    x, a sequence of ints equal to another such composition exactly when
+    the two maps are equal.  ``invert(s)`` is the column's inverse as a
+    padded tuple, or None when the column is not a bijection.
+
+    Below 256 elements a source is the column as bytes and a table the
+    same bytes padded with zeros to 256, so composing is one
+    ``bytes.translate`` and inverting one ``bytes.maketrans``, each a C
+    loop.  A byte holds no value above 255, so larger tables keep
+    tuples: both forms are the column itself, composing is one call of
+    an itemgetter built for it, and inverting is one pass that shares
+    one int per element among all the inverse columns.
+    """
+    if n < _BYTE_LIMIT:
+        return _bytes_view, _TRANSLATE, _bytes_inverse
+    ids = list(range(n + 1))
+
+    def invert(column):
+        inverse = [None] * (n + 1)
+        for x, p in zip(ids, column):
+            inverse[p] = x
+        return None if None in inverse else tuple(inverse)
+
+    return (lambda columns: (columns, columns)), (
+        lambda column: itemgetter(*column)), invert
+
+
+_IDENTITY = bytes(range(256))
+_TRANSLATE = attrgetter("translate")
+
+
+def _bytes_view(columns: Sequence[Sequence[int]]) -> tuple[tuple, tuple]:
+    """``_kernel``'s view below 256 elements: the columns as bytes, and
+    as bytes padded with zeros to a translation table's 256."""
+    sources = (None, *map(bytes, columns[1:]))
+    return sources, (None, *map(bytes.ljust, sources[1:], repeat(256),
+                                repeat(b"\0")))
+
+
+def _bytes_inverse(source: bytes) -> tuple[int, ...] | None:
+    """``_kernel``'s invert below 256 elements.  ``bytes.maketrans``
+    keeps the last of two x that a column sends to one place, so
+    translating the column back gives the identity exactly when the
+    column is a bijection."""
+    ident = _IDENTITY[:len(source)]
+    inverse = bytes.maketrans(source, ident)
+    if source.translate(inverse) == ident:
+        return tuple(inverse[:len(source)])
+    return None
+
+
+def _compositions(table: "RackTable") -> tuple[tuple, list]:
+    """(tables, after) for a table's columns C[y]: ``after[y](tables[t])``
+    is C[t]∘C[y], padded, one C call through ``_kernel`` on the view
+    ``RackTable._view``.  The axiom pass and the medial test compose
+    through this."""
+    _, after_of, _ = _kernel(table.n)
+    sources, tables = table._view
+    return tables, [None, *map(after_of, sources[1:])]
 
 
 class _cached:
@@ -382,11 +452,23 @@ class RackTable:
         This and ``_left`` are padded so that an element is its own
         index: slot 0 of the outer tuple is unused, and slot 0 of each
         column holds 0.  So a column of a rack is a permutation of 0..n
-        that fixes 0, and composing two of them, one itemgetter call,
-        gives another padded column.  ``zip`` builds every padded column
-        in one call.
+        that fixes 0, and composing two of them, one C call on ``_view``
+        (see ``_kernel``), gives another padded column.  ``zip`` builds
+        every padded column in one call.
         """
         return (None, *zip(repeat(0), *self.entries))
+
+    @_cached
+    def _view(self) -> tuple[tuple, tuple]:
+        """(sources, tables): each column of ``_right`` in the two forms
+        that ``_kernel`` composes, padded as ``_right`` is, so that
+        ``after(sources[y])(tables[t])`` is C[t]∘C[y].  Below 256
+        elements these are bytes, built once per table, by the axiom pass
+        (``_axiom_pass``), which reads them first; above, both are the
+        ``_right`` tuples themselves.  ``_right`` stays the tuple view
+        that every other reader indexes."""
+        view, _, _ = _kernel(self.n)
+        return view(self._right)
 
     @_cached
     def _left(self) -> tuple[tuple[int, ...], ...]:
@@ -394,19 +476,17 @@ class RackTable:
         is the z with z ▷ y = x.  Every column must be a bijection; the
         first that is not raises NotARackError.
 
-        Each column is inverted in one pass, ``inverse[col[x]] = x``.  Its
-        n + 1 entries fill the n + 1 slots exactly when it is a bijection,
-        so a slot left empty marks a column that is not.
+        Each column is inverted once, by ``_kernel``'s ``invert``: one
+        ``bytes.maketrans`` below 256 elements, one pass that shares one
+        int per element above.  Either way a column that is not a
+        bijection gives None.
         """
-        left: list = [None]
-        for y, col in enumerate(self._right[1:], start=1):
-            inverse: list = [None] * len(col)
-            for x, p in enumerate(col):
-                inverse[p] = x
-            if None in inverse:
-                self.column(y)  # raises, naming the column's images
-            left.append(tuple(inverse))
-        return tuple(left)
+        _, _, invert = _kernel(self.n)
+        sources, _ = self._view
+        left = (None, *map(invert, sources[1:]))
+        if None in left[1:]:
+            self.column(left.index(None, 1))  # raises, naming its images
+        return left
 
     @_cached
     def _cycle_lengths(self) -> tuple[tuple, tuple]:
@@ -733,8 +813,11 @@ def _axiom_pass(table: RackTable, shown: int | None = _SHOWN
     entry point that needs a rack pays for the axioms and the orbits
     only, and the property flags wait until a report is read.
 
-    Let C[y] be the column x ↦ x▷y, the padded tuple ``table._right[y]``,
-    so that composing two columns is one itemgetter call.
+    Let C[y] be the column x ↦ x▷y, the padded tuple ``table._right[y]``.
+    Composing two columns is one C call on ``RackTable._view``, which
+    this pass builds (``_compositions``): one ``bytes.translate`` below
+    256 elements, where an itemgetter was built per column per pass and
+    called per pair, and one itemgetter call above.
     Self-distributivity (x▷y)▷z = (x▷z)▷(y▷z) says C[z]∘C[y] = C[y▷z]∘C[z]
     for every pair (y, z): n² compositions of length n.  Witnesses are
     counted, not built: a pair that differs adds the number of x where it
@@ -786,9 +869,8 @@ def _axiom_pass(table: RackTable, shown: int | None = _SHOWN
     cols = table._right
     ident = list(range(n + 1))
     bijectivity: list[tuple[int, int, int]] = []
-    # after[y](t) is t∘C[y], the tuple of t[C[y][x]] over x, padded as
-    # C[y] is
-    after = [None, *(itemgetter(*c) for c in cols[1:])]
+    # after[y](tables[t]) is C[t]∘C[y], padded as C[y] is
+    tables, after = _compositions(table)
     pairs = []  # (least x, y, z) for each pair that differs
     differing = 0  # their distributivity witnesses
     composed = [False] * (n + 1)
@@ -799,10 +881,10 @@ def _axiom_pass(table: RackTable, shown: int | None = _SHOWN
         nonlocal differing
         composed[z] = True
         before = len(pairs)
-        cz, after_z = cols[z], after[z]
+        cz, tz, after_z = cols[z], tables[z], after[z]
         for y in table.elements:
-            left = after[y](cz)
-            right = after_z(cols[cz[y]])
+            left = after[y](tz)
+            right = after_z(tables[cz[y]])
             if left != right:
                 differing += sum(map(ne, left, right))
                 pairs.append(
@@ -835,7 +917,7 @@ def _axiom_pass(table: RackTable, shown: int | None = _SHOWN
     wanted = None if shown is None else shown - len(head)
     chosen = sorted(pairs)[:wanted] if wanted != 0 else []
     found = sorted((x, y, z) for _, y, z in chosen for x in compress(
-        ident, map(ne, after[y](cols[z]), after[z](cols[cols[z][y]]))))
+        ident, map(ne, after[y](tables[z]), after[z](tables[cols[z][y]]))))
     witnesses = (*(AxiomViolation("bijectivity", w) for w in head),
                  *(AxiomViolation("distributivity", w)
                    for w in found[:wanted]))
@@ -866,14 +948,15 @@ def _analyze(table: RackTable) -> PropertyReport:
     S_y = R_w⁻¹R_y commute pairwise.  One w is enough: R_{w'}⁻¹R_y =
     S_{w'}⁻¹S_y lies in the group G the S_y generate.  So the check takes
     w = 1 and compares C[z▷1]∘C[y] with C[y▷1]∘C[z] (y = z agrees, and
-    swapping y and z swaps the sides), with itemgetters as in the
-    axiom pass.  This is the rack form of "a quandle is medial iff its
-    displacement group is abelian" (Jedlička, Pilitowska, Stanovský and
-    Zamojska-Dzienio, J. Algebra 2015).  The y with S_y central in G form
-    a ▷-closed set: S_{a▷b} = S_b·R₁(S_a S_b⁻¹)R₁⁻¹, G is normal in the
-    inner group and its center is characteristic.  S_y depends only on
-    C[y], so that set is closed under equal columns as well, and the axiom
-    pass reaches every element from the generators by those two moves.
+    swapping y and z swaps the sides), each side one C call on the view
+    the axiom pass built (``_compositions``).  This is the rack form of
+    "a quandle is medial iff its displacement group is abelian"
+    (Jedlička, Pilitowska, Stanovský and Zamojska-Dzienio, J. Algebra
+    2015).  The y with S_y central in G form a ▷-closed set:
+    S_{a▷b} = S_b·R₁(S_a S_b⁻¹)R₁⁻¹, G is normal in the inner group and
+    its center is characteristic.  S_y depends only on C[y], so that set
+    is closed under equal columns as well, and the axiom pass reaches
+    every element from the generators by those two moves.
     So only the pairs with a generator are compared: g·n of them at most,
     and all n(n-1)/2 only when the n columns are distinct generators.
     The first generator's pairs are not compared either.  It is 1, which
@@ -916,13 +999,13 @@ def _analyze(table: RackTable) -> PropertyReport:
         (cols[y][x] == x) == (cols[x][y] == y)
         for x, later in _after_representatives(orbits) for y in later)
 
-    # after[y](t) is t∘C[y]; cols[1][y] is y▷1; a pair of two generators
-    # is compared once, from its larger one, and the first generator's
-    # pairs are the axiom pass's
-    after = [None, *(itemgetter(*c) for c in cols[1:])]
+    # after[y](tables[t]) is C[t]∘C[y]; cols[1][y] is y▷1; a pair of two
+    # generators is compared once, from its larger one, and the first
+    # generator's pairs are the axiom pass's
+    tables, after = _compositions(table)
     generator_set = set(generators)
     is_abelian = all(
-        after[y](cols[cols[1][z]]) == after[z](cols[cols[1][y]])
+        after[y](tables[cols[1][z]]) == after[z](tables[cols[1][y]])
         for z in generators[1:] for y in labels
         if y < z or y not in generator_set)
 

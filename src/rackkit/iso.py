@@ -10,7 +10,7 @@ from operator import eq, floordiv, index as _index, itemgetter, mul
 
 from . import _EXPORTS
 from .core import (Permutation, RackError, RackTable, _as_int, _cached,
-                   _record)
+                   _kernel, _record)
 from .generators import constant_action
 from .poly import (TwoVarPoly, _check_convention, _counts, _lengths, _poly,
                    _weighted)
@@ -39,11 +39,18 @@ def _invariant_keys(table: RackTable) -> list[tuple]:
 
 def _is_morphism(a: RackTable, b: RackTable, images: list[int]) -> bool:
     """Whether f∘C_a[y] = C_b[f(y)]∘f for every y, that is f(x ▷ y) =
-    f(x) ▷ f(y), for f padded as a column is: ``images[x]`` is f(x)."""
-    f = itemgetter(*images)
-    cols_b = b._right
-    return all(itemgetter(*col)(images) == f(cols_b[fy])
-               for col, fy in zip(a._right[1:], images[1:]))
+    f(x) ▷ f(y), for f padded as a column is: ``images[x]`` is f(x).
+    The tables have one size, and each side is one C call through
+    ``core._kernel`` on their cached views, a ``bytes.translate`` below
+    256 elements: f is put in the kernel's two forms once, and each
+    column is composed with it twice."""
+    view, after, _ = _kernel(a.n)
+    (_, f_source), (_, f_table) = view((None, images))
+    f = after(f_source)
+    sources_a, _ = a._view
+    _, tables_b = b._view
+    return all(after(col)(f_table) == f(tables_b[fy])
+               for col, fy in zip(sources_a[1:], images[1:]))
 
 
 def isomorphic(a: RackTable, b: RackTable) -> IsoResult:

@@ -30,8 +30,8 @@ and those of a subrack listing one polynomial per Inn-orbit of subracks.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import accumulate, compress, count, islice, repeat, starmap
+from bisect import bisect_left, bisect_right
+from itertools import compress, count, islice, repeat, starmap
 from operator import index, ne
 from typing import Iterable, Mapping, Sequence
 
@@ -337,20 +337,23 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
       closure is X, and all but the first end within a few joins.
 
     The table keeps what the walk proved, in ``_listing``: the returned
-    tuple itself, not a copy; ``starts``, with the subracks of size k at
-    ``starts[k]:starts[k + 1]``; an array of one int per subrack naming
+    tuple itself, not a copy; an array of one int per subrack naming
     its Inn-orbit of subracks, the orbit's index as the orbits were
-    found, or -1 for an orbit of one subrack, which shares nothing; and
-    the place after the last listed tuple ``subrack_polynomial`` found.
+    found, or -1 for an orbit of one subrack, which shares nothing; the
+    place after the last listed tuple ``subrack_polynomial`` found; and
+    the bounds of each size's block that a lookup out of the listing's
+    order has searched.  Only orbits of several subracks are named as
+    they are entered, so a listing of orbits of one subrack hashes no
+    tuple for its names.
     Every listed tuple is closed: it is a walked closure or an image φD
     of one, and φ maps closed sets onto closed sets.  And the subracks
     of one name are one Inn-orbit, on which subrack polynomials are
     constant (see ``subrack_polynomial``).  So ``subrack_polynomial``
     answers a listed tuple with no closure check, counting one
     polynomial per orbit and keeping those of orbits of several
-    subracks.  The record costs four bytes per subrack and n + 3
-    offsets beside the listing, until the table goes or the next
-    enumeration replaces it and empties the depth-pair slot's
+    subracks.  The record costs four bytes per subrack, and two offsets
+    per size searched, beside the listing, until the table goes or the
+    next enumeration replaces it and empties the depth-pair slot's
     polynomials (``_orbit_pairs``).
 
     On a prime Alexander quandle, x ▷ y = t·x + (1-t)·y on Z/p, the
@@ -368,40 +371,40 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
     """
     table.require_rack()
     cols = table._right
-    # a column's id is the least y with that column C[y]
-    ids: dict[tuple[int, ...], int] = {}
-    cid = [-1, *map(ids.setdefault, cols[1:], range(1, table.n + 1))]
+    # a column's id is the least y with that column C[y], read through the
+    # axiom pass's view, whose bytes keep their hash once it is computed
+    sources, _ = table._view
+    ids: dict[Sequence[int], int] = {}
+    cid = [-1, *map(ids.setdefault, sources[1:], range(1, table.n + 1))]
+    bit = [1 << v for v in range(table.n + 1)]  # element v's bit
     inner = _inner_moves(table)
     # each subrack's mask: its members, sorted, as they are returned
     found: dict[int, tuple[int, ...]] = {}
     # each subrack's orbit index, in an orbit of more than one subrack
     orbit_of: dict[tuple[int, ...], int] = {}
-    per_size = [0] * (table.n + 2)  # how many subracks have each size
     # one subrack c per Inn-orbit, with the ids of columns that generate H_c
     firsts: list[tuple[int, tuple[int, ...], frozenset[int]]] = []
 
-    def enter(orbit: dict[int, tuple[int, ...]], key: frozenset[int]) -> None:
-        """Record a new Inn-orbit of subracks, led by its first subrack."""
-        first = next(iter(orbit.items()))
+    def enter(mask: int, orbit: dict[int, tuple[int, ...]],
+              key: frozenset[int]) -> None:
+        """Record a new Inn-orbit of subracks, led by the one at mask."""
         found.update(orbit)
         if len(orbit) > 1:
             orbit_of.update(zip(orbit.values(), repeat(len(firsts))))
-        per_size[len(first[1])] += len(orbit)
-        firsts.append((*first, key))
+        firsts.append((mask, orbit[mask], key))
 
     orbits, _, _, _ = table._inner
     for orbit in orbits:
         r = orbit[0]
         key = frozenset((cid[r],))
         if cols[r][r] == r:  # {r} is closed, and its images are the {x}
-            enter({1 << x: (x,) for x in orbit}, key)
+            enter(bit[r], {bit[x]: (x,) for x in orbit}, key)
         else:
             reached = [r]
-            mask = _walk(1 << r, reached, (cols[r],))
-            enter(_spread(inner, mask, reached), key)
+            mask = _walk(bit[r], reached, (cols[r],))
+            enter(mask, _spread(inner, mask, reached), key)
 
     full = (1 << table.n + 1) - 2
-    bit = [1 << v for v in range(table.n + 1)]  # element v's bit
     # H_c's generating columns and its orbits on X, by those columns' ids
     groups: dict[frozenset[int], tuple[list, list]] = {}
     for mask, members, key in firsts:  # grows while it is read
@@ -433,22 +436,27 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
             if grown == full:
                 to_x |= bits
             if grown not in found:
-                enter(_spread(inner, grown, reached), grown_key)
+                enter(grown, _spread(inner, grown, reached), grown_key)
     subracks = sorted(found.values())
     subracks.sort(key=len)  # stable: each size stays in lexicographic order
     subracks = tuple(subracks)
-    # the subracks of size k are subracks[starts[k]:starts[k + 1]]
-    starts = tuple(accumulate(per_size, initial=0))
+    global _array
+    if _array is None:
+        # array is loaded by the first listing, not with the module: it
+        # takes about 0.6 ms, and most processes that load poly list no
+        # subracks
+        from array import array as _array
     # an orbit of one subrack shares nothing, and is named -1
-    names = map(orbit_of.get, subracks, repeat(-1))
-    # array is loaded here, not with the module: it takes about 0.6 ms,
-    # and most processes that load poly list no subracks
-    from array import array
-    vars(table)["_listing"] = [subracks, starts, array("i", names), 0]
+    names = (_array("i", map(orbit_of.get, subracks, repeat(-1))) if orbit_of
+             else _array("i", (-1,)) * len(subracks))
+    vars(table)["_listing"] = [subracks, names, 0, {}]
     memo = vars(table).get("_pair_memo")
     if memo is not None:
         memo[2].clear()  # its polynomials are by the old listing's names
     return subracks
+
+
+_array = None  # array.array, once a listing has loaded it
 
 
 def _walk_until(mask: int, reached: list[int],
@@ -532,7 +540,7 @@ def _listed_orbit(table: RackTable, subset: object) -> int | None:
     listing = vars(table).get("_listing")
     if listing is None:
         return None
-    subracks, starts, names, i = listing
+    subracks, names, i, blocks = listing
     # a listing is mostly read in order, so the tuple after the last one
     # found is tried first, by identity alone
     if i == len(subracks) or subracks[i] is not subset:
@@ -541,11 +549,19 @@ def _listed_orbit(table: RackTable, subset: object) -> int | None:
         if (type(subset) is not tuple or len(subset) > table.n
                 or not set(map(type, subset)) <= _INTS):
             return None
-        end = starts[len(subset) + 1]
-        i = bisect_left(subracks, subset, starts[len(subset)], end)
+        block = blocks.get(len(subset))
+        if block is None:
+            # the subracks of one size lie together, as the listing is
+            # sorted by size first
+            size = len(subset)
+            start = bisect_left(subracks, size, key=len)
+            block = blocks[size] = (
+                start, bisect_right(subracks, size, start, key=len))
+        start, end = block
+        i = bisect_left(subracks, subset, start, end)
         if i == end or subracks[i] is not subset:
             return None
-    listing[3] = i + 1
+    listing[2] = i + 1
     return names[i]
 
 

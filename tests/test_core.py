@@ -547,6 +547,135 @@ def test_column_views_match_their_definitions(racks, monkeypatch):
         "column is not a bijection: not a bijection on 1..2: (1, 1)")
 
 
+# -- the two column kernels -------------------------------------------------
+
+
+def change_entry(entries, x, y, shift):
+    """The table with x ▷ y moved on by shift (mod n), 0-based x and y."""
+    n = len(entries)
+    rows = [list(row) for row in entries]
+    rows[x][y] = (rows[x][y] - 1 + shift) % n + 1
+    return tuple(tuple(row) for row in rows)
+
+
+def one_entry_changed(tables):
+    """Each table of two or more elements with one entry changed."""
+    return tables.filter(lambda entries: len(entries) > 1).flatmap(
+        lambda entries: st.tuples(
+            st.integers(0, len(entries) - 1), st.integers(0, len(entries) - 1),
+            st.integers(1, len(entries) - 1)).map(
+            lambda args: change_entry(entries, *args)))
+
+
+kernel_racks = st.integers(1, 12).flatmap(generated_racks).map(
+    lambda table: table.entries)
+kernel_tables = st.one_of(
+    kernel_racks, one_entry_changed(kernel_racks),
+    st.integers(1, 12).flatmap(lambda n: st.lists(
+        st.permutations(list(range(1, n + 1))), min_size=n, max_size=n)
+        .map(from_columns)),
+    st.integers(1, 12).flatmap(lambda n: st.lists(
+        st.lists(st.integers(1, n), min_size=n, max_size=n).map(tuple),
+        min_size=n, max_size=n).map(tuple)))
+
+
+def kernel_readings(entries, images):
+    """Everything the column kernel decides, read from a fresh table: the
+    report's fields and every witness, require_rack's message, the inverse
+    columns, op_inv, and on a rack its dual and isomorphic's witness
+    against the table relabelled by images."""
+    table = RackTable(entries)
+    report = table.report
+    readings = [report.is_rack, report.is_quandle, report.is_crossed_set,
+                report.is_abelian, report.is_latin, report.violation_count,
+                report.first_violations, report.axiom_violations]
+    try:
+        table.require_rack()
+    except NotARackError as exc:
+        readings.append(str(exc))
+    try:
+        readings += [table._left, [table.op_inv(x, y) for x, y in product(
+            table.elements, repeat=2)]]
+    except NotARackError as exc:
+        readings.append(str(exc))
+    if report.is_rack:
+        relabelled_table = RackTable(relabel(entries, images))
+        readings += [dual(table).entries, isomorphic(table, relabelled_table)]
+    return readings
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_tables.flatmap(lambda entries: st.tuples(
+    st.just(entries), st.permutations(list(range(1, len(entries) + 1))))))
+def test_both_column_kernels_agree(args):
+    # the bytes kernel, and with the limit at 0 the itemgetter kernel, on
+    # the same small tables: racks, racks with one entry changed, tables
+    # of permutation columns and arbitrary tables
+    entries, images = args
+    sources, _ = RackTable(entries)._view
+    assert type(sources[1]) is bytes
+    fast = kernel_readings(entries, images)
+    with patch.object(rackkit.core, "_BYTE_LIMIT", 0):
+        sources, _ = RackTable(entries)._view
+        assert type(sources[1]) is tuple
+        slow = kernel_readings(entries, images)
+    assert fast == slow
+    assert [(v.axiom, v.witness) for v in slow[7]] == oracles.violations(
+        entries)
+
+
+def test_kernels_meet_at_256_elements():
+    # 255 is the largest n whose elements fit in a byte: alexander(255, 2)
+    # takes the bytes kernel, and with the limit at 0 the itemgetter one,
+    # which alexander(257, 3) always takes
+    entries = alexander(255, 2).entries
+    with patch.object(rackkit.core, "_BYTE_LIMIT", 0):
+        slow = RackTable(entries)
+        slow.report, slow._left
+    fast = RackTable(entries)
+    for table, kind in ((fast, bytes), (slow, tuple),
+                        (RackTable(alexander(257, 3).entries), tuple)):
+        r = table.report
+        assert (r.is_rack, r.is_quandle, r.is_abelian, r.is_latin) == (
+            True, True, True, True)
+        sources, _ = table._view
+        assert type(sources[1]) is kind
+    assert fast._left == slow._left
+    # one entry changed: every column is composed, and both kernels count
+    # and name the same witnesses
+    broken = change_entry(entries, 100, 37, 1)
+    with patch.object(rackkit.core, "_BYTE_LIMIT", 0):
+        slow = RackTable(broken)
+        slow.report
+    fast = RackTable(broken)
+    assert fast.report == slow.report and slow.report.violation_count > 10
+    messages = []
+    for table in (fast, slow):
+        with pytest.raises(NotARackError) as info:
+            table.require_rack()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_inverse_columns_share_one_int_per_element_at_n1001():
+    # above 255 elements each inverse column is one pass through a list of
+    # the n + 1 ints, shared by every column: the held memory after
+    # parsing, the axiom pass, the report and _left was 43 MiB with a new
+    # int per entry, and is about 23 MiB
+    text = format_rack_table(alexander(1001, 2))
+    tracemalloc.start()
+    try:
+        table = parse_rack_table(text)
+        table.require_rack()
+        table.report
+        left = table._left
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 30 * 2**20
+    assert [left[y][table._right[y][5]] for y in (1, 500, 1001)] == [5, 5, 5]
+
+
 # -- validation -------------------------------------------------------------
 
 # name -> (is_rack, is_quandle, is_crossed_set, is_abelian, is_latin)

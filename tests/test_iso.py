@@ -13,6 +13,7 @@ import tracemalloc
 from functools import reduce
 from itertools import combinations, islice, product
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +39,7 @@ from rackkit import (
     ts_rack,
     verify_constant_action_classification,
 )
+from rackkit import core as rackkit_core
 from rackkit import iso as iso_module
 from rackkit.poly import _counts, _lengths
 
@@ -359,6 +361,25 @@ def test_full_morphism_check_runs_once_on_the_witness(racks, monkeypatch):
                                     random_perm(17, rng))).isomorphic
     assert not isomorphic(racks["MX6"], racks["MY6"]).isomorphic
     assert calls == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10).flatmap(generated_racks), st.data())
+def test_morphism_check_agrees_on_both_kernels(table, data):
+    # the final witness check, on a relabelling and on an arbitrary
+    # bijection, through the bytes kernel and, with the limit at 0, the
+    # itemgetter one
+    n = table.n
+    images = data.draw(st.permutations(list(range(1, n + 1))))
+    other = data.draw(st.permutations(list(range(1, n + 1))))
+    entries = relabel(table.entries, images)
+    for f in (images, other):
+        expected = oracles.is_isomorphism(table.entries, entries, tuple(f))
+        assert expected or f is other
+        for limit in (rackkit_core._BYTE_LIMIT, 0):
+            with patch.object(rackkit_core, "_BYTE_LIMIT", limit):
+                a, b = RackTable(table.entries), RackTable(entries)
+                assert iso_module._is_morphism(a, b, [0, *f]) == expected
 
 
 def test_column_facts_build_no_permutations(monkeypatch):
