@@ -99,7 +99,9 @@ def _kernel(n: int) -> tuple[Callable, Callable, Callable]:
     loop.  A byte holds no value above 255, so larger tables keep
     tuples: both forms are the column itself, composing is one call of
     an itemgetter built for it, and inverting is one pass that shares
-    one int per element among all the inverse columns.
+    one int per element among all the inverse columns.  ``after`` stays a
+    callable, not part of the view: ``iso._is_morphism`` composes with a
+    bijection that is no table's column.
     """
     if n < _BYTE_LIMIT:
         return _bytes_view, _TRANSLATE, _bytes_inverse
@@ -694,13 +696,15 @@ def _members(mask: int) -> tuple[int, ...]:
 
 
 def _walk(mask: int, reached: list[int], columns: Iterable[Sequence[int]],
-          i: int = 0) -> int:
+          i: int = 0, stop: int = 0) -> int:
     """Grow a subset mask (bit v for element v) by moving each member from
     ``reached[i]`` on with every padded ``_right`` column in ``columns``.
 
     Each element that joins the mask is appended to ``reached`` and moved
-    in turn.  Returns the grown mask.  This is the package's one
-    ▷-closure.
+    in turn.  Returns the grown mask, or -1 as soon as a point of the
+    mask ``stop`` would join, with ``reached`` cut short there.  This is
+    the package's one ▷-closure; only ``poly.enumerate_subracks``'s
+    growth walks pass a ``stop``.
 
     When every column C[s], s ∈ S, is an automorphism, as in a rack, the
     ▷-closure of S is the union of the orbits of S under the group G
@@ -719,6 +723,8 @@ def _walk(mask: int, reached: list[int], columns: Iterable[Sequence[int]],
         for col in columns:
             p = col[x]
             if not mask >> p & 1:
+                if stop >> p & 1:
+                    return -1
                 mask |= 1 << p
                 reached.append(p)
         i += 1
@@ -816,8 +822,7 @@ def _axiom_pass(table: RackTable, shown: int | None = _SHOWN
     Let C[y] be the column x ↦ x▷y, the padded tuple ``table._right[y]``.
     Composing two columns is one C call on ``RackTable._view``, which
     this pass builds (``_compositions``): one ``bytes.translate`` below
-    256 elements, where an itemgetter was built per column per pass and
-    called per pair, and one itemgetter call above.
+    256 elements, and one itemgetter call above.
     Self-distributivity (x▷y)▷z = (x▷z)▷(y▷z) says C[z]∘C[y] = C[y▷z]∘C[z]
     for every pair (y, z): n² compositions of length n.  Witnesses are
     counted, not built: a pair that differs adds the number of x where it

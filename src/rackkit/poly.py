@@ -31,7 +31,7 @@ and those of a subrack listing one polynomial per Inn-orbit of subracks.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import compress, count, islice, repeat, starmap
+from itertools import compress, count, repeat, starmap
 from operator import index, ne
 from typing import Iterable, Mapping, Sequence
 
@@ -329,15 +329,14 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
       maps φ⁻¹D onto itself.  So φ(closure(E₀ ∪ {x})) is a found subrack
       inside D and larger than E.  Starting from the closure of one
       element of D, D is reached.
-    * Stop: a walk ends as soon as its mask covers X, with every member
-      in its list; X has no larger subset to reach.  Once
-      closure(c ∪ H_c·x) = X, a later walk from c that joins any y of
-      H_c·x ends too: closure(c ∪ {y}) holds H_c·y = H_c·x, so it is X,
-      and X is found already.  On a prime Alexander quandle every growth
-      closure is X, and all but the first end within a few joins.
+    * Stop: once closure(c ∪ H_c·x) = X, a later walk from c ends as
+      soon as it would join any y of H_c·x (``core._walk``'s ``stop``):
+      closure(c ∪ {y}) holds H_c·y = H_c·x, so it is X, and X is found
+      already.  On a prime Alexander quandle every growth closure is X,
+      and all but the first end within a few joins.
 
     The table keeps what the walk proved, in ``_listing``: the returned
-    tuple itself, not a copy; an array of one int per subrack naming
+    tuple itself, not a copy; a list of one int per subrack naming
     its Inn-orbit of subracks, the orbit's index as the orbits were
     found, or -1 for an orbit of one subrack, which shares nothing; the
     place after the last listed tuple ``subrack_polynomial`` found; and
@@ -351,10 +350,10 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
     constant (see ``subrack_polynomial``).  So ``subrack_polynomial``
     answers a listed tuple with no closure check, counting one
     polynomial per orbit and keeping those of orbits of several
-    subracks.  The record costs four bytes per subrack, and two offsets
-    per size searched, beside the listing, until the table goes or the
-    next enumeration replaces it and empties the depth-pair slot's
-    polynomials (``_orbit_pairs``).
+    subracks.  The record costs one list slot per subrack, each name one
+    int shared by its orbit, and two offsets per size searched, beside
+    the listing, until the table goes or the next enumeration replaces
+    it and empties the depth-pair slot's polynomials (``_orbit_pairs``).
 
     On a prime Alexander quandle, x ▷ y = t·x + (1-t)·y on Z/p, the
     singletons are one orbit, and c = {1} is grown by one closure per
@@ -364,10 +363,8 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
     small save little, and a subrack reached from several parents is
     looked up once per parent: the trivial rack of n elements, every
     column the identity, tries n - |c| masks from each of its 2ⁿ - 1
-    subracks c, each by the shortcut.  On racks of five or six elements
-    the bookkeeping costs about 1.1 to 1.6 times what trying every element
-    from every subrack did, tens of microseconds.  The output is sorted
-    once at the end.
+    subracks c, each by the shortcut.  The output is sorted once at the
+    end.
     """
     table.require_rack()
     cols = table._right
@@ -376,7 +373,6 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
     sources, _ = table._view
     ids: dict[Sequence[int], int] = {}
     cid = [-1, *map(ids.setdefault, sources[1:], range(1, table.n + 1))]
-    bit = [1 << v for v in range(table.n + 1)]  # element v's bit
     inner = _inner_moves(table)
     # each subrack's mask: its members, sorted, as they are returned
     found: dict[int, tuple[int, ...]] = {}
@@ -398,10 +394,10 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
         r = orbit[0]
         key = frozenset((cid[r],))
         if cols[r][r] == r:  # {r} is closed, and its images are the {x}
-            enter(bit[r], {bit[x]: (x,) for x in orbit}, key)
+            enter(1 << r, {1 << x: (x,) for x in orbit}, key)
         else:
             reached = [r]
-            mask = _walk(bit[r], reached, (cols[r],))
+            mask = _walk(1 << r, reached, (cols[r],))
             enter(mask, _spread(inner, mask, reached), key)
 
     full = (1 << table.n + 1) - 2
@@ -428,11 +424,12 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
             if cid[x] not in key:
                 grown_key = key | {cid[x]}
                 old = len(reached)
-                grown = _walk_until(grown, reached, (cols[x],), 0, bit, full,
-                                    to_x)
-                if len(reached) > old and grown != full:
-                    grown = _walk_until(grown, reached, [*columns, cols[x]],
-                                        old, bit, full, to_x)
+                grown = _walk(grown, reached, (cols[x],), 0, to_x)
+                if len(reached) > old and grown not in (-1, full):
+                    grown = _walk(grown, reached, [*columns, cols[x]], old,
+                                  to_x)
+            if grown == -1:  # it joined a point of to_x, so it is X
+                grown = full
             if grown == full:
                 to_x |= bits
             if grown not in found:
@@ -440,43 +437,13 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
     subracks = sorted(found.values())
     subracks.sort(key=len)  # stable: each size stays in lexicographic order
     subracks = tuple(subracks)
-    global _array
-    if _array is None:
-        # array is loaded by the first listing, not with the module: it
-        # takes about 0.6 ms, and most processes that load poly list no
-        # subracks
-        from array import array as _array
     # an orbit of one subrack shares nothing, and is named -1
-    names = (_array("i", map(orbit_of.get, subracks, repeat(-1))) if orbit_of
-             else _array("i", (-1,)) * len(subracks))
+    names = [*map(orbit_of.get, subracks, repeat(-1))]
     vars(table)["_listing"] = [subracks, names, 0, {}]
     memo = vars(table).get("_pair_memo")
     if memo is not None:
         memo[2].clear()  # its polynomials are by the old listing's names
     return subracks
-
-
-_array = None  # array.array, once a listing has loaded it
-
-
-def _walk_until(mask: int, reached: list[int],
-                columns: Sequence[Sequence[int]], i: int, bit: list[int],
-                full: int, to_x: int) -> int:
-    """``core._walk`` from ``reached[i]`` on, with ``bit[v]`` element v's
-    bit, that returns ``full`` once the mask is full, with every member
-    in ``reached``, or once it joins a point of ``to_x``, points whose
-    closure with the walk's first subrack is X, with ``reached`` cut
-    short (see ``enumerate_subracks``).  Only the enumeration's growth
-    walks stop, so the other walks pay no check per joined member."""
-    for x in islice(reached, i, None):  # grows while it is read
-        for col in columns:
-            p = col[x]
-            if not mask & bit[p]:
-                mask |= bit[p]
-                reached.append(p)
-                if mask == full or to_x & bit[p]:
-                    return full
-    return mask
 
 
 def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
@@ -536,7 +503,11 @@ _INTS = frozenset((int,))
 def _listed_orbit(table: RackTable, subset: object) -> int | None:
     """The name of the Inn-orbit of a tuple that the table's last
     ``enumerate_subracks`` returned, the very object, in the record that
-    call left (see there); None for any other subset."""
+    call left (see there); None for any other subset.
+
+    Each size's block is bisected once for its bounds, which the record
+    keeps, then by tuple alone; one bisect of the whole listing keyed by
+    (size, tuple) read shuffled listings 20–28% slower."""
     listing = vars(table).get("_listing")
     if listing is None:
         return None

@@ -37,6 +37,7 @@ from rackkit import (
     ts_rack,
 )
 from rackkit import poly as poly_module
+from rackkit.core import _walk
 from rackkit.poly import _inner_moves, _poly, _spread, _weighted
 
 perm_images = st.integers(1, 7).flatmap(
@@ -422,6 +423,36 @@ def test_closure_matches_oracle_on_random_seeds(data):
     for _ in range(4):
         seed = data.draw(st.lists(st.sampled_from(table.elements), max_size=4))
         assert closure(table, seed) == oracles.closure(table.entries, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_walk_stops_exactly_when_its_closure_meets_the_stop_set(data):
+    # the one ▷-closure walks a seed with the seed's own columns; with a
+    # stop mask it returns -1 exactly when a point of that mask joins,
+    # that is when the closure meets it outside the seed, and otherwise
+    # the whole closure
+    table = data.draw(small_racks())
+    seed = data.draw(st.lists(st.sampled_from(table.elements), min_size=1,
+                              max_size=4, unique=True))
+    stop = data.draw(st.sets(st.sampled_from(table.elements)))
+    closed = oracles.closure(table.entries, seed)
+    columns = [table._right[y] for y in seed]
+    start = sum(1 << x for x in seed)
+    reached = list(seed)
+    assert _walk(start, reached, columns) == sum(1 << x for x in closed)
+    assert sorted(reached) == list(closed)
+    joined = set(closed) - set(seed)
+    reached = list(seed)
+    walked = _walk(start, reached, columns, 0, sum(1 << x for x in stop))
+    if joined & stop:
+        assert walked == -1
+        # cut short before the first stop point, every member closed
+        assert set(reached) <= set(closed)
+        assert not stop & set(reached[len(seed):])
+    else:
+        assert walked == sum(1 << x for x in closed)
+        assert sorted(reached) == list(closed)
 
 
 # racks with many Inn-orbits: trivial quandles, whose orbits are their
