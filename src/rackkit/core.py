@@ -597,19 +597,21 @@ class RackTable:
         is the index of x's orbit (index 0 unused, as in ``_right``) and
         ``sizes[i]`` is the size of orbit i.  ``generators`` are the
         greedy ▷-generators whose columns generate Inn(X) (see
-        ``_generators``).  The axiom pass (``_axiom_pass``) is the only
-        builder: it checks those generators and walks the orbits with
-        their columns, so reading this first runs the pass, through
+        ``_generators``).  It is the third item of ``_axioms``: the axiom
+        pass checks those generators and walks the orbits with their
+        columns, so reading this first runs the pass, through
         ``require_rack``, which raises here for a non-rack.  It never
         builds the report.
         """
         self.require_rack()
-        return vars(self)["_inner"]
+        return self._axioms[2]
 
     @_cached
-    def _axioms(self) -> tuple[int, tuple[AxiomViolation, ...]]:
-        """(violation count, first ten witnesses) of the axiom pass, the
-        table's one run of it; a count of 0 means a rack.  Read by
+    def _axioms(self) -> tuple[int, tuple[AxiomViolation, ...],
+                               tuple[tuple, tuple, tuple, tuple] | None]:
+        """(violation count, first ten witnesses, Inn(X)) of the axiom
+        pass, the table's one run of it; a count of 0 means a rack, and
+        Inn(X) is None on a non-rack (see ``_inner``).  Read by
         ``require_rack``, so by every entry point that needs a rack, and
         by ``_analyze``, which adds the property flags."""
         return _axiom_pass(self)
@@ -626,7 +628,7 @@ class RackTable:
         """Raise NotARackError, naming the first three witnesses, unless
         the table is a rack.  It reads the axiom pass only, never the
         report."""
-        count, witnesses = self._axioms
+        count, witnesses, _ = self._axioms
         if not count:
             return
         shown = [f"{v.axiom} fails at {v.witness}" for v in witnesses[:3]]
@@ -643,14 +645,9 @@ class RackTable:
         The elements must already be checked to lie in range.  Each column
         is tested with one ``issuperset`` over its images of elems, |S|²
         lookups at C speed for |S| elements; only a subset that escapes is
-        scanned again pair by pair, to name its first escape.  One
-        element x has one pair, (x, x), so its test is one lookup.
+        scanned again pair by pair, to name its first escape.
         """
         cols = self._right
-        if len(elems) == 1:  # {x} is closed iff x▷x = x
-            x = elems[0]
-            p = cols[x][x]
-            return None if p == x else (x, x, p)
         inside = set(elems)
         if all(inside.issuperset(map(cols[y].__getitem__, elems))
                for y in elems):
@@ -807,11 +804,12 @@ def _after_representatives(orbits: Sequence[Sequence[int]]
 
 
 def _axiom_pass(table: RackTable, shown: int | None = _SHOWN
-                ) -> tuple[int, tuple[AxiomViolation, ...]]:
+                ) -> tuple[int, tuple[AxiomViolation, ...],
+                           tuple[tuple, tuple, tuple, tuple] | None]:
     """The rack axioms from the columns, in O(n²) memory: the number of
-    witnesses and the first ``shown`` of them, with every witness for
-    ``shown=None``.  On a rack it also leaves Inn(X) in
-    ``RackTable._inner``.
+    witnesses, the first ``shown`` of them, with every witness for
+    ``shown=None``, and Inn(X) as ``RackTable._inner`` reads it, or None
+    on a non-rack.  It writes no slot of the table by name.
 
     ``RackTable._axioms`` runs this once per table, and ``require_rack``,
     ``_inner`` and ``_analyze`` read it from there; a report's
@@ -867,8 +865,8 @@ def _axiom_pass(table: RackTable, shown: int | None = _SHOWN
 
     The generators of a rack generate Inn(X), so ``_orbits`` finds its
     orbits in O(g·n) more lookups; the orbits, each element's orbit
-    index, the orbit sizes and the generators are then left in
-    ``RackTable._inner``, its only cache.
+    index, the orbit sizes and the generators are then returned as the
+    third item, which ``RackTable._inner`` reads from ``_axioms``.
     """
     n = table.n
     cols = table._right
@@ -927,25 +925,25 @@ def _axiom_pass(table: RackTable, shown: int | None = _SHOWN
                  *(AxiomViolation("distributivity", w)
                    for w in found[:wanted]))
 
-    if not violation_count:
-        orbits = tuple(tuple(members) for _, members in _orbits(
-            n, [cols[z] for z in generators]))
-        which = [0] * (n + 1)
-        for i, orbit in enumerate(orbits):
-            for x in orbit:
-                which[x] = i
-        vars(table)["_inner"] = (orbits, tuple(which),
-                                 tuple(map(len, orbits)), tuple(generators))
-    return violation_count, witnesses
+    if violation_count:
+        return violation_count, witnesses, None
+    orbits = tuple(tuple(members) for _, members in _orbits(
+        n, [cols[z] for z in generators]))
+    which = [0] * (n + 1)
+    for i, orbit in enumerate(orbits):
+        for x in orbit:
+            which[x] = i
+    return violation_count, witnesses, (
+        orbits, tuple(which), tuple(map(len, orbits)), tuple(generators))
 
 
 def _analyze(table: RackTable) -> PropertyReport:
     """The full report, which ``RackTable.report`` builds here when it is
     first read; nothing else calls this.  The count and the witnesses are
-    the axiom pass's, read from ``RackTable._axioms``, and on a rack the
-    orbits and generators are read from ``RackTable._inner``, which that
-    pass filled.  Only the four property flags are computed here, for
-    the callers that read them (see ``RackTable.report``).
+    the axiom pass's, read from ``RackTable._axioms``, and on a rack so
+    are the orbits and generators, its third item.  Only the four
+    property flags are computed here, for the callers that read them
+    (see ``RackTable.report``).
 
     Mediality (x▷y)▷(z▷w) = (x▷z)▷(y▷w) says C[z▷w]∘C[y] = C[y▷w]∘C[z]
     for all y, z and w.  Write R_y for C[y].  In a rack
@@ -989,14 +987,14 @@ def _analyze(table: RackTable) -> PropertyReport:
     counts as its own orbit: all n rows are read, and no pair, as a
     non-rack is neither crossed nor abelian.
     """
-    violation_count, witnesses = table._axioms
+    violation_count, witnesses, inner = table._axioms
     labels = list(range(1, table.n + 1))
     if violation_count:
         is_latin = all(sorted(row) == labels for row in table.entries)
         return PropertyReport(False, False, False, False, is_latin,
                               violation_count, witnesses, table)
     cols = table._right
-    orbits, _, _, generators = table._inner
+    orbits, _, _, generators = inner
     is_quandle = list(table.diagonal) == labels
     is_latin = all(sorted(table.entries[orbit[0] - 1]) == labels
                    for orbit in orbits)
@@ -1021,7 +1019,9 @@ def _analyze(table: RackTable) -> PropertyReport:
 def _trusted_table(rows: tuple[tuple[int, ...], ...]) -> RackTable:
     """RackTable of an n×n tuple of int tuples with entries in 1..n, which
     the caller has proved; ``__post_init__``'s pass over the entries is
-    skipped."""
+    skipped.  ``parse_rack_table`` builds non-racks here too, so the proof,
+    like the checked twin in the tests, covers the entries, not the
+    axioms."""
     table = object.__new__(RackTable)
     table.__dict__["entries"] = rows
     return table
@@ -1164,10 +1164,12 @@ def quotient_by(table: RackTable,
     Raises CongruenceError with a concrete witness when the partition does
     not respect the operation.  Checking the two one-variable conditions is
     enough: x~x' and y~y' chain through x▷y ~ x'▷y ~ x'▷y'.  Each member is
-    compared with its block's least b, O(n²) steps in all: a pair (x, x')
-    fails only if x or x' fails against b, so this finds the witness that
-    checking every pair in lexicographic order finds first, among the
-    pairs (b, x) that come first.
+    compared with its block's least b: a pair (x, x') fails only if x or
+    x' fails against b, so this finds the witness that checking every
+    pair in lexicographic order finds first, among the pairs (b, x) that
+    come first.  A singleton block has no pair, so only blocks of two or
+    more are read: 2·n·m lookups for their m members, none when every
+    block is a singleton, and k² more build the quotient of k blocks.
 
     The quotient of a rack by a congruence is a rack, so it is not checked
     again.  The two conditions make [x]▷[y] = [x▷y] well defined, so
@@ -1179,15 +1181,16 @@ def quotient_by(table: RackTable,
     blocks = _normalize_partition(table.n, partition)
     cls = {x: i + 1 for i, block in enumerate(blocks) for x in block}
     cols = table._right
+    joined = [b for b in blocks if len(b) > 1]  # a singleton cannot fail
     for y in table.elements:
         col = cols[y]
-        for x, *rest in blocks:
+        for x, *rest in joined:
             least = cls[col[x]]
             for x2 in rest:
                 if cls[col[x2]] != least:
                     raise CongruenceError(x, x2, y, y, col[x], col[x2])
     for x in table.elements:
-        for y, *rest in blocks:
+        for y, *rest in joined:
             least = cls[cols[y][x]]
             for y2 in rest:
                 if cls[cols[y2][x]] != least:

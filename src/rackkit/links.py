@@ -550,17 +550,6 @@ def _labels(big_n: int, writhes: Sequence[int],
                      for w, (ell, j) in zip(writhes, key)))
 
 
-def _class_table(rank: int, components: int,
-                 counts: Iterable[tuple[tuple[int, ...], int]]
-                 ) -> dict[tuple[int, ...], int]:
-    """Counts summed per framing label over all rank^components labels, in
-    sorted order; the sweep reaches every label, so empty ones are zero."""
-    per_class = dict.fromkeys(product(range(rank), repeat=components), 0)
-    for label, count in counts:
-        per_class[label] += count
-    return per_class
-
-
 def rack_counting(diagram: LinkDiagram,
                   table: RackTable) -> tuple[int, dict[tuple[int, ...], int]]:
     """Coloring counts over one full framing sweep.
@@ -610,8 +599,12 @@ class EnhancedInvariant:
         return sum(mult for _, _, mult in self.pairs)
 
     def class_counts(self) -> dict[tuple[int, ...], int]:
-        return _class_table(self.rack_rank, self.component_count, (
-            (label, mult) for label, _, mult in self.pairs))
+        """Counts per framing label over all N^c labels, empty ones zero."""
+        per_class = dict.fromkeys(
+            product(range(self.rack_rank), repeat=self.component_count), 0)
+        for label, _, mult in self.pairs:
+            per_class[label] += mult
+        return per_class
 
     def counting_string(self) -> str:
         return counting_polynomial_string(self.class_counts())

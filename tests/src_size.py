@@ -19,7 +19,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent / "src" / "rackkit"
 # the most lines and AST nodes src/rackkit may total
-CEILING = 3_656, 21_930
+CEILING = 3_652, 21_863
 
 
 def sizes(root: Path) -> list[tuple[str, int, int]]:

@@ -1731,6 +1731,20 @@ def test_one_block_quotient_at_n401(build):
     assert elapsed < 2
 
 
+def test_all_singleton_quotient_at_n1001_checks_no_block():
+    table = alexander(1001, 2)
+    table.require_rack()
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        partition, q, _ = operator_equivalence_quotient(table)
+        elapsed.append(time.perf_counter() - start)
+    assert len(partition) == 1001 and q == table
+    # singleton blocks cannot fail, so only the quotient's n² entries are
+    # read: about 0.09 s, where checking every block took about 0.5 s
+    assert min(elapsed) < 0.25
+
+
 def test_quotient_partition_validation(racks):
     t5 = racks["T5"]
     with pytest.raises(RackError):

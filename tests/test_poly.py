@@ -944,8 +944,9 @@ def test_other_tuples_beside_a_listing_keep_every_check(racks):
 
 
 def test_a_listing_record_is_small_beside_the_listing():
-    # the record keeps the returned tuple, not a copy, with four bytes per
-    # subrack: the 16,383 subracks of the trivial rack of 14 elements
+    # the record keeps the returned tuple, not a copy, with one eight-byte
+    # list slot per subrack: the 16,383 subracks of the trivial rack of 14
+    # elements
     table = constant_action(Permutation.identity(14))
     table._inner  # the axioms and orbits are kept with or without a listing
     tracemalloc.start()
