@@ -10,10 +10,10 @@ closed output pipe).
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import re
 import sys
-from pathlib import Path
 
 # check, props, dual and the quotients need only core; every other handler
 # imports its own modules when it runs, so a process loads what it uses
@@ -22,14 +22,15 @@ from .core import (CONVENTIONS, NotARackError, Permutation, PropertyReport,
                    operator_equivalence_quotient, parse_rack_table,
                    properties_report, quotient_by, validate_rack)
 
-__all__ = ["main"]
+__all__ = ["entry", "main"]
 
 _MODES = ("sr", "pr", "srpp", "rpp")
 
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -150,8 +151,7 @@ def _cmd_gen_linear(args: argparse.Namespace) -> int:
     is ts_rack(n, t, 1 - t)."""
     from .generators import _linear_rows
 
-    s = 1 - args.t if args.s is None else args.s
-    n, rows = _linear_rows(args.n, args.t, s)
+    n, rows = _linear_rows(args.n, args.t, getattr(args, "s", 1 - args.t))
     sys.stdout.writelines(_text_lines(n, rows))
     return 0
 
@@ -242,83 +242,103 @@ def _add_convention(parser: argparse.ArgumentParser) -> None:
                         help="which count feeds which variable (default def)")
 
 
-def _command(sub, name: str, func, text: str, *positionals: str,
-             **options) -> argparse.ArgumentParser:
-    """A subcommand that runs func, with positionals that share options."""
-    p = sub.add_parser(name, help=text)
-    for arg in positionals:
-        p.add_argument(arg, **options)
-    p.set_defaults(func=func)
-    return p
+def _args(*names: str, **options):
+    """A builder that adds each of names to a parser, all with options."""
+    def add(parser: argparse.ArgumentParser) -> None:
+        for name in names:
+            parser.add_argument(name, **options)
+    return add
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _commands() -> dict:
+    """Every subcommand, written once: name -> (help, handler, builders...),
+    with gen's handler the dict of its family.  It is built with each
+    parser, so it holds the handlers the module holds then."""
+    table = _args("table")
+    gen = {
+        "constant": ("constant action rack from a permutation",
+                     _cmd_gen_constant,
+                     _args("images", type=int, nargs="+",
+                           help="images of 1..n in order")),
+        "alexander": ("linear quandle on Z/n", _cmd_gen_linear,
+                      _args("n", "t", type=int)),
+        "ts": ("two-coefficient linear rack on Z/n", _cmd_gen_linear,
+               _args("n", "t", "s", type=int)),
+    }
+    return {
+        "check": ("validate a table and report properties", _cmd_check,
+                  table),
+        "props": ("property flags of a valid rack", _cmd_props, table),
+        "poly": ("two-variable rack polynomial", _cmd_poly, table,
+                 _add_depths, _add_convention),
+        "profile": ("per-element count pairs", _cmd_profile, table,
+                    _add_depths),
+        "subracks": ("list all closed subsets", _cmd_subracks, table),
+        "srp": ("subrack polynomial of a closed subset", _cmd_srp, table,
+                _args("subset", help='subset like "{4,5}"'), _add_depths,
+                _add_convention),
+        "gen": ("generate standard tables", gen),
+        "dual": ("invert every column action", _cmd_dual, table),
+        "quotient": ("quotient by a congruence partition", _cmd_quotient,
+                     table,
+                     _args("partition", help='blocks like "{1,2}{3}{4,5}"')),
+        "opquot": ("quotient by the acts-identically congruence",
+                   _cmd_opquot, table),
+        "iso": ("isomorphism test with witness", _cmd_iso,
+                _args("left", "right")),
+        "scan": ("compare polynomial families over a depth grid", _cmd_scan,
+                 _args("left", "right"),
+                 _args("--bound", type=int, default=None,
+                       help="max depth (default: period of both tables)"),
+                 _add_convention),
+        "classify-ca": ("cross-check the constant action classification",
+                        _cmd_classify_ca, _args("size", type=int),
+                        _add_convention),
+        "invariant": ("framed link counting invariants", _cmd_invariant,
+                      _args("link", "table"),
+                      _args("--mode", choices=_MODES, default="rpp",
+                            help="sr: total count, pr: per-class counts, "
+                                 "srpp/rpp: polynomial-enhanced "
+                                 "(default rpp)"),
+                      _add_depths, _add_convention),
+    }
+
+
+def _add_commands(sub, commands: dict) -> None:
+    """Add commands, as ``_commands`` writes them, to the subparsers
+    action sub."""
+    for name, (text, func, *builders) in commands.items():
+        parser = sub.add_parser(name, help=text)
+        if isinstance(func, dict):
+            _add_commands(parser.add_subparsers(dest="family", required=True),
+                          func)
+        else:
+            parser.set_defaults(func=func)
+        for add in builders:
+            add(parser)
+
+
+def build_parser(first: str | None = None) -> argparse.ArgumentParser:
+    """The parser of a command line whose first argument is first: the
+    parser of that subcommand alone when first names one, else the full
+    parser.  A one-subcommand parser's usage still names every
+    subcommand, as an unrecognized argument prints it; the full parser
+    keeps argparse's own, which its "required" error reads."""
     parser = argparse.ArgumentParser(
         prog="rackkit",
         description="Finite racks and quandles: polynomial and link invariants")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    _command(sub, "check", _cmd_check,
-             "validate a table and report properties", "table")
-    _command(sub, "props", _cmd_props, "property flags of a valid rack",
-             "table")
-    p = _command(sub, "poly", _cmd_poly, "two-variable rack polynomial",
-                 "table")
-    _add_depths(p)
-    _add_convention(p)
-    p = _command(sub, "profile", _cmd_profile, "per-element count pairs",
-                 "table")
-    _add_depths(p)
-    _command(sub, "subracks", _cmd_subracks, "list all closed subsets",
-             "table")
-    p = _command(sub, "srp", _cmd_srp, "subrack polynomial of a closed subset",
-                 "table")
-    p.add_argument("subset", help='subset like "{4,5}"')
-    _add_depths(p)
-    _add_convention(p)
-
-    p = sub.add_parser("gen", help="generate standard tables")
-    gen_sub = p.add_subparsers(dest="family", required=True)
-    _command(gen_sub, "constant", _cmd_gen_constant,
-             "constant action rack from a permutation", "images", type=int,
-             nargs="+", help="images of 1..n in order")
-    _command(gen_sub, "alexander", _cmd_gen_linear, "linear quandle on Z/n",
-             "n", "t", type=int).set_defaults(s=None)
-    _command(gen_sub, "ts", _cmd_gen_linear,
-             "two-coefficient linear rack on Z/n", "n", "t", "s", type=int)
-
-    _command(sub, "dual", _cmd_dual, "invert every column action", "table")
-    p = _command(sub, "quotient", _cmd_quotient,
-                 "quotient by a congruence partition", "table")
-    p.add_argument("partition", help='blocks like "{1,2}{3}{4,5}"')
-    _command(sub, "opquot", _cmd_opquot,
-             "quotient by the acts-identically congruence", "table")
-    _command(sub, "iso", _cmd_iso, "isomorphism test with witness", "left",
-             "right")
-    p = _command(sub, "scan", _cmd_scan,
-                 "compare polynomial families over a depth grid", "left",
-                 "right")
-    p.add_argument("--bound", type=int, default=None,
-                   help="max depth (default: period of both tables)")
-    _add_convention(p)
-    p = _command(sub, "classify-ca", _cmd_classify_ca,
-                 "cross-check the constant action classification", "size",
-                 type=int)
-    _add_convention(p)
-
-    p = _command(sub, "invariant", _cmd_invariant,
-                 "framed link counting invariants", "link", "table")
-    p.add_argument("--mode", choices=_MODES, default="rpp",
-                   help="sr: total count, pr: per-class counts, "
-                        "srpp/rpp: polynomial-enhanced (default rpp)")
-    _add_depths(p)
-    _add_convention(p)
-
+    commands, metavar = _commands(), None
+    if first in commands:
+        metavar = "{" + ",".join(commands) + "}"
+        commands = {first: commands[first]}
+    _add_commands(parser.add_subparsers(dest="command", required=True,
+                                        metavar=metavar), commands)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -350,3 +370,19 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: recursion too deep", file=sys.stderr)
         return 1
+
+
+def entry() -> int:
+    """main() as the process of ``rackkit`` and ``python -m rackkit``.
+
+    gc.freeze() then moves every object into the permanent generation, so
+    the full collections of interpreter exit skip them.  stdout and stderr
+    are still flushed and atexit handlers still run; only cyclic garbage
+    left at exit goes unfinalized, and rackkit has none whose finalizer
+    matters.  os._exit saves as much but skips the flush and atexit, and
+    gc.disable() saves nothing, as finalization collects anyway.  main()
+    leaves the collector alone, for callers that go on running.
+    """
+    code = main()
+    gc.freeze()
+    return code

@@ -9,9 +9,9 @@ separate so that broken tables can still be loaded and reported on.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import compress, islice, repeat
 from operator import attrgetter, index, itemgetter, ne
-from typing import Callable, Iterable, Iterator, Sequence
 
 from . import _EXPORTS
 
@@ -1168,8 +1168,11 @@ def quotient_by(table: RackTable,
     x' fails against b, so this finds the witness that checking every
     pair in lexicographic order finds first, among the pairs (b, x) that
     come first.  A singleton block has no pair, so only blocks of two or
-    more are read: 2·n·m lookups for their m members, none when every
-    block is a singleton, and k² more build the quotient of k blocks.
+    more are read: 2·n·m lookups for their m members, and k² more build
+    the quotient of k blocks.  When every block is a singleton nothing is
+    read: the blocks, sorted by least member, are {1}, ..., {n}, so class
+    i is labelled i and [x]▷[y] = [x▷y] is x▷y.  The quotient's entries
+    are then the table's own.
 
     The quotient of a rack by a congruence is a rack, so it is not checked
     again.  The two conditions make [x]▷[y] = [x▷y] well defined, so
@@ -1179,9 +1182,11 @@ def quotient_by(table: RackTable,
     """
     table.require_rack()
     blocks = _normalize_partition(table.n, partition)
+    joined = [b for b in blocks if len(b) > 1]  # a singleton cannot fail
+    if not joined:
+        return _trusted_table(table.entries)
     cls = {x: i + 1 for i, block in enumerate(blocks) for x in block}
     cols = table._right
-    joined = [b for b in blocks if len(b) > 1]  # a singleton cannot fail
     for y in table.elements:
         col = cols[y]
         for x, *rest in joined:

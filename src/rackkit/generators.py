@@ -8,8 +8,8 @@ returns and then yields the table's rows in order; the tables here and
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from operator import itemgetter
-from typing import Iterator
 
 from . import _EXPORTS
 from .core import (Permutation, RackError, RackTable, _as_int,

@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import (Callable, Hashable, Iterable, Iterator, Mapping,
+                             Sequence)
 from itertools import product
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from . import _EXPORTS
 from .core import RackTable, _cached, _cycles, _record

@@ -31,9 +31,9 @@ and those of a subrack listing one polynomial per Inn-orbit of subracks.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import compress, count, repeat, starmap
 from operator import index, ne
-from typing import Iterable, Mapping, Sequence
 
 from . import _EXPORTS
 from .core import (CONVENTIONS, RackError, RackTable, _as_int, _generators,

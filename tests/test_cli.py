@@ -1,5 +1,6 @@
 """Command line behavior: exit codes and exact output."""
 
+import gc
 import os
 import random
 import subprocess
@@ -579,6 +580,62 @@ def test_usage_errors(capsys):
     assert run(capsys, "gen")[0] == 2
     assert run(capsys, "invariant", TREFOIL, T5, "--mode", "xx")[0] == 2
     assert run(capsys, "poly", EX3, "--convention", "other")[0] == 2
+
+
+# a process whose first argument names a subcommand builds that one's
+# parser only; every other input builds the full one
+COMMANDS = list(cli._commands())
+PARSER_INPUTS = [
+    *((name, "-h") for name in COMMANDS),
+    ("gen", "constant", "-h"), ("gen", "alexander", "-h"), ("gen", "ts", "-h"),
+    *((name,) for name in COMMANDS),
+    ("srp", T5), ("gen", "alexander", "3"),
+    ("check", T5, "extra"), ("iso", T5, T5, "extra", "more"),
+    ("gen", "alexander", "3", "2", "extra"), ("gen", "constant", "x"),
+    ("invariant", TREFOIL, T5, "--mode", "xx"),
+    ("poly", EX3, "--convention", "other"),
+    ("scan", MX6, MY6, "--convention", "other"), ("gen", "bogus"),
+    (), ("-h",), ("bogus",), ("bogus", T5),
+]
+
+
+def subcommands(parser):
+    return list(parser._subparsers._group_actions[0].choices)
+
+
+@pytest.mark.parametrize("argv", PARSER_INPUTS, ids=[
+    " ".join(Path(arg).name for arg in argv) or "none"
+    for argv in PARSER_INPUTS])
+def test_one_subcommand_parser_prints_what_the_full_one_does(
+        capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    build = cli.build_parser
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda first: built.append(build(first)) or built[-1])
+    one = run(capsys, *argv)
+    named = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    assert [subcommands(parser) for parser in built] == [list(named)]
+    monkeypatch.setattr(cli, "build_parser", lambda first: build())
+    assert run(capsys, *argv) == one
+
+
+def test_the_process_entry_freezes_the_collector_and_main_does_not(capsys):
+    # the hook runs after the entry returns, as interpreter exit begins
+    code = ("import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen:',\n"
+            "                              gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['rackkit', 'check', sys.argv[1]]\n"
+            "runpy.run_module('rackkit', run_name='__main__')\n")
+    src = str(Path(rackkit.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, T5],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.endswith("is_latin: false\nfrozen: True\n")
+    before = gc.get_freeze_count()
+    assert run(capsys, "check", T5)[0] == 0
+    assert gc.get_freeze_count() == before
 
 
 # -- modules loaded per subcommand --------------------------------------------

@@ -1745,6 +1745,23 @@ def test_all_singleton_quotient_at_n1001_checks_no_block():
     assert min(elapsed) < 0.25
 
 
+def test_all_singleton_quotient_is_the_table_at_n1001():
+    table = alexander(1001, 2)
+    table.require_rack()
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        _, q, _ = operator_equivalence_quotient(table)
+        elapsed.append(time.perf_counter() - start)
+    assert q.entries == table.entries
+    singletons = [[x] for x in reversed(table.elements)]
+    assert quotient_by(table, singletons).entries == table.entries
+    # blocks {1}, ..., {n} label each element by itself, so the quotient
+    # has the table's own entries: about 6 ms, where building them took
+    # about 0.1 s
+    assert min(elapsed) < 0.04
+
+
 def test_quotient_partition_validation(racks):
     t5 = racks["T5"]
     with pytest.raises(RackError):
