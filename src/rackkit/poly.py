@@ -25,12 +25,11 @@ by the orbit's size.  A count depends on d only through gcd(d, L), with
 L the lcm of the column orders.  The orbits' exponent pairs at the last
 depths and convention asked for stay on the table, so the subrack
 polynomials of one table at one depth pair cost one lookup per member,
-and those of a subrack listing one polynomial per Inn-orbit of subracks.
+and a listing read in order one polynomial per Inn-orbit of subracks.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import compress, count, repeat, starmap
 from operator import index, ne
@@ -338,22 +337,20 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
     The table keeps what the walk proved, in ``_listing``: the returned
     tuple itself, not a copy; a list of one int per subrack naming
     its Inn-orbit of subracks, the orbit's index as the orbits were
-    found, or -1 for an orbit of one subrack, which shares nothing; the
-    place after the last listed tuple ``subrack_polynomial`` found; and
-    the bounds of each size's block that a lookup out of the listing's
-    order has searched.  Only orbits of several subracks are named as
-    they are entered, so a listing of orbits of one subrack hashes no
-    tuple for its names.
+    found, or -1 for an orbit of one subrack, which shares nothing; and
+    the place after the last listed tuple ``subrack_polynomial`` found.
+    Only orbits of several subracks are named as they are entered, so a
+    listing of orbits of one subrack hashes no tuple for its names.
     Every listed tuple is closed: it is a walked closure or an image φD
     of one, and φ maps closed sets onto closed sets.  And the subracks
     of one name are one Inn-orbit, on which subrack polynomials are
     constant (see ``subrack_polynomial``).  So ``subrack_polynomial``
-    answers a listed tuple with no closure check, counting one
-    polynomial per orbit and keeping those of orbits of several
+    answers a listed tuple read in order with no closure check, counting
+    one polynomial per orbit and keeping those of orbits of several
     subracks.  The record costs one list slot per subrack, each name one
-    int shared by its orbit, and two offsets per size searched, beside
-    the listing, until the table goes or the next enumeration replaces
-    it and empties the depth-pair slot's polynomials (``_orbit_pairs``).
+    int shared by its orbit, beside the listing, until the table goes or
+    the next enumeration replaces it and empties the depth-pair slot's
+    polynomials (``_orbit_pairs``).
 
     On a prime Alexander quandle, x ▷ y = t·x + (1-t)·y on Z/p, the
     singletons are one orbit, and c = {1} is grown by one closure per
@@ -439,7 +436,7 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
     subracks = tuple(subracks)
     # an orbit of one subrack shares nothing, and is named -1
     names = [*map(orbit_of.get, subracks, repeat(-1))]
-    vars(table)["_listing"] = [subracks, names, 0, {}]
+    vars(table)["_listing"] = [subracks, names, 0]
     memo = vars(table).get("_pair_memo")
     if memo is not None:
         memo[2].clear()  # its polynomials are by the old listing's names
@@ -455,26 +452,25 @@ def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
     cached and the depths' orbit pairs in its slot (``_orbit_pairs``), a
     subrack S costs O(|S|) dictionary work: one pair lookup per member,
     summed.  The closure check adds |S|² set lookups at C speed
-    (``RackTable._first_escape``); the whole set needs none.
+    (``RackTable._first_escape``).
 
-    A tuple that ``enumerate_subracks`` returned, the very object, is
-    found in the table's record of that listing by identity: first at
-    the place after the last one found, as a listing is mostly read in
-    order, then by bisecting its size's block.  It needs neither the
-    member checks nor the closure check: the enumeration proved it
-    closed.  Its polynomial
-    is kept in the depth-pair slot, one per Inn-orbit of several
-    subracks (an orbit of one has nothing to share).  Each
-    φ in Inn(X) is an automorphism, so C[φy] = φ C[y] φ⁻¹: the column
-    of φy has the cycle lengths of y's, and φ carries x's cycles onto
-    φx's, so every count is equal at x and φx.  φ maps S one to one onto
-    φS, so the two sum the same monomials.  A listing at one depth pair
-    thus counts once per Inn-orbit, and looks up the rest.  Any other
-    subset takes the checked path: an equal but distinct tuple, a list,
-    unsorted members or repeated ones.  Either way the convention, the
-    depths and the rack axioms are checked first (``_depths``), then the
-    members, emptiness and closure, and the first that fails names the
-    error.
+    A subset takes one of two paths.  A tuple that ``enumerate_subracks``
+    returned, the very object, read in the listing's order, is found in
+    the table's record of that listing by identity (``_listed_orbit``):
+    it needs neither the member checks nor the closure check, as the
+    enumeration proved it closed.  Its polynomial is kept in the
+    depth-pair slot, one per Inn-orbit of several subracks (an orbit of
+    one has nothing to share).  Each φ in Inn(X) is an automorphism, so
+    C[φy] = φ C[y] φ⁻¹: the column of φy has the cycle lengths of y's,
+    and φ carries x's cycles onto φx's, so every count is equal at x and
+    φx.  φ maps S one to one onto φS, so the two sum the same monomials.
+    A listing read in order at one depth pair thus counts once per
+    Inn-orbit, and looks up the rest.  Every other subset takes the
+    checked path: a listed tuple read out of order, an equal but
+    distinct tuple, a list, unsorted members or repeated ones.  Either
+    way the convention, the depths and the rack axioms are checked first
+    (``_depths``), then the members, emptiness and closure, and the first
+    that fails names the error.
     """
     m, n = _depths(table, m, n, convention)
     name = _listed_orbit(table, subset)
@@ -489,49 +485,29 @@ def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
     elems = table._elements(subset)
     if not elems:
         raise RackError("subset is empty")
-    # all of X, the one deduplicated subset of n elements, is closed
-    escape = table._first_escape(elems) if len(elems) < table.n else None
+    escape = table._first_escape(elems)
     if escape is not None:
-        x, y, p = escape
-        raise RackError(f"not a subrack: {x}▷{y}={p} escapes the subset")
+        raise RackError(
+            "not a subrack: {}▷{}={} escapes the subset".format(*escape))
     return _subset_poly(table, _orbit_pairs(table, m, n, convention), elems)
-
-
-_INTS = frozenset((int,))
 
 
 def _listed_orbit(table: RackTable, subset: object) -> int | None:
     """The name of the Inn-orbit of a tuple that the table's last
-    ``enumerate_subracks`` returned, the very object, in the record that
-    call left (see there); None for any other subset.
+    ``enumerate_subracks`` returned, the very object, read in the
+    listing's order (see there); None for any other subset.
 
-    Each size's block is bisected once for its bounds, which the record
-    keeps, then by tuple alone; one bisect of the whole listing keyed by
-    (size, tuple) read shuffled listings 20–28% slower."""
+    The tuple is known by identity alone, at the place after the last one
+    found or at the listing's start, where a new pass begins; read
+    anywhere else, it is a subset like any other, checked."""
     listing = vars(table).get("_listing")
     if listing is None:
         return None
-    subracks, names, i, blocks = listing
-    # a listing is mostly read in order, so the tuple after the last one
-    # found is tried first, by identity alone
+    subracks, names, i = listing
     if i == len(subracks) or subracks[i] is not subset:
-        # a listed tuple holds ints, and only ints compare with them
-        # running no code of the caller's
-        if (type(subset) is not tuple or len(subset) > table.n
-                or not set(map(type, subset)) <= _INTS):
+        if subracks[0] is not subset:
             return None
-        block = blocks.get(len(subset))
-        if block is None:
-            # the subracks of one size lie together, as the listing is
-            # sorted by size first
-            size = len(subset)
-            start = bisect_left(subracks, size, key=len)
-            block = blocks[size] = (
-                start, bisect_right(subracks, size, start, key=len))
-        start, end = block
-        i = bisect_left(subracks, subset, start, end)
-        if i == end or subracks[i] is not subset:
-            return None
+        i = 0
     listing[2] = i + 1
     return names[i]
 

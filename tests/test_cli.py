@@ -692,3 +692,17 @@ SUBCOMMAND_MODULES = [
 def test_subcommand_loads_only_its_modules(argv, extra):
     assert loaded_modules(*argv) == CLI_BASE | extra
 
+
+def test_check_loads_neither_pathlib_nor_typing_without_site():
+    # -S leaves out site, which loads them first on some installations,
+    # so only rackkit's own imports could load them here
+    src = str(Path(rackkit.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "rackkit", "check",
+         T5], env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True)
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in done.stderr.splitlines()}
+    assert "rackkit.core" in imported
+    assert not imported & {"pathlib", "typing"}
+

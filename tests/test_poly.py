@@ -578,7 +578,7 @@ def test_subrack_polynomial_matches_oracle(racks):
 
 
 def test_full_subset_recovers_rack_polynomial(racks):
-    # the whole set is closed and skips the closure check
+    # the whole set is closed
     for table in racks.values():
         far = 10**9 * column_order_lcm(table) + 1
         for (m, n), conv in product(((1, 1), (2, 1), (3, 4), (far, 2)),
@@ -873,11 +873,10 @@ def test_listed_subracks_match_every_other_path(racks, data):
                         for subset in given] == got
 
 
-def test_a_listing_closes_nothing_again_and_counts_once_per_orbit(
-        racks, monkeypatch):
-    # over one listing at one depth pair no closure is checked, and one
-    # polynomial is counted per Inn-orbit of subracks; the trivial rack's
-    # subracks are each an orbit of their own
+@pytest.fixture()
+def calls(monkeypatch):
+    """Counts of closure checks ("escape") and of subset polynomials
+    counted ("count"), which a test may reset."""
     calls = {"escape": 0, "count": 0}
 
     def escape(self, elems):
@@ -891,6 +890,14 @@ def test_a_listing_closes_nothing_again_and_counts_once_per_orbit(
     first_escape, subset_poly = RackTable._first_escape, poly_module._subset_poly
     monkeypatch.setattr(RackTable, "_first_escape", escape)
     monkeypatch.setattr(poly_module, "_subset_poly", count)
+    return calls
+
+
+def test_a_listing_closes_nothing_again_and_counts_once_per_orbit(
+        racks, calls):
+    # over one listing at one depth pair no closure is checked, and one
+    # polynomial is counted per Inn-orbit of subracks; the trivial rack's
+    # subracks are each an orbit of their own
     tables = (*SUBRACK_TABLES, alexander(27, 2), alexander(31, 2),
               constant_action(Permutation.identity(8)),
               *(racks[name] for name in ("T5", "Q6", "R6", "MX6", "MY6")))
@@ -908,6 +915,32 @@ def test_a_listing_closes_nothing_again_and_counts_once_per_orbit(
             # only: an orbit of one has nothing to share
             kept = vars(table)["_pair_memo"][2]
             assert len(kept) == sum(len(orbit) > 1 for orbit in orbits)
+
+
+def test_a_listed_tuple_read_out_of_order_is_checked(racks, calls):
+    # a listed tuple is known only at the place after the last one found
+    # or at the listing's start: read first, then last, then the rest in
+    # order, then once more in order, only the one read out of order runs
+    # a closure check, and the second pass counts again only the orbits
+    # of one subrack, which keep no polynomial
+    for table in (alexander(27, 2), alexander(21, 2), racks["T5"]):
+        table = RackTable(table.entries)
+        listing = enumerate_subracks(table)
+        last = len(listing) - 1
+        want = [oracles.poly_terms(table.entries, 2, 3, "def", subset=subset)
+                for subset in listing]
+        checks = []
+        for i in (0, last, *range(1, last), *range(len(listing))):
+            if i == 0 and checks:  # the second pass begins
+                calls["count"] = 0
+            calls["escape"] = 0
+            got = subrack_polynomial(table, listing[i], 2, 3)
+            assert got.as_dict() == want[i]
+            checks.append(calls["escape"])
+        assert checks == [0, 1, *repeat(0, 2 * last)]
+        orbits = {tuple(oracles.subrack_orbit(table.entries, subset))
+                  for subset in listing}
+        assert calls["count"] == sum(len(orbit) == 1 for orbit in orbits)
 
 
 def test_other_tuples_beside_a_listing_keep_every_check(racks):
