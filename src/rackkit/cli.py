@@ -18,9 +18,10 @@ import sys
 # check, props, dual and the quotients need only core; every other handler
 # imports its own modules when it runs, so a process loads what it uses
 from .core import (CONVENTIONS, NotARackError, Permutation, PropertyReport,
-                   RackError, RackTable, _text_lines, dual, format_rack_table,
-                   operator_equivalence_quotient, parse_rack_table,
-                   properties_report, quotient_by, validate_rack)
+                   RackError, RackTable, _refused, _text_lines, dual,
+                   format_rack_table, operator_equivalence_quotient,
+                   parse_rack_table, properties_report, quotient_by,
+                   validate_rack)
 
 __all__ = ["entry", "main"]
 
@@ -60,7 +61,9 @@ def _parse_elements(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in tokens)
     except ValueError:
-        raise RackError(f"non-integer element in {text!r}") from None
+        _, digits = _refused(tokens)
+        raise RackError(f"element of {digits} digits is too long" if digits
+                        else f"non-integer element in {text!r}") from None
 
 
 def _parse_partition(text: str) -> tuple[tuple[int, ...], ...]:
@@ -72,21 +75,19 @@ def _parse_partition(text: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _format_set(elements: tuple[int, ...]) -> str:
-    return "{" + ",".join(str(v) for v in elements) + "}"
+    return "{" + ",".join(map(str, elements)) + "}"
 
 
 def _print_report(report: PropertyReport, file=None) -> None:
-    out = file if file is not None else sys.stdout
     for name in ("is_rack", "is_quandle", "is_crossed_set",
                  "is_abelian", "is_latin"):
-        flag = "true" if getattr(report, name) else "false"
-        print(f"{name}: {flag}", file=out)
+        print(f"{name}:", str(getattr(report, name)).lower(), file=file)
     shown = report.first_violations
     for v in shown:
-        print(f"violation: {v.axiom} at {v.witness}", file=out)
+        print(f"violation: {v.axiom} at {v.witness}", file=file)
     hidden = report.violation_count - len(shown)
     if hidden > 0:
-        print(f"violation: and {hidden} more", file=out)
+        print(f"violation: and {hidden} more", file=file)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -184,7 +185,7 @@ def _cmd_iso(args: argparse.Namespace) -> int:
                         _load_valid_table(args.right))
     if result.isomorphic:
         print("isomorphic")
-        print("witness: " + " ".join(str(v) for v in result.witness.images))
+        print("witness: " + " ".join(map(str, result.witness.images)))
     else:
         print("not isomorphic")
     return 0

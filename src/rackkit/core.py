@@ -59,6 +59,17 @@ def _as_int(v: object, what: str = "element") -> int:
         raise RackError(f"non-integer {what} {v!r}") from None
 
 
+def _refused(tokens: Iterable[str]) -> tuple[str, int]:
+    """The first token that ``int`` refuses, with its digit count if it is
+    digits with at most a sign, so refused for its length alone, else 0."""
+    for tok in tokens:
+        try:
+            int(tok)
+        except ValueError:
+            digits = tok[tok[0] in "+-":]
+            return tok, len(digits) if digits.isdecimal() else 0
+
+
 def _in_range(v: object, n: int, what: str = "element") -> int:
     """v as an int in 1..n; anything else raises a RackError naming what v is."""
     i = _as_int(v, what)
@@ -156,7 +167,8 @@ class _cached:
     it: the first read stores the value in the instance's ``__dict__``,
     where every later read finds it before this non-data descriptor.
     Before 3.12 every first read took a lock shared by all instances,
-    which made it cost about three times as much."""
+    which made it cost about three times as much.  A record's copies and
+    pickles leave these values behind (see ``_record``)."""
 
     def __init__(self, func: Callable) -> None:
         self.func = func
@@ -181,7 +193,10 @@ def _record(cls: type) -> type:
 
     Defaults are the class attributes, and ``__post_init__`` runs after
     ``__init__``.  Equality, hashing and repr read the tuple of the fields
-    but those named in cls's ``_hidden``.
+    but those named in cls's ``_hidden``.  A copy or pickle holds the
+    fields alone, never a cached view: loading puts them back without
+    ``__post_init__``, as ``_trusted_table`` builds, since they passed it
+    when the record was made, and ``copy.deepcopy`` copies only them.
     """
     names = tuple(vars(cls).get("__annotations__", ()))
     defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
@@ -213,6 +228,7 @@ def _record(cls: type) -> type:
     cls.__hash__ = ((lambda self: hash((get(self),))) if len(shown) == 1
                     else lambda self: hash(get(self)))
     cls.__setattr__ = cls.__delattr__ = _frozen
+    cls.__getstate__ = lambda self: {name: vars(self)[name] for name in names}
     return cls
 
 
@@ -333,8 +349,8 @@ class PropertyReport:
     ``first_violations``.  Equality, hashing and repr read only the
     flags, the count and those ten.  The full ``axiom_violations`` tuple,
     in the same order, is listed from the analysed ``table`` when it is
-    first read, and kept; copies and pickles carry the table but never
-    that tuple, so they stay O(n²) after a read as well.
+    first read, and kept; copies and pickles hold the fields alone (see
+    ``_record``), so they stay O(n²) after a read as well.
     """
 
     is_rack: bool
@@ -359,11 +375,6 @@ class PropertyReport:
                             "first_violations")
         return _axiom_pass(self.table, None)[1]
 
-    def __getstate__(self) -> dict:
-        state = dict(vars(self))
-        state.pop("axiom_violations", None)
-        return state
-
 
 @_record
 class RackTable:
@@ -372,6 +383,8 @@ class RackTable:
     Construction checks only shape and entry range, never the rack axioms;
     use validate_rack for those.  Apart from ``op``, the library reads
     products through the padded column views ``_right`` and ``_left``.
+    Beside ``entries`` a table holds only the ``_cached`` values named
+    below: views, each O(n²), and two records that ``poly`` fills in place.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -624,6 +637,17 @@ class RackTable:
         check and props, and its message on a non-rack) read it."""
         return _analyze(self)
 
+    @_cached
+    def _pair_memo(self) -> list:
+        """[key, pairs, polys] of ``poly._orbit_pairs``: O(r) for r orbits."""
+        return [None, (), {}]
+
+    @_cached
+    def _listing(self) -> list:
+        """[subracks, names, place] of ``poly.enumerate_subracks``'s last
+        answer: the answer's size."""
+        return [(), (), 0]
+
     def require_rack(self) -> None:
         """Raise NotARackError, naming the first three witnesses, unless
         the table is a rack.  It reads the axiom pass only, never the
@@ -679,7 +703,7 @@ def _text_lines(n: int, rows: Iterable[Iterable[int]]) -> Iterator[str]:
     for whole tables and for rows streamed as they are made."""
     yield f"{n}\n"
     for row in rows:
-        yield " ".join([str(v) for v in row]) + "\n"
+        yield " ".join(map(str, row)) + "\n"
 
 
 def _members(mask: int) -> tuple[int, ...]:
@@ -967,9 +991,8 @@ def _analyze(table: RackTable) -> PropertyReport:
     R_{1▷1} = R_1 (Fenn and Rourke, "Racks and links in codimension
     two", 1992), so its pair (y, 1) compares R_{1▷1}R_y = R_1R_y with
     R_{y▷1}R_1: the distributivity pair (y, 1), which that pass found
-    equal.  So the
-    generators from the second on are compared, half of the
-    compositions on a rack with two, such as ``alexander(n, t)``.
+    equal.  So the generators from the second on are compared, half of
+    the compositions on a rack with two, such as ``alexander(n, t)``.
 
     On a rack the Latin and crossed tests read one row per orbit of the
     inner group, from ``RackTable._inner``.  Each φ in Inn(X) is an
@@ -1063,12 +1086,10 @@ def parse_rack_table(text: str) -> RackTable:
     try:
         values = list(map(int, tokens))
     except ValueError:
-        for tok in tokens:
-            try:
-                int(tok)
-            except ValueError:
-                raise TableFormatError(f"non-integer token {tok!r}") from None
-        raise
+        tok, digits = _refused(tokens)
+        raise TableFormatError(
+            f"integer token of {digits} digits is too long" if digits
+            else f"non-integer token {tok!r}") from None
     n = values[0]
     if n < 1:
         raise TableFormatError(f"cardinality must be positive, got {n}")

@@ -583,16 +583,14 @@ def partitions(k: int) -> tuple[tuple[int, ...], ...]:
     if k < 0:
         raise RackError("cannot partition a negative integer")
 
+    # parts up to cap, ordered by the first part and then by the rest
     def gen(remaining: int, cap: int) -> list[tuple[int, ...]]:
         if remaining == 0:
             return [()]
-        out = []
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in gen(remaining - first, first):
-                out.append((first,) + rest)
-        return out
+        return [(first, *rest) for first in range(1, min(remaining, cap) + 1)
+                for rest in gen(remaining - first, first)]
 
-    return tuple(sorted(gen(k, k)))
+    return tuple(gen(k, k))
 
 
 def permutation_of_type(cycle_type: tuple[int, ...],
@@ -653,18 +651,14 @@ class ClassificationReport:
                         for c in self.distinct_type))
 
     def lines(self) -> list[str]:
-        out = []
-        for c in self.same_type:
-            out.append(
-                f"type {c.cycle_type}: isomorphic={c.iso} "
-                f"polys_agree_to_{c.scan_bound}={c.scan_empty}")
-        for c in self.distinct_type:
-            d = c.first_difference
-            where = f"({d.m},{d.n})" if d else "nowhere"
-            out.append(
-                f"types {c.left_type} vs {c.right_type}: isomorphic={c.iso} "
-                f"first_poly_difference={where}")
-        return out
+        return [*(f"type {c.cycle_type}: isomorphic={c.iso} "
+                  f"polys_agree_to_{c.scan_bound}={c.scan_empty}"
+                  for c in self.same_type),
+                *(f"types {c.left_type} vs {c.right_type}: isomorphic={c.iso} "
+                  "first_poly_difference=" + (
+                      f"({d.m},{d.n})" if (d := c.first_difference)
+                      else "nowhere")
+                  for c in self.distinct_type)]
 
 
 def verify_constant_action_classification(

@@ -39,7 +39,7 @@ from itertools import product
 from . import _EXPORTS
 from .core import RackTable, _cached, _cycles, _record
 from .poly import (TwoVarPoly, _depths, _format_sum, _inner_moves,
-                   _orbit_pairs, _spread, _subset_poly, closure)
+                   _orbit_pairs, _spread, _subset_poly, _weighted, closure)
 
 __all__ = _EXPORTS["links"]
 
@@ -120,8 +120,8 @@ class LinkDiagram:
                 raise DiagramError(f"free arc ids must be positive, got {a}")
         if len(set(free)) != len(free):
             raise DiagramError("duplicate free arc")
-        term = Counter(cr.under_in for cr in self.crossings)
-        orig = Counter(cr.under_out for cr in self.crossings)
+        term = Counter(ins)
+        orig = Counter(cr.under_out for cr in crossings)
         covered = set(term) | set(orig)
         for a in sorted(covered):
             t, o = term[a], orig[a]
@@ -133,16 +133,15 @@ class LinkDiagram:
             if a in covered:
                 raise DiagramError(f"free arc {a} appears in a crossing")
         known = covered | set(free)
-        for cr in self.crossings:
+        for cr in crossings:
             if cr.over not in known:
                 raise DiagramError(f"unknown arc reference: {cr.over}")
 
     @_cached
     def arcs(self) -> tuple[int, ...]:
-        ids = set(self.free_arcs)
-        for cr in self.crossings:
-            ids.update((cr.over, cr.under_in, cr.under_out))
-        return tuple(sorted(ids))
+        # the over and under_out arcs of a valid diagram are among these
+        return tuple(sorted({*self.free_arcs,
+                             *(cr.under_in for cr in self.crossings)}))
 
     @_cached
     def _layout(self) -> tuple[dict[int, int], tuple[tuple[int, int, int, int], ...]]:
@@ -614,12 +613,9 @@ class EnhancedInvariant:
         if with_framing:
             return _format_sum((mult, [*_framing(label), ("z", str(poly))])
                                for label, poly, mult in self.pairs)
-        agg: dict[str, int] = {}
-        for _, poly, mult in self.pairs:
-            key = str(poly)
-            agg[key] = agg.get(key, 0) + mult
-        return _format_sum((mult, [("z", key)])
-                           for key, mult in sorted(agg.items()))
+        totals = _weighted((str(poly) for _, poly, _ in self.pairs),
+                           (mult for _, _, mult in self.pairs))
+        return _format_sum((mult, [("z", key)]) for key, mult in totals)
 
 
 def enhanced_invariant(diagram: LinkDiagram, table: RackTable,

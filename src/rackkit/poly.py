@@ -209,21 +209,18 @@ def _orbit_pairs(table: RackTable, m: int, n: int,
     """Per Inn-orbit, its members' (s, t) exponent pair at depths (m, n),
     which ``_depths`` has checked: O(r·ℓ) for r orbits of ℓ lengths.
 
-    The pairs of the last (m, n, convention) asked for stay in one slot
-    on the table, ``_pair_memo`` = (key, pairs, polys), so the subrack
-    polynomials of one table at one depth pair count once, and a loop
-    over depths keeps O(r) memo data.  ``polys`` starts empty at each
-    key; ``subrack_polynomial`` keeps in it one polynomial per Inn-orbit
-    of several listed subracks, by the orbit's name in the table's
-    listing.
+    The pairs of the last (m, n, convention) asked for stay in the
+    table's ``_pair_memo``, [key, pairs, polys], filled in place: the
+    subrack polynomials of one depth pair count once, and a loop over
+    depths keeps O(r) memo data.  ``polys``, empty at each key, holds
+    ``subrack_polynomial``'s polynomial per listed orbit name.
     """
     key = m, n, convention
-    memo = vars(table).get("_pair_memo")
-    if memo is None or memo[0] != key:
+    memo = table._pair_memo
+    if memo[0] != key:
         s_lengths, t_lengths = _lengths(table, convention)
-        pairs = tuple(zip(_counts(s_lengths, m), _counts(t_lengths, n)))
-        memo = key, pairs, {}
-        vars(table)["_pair_memo"] = memo
+        memo[:] = key, tuple(zip(_counts(s_lengths, m),
+                                 _counts(t_lengths, n))), {}
     return memo[1]
 
 
@@ -334,23 +331,20 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
       already.  On a prime Alexander quandle every growth closure is X,
       and all but the first end within a few joins.
 
-    The table keeps what the walk proved, in ``_listing``: the returned
-    tuple itself, not a copy; a list of one int per subrack naming
-    its Inn-orbit of subracks, the orbit's index as the orbits were
-    found, or -1 for an orbit of one subrack, which shares nothing; and
+    The table keeps what the walk proved in its ``_listing``, filled in
+    place: the returned tuple itself, not a copy; one int per subrack
+    naming its Inn-orbit of subracks, the orbit's index as found, or -1
+    for an orbit of one, which shares nothing (only orbits of several are
+    named as they are entered, so such a listing hashes no tuple); and
     the place after the last listed tuple ``subrack_polynomial`` found.
-    Only orbits of several subracks are named as they are entered, so a
-    listing of orbits of one subrack hashes no tuple for its names.
     Every listed tuple is closed: it is a walked closure or an image φD
     of one, and φ maps closed sets onto closed sets.  And the subracks
     of one name are one Inn-orbit, on which subrack polynomials are
-    constant (see ``subrack_polynomial``).  So ``subrack_polynomial``
-    answers a listed tuple read in order with no closure check, counting
-    one polynomial per orbit and keeping those of orbits of several
-    subracks.  The record costs one list slot per subrack, each name one
-    int shared by its orbit, beside the listing, until the table goes or
-    the next enumeration replaces it and empties the depth-pair slot's
-    polynomials (``_orbit_pairs``).
+    constant (see ``subrack_polynomial``).  The walk is deterministic, so
+    every listing of a table names a subrack alike, and polynomials kept
+    by name stay right.  The record costs one list slot per subrack
+    beside the listing, until the table goes or the next enumeration
+    replaces it; a copy or pickle of the table holds none of it.
 
     On a prime Alexander quandle, x ▷ y = t·x + (1-t)·y on Z/p, the
     singletons are one orbit, and c = {1} is grown by one closure per
@@ -436,10 +430,7 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
     subracks = tuple(subracks)
     # an orbit of one subrack shares nothing, and is named -1
     names = [*map(orbit_of.get, subracks, repeat(-1))]
-    vars(table)["_listing"] = [subracks, names, 0]
-    memo = vars(table).get("_pair_memo")
-    if memo is not None:
-        memo[2].clear()  # its polynomials are by the old listing's names
+    table._listing[:] = subracks, names, 0
     return subracks
 
 
@@ -478,7 +469,7 @@ def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
         pairs = _orbit_pairs(table, m, n, convention)
         if name < 0:  # the subrack's orbit is itself: nothing to share
             return _subset_poly(table, pairs, subset)
-        polys = vars(table)["_pair_memo"][2]
+        polys = table._pair_memo[2]
         if name not in polys:
             polys[name] = _subset_poly(table, pairs, subset)
         return polys[name]
@@ -500,12 +491,9 @@ def _listed_orbit(table: RackTable, subset: object) -> int | None:
     The tuple is known by identity alone, at the place after the last one
     found or at the listing's start, where a new pass begins; read
     anywhere else, it is a subset like any other, checked."""
-    listing = vars(table).get("_listing")
-    if listing is None:
-        return None
-    subracks, names, i = listing
+    subracks, names, i = listing = table._listing
     if i == len(subracks) or subracks[i] is not subset:
-        if subracks[0] is not subset:
+        if not subracks or subracks[0] is not subset:
             return None
         i = 0
     listing[2] = i + 1

@@ -228,6 +228,8 @@ def test_srp_open_subset(capsys):
     (("srp", T5, "{}"), "no elements in '{}'"),
     (("srp", T5, "{1,x}"), "non-integer element in '{1,x}'"),
     (("quotient", T5, "1,2"), "no blocks in '1,2'; write blocks as {1,2}{3}"),
+    (("srp", T5, "{4," + "7" * 5000 + "}"),
+     "element of 5000 digits is too long"),
 ])
 def test_element_and_block_syntax_errors(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
@@ -529,6 +531,24 @@ def write_bytes(path, data):
     return str(path)
 
 
+def hostile(name, data):
+    """A case of test_errors_exit_with_a_message: the path of a file of
+    data in the test's directory."""
+    return lambda tmp: write_bytes(tmp / name, data)
+
+
+EMPTY = hostile("empty.rack", b"")
+SHORT = hostile("short.rack", b"2\n1 1\n2\n")
+BAD_LINKS = {
+    "top-level-list": b"[]",
+    "true-sign": b'{"crossings": [{"sign": true, "over": 1, '
+                 b'"under_in": 1, "under_out": 1}]}',
+    "true-free-arc": b'{"crossings": [], "free_arcs": [true]}',
+    "unknown-over-arc": b'{"crossings": [{"sign": 1, "over": 9, '
+                        b'"under_in": 1, "under_out": 1}]}',
+}
+
+
 @pytest.mark.parametrize("argv, code", [
     pytest.param(lambda tmp: ("check", str(FIXTURES)), 2, id="directory"),
     pytest.param(lambda tmp: (
@@ -539,12 +559,38 @@ def write_bytes(path, data):
     pytest.param(lambda tmp: (
         "invariant", write_bytes(tmp / "deep.link", b"[" * 100000), T5), 1,
         id="deeply-nested-json"),
+    # files
+    pytest.param(lambda tmp: ("check", EMPTY(tmp)), 1, id="check-empty"),
+    pytest.param(lambda tmp: ("check", hostile(
+        "long.rack", b"2 " + b"7" * 5000 + b" 1 1 1\n")(tmp)), 1,
+        id="check-5000-digits"),
+    pytest.param(lambda tmp: ("check", SHORT(tmp)), 1, id="check-short"),
+    pytest.param(lambda tmp: ("props", hostile(
+        "bytes.rack", b"\xff\xfe")(tmp)), 1, id="props-not-utf8"),
+    pytest.param(lambda tmp: ("iso", T5, EMPTY(tmp)), 1, id="iso-empty"),
+    pytest.param(lambda tmp: ("opquot", SHORT(tmp)), 1, id="opquot-short"),
+    # numbers
+    *(pytest.param(lambda tmp, argv=argv: argv, 1,
+                   id=" ".join("T5" if a == T5 else a for a in argv))
+      for argv in [("gen", "alexander", "0", "1"),
+                   ("gen", "alexander", "2", "0"), ("gen", "constant", "0"),
+                   ("classify-ca", "0"),
+                   ("classify-ca", "99999999999999999999"),
+                   ("scan", T5, T5, "--bound", "0"), ("poly", T5, "-m", "0"),
+                   ("profile", T5, "-m", "-1"),
+                   ("srp", T5, "{99999999999999999999}"), ("srp", T5, "{}"),
+                   ("quotient", T5, "{1}{1}")]),
+    # diagrams
+    *(pytest.param(lambda tmp, name=name, data=data: (
+        "invariant", hostile(f"{name}.link", data)(tmp), T5), 1, id=name)
+      for name, data in BAD_LINKS.items()),
 ])
 def test_errors_exit_with_a_message(tmp_path, argv, code):
     done = run_process(*argv(tmp_path))
     assert done.returncode == code
     assert done.stdout == ""
     assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1  # one line
     assert "Traceback" not in done.stderr
 
 

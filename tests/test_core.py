@@ -1,11 +1,13 @@
 """Tables, permutations, validation, duals, and quotients."""
 
 import ast
+import contextlib
 import copy
 import math
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import time
@@ -255,9 +257,15 @@ def test_records_behave_as_frozen_dataclasses(cls, fields, expected_repr):
     assert record == cls(*values) and not record != cls(*values)
     assert hash(record) == hash(cls(*values)) == hash(values)
     assert record.__eq__(values) is NotImplemented and record != values
+    # every cached view is read first, and no clone holds one
+    for name, attr in vars(cls).items():
+        if isinstance(attr, rackkit.core._cached):
+            with contextlib.suppress(RackError):
+                getattr(record, name)
     for clone in (copy.copy(record), copy.deepcopy(record),
                   pickle.loads(pickle.dumps(record))):
         assert type(clone) is cls and clone == record
+        assert vars(clone).keys() == vars(cls)["__annotations__"].keys()
         assert repr(clone) == expected_repr and hash(clone) == hash(record)
     # keyword, mixed and reordered construction
     assert cls(**fields) == record
@@ -390,6 +398,19 @@ def test_parse_errors():
         parse_rack_table("2\n1 1 2\n")
 
 
+def test_a_token_too_long_for_int_is_named_by_its_digit_count():
+    # int() refuses more digits than the interpreter's limit, 4,300 by
+    # default; the message counts them and does not echo them
+    for token in ("7" * 5000, "-" + "7" * 5000, "+" + "٧" * 5000):
+        with pytest.raises(TableFormatError) as info:
+            parse_rack_table(f"2\n1 1\n{token} 2\n")
+        assert str(info.value) == "integer token of 5000 digits is too long"
+    for token in ("--7", "7_", "+"):
+        with pytest.raises(TableFormatError) as info:
+            parse_rack_table(f"2\n1 1\n{token} 2\n")
+        assert str(info.value) == f"non-integer token {token!r}"
+
+
 def test_parse_ignores_comments_and_blanks():
     table = parse_rack_table("# two singletons\n\n2\n1 1\n\n2 2\n")
     assert table.entries == ((1, 1), (2, 2))
@@ -409,6 +430,11 @@ def reference_parse(text):
         try:
             values.append(int(tok))
         except ValueError:
+            # only the digit limit refuses digits with at most a sign
+            if re.fullmatch(r"[+-]?\d+", tok):
+                raise TableFormatError(
+                    f"integer token of {len(tok.lstrip('+-'))} digits "
+                    f"is too long") from None
             raise TableFormatError(f"non-integer token {tok!r}") from None
     n, body = values[0], values[1:]
     if n < 1:
@@ -836,6 +862,86 @@ def test_read_report_copies_and_pickles_small():
     assert restored == report
     assert "axiom_violations" not in vars(restored)
     assert restored.axiom_violations == listed
+
+
+# -- what a table holds ------------------------------------------------------
+
+# every public entry point that reads a table, each called on one table
+TABLE_READERS = {
+    "validate_rack": validate_rack,
+    "properties_report": properties_report,
+    "require_rack": RackTable.require_rack,
+    "op": lambda t: (t.op(1, t.n), t.op_inv(t.n, 1)),
+    "column": lambda t: (t.column(1), t.columns, t.diagonal),
+    "subtable": lambda t: t.subtable(closure(t, [1])),
+    "format": lambda t: (format_rack_table(t), t.to_text()),
+    "rack_op_iter": lambda t: rack_op_iter(t, 1, t.n, -3),
+    "dual": dual,
+    "diagonal_perm": diagonal_perm,
+    "rack_rank": rack_rank,
+    "column_order_lcm": column_order_lcm,
+    "quotient_by": lambda t: quotient_by(t, [[x] for x in t.elements]),
+    "operator_equivalence_quotient": operator_equivalence_quotient,
+    "closure": lambda t: (closure(t, [1]), is_subrack(t, [1])),
+    "rack_polynomial": lambda t: rack_polynomial(t, 2, 3, "prop3"),
+    "exponent_profile": lambda t: exponent_profile(t, 1, 2),
+    "enumerate_subracks": lambda t: [
+        subrack_polynomial(t, s, 1, 1) for s in enumerate_subracks(t)],
+    "subrack_polynomial": lambda t: subrack_polynomial(t, [1], 2, 2),
+    "isomorphic": lambda t: isomorphic(t, RackTable(t.entries)),
+    "rp_family_scan": lambda t: rp_family_scan(t, RackTable(t.entries)),
+    "enumerate_colorings": lambda t: (
+        rackkit.enumerate_colorings(load_link("trefoil"), t),
+        rackkit.image_subrack(t, {1: 1})),
+    "rack_counting": lambda t: rack_counting(load_link("hopf"), t),
+    "enhanced_invariant": lambda t: enhanced_invariant(
+        load_link("trefoil"), t, 1, 2),
+}
+
+
+def table_slots():
+    """``entries`` and every name that RackTable declares as a cached view."""
+    return {"entries"} | {name for name, attr in vars(RackTable).items()
+                          if isinstance(attr, rackkit.core._cached)}
+
+
+def test_a_table_holds_only_what_its_class_declares(racks):
+    # each entry point alone on a fresh table, and all of them in turn on
+    # one, over the fixtures, a relabelled alexander(n, 2) and non-racks
+    declared = table_slots()
+    rng = random.Random(19)
+    tables = [*racks.values(),
+              RackTable(relabel(alexander(9, 2).entries,
+                                rng.sample(range(1, 10), 9))),
+              RackTable(((1, 1), (1, 1))),
+              RackTable(from_columns([rng.sample(range(1, 6), 5)
+                                      for _ in range(5)]))]
+    assert not tables[-1].report.is_rack
+    for entries in (t.entries for t in tables):
+        shared = RackTable(entries)
+        for name, read in TABLE_READERS.items():
+            for table in (RackTable(entries), shared):
+                with contextlib.suppress(RackError):
+                    read(table)
+                assert set(vars(table)) <= declared, name
+
+
+def test_a_used_table_pickles_and_copies_as_its_entries():
+    fresh = len(pickle.dumps(alexander(14, 1)))
+    table = alexander(14, 1)
+    listing = enumerate_subracks(table)
+    first = subrack_polynomial(table, listing[0], 1, 1)
+    assert len(pickle.dumps(table)) == fresh
+    for clone in (copy.copy(table), copy.deepcopy(table),
+                  pickle.loads(pickle.dumps(table))):
+        assert set(vars(clone)) == {"entries"} and clone == table
+        # reads through the clone leave the original's listing place
+        assert [subrack_polynomial(clone, s, 1, 1)
+                for s in listing[:3]][0] == first
+        assert vars(table)["_listing"][2] == 1
+    assert subrack_polynomial(table, listing[1], 1, 1) == (
+        subrack_polynomial(RackTable(table.entries), listing[1], 1, 1))
+    assert vars(table)["_listing"][2] == 2
 
 
 def from_columns(columns):
