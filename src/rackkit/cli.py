@@ -66,6 +66,18 @@ def _parse_elements(text: str) -> tuple[int, ...]:
                         else f"non-integer element in {text!r}") from None
 
 
+def _int(text: str) -> int:
+    """int for argparse, naming a value refused for its length alone by its
+    digit count where argparse would echo it."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text and _refused([text])[1]
+        raise argparse.ArgumentTypeError(
+            f"integer of {digits} digits is too long" if digits
+            else f"invalid int value: {text!r}") from None
+
+
 def _parse_partition(text: str) -> tuple[tuple[int, ...], ...]:
     """Accept blocks in braces, like "{1,2}{3}{4,5}"."""
     blocks = re.findall(r"\{([^{}]*)\}", text)
@@ -232,9 +244,9 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
 
 
 def _add_depths(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-m", type=int, default=1, metavar="M",
+    parser.add_argument("-m", type=_int, default=1, metavar="M",
                         help="first depth (default 1)")
-    parser.add_argument("-n", type=int, default=1, metavar="N",
+    parser.add_argument("-n", type=_int, default=1, metavar="N",
                         help="second depth (default 1)")
 
 
@@ -259,12 +271,12 @@ def _commands() -> dict:
     gen = {
         "constant": ("constant action rack from a permutation",
                      _cmd_gen_constant,
-                     _args("images", type=int, nargs="+",
+                     _args("images", type=_int, nargs="+",
                            help="images of 1..n in order")),
         "alexander": ("linear quandle on Z/n", _cmd_gen_linear,
-                      _args("n", "t", type=int)),
+                      _args("n", "t", type=_int)),
         "ts": ("two-coefficient linear rack on Z/n", _cmd_gen_linear,
-               _args("n", "t", "s", type=int)),
+               _args("n", "t", "s", type=_int)),
     }
     return {
         "check": ("validate a table and report properties", _cmd_check,
@@ -289,11 +301,11 @@ def _commands() -> dict:
                 _args("left", "right")),
         "scan": ("compare polynomial families over a depth grid", _cmd_scan,
                  _args("left", "right"),
-                 _args("--bound", type=int, default=None,
+                 _args("--bound", type=_int, default=None,
                        help="max depth (default: period of both tables)"),
                  _add_convention),
         "classify-ca": ("cross-check the constant action classification",
-                        _cmd_classify_ca, _args("size", type=int),
+                        _cmd_classify_ca, _args("size", type=_int),
                         _add_convention),
         "invariant": ("framed link counting invariants", _cmd_invariant,
                       _args("link", "table"),

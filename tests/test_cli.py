@@ -14,8 +14,8 @@ import pytest
 
 import rackkit
 from conftest import FIXTURES
-from rackkit import (cli, constant_action, core, format_rack_table,
-                     permutation_of_type)
+from rackkit import (alexander, cli, constant_action, core,
+                     format_rack_table, permutation_of_type)
 from rackkit.cli import main
 
 T5 = str(FIXTURES / "T5.rack")
@@ -204,12 +204,24 @@ def test_poly_and_profile_at_huge_depths(capsys):
         assert huge == small
 
 
-def test_subracks(capsys):
+def test_subracks(capsys, tmp_path):
     code, out, _ = run(capsys, "subracks", T5)
     assert code == 0
     assert out.splitlines() == [
         "{1}", "{2}", "{3}", "{4,5}", "{1,2,3}",
         "{1,4,5}", "{2,4,5}", "{3,4,5}", "{1,2,3,4,5}"]
+    # alexander(16, 1) is the trivial rack, every nonempty subset a
+    # subrack: all 65,535 are listed, and under a 1 GiB address space the
+    # listing, made whole before its first line is written, fits
+    path = tmp_path / "triv16.rack"
+    path.write_text(format_rack_table(alexander(16, 1)))
+    code, out, _ = run(capsys, "subracks", str(path))
+    assert (code, out.count("\n")) == (0, 65535)
+    first, code, err = first_line_under_memory_limit("subracks", str(path))
+    assert first == "{1}\n"
+    assert code in (0, 2), err
+    for sign in ("Traceback", "MemoryError", "Exception ignored"):
+        assert sign not in err
 
 
 def test_srp(capsys):
@@ -626,6 +638,27 @@ def test_usage_errors(capsys):
     assert run(capsys, "gen")[0] == 2
     assert run(capsys, "invariant", TREFOIL, T5, "--mode", "xx")[0] == 2
     assert run(capsys, "poly", EX3, "--convention", "other")[0] == 2
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("poly", T5, "-m"), "-m"), (("scan", T5, T5, "--bound"), "--bound"),
+    (("classify-ca",), "size"), (("gen", "alexander"), "n"),
+], ids=["poly -m", "scan --bound", "classify-ca size", "gen alexander n"])
+def test_a_too_long_integer_argument_is_named_by_its_digit_count(
+        capsys, monkeypatch, argv, name):
+    # 5,000 digits are refused by their count, where echoing them wrote
+    # over 5 kB; any other refusal keeps argparse's own message
+    monkeypatch.setenv("COLUMNS", "80")
+    more = ("2",) if argv[0] == "gen" else ()
+    prog = "rackkit " + " ".join(argv[:2] if more else argv[:1])
+    code, out, err = run(capsys, *argv, "7" * 5000, *more)
+    *usage, last = err.splitlines()
+    assert (code, out) == (2, "")
+    assert last == (f"{prog}: error: argument {name}: integer of 5000 "
+                    "digits is too long")
+    assert len(err.encode()) < 300
+    assert run(capsys, *argv, "x", *more) == (2, "", "\n".join(usage) + (
+        f"\n{prog}: error: argument {name}: invalid int value: 'x'\n"))
 
 
 # a process whose first argument names a subcommand builds that one's

@@ -111,6 +111,9 @@ def test_alexander_polynomials():
     assert str(rack_polynomial(alexander(3, 2), 1, 1)) == "3*s*t"
     assert str(rack_polynomial(alexander(4, 3), 1, 1)) == "4*s^2*t^2"
     assert str(rack_polynomial(alexander(5, 1), 1, 1)) == "5*s^5*t^5"
+    assert str(rack_polynomial(alexander(401, 2), 1, 1)) == "401*s*t"
+    # two Inn-orbits, the even and the odd residues
+    assert str(rack_polynomial(alexander(400, 3), 6, 4)) == "400*s^8*t^80"
 
 
 def test_alexander_fixed_point_structure():
@@ -139,6 +142,7 @@ def test_alexander_latin_iff_shift_is_unit():
         for t in units(n):
             r = validate_rack(alexander(n, t))
             assert r.is_latin == (math.gcd(n, 1 - t) == 1)
+    assert not validate_rack(alexander(400, 3)).is_latin  # 1 - 3 is even
 
 
 # -- two-coefficient affine --------------------------------------------------

@@ -88,6 +88,7 @@ def test_fixture_pairs(racks):
     assert not isomorphic(racks["Q6"], racks["R6"]).isomorphic
     assert isomorphic(racks["T5"], racks["T5"]).isomorphic
     assert isomorphic(racks["dihedral3"], alexander(3, 2)).isomorphic
+    assert not isomorphic(alexander(13, 2), alexander(13, 6)).isomorphic
     assert not isomorphic(racks["T5"], racks["Q6"]).isomorphic  # size mismatch
 
 

@@ -325,7 +325,7 @@ def torus(q):
         Crossing(1, (i + 1) % q + 1, i + 1, (i + 2) % q + 1) for i in range(q)))
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 29])
+@pytest.mark.parametrize("p", [3, 5, 7, 29, 31])
 def test_torus_colorings_by_dihedral_quandle(p):
     # x ▷ y = 2y - x on Z/p colors T(2, q) by Fox colorings: the coloring
     # module of T(2, q) is Z/q, so there are p·gcd(p, q) of them
@@ -435,6 +435,7 @@ def test_counting_string_of_nothing(racks):
     empty, t5 = LinkDiagram(()), racks["T5"]
     assert enumerate_colorings(empty, t5) == ({},)
     assert rack_counting(empty, t5) == (1, {(): 1})
+    assert counting_polynomial_string({(): 1}) == "1"
     assert enhanced_invariant(empty, t5).pairs == (((), TwoVarPoly(()), 1),)
 
 
@@ -781,6 +782,9 @@ def test_orbit_search_answers_a_401_element_quandle_quickly(links):
         # the quandle is connected, so the search colors the first arc 1
         # only, where trying all 401 colors there took 46-85 ms
         assert elapsed < 0.010
+    # every coloring of the trefoil is constant, its image one element
+    assert enhanced_invariant(links["trefoil"], table).enhanced_string(
+        False) == "401*z^{s*t}"
 
 
 # -- braid closures joined by Markov moves -----------------------------------
@@ -924,3 +928,7 @@ def test_many_loop_unlink_has_no_recursion_limit(tmp_path, capsys):
     code = main(["invariant", "--mode", "sr", str(path), str(FIXTURES / "triv1.rack")])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, "1\n", "")
+    # three loops closing the identity braid, each colored over T5 as the
+    # unknot is, in 5 + 3 ways
+    t5 = RackTable(RACK_TABLES["T5"])
+    assert rack_counting(braid_closure(3, ()), t5)[0] == 8**3

@@ -16,6 +16,12 @@ CLI_DIGEST = "9569cc2721a564b35a79be9cdc4c0205c95e2077e78fdfe764424d8f3539c9f5"
 DIAGRAMS_DIGEST = "690e0f5374eb9c708e5eacaf7e47b73ca32f636e48202df0dfb5003c36a09af8"
 
 
+def test_every_section_has_a_pinned_digest():
+    pins = {name.removesuffix("_DIGEST").lower() for name in globals()
+            if name.endswith("_DIGEST")}
+    assert pins == set(parity.SECTIONS)
+
+
 def test_framed_results_match_the_pinned_digest():
     assert parity.digest("framed") == FRAMED_DIGEST
 
