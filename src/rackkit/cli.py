@@ -36,14 +36,10 @@ def _read(path: str) -> str:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _load_table(path: str) -> RackTable:
-    return parse_rack_table(_read(path))
-
-
 def _load_valid_table(path: str) -> RackTable:
     """The table at path, checked against the axioms only; the report is
     built just to print on a non-rack, before the error."""
-    table = _load_table(path)
+    table = parse_rack_table(_read(path))
     try:
         table.require_rack()
     except NotARackError:
@@ -103,7 +99,7 @@ def _print_report(report: PropertyReport, file=None) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    report = validate_rack(_load_table(args.table))
+    report = validate_rack(parse_rack_table(_read(args.table)))
     _print_report(report)
     return 0 if report.is_rack else 1
 
@@ -227,9 +223,11 @@ def _cmd_classify_ca(args: argparse.Namespace) -> int:
 def _cmd_invariant(args: argparse.Namespace) -> int:
     from .links import (counting_polynomial_string, enhanced_invariant,
                         parse_diagram, rack_counting)
+    from .poly import _depths
 
     diagram = parse_diagram(_read(args.link))
     table = _load_valid_table(args.table)
+    _depths(table, args.m, args.n, args.convention)  # sr and pr too
     if args.mode == "sr":
         total, _ = rack_counting(diagram, table)
         print(total)
@@ -241,18 +239,6 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
                                        args.convention)
         print(invariant.enhanced_string(with_framing=args.mode == "rpp"))
     return 0
-
-
-def _add_depths(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-m", type=_int, default=1, metavar="M",
-                        help="first depth (default 1)")
-    parser.add_argument("-n", type=_int, default=1, metavar="N",
-                        help="second depth (default 1)")
-
-
-def _add_convention(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--convention", choices=CONVENTIONS, default="def",
-                        help="which count feeds which variable (default def)")
 
 
 def _args(*names: str, **options):
@@ -268,6 +254,12 @@ def _commands() -> dict:
     with gen's handler the dict of its family.  It is built with each
     parser, so it holds the handlers the module holds then."""
     table = _args("table")
+    depths = (_args("-m", type=_int, default=1, metavar="M",
+                    help="first depth (default 1)"),
+              _args("-n", type=_int, default=1, metavar="N",
+                    help="second depth (default 1)"))
+    convention = _args("--convention", choices=CONVENTIONS, default="def",
+                       help="which count feeds which variable (default def)")
     gen = {
         "constant": ("constant action rack from a permutation",
                      _cmd_gen_constant,
@@ -282,14 +274,13 @@ def _commands() -> dict:
         "check": ("validate a table and report properties", _cmd_check,
                   table),
         "props": ("property flags of a valid rack", _cmd_props, table),
-        "poly": ("two-variable rack polynomial", _cmd_poly, table,
-                 _add_depths, _add_convention),
-        "profile": ("per-element count pairs", _cmd_profile, table,
-                    _add_depths),
+        "poly": ("two-variable rack polynomial", _cmd_poly, table, *depths,
+                 convention),
+        "profile": ("per-element count pairs", _cmd_profile, table, *depths),
         "subracks": ("list all closed subsets", _cmd_subracks, table),
         "srp": ("subrack polynomial of a closed subset", _cmd_srp, table,
-                _args("subset", help='subset like "{4,5}"'), _add_depths,
-                _add_convention),
+                _args("subset", help='subset like "{4,5}"'), *depths,
+                convention),
         "gen": ("generate standard tables", gen),
         "dual": ("invert every column action", _cmd_dual, table),
         "quotient": ("quotient by a congruence partition", _cmd_quotient,
@@ -303,17 +294,17 @@ def _commands() -> dict:
                  _args("left", "right"),
                  _args("--bound", type=_int, default=None,
                        help="max depth (default: period of both tables)"),
-                 _add_convention),
+                 convention),
         "classify-ca": ("cross-check the constant action classification",
                         _cmd_classify_ca, _args("size", type=_int),
-                        _add_convention),
+                        convention),
         "invariant": ("framed link counting invariants", _cmd_invariant,
                       _args("link", "table"),
                       _args("--mode", choices=_MODES, default="rpp",
                             help="sr: total count, pr: per-class counts, "
                                  "srpp/rpp: polynomial-enhanced "
                                  "(default rpp)"),
-                      _add_depths, _add_convention),
+                      *depths, convention),
     }
 
 

@@ -80,7 +80,8 @@ def _in_range(v: object, n: int, what: str = "element") -> int:
 
 def _cycles(images: Sequence[int]) -> Iterator[list[int]]:
     """Cycles of a padded permutation of 0..n, but for 0's, each walked from
-    its least element, in the order of those: the package's only cycle walk."""
+    its least element, in the order of those: the package's one walk of a
+    whole permutation, as ``rack_op_iter`` walks x's own cycle alone."""
     seen = [True] + [False] * (len(images) - 1)
     for start in range(1, len(images)):
         if seen[start]:
@@ -679,13 +680,23 @@ class RackTable:
         return next((x, y, cols[y][x]) for x in elems for y in elems
                     if cols[y][x] not in inside)
 
-    def subtable(self, elements: Iterable[int]) -> "RackTable":
-        """Restriction to a ▷-closed subset, relabeled 1..k in sorted order."""
-        elems = self._elements(elements)
+    def _subrack(self, values: Iterable[int], prefix: str) -> list[int]:
+        """The values as ``_elements`` gives them, once they are nonempty
+        and ▷-closed: else a RackError, "subset is empty", or prefix
+        before the first escape (``_first_escape``)."""
+        elems = self._elements(values)
+        if not elems:
+            raise RackError("subset is empty")
         escape = self._first_escape(elems)
         if escape is not None:
-            x, y, p = escape
-            raise RackError(f"not closed: {x}▷{y}={p} escapes the subset")
+            raise RackError(
+                "{}: {}▷{}={} escapes the subset".format(prefix, *escape))
+        return elems
+
+    def subtable(self, elements: Iterable[int]) -> "RackTable":
+        """Restriction to a nonempty ▷-closed subset, relabeled 1..k in
+        sorted order; ``_subrack`` checks it before any table exists."""
+        elems = self._subrack(elements, "not closed")
         index = {v: i + 1 for i, v in enumerate(elems)}
         cols = self._right
         # elems is closed, so every product is a key of index, whose

@@ -181,27 +181,6 @@ class PolyDifference:
 _PROBES = 1 << 12  # the most floor sums a listing view keeps per row class
 
 
-class _FloorSums(dict):
-    """x → Σ c_g·⌊x/g⌋ over classes g and coefficients c, each sum kept
-    when it is first read, since every index's search probes the same x
-    near the top.  At most ``_PROBES`` are kept: a full memo starts over,
-    so a bound far past the period never fills a table of depths.
-    Summing afresh at every probe made reading every index of the
-    (3,4,5)~(2,5,5) listing cost about 14 times iterating it, not about
-    four."""
-
-    def __init__(self, gs: tuple[int, ...], cs: tuple[int, ...]) -> None:
-        super().__init__()
-        self._gs, self._cs = gs, cs
-
-    def __missing__(self, x: int) -> int:
-        if len(self) >= _PROBES:
-            self.clear()
-        total = self[x] = sum(map(mul, self._cs, map(floordiv, repeat(x),
-                                                     self._gs)))
-        return total
-
-
 class _DepthPairs(Sequence):
     """A listing scan's items at its differing depth pairs (m, n), n
     outermost and then m, each built when it is read.
@@ -221,9 +200,12 @@ class _DepthPairs(Sequence):
     ``len`` and the rows' widths, and into coefficients c_g with
     Σ c_g·⌊x/g⌋ any weighted count of the depths in 1..x, x ≤ bound, by
     which an index finds its n, then its m, each by its own search.
-    Each row class keeps the sums its searches probed (``_FloorSums``),
-    so reading every index costs about four times iterating.  The first
-    item and ``bool`` need only ``groups``.
+    Every index's search probes the same x near the top, so each row
+    class keeps the ``_PROBES`` sums it read last (``lru_cache``): reading
+    every index costs about four times iterating, where summing afresh
+    at every probe cost about 14 times, and a bound far past the period
+    never fills a table of depths.  The first item and ``bool`` need
+    only ``groups``.
     ``len()`` stops at sys.maxsize, as for a range; ``__len__()`` is
     exact, and indexing and slicing use it.
     """
@@ -239,7 +221,7 @@ class _DepthPairs(Sequence):
         self._lcm = math.lcm(*lengths)
         self._gcd_class = lru_cache(maxsize=None)(  # gcd(d, L) → d's class
             lambda g: math.lcm(*(k for k in lengths if g % k == 0)))
-        self._floor_sums: dict[int | None, _FloorSums] = {}
+        self._floor_sums: dict[int | None, Callable[[int], int]] = {}
 
     def _classify(self, depths):  # each depth's class, in order
         return map(self._gcd_class, map(math.gcd, depths, repeat(self._lcm)))
@@ -273,17 +255,19 @@ class _DepthPairs(Sequence):
                     c for g, c in found.items() if h % g == 0)
                 if c:
                     found[h] = c
-            self._floor_sums[gn] = _FloorSums(tuple(found),
-                                              tuple(found.values()))
+            gs, cs = tuple(found), tuple(found.values())
+            # x → Σ c_g·⌊x/g⌋, keeping the _PROBES sums read last
+            self._floor_sums[gn] = lru_cache(maxsize=_PROBES)(
+                lambda x: sum(map(mul, cs, map(floordiv, repeat(x), gs))))
         count = self._floor_sums[gn]
         # the largest x with at most i items, a bit at a time, as bisect
         # cannot search past sys.maxsize; the sums hold only up to the bound
         x = 0
         for bit in reversed(range(self._bound.bit_length())):
             y = x + (1 << bit)
-            if y <= self._bound and count[y] <= i:
+            if y <= self._bound and count(y) <= i:
                 x = y
-        return x + 1, i - count[x]
+        return x + 1, i - count(x)
 
     def __len__(self) -> int:
         return self._widths[1]
@@ -356,21 +340,20 @@ class _DifferenceView(_DepthPairs):
 class _LineView(_DepthPairs):
     """``RpFamilyScan.lines()`` of a listing scan, over the differences'
     groups: one string per difference, equal to the list of them, each
-    distinct polynomial formatted once, when a line first needs it."""
+    row class's polynomials formatted once, when a line first needs them."""
 
     _like = list
     _make = "({0},{1}): {2} != {3}".format
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
-        self._text = lru_cache(maxsize=None)(str)
         self._rows: dict[int, Callable] = {}
 
     def _row(self, gn: int) -> Callable[[int], tuple]:
         if gn not in self._rows:
-            pairs, text = self._groups[gn], self._text
+            pairs = self._groups[gn]
             self._rows[gn] = lru_cache(maxsize=None)(
-                lambda gm: tuple(map(text, pairs.get(gm, ()))))
+                lambda gm: tuple(map(str, pairs.get(gm, ()))))
         return self._rows[gn]
 
 

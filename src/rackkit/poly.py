@@ -442,8 +442,8 @@ def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
     restricted to the subset.  With the table's report and cycle lengths
     cached and the depths' orbit pairs in its slot (``_orbit_pairs``), a
     subrack S costs O(|S|) dictionary work: one pair lookup per member,
-    summed.  The closure check adds |S|² set lookups at C speed
-    (``RackTable._first_escape``).
+    summed.  The checked path adds |S|² set lookups at C speed
+    (``RackTable._subrack``, which ``subtable`` shares).
 
     A subset takes one of two paths.  A tuple that ``enumerate_subracks``
     returned, the very object, read in the listing's order, is found in
@@ -473,13 +473,7 @@ def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
         if name not in polys:
             polys[name] = _subset_poly(table, pairs, subset)
         return polys[name]
-    elems = table._elements(subset)
-    if not elems:
-        raise RackError("subset is empty")
-    escape = table._first_escape(elems)
-    if escape is not None:
-        raise RackError(
-            "not a subrack: {}▷{}={} escapes the subset".format(*escape))
+    elems = table._subrack(subset, "not a subrack")
     return _subset_poly(table, _orbit_pairs(table, m, n, convention), elems)
 
 

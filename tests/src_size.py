@@ -19,7 +19,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent / "src" / "rackkit"
 # the most lines and AST nodes src/rackkit may total
-CEILING = 3_682, 21_768
+CEILING = 3_661, 21_670
 
 
 def sizes(root: Path) -> list[tuple[str, int, int]]:

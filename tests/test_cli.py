@@ -512,14 +512,15 @@ def test_invariant_default_mode_is_rpp(capsys):
 
 def test_invariant_depth_error_on_any_diagram(capsys, tmp_path):
     # depths are checked before the search, so a diagram with no arcs,
-    # which has no image to take a polynomial of, is refused as well
+    # which has no image to take a polynomial of, is refused as well, and
+    # in every mode, sr and pr included, though they read no depth
     empty = tmp_path / "empty.link"
     empty.write_text('{"crossings": []}')
     for diagram in (TREFOIL, str(empty)):
-        code, out, err = run(capsys, "invariant", diagram, T5, "-m", "0")
-        assert code == 1
-        assert out == ""
-        assert "depths must be at least 1" in err
+        for mode in ("sr", "pr", "srpp", "rpp"):
+            assert run(capsys, "invariant", diagram, T5, "--mode", mode,
+                       "-m", "0", "-n", "-5") == (
+                1, "", "error: depths must be at least 1, got (0, -5)\n")
     assert run(capsys, "invariant", str(empty), T5) == (0, "z^{0}\n", "")
 
 
@@ -581,6 +582,9 @@ BAD_LINKS = {
         "bytes.rack", b"\xff\xfe")(tmp)), 1, id="props-not-utf8"),
     pytest.param(lambda tmp: ("iso", T5, EMPTY(tmp)), 1, id="iso-empty"),
     pytest.param(lambda tmp: ("opquot", SHORT(tmp)), 1, id="opquot-short"),
+    pytest.param(lambda tmp: ("invariant", TREFOIL, T5, "--mode", "sr",
+                              "-m", "0", "-n", "-5"), 1,
+                 id="invariant-sr-depths"),
     # numbers
     *(pytest.param(lambda tmp, argv=argv: argv, 1,
                    id=" ".join("T5" if a == T5 else a for a in argv))

@@ -1565,6 +1565,31 @@ def test_all_lists_every_public_name():
             assert getattr(rackkit, name) is getattr(module, name)
 
 
+def test_every_private_name_the_docs_cite_is_defined():
+    # a ``_name`` cited by README.md or by a docstring, alone or as part of
+    # a dotted path, is a function, class, argument, variable or attribute
+    # that src/rackkit defines, so no doc names code that is gone
+    src = Path(rackkit.__file__).parent
+    texts = [(src.parents[1] / "README.md").read_text(encoding="utf-8")]
+    defined = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                texts.append(ast.get_docstring(node) or "")
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                defined.add(node.name)
+            elif isinstance(getattr(node, "ctx", None), ast.Store):
+                defined.add(getattr(node, "id", getattr(node, "attr", None)))
+            elif isinstance(node, ast.arg):
+                defined.add(node.arg)
+    cited = {part for text in texts
+             for path in re.findall(r"`+((?:\w+\.)*_\w+)", text)
+             for part in path.split(".")
+             if part.startswith("_") and not part.startswith("__")}
+    assert len(cited) > 40
+    assert cited <= defined, sorted(cited - defined)
+
+
 def private_functions(node, in_class=False):
     """The module-level and nested ``_private`` function definitions below
     node, but not the methods of a class."""
@@ -1755,6 +1780,10 @@ def test_subtable_relabels(racks):
 def test_subtable_rejects_open_subsets(racks):
     with pytest.raises(RackError):
         racks["T5"].subtable((1, 4))  # 4 @ 4 = 5 escapes
+    # the empty set raises before any table exists, where a table of no
+    # elements ran out of memory at its first read
+    with pytest.raises(RackError, match="^subset is empty$"):
+        racks["T5"].subtable(())
 
 
 # -- quotients --------------------------------------------------------------

@@ -837,25 +837,19 @@ def test_listing_index_reads_match_iteration():
 
 def test_listing_index_reads_match_iteration_as_the_floor_sums_start_over(
         monkeypatch):
-    # with room for 3 floor sums per row class, the memos start over again
-    # and again as every index of the (3,4,5)~(2,5,5) listing is read in a
+    # with room for 3 floor sums per row class, the memos evict again and
+    # again as every index of the (3,4,5)~(2,5,5) listing is read in a
     # shuffled order, and each read still gives the item iteration gives
-    resets = 0
-
-    def clear(self):
-        nonlocal resets
-        resets += 1
-        dict.clear(self)
-
     monkeypatch.setattr(iso_module, "_PROBES", 3)
-    monkeypatch.setattr(iso_module._FloorSums, "clear", clear)
     pair = constant_pair((3, 4, 5), (2, 5, 5))
     items = list(rp_family_scan(*pair).differences)
     differences = rp_family_scan(*pair).differences
     order = random.Random(50).sample(range(len(items)), len(items))
     assert [differences[i] for i in order] == [items[i] for i in order]
-    assert resets > len(items)
-    assert all(len(sums) <= 3 for sums in differences._floor_sums.values())
+    infos = [sums.cache_info() for sums in differences._floor_sums.values()]
+    assert all(info.currsize <= 3 for info in infos)
+    # every miss past the first 3 of a memo evicted one sum
+    assert sum(info.misses - info.currsize for info in infos) > len(items)
 
 
 def test_default_scan_separates_unequal_periods():
