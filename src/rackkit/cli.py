@@ -29,9 +29,10 @@ _MODES = ("sr", "pr", "srpp", "rpp")
 
 
 def _read(path: str) -> str:
+    """The file's UTF-8 text, less one leading byte-order mark."""
     try:
         with open(path, encoding="utf-8") as file:
-            return file.read()
+            return file.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -75,10 +76,14 @@ def _int(text: str) -> int:
 
 
 def _parse_partition(text: str) -> tuple[tuple[int, ...], ...]:
-    """Accept blocks in braces, like "{1,2}{3}{4,5}"."""
+    """Accept blocks in braces, like "{1,2}{3}{4,5}", with only whitespace
+    and commas between them."""
     blocks = re.findall(r"\{([^{}]*)\}", text)
     if not blocks:
         raise RackError(f"no blocks in {text!r}; write blocks as {{1,2}}{{3}}")
+    if re.sub(r"\{[^{}]*\}|[,\s]", "", text):
+        raise RackError(f"text outside the blocks in {text!r}; "
+                        "write blocks as {1,2}{3}")
     return tuple(_parse_elements(b) for b in blocks)
 
 

@@ -667,18 +667,13 @@ class RackTable:
 
         Pairs are taken in the order of elems, x before y, so sorted elems
         give the first escape in sorted order; None means elems is closed.
-        The elements must already be checked to lie in range.  Each column
-        is tested with one ``issuperset`` over its images of elems, |S|²
-        lookups at C speed for |S| elements; only a subset that escapes is
-        scanned again pair by pair, to name its first escape.
+        The elements must already be checked to lie in range.  The scan
+        stops at the first escape, after at most |S|² set lookups.
         """
         cols = self._right
         inside = set(elems)
-        if all(inside.issuperset(map(cols[y].__getitem__, elems))
-               for y in elems):
-            return None
-        return next((x, y, cols[y][x]) for x in elems for y in elems
-                    if cols[y][x] not in inside)
+        return next(((x, y, cols[y][x]) for x in elems for y in elems
+                     if cols[y][x] not in inside), None)
 
     def _subrack(self, values: Iterable[int], prefix: str) -> list[int]:
         """The values as ``_elements`` gives them, once they are nonempty
@@ -715,16 +710,6 @@ def _text_lines(n: int, rows: Iterable[Iterable[int]]) -> Iterator[str]:
     yield f"{n}\n"
     for row in rows:
         yield " ".join(map(str, row)) + "\n"
-
-
-def _members(mask: int) -> tuple[int, ...]:
-    """Elements of a subset mask (bit v stands for element v), ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def _walk(mask: int, reached: list[int], columns: Iterable[Sequence[int]],
@@ -764,12 +749,12 @@ def _walk(mask: int, reached: list[int], columns: Iterable[Sequence[int]],
 
 
 def _generators(table: RackTable, elements: Iterable[int],
-                check: Callable[[int], bool]) -> tuple[list[int], int]:
+                check: Callable[[int], bool]) -> tuple[list[int], list[int]]:
     """Greedy ▷-generators of ``elements``: each z of them, in increasing
     order, outside the ▷-closure of the ones before it, whose column
     differs from every generator's so far and passes ``check``.  Returns
-    them and that closure of the elements that passed, as a mask over
-    1..n.
+    them and that closure of the elements that passed, as a list of its
+    members in the order the walk reached them.
 
     The closure grows by ``_walk``'s orbit walks, which is exact when the
     generators' columns are automorphisms (see ``_walk``): a new
@@ -804,7 +789,7 @@ def _generators(table: RackTable, elements: Iterable[int],
         if new:
             closed = _walk(closed, reached, (cz,))
         closed = _walk(closed, reached, passed, old)
-    return generators, closed
+    return generators, reached
 
 
 def _orbits(n: int, columns: Sequence[Sequence[int]]

@@ -578,28 +578,25 @@ def partitions(k: int) -> tuple[tuple[int, ...], ...]:
 
 def permutation_of_type(cycle_type: tuple[int, ...],
                         shuffle_seed: int | None = None) -> Permutation:
-    """A permutation with the given cycle type.
-
-    Without a seed, cycles are laid out on consecutive integers; with a
-    seed, the result is conjugated by a seeded random relabeling, giving a
-    different-looking permutation of the same type deterministically.
-    """
+    """A permutation with the given, nonempty cycle type, its cycles laid
+    out in turn on 1..k, or with a seed on 1..k shuffled once by
+    ``random.Random(shuffle_seed)``: the consecutive layout conjugated by
+    that relabeling, a different-looking permutation of the same type."""
     cycle_type = tuple(_as_int(k, "cycle length") for k in cycle_type)
-    if min(cycle_type, default=1) < 1:
+    if not cycle_type:
+        raise RackError("a cycle type needs at least one cycle")
+    if min(cycle_type) < 1:
         raise RackError(f"cycle lengths must be positive, got {cycle_type}")
     k = sum(cycle_type)
-    starts = accumulate(cycle_type, initial=1)
-    perm = Permutation.from_cycles(
-        k, (range(start, start + length)
-            for start, length in zip(starts, cycle_type)))
-    if shuffle_seed is None:
-        return perm
-    import random  # only a seeded layout needs it
+    labels = list(range(1, k + 1))
+    if shuffle_seed is not None:
+        import random  # only a seeded layout needs it
 
-    rng = random.Random(shuffle_seed)
-    relabel = list(range(1, k + 1))
-    rng.shuffle(relabel)
-    return perm.conjugated_by(Permutation(tuple(relabel)))
+        random.Random(shuffle_seed).shuffle(labels)
+    starts = accumulate(cycle_type, initial=0)
+    return Permutation.from_cycles(
+        k, (labels[start:start + length]
+            for start, length in zip(starts, cycle_type)))
 
 
 @_record

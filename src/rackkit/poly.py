@@ -36,7 +36,7 @@ from operator import index, ne
 
 from . import _EXPORTS
 from .core import (CONVENTIONS, RackError, RackTable, _as_int, _generators,
-                   _in_range, _members, _orbits, _record, _walk)
+                   _in_range, _orbits, _record, _walk)
 
 __all__ = _EXPORTS["poly"]
 
@@ -183,7 +183,7 @@ def exponent_profile(table: RackTable, m: int, n: int) -> ExponentProfile:
     m, n = _depths(table, m, n, "prop3")
     pairs = _orbit_pairs(table, m, n, "prop3")
     _, which, _, _ = table._inner
-    return ExponentProfile(m, n, tuple(map(pairs.__getitem__, which[1:])))
+    return ExponentProfile(m, n, tuple([pairs[i] for i in which[1:]]))
 
 
 def _depths(table: RackTable, m: int, n: int,
@@ -264,10 +264,10 @@ def _spread(inner: Sequence[tuple[int, tuple[int, ...], int, list[int]]],
     for mask, members in queue:  # grows while it is read
         for z, col, moved, bits in inner:
             if mask & moved and not mask >> z & 1:
-                grown = sum(map(bits.__getitem__, members))
+                grown = sum([bits[x] for x in members])
                 if grown not in orbit:
-                    orbit[grown] = image = tuple(sorted(map(col.__getitem__,
-                                                            members)))
+                    orbit[grown] = image = tuple(sorted([col[x]
+                                                         for x in members]))
                     queue.append((grown, image))
     return orbit
 
@@ -277,12 +277,13 @@ def closure(table: RackTable, seed: Iterable[int]) -> tuple[int, ...]:
 
     In a rack that is the seed's orbit under the group its own columns
     generate (see ``core._walk``), which the columns of its greedy
-    generators generate (``core._generators``).  So a closure of size k
-    costs O(g·k) table lookups for the seed's g generators.
+    generators generate (``core._generators``), whose walk lists its
+    members.  So a closure of size k costs O(g·k) table lookups for the
+    seed's g generators, and one sort.
     """
     table.require_rack()
-    _, mask = _generators(table, table._elements(seed), lambda z: True)
-    return _members(mask)
+    _, reached = _generators(table, table._elements(seed), lambda z: True)
+    return tuple(sorted(reached))
 
 
 def is_subrack(table: RackTable, subset: Iterable[int]) -> bool:
@@ -442,8 +443,8 @@ def subrack_polynomial(table: RackTable, subset: Iterable[int], m: int, n: int,
     restricted to the subset.  With the table's report and cycle lengths
     cached and the depths' orbit pairs in its slot (``_orbit_pairs``), a
     subrack S costs O(|S|) dictionary work: one pair lookup per member,
-    summed.  The checked path adds |S|² set lookups at C speed
-    (``RackTable._subrack``, which ``subtable`` shares).
+    counted by ``_weighted``.  The checked path adds one scan of |S|² set
+    lookups (``RackTable._subrack``, which ``subtable`` shares).
 
     A subset takes one of two paths.  A tuple that ``enumerate_subracks``
     returned, the very object, read in the listing's order, is found in
@@ -497,10 +498,7 @@ def _listed_orbit(table: RackTable, subset: object) -> int | None:
 def _subset_poly(table: RackTable, pairs: Sequence[tuple[int, int]],
                  elems: Iterable[int]) -> TwoVarPoly:
     """The sum of s^a·t^b over the elements, (a, b) being each one's
-    Inn-orbit pair in ``pairs`` (see ``_orbit_pairs``): one pair lookup
-    and one count per element, then one term per distinct pair."""
+    Inn-orbit pair in ``pairs`` (see ``_orbit_pairs``), one lookup each,
+    counted by ``_weighted`` into one term per distinct pair."""
     _, which, _, _ = table._inner
-    counts: dict[tuple[int, int], int] = {}
-    for pair in map(pairs.__getitem__, map(which.__getitem__, elems)):
-        counts[pair] = counts.get(pair, 0) + 1
-    return _poly(sorted(counts.items()))
+    return _poly(_weighted([pairs[which[x]] for x in elems], repeat(1)))

@@ -242,6 +242,9 @@ def test_srp_open_subset(capsys):
     (("quotient", T5, "1,2"), "no blocks in '1,2'; write blocks as {1,2}{3}"),
     (("srp", T5, "{4," + "7" * 5000 + "}"),
      "element of 5000 digits is too long"),
+    *((("quotient", T5, text), f"text outside the blocks in {text!r}; "
+                               "write blocks as {1,2}{3}")
+      for text in ("{1,2,3}{4,5}x", "x{1,2,3}{4,5}", "{1,2,3}{4,{5}}")),
 ])
 def test_element_and_block_syntax_errors(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
@@ -608,6 +611,16 @@ def test_errors_exit_with_a_message(tmp_path, argv, code):
     assert done.stderr.startswith("error: ")
     assert done.stderr.count("\n") == 1  # one line
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", T5), ("invariant", TREFOIL, T5, "--mode", "pr")])
+def test_a_leading_byte_order_mark_is_dropped(capsys, tmp_path, argv):
+    path = tmp_path / "bom"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(argv[1]).read_bytes())
+    plain = run(capsys, *argv)
+    assert plain[0] == 0
+    assert run(capsys, argv[0], str(path), *argv[2:]) == plain
 
 
 def test_decoding_error_names_the_file(tmp_path):

@@ -962,6 +962,21 @@ def test_permutation_of_type():
     assert q == permutation_of_type((3, 2), shuffle_seed=7)
 
 
+def test_seeded_permutation_of_type_is_the_conjugated_consecutive_layout():
+    # the reference is the relabeling that a seeded layout stands for: the
+    # consecutive layout conjugated by the labels 1..k shuffled by the seed
+    for k in range(1, 9):
+        for cycle_type in partitions(k):
+            plain = permutation_of_type(cycle_type)
+            for seed in range(5):
+                labels = list(range(1, k + 1))
+                random.Random(seed).shuffle(labels)
+                assert permutation_of_type(cycle_type, seed) == \
+                    plain.conjugated_by(Permutation(tuple(labels)))
+    with pytest.raises(RackError, match="at least one cycle"):
+        permutation_of_type(())
+
+
 # -- classification ------------------------------------------------------------
 
 
