@@ -303,3 +303,54 @@ def subrack_orbit(entries, subset):
                 orbit.add(image)
                 frontier.append(image)
     return sorted(orbit)
+
+
+def racks(n):
+    """Every rack on 1..n as entries, in lexicographic order of columns:
+    columns C_1, C_2, ... are assigned permutations by backtracking, and
+    each assignment is kept only while C_z∘C_y = C_{C_z(y)}∘C_z holds for
+    every pair y, z whose three columns are assigned, which is
+    (x ▷ y) ▷ z = (x ▷ z) ▷ (y ▷ z) for every x."""
+    perms = list(permutations(range(1, n + 1)))
+    columns = []
+    found = []
+
+    def distributive():
+        k = len(columns)
+        for y in range(1, k + 1):
+            for z in range(1, k + 1):
+                cy, cz = columns[y - 1], columns[z - 1]
+                w = cz[y - 1]
+                if w <= k and any(cz[cy[x] - 1] != columns[w - 1][cz[x] - 1]
+                                  for x in range(n)):
+                    return False
+        return True
+
+    def extend():
+        if len(columns) == n:
+            found.append(tuple(tuple(columns[y][x] for y in range(n))
+                               for x in range(n)))
+            return
+        for column in perms:
+            columns.append(column)
+            if distributive():
+                extend()
+            columns.pop()
+
+    extend()
+    return found
+
+
+def canonical(entries):
+    """The least relabelling of the table, as a tuple of rows, over all
+    n! bijections: two tables are isomorphic exactly when theirs agree."""
+    n = len(entries)
+    forms = []
+    for images in permutations(range(1, n + 1)):
+        table = [[0] * n for _ in range(n)]
+        for x in range(1, n + 1):
+            for y in range(1, n + 1):
+                table[images[x - 1] - 1][images[y - 1] - 1] = \
+                    images[op(entries, x, y) - 1]
+        forms.append(tuple(map(tuple, table)))
+    return min(forms)

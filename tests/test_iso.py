@@ -1,6 +1,7 @@
 """Isomorphism search, polynomial-family scans, and the classification check."""
 
 import copy
+import hashlib
 import inspect
 import math
 import os
@@ -282,6 +283,80 @@ def test_witness_has_the_least_first_image(data):
         assert oracles.is_isomorphism(a.entries, b.entries,
                                       result.witness.images)
         assert result.witness.images[0] == found[0]
+
+
+def witness_pairs():
+    """42 seeded pairs (a, b): 14 racks a, each against a seeded
+    relabelling of itself and against two other racks of its size.  The
+    racks are Alexander quandles up to n = 31, linear racks on 4, 6, 8
+    and 9 elements, most not quandles, constant actions and trivial
+    unions of two and three blocks."""
+    rng = random.Random(56)
+    racks = [(alexander(n, t), alexander(n, u), alexander(n, v))
+             for n, t, u, v in ((5, 2, 3, 4), (7, 3, 5, 2), (12, 5, 7, 11),
+                                (13, 2, 6, 7), (31, 3, 11, 17))]
+    for params in (((4, 1, 2), (4, 3, 0), (4, 3, 2)),
+                   ((6, 5, 0), (6, 5, 2), (6, 1, 0)),
+                   ((8, 1, 4), (8, 3, 2), (8, 5, 4)),
+                   ((9, 1, 3), (9, 4, 3), (9, 7, 6))):
+        racks.append(tuple(ts_rack(*p) for p in params))
+    for ct, other in (((3, 2, 1), (3, 3)), ((2, 2, 1, 1), (2, 1, 1, 1, 1)),
+                      ((4, 3), (7,))):
+        racks.append((constant_action(permutation_of_type(ct, 5)),
+                      constant_action(permutation_of_type(ct)),
+                      constant_action(permutation_of_type(other))))
+    d3, a5 = alexander(3, 2).entries, alexander(5, 2).entries
+    c3 = constant_action(permutation_of_type((2, 1))).entries
+    for blocks, others in (((d3, a5), ((a5, d3), (c3, a5))),
+                           ((d3, c3, d3), ((c3, d3, d3), (d3, d3, c3)))):
+        racks.append(tuple(RackTable(reduce(trivial_union, b))
+                           for b in (blocks, *others)))
+    for a, *others in racks:
+        images = list(a.elements)
+        rng.shuffle(images)
+        for b in (RackTable(relabel(a.entries, images)), *others):
+            yield a, b
+
+
+# the SHA-256 of one line per pair of ``witness_pairs``: its witness's
+# images, or None
+WITNESS_DIGEST = "9a03ecb98fb29c9410cf719dc9c5b6a40c10d5518f5a878b6f6e471d61868da9"
+
+
+def test_witnesses_match_their_pins():
+    # the search's witness is the least isomorphism in the order it
+    # branches, so a change to the search that keeps its order keeps
+    # every witness, not only each first image
+    lines = []
+    for a, b in witness_pairs():
+        result = isomorphic(a, b)
+        if result.isomorphic:
+            assert oracles.is_isomorphism(a.entries, b.entries,
+                                          result.witness.images)
+        lines.append(f"{result.witness and result.witness.images}\n")
+    assert len(lines) == 42
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == WITNESS_DIGEST
+
+
+def test_every_rack_of_order_at_most_4():
+    # the oracle builds every labelled rack without the library: 1, 2, 13
+    # and 114 of them, in 1, 2, 6 and 19 classes, the published counts
+    census = {n: oracles.racks(n) for n in range(1, 5)}
+    classes = {entries: oracles.canonical(entries)
+               for found in census.values() for entries in found}
+    assert [len(found) for found in census.values()] == [1, 2, 13, 114]
+    assert [len({classes[e] for e in found})
+            for found in census.values()] == [1, 2, 6, 19]
+    tables = [RackTable(entries) for entries in classes]
+    for a, b in product(tables, repeat=2):
+        result = isomorphic(a, b)
+        assert result.isomorphic == (classes[a.entries] == classes[b.entries])
+        if result.isomorphic:
+            assert oracles.is_isomorphism(a.entries, b.entries,
+                                          result.witness.images)
+        else:
+            assert result.witness is None
 
 
 def test_alike_connected_quandles_at_401():
