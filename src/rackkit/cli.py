@@ -4,7 +4,7 @@ Every command reads tables in the plain text format (size, then the rows)
 and diagrams in the JSON format; results go to stdout, errors to stderr.
 Exit codes: 0 success, 1 domain error, failed check, undecodable text or
 exhausted memory or recursion, 2 usage error or unreadable file (or a
-closed output pipe).
+closed output pipe), 130 an interrupt.
 """
 
 from __future__ import annotations
@@ -390,8 +390,14 @@ def entry() -> int:
     left at exit goes unfinalized, and rackkit has none whose finalizer
     matters.  os._exit saves as much but skips the flush and atexit, and
     gc.disable() saves nothing, as finalization collects anyway.  main()
-    leaves the collector alone, for callers that go on running.
+    leaves the collector alone, for callers that go on running.  An
+    interrupt, ^C in a long search, ends with one line and 130, as a shell
+    reports a process that SIGINT ended.
     """
-    code = main()
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     gc.freeze()
     return code

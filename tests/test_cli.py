@@ -562,6 +562,8 @@ BAD_LINKS = {
     "true-free-arc": b'{"crossings": [], "free_arcs": [true]}',
     "unknown-over-arc": b'{"crossings": [{"sign": 1, "over": 9, '
                         b'"under_in": 1, "under_out": 1}]}',
+    "5001-digit-free-arc": b'{"crossings": [], "free_arcs": [' + b"7" * 5001
+                           + b"]}",
 }
 
 
@@ -611,6 +613,9 @@ def test_errors_exit_with_a_message(tmp_path, argv, code):
     assert done.stderr.startswith("error: ")
     assert done.stderr.count("\n") == 1  # one line
     assert "Traceback" not in done.stderr
+    # a too long integer is named by its digit count, as in tables and
+    # arguments, not by the interpreter's advice
+    assert "set_int_max_str_digits" not in done.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -621,6 +626,20 @@ def test_a_leading_byte_order_mark_is_dropped(capsys, tmp_path, argv):
     plain = run(capsys, *argv)
     assert plain[0] == 0
     assert run(capsys, argv[0], str(path), *argv[2:]) == plain
+
+
+def test_an_interrupt_ends_with_one_line_and_130(capsys, monkeypatch):
+    # ^C in a long search: no traceback, and the shell's code for SIGINT
+    def interrupted(argv=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "main", interrupted)
+    try:
+        code = cli.entry()
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped entry()")
+    assert code == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
 
 
 def test_decoding_error_names_the_file(tmp_path):
