@@ -109,89 +109,77 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.is_rack else 1
 
 
-def _cmd_props(args: argparse.Namespace) -> int:
+def _cmd_props(args: argparse.Namespace) -> None:
     _print_report(properties_report(_load_valid_table(args.table)))
-    return 0
 
 
-def _cmd_poly(args: argparse.Namespace) -> int:
+def _cmd_poly(args: argparse.Namespace) -> None:
     from .poly import rack_polynomial
 
-    table = _load_valid_table(args.table)
-    print(rack_polynomial(table, args.m, args.n, args.convention))
-    return 0
+    print(rack_polynomial(_load_valid_table(args.table), args.m, args.n,
+                          args.convention))
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
+def _cmd_profile(args: argparse.Namespace) -> None:
     from .poly import exponent_profile
 
     table = _load_valid_table(args.table)
     profile = exponent_profile(table, args.m, args.n)
     for x in table.elements:
-        c, r = profile.pair(x)
-        print(f"{x}: c={c} r={r}")
-    return 0
+        print("{}: c={} r={}".format(x, *profile.pair(x)))
 
 
-def _cmd_subracks(args: argparse.Namespace) -> int:
+def _cmd_subracks(args: argparse.Namespace) -> None:
     from .poly import enumerate_subracks
 
-    table = _load_valid_table(args.table)
-    for subset in enumerate_subracks(table):
+    for subset in enumerate_subracks(_load_valid_table(args.table)):
         print(_format_set(subset))
-    return 0
 
 
-def _cmd_srp(args: argparse.Namespace) -> int:
+def _cmd_srp(args: argparse.Namespace) -> None:
     from .poly import subrack_polynomial
 
-    table = _load_valid_table(args.table)
-    subset = _parse_elements(args.subset)
-    print(subrack_polynomial(table, subset, args.m, args.n, args.convention))
-    return 0
+    print(subrack_polynomial(_load_valid_table(args.table),
+                             _parse_elements(args.subset), args.m, args.n,
+                             args.convention))
 
 
 # each gen handler writes the rows as they come, one row held at a time
-def _cmd_gen_constant(args: argparse.Namespace) -> int:
+def _cmd_gen_constant(args: argparse.Namespace) -> None:
     from .generators import _constant_rows
 
     n, rows = _constant_rows(Permutation(tuple(args.images)))
     sys.stdout.writelines(_text_lines(n, rows))
-    return 0
 
 
-def _cmd_gen_linear(args: argparse.Namespace) -> int:
+def _cmd_gen_linear(args: argparse.Namespace) -> None:
     """gen ts, and gen alexander, which has no s: the alexander quandle
     is ts_rack(n, t, 1 - t)."""
     from .generators import _linear_rows
 
     n, rows = _linear_rows(args.n, args.t, getattr(args, "s", 1 - args.t))
     sys.stdout.writelines(_text_lines(n, rows))
-    return 0
 
 
-def _cmd_dual(args: argparse.Namespace) -> int:
+def _cmd_dual(args: argparse.Namespace) -> None:
     print(format_rack_table(dual(_load_valid_table(args.table))), end="")
-    return 0
 
 
-def _cmd_quotient(args: argparse.Namespace) -> int:
-    table = _load_valid_table(args.table)
-    quotient = quotient_by(table, _parse_partition(args.partition))
-    print(format_rack_table(quotient), end="")
-    return 0
+def _cmd_quotient(args: argparse.Namespace) -> None:
+    print(format_rack_table(quotient_by(_load_valid_table(args.table),
+                                        _parse_partition(args.partition))),
+          end="")
 
 
-def _cmd_opquot(args: argparse.Namespace) -> int:
-    table = _load_valid_table(args.table)
-    partition, quotient, is_quandle = operator_equivalence_quotient(table)
+def _cmd_opquot(args: argparse.Namespace) -> None:
+    partition, quotient, is_quandle = operator_equivalence_quotient(
+        _load_valid_table(args.table))
     print("partition: " + " ".join(_format_set(b) for b in partition))
-    print(f"quandle: {'true' if is_quandle else 'false'}")
+    print(f"quandle: {str(is_quandle).lower()}")
     print(format_rack_table(quotient), end="")
-    return 0
 
 
-def _cmd_iso(args: argparse.Namespace) -> int:
+def _cmd_iso(args: argparse.Namespace) -> None:
     from .iso import isomorphic
 
     result = isomorphic(_load_valid_table(args.left),
@@ -201,10 +189,9 @@ def _cmd_iso(args: argparse.Namespace) -> int:
         print("witness: " + " ".join(map(str, result.witness.images)))
     else:
         print("not isomorphic")
-    return 0
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace) -> None:
     from .iso import rp_family_scan
 
     scan = rp_family_scan(_load_valid_table(args.left),
@@ -212,7 +199,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                           bound=args.bound, convention=args.convention)
     for line in scan.lines():
         print(line)
-    return 0
 
 
 def _cmd_classify_ca(args: argparse.Namespace) -> int:
@@ -221,11 +207,11 @@ def _cmd_classify_ca(args: argparse.Namespace) -> int:
     report = verify_constant_action_classification(args.size, args.convention)
     for line in report.lines():
         print(line)
-    print(f"consistent: {'true' if report.consistent else 'false'}")
+    print(f"consistent: {str(report.consistent).lower()}")
     return 0 if report.consistent else 1
 
 
-def _cmd_invariant(args: argparse.Namespace) -> int:
+def _cmd_invariant(args: argparse.Namespace) -> None:
     from .links import (counting_polynomial_string, enhanced_invariant,
                         parse_diagram, rack_counting)
     from .poly import _depths
@@ -234,16 +220,13 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
     table = _load_valid_table(args.table)
     _depths(table, args.m, args.n, args.convention)  # sr and pr too
     if args.mode == "sr":
-        total, _ = rack_counting(diagram, table)
-        print(total)
+        print(rack_counting(diagram, table)[0])
     elif args.mode == "pr":
-        _, per_class = rack_counting(diagram, table)
-        print(counting_polynomial_string(per_class))
+        print(counting_polynomial_string(rack_counting(diagram, table)[1]))
     else:
         invariant = enhanced_invariant(diagram, table, args.m, args.n,
                                        args.convention)
         print(invariant.enhanced_string(with_framing=args.mode == "rpp"))
-    return 0
 
 
 def _args(*names: str, **options):
@@ -355,9 +338,10 @@ def main(argv: list[str] | None = None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
-    # RackError, DiagramError and _read's decoding error are ValueErrors
+    # a handler returns its exit code, or None for 0; RackError,
+    # DiagramError and _read's decoding error are ValueErrors
     try:
-        return args.func(args)
+        return args.func(args) or 0
     except OSError as exc:
         if isinstance(exc, BrokenPipeError):
             # the reader has gone; what is still buffered goes to devnull,
@@ -390,9 +374,8 @@ def entry() -> int:
     left at exit goes unfinalized, and rackkit has none whose finalizer
     matters.  os._exit saves as much but skips the flush and atexit, and
     gc.disable() saves nothing, as finalization collects anyway.  main()
-    leaves the collector alone, for callers that go on running.  An
-    interrupt, ^C in a long search, ends with one line and 130, as a shell
-    reports a process that SIGINT ended.
+    leaves the collector alone, for callers that go on running.  ^C ends
+    with one line and 130, the code a shell gives a process SIGINT ended.
     """
     try:
         code = main()

@@ -720,9 +720,8 @@ def _walk(mask: int, reached: list[int], columns: Iterable[Sequence[int]],
     Each element that joins the mask is appended to ``reached`` and moved
     in turn.  Returns the grown mask, or -1 as soon as a point of the
     mask ``stop`` would join, with ``reached`` cut short there.  This is
-    the package's one ▷-closure but ``_presentation``'s, which keeps each
-    step; only ``poly.enumerate_subracks``'s growth walks pass a
-    ``stop``.
+    the package's one ▷-closure; only ``poly.enumerate_subracks``'s
+    growth walks pass a ``stop``.
 
     When every column C[s], s ∈ S, is an automorphism, as in a rack, the
     ▷-closure of S is the union of the orbits of S under the group G
@@ -791,151 +790,6 @@ def _generators(table: RackTable, elements: Iterable[int],
             closed = _walk(closed, reached, (cz,))
         closed = _walk(closed, reached, passed, old)
     return generators, reached
-
-
-def _presentation(table: RackTable) -> list[tuple]:
-    """The levels of ``_search`` for the homomorphisms from a rack, whose
-    elements are the positions: one level (z, members, ops, like) for
-    each z outside the ▷-closure of those before it, in increasing order,
-    as ``_generators`` walks them.  A z with a new column walks it over
-    the members before z; then each distinct column, with the first z
-    that had it, walks z and the members it brings, z's members.  Each
-    step x ▷ g = p is the op (p, g, x), f(p) = f(x) ▷ f(g), in walk order,
-    at the level that colors its last position.  A z with the column of
-    an earlier g walks none of its own, and its like is g, else 0.
-
-    A map that keeps every op and gives each such z a color with f(g)'s
-    column is a homomorphism: the walked columns generate, as ``_walk``
-    says, and C[x ▷ s] = C[s]C[x]C[s]⁻¹ carries f∘C[s] = C[f(s)]∘f over
-    the walk.
-    """
-    cols = table._right
-    seen = bytearray(table.n + 1)
-    reached = []
-    columns = {}  # each distinct column's first z
-    levels = []
-
-    def step(x, g):
-        p = cols[g][x]
-        ops.append((p, g, x))
-        if not seen[p]:
-            seen[p] = 1
-            reached.append(p)
-
-    for z in table.elements:
-        if not seen[z]:
-            like = columns.setdefault(cols[z], z)
-            ops = []
-            seen[z] = 1
-            old = len(reached)
-            reached.append(z)
-            if like == z:
-                like = 0
-                for x in reached[:old]:
-                    step(x, z)
-            for x in islice(reached, old, None):  # it sees each new member
-                for g in columns.values():
-                    step(x, g)
-            levels.append((z, reached[old:], ops, like))
-    return levels
-
-
-def _search(size: int, levels: Sequence[tuple], first: Iterable[int],
-            colors: Iterable[int], orbit: Sequence = (),
-            domain: tuple | None = None) -> Iterator[list[int]]:
-    """Every coloring of positions 0..size-1 whose first level colors its
-    position from ``first``: the package's one search for rack
-    homomorphisms, as a diagram's colorings and a rack's isomorphisms
-    are.  Yields one list, entry i the color of position i, which changes
-    once the search resumes.  The search keeps its own stack.
-
-    A level (pos, lookups, checks, ends) tries each color on pos, in
-    order, deeper ones each of ``colors``.  An op (t, o, s, view) is
-    col[t] = view[col[o]][col[s]]: a lookup sets it and a check tests
-    it, and an end (a, v) holds when its colors lie in one ``orbit``.  A
-    level's ops read only positions it or an earlier level colors
-    (``links._schedule``), so it runs its lookups, which cannot fail, and
-    keeps the color when its checks and ends hold.  This is exact, and
-    colorings come out sorted when ``first`` and ``colors`` are.  Deeper
-    levels overwrite their own positions, so backing up undoes nothing.
-
-    A domain (right, key, free, alike) makes the colorings injective, for
-    isomorphisms, over levels (pos, members, ops, like) from
-    ``_presentation``, each op (t, o, s) a lookup or a check of
-    col[t] = right[col[o]][col[s]].  A position t takes only a color y
-    with free[y] == key[t], a negative id, and while t holds y, free[y]
-    and want[t] are t.  So one test, free[y] == want[t], checks a
-    lookup's color for its key and its use and a check's for equality,
-    as soon as each op runs.  A level tries alike[col[like]]; position 0
-    is never colored.  Its members are its trail: failing or backing up,
-    it releases them up to the first it has not colored.  The domain is
-    tested once per tried color, so a search without one pays nothing.
-    """
-    col = [0] * size
-    if not levels:
-        yield col
-        return
-    last = len(levels) - 1
-    if domain is not None:
-        right, key, free, alike = domain
-        want = list(key)
-
-        def release(members: list) -> None:
-            for t in members:
-                if want[t] != t:
-                    break
-                free[col[t]] = want[t] = key[t]
-
-    # the colors left at each level entered
-    stack = [iter(first)]
-    while stack:
-        level = len(stack) - 1
-        # with a domain: (pos, members, ops, like)
-        pos, forced, checks, ends = levels[level]
-        for value in stack[level]:
-            if domain is not None:
-                # one test per op: a lookup's color is free with t's key,
-                # a check's is t's own
-                if free[value] != want[pos]:
-                    continue
-                col[pos] = value
-                free[value] = want[pos] = pos
-                for t, o, s in checks:
-                    p = right[col[o]][col[s]]
-                    if free[p] != want[t]:
-                        break
-                    col[t] = p
-                    free[p] = want[t] = t
-                else:
-                    break
-                release(forced)
-                continue
-            col[pos] = value
-            for t, o, s, view in forced:
-                col[t] = view[col[o]][col[s]]
-            # keep the color when every check and every end holds
-            for t, o, s, view in checks:
-                if col[t] != view[col[o]][col[s]]:
-                    break
-            else:
-                for a, v in ends:
-                    if orbit[col[a]] is not orbit[col[v]]:
-                        break
-                else:
-                    break
-        else:
-            stack.pop()
-            if domain is not None and stack:
-                release(levels[level - 1][1])
-            continue
-        if level == last:
-            yield col
-            if domain is not None:
-                release(forced)
-        elif domain is None:
-            stack.append(iter(colors))
-        else:
-            stack.append(iter(alike[col[levels[level + 1][3]]]))
 
 
 def _orbits(n: int, columns: Sequence[Sequence[int]]

@@ -26,9 +26,6 @@ runs once per Inn-orbit, with the orbit's representative on the first
 arc, and the representative's counts by Ω stand for its whole orbit:
 the cost is one search per representative, not per color.
 ``enumerate_colorings`` lists every coloring and keeps the full search.
-Both run ``core._search`` over the levels that ``_schedule`` lays out; a
-coloring is a homomorphism from the diagram's fundamental rack, and
-``iso.isomorphic`` runs the same search over a presentation of a rack.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from collections.abc import (Callable, Hashable, Iterable, Iterator, Mapping,
 from itertools import product
 
 from . import _EXPORTS
-from .core import RackTable, _cached, _cycles, _record, _search
+from .core import RackTable, _cached, _cycles, _record
 from .poly import (TwoVarPoly, _depths, _format_sum, _inner_moves,
                    _orbit_pairs, _spread, _subset_poly, _weighted, closure)
 
@@ -194,8 +191,7 @@ def parse_diagram(text: str) -> LinkDiagram:
     except json.JSONDecodeError as exc:
         raise DiagramFormatError(f"invalid JSON: {exc}") from None
     except ValueError:
-        # an integer past the interpreter's digit limit: a second read
-        # names the first by its digit count
+        # an integer past the interpreter's digit limit: read it again
         def integer(token: str) -> int:
             try:
                 return int(token)
@@ -344,8 +340,7 @@ def _cut(diagram: LinkDiagram) -> tuple[
 def _schedule(size: int, steps: Sequence[tuple[int, int, int, int]],
               ends: Sequence[tuple[int, int]], table: RackTable
               ) -> list[tuple[int, list[tuple], list[tuple], list[tuple]]]:
-    """The levels of the coloring search (``core._search``), laid out
-    once before it starts.
+    """The levels of the coloring search, laid out once before it starts.
 
     Static forward checking (Haralick and Elliott, "Increasing tree search
     efficiency for constraint satisfaction problems", AIJ 1980): whether a
@@ -414,6 +409,66 @@ def _schedule(size: int, steps: Sequence[tuple[int, int, int, int]],
                 queue.append(rule[0])
 
 
+def _colorings(size: int, levels: Sequence[tuple[int, list, list, list]],
+               table: RackTable, first: Iterable[int]) -> Iterator[list[int]]:
+    """Every coloring of a diagram over arc positions 0..size-1 that
+    colors position 0 from ``first``, by the levels of _schedule.
+
+    The levels read steps (sign, over, under_in, under_out) as _layout
+    gives them: sign 1 takes under_in ▷ over to under_out, sign -1 the
+    inverse operation.  Yields one list whose entry i is the color of arc
+    position i; it is the same list each time and changes once the search
+    resumes.  Each end given to _schedule must color its two arcs within
+    one orbit of π(x) = x ▷ x.
+
+    At each level the search tries each color on the branch arc, runs the
+    lookups, which cannot fail, and keeps the color when the checks hold.
+    This is exact: every step and every end is looked up or checked once
+    all its arcs are colored, and a branch past the first tries every
+    color, so each coloring is found once.  The orbit rule is the only one
+    that reads colors, and it stays a check: a cut end comes after every
+    arc of the diagram, and the step that consumes it reads two of the
+    diagram's own arcs, so a cut end is always looked up, never branched
+    on.  Every arc before a level's branch arc is colored at an earlier
+    level and colors are tried in increasing order, so colorings come out
+    sorted by their color tuples when ``first`` is.  Deeper levels
+    overwrite their own arcs, so backing up undoes nothing.
+    """
+    _, orbit, _ = table._diagonal_orbits
+    col = [0] * size
+    if not levels:
+        yield col
+        return
+    last = len(levels) - 1
+    everything = table.elements
+    # the colors left at each level entered
+    stack = [iter(first)]
+    while stack:
+        level = len(stack) - 1
+        pos, forced, checks, pairs = levels[level]
+        for value in stack[level]:
+            col[pos] = value
+            for t, o, s, view in forced:
+                col[t] = view[col[o]][col[s]]
+            # keep the color when every check and every end holds
+            for t, o, s, view in checks:
+                if col[t] != view[col[o]][col[s]]:
+                    break
+            else:
+                for a, v in pairs:
+                    if orbit[col[a]] is not orbit[col[v]]:
+                        break
+                else:
+                    break
+        else:
+            stack.pop()
+            continue
+        if level == last:
+            yield col
+        else:
+            stack.append(iter(everything))
+
+
 def enumerate_colorings(diagram: LinkDiagram,
                         table: RackTable) -> tuple[dict[int, int], ...]:
     """All rack colorings of the diagram's arcs, sorted by their color tuples.
@@ -430,8 +485,8 @@ def enumerate_colorings(diagram: LinkDiagram,
     table.require_rack()
     _, steps = diagram._layout
     levels = _schedule(len(diagram.arcs), steps, (), table)
-    return tuple(dict(zip(diagram.arcs, colors)) for colors in _search(
-        len(diagram.arcs), levels, table.elements, table.elements))
+    return tuple(dict(zip(diagram.arcs, colors)) for colors in _colorings(
+        len(diagram.arcs), levels, table, table.elements))
 
 
 def image_subrack(table: RackTable,
@@ -487,8 +542,7 @@ def _framed_counts(diagram: LinkDiagram, table: RackTable,
     bins: dict[tuple[tuple[tuple[int, int], ...], Hashable], int] = {}
     orbits, _, sizes, _ = table._inner
     for members, weight in zip(orbits, sizes):
-        for colors in _search(size, levels, members[:1], table.elements,
-                              orbit):
+        for colors in _colorings(size, levels, table, members[:1]):
             key = []
             for a, v in ends:
                 ell = len(orbit[colors[a]])
