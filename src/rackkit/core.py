@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import compress, islice, repeat
+from itertools import compress, count, islice, repeat
 from operator import attrgetter, index, itemgetter, ne
 
 from . import _EXPORTS
@@ -619,6 +619,19 @@ class RackTable:
         """
         self.require_rack()
         return self._axioms[2]
+
+    @_cached
+    def _inner_moves(self) -> list[tuple[int, tuple[int, ...], int, list]]:
+        """(z, C[z], the mask of the points C[z] moves, the bit of each
+        image C[z](v) by v) for each generator z of ``_inner``, O(g·n)
+        in all: the moves of ``poly._spread``'s walks, its only reader."""
+        cols = self._right
+        moves = []
+        for z in self._inner[3]:
+            bits = [1 << p for p in cols[z]]
+            moved = sum(compress(bits, map(ne, cols[z], count())))
+            moves.append((z, cols[z], moved, bits))
+        return moves
 
     @_cached
     def _axioms(self) -> tuple[int, tuple[AxiomViolation, ...],

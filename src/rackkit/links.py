@@ -38,8 +38,8 @@ from itertools import product
 
 from . import _EXPORTS
 from .core import RackTable, _cached, _cycles, _record
-from .poly import (TwoVarPoly, _depths, _format_sum, _inner_moves,
-                   _orbit_pairs, _spread, _subset_poly, _weighted, closure)
+from .poly import (TwoVarPoly, _depths, _format_sum, _orbit_pairs, _spread,
+                   _subset_poly, _weighted, closure)
 
 __all__ = _EXPORTS["links"]
 
@@ -641,16 +641,17 @@ def enhanced_invariant(diagram: LinkDiagram, table: RackTable,
     tag is the Inn-orbit Ω of that image, kept by Inn(X) as
     ``_framed_counts`` needs, since φ∘c has image φS when c has image S.
     Each set of colors met is closed once and each closure's Ω spread
-    once (``poly._spread``).  Every T in Ω has one polynomial, as the
-    exponent pairs are constant on Inn-orbits (``poly._orbit_pairs``),
-    and at each label an exact 1/|Ω| share of Ω's count, as φ maps the
-    colorings with image T onto those with image φT.  Depths below 1
-    raise RackError before any search, whatever the diagram.
+    once (``poly._spread``, which walks no one-element image and not X;
+    a diagram with no arcs has the empty image, whose Ω is {∅}).  Every
+    T in Ω has one polynomial, as the exponent pairs are
+    constant on Inn-orbits (``poly._orbit_pairs``), and at each label an
+    exact 1/|Ω| share of Ω's count, as φ maps the colorings with image T
+    onto those with image φT.  Depths below 1 raise RackError before any
+    search, whatever the diagram.
     """
     m, n = _depths(table, m, n, convention)
     terms = _orbit_pairs(table, m, n, convention)
     real = len(diagram.arcs)
-    inner = _inner_moves(table)
     omegas: list[tuple[TwoVarPoly, dict[int, tuple[int, ...]]]] = []
     which: dict[int, int] = {}  # each image's mask: its Ω's index in omegas
     tags: dict[frozenset[int], int] = {}  # each set of colors met: the same
@@ -661,7 +662,7 @@ def enhanced_invariant(diagram: LinkDiagram, table: RackTable,
             image = closure(table, used)
             mask = sum(1 << v for v in image)
             if mask not in which:
-                omega = _spread(inner, mask, image)
+                omega = _spread(table, mask, image)
                 which.update(dict.fromkeys(omega, len(omegas)))
                 omegas.append((_subset_poly(table, terms, image), omega))
             tags[used] = which[mask]

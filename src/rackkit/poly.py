@@ -31,8 +31,8 @@ and a listing read in order one polynomial per Inn-orbit of subracks.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import compress, count, repeat, starmap
-from operator import index, ne
+from itertools import repeat, starmap
+from operator import index
 
 from . import _EXPORTS
 from .core import (CONVENTIONS, RackError, RackTable, _as_int, _generators,
@@ -232,43 +232,33 @@ def rack_polynomial(table: RackTable, m: int, n: int,
     return _poly(_weighted(_orbit_pairs(table, m, n, convention), sizes))
 
 
-def _inner_moves(table: RackTable
-                 ) -> list[tuple[int, tuple[int, ...], int, list[int]]]:
-    """(z, C[z], the mask of the points C[z] moves, the bit of each image
-    C[z](v) by v) for each generator z in ``RackTable._inner``, whose
-    columns generate Inn(X).
-
-    These serve ``_spread`` only, so they are built here, when a caller
-    spreads subracks, and not with ``_inner``."""
-    cols = table._right
-    _, _, _, generators = table._inner
-    moves = []
-    for z in generators:
-        bits = [1 << p for p in cols[z]]
-        moved = sum(compress(bits, map(ne, cols[z], count())))
-        moves.append((z, cols[z], moved, bits))
-    return moves
-
-
-def _spread(inner: Sequence[tuple[int, tuple[int, ...], int, list[int]]],
-            mask: int, members: Iterable[int]) -> dict[int, tuple[int, ...]]:
+def _spread(table: RackTable, mask: int,
+            members: Iterable[int]) -> dict[int, tuple[int, ...]]:
     """The Inn-orbit of a subrack S, as {mask: sorted members} from S's
-    own mask and members on: each φS is a subrack, walked by the columns
-    in ``inner`` (see ``_inner_moves``).  A generator z is skipped at an
-    image E that holds z, as C[z] maps E onto itself, and at an E that
-    C[z] fixes pointwise.  An image's mask is the sum of its members'
-    bits under C[z], and its members are listed only when it is new.  An
-    orbit Ω costs at most |Ω|·g·|S| lookups."""
+    own mask and members on: the package's one former of such an orbit,
+    as each φS is a subrack.  A closed {x} has the singletons {φx} of x's
+    orbit in ``RackTable._inner`` as its images, and X only itself.  Any
+    other S is walked by the generator columns of
+    ``RackTable._inner_moves``.  A generator z is skipped at an image E
+    that holds z, as C[z] maps E onto itself, and at an E that C[z] fixes
+    pointwise.  An image's mask is the sum of its members' bits under
+    C[z], and its members are listed only when it is new.  A walked orbit
+    Ω costs at most |Ω|·g·|S| lookups."""
     orbit = {mask: tuple(sorted(members))}
-    queue = [*orbit.items()]
-    for mask, members in queue:  # grows while it is read
-        for z, col, moved, bits in inner:
-            if mask & moved and not mask >> z & 1:
-                grown = sum([bits[x] for x in members])
-                if grown not in orbit:
-                    orbit[grown] = image = tuple(sorted([col[x]
-                                                         for x in members]))
-                    queue.append((grown, image))
+    if len(orbit[mask]) == 1:
+        orbits, which, _, _ = table._inner
+        orbit.update((1 << y, (y,))
+                     for y in orbits[which[mask.bit_length() - 1]])
+    elif mask != (1 << table.n + 1) - 2:
+        queue = [*orbit.items()]
+        for mask, members in queue:  # grows while it is read
+            for z, col, moved, bits in table._inner_moves:
+                if mask & moved and not mask >> z & 1:
+                    grown = sum([bits[x] for x in members])
+                    if grown not in orbit:
+                        orbit[grown] = image = tuple(sorted(
+                            [col[x] for x in members]))
+                        queue.append((grown, image))
     return orbit
 
 
@@ -302,12 +292,12 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
     rest of its orbit is its images.  Subsets are int masks (bit v for
     element v), each recorded once with its members.
 
-    * Seeds: the closure of {r} for each Inn-orbit's least element r
-      (``RackTable._inner``), since every {x} is some φ{r}.  When
-      r ▷ r = r, {r} is closed and its images are the {x} of r's orbit.
-    * Spreading: a new subrack's Inn-orbit is walked by ``_spread``.
-      Inn-orbits of subracks are disjoint, so a new subrack's orbit holds
-      no found one.
+    * Seeds: the closure of {r}, walked from r, for each Inn-orbit's
+      least element r (``RackTable._inner``), since every {x} is some
+      φ{r}.
+    * Spreading: every new subrack's Inn-orbit comes from ``_spread``,
+      the seeds' too.  Inn-orbits of subracks are disjoint, so a new
+      subrack's orbit holds no found one.
     * Growing: from each orbit's first subrack c, one x is tried per
       orbit of H_c = ⟨C[y] : y ∈ c⟩ outside c.  Each C[y], y ∈ c, maps c
       onto c, so for ψ in H_c, closure(c ∪ {ψx}) = ψ(closure(c ∪ {x})):
@@ -365,7 +355,6 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
     sources, _ = table._view
     ids: dict[Sequence[int], int] = {}
     cid = [-1, *map(ids.setdefault, sources[1:], range(1, table.n + 1))]
-    inner = _inner_moves(table)
     # each subrack's mask: its members, sorted, as they are returned
     found: dict[int, tuple[int, ...]] = {}
     # each subrack's orbit index, in an orbit of more than one subrack
@@ -384,13 +373,9 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
     orbits, _, _, _ = table._inner
     for orbit in orbits:
         r = orbit[0]
-        key = frozenset((cid[r],))
-        if cols[r][r] == r:  # {r} is closed, and its images are the {x}
-            enter(1 << r, {1 << x: (x,) for x in orbit}, key)
-        else:
-            reached = [r]
-            mask = _walk(1 << r, reached, (cols[r],))
-            enter(mask, _spread(inner, mask, reached), key)
+        reached = [r]
+        mask = _walk(1 << r, reached, (cols[r],))
+        enter(mask, _spread(table, mask, reached), frozenset((cid[r],)))
 
     full = (1 << table.n + 1) - 2
     # H_c's generating columns and its orbits on X, by those columns' ids
@@ -425,7 +410,7 @@ def enumerate_subracks(table: RackTable) -> tuple[tuple[int, ...], ...]:
             if grown == full:
                 to_x |= bits
             if grown not in found:
-                enter(grown, _spread(inner, grown, reached), grown_key)
+                enter(grown, _spread(table, grown, reached), grown_key)
     subracks = sorted(found.values())
     subracks.sort(key=len)  # stable: each size stays in lexicographic order
     subracks = tuple(subracks)

@@ -38,7 +38,7 @@ from rackkit import (
 )
 from rackkit import poly as poly_module
 from rackkit.core import _walk
-from rackkit.poly import _inner_moves, _poly, _spread, _weighted
+from rackkit.poly import _poly, _spread, _weighted
 
 perm_images = st.integers(1, 7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -512,10 +512,9 @@ def test_enumerate_subracks_matches_oracle_on_orbit_racks(table):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(relabelled_ts_racks(), relabelled_unions(), ts_non_quandles))
 def test_spread_matches_oracle_on_every_subrack(table):
-    inner = _inner_moves(table)
     for subrack in enumerate_subracks(table):
         mask = sum(1 << x for x in subrack)
-        orbit = _spread(inner, mask, reversed(subrack))
+        orbit = _spread(table, mask, reversed(subrack))
         assert next(iter(orbit.items())) == (mask, subrack)
         assert all(key == sum(1 << x for x in image)
                    for key, image in orbit.items())
@@ -799,8 +798,9 @@ def test_pair_memo_holds_one_entry_over_many_depths(racks):
     table._cycle_lengths
     before = set(vars(table))
     subset = enumerate_subracks(table)[-2]
-    # the enumeration keeps its listing's record, and only that
-    assert set(vars(table)) - before == {"_listing"}
+    # the enumeration keeps its listing's record and the generator moves
+    # that its spreads walked by, and only those
+    assert set(vars(table)) - before == {"_listing", "_inner_moves"}
     cached = set(vars(table))
     for m, n in product(range(1, 41), range(1, 26)):
         conv = ("def", "prop3")[(m + n) % 2]
