@@ -805,7 +805,7 @@ def _generators(table: RackTable, elements: Iterable[int],
     return generators, reached
 
 
-def _orbits(n: int, columns: Sequence[Sequence[int]]
+def _orbits(n: int, columns: Iterable[Sequence[int]]
             ) -> Iterator[tuple[int, list[int]]]:
     """(mask, members) for each orbit on 1..n of the group the padded
     ``_right`` columns generate, in order of least elements: the

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import eq, floordiv, index as _index, itemgetter, mul
 
 from . import _EXPORTS
 from .core import (Permutation, RackError, RackTable, _as_int, _cached,
-                   _kernel, _record)
+                   _kernel, _orbits, _record)
 from .generators import constant_action
 from .poly import (TwoVarPoly, _check_convention, _counts, _lengths, _poly,
                    _weighted)
@@ -68,16 +68,18 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
     and a full one is an isomorphism, verified once more before it is
     returned.
 
-    The first generator, 1, is branched only over the least element of
-    each orbit of Inn(b) = ⟨C_b[y]⟩, in ascending order.  Every column of
-    a rack is an automorphism, so if f is an isomorphism, so is φ∘f for
-    each φ in Inn(b), and φ keeps the invariant keys.  So whether an
-    isomorphism with f(1) = y exists depends only on y's orbit, and the
-    least such y, the image a branch over every element would find
-    first, is the least element of its orbit.  The search below it is
-    the same, so the witness is too, and a b with one orbit tries one
-    first image where it tried n.  Deeper generators still try every
-    element of b.
+    A generator g tries the least such image y first and, only if y
+    fails, the least element above y of each other orbit of H, in
+    ascending order, where b's columns that fix the images of the
+    generators before g generate H.  Each φ in H is an automorphism that
+    fixes every image placed so far, so with f, φ∘f is an isomorphism
+    that extends them: an H-orbit of images succeeds or fails as one,
+    and the image a branch over every element finds first is the least
+    element above y of its orbit.  The search below it, and the witness,
+    are the same.  For the first generator H is Inn(b), whose orbits
+    ``RackTable._inner`` holds, so a b of one orbit tries one first image
+    where it tried n.  Deeper, H costs O(k·n + h·n) lookups for k placed
+    generators and h distinct columns kept (``core._orbits``).
     """
     a.require_rack()
     b.require_rack()
@@ -99,7 +101,6 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
     cols_a = a._right
     cols_b = b._right
     placed: list[int] = []
-    representatives = [orbit[0] for orbit in orbits_b]
 
     def undo(mark: int) -> None:
         for x in placed[mark:]:
@@ -146,13 +147,25 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
                     placed.append(p)
         return True
 
+    def tries(g: int, fixed: list[int]) -> Iterator[int]:
+        """g's images in the order its frame tries them (see above)."""
+        least = next(y for y in b.elements if free[y] == unplaced[g])
+        yield least
+        orbits = orbits_b  # H, with no point to fix, is Inn(b)
+        if fixed:
+            columns = {col for col in cols_b[1:]
+                       if all(col[p] == p for p in fixed)}
+            orbits = [members for _, members in _orbits(b.n, columns)]
+        # an orbit with no element above least offers 0, no element
+        yield from sorted(min(filter(least.__lt__, orbit), default=0)
+                          for orbit in orbits if least not in orbit)
+
     # per generator: the generator, its trail mark and its untried images
     frames = []
     while len(placed) < a.n:
         # the placed elements are the span of the generators so far
         g = next(x for x in a.elements if images[x] < 0)
-        # the first generator, 1, tries one image per Inn(b)-orbit
-        untried = iter(representatives if not placed else b.elements)
+        untried = tries(g, [images[h] for h, _, _ in frames])
         frames.append((g, len(placed), untried))
         # place the deepest generator at its next image that propagates,
         # undoing each that does not

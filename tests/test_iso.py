@@ -379,6 +379,25 @@ def test_alike_connected_quandles_at_401():
     assert min(elapsed) < 0.1
 
 
+def test_six_block_union_against_one_changed_block():
+    # six copies of alexander(5, 2) against five and one alexander(5, 3):
+    # every invariant key is equal, so only products tell them apart.  A
+    # deeper generator tries one image per orbit of the columns that fix
+    # the images placed before it; trying every element took about 0.9 s
+    # at four blocks and 144 s at five
+    q, other = alexander(5, 2).entries, alexander(5, 3).entries
+    a = RackTable(reduce(trivial_union, [q] * 6))
+    b = RackTable(reduce(trivial_union, [q] * 5 + [other]))
+    for table in (a, b):
+        table.require_rack()  # validating is not the search's work
+    start = time.perf_counter()
+    result = isomorphic(a, b)
+    elapsed = time.perf_counter() - start
+    assert not result.isomorphic and result.witness is None
+    # tens of milliseconds; the bound catches only a large slowdown
+    assert elapsed < 1
+
+
 def test_blind_search_accepts_only_isomorphisms(monkeypatch):
     # with every invariant key equal only products prune the search, and
     # on these order-4 racks it reaches maps that break some product
