@@ -147,14 +147,15 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
                     placed.append(p)
         return True
 
-    def tries(g: int, fixed: list[int]) -> Iterator[int]:
-        """g's images in the order its frame tries them (see above)."""
-        least = next(y for y in b.elements if free[y] == unplaced[g])
+    def tries(g: int) -> Iterator[int]:
+        """g's images in the order that its frame, the last, tries them."""
+        least = free.index(unplaced[g])  # the least free one of g's key
         yield least
         orbits = orbits_b  # H, with no point to fix, is Inn(b)
-        if fixed:
-            columns = {col for col in cols_b[1:]
-                       if all(col[p] == p for p in fixed)}
+        if len(frames) > 1:  # H fixes the images of the generators before
+            fix = itemgetter(*[images[h] for h, _, _ in frames[:-1]])
+            still = fix(range(b.n + 1))  # as fix reads a column fixing them
+            columns = {col for col in cols_b[1:] if fix(col) == still}
             orbits = [members for _, members in _orbits(b.n, columns)]
         # an orbit with no element above least offers 0, no element
         yield from sorted(min(filter(least.__lt__, orbit), default=0)
@@ -165,8 +166,7 @@ def isomorphic(a: RackTable, b: RackTable) -> IsoResult:
     while len(placed) < a.n:
         # the placed elements are the span of the generators so far
         g = next(x for x in a.elements if images[x] < 0)
-        untried = tries(g, [images[h] for h, _, _ in frames])
-        frames.append((g, len(placed), untried))
+        frames.append((g, len(placed), tries(g)))
         # place the deepest generator at its next image that propagates,
         # undoing each that does not
         while frames:
