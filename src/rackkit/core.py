@@ -680,11 +680,17 @@ class RackTable:
 
         Pairs are taken in the order of elems, x before y, so sorted elems
         give the first escape in sorted order; None means elems is closed.
-        The elements must already be checked to lie in range.  The scan
-        stops at the first escape, after at most |S|² set lookups.
+        The elements must already be checked to lie in range.  Several
+        are first gathered from each column by one C call, and only a
+        subset that escapes is scanned pair by pair, up to its first
+        escape, in at most |S|² set lookups.
         """
         cols = self._right
         inside = set(elems)
+        if len(elems) > 1:
+            get = itemgetter(*elems)
+            if all(inside.issuperset(get(cols[y])) for y in elems):
+                return None
         return next(((x, y, cols[y][x]) for x in elems for y in elems
                      if cols[y][x] not in inside), None)
 

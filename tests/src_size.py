@@ -23,7 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent / "src" / "rackkit"
 # the most lines and AST nodes src/rackkit may total
-CEILING = 3_657, 21_653
+CEILING = 3_663, 21_698
 
 
 def modules(root: Path) -> list[tuple[str, str, ast.Module]]:
