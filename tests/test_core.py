@@ -414,6 +414,14 @@ def test_a_token_too_long_for_int_is_named_by_its_digit_count():
 def test_parse_ignores_comments_and_blanks():
     table = parse_rack_table("# two singletons\n\n2\n1 1\n\n2 2\n")
     assert table.entries == ((1, 1), (2, 2))
+    # a token is what str.split leaves and its value what int reads, with
+    # or without comments: a no-break space separates, and a fullwidth
+    # digit reads as its digit
+    body = "2\n\uff11\u00a01\n2 \uff12\n"
+    for text in (body, "# fullwidth\n" + body):
+        table = parse_rack_table(text)
+        assert table.entries == ((1, 1), (2, 2))
+        assert {type(v) for row in table.entries for v in row} == {int}
 
 
 def reference_parse(text):

@@ -689,6 +689,27 @@ def test_framed_counts_match_sweep_oracle_on_fixture_racks():
                 assert_matches_sweep(diagram, table, 2, 3, "prop3")
 
 
+def test_framed_counts_match_sweep_oracle_on_every_rack_of_order_at_most_4():
+    # one table per isomorphism class, the least relabelling of each,
+    # built by the oracle alone: 28 classes, 16 of them not quandles, in
+    # which a one-element image {x} is closed only where x ▷ x = x, so
+    # image orbits are spread from closed singletons and from larger
+    # closures, both over Inn(X) and not over π's orbits
+    classes = sorted({oracles.canonical(entries) for n in range(1, 5)
+                      for entries in oracles.racks(n)},
+                     key=lambda entries: (len(entries), entries))
+    assert len(classes) == 28
+    checks = 0
+    for i, entries in enumerate(classes):
+        table = RackTable(entries)
+        for diagram in SWEEP_DIAGRAMS:
+            if sweep_cost(diagram, table) <= SWEEP_BUDGET:
+                assert_matches_sweep(diagram, table, 2, 3,
+                                     ("def", "prop3")[i % 2])
+                checks += 1
+    assert checks == 675
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_framed_counts_match_sweep_oracle(data):
