@@ -643,11 +643,11 @@ def enhanced_invariant(diagram: LinkDiagram, table: RackTable,
     Each set of colors met is closed once and each closure's Ω spread
     once (``poly._spread``, which walks no one-element image and not X;
     a diagram with no arcs has the empty image, whose Ω is {∅}).  Every
-    T in Ω has one polynomial, as the exponent pairs are
-    constant on Inn-orbits (``poly._orbit_pairs``), and at each label an
-    exact 1/|Ω| share of Ω's count, as φ maps the colorings with image T
-    onto those with image φT.  Depths below 1 raise RackError before any
-    search, whatever the diagram.
+    T in Ω has one polynomial, as the exponent pairs are constant on
+    Inn-orbits (``poly._orbit_pairs``), and at each label an exact 1/|Ω|
+    share of Ω's count, as φ maps the colorings with image T onto those
+    with image φT.  Depths below 1 raise RackError before any search,
+    whatever the diagram.
     """
     m, n = _depths(table, m, n, convention)
     terms = _orbit_pairs(table, m, n, convention)

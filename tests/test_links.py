@@ -692,9 +692,9 @@ def test_framed_counts_match_sweep_oracle_on_fixture_racks():
 def test_framed_counts_match_sweep_oracle_on_every_rack_of_order_at_most_4():
     # one table per isomorphism class, the least relabelling of each,
     # built by the oracle alone: 28 classes, 16 of them not quandles, in
-    # which a one-element image {x} is closed only where x ▷ x = x, so
-    # image orbits are spread from closed singletons and from larger
-    # closures, both over Inn(X) and not over π's orbits
+    # which a one-element image {x} is closed only where x ▷ x = x.  So
+    # image orbits are spread both from closed singletons and from larger
+    # closures, and a spread over π's orbits instead of Inn(X)'s fails
     classes = sorted({oracles.canonical(entries) for n in range(1, 5)
                       for entries in oracles.racks(n)},
                      key=lambda entries: (len(entries), entries))
